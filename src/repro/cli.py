@@ -298,13 +298,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
             # Drive one baseline evaluation through the fleet so the
             # dispatch/latency tables below have something to show.
             from repro.fleet import FleetEvaluator
-            from repro.metaopt.settings import EvalSettings
 
-            with FleetEvaluator(args.case, args.fleet,
-                                EvalSettings()) as fleet:
+            with FleetEvaluator(harness, args.fleet,
+                                dataset=args.dataset) as fleet:
                 fleet.evaluate_batch(
-                    [(harness.case.baseline_tree(), args.benchmark)],
-                    dataset=args.dataset)
+                    [(harness.case.baseline_tree(), args.benchmark)])
         if getattr(args, "surrogate", False):
             # Train a surrogate from the persistent cache and score
             # the baseline with it, so the surrogate table below has

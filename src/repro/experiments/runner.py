@@ -522,13 +522,13 @@ class ExperimentSession:
         self.evaluator = None
         self._evaluator_context = nullcontext()
         if runner.fleet is not None or config.processes > 1:
-            from repro.metaopt.parallel import make_evaluator
+            from repro.metaopt.harness import make_evaluator
 
             self.evaluator = make_evaluator(
                 config.case,
-                runner._settings(),
                 processes=config.processes,
                 fleet=runner.fleet,
+                harness=self.harness,
             )
             self._evaluator_context = self.evaluator
         runner._surrogate_evaluator = None

@@ -2,10 +2,10 @@
 
 "GP is a distributed algorithm" (Section 3) — the paper evolved its
 heuristics on 15–20 machines.  :class:`FleetEvaluator` is that tier:
-it implements the same :class:`~repro.metaopt.parallel.
+it implements the same :class:`~repro.metaopt.harness.
 EvaluatorProtocol` as the in-process evaluators, but ships each
-generation's uncached candidates to ``repro serve`` workers over
-``POST /v1/evaluate-batch``.
+batch of distinct candidates (the GP engine owns the fitness memo) to
+``repro serve`` workers over ``POST /v1/evaluate-batch``.
 
 Design invariants (docs/FLEET.md):
 
@@ -25,8 +25,8 @@ Design invariants (docs/FLEET.md):
   a sick-but-alive worker gets the shard back after a backoff, a dead
   worker is retired and its shard redispatched to the survivors.  If
   the whole fleet dies mid-batch, the coordinator finishes the
-  remaining shards in-process — a campaign never loses a generation
-  to infrastructure.
+  remaining shards in-process, on the campaign's own harness — a
+  campaign never loses a generation to infrastructure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro import obs
 from repro.fleet.workers import (
@@ -48,7 +48,9 @@ from repro.fleet.workers import (
 )
 from repro.gp.nodes import Node
 from repro.gp.parse import unparse
-from repro.metaopt.settings import EvalSettings
+
+if TYPE_CHECKING:
+    from repro.metaopt.harness import EvaluationHarness
 
 #: Shards dealt per worker per batch (smaller shards steal better,
 #: larger ones amortize HTTP round-trips).
@@ -111,17 +113,18 @@ class _BatchState:
 
 
 class FleetEvaluator:
-    """Distributed :class:`~repro.metaopt.parallel.EvaluatorProtocol`
+    """Distributed :class:`~repro.metaopt.harness.EvaluatorProtocol`
     implementation over a fleet of serve workers.
 
-    ``fleet`` is a spec string (``"local:2"``,
-    ``"host:8347,host:8348"``) or a pre-parsed target list.  Workers
-    spawn lazily on the first batch (or eagerly via ``__enter__``), so
-    constructing an evaluator is free.
+    ``harness`` names the case and settings the workers evaluate with
+    (and is where the dead-fleet fallback runs); ``fleet`` is a spec
+    string (``"local:2"``, ``"host:8347,host:8348"``) or a pre-parsed
+    target list.  Workers spawn lazily on the first batch (or eagerly
+    via ``__enter__``), so constructing an evaluator is free.
     """
 
-    def __init__(self, case_name: str, fleet: str | list[FleetTarget],
-                 settings: EvalSettings | None = None, *,
+    def __init__(self, harness: "EvaluationHarness",
+                 fleet: str | list[FleetTarget], *,
                  dataset: str = "train",
                  shard_items: int | None = None,
                  timeout: float = 300.0,
@@ -130,10 +133,9 @@ class FleetEvaluator:
                  max_backoff: float = 4.0,
                  startup_timeout: float = 30.0,
                  sleep=time.sleep) -> None:
-        self.case_name = case_name
+        self.harness = harness
         self.targets = (parse_fleet_spec(fleet)
                         if isinstance(fleet, str) else list(fleet))
-        self.settings = settings if settings is not None else EvalSettings()
         self.dataset = dataset
         self.shard_items = shard_items
         self.timeout = timeout
@@ -143,9 +145,6 @@ class FleetEvaluator:
         self.startup_timeout = startup_timeout
         self._sleep = sleep
         self._slots: list[_WorkerSlot] | None = None
-        self._memo: dict[tuple, float] = {}
-        self._case = None
-        self._local_harness = None
         self._fingerprint = None
         self._closed = False
         self.jobs_dispatched = 0
@@ -222,34 +221,14 @@ class FleetEvaluator:
     def __call__(self, tree: Node, benchmark: str) -> float:
         return self.evaluate_batch([(tree, benchmark)])[0]
 
-    def evaluate_batch(self, jobs: Iterable[tuple[Node, str]],
-                       dataset: str | None = None) -> list[float]:
-        """Evaluate ``(tree, benchmark)`` pairs across the fleet;
-        values come back in job order whatever the completion order."""
-        dataset = dataset if dataset is not None else self.dataset
-        jobs = list(jobs)
-        keyed = [(tree.structural_key(), benchmark)
-                 for tree, benchmark in jobs]
-        pending: list[tuple[str, str]] = []
-        pending_keys: list[tuple] = []
-        queued = set()
-        for (tree, benchmark), key in zip(jobs, keyed):
-            if key not in self._memo and key not in queued:
-                queued.add(key)
-                pending.append((unparse(tree), benchmark))
-                pending_keys.append(key)
-        if pending:
-            values = self._run_pending(pending, dataset)
-            self.jobs_dispatched += len(pending)
-            self.batches_dispatched += 1
-            obs.inc("fleet.jobs", len(pending))
-            obs.inc("fleet.batches")
-            for key, value in zip(pending_keys, values):
-                self._memo[key] = value
-        return [self._memo[key] for key in keyed]
-
-    def _run_pending(self, pending: list[tuple[str, str]],
-                     dataset: str) -> list[float]:
+    def evaluate_batch(
+            self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
+        """Evaluate distinct ``(tree, benchmark)`` pairs across the
+        fleet; values come back in job order whatever the completion
+        order."""
+        pending = [(unparse(tree), benchmark) for tree, benchmark in jobs]
+        if not pending:
+            return []
         slots = [slot for slot in self.start() if slot.alive]
         shards = self._deal(pending, max(1, len(slots)))
         state = _BatchState(shards, max(1, len(slots)))
@@ -257,7 +236,7 @@ class FleetEvaluator:
             slot.busy_seconds = 0.0
         threads = [
             threading.Thread(target=self._worker_loop,
-                             args=(slot, state, dataset), daemon=True)
+                             args=(slot, state), daemon=True)
             for slot in slots
         ]
         for thread in threads:
@@ -271,7 +250,7 @@ class FleetEvaluator:
             # than lose the generation.
             obs.inc("fleet.local_fallback_batches")
             for shard in remaining:
-                self._evaluate_locally(shard, state, dataset)
+                self._evaluate_locally(shard, state)
         if state.failures:
             raise FleetError(
                 "fleet evaluation failed permanently: "
@@ -280,6 +259,10 @@ class FleetEvaluator:
             busy = [slot.busy_seconds for slot in slots]
             obs.set_gauge("fleet.straggler_seconds",
                           max(busy) - min(busy))
+        self.jobs_dispatched += len(pending)
+        self.batches_dispatched += 1
+        obs.inc("fleet.jobs", len(pending))
+        obs.inc("fleet.batches")
         return [state.results[index] for index in range(len(pending))]
 
     def _deal(self, pending: list[tuple[str, str]],
@@ -297,15 +280,15 @@ class FleetEvaluator:
         return shards
 
     # -- the per-worker thread -------------------------------------------
-    def _worker_loop(self, slot: _WorkerSlot, state: _BatchState,
-                     dataset: str) -> None:
+    def _worker_loop(self, slot: _WorkerSlot,
+                     state: _BatchState) -> None:
         while True:
             shard = self._take(slot, state)
             if shard is None:
                 return
             started = time.monotonic()
             try:
-                self._run_shard(slot, shard, state, dataset)
+                self._run_shard(slot, shard, state)
             except WorkerUnreachable as exc:
                 if self._probe(slot):
                     self._backoff(shard)
@@ -336,10 +319,10 @@ class FleetEvaluator:
                 self._complete(state, shard)
 
     def _run_shard(self, slot: _WorkerSlot, shard: _Shard,
-                   state: _BatchState, dataset: str) -> None:
+                   state: _BatchState) -> None:
         self.shards_dispatched += 1
         obs.inc("fleet.shards_dispatched")
-        payload = self._payload(shard, dataset)
+        payload = self._payload(shard)
         records = {record.get("index"): record
                    for record in slot.client.evaluate_shard(payload)}
         values: dict[int, float] = {}
@@ -357,15 +340,15 @@ class FleetEvaluator:
         with state.cond:
             state.results.update(values)
 
-    def _payload(self, shard: _Shard, dataset: str) -> dict:
+    def _payload(self, shard: _Shard) -> dict:
         # Host-local fields stay home: the worker pins its own cache
         # directory and snapshot switch (neither affects values).
-        wire = self.settings.replace(fitness_cache_dir=None,
-                                    collect_metrics=False)
+        wire = self.harness.settings.replace(fitness_cache_dir=None,
+                                             collect_metrics=False)
         return {
             "schema": 1,
-            "case": self.case_name,
-            "dataset": dataset,
+            "case": self.harness.case.name,
+            "dataset": self.dataset,
             "settings": wire.to_json_dict(),
             "fingerprint": self._fingerprints(),
             "items": [
@@ -383,7 +366,7 @@ class FleetEvaluator:
 
             self._fingerprint = {
                 "pipeline": pipeline_fingerprint(),
-                "machine": machine_fingerprint(self._case_study().machine),
+                "machine": machine_fingerprint(self.harness.case.machine),
             }
         return self._fingerprint
 
@@ -456,38 +439,22 @@ class FleetEvaluator:
             return False
 
     # -- the in-process safety net ---------------------------------------
-    def _case_study(self):
-        if self._case is None:
-            from repro.metaopt.harness import case_study
-
-            self._case = case_study(self.case_name)
-        return self._case
-
-    def _ensure_local_harness(self):
-        if self._local_harness is None:
-            from repro.metaopt.harness import EvaluationHarness
-
-            self._local_harness = EvaluationHarness(
-                self._case_study(),
-                self.settings.replace(collect_metrics=False))
-        return self._local_harness
-
-    def _evaluate_locally(self, shard: _Shard, state: _BatchState,
-                          dataset: str) -> None:
+    def _evaluate_locally(self, shard: _Shard,
+                          state: _BatchState) -> None:
         from repro.metaopt.priority import PriorityFunction
 
-        harness = self._ensure_local_harness()
         for index, text, benchmark in shard.items:
-            priority = PriorityFunction.from_text(text, harness.case.pset)
-            state.results[index] = harness.speedup(
-                priority.tree, benchmark, dataset)
+            priority = PriorityFunction.from_text(
+                text, self.harness.case.pset)
+            state.results[index] = self.harness.speedup(
+                priority.tree, benchmark, self.dataset)
             self.local_fallback_jobs += 1
             obs.inc("fleet.local_fallback_jobs")
         state.outstanding -= 1
 
     # -- telemetry -------------------------------------------------------
     def stats(self) -> dict[str, int]:
-        counters = {
+        return {
             "workers": len(self.targets),
             "workers_lost": self.workers_lost,
             "jobs_dispatched": self.jobs_dispatched,
@@ -497,7 +464,3 @@ class FleetEvaluator:
             "shards_retried": self.shards_retried,
             "local_fallback_jobs": self.local_fallback_jobs,
         }
-        if self._local_harness is not None:
-            for key, value in self._local_harness.stats().items():
-                counters[key] = value
-        return counters

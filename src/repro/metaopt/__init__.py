@@ -30,12 +30,14 @@ from repro.metaopt.generalize import (
     cross_validate,
     finalize_generalization,
 )
-from repro.metaopt.harness import CaseStudy, EvaluationHarness, case_study
-from repro.metaopt.parallel import (
+from repro.metaopt.harness import (
+    CaseStudy,
+    EvaluationHarness,
     EvaluatorProtocol,
-    ParallelEvaluator,
+    case_study,
     make_evaluator,
 )
+from repro.metaopt.parallel import ParallelEvaluator
 from repro.metaopt.priority import PriorityFunction
 from repro.metaopt.scheduling import (
     LATENCY_WEIGHTED_DEPTH_TEXT,

@@ -28,7 +28,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 if TYPE_CHECKING:
     from repro.metaopt.fitness_cache import FitnessCache
@@ -47,7 +47,7 @@ from repro.machine.sim import SimResult, Simulator
 from repro.metaopt.baselines import BASELINE_TREES
 from repro.metaopt.psets import PSETS
 from repro.metaopt.priority import PriorityFunction
-from repro.metaopt.settings import EvalSettings, settings_from_kwargs
+from repro.metaopt.settings import EvalSettings
 from repro.passes.pipeline import (
     STAGE_BY_HOOK,
     CompilerOptions,
@@ -218,10 +218,6 @@ class EvaluationHarness:
     seed is derived from the memo key so repeated evaluations of the
     same candidate are reproducible, like the paper's memoized
     fitnesses.
-
-    The pre-``EvalSettings`` keyword arguments (``noise_stddev``,
-    ``verify_outputs``, ``use_snapshots``) keep working for one
-    release behind a :class:`DeprecationWarning`.
     """
 
     def __init__(self, case: CaseStudy,
@@ -229,10 +225,8 @@ class EvaluationHarness:
                  *,
                  max_interp_steps: int = 10_000_000,
                  fitness_cache: "FitnessCache | None" = None,
-                 snapshot_cache: SnapshotCache | None = None,
-                 **deprecated) -> None:
-        settings = settings_from_kwargs(settings, deprecated,
-                                        "EvaluationHarness")
+                 snapshot_cache: SnapshotCache | None = None) -> None:
+        settings = settings if settings is not None else EvalSettings()
         self.case = case
         self.settings = settings
         #: convenience mirrors of ``settings`` fields, kept because the
@@ -553,8 +547,8 @@ class HarnessEvaluator:
     single-pair ``__call__`` and the generation-level
     ``evaluate_batch``.  The batch form is the reference semantics the
     parallel and fleet evaluators must reproduce bit-identically.
-    Implements :class:`~repro.metaopt.parallel.EvaluatorProtocol` so
-    serial, process-pool, and fleet evaluation interchange freely.
+    Implements :class:`EvaluatorProtocol` so serial, process-pool, and
+    fleet evaluation interchange freely.
     """
 
     harness: EvaluationHarness
@@ -580,3 +574,85 @@ class HarnessEvaluator:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@runtime_checkable
+class EvaluatorProtocol(Protocol):
+    """The shared evaluator surface.
+
+    :class:`HarnessEvaluator` (serial),
+    :class:`~repro.metaopt.parallel.ParallelEvaluator` (process pool),
+    and :class:`~repro.fleet.FleetEvaluator` (distributed) all
+    implement it, so the GP engine, the experiments runner, and the
+    benchmarks can swap evaluation backends without caring which one
+    they hold.  An evaluator is bound at construction to one harness
+    and one dataset.  The contract:
+
+    * **callers pass distinct jobs** — the GP engine owns the one
+      fitness memo (it rides the checkpoint) and never dispatches a
+      ``(structural_key, benchmark)`` pair twice, within a batch or
+      across batches; evaluators do not dedupe;
+    * ``evaluate_batch`` returns fitness values **in job order**,
+      regardless of completion order (order-independent reduction);
+    * equal :class:`~repro.metaopt.settings.EvalSettings` produce
+      bit-identical values on every backend;
+    * ``stats()`` is cheap and side-effect free; ``close()`` is
+      idempotent.
+    """
+
+    def __call__(self, tree: Node, benchmark: str) -> float: ...
+
+    def evaluate_batch(
+        self, jobs: Iterable[tuple[Node, str]]) -> list[float]: ...
+
+    def stats(self) -> dict[str, int]: ...
+
+    def close(self) -> None: ...
+
+
+def make_evaluator(case_name: str,
+                   settings: EvalSettings | None = None,
+                   *,
+                   processes: int = 1,
+                   fleet: str | None = None,
+                   dataset: str = "train",
+                   harness: EvaluationHarness | None = None,
+                   ) -> EvaluatorProtocol:
+    """The one constructor entry point for fitness evaluators, and the
+    one place a harness is built from ``(case_name, settings)`` — pass
+    ``harness`` to evaluate on an existing one instead.  Every backend
+    evaluates ``dataset`` on (copies of) that single harness:
+
+    * ``fleet`` set (e.g. ``"local:2"`` or ``"host:1234,host:1235"``) —
+      a :class:`~repro.fleet.FleetEvaluator` sharding batches across
+      serve workers (mutually exclusive with ``processes > 1``);
+    * ``processes > 1`` — a
+      :class:`~repro.metaopt.parallel.ParallelEvaluator` process pool;
+    * otherwise — the serial :class:`HarnessEvaluator`.
+
+    All three speak :class:`EvaluatorProtocol` and are bit-identical
+    for equal settings.
+    """
+    if case_name == "flags" and (fleet is not None or processes > 1):
+        # Pool workers and fleet shards ship candidates as priority-
+        # function s-expressions; a flags genome is not one, and the
+        # campaign is cheap enough (6 genes) that serial evaluation is
+        # never the bottleneck.
+        raise ValueError(
+            "the flags case only supports serial evaluation — drop "
+            "--processes/--fleet")
+    if fleet is not None and processes > 1:
+        raise ValueError(
+            "--fleet and --processes are mutually exclusive: the "
+            "fleet already owns dispatch")
+    if harness is None:
+        harness = EvaluationHarness(case_study(case_name), settings)
+    if fleet is not None:
+        from repro.fleet import FleetEvaluator  # lazy: avoid cycle
+
+        return FleetEvaluator(harness, fleet, dataset=dataset)
+    if processes > 1:
+        from repro.metaopt.parallel import ParallelEvaluator
+
+        return ParallelEvaluator(harness, processes, dataset=dataset)
+    return harness.evaluator(dataset)

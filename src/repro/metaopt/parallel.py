@@ -4,82 +4,68 @@
 all-time low, it is now economically feasible to dedicate a cluster of
 machines to searching a solution space" (Section 3) — the paper ran 15
 to 20 machines in parallel.  This module provides the single-machine
-equivalent: a process pool whose workers each hold their own
-:class:`~repro.metaopt.harness.EvaluationHarness` (with its own
-prepared-program and cycle caches) and evaluate candidates shipped as
-s-expression text.
+equivalent: a process pool forked from the campaign's one
+:class:`~repro.metaopt.harness.EvaluationHarness`, whose workers
+evaluate candidates shipped as s-expression text.
 
 Usage::
 
-    with ParallelEvaluator("hyperblock", processes=4) as evaluator:
+    harness = EvaluationHarness(case_study("hyperblock"))
+    with ParallelEvaluator(harness, processes=4) as evaluator:
         engine = GPEngine(pset, evaluator, benchmarks, params, seeds)
         result = engine.run()
 
-The evaluator is a drop-in replacement for
-``EvaluationHarness.evaluator()``.  The GP engine batches each
-generation's uncached ``(tree, benchmark)`` pairs into one
-:meth:`evaluate_batch` call, which fans them out over the pool with
+The evaluator is a plain transport of
+:class:`~repro.metaopt.harness.EvaluatorProtocol`: the GP engine owns
+the fitness memo and hands :meth:`evaluate_batch` distinct, never-seen
+``(tree, benchmark)`` pairs, which are fanned out over the pool with
 ``imap_unordered`` (results are reassembled by job index, so completion
-order never affects fitness values).  Workers stay warm across
-generations — the pool, and with it every worker's prepared-program and
-cycle caches, lives until :meth:`close`.
+order never affects fitness values).
 
-With ``processes=1`` no pool is created at all: the batch runs in-
-process on a lazily built harness, making the parallel path a strict
-superset of the serial seed path (and trivially bit-identical to it).
+The pool forks on the first batch, *after* the parent has run the
+candidate-independent work (frontend, profiling, baseline compile +
+simulate) for that batch's benchmarks on the harness — workers inherit
+it copy-on-write instead of each redoing it, and the parent's harness
+is already warm when the campaign's finalize step scores the champion
+on it.  Workers stay warm across generations: the pool, and with it
+every worker's prepared-program and cycle caches, lives until
+:meth:`close`.
 
 Candidate trees travel as s-expression text, which is cheap and
 version-independent; ``parse(unparse(tree))`` is structurally exact
 (including float constants), so worker-side memo keys and noise seeds
-match the serial path bit-for-bit.
-
-All evaluation knobs ride one frozen
-:class:`~repro.metaopt.settings.EvalSettings`; a
-``settings.fitness_cache_dir`` gives every worker (and the serial
-fallback) a shared persistent :class:`~repro.metaopt.fitness_cache.
-FitnessCache`; entry writes are atomic, so concurrent workers may race
-benignly on the same key.
-
-This module is also home to the shared evaluator surface: the
-:class:`EvaluatorProtocol` every evaluator implements and the
-:func:`make_evaluator` entry point that picks serial, process-pool, or
-fleet evaluation from one set of arguments.
+match the serial path bit-for-bit.  A ``settings.fitness_cache_dir`` on
+the harness is shared by every worker; entry writes are atomic, so
+concurrent workers may race benignly on the same key.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable
 
 from repro import obs
 from repro.gp.nodes import Node
 from repro.gp.parse import unparse
-from repro.metaopt.settings import EvalSettings, settings_from_kwargs
 from repro.obs.metrics import diff_snapshots
 
 if TYPE_CHECKING:
     from repro.metaopt.harness import EvaluationHarness
 
+#: The forked copy of the parent's harness (set in workers only).
 _WORKER_HARNESS = None
-_WORKER_CASE = None
-#: (case_name, EvalSettings) the globals were built for — a forked
-#: worker only reuses an inherited harness when its own configuration
-#: matches exactly.
-_WORKER_SIGNATURE = None
 #: Snapshot of the worker registry at the last shipped delta; baselines
 #: out both the parent state inherited via fork and earlier jobs, so
 #: each job's delta carries only its own activity.
 _WORKER_METRICS_MARK = None
 
 
-def _worker_init(case_name: str, settings: EvalSettings,
+def _worker_init(harness: "EvaluationHarness",
                  collect_metrics: bool = False) -> None:
-    """Build the per-worker harness — unless this worker was forked
-    from a pre-warmed parent, in which case the module globals already
-    carry a harness whose prepared-program and baseline-cycle caches
-    came along copy-on-write."""
-    global _WORKER_HARNESS, _WORKER_CASE, _WORKER_SIGNATURE
-    global _WORKER_METRICS_MARK
+    """Adopt the harness this worker was forked with: its prepared-
+    program and baseline-cycle caches came along copy-on-write (fork
+    hands ``initargs`` over by reference, nothing is pickled)."""
+    global _WORKER_HARNESS, _WORKER_METRICS_MARK
+    _WORKER_HARNESS = harness
     if collect_metrics:
         # Reuses a registry inherited copy-on-write (enable_metrics is
         # idempotent); the mark excludes its pre-fork contents from the
@@ -88,20 +74,6 @@ def _worker_init(case_name: str, settings: EvalSettings,
     else:
         obs.disable_metrics()
         _WORKER_METRICS_MARK = None
-    signature = (case_name, settings)
-    if _WORKER_HARNESS is not None and _WORKER_SIGNATURE == signature:
-        return
-    from repro.metaopt.harness import case_study
-
-    _WORKER_CASE = case_study(case_name)
-    _WORKER_HARNESS = _make_harness(_WORKER_CASE, settings)
-    _WORKER_SIGNATURE = signature
-
-
-def _make_harness(case, settings: EvalSettings):
-    from repro.metaopt.harness import EvaluationHarness
-
-    return EvaluationHarness(case, settings)
 
 
 def _worker_evaluate(
@@ -114,7 +86,8 @@ def _worker_evaluate(
     index, tree_text, benchmark, dataset = job
     from repro.metaopt.priority import PriorityFunction
 
-    priority = PriorityFunction.from_text(tree_text, _WORKER_CASE.pset)
+    priority = PriorityFunction.from_text(tree_text,
+                                          _WORKER_HARNESS.case.pset)
     value = _WORKER_HARNESS.speedup(priority.tree, benchmark, dataset)
     registry = obs.metrics()
     if registry is None:
@@ -126,77 +99,42 @@ def _worker_evaluate(
 
 
 class ParallelEvaluator:
-    """Process-pool fitness evaluation for one case study.
+    """Process-pool fitness evaluation on forked copies of ``harness``,
+    bound to one ``dataset``."""
 
-    Each worker builds its own harness on first use; results are
-    memoized in the parent as well, so the GP engine's own memoization
-    layer sees a plain callable plus an ``evaluate_batch`` fast path.
-    """
-
-    def __init__(self, case_name: str, processes: int = 2,
-                 settings: EvalSettings | None = None,
-                 **deprecated) -> None:
+    def __init__(self, harness: "EvaluationHarness", processes: int = 2,
+                 *, dataset: str = "train") -> None:
         if processes < 1:
             raise ValueError("processes must be >= 1")
-        self.case_name = case_name
+        self.harness = harness
         self.processes = processes
-        self.settings = settings_from_kwargs(settings, deprecated,
-                                             "ParallelEvaluator")
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._serial_harness = None
-        self._memo: dict[tuple, float] = {}
+        self.dataset = dataset
+        self._pool = None
         self.jobs_dispatched = 0
         self.batches_dispatched = 0
 
     # -- lifecycle ------------------------------------------------------
-    def prewarm(self, benchmarks: Iterable[str],
-                dataset: str = "train") -> None:
-        """Run the candidate-independent work (frontend, profiling,
-        baseline compile + simulate) for ``benchmarks`` once in the
-        parent, *before* the pool forks.  Workers then inherit the
-        warmed harness copy-on-write instead of each redoing it —
-        without this, N workers pay N redundant prepares per benchmark.
-
-        No-op for benchmarks already warmed; safe to call repeatedly.
-        Benchmarks first seen after the pool exists are prepared
-        per-worker as before (e.g. late DSS subset members).
-        """
-        global _WORKER_HARNESS, _WORKER_CASE, _WORKER_SIGNATURE
-        if self.processes == 1:
-            harness = self._ensure_serial_harness()
-        else:
-            if self._pool is not None:
-                return  # workers already forked; too late to share
-            signature = (self.case_name, self.settings)
-            if _WORKER_HARNESS is None or _WORKER_SIGNATURE != signature:
-                from repro.metaopt.harness import case_study
-
-                _WORKER_CASE = case_study(self.case_name)
-                _WORKER_HARNESS = _make_harness(_WORKER_CASE, self.settings)
-                _WORKER_SIGNATURE = signature
-            harness = _WORKER_HARNESS
-        for benchmark in benchmarks:
-            harness.prepared(benchmark)
-            harness.baseline_result(benchmark, dataset)
-
-    def _ensure_pool(self):
+    def _ensure_pool(self, benchmarks: Iterable[str]):
+        """The pool, forked on first use — after the parent has run
+        the candidate-independent work for ``benchmarks``, so every
+        worker inherits it instead of N workers paying N prepares per
+        benchmark.  Benchmarks first seen after the fork (late DSS
+        subset members) are prepared per worker."""
         if self._pool is None:
+            for benchmark in benchmarks:
+                self.harness.prepared(benchmark)
+                self.harness.baseline_result(benchmark, self.dataset)
+            # Imported here, not at module level: a serial campaign
+            # never builds a pool and should not pay for the import.
+            import multiprocessing
+
             context = multiprocessing.get_context("fork")
             self._pool = context.Pool(
                 self.processes,
                 initializer=_worker_init,
-                initargs=(self.case_name, self.settings,
-                          obs.metrics_enabled()),
+                initargs=(self.harness, obs.metrics_enabled()),
             )
         return self._pool
-
-    def _ensure_serial_harness(self):
-        if self._serial_harness is None:
-            from repro.metaopt.harness import case_study
-
-            self._serial_harness = _make_harness(
-                case_study(self.case_name), self.settings)
-        return self._serial_harness
 
     def close(self, force: bool = False) -> None:
         """Shut the pool down.
@@ -220,31 +158,23 @@ class ParallelEvaluator:
             raise
 
     def __enter__(self) -> "ParallelEvaluator":
-        if self.processes > 1:
-            self._ensure_pool()
         return self
 
     def __exit__(self, exc_type, *exc_info) -> None:
         self.close(force=exc_type is not None)
 
     # -- evaluation --------------------------------------------------------
-    def _run_batch(self, pending: list[tuple[str, str, str]]) -> list[float]:
-        """Evaluate unmemoized jobs; returns values in job order."""
-        if self.processes == 1:
-            harness = self._ensure_serial_harness()
-            from repro.metaopt.priority import PriorityFunction
-
-            results = []
-            for tree_text, benchmark, dataset in pending:
-                priority = PriorityFunction.from_text(
-                    tree_text, harness.case.pset)
-                results.append(
-                    harness.speedup(priority.tree, benchmark, dataset))
-            return results
-        pool = self._ensure_pool()
-        indexed = [(index,) + job for index, job in enumerate(pending)]
+    def evaluate_batch(
+        self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
+        """Evaluate distinct ``(tree, benchmark)`` pairs across the
+        pool; values come back in job order."""
+        indexed = [(index, unparse(tree), benchmark, self.dataset)
+                   for index, (tree, benchmark) in enumerate(jobs)]
+        if not indexed:
+            return []
+        pool = self._ensure_pool(sorted({job[2] for job in indexed}))
         chunksize = max(1, len(indexed) // (self.processes * 4))
-        results: list[float | None] = [None] * len(pending)
+        results: list[float | None] = [None] * len(indexed)
         registry = obs.metrics()
         try:
             for index, value, delta in pool.imap_unordered(
@@ -261,38 +191,11 @@ class ParallelEvaluator:
             # in-flight generation is simply re-run on resume).
             self.close(force=True)
             raise
+        self.jobs_dispatched += len(indexed)
+        self.batches_dispatched += 1
+        obs.inc("parallel.jobs", len(indexed))
+        obs.inc("parallel.batches")
         return results
-
-    def evaluate_batch(
-        self,
-        jobs: Iterable[tuple[Node, str]],
-        dataset: str = "train",
-    ) -> list[float]:
-        """Evaluate ``(tree, benchmark)`` pairs across the pool."""
-        jobs = list(jobs)
-        keyed = [(tree.structural_key(), benchmark)
-                 for tree, benchmark in jobs]
-        pending = []
-        pending_keys = []
-        queued = set()
-        for (tree, benchmark), key in zip(jobs, keyed):
-            if key not in self._memo and key not in queued:
-                queued.add(key)
-                pending.append((unparse(tree), benchmark, dataset))
-                pending_keys.append(key)
-        if pending:
-            if self.processes > 1 and self._pool is None:
-                # First dispatch: warm the parent before forking so
-                # every worker inherits the prepared programs.
-                self.prewarm(sorted({job[1] for job in pending}), dataset)
-            values = self._run_batch(pending)
-            self.jobs_dispatched += len(pending)
-            self.batches_dispatched += 1
-            obs.inc("parallel.jobs", len(pending))
-            obs.inc("parallel.batches")
-            for key, value in zip(pending_keys, values):
-                self._memo[key] = value
-        return [self._memo[key] for key in keyed]
 
     def __call__(self, tree: Node, benchmark: str) -> float:
         """GPEngine-compatible single evaluation (uses the pool so the
@@ -301,86 +204,8 @@ class ParallelEvaluator:
 
     def stats(self) -> dict[str, int]:
         """Telemetry counters for event streams and progress reports."""
-        counters = {
+        return {
             "processes": self.processes,
             "jobs_dispatched": self.jobs_dispatched,
             "batches_dispatched": self.batches_dispatched,
         }
-        if self._serial_harness is not None:
-            for key, value in self._serial_harness.stats().items():
-                counters[key] = value
-        return counters
-
-
-@runtime_checkable
-class EvaluatorProtocol(Protocol):
-    """The shared evaluator surface.
-
-    ``HarnessEvaluator`` (serial), :class:`ParallelEvaluator` (process
-    pool), and :class:`~repro.fleet.FleetEvaluator` (distributed) all
-    implement it, so the GP engine, the experiments runner, and the
-    benchmarks can swap evaluation backends without caring which one
-    they hold.  The contract every implementation must honour:
-
-    * ``evaluate_batch`` returns fitness values **in job order**,
-      regardless of completion order (order-independent reduction);
-    * equal :class:`~repro.metaopt.settings.EvalSettings` produce
-      bit-identical values on every backend;
-    * ``stats()`` is cheap and side-effect free; ``close()`` is
-      idempotent.
-    """
-
-    def __call__(self, tree: Node, benchmark: str) -> float: ...
-
-    def evaluate_batch(
-        self, jobs: Iterable[tuple[Node, str]]) -> list[float]: ...
-
-    def stats(self) -> dict[str, int]: ...
-
-    def close(self) -> None: ...
-
-
-def make_evaluator(case_name: str,
-                   settings: EvalSettings | None = None,
-                   *,
-                   processes: int = 1,
-                   fleet: str | None = None,
-                   dataset: str = "train",
-                   harness: "EvaluationHarness | None" = None,
-                   ) -> EvaluatorProtocol:
-    """The one constructor entry point for fitness evaluators.
-
-    * ``fleet`` set (e.g. ``"local:2"`` or ``"host:1234,host:1235"``) —
-      a :class:`~repro.fleet.FleetEvaluator` sharding batches across
-      serve workers (mutually exclusive with ``processes > 1``);
-    * ``processes > 1`` — a :class:`ParallelEvaluator` process pool;
-    * otherwise — the serial ``HarnessEvaluator``, evaluating in-process
-      on ``harness`` (building one from ``settings`` when not given).
-
-    All three speak :class:`EvaluatorProtocol` and are bit-identical
-    for equal settings.
-    """
-    settings = settings if settings is not None else EvalSettings()
-    if case_name == "flags" and (fleet is not None or processes > 1):
-        # Pool workers and fleet shards ship candidates as priority-
-        # function s-expressions; a flags genome is not one, and the
-        # campaign is cheap enough (6 genes) that serial evaluation is
-        # never the bottleneck.
-        raise ValueError(
-            "the flags case only supports serial evaluation — drop "
-            "--processes/--fleet")
-    if fleet is not None:
-        if processes > 1:
-            raise ValueError(
-                "--fleet and --processes are mutually exclusive: the "
-                "fleet already owns dispatch")
-        from repro.fleet import FleetEvaluator  # lazy: avoid cycle
-
-        return FleetEvaluator(case_name, fleet, settings, dataset=dataset)
-    if processes > 1:
-        return ParallelEvaluator(case_name, processes, settings)
-    if harness is None:
-        from repro.metaopt.harness import EvaluationHarness, case_study
-
-        harness = EvaluationHarness(case_study(case_name), settings)
-    return harness.evaluator(dataset)

@@ -15,27 +15,12 @@ in ``POST /v1/evaluate-batch`` requests, via :meth:`to_json_dict` /
 :meth:`from_json_dict`.  Two settings objects that compare equal
 produce bit-identical fitness values, which is what lets the serial
 path, the process pool, and the fleet interchange freely.
-
-The old keyword arguments keep working for one release: constructors
-accept them, fold them into a settings object, and emit a
-:class:`DeprecationWarning` (see :func:`settings_from_kwargs`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-
-#: Deprecated keyword arguments folded into :class:`EvalSettings`,
-#: mapped to their settings field.
-_DEPRECATED_KWARGS = {
-    "noise_stddev": "noise_stddev",
-    "fitness_cache_dir": "fitness_cache_dir",
-    "verify_outputs": "verify_outputs",
-    "use_snapshots": "use_snapshots",
-    "collect_metrics": "collect_metrics",
-}
 
 
 @dataclass(frozen=True)
@@ -85,34 +70,3 @@ class EvalSettings:
     def replace(self, **changes) -> "EvalSettings":
         return dataclasses.replace(self, **changes)
 
-
-def settings_from_kwargs(settings: EvalSettings | None, kwargs: dict,
-                         owner: str,
-                         defaults: EvalSettings | None = None,
-                         ) -> EvalSettings:
-    """Fold deprecated per-flag keyword arguments into a settings
-    object (warning once per call site), or return ``settings`` /
-    ``defaults`` untouched.
-
-    Passing both ``settings`` and a deprecated kwarg is an error —
-    silently preferring one over the other would hide a conflict.
-    """
-    unknown = set(kwargs) - set(_DEPRECATED_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s) "
-            f"{sorted(unknown)}")
-    if not kwargs:
-        return settings if settings is not None else (
-            defaults if defaults is not None else EvalSettings())
-    if settings is not None:
-        raise TypeError(
-            f"{owner}: pass either settings=EvalSettings(...) or the "
-            f"deprecated keyword(s) {sorted(kwargs)}, not both")
-    warnings.warn(
-        f"{owner}: the keyword(s) {sorted(kwargs)} are deprecated — "
-        "pass settings=EvalSettings(...) instead",
-        DeprecationWarning, stacklevel=3)
-    base = defaults if defaults is not None else EvalSettings()
-    return base.replace(**{_DEPRECATED_KWARGS[key]: value
-                           for key, value in kwargs.items()})

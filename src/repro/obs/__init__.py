@@ -21,8 +21,8 @@ Enabling is explicit and process-local::
 
 Surfaces: the ``repro profile`` subcommand, ``--trace FILE`` /
 ``--metrics`` on ``evolve``/``generalize``/``simulate``, per-generation
-``metrics`` events in the experiments stream, and
-``tools/bench_eval.py``.  Span and metric names are catalogued in
+``metrics`` events in the experiments stream, and the ``--trace 1``
+runs of ``bench/run.py``.  Span and metric names are catalogued in
 ``docs/OBSERVABILITY.md``.
 """
 

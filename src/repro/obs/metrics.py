@@ -4,7 +4,7 @@ The registry is the numeric half of the observability layer
 (:mod:`repro.obs`): long-running subsystems — the compilation pipeline,
 the cycle simulator, the GP engine, the parallel evaluator — feed named
 instruments, and surfaces (``repro profile``, the experiments event
-stream, ``tools/bench_eval.py``) read consistent snapshots back out.
+stream, ``bench/run.py``) read consistent snapshots back out.
 
 Three instrument kinds, deliberately minimal:
 

@@ -16,7 +16,7 @@ missing train-to-deploy layer of the reproduction:
   ``GET /v1/jobs/<id>``, ``GET /v1/artifacts``, ``GET /healthz``,
   ``GET /metrics``, with explicit backpressure and SIGTERM drain;
 * :mod:`repro.serve.client` — the stdlib HTTP client with
-  retry/backoff (``repro submit``, ``tools/bench_serve.py``).
+  retry/backoff (``repro submit``, ``bench/``'s ``serve-mixed``).
 
 See ``docs/SERVING.md`` for the artifact lifecycle and API reference.
 """

@@ -1,10 +1,10 @@
 """Stdlib HTTP client for the serving daemon.
 
-Used by ``repro submit`` and ``tools/bench_serve.py``.  Transient
-failures — connection refused, ``429`` (queue full), ``503``
-(draining) — are retried with exponential backoff, honouring the
-server's ``Retry-After`` hint when present; anything else raises
-:class:`ServeError` carrying the server's JSON error body.
+Used by ``repro submit`` and the ``serve-mixed`` workload of
+``bench/``.  Transient failures — connection refused, ``429`` (queue
+full), ``503`` (draining) — are retried with exponential backoff,
+honouring the server's ``Retry-After`` hint when present; anything else
+raises :class:`ServeError` carrying the server's JSON error body.
 """
 
 from __future__ import annotations

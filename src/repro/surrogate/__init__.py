@@ -21,7 +21,7 @@ Layers:
   pairs out of the persistent
   :class:`~repro.metaopt.fitness_cache.FitnessCache`;
 * :mod:`repro.surrogate.evaluator` — the
-  :class:`~repro.metaopt.parallel.EvaluatorProtocol` implementation
+  :class:`~repro.metaopt.harness.EvaluatorProtocol` implementation
   that wraps any exact evaluator (serial, process pool, fleet).
 """
 

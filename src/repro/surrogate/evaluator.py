@@ -2,7 +2,7 @@
 
 :class:`SurrogateEvaluator` wraps any exact evaluator (serial harness,
 process pool, fleet) behind the same
-:class:`~repro.metaopt.parallel.EvaluatorProtocol` surface the GP
+:class:`~repro.metaopt.harness.EvaluatorProtocol` surface the GP
 engine already speaks.  Per generation batch it:
 
 1. groups jobs by candidate tree and scores every tree from the model;
@@ -81,7 +81,7 @@ def spearman(xs: list[float], ys: list[float]) -> float:
 class SurrogateEvaluator:
     """Rank with a learned model, simulate only what matters.
 
-    Implements :class:`~repro.metaopt.parallel.EvaluatorProtocol`;
+    Implements :class:`~repro.metaopt.harness.EvaluatorProtocol`;
     drop-in wherever the exact evaluators go.  The wrapped ``inner``
     evaluator is owned: :meth:`close` closes it.
     """

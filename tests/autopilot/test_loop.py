@@ -9,7 +9,9 @@ hash-routed slice, and the sign test promotes it — with the whole
 decision trail byte-identical across a daemon kill+restart.
 """
 
+import itertools
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -95,6 +97,29 @@ def drive_channel_traffic(client, benches) -> list[dict]:
             for bench in benches]
 
 
+def hold_second_step_until_drain(autopilot) -> None:
+    """Gate the campaign on the instance: the first generation runs
+    (and checkpoints) freely, the second ``campaign_step`` call blocks
+    until the autopilot has begun draining.  Whatever the test reads
+    between the first checkpoint and ``drain()`` is therefore read
+    mid-campaign, however fast a generation is on this box."""
+    draining = threading.Event()
+    step, begin_drain = autopilot.campaign_step, autopilot.begin_drain
+    calls = itertools.count(1)
+
+    def gated_step(params):
+        if next(calls) == 2:
+            draining.wait()
+        return step(params)
+
+    def begin_drain_and_release():
+        begin_drain()
+        draining.set()
+
+    autopilot.campaign_step = gated_step
+    autopilot.begin_drain = begin_drain_and_release
+
+
 def run_loop_to_completion(root: Path, interrupt: bool,
                            generations: int = 2) -> dict:
     """Drive one full degrade→trip→evolve→canary→promote loop; with
@@ -111,6 +136,8 @@ def run_loop_to_completion(root: Path, interrupt: bool,
         return server, ServeClient(server.url, timeout=120.0)
 
     server, client = boot()
+    if interrupt:
+        hold_second_step_until_drain(server.autopilot)
     phase_at_drain = None
     phases: list[tuple[str, str]] = []
     try:

@@ -73,7 +73,7 @@ class TestWorkerLossMidGeneration:
         expected = EvaluationHarness(case, EvalSettings()).evaluator(
             "train").evaluate_batch(jobs)
 
-        with FleetEvaluator("hyperblock", "local:2", EvalSettings(),
+        with FleetEvaluator(EvaluationHarness(case), "local:2",
                             shard_items=1) as fleet:
             victim = next(slot for slot in fleet.start()
                           if slot.process is not None)

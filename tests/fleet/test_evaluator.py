@@ -17,8 +17,11 @@ import pytest
 from repro.fleet import FleetError, FleetEvaluator, FleetTarget
 from repro.gp.parse import parse
 from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.harness import EvaluationHarness, case_study
-from repro.metaopt.settings import EvalSettings
+from repro.metaopt.harness import (
+    EvaluationHarness,
+    case_study,
+    make_evaluator,
+)
 
 BENCHMARK = "codrle4"
 
@@ -33,9 +36,10 @@ class FakeWorker:
     ``script`` is consumed one entry per batch request; when empty,
     requests behave as ``"ok"``.  Behaviors: ``ok``, ``reverse``,
     ``slow-ok``, ``503``, ``400``, ``item-error``, ``fatal``,
-    ``hiccup`` (drop this connection, stay healthy), and ``die``
+    ``hiccup`` (drop this connection, stay healthy), ``die``
     (drop the connection and refuse everything afterwards — a dead
-    process).
+    process), and ``real`` (evaluate the items on a harness of the
+    request's case, on the request's dataset).
     """
 
     def __init__(self, script=(), healthy=True):
@@ -100,6 +104,15 @@ class FakeWorker:
                     if behavior == "item-error":
                         lines.append({"index": item["index"],
                                       "ok": False, "error": "boom"})
+                    elif behavior == "real":
+                        case = case_study(params["case"])
+                        tree = parse(item["tree"],
+                                     case.pset.bool_feature_set())
+                        lines.append({
+                            "index": item["index"], "ok": True,
+                            "value": EvaluationHarness(case).speedup(
+                                tree, item["benchmark"],
+                                params["dataset"])})
                     else:
                         lines.append({"index": item["index"], "ok": True,
                                       "value": fake_value(item["index"])})
@@ -144,8 +157,8 @@ def make_jobs(count: int):
 def make_fleet(workers, **kwargs):
     kwargs.setdefault("backoff", 0.01)
     kwargs.setdefault("max_backoff", 0.05)
-    return FleetEvaluator("hyperblock", [w.target for w in workers],
-                          EvalSettings(), **kwargs)
+    harness = EvaluationHarness(case_study("hyperblock"))
+    return FleetEvaluator(harness, [w.target for w in workers], **kwargs)
 
 
 class TestHappyPath:
@@ -168,28 +181,28 @@ class TestHappyPath:
             for worker in workers:
                 worker.close()
 
-    def test_memo_spares_repeat_candidates(self):
-        worker = FakeWorker()
-        try:
-            jobs = make_jobs(4)
-            with make_fleet([worker]) as fleet:
-                first = fleet.evaluate_batch(jobs)
-                dispatched = fleet.shards_dispatched
-                second = fleet.evaluate_batch(jobs)
-            assert first == second
-            assert fleet.shards_dispatched == dispatched
-        finally:
-            worker.close()
 
-    def test_duplicate_jobs_in_one_batch_collapse(self):
-        worker = FakeWorker()
+class TestDatasetBinding:
+    @pytest.mark.parametrize("backend", ["serial", "pool", "fleet"])
+    def test_make_evaluator_binds_dataset(self, backend):
+        """Every backend evaluates the dataset it was built with, not
+        the ``train`` default."""
+        case = case_study("hyperblock")
+        tree = parse("(mul 2.0000 num_ops)", case.pset.bool_feature_set())
+        harness = EvaluationHarness(case)
+        expected = harness.speedup(tree, BENCHMARK, "novel")
+        assert expected != harness.speedup(tree, BENCHMARK, "train")
+        worker = FakeWorker(script=["real"])
         try:
-            tree = parse("1.0")
-            with make_fleet([worker]) as fleet:
-                values = fleet.evaluate_batch(
-                    [(tree, BENCHMARK), (tree, BENCHMARK)])
-            assert values[0] == values[1]
-            assert fleet.jobs_dispatched == 1
+            backend_args = {
+                "serial": {},
+                "pool": {"processes": 2},
+                "fleet": {"fleet": worker.target.address},
+            }[backend]
+            with make_evaluator("hyperblock", dataset="novel",
+                                **backend_args) as evaluator:
+                values = evaluator.evaluate_batch([(tree, BENCHMARK)])
+            assert values == [expected]
         finally:
             worker.close()
 

@@ -202,7 +202,12 @@ class _BatchingFitness:
 
     def __init__(self):
         self.single_calls = 0
-        self.batch_sizes = []
+        #: per batch, the ``(structural_key, benchmark)`` pairs shipped
+        self.batches = []
+
+    @property
+    def batch_sizes(self):
+        return [len(batch) for batch in self.batches]
 
     def __call__(self, tree, benchmark):
         self.single_calls += 1
@@ -210,7 +215,8 @@ class _BatchingFitness:
 
     def evaluate_batch(self, jobs):
         jobs = list(jobs)
-        self.batch_sizes.append(len(jobs))
+        self.batches.append([(tree.structural_key(), benchmark)
+                             for tree, benchmark in jobs])
         return [regression_fitness(tree, benchmark)
                 for tree, benchmark in jobs]
 
@@ -240,16 +246,36 @@ class TestGenerationBatching:
         assert batched.evaluations == pairwise.evaluations
 
     def test_batch_deduplicates_structural_twins(self):
+        """The engine's memo is the only fitness dedupe — evaluators
+        below it are plain transports — so it must never ship a pair
+        twice: not within a batch, not across generations, not across
+        a checkpoint round trip."""
         evaluator = _BatchingFitness()
-        engine = GPEngine(
-            PSET, evaluator, ("toy",),
-            small_params(population_size=10, generations=1),
-            seed_trees=(parse("(add x y)"),
-                        parse("(add x y)")),
-        )
-        engine.run()
-        # two structurally identical seeds -> one evaluation
-        assert evaluator.batch_sizes[0] == 9
+
+        def build():
+            return GPEngine(
+                PSET, evaluator, ("toy", "toy2"),
+                small_params(population_size=10, generations=6),
+                seed_trees=(parse("(add x y)"),
+                            parse("(add x y)")),
+            )
+
+        first = build()
+        for _ in range(3):
+            first.step()
+        # two structurally identical seeds -> one evaluation each on
+        # the two benchmarks
+        assert evaluator.batch_sizes[0] == 18
+        resumed = build()
+        resumed.restore_state(first.state_dict())
+        while not resumed.done:
+            resumed.step()
+
+        assert evaluator.single_calls == 0
+        assert len(evaluator.batches) > 3
+        dispatched = [pair for batch in evaluator.batches
+                      for pair in batch]
+        assert len(dispatched) == len(set(dispatched))
 
 
 class TestSteppedCheckpointing:

@@ -1,12 +1,11 @@
-"""EvalSettings: the unified evaluation-settings record and the
-one-release deprecation shim for the old per-flag keyword arguments."""
+"""EvalSettings: the unified evaluation-settings record."""
 
 import dataclasses
 
 import pytest
 
 from repro.metaopt.harness import EvaluationHarness, case_study
-from repro.metaopt.settings import EvalSettings, settings_from_kwargs
+from repro.metaopt.settings import EvalSettings
 
 
 class TestEvalSettings:
@@ -57,40 +56,27 @@ class TestEvalSettings:
 
 
 class TestDeprecatedKwargs:
+    """The per-flag keyword arguments ``EvalSettings`` replaced are
+    gone: the harness takes a settings object or nothing."""
+
     def test_plain_settings_pass_through(self):
         settings = EvalSettings(noise_stddev=0.3)
-        assert settings_from_kwargs(settings, {}, "X") is settings
+        harness = EvaluationHarness(case_study("hyperblock"), settings)
+        assert harness.settings is settings
 
     def test_no_args_yields_defaults(self):
-        assert settings_from_kwargs(None, {}, "X") == EvalSettings()
-
-    def test_deprecated_kwargs_fold_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="noise_stddev"):
-            settings = settings_from_kwargs(
-                None, {"noise_stddev": 0.5, "verify_outputs": True}, "X")
-        assert settings == EvalSettings(noise_stddev=0.5,
-                                        verify_outputs=True)
-
-    def test_both_forms_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            settings_from_kwargs(EvalSettings(), {"noise_stddev": 0.5},
-                                 "X")
+        harness = EvaluationHarness(case_study("hyperblock"))
+        assert harness.settings == EvalSettings()
 
     def test_unknown_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            settings_from_kwargs(None, {"typo": 1}, "X")
-
-    def test_harness_still_accepts_old_kwargs(self):
         case = case_study("hyperblock")
-        with pytest.warns(DeprecationWarning):
-            harness = EvaluationHarness(case, noise_stddev=0.25,
-                                        use_snapshots=False)
-        assert harness.settings == EvalSettings(noise_stddev=0.25,
-                                                use_snapshots=False)
-        assert harness.noise_stddev == 0.25
-        assert harness.use_snapshots is False
+        for retired in ("noise_stddev", "fitness_cache_dir",
+                        "verify_outputs", "use_snapshots",
+                        "collect_metrics", "typo"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                EvaluationHarness(case, **{retired: 1})
 
     def test_harness_rejects_settings_plus_kwargs(self):
         case = case_study("hyperblock")
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             EvaluationHarness(case, EvalSettings(), noise_stddev=0.1)

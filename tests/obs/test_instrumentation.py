@@ -142,30 +142,18 @@ class TestEngineInstrumentation:
 
 
 class TestParallelMerging:
-    @pytest.fixture(autouse=True)
-    def fresh_worker_globals(self, monkeypatch):
-        """The prewarm harness lives in module globals so forked
-        workers inherit it copy-on-write; an earlier test may have
-        left it warm, which would hide the parent-side compiles these
-        tests count.  monkeypatch restores the warm state afterwards."""
-        from repro.metaopt import parallel
-
-        monkeypatch.setattr(parallel, "_WORKER_HARNESS", None)
-        monkeypatch.setattr(parallel, "_WORKER_CASE", None)
-        monkeypatch.setattr(parallel, "_WORKER_SIGNATURE", None)
-
     def test_worker_metrics_merge_without_double_counting(self):
         from repro.metaopt.baselines import BASELINE_TREES
-        from repro.metaopt.parallel import ParallelEvaluator
+        from repro.metaopt.harness import make_evaluator
 
         registry = obs.enable_metrics()
         tree = BASELINE_TREES["hyperblock"]()
-        with ParallelEvaluator("hyperblock", processes=2) as evaluator:
+        with make_evaluator("hyperblock", processes=2) as evaluator:
             evaluator.evaluate_batch(
                 [(tree, "codrle4"), (tree, "rawcaudio")])
         counters = registry.snapshot()["counters"]
-        # prewarm runs baseline compile+sim once per benchmark in the
-        # parent; the workers' memoized lookups must not re-add them.
+        # the parent runs baseline compile+sim once per benchmark before
+        # forking; the workers' memoized lookups must not re-add them.
         assert counters["harness.compiles"] == 2
         assert counters["harness.sims"] == 2
         assert counters["sim.runs"] == 2
@@ -174,27 +162,27 @@ class TestParallelMerging:
 
     def test_worker_fresh_work_is_merged(self):
         from repro.gp.parse import parse
+        from repro.metaopt.harness import make_evaluator
         from repro.metaopt.psets import PSETS
-        from repro.metaopt.parallel import ParallelEvaluator
 
         registry = obs.enable_metrics()
         pset = PSETS["hyperblock"]
         candidate = parse("(mul 2.0000 num_ops)", pset.bool_feature_set())
-        with ParallelEvaluator("hyperblock", processes=2) as evaluator:
+        with make_evaluator("hyperblock", processes=2) as evaluator:
             evaluator.evaluate_batch([(candidate, "codrle4")])
         counters = registry.snapshot()["counters"]
-        # baseline (prewarm, parent) + candidate (worker) compiles both
+        # baseline (parent, pre-fork) + candidate (worker) compiles both
         # land in the parent registry.
         assert counters["harness.compiles"] == 2
         assert counters["sim.runs"] == 2
 
     def test_serial_path_needs_no_merging(self):
         from repro.metaopt.baselines import BASELINE_TREES
-        from repro.metaopt.parallel import ParallelEvaluator
+        from repro.metaopt.harness import make_evaluator
 
         registry = obs.enable_metrics()
         tree = BASELINE_TREES["hyperblock"]()
-        with ParallelEvaluator("hyperblock", processes=1) as evaluator:
+        with make_evaluator("hyperblock", processes=1) as evaluator:
             evaluator.evaluate_batch([(tree, "codrle4")])
         counters = registry.snapshot()["counters"]
         assert counters["harness.compiles"] == 1

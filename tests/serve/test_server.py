@@ -402,10 +402,10 @@ class TestGracefulDrain:
 
     @pytest.mark.slow
     def test_sigterm_drains_mid_campaign_generation(self, tmp_path):
-        """SIGTERM while an autopilot campaign is evolving: the
+        """SIGTERM while an autopilot campaign is under way: the
         in-flight generation finishes and checkpoints, queued campaign
         steps are shed, interactive jobs complete, and the daemon
-        exits 0 with the campaign parked resumably on disk."""
+        exits 0 with the campaign in a consistent state on disk."""
         from repro.gp.parse import unparse
         from repro.metaopt.baselines import BASELINE_TREES
         from repro.serve.registry import ArtifactRegistry
@@ -454,8 +454,6 @@ class TestGracefulDrain:
             name = campaigns[0]["name"]
             checkpoint = state_dir / "campaigns" / name / "checkpoint.pkl"
             wait_until(checkpoint.exists, timeout=60.0)
-            assert client.autopilot_status()["campaigns"][0][
-                "phase"] == "evolving"
             proc.send_signal(signal.SIGTERM)
             stdout, stderr = proc.communicate(timeout=180)
         except BaseException:
@@ -472,14 +470,26 @@ class TestGracefulDrain:
         # every interactive evaluate completed; only campaign steps
         # were shed by the drain
         assert final["done"] >= 3
-        # the campaign is parked resumably: checkpoint on disk, record
-        # still in its evolving phase
-        assert checkpoint.exists()
+        # A real daemon cannot be gated, so the signal lands on either
+        # side of the campaign's last generation; both are consistent
+        # resting states.  (That a drain *mid-generation* parks the
+        # campaign is tests/autopilot/test_loop.py's gated test.)
         record = json.loads(
             (state_dir / "campaigns" / name / "campaign.json")
             .read_text())
-        assert record["phase"] == "evolving"
         assert record["parent_id"] == bad.artifact_id
+        if record["phase"] == "evolving":
+            # parked resumably: the checkpoint loads
+            from repro.experiments.checkpoint import load_checkpoint
+
+            assert load_checkpoint(checkpoint)["engine"]["generation"] >= 1
+        else:
+            assert record["phase"] == "canary"
+            assert registry.get_channel(
+                "hyperblock", DEFAULT_EPIC.name,
+                "canary") == record["champion_id"]
+            assert registry.load(record["champion_id"]).parent_id \
+                == bad.artifact_id
 
 
 def wait_until(predicate, timeout=30.0, poll=0.1):

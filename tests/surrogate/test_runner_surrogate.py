@@ -12,7 +12,6 @@ from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
     MemorySink,
-    run_experiment,
 )
 from repro.gp.engine import GPParams
 
@@ -66,17 +65,29 @@ class TestResumeByteIdentity:
 class TestWarmCacheTraining:
     def test_exact_campaign_trains_the_surrogate(self, campaign_run):
         cache_dir = str(campaign_run.base / "cache")
+
+        def campaign(name, **runner_kwargs):
+            sink = MemorySink()
+            result = json.loads(campaign_run.run_full(
+                config(generations=3, fitness_cache_dir=cache_dir),
+                name=name, sinks=(sink,), **runner_kwargs))
+            fresh_sims = sum(event["counters"]["sims"]
+                             for event in sink.of_type("generation"))
+            return result, fresh_sims
+
         # Exact campaign populates the cache with labeled records...
-        run_experiment(config(generations=3,
-                              fitness_cache_dir=cache_dir))
+        exact, exact_sims = campaign("exact")
         # ...so the surrogate campaign starts with a trained model.
-        campaign_run.run_full(
-            config(generations=3, fitness_cache_dir=cache_dir),
-            name="run", **SURROGATE_KWARGS)
+        surrogate, surrogate_sims = campaign("run", **SURROGATE_KWARGS)
         state = json.loads(
             (campaign_run.base / "run" / "surrogate.json").read_text())
         assert state["model"] is not None
         assert state["model"]["training_pairs"] >= 8
+        # The acceptance bar of docs/SURROGATE.md: the champion's
+        # simulator-verified fitness (finalize re-scores it exactly)
+        # is at least the exact run's, on fewer fresh simulations.
+        assert surrogate["train_speedup"] >= exact["train_speedup"] - 1e-9
+        assert surrogate_sims < exact_sims
 
 
 class TestTelemetry:

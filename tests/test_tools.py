@@ -37,231 +37,3 @@ class TestHelpers:
 
     def test_load_missing_returns_none(self):
         assert tool.load("definitely-not-a-result") is None
-
-
-import bench_eval  # noqa: E402
-
-
-class TestMedianIqr:
-    def test_single_sample_has_zero_iqr(self):
-        assert bench_eval.median_iqr([4.2]) == (4.2, 0.0)
-
-    def test_median_and_iqr(self):
-        median, iqr = bench_eval.median_iqr([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert median == 3.0
-        assert iqr == 2.0
-
-    def test_outlier_does_not_swing_median(self):
-        median, _ = bench_eval.median_iqr([10.0, 10.1, 9.9, 1000.0, 10.0])
-        assert median == 10.0
-
-
-class TestBenchPayloadSchema:
-    def make_payload(self):
-        mode = {"evaluations": 24, "repeats": 2,
-                "seconds": [1.0, 1.1], "rates": [24.0, 21.8],
-                "median_seconds": 1.05, "median_rate": 22.9,
-                "iqr_rate": 1.1}
-        return {
-            "schema": bench_eval.BENCH_SCHEMA,
-            "case": "hyperblock", "benchmark": "codrle4",
-            "pop": 8, "gens": 2, "seed": 7, "processes": 2,
-            "repeats": 2,
-            "modes": {name: dict(mode) for name in bench_eval.MODES},
-            "forking": {
-                name: {"benchmark": "codrle4", "speedup": 1.8,
-                       "identical": True,
-                       "full": dict(mode), "forked": dict(mode)}
-                for name in bench_eval.FORKING_CASES
-            },
-            "fleet": {
-                "workers": 4, "best_speedup": 0.9,
-                "cases": {
-                    name: {"benchmark": "codrle4", "pop": 8, "gens": 2,
-                           "serial": dict(mode), "fleet": dict(mode),
-                           "speedup": 0.9, "identical": True,
-                           "stats": {key: 0 for key
-                                     in bench_eval.FLEET_STAT_KEYS}}
-                    for name in bench_eval.FLEET_CASES
-                },
-            },
-            "surrogate": {
-                "top_k": 2, "best_reduction": 8.0,
-                "cases": {
-                    name: {"benchmark": "codrle4", "pop": 8, "gens": 2,
-                           "exact_sims": 8, "surrogate_sims": 1,
-                           "sims_reduction": 8.0,
-                           "exact_champion_fitness": 1.0,
-                           "surrogate_champion_exact_fitness": 1.0,
-                           "champion_ok": True, "training_pairs": 9,
-                           "stats": {key: 0 for key
-                                     in bench_eval.SURROGATE_STAT_KEYS}}
-                    for name in bench_eval.SURROGATE_CASES
-                },
-            },
-            "speedup_parallel": 1.5, "speedup_warm": 3.0,
-            "speedup_fleet": 0.9,
-            "warm_sim_invocations": 0,
-            "determinism_ok": True, "failures": [],
-        }
-
-    def test_valid_payload_passes(self):
-        assert bench_eval.validate_bench_payload(self.make_payload()) == []
-
-    def test_missing_forking_case_flagged(self):
-        payload = self.make_payload()
-        del payload["forking"]["regalloc"]
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("forking.regalloc" in problem for problem in problems)
-
-    def test_forking_identity_must_be_boolean(self):
-        payload = self.make_payload()
-        payload["forking"]["scheduling"]["identical"] = "yes"
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("forking.scheduling.identical" in problem
-                   for problem in problems)
-
-    def test_missing_fleet_section_flagged(self):
-        payload = self.make_payload()
-        del payload["fleet"]
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("fleet must be an object" in problem
-                   for problem in problems)
-
-    def test_missing_fleet_case_flagged(self):
-        payload = self.make_payload()
-        del payload["fleet"]["cases"]["regalloc"]
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("fleet.cases.regalloc" in problem
-                   for problem in problems)
-
-    def test_fleet_identity_must_be_boolean(self):
-        payload = self.make_payload()
-        payload["fleet"]["cases"]["scheduling"]["identical"] = "yes"
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("fleet.cases.scheduling.identical" in problem
-                   for problem in problems)
-
-    def test_fleet_stats_counters_must_be_integers(self):
-        payload = self.make_payload()
-        payload["fleet"]["cases"]["regalloc"]["stats"][
-            "shards_stolen"] = "many"
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("fleet.cases.regalloc.stats.shards_stolen" in problem
-                   for problem in problems)
-
-    def test_missing_surrogate_section_flagged(self):
-        payload = self.make_payload()
-        del payload["surrogate"]
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("surrogate must be an object" in problem
-                   for problem in problems)
-
-    def test_missing_surrogate_case_flagged(self):
-        payload = self.make_payload()
-        del payload["surrogate"]["cases"]["scheduling"]
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("surrogate.cases.scheduling" in problem
-                   for problem in problems)
-
-    def test_surrogate_champion_flag_must_be_boolean(self):
-        payload = self.make_payload()
-        payload["surrogate"]["cases"]["regalloc"]["champion_ok"] = "yes"
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("surrogate.cases.regalloc.champion_ok" in problem
-                   for problem in problems)
-
-    def test_surrogate_sims_must_be_integers(self):
-        payload = self.make_payload()
-        payload["surrogate"]["cases"]["regalloc"]["exact_sims"] = 8.5
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("surrogate.cases.regalloc.exact_sims" in problem
-                   for problem in problems)
-
-    def test_wrong_schema_flagged(self):
-        payload = self.make_payload()
-        payload["schema"] = 99
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("schema" in problem for problem in problems)
-
-    def test_missing_mode_flagged(self):
-        payload = self.make_payload()
-        del payload["modes"]["warm"]
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("modes.warm" in problem for problem in problems)
-
-    def test_non_numeric_rate_flagged(self):
-        payload = self.make_payload()
-        payload["modes"]["serial"]["median_rate"] = "fast"
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("serial.median_rate" in problem for problem in problems)
-
-    def test_empty_rates_flagged(self):
-        payload = self.make_payload()
-        payload["modes"]["parallel"]["rates"] = []
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("parallel.rates" in problem for problem in problems)
-
-    def test_bool_determinism_required(self):
-        payload = self.make_payload()
-        payload["determinism_ok"] = "yes"
-        problems = bench_eval.validate_bench_payload(payload)
-        assert any("determinism_ok" in problem for problem in problems)
-
-
-import bench_serve  # noqa: E402
-
-
-class TestServePercentiles:
-    def test_percentile_nearest_rank(self):
-        values = [float(n) for n in range(1, 101)]
-        assert bench_serve.percentile(values, 0.50) == 50.0
-        assert bench_serve.percentile(values, 0.95) == 95.0
-        assert bench_serve.percentile(values, 0.99) == 99.0
-
-    def test_percentile_edges(self):
-        assert bench_serve.percentile([], 0.5) == 0.0
-        assert bench_serve.percentile([7.0], 0.99) == 7.0
-
-    def test_latency_summary(self):
-        summary = bench_serve.latency_summary([0.1, 0.2, 0.3, 0.4])
-        assert summary["p50"] == 0.2
-        assert summary["max"] == 0.4
-        assert abs(summary["mean"] - 0.25) < 1e-12
-
-
-class TestServePayloadSchema:
-    def make_payload(self):
-        return {
-            "schema": bench_serve.BENCH_SCHEMA,
-            "benchmark": "codrle4", "case": "hyperblock",
-            "clients": 8, "requests": 24, "workers": 2, "capacity": 2,
-            "completed": 24, "errors": 0, "error_messages": [],
-            "client_retries": 3, "shed_429": 3,
-            "elapsed_seconds": 1.0, "throughput_rps": 24.0,
-            "latency_seconds": {"p50": 0.01, "p95": 0.9, "p99": 1.0,
-                                "mean": 0.2, "max": 1.1},
-            "identical_payloads": True,
-            "queue": {"done": 25},
-        }
-
-    def test_valid_payload_passes(self):
-        assert bench_serve.validate_serve_payload(self.make_payload()) == []
-
-    def test_wrong_schema_flagged(self):
-        payload = self.make_payload()
-        payload["schema"] = 0
-        problems = bench_serve.validate_serve_payload(payload)
-        assert any("schema" in problem for problem in problems)
-
-    def test_missing_percentile_flagged(self):
-        payload = self.make_payload()
-        del payload["latency_seconds"]["p99"]
-        problems = bench_serve.validate_serve_payload(payload)
-        assert any("p99" in problem for problem in problems)
-
-    def test_non_integer_counts_flagged(self):
-        payload = self.make_payload()
-        payload["shed_429"] = "three"
-        problems = bench_serve.validate_serve_payload(payload)
-        assert any("shed_429" in problem for problem in problems)
