@@ -210,10 +210,11 @@ def _histogram_p50(data: dict) -> float:
     return data["buckets"][-1]
 
 
-def _print_snapshot_table(snapshot: dict) -> None:
+def _print_snapshot_table(snapshot: dict, harness_stats: dict) -> None:
     """Compilation-forking health (docs/FORKING.md): hit ratio,
-    restore latency, bytes resident.  Silent when the layer never ran
-    (``--no-snapshot`` or no backend compiles)."""
+    restore latency, LRU occupancy.  Silent when the layer never ran
+    (``--no-snapshot``, a hook whose stage runs first, or no backend
+    compiles)."""
     counters = snapshot["counters"]
     hits = counters.get("pipeline.snapshot.hits", 0)
     misses = counters.get("pipeline.snapshot.misses", 0)
@@ -222,21 +223,15 @@ def _print_snapshot_table(snapshot: dict) -> None:
     restores = snapshot["histograms"].get(
         "pipeline.snapshot.restore_seconds",
         {"buckets": [0.0], "counts": [0, 0], "sum": 0.0, "count": 0})
-    resident = snapshot.get("gauges", {}).get(
-        "pipeline.snapshot.resident_bytes", 0)
     rows = [
         ("hits", hits),
         ("misses", misses),
         ("hit_ratio", f"{hits / (hits + misses):.2f}"),
         ("builds", counters.get("pipeline.snapshot.builds", 0)),
-        ("disk_hits", counters.get("pipeline.snapshot.disk_hits", 0)),
         ("restores", restores["count"]),
         ("restore_p50_ms", f"{_histogram_p50(restores) * 1000:.2f}"),
-        ("resident_bytes", resident),
-        ("strategy_pickle",
-         counters.get("pipeline.snapshot.strategy_pickle", 0)),
-        ("strategy_clone",
-         counters.get("pipeline.snapshot.strategy_clone", 0)),
+        ("entries", harness_stats.get("snapshot_entries", 0)),
+        ("evictions", harness_stats.get("snapshot_evictions", 0)),
     ]
     print(f"{'snapshot':<24s}{'value':>12s}")
     for name, value in rows:
@@ -350,7 +345,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print()
     _print_counter_table(snapshot, "sim.", "simulator counter")
     print()
-    _print_snapshot_table(snapshot)
+    _print_snapshot_table(snapshot, harness.stats())
     _print_fleet_table(snapshot)
     _print_surrogate_table(snapshot)
     print()

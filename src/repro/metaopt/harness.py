@@ -5,20 +5,25 @@ a candidate priority function is installed into its case study's hook,
 every training benchmark is compiled and simulated, and fitness is the
 average speedup over the baseline-compiled binaries.
 
-Costly work is cached at three levels, mirroring the paper's memoization
+Costly work is reused in layers, mirroring the paper's memoization
 ("Our system memoizes benchmark fitnesses because fitness evaluations
-are so costly"):
+are so costly").  Under one harness, outermost first:
 
-* frontend + candidate-independent passes + profiling, per benchmark;
-* baseline cycle counts, per (benchmark, dataset);
-* candidate cycle counts, per (expression structure, benchmark,
-  dataset).
-
-A fourth, optional level persists across processes: attach a
-:class:`~repro.metaopt.fitness_cache.FitnessCache` and every
-tree-keyed simulation result is written through to disk and recalled
-on the next run (or by a sibling worker sharing the cache directory),
-skipping compile + simulate entirely.
+* cycles memo — the :class:`SimResult` of one (expression structure,
+  benchmark, dataset), baselines included;
+* persistent fitness cache (optional,
+  :class:`~repro.metaopt.fitness_cache.FitnessCache`) — the same
+  result across processes and runs, skipping compile + simulate;
+* prepared program — frontend, candidate-independent passes and the
+  training profile, per benchmark;
+* candidate-prepare LRU — the same, per (candidate, benchmark), for
+  the cases whose candidates steer ``prepare`` itself;
+* snapshot LRU — the backend state just before the hook's stage, per
+  benchmark, shared by the whole population (docs/FORKING.md);
+* binary-digest memo — the simulation of one scheduled binary, shared
+  by every candidate that compiles to it;
+* simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
+  block functions of one scheduled binary.
 """
 
 from __future__ import annotations
@@ -224,8 +229,7 @@ class EvaluationHarness:
                  settings: EvalSettings | None = None,
                  *,
                  max_interp_steps: int = 10_000_000,
-                 fitness_cache: "FitnessCache | None" = None,
-                 snapshot_cache: SnapshotCache | None = None) -> None:
+                 fitness_cache: "FitnessCache | None" = None) -> None:
         settings = settings if settings is not None else EvalSettings()
         self.case = case
         self.settings = settings
@@ -242,16 +246,9 @@ class EvaluationHarness:
 
             fitness_cache = FitnessCache(settings.fitness_cache_dir)
         self.fitness_cache = fitness_cache
-        #: compilation forking (docs/FORKING.md): injectable for tests
-        #: / sharing; built here when ``use_snapshots`` is on and none
-        #: was supplied
-        self.snapshot_cache = snapshot_cache
-        if self.use_snapshots and self.snapshot_cache is None:
-            disk_dir = None
-            if (self.fitness_cache is not None
-                    and self.fitness_cache.root is not None):
-                disk_dir = self.fitness_cache.root / "snapshots"
-            self.snapshot_cache = SnapshotCache(disk_dir=disk_dir)
+        #: compilation forking (docs/FORKING.md); None when off
+        self.snapshot_cache = SnapshotCache() if self.use_snapshots \
+            else None
         self._prepared: dict[str, PreparedProgram] = {}
         #: per-(candidate, benchmark) prepare results for the
         #: prepare-stage cases (inline/unroll/flags), bounded: prepared
@@ -281,14 +278,17 @@ class EvaluationHarness:
         self.sim_cycles = 0
 
     # -- candidate-independent stages ------------------------------------
+    def _prepare(self, benchmark: str,
+                 options: CompilerOptions) -> PreparedProgram:
+        bench = get_benchmark(benchmark)
+        module = compile_source(bench.source, bench.name)
+        return prepare(module, bench.inputs("train"), options,
+                       max_steps=self.max_interp_steps)
+
     def prepared(self, benchmark: str) -> PreparedProgram:
         cached = self._prepared.get(benchmark)
         if cached is None:
-            bench = get_benchmark(benchmark)
-            module = compile_source(bench.source, bench.name)
-            cached = prepare(module, bench.inputs("train"),
-                             self.case.options,
-                             max_steps=self.max_interp_steps)
+            cached = self._prepare(benchmark, self.case.options)
             self._prepared[benchmark] = cached
         return cached
 
@@ -303,10 +303,7 @@ class EvaluationHarness:
         if cached is not None:
             self._candidate_prepared.move_to_end(key)
             return cached
-        bench = get_benchmark(benchmark)
-        module = compile_source(bench.source, bench.name)
-        prep = prepare(module, bench.inputs("train"), options,
-                       max_steps=self.max_interp_steps)
+        prep = self._prepare(benchmark, options)
         self._candidate_prepared[key] = prep
         while len(self._candidate_prepared) > self._candidate_prepared_cap:
             self._candidate_prepared.popitem(last=False)
@@ -421,13 +418,13 @@ class EvaluationHarness:
         shared prefix is restored from a snapshot and only the hook's
         suffix runs (docs/FORKING.md).  Prepare-stage cases have no
         shared prefix (``STAGE_BY_HOOK`` carries no entry for their
-        hooks) and always take the full backend path."""
+        hooks), and the cache answers ``None`` for a hook whose stage
+        runs first; both take the full backend path."""
+        snapshot = None
         stage = STAGE_BY_HOOK.get(self.case.hook)
-        if stage is None or not self.use_snapshots \
-                or self.snapshot_cache is None:
-            return compile_backend(prep, options)
-        snapshot = self.snapshot_cache.get_or_build(
-            benchmark, prep, options, stage)
+        if self.snapshot_cache is not None and stage is not None:
+            snapshot = self.snapshot_cache.get_or_build(
+                benchmark, prep, options, stage)
         return compile_backend(prep, options, snapshot=snapshot)
 
     # -- differential guard ------------------------------------------------
@@ -522,7 +519,7 @@ class EvaluationHarness:
         }
         if self.verify_outputs:
             counters["divergences"] = len(self.divergences)
-        if self.use_snapshots and self.snapshot_cache is not None:
+        if self.snapshot_cache is not None:
             for key, value in self.snapshot_cache.stats().items():
                 counters[f"snapshot_{key}"] = value
         if self.fitness_cache is not None:

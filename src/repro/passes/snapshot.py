@@ -7,60 +7,38 @@ the whole GP population, so the post-prefix compiler state can be
 frozen once per (benchmark, hook stage, options fingerprint) and every
 candidate restored from it, replaying only the suffix.
 
-A :class:`PipelineSnapshot` deep-freezes the working module plus the
-partial :class:`~repro.passes.pipeline.BackendReport` after
-:func:`~repro.passes.pipeline.run_prefix`.  Restore has two strategies
-— ``pickle.loads`` of the pre-pickled payload vs ``module.clone()`` of
-a master copy — benchmarked once per snapshot; the faster wins and the
-choice lands in the ``pipeline.snapshot.strategy_*`` counters.  Both
-produce bit-identical downstream results (instruction uids differ
-between them, but nothing downstream of the prefix observes uid
-*values*; see docs/FORKING.md for the audit).
+A :class:`PipelineSnapshot` holds master copies of the working module
+and the partial :class:`~repro.passes.pipeline.BackendReport` after
+:func:`~repro.passes.pipeline.run_prefix`; every restore is a
+``module.clone()`` of the master, bit-identical downstream to the full
+path (docs/FORKING.md has the audit, and the traffic numbers that
+decided what this layer keeps).
 
-:class:`SnapshotCache` is the in-memory LRU in front of the builds,
-with optional on-disk persistence next to the fitness cache.  Cache
-keying is strict: the options fingerprint covers the machine, every
-structural pipeline flag, and the priorities of every stage strictly
-before the hook — the hook's own priority and anything downstream is
-deliberately excluded so the whole population shares one snapshot.
+:class:`SnapshotCache` is the in-memory LRU in front of the builds.
+Cache keying is strict: the options fingerprint covers the machine,
+every structural pipeline flag, and the priorities of every stage
+strictly before the hook — the hook's own priority and anything
+downstream is deliberately excluded so the whole population shares one
+snapshot.  A hook whose stage runs first has no prefix to share, and
+the cache answers ``None``: the caller takes the plain backend path.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import obs
 from repro.ir.function import Module
-from repro.passes.hyperblock import impact_priority
 from repro.passes.pipeline import (
     BACKEND_STAGES,
     BackendReport,
     CompilerOptions,
     PreparedProgram,
     run_prefix,
-)
-from repro.passes.prefetch import orc_confidence
-from repro.passes.regalloc import chow_hennessy_savings
-
-#: Bump when the pickled payload layout changes; stale disk entries
-#: are keyed out rather than migrated.
-SNAPSHOT_FORMAT_VERSION = 1
-
-#: The stock heuristics: the only native callables with a stable
-#: cross-process identity (module-level functions shipped with repro),
-#: so the only natives a *persistable* fingerprint may reference.
-_WELL_KNOWN_PRIORITIES = (
-    (impact_priority, "default:impact_priority"),
-    (chow_hennessy_savings, "default:chow_hennessy_savings"),
-    (orc_confidence, "default:orc_confidence"),
 )
 
 #: CompilerOptions priority attribute per backend stage.
@@ -71,31 +49,21 @@ _PRIORITY_FIELD_BY_STAGE = {
     "schedule": "schedule_priority",
 }
 
-#: Stages whose suffix consumes only label-keyed profile data, making
-#: a snapshot valid across processes.  The hyperblock and prefetch
-#: passes read branch maps keyed by process-local instruction uids — a
-#: snapshot unpickled in another process could alias those uids onto
-#: this process's prepared-module profile and flip a feature lookup,
-#: so snapshots replayed from those stages stay in-memory only.
-_DISK_SAFE_STAGES = frozenset({"regalloc", "schedule"})
-
 
 def _priority_fingerprint(value) -> tuple:
-    """Stable identity of one priority hook for cache keying."""
+    """Identity of one priority hook for cache keying."""
     if value is None:
         return ("none",)
-    for known, label in _WELL_KNOWN_PRIORITIES:
-        if value is known:
-            return (label,)
     tree = getattr(value, "tree", None)
     structural = getattr(tree if tree is not None else value,
                          "structural_key", None)
     if callable(structural):
         return ("tree",) + tuple(structural())
-    # Arbitrary native callable: identity is process-local, so the
-    # fingerprint is memory-cacheable but never persisted to disk.
-    return ("native", getattr(value, "__module__", ""),
-            getattr(value, "__qualname__", ""), id(value))
+    # Any other callable is keyed by the object itself, never by its
+    # ``id()``: the LRU key then holds a reference, so the address
+    # cannot be recycled by a different function while the snapshot
+    # built under this one is resident.
+    return ("native", value)
 
 
 def options_fingerprint(options: CompilerOptions, stage: str) -> tuple:
@@ -128,30 +96,6 @@ def options_fingerprint(options: CompilerOptions, stage: str) -> tuple:
     return tuple(parts)
 
 
-def fingerprint_is_persistable(fingerprint: tuple) -> bool:
-    """False when any component is keyed by process-local identity."""
-    return not any(
-        isinstance(value, tuple) and value and value[0] == "native"
-        for _name, value in fingerprint
-    )
-
-
-def prepared_fingerprint(prepared: PreparedProgram) -> str:
-    """Content identity of the prepared program as a disk-safe suffix
-    sees it: the IR text plus the label-keyed profile counts.  The
-    uid-keyed branch maps are deliberately excluded — they are
-    process-local and only consumed by stages whose snapshots never
-    touch disk (``_DISK_SAFE_STAGES``); any change to how the backend
-    consumes profiles lands in ``pipeline_fingerprint`` and invalidates
-    the store wholesale."""
-    digest = hashlib.sha256()
-    digest.update(str(prepared.module).encode())
-    for name in sorted(prepared.module.functions):
-        counts = prepared.profile.function(name).block_counts
-        digest.update(repr((name, sorted(counts.items()))).encode())
-    return digest.hexdigest()[:16]
-
-
 @dataclass
 class PipelineSnapshot:
     """Deep-frozen post-prefix compiler state.
@@ -163,42 +107,19 @@ class PipelineSnapshot:
     stage: str
     module: Module
     report: BackendReport
-    payload: bytes
-    strategy: str  # "pickle" | "clone" — measured at build, faster wins
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.payload)
 
     def restore(self) -> tuple[Module, BackendReport]:
         started = time.perf_counter()
-        if self.strategy == "pickle":
-            module, report = pickle.loads(self.payload)
-        else:
-            module = self.module.clone()
-            report = BackendReport(
-                hyperblock=dict(self.report.hyperblock),
-                prefetch=dict(self.report.prefetch),
-                regalloc=dict(self.report.regalloc),
-            )
+        module = self.module.clone()
+        report = BackendReport(
+            hyperblock=dict(self.report.hyperblock),
+            prefetch=dict(self.report.prefetch),
+            regalloc=dict(self.report.regalloc),
+        )
         obs.inc("pipeline.snapshot.restores")
         obs.observe("pipeline.snapshot.restore_seconds",
                     time.perf_counter() - started)
         return module, report
-
-
-def _faster_restore_strategy(module: Module, report: BackendReport,
-                             payload: bytes) -> str:
-    """One timed probe each way; ties go to pickle (C-speed loads, and
-    the payload already exists for disk persistence)."""
-    started = time.perf_counter()
-    pickle.loads(payload)
-    pickle_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    module.clone()
-    dict(report.hyperblock), dict(report.prefetch), dict(report.regalloc)
-    clone_seconds = time.perf_counter() - started
-    return "pickle" if pickle_seconds <= clone_seconds else "clone"
 
 
 def build_snapshot(
@@ -209,47 +130,37 @@ def build_snapshot(
     """Run the prefix for ``stage`` and freeze the result."""
     with obs.span("pipeline:snapshot_build", stage=stage):
         module, report = run_prefix(prepared, options, stage)
-        payload = pickle.dumps((module, report),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        strategy = _faster_restore_strategy(module, report, payload)
     obs.inc("pipeline.snapshot.builds")
-    obs.inc(f"pipeline.snapshot.strategy_{strategy}")
-    obs.inc("pipeline.snapshot.bytes", len(payload))
-    return PipelineSnapshot(stage=stage, module=module, report=report,
-                            payload=payload, strategy=strategy)
+    return PipelineSnapshot(stage=stage, module=module, report=report)
 
 
 class SnapshotCache:
-    """Thread-safe LRU of :class:`PipelineSnapshot`, keyed by
-    (benchmark, stage, options fingerprint), with optional on-disk
-    persistence (``disk_dir``, conventionally ``<fitness cache>/
-    snapshots``) for cross-process reuse of disk-safe stages."""
+    """Thread-safe in-memory LRU of :class:`PipelineSnapshot`, keyed by
+    (benchmark, stage, options fingerprint)."""
 
-    def __init__(self, capacity: int = 32,
-                 disk_dir: str | os.PathLike | None = None) -> None:
+    def __init__(self, capacity: int = 32) -> None:
         if capacity < 1:
             raise ValueError("snapshot cache capacity must be >= 1")
         self.capacity = capacity
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
         self._lru: OrderedDict[tuple, PipelineSnapshot] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.builds = 0
-        self.disk_hits = 0
         self.evictions = 0
 
-    # -- lookup ----------------------------------------------------------
     def get_or_build(self, benchmark: str, prepared: PreparedProgram,
                      options: CompilerOptions | None,
-                     stage: str) -> PipelineSnapshot:
+                     stage: str) -> PipelineSnapshot | None:
+        """The snapshot to replay ``stage`` from, or ``None`` when
+        ``stage`` runs first: its "prefix" is the prepared module, and
+        ``compile_backend`` without a snapshot already clones that."""
         options = options or prepared.options
         if options.heuristic_artifact is not None:
             options = options.heuristic_artifact.install(options)
-        fingerprint = options_fingerprint(options, stage)
-        key = (benchmark, stage, fingerprint)
+        if stage == options.backend_order[0]:
+            return None
+        key = (benchmark, stage, options_fingerprint(options, stage))
         with self._lock:
             snapshot = self._lru.get(key)
             if snapshot is not None:
@@ -259,22 +170,14 @@ class SnapshotCache:
                 return snapshot
             self.misses += 1
         obs.inc("pipeline.snapshot.misses")
-        persistable = (stage in _DISK_SAFE_STAGES
-                       and fingerprint_is_persistable(fingerprint))
-        snapshot = self._disk_load(key, prepared) if persistable else None
-        if snapshot is None:
-            snapshot = build_snapshot(prepared, options, stage)
-            self.builds += 1
-            if persistable:
-                self._disk_store(key, prepared, snapshot)
+        snapshot = build_snapshot(prepared, options, stage)
         with self._lock:
+            self.builds += 1
             self._lru[key] = snapshot
             self._lru.move_to_end(key)
             while len(self._lru) > self.capacity:
                 self._lru.popitem(last=False)
                 self.evictions += 1
-            resident = sum(s.nbytes for s in self._lru.values())
-        obs.set_gauge("pipeline.snapshot.resident_bytes", resident)
         return snapshot
 
     def stats(self) -> dict[str, int]:
@@ -283,55 +186,6 @@ class SnapshotCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "builds": self.builds,
-                "disk_hits": self.disk_hits,
                 "evictions": self.evictions,
                 "entries": len(self._lru),
-                "resident_bytes": sum(s.nbytes
-                                      for s in self._lru.values()),
             }
-
-    # -- disk layer ------------------------------------------------------
-    def _disk_path(self, key: tuple, prepared: PreparedProgram) -> Path:
-        from repro.metaopt.fitness_cache import pipeline_fingerprint
-
-        digest = hashlib.sha256(repr((
-            SNAPSHOT_FORMAT_VERSION,
-            pipeline_fingerprint(),
-            prepared_fingerprint(prepared),
-            key,
-        )).encode()).hexdigest()
-        return self.disk_dir / digest[:2] / f"{digest}.pkl"
-
-    def _disk_load(self, key: tuple,
-                   prepared: PreparedProgram) -> PipelineSnapshot | None:
-        if self.disk_dir is None:
-            return None
-        try:
-            payload = self._disk_path(key, prepared).read_bytes()
-            module, report = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 — missing/torn/stale: rebuild
-            return None
-        self.disk_hits += 1
-        obs.inc("pipeline.snapshot.disk_hits")
-        strategy = _faster_restore_strategy(module, report, payload)
-        obs.inc(f"pipeline.snapshot.strategy_{strategy}")
-        return PipelineSnapshot(stage=key[1], module=module, report=report,
-                                payload=payload, strategy=strategy)
-
-    def _disk_store(self, key: tuple, prepared: PreparedProgram,
-                    snapshot: PipelineSnapshot) -> None:
-        if self.disk_dir is None:
-            return
-        path = self._disk_path(key, prepared)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(snapshot.payload)
-                os.replace(tmp, path)  # atomic: readers never see a tear
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass  # persistence is best-effort; the LRU still has it

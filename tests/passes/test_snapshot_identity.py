@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import weakref
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.passes.pipeline import STAGE_BY_HOOK, compile_backend
 from repro.passes.snapshot import (
     SnapshotCache,
     build_snapshot,
-    fingerprint_is_persistable,
     options_fingerprint,
 )
 from repro.suite.registry import get as get_benchmark
@@ -97,19 +97,6 @@ def test_replay_cycles_match(case_name: str):
         _simulate(full_sched, case, "codrle4")
 
 
-def test_both_restore_strategies_are_identical():
-    case = case_study("regalloc")
-    harness = EvaluationHarness(case, EvalSettings(use_snapshots=False))
-    prep = harness.prepared("codrle4")
-    options = case.options_for(_as_hook(case.baseline_tree()))
-    full_sched, _ = compile_backend(prep, options)
-    snapshot = build_snapshot(prep, options, "regalloc")
-    for strategy in ("pickle", "clone"):
-        snapshot.strategy = strategy
-        sched, _ = compile_backend(prep, options, snapshot=snapshot)
-        assert sched.content_digest() == full_sched.content_digest(), strategy
-
-
 def test_verify_ir_checkpoints_fire_on_both_paths():
     case = case_study("regalloc")
     options = dataclasses.replace(
@@ -174,24 +161,56 @@ def test_warm_path_runs_zero_prefix_stages():
     assert harness.stats()["snapshot_hits"] == compiles - 1
 
 
-def test_lru_eviction_and_disk_reload(tmp_path):
+def test_first_stage_hook_takes_the_plain_path():
+    """The hyperblock hook is the first backend stage: there is no
+    prefix to share, so no snapshot is built, looked up or restored
+    and every compile runs the hook's own stage."""
+    case = case_study("hyperblock")
+    generator = TreeGenerator(case.pset, random.Random(5))
+    trees = [case.baseline_tree()] + generator.ramped_half_and_half(4)
+    registry = obs.enable_metrics()
+    try:
+        before = registry.snapshot()["counters"]
+        harness = EvaluationHarness(case)
+        for tree in trees:
+            harness.simulate(tree, "codrle4")
+        after = registry.snapshot()["counters"]
+    finally:
+        obs.disable_metrics()
+
+    def delta(name: str) -> int:
+        return after.get(name, 0) - before.get(name, 0)
+
+    compiles = harness.compile_count
+    assert compiles == len(trees)
+    assert delta("pipeline.pass_runs.hyperblock") == compiles
+    assert delta("pipeline.snapshot.builds") == 0
+    assert delta("pipeline.snapshot.hits") == 0
+    assert delta("pipeline.snapshot.misses") == 0
+    assert delta("pipeline.snapshot.restores") == 0
+    assert harness.stats()["snapshot_builds"] == 0
+
+
+def test_lru_eviction_rebuilds():
     case = case_study("regalloc")
     harness = EvaluationHarness(case, EvalSettings(use_snapshots=False))
     options = case.options_for(_as_hook(case.baseline_tree()))
-    cache = SnapshotCache(capacity=1, disk_dir=tmp_path)
+    cache = SnapshotCache(capacity=1)
     prepared = {name: harness.prepared(name)
                 for name in ("codrle4", "huff_enc")}
     cache.get_or_build("codrle4", prepared["codrle4"], options, "regalloc")
     cache.get_or_build("huff_enc", prepared["huff_enc"], options, "regalloc")
     assert cache.evictions == 1
-    # Evicted entry comes back from disk, not a rebuild.
-    cache.get_or_build("codrle4", prepared["codrle4"], options, "regalloc")
-    assert cache.disk_hits == 1
-    assert cache.builds == 2
-    # A fresh cache (new process, same directory) also reloads.
-    fresh = SnapshotCache(disk_dir=tmp_path)
-    fresh.get_or_build("huff_enc", prepared["huff_enc"], options, "regalloc")
-    assert fresh.disk_hits == 1 and fresh.builds == 0
+    # The evicted entry is a miss again, and the rebuild replays to
+    # the same binary as the full path.
+    snapshot = cache.get_or_build("codrle4", prepared["codrle4"], options,
+                                  "regalloc")
+    assert (cache.hits, cache.misses, cache.builds) == (0, 3, 3)
+    assert cache.stats()["entries"] == 1
+    replay_sched, _ = compile_backend(prepared["codrle4"], options,
+                                      snapshot=snapshot)
+    full_sched, _ = compile_backend(prepared["codrle4"], options)
+    assert replay_sched.content_digest() == full_sched.content_digest()
 
 
 def test_options_fingerprint_scoping():
@@ -211,10 +230,25 @@ def test_options_fingerprint_scoping():
         options_a, hyperblock_priority=_as_hook(hb_gen.grow(3)))
     assert options_fingerprint(changed, "regalloc") != \
         options_fingerprint(options_a, "regalloc")
-    # Arbitrary natives are process-local: cacheable, never persisted.
-    native = dataclasses.replace(
-        options_a, hyperblock_priority=lambda env: 0.0)
-    fingerprint = options_fingerprint(native, "regalloc")
-    assert not fingerprint_is_persistable(fingerprint)
-    assert fingerprint_is_persistable(
-        options_fingerprint(options_a, "regalloc"))
+
+
+def test_native_prefix_priority_is_pinned_not_aliased():
+    """A native prefix priority is keyed by the object, not its
+    ``id()``: short-lived lambdas that land on a recycled address must
+    not replay from each other's snapshot, and the priority a resident
+    snapshot was built under stays alive."""
+    case = case_study("regalloc")
+    harness = EvaluationHarness(case, EvalSettings(use_snapshots=False))
+    prep = harness.prepared("unepic")
+    cache = SnapshotCache()
+    for iteration in range(40):
+        score = 1e9 if iteration % 2 == 0 else -1e9
+        options = dataclasses.replace(
+            case.options, hyperblock_priority=lambda env, s=score: s)
+        snapshot = cache.get_or_build("unepic", prep, options, "regalloc")
+        forked, _ = compile_backend(prep, options, snapshot=snapshot)
+        full, _ = compile_backend(prep, options)
+        assert forked.content_digest() == full.content_digest(), iteration
+        alive = weakref.ref(options.hyperblock_priority)
+        del options, snapshot
+        assert alive() is not None, iteration
