@@ -16,8 +16,23 @@ baseline heuristic makes:
 * **unroll**    — the per-candidate-factor scores (rounded) and the
   chosen factor for every analyzable loop.
 
-A diff here means the *heuristic input features or the decision logic
-changed*, which silently shifts every published number in the repro.
+Beside the decisions, each entry pins what they produce and what they
+are judged against:
+
+* **binary_digest** — ``content_digest()`` of the scheduled binary each
+  of the three backend cases compiles, so a representation change in
+  the IR or a pass cannot move a schedule unnoticed;
+* **reference** — the reference interpreter's observables on the
+  prepared module (``train``: the profiling run ``prepare`` already
+  made, so only what :class:`~repro.ir.interp.RunResult` carries;
+  ``novel``: one run, with fault text and final globals) and a
+  uid-free digest of the training profile.  The interpreter is the
+  differential oracle's reference side: *what* it computes must not
+  move when *how* it computes changes.
+
+A diff here means the *heuristic input features, the decision logic,
+the emitted code or the reference semantics changed*, which silently
+shifts every published number in the repro.
 When the change is intentional, regenerate with::
 
     PYTHONPATH=src python -m pytest tests/golden --update-goldens
@@ -25,12 +40,14 @@ When the change is intentional, regenerate with::
 and review the JSON diff like any other code change.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.frontend import compile_source
+from repro.ir.interp import Interpreter, InterpError
 from repro.metaopt.harness import case_study
 from repro.passes.pipeline import compile_backend, prepare
 from repro.suite.registry import all_benchmarks, get as get_benchmark
@@ -99,20 +116,84 @@ def _unroll_entry(report):
     ]
 
 
+def _sha256(payload) -> str:
+    """Digest of a plain value (ints, floats, strings, lists, tuples):
+    ``repr`` of those is exact and the same in every process."""
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _train_reference(prepared) -> str:
+    """The profiling run's observables; ``None`` when it faulted (the
+    profiler keeps no fault text and no interpreter to read back)."""
+    run = prepared.profile.run_result
+    if run is None:
+        return _sha256(None)
+    return _sha256((run.return_value, run.outputs, run.steps,
+                    run.blocks_executed))
+
+
+def _novel_reference(prepared, inputs) -> str:
+    """One reference run on the novel dataset: return value, ``out``
+    stream, step and block counts, fault text and final globals."""
+    interp = Interpreter(prepared.module)
+    for name, values in inputs.items():
+        interp.set_global(name, values)
+    return_value, fault = None, None
+    try:
+        return_value = interp.run().return_value
+    except InterpError as exc:
+        fault = str(exc)
+    final_globals = [(name, interp.read_global(name))
+                     for name in prepared.module.globals]
+    return _sha256((return_value, interp.outputs, interp.steps,
+                    interp.blocks_executed, fault, final_globals))
+
+
+def _profile_digest(prepared) -> str:
+    """The training profile without instruction uids (process-local
+    counters): per function, edge and block counts, loop trips, and
+    each profiled branch's taken ratio and predictor accuracy in
+    instruction order."""
+    functions = []
+    for name in sorted(prepared.module.functions):
+        profile = prepared.profile.functions.get(name)
+        if profile is None:
+            functions.append((name, None))
+            continue
+        branches = [
+            (profile.branch_taken_ratio.get(instr.uid),
+             profile.branch_accuracy.get(instr.uid))
+            for instr in prepared.module.functions[name].instructions()
+            if instr.uid in profile.branch_taken_ratio
+            or instr.uid in profile.branch_accuracy
+        ]
+        functions.append((
+            name,
+            sorted(profile.edge_counts.items()),
+            sorted(profile.block_counts.items()),
+            sorted(profile.loop_trips.items()),
+            branches,
+        ))
+    return _sha256((prepared.profile.total_steps, functions))
+
+
 def baseline_decisions(benchmark: str) -> dict:
-    """All five baseline heuristics' decisions on one benchmark.
+    """All five baseline heuristics' decisions on one benchmark, the
+    digests of the three binaries they lead to, and the reference
+    interpreter's observables.
 
     The prepare-stage cases (inline, unroll) read their reports off
     :class:`~repro.passes.pipeline.PreparedProgram`; the backend cases
     read theirs off the compile report.
     """
     bench = get_benchmark(benchmark)
-    entry = {}
+    entry = {"binary_digest": {}}
     for case_name in ("hyperblock", "regalloc", "prefetch"):
         case = case_study(case_name)
         module = compile_source(bench.source, bench.name)
         prepared = prepare(module, bench.inputs("train"), case.options)
-        _scheduled, report = compile_backend(prepared)
+        scheduled, report = compile_backend(prepared)
+        entry["binary_digest"][case_name] = scheduled.content_digest()
         if case_name == "hyperblock":
             entry["hyperblock"] = {
                 name: _hyperblock_entry(rep)
@@ -123,6 +204,12 @@ def baseline_decisions(benchmark: str) -> dict:
             # backend case, so one prepared program pins both
             entry["inline"] = _inline_entry(prepared.inline_report)
             entry["unroll"] = _unroll_entry(prepared.unroll_report)
+            # ...and so is the prepared module the reference runs on
+            entry["reference"] = {
+                "train": _train_reference(prepared),
+                "novel": _novel_reference(prepared, bench.inputs("novel")),
+                "profile": _profile_digest(prepared),
+            }
         elif case_name == "regalloc":
             entry["regalloc"] = {
                 name: _regalloc_entry(rep)
@@ -184,3 +271,7 @@ def test_goldens_have_decisions_somewhere():
     assert any(entry["prefetch"] for entry in goldens.values())
     assert any(entry["inline"] for entry in goldens.values())
     assert any(entry["unroll"] for entry in goldens.values())
+    for entry in goldens.values():
+        assert sorted(entry["binary_digest"]) == [
+            "hyperblock", "prefetch", "regalloc"]
+        assert sorted(entry["reference"]) == ["novel", "profile", "train"]
