@@ -70,6 +70,8 @@ class Opcode(enum.Enum):
     # Output (benchmark observable result channel)
     OUT = "out"
 
+    __hash__ = object.__hash__  # by identity; see IRType
+
 
 class Rel(enum.Enum):
     """Comparison relations for CMP/CMPP."""
@@ -81,6 +83,8 @@ class Rel(enum.Enum):
     GT = ">"
     GE = ">="
 
+    __hash__ = object.__hash__  # by identity; see IRType
+
 
 class FUClass(enum.Enum):
     """Functional-unit class an opcode issues to (Table 3)."""
@@ -89,6 +93,8 @@ class FUClass(enum.Enum):
     FP = "fp"
     MEM = "mem"
     BRANCH = "branch"
+
+    __hash__ = object.__hash__  # by identity; see IRType
 
 
 _FU_BY_OPCODE: dict[Opcode, FUClass] = {}

@@ -9,7 +9,7 @@ point and predicate — Table 3 gives the EPIC machine 64 + 64 + 256).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class IRType(enum.Enum):
@@ -19,6 +19,12 @@ class IRType(enum.Enum):
     FLOAT = "float"
     PRED = "pred"
 
+    # Members are singletons and Enum equality is identity, so the
+    # identity hash agrees with it.  ``Enum.__hash__`` is a Python
+    # function hashing the member's name: one frame per set or dict
+    # probe, on paths that probe once per instruction visit.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IRType.{self.name}"
 
@@ -26,6 +32,12 @@ class IRType(enum.Enum):
 INT = IRType.INT
 FLOAT = IRType.FLOAT
 PRED = IRType.PRED
+
+#: A type's stand-in inside a register's hash.  Registers hash ints
+#: only (never a name, never an enum object), so the value is the same
+#: in every process whatever ``PYTHONHASHSEED`` is, and a pickled
+#: register carries a hash that is still right where it is loaded.
+_TYPE_ORDINAL = {INT: 0, FLOAT: 1, PRED: 2}
 
 #: Every memory word is 8 bytes; addresses in the IR are *word*
 #: addresses, multiplied out to byte addresses only at the cache model.
@@ -38,11 +50,23 @@ class VReg:
 
     ``uid`` is unique within a function.  ``name`` is a debugging hint
     (source variable name or temporary tag).
+
+    Registers key the dicts and sets of every analysis, so the hash is
+    computed once, at construction; equality still compares all three
+    fields.
     """
 
     uid: int
     vtype: IRType
     name: str = ""
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.uid, _TYPE_ORDINAL[self.vtype])))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         prefix = {INT: "r", FLOAT: "f", PRED: "p"}[self.vtype]
@@ -52,10 +76,21 @@ class VReg:
 
 @dataclass(frozen=True, slots=True)
 class PReg:
-    """A physical register, produced by register allocation."""
+    """A physical register, produced by register allocation.
+
+    Hashed once at construction, like :class:`VReg`.
+    """
 
     index: int
     vtype: IRType
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.index, _TYPE_ORDINAL[self.vtype])))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         prefix = {INT: "R", FLOAT: "F", PRED: "P"}[self.vtype]
