@@ -142,6 +142,21 @@ SCALAR_OPS = frozenset({
 })
 
 
+#: Row kinds of a decoded instruction (:meth:`Interpreter._decode`).
+#: The terminators sort last: ``kind >= _BR`` is ``is_terminator``.
+(_SCALAR, _CMPP, _LEA, _LOAD, _STORE, _PREFETCH, _OUT, _CALL,
+ _BR, _JMP, _RET) = range(11)
+
+#: Kinds of the opcodes that read their first source, if they have one.
+_KIND_BY_OPCODE = {
+    Opcode.LEA: _LEA, Opcode.LOAD: _LOAD, Opcode.PREFETCH: _PREFETCH,
+    Opcode.OUT: _OUT, Opcode.BR: _BR, Opcode.RET: _RET,
+}
+
+#: Operand modes of a decoded source.
+_REG, _CONST, _FRAME, _FAULT = range(4)
+
+
 @dataclass
 class RunResult:
     """Observable outcome of one program execution."""
@@ -188,6 +203,10 @@ class Interpreter:
     def __post_init__(self) -> None:
         self._layout = self.module.layout()
         self._sp = STACK_BASE
+        #: function name -> its decode.  Per instance, and an instance
+        #: serves one run, so no run sees a module through the decode
+        #: of an earlier state of it.
+        self._decoded: dict[str, tuple] = {}
         for name, array in self.module.globals.items():
             base = self._layout[name]
             for index, value in enumerate(array.init):
@@ -230,6 +249,76 @@ class Interpreter:
         )
 
     # -- execution core -----------------------------------------------------
+    def _decode(self, function: Function):
+        """Decode ``function`` for :meth:`_call`: per block, one row
+        ``(kind, instr, guard, dest, dest2, operands)`` per instruction.
+
+        ``guard``/``dest``/``dest2`` are register-file keys and
+        ``operands`` holds ``(mode, payload)`` for exactly the sources
+        the opcode reads, in the order it reads them: a register's
+        key, a constant (immediates and resolved symbol addresses), a
+        frame offset, or the fault that evaluating the operand raises.
+        The register file is keyed by ``uid``, so a function in which
+        two distinct virtual registers share one is refused rather
+        than run with the two merged.  Returns the rows by block label
+        and the registers by uid (for fault messages).
+        """
+        vregs: dict[int, VReg] = {}
+
+        def key(reg):
+            if not isinstance(reg, VReg):
+                # no destination or guard, or a physical register
+                # (writable, but no operand can read it back)
+                return reg
+            known = vregs.setdefault(reg.uid, reg)
+            if known != reg:
+                raise ValueError(
+                    f"{function.name}: registers {known} and {reg} "
+                    f"share uid {reg.uid}"
+                )
+            return reg.uid
+
+        def operand(src):
+            if isinstance(src, VReg):
+                return _REG, key(src)
+            if isinstance(src, Imm):
+                return _CONST, src.value
+            if isinstance(src, SymRef):
+                if src.symbol not in self._layout:
+                    return _FAULT, KeyError(src.symbol)
+                return _CONST, self._layout[src.symbol]
+            if isinstance(src, StackSlot):
+                return _FRAME, src.offset
+            return _FAULT, InterpError(f"cannot evaluate operand {src!r}")
+
+        for param in function.params:
+            key(param)
+        blocks = {}
+        for label, block in function.blocks.items():
+            rows = blocks[label] = []
+            for instr in block.instrs:
+                op, read = instr.op, instr.srcs[:1]
+                if op in SCALAR_OPS:
+                    kind = _CMPP if op is Opcode.CMPP else _SCALAR
+                    read = instr.srcs
+                elif op is Opcode.STORE:
+                    kind = _STORE
+                    read = instr.srcs[1::-1]  # the value, then the address
+                elif op is Opcode.CALL:
+                    kind = _CALL
+                    # an unknown callee faults before any argument is read
+                    known = instr.callee in self.module.functions
+                    read = instr.srcs if known else ()
+                elif op is Opcode.JMP:
+                    kind, read = _JMP, ()
+                else:
+                    kind = _KIND_BY_OPCODE[op]
+                rows.append((
+                    kind, instr, key(instr.guard), key(instr.dest),
+                    key(instr.dest2), tuple(operand(src) for src in read),
+                ))
+        return blocks, vregs
+
     def _call(self, function: Function,
               args: tuple[float | int, ...]) -> float | int | None:
         if len(args) != len(function.params):
@@ -237,99 +326,90 @@ class Interpreter:
                 f"{function.name} expects {len(function.params)} args, "
                 f"got {len(args)}"
             )
-        regs: dict[VReg, float | int | bool] = {}
+        decoded = self._decoded.get(function.name)
+        if decoded is None:
+            decoded = self._decoded[function.name] = self._decode(function)
+        blocks, vregs = decoded
+        regs: dict[int, float | int | bool] = {}
         for param, arg in zip(function.params, args):
-            regs[param] = arg
+            regs[param.uid] = arg
         frame_base = self._sp
         self._sp += function.frame_words
+        name = function.name
+        memory = self.memory
+        max_steps = self.max_steps
 
         try:
             label = function.block_order[0]
             while True:
-                block = function.blocks[label]
+                rows = blocks[label]
                 self.blocks_executed += 1
                 next_label: str | None = None
-                for instr in block.instrs:
+                for kind, instr, guard, dest, dest2, operands in rows:
                     self.steps += 1
-                    if self.steps > self.max_steps:
-                        raise InterpError(
-                            f"step budget exceeded in {function.name}"
-                        )
-                    if instr.guard is not None and not regs.get(instr.guard, False):
-                        if instr.is_terminator:
-                            raise InterpError("guarded terminator reached false")
+                    if self.steps > max_steps:
+                        raise InterpError(f"step budget exceeded in {name}")
+                    if guard is not None and not regs.get(guard, False):
+                        if kind >= _BR:
+                            raise InterpError(
+                                "guarded terminator reached false")
                         continue
-                    outcome = self._execute(instr, regs, function, frame_base)
-                    if instr.op is Opcode.RET:
-                        return outcome
-                    if instr.is_terminator:
-                        next_label = outcome
+                    values = ()
+                    for mode, payload in operands:
+                        if mode == _REG:
+                            try:
+                                values += (regs[payload],)
+                            except KeyError:
+                                raise InterpError(
+                                    "read of undefined register "
+                                    f"{vregs[payload]}"
+                                )
+                        elif mode == _CONST:
+                            values += (payload,)
+                        elif mode == _FRAME:
+                            values += (frame_base + payload,)
+                        else:
+                            raise payload
+                    if kind == _SCALAR:
+                        regs[dest] = apply_scalar_op(
+                            instr.op, instr.rel, values)
+                    elif kind == _LOAD:
+                        regs[dest] = memory.get(values[0], 0)
+                    elif kind == _BR:
+                        taken = bool(values[0])
+                        if self.on_branch is not None:
+                            self.on_branch(name, instr.uid, taken)
+                        next_label = instr.targets[0 if taken else 1]
                         break
+                    elif kind == _CMPP:
+                        regs[dest], regs[dest2] = apply_scalar_op(
+                            instr.op, instr.rel, values)
+                    elif kind == _STORE:
+                        memory[values[1]] = values[0]
+                    elif kind == _JMP:
+                        next_label = instr.targets[0]
+                        break
+                    elif kind == _LEA:
+                        regs[dest] = values[0]
+                    elif kind == _OUT:
+                        self.outputs.append(values[0])
+                    elif kind == _CALL:
+                        callee = self.module.functions.get(instr.callee)
+                        if callee is None:
+                            raise InterpError(
+                                f"call to unknown function {instr.callee}")
+                        result = self._call(callee, values)
+                        if dest is not None:
+                            regs[dest] = result
+                    elif kind == _RET:
+                        return values[0] if values else None
+                    # _PREFETCH: address computed; no architectural effect
                 if next_label is None:
                     raise InterpError(
                         f"block {label} fell through without terminator"
                     )
                 if self.on_edge is not None:
-                    self.on_edge(function.name, label, next_label)
+                    self.on_edge(name, label, next_label)
                 label = next_label
         finally:
             self._sp = frame_base
-
-    def _value(self, operand, regs, frame_base):
-        if isinstance(operand, VReg):
-            try:
-                return regs[operand]
-            except KeyError:
-                raise InterpError(f"read of undefined register {operand}")
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, SymRef):
-            return self._layout[operand.symbol]
-        if isinstance(operand, StackSlot):
-            return frame_base + operand.offset
-        raise InterpError(f"cannot evaluate operand {operand!r}")
-
-    def _execute(self, instr: Instr, regs, function: Function, frame_base):
-        op = instr.op
-        val = lambda i: self._value(instr.srcs[i], regs, frame_base)
-
-        if op in SCALAR_OPS:
-            result = apply_scalar_op(
-                op, instr.rel, tuple(val(i) for i in range(len(instr.srcs)))
-            )
-            if op is Opcode.CMPP:
-                regs[instr.dest], regs[instr.dest2] = result
-            else:
-                regs[instr.dest] = result
-        elif op is Opcode.LEA:
-            regs[instr.dest] = self._value(instr.srcs[0], regs, frame_base)
-        elif op is Opcode.LOAD:
-            address = val(0)
-            regs[instr.dest] = self.memory.get(address, 0)
-        elif op is Opcode.STORE:
-            self.memory[val(0)] = val(1)
-        elif op is Opcode.PREFETCH:
-            val(0)  # address computed; no architectural effect
-        elif op is Opcode.OUT:
-            self.outputs.append(val(0))
-        elif op is Opcode.CALL:
-            callee = self.module.functions.get(instr.callee)
-            if callee is None:
-                raise InterpError(f"call to unknown function {instr.callee}")
-            result = self._call(
-                callee, tuple(val(i) for i in range(len(instr.srcs)))
-            )
-            if instr.dest is not None:
-                regs[instr.dest] = result
-        elif op is Opcode.BR:
-            taken = bool(val(0))
-            if self.on_branch is not None:
-                self.on_branch(function.name, instr.uid, taken)
-            return instr.targets[0] if taken else instr.targets[1]
-        elif op is Opcode.JMP:
-            return instr.targets[0]
-        elif op is Opcode.RET:
-            return val(0) if instr.srcs else None
-        else:  # pragma: no cover - exhaustive
-            raise InterpError(f"unimplemented opcode {op}")
-        return None

@@ -29,7 +29,7 @@ from repro.ir.interp import (
     int_rem,
     wrap_int,
 )
-from repro.ir.values import FLOAT, INT, PRED, Imm, StackSlot, SymRef
+from repro.ir.values import FLOAT, INT, PRED, Imm, StackSlot, SymRef, VReg
 
 
 def run_source(source, inputs=None, **kwargs):
@@ -269,3 +269,169 @@ class TestOperandResolution:
         module.add_function(func)
         result = Interpreter(module).run()
         assert result.outputs == [9, 9]
+
+
+class TestDecode:
+    """The interpreter decodes a function once per instance and keys
+    its register file by uid."""
+
+    def _counter_module(self):
+        module = Module()
+        func = Function("main", [])
+        x = func.new_vreg(INT, "x")
+        entry = func.new_block("entry")
+        entry.append(mov(x, Imm(1)))
+        entry.append(out(x))
+        entry.append(ret())
+        module.add_function(func)
+        return module, func, x
+
+    def test_two_registers_sharing_a_uid_are_refused(self):
+        module, func, x = self._counter_module()
+        twin = VReg(x.uid, INT, "not_x")
+        func.entry.instrs.insert(1, mov(twin, Imm(2)))
+        with pytest.raises(ValueError, match=r"%r0\.x and %r0\.not_x "
+                                             r"share uid 0"):
+            Interpreter(module).run()
+
+    def test_parameter_and_body_register_sharing_a_uid_are_refused(self):
+        module = Module()
+        func = Function("main", [VReg(0, INT, "arg")])
+        entry = func.new_block("entry")
+        entry.append(mov(VReg(0, FLOAT, "arg"), Imm(2.0)))
+        entry.append(ret())
+        module.add_function(func)
+        with pytest.raises(ValueError, match="share uid 0"):
+            Interpreter(module).run(args=(1,))
+
+    def test_decode_is_per_instance(self):
+        """An instruction appended between two interpreters is run by
+        the second: no decode outlives its instance."""
+        module, func, x = self._counter_module()
+        assert Interpreter(module).run().outputs == [1]
+        func.entry.instrs.insert(2, out(Imm(7)))
+        assert Interpreter(module).run().outputs == [1, 7]
+
+    def test_recursion_reuses_one_decode(self):
+        module = compile_source("""
+        int down(int n) { if (n < 1) { return 0; } return down(n - 1) + 1; }
+        void main() { out(down(20)); }
+        """)
+        interp = Interpreter(module)
+        assert interp.run().outputs == [20]
+        assert sorted(interp._decoded) == ["down", "main"]
+
+
+class TestFaultsAndCounters:
+    """What the rewrite of the execution core had to leave alone."""
+
+    def _module(self, *instrs, frame_words=0):
+        module = Module()
+        func = Function("main", [])
+        if frame_words:
+            func.alloc_stack(frame_words)
+        entry = func.new_block("entry")
+        for instr in instrs:
+            entry.append(instr)
+        module.add_function(func)
+        return module
+
+    def test_undefined_register_message(self):
+        with pytest.raises(InterpError,
+                           match=r"^read of undefined register %r5\.x$"):
+            Interpreter(self._module(out(VReg(5, INT, "x")), ret())).run()
+
+    def test_store_reads_its_value_before_its_address(self):
+        module = self._module(
+            store(VReg(1, INT, "addr"), VReg(2, INT, "value")), ret())
+        with pytest.raises(InterpError, match=r"%r2\.value"):
+            Interpreter(module).run()
+
+    def test_unknown_callee_faults_before_its_arguments(self):
+        module = self._module(call(None, "ghost", (VReg(1, INT),)), ret())
+        with pytest.raises(InterpError,
+                           match="^call to unknown function ghost$"):
+            Interpreter(module).run()
+
+    def test_unreadable_operand_faults_when_reached_not_at_decode(self):
+        from repro.ir.values import PReg
+
+        module = self._module(out(Imm(1)), out(PReg(0, INT)), ret())
+        interp = Interpreter(module)
+        with pytest.raises(InterpError, match="^cannot evaluate operand "):
+            interp.run()
+        assert interp.outputs == [1]
+
+    def test_guarded_terminator_message(self):
+        guard = VReg(0, PRED, "p")
+        jump = jmp("entry0")
+        jump.guard = guard
+        module = self._module(mov(guard, Imm(0)), jump)
+        with pytest.raises(InterpError,
+                           match="^guarded terminator reached false$"):
+            Interpreter(module).run()
+
+    def test_squashed_instructions_count_as_steps(self):
+        guard, x = VReg(0, PRED, "p"), VReg(1, INT, "x")
+        module = self._module(
+            mov(guard, Imm(0)), mov(x, Imm(1)),
+            mov(x, Imm(2), guard=guard), out(x), ret())
+        result = Interpreter(module).run()
+        assert (result.outputs, result.steps, result.blocks_executed) == \
+            ([1], 5, 1)
+
+    def test_unset_guard_squashes_rather_than_faults(self):
+        x = VReg(1, INT, "x")
+        module = self._module(
+            mov(x, Imm(1)), mov(x, Imm(2), guard=VReg(0, PRED, "p")),
+            out(x), ret())
+        assert Interpreter(module).run().outputs == [1]
+
+    def test_step_budget_message_names_the_function(self):
+        module = self._module(out(Imm(1)), out(Imm(2)), ret())
+        interp = Interpreter(module, max_steps=2)
+        with pytest.raises(InterpError,
+                           match="^step budget exceeded in main$"):
+            interp.run()
+        assert interp.outputs == [1, 2] and interp.steps == 3
+
+    def test_stack_pointer_restored_after_a_fault(self):
+        module = compile_source("""
+        int leaf(int x) { int tmp[8]; tmp[0] = 1 / x; return tmp[0]; }
+        void main() { int pad[4]; pad[0] = 0; out(leaf(pad[0])); }
+        """)
+        interp = Interpreter(module)
+        before = interp._sp
+        with pytest.raises(InterpError, match="division by zero"):
+            interp.run()
+        assert interp._sp == before
+
+    def test_callbacks_fire_in_execution_order(self):
+        events = []
+        module = compile_source("""
+        void main() {
+          int i;
+          for (i = 0; i < 2; i = i + 1) { out(i); }
+        }
+        """)
+        func = module.functions["main"]
+        branch_uids = {instr.uid for instr in func.instructions()
+                       if instr.op is Opcode.BR}
+        interp = Interpreter(
+            module,
+            on_edge=lambda f, a, b: events.append(("edge", f, a, b)),
+            on_branch=lambda f, uid, t: events.append(("branch", f, uid, t)))
+        result = interp.run()
+        branches = [e for e in events if e[0] == "branch"]
+        assert [e[3] for e in branches] == [True, True, False]
+        assert all(e[1] == "main" and e[2] in branch_uids
+                   and type(e[3]) is bool for e in branches)
+        # a branch is reported before the edge it takes, and the edge
+        # leads to one of the branch's own targets
+        for index, event in enumerate(events):
+            if event[0] == "branch":
+                _kind, name, source, target = events[index + 1]
+                assert name == "main" and source in func.blocks
+                assert target in func.blocks[source].terminator.targets
+        edges = [e for e in events if e[0] == "edge"]
+        assert result.blocks_executed == len(edges) + 1

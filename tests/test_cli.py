@@ -1,6 +1,10 @@
 """CLI tests: every subcommand drives the library end to end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,24 @@ class TestEvolve:
     def test_evolve_resume_requires_run_dir(self):
         with pytest.raises(SystemExit):
             main(["evolve", "--resume"])
+
+    def test_evolve_result_independent_of_hash_seed(self, tmp_path):
+        """Every set of registers iterates in hash order, so a result
+        that depended on that order would differ between hash seeds.
+        (bench/driver.py pins ``PYTHONHASHSEED=0``; tier-1 does not.)"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        results = []
+        for seed in ("1", "20261002"):
+            run_dir = tmp_path / f"seed{seed}"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "evolve", "regalloc",
+                 "codrle4", "--pop", "6", "--gens", "2",
+                 "--no-fitness-cache", "--run-dir", str(run_dir)],
+                cwd=tmp_path, check=True, capture_output=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         PYTHONHASHSEED=seed))
+            results.append((run_dir / "result.json").read_bytes())
+        assert results[0] == results[1]
 
 
 class TestGeneralize:
