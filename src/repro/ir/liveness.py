@@ -82,12 +82,18 @@ def analyze(function: Function) -> dict[str, BlockLiveness]:
     }
 
 
-def live_at_instruction(function: Function) -> dict[int, set[VReg]]:
+def live_at_instruction(
+    function: Function,
+    liveness: dict[str, BlockLiveness] | None = None,
+) -> dict[int, set[VReg]]:
     """Registers live *after* each instruction, keyed by instruction uid.
 
-    Used to build precise interference graphs.
+    Used to build precise interference graphs.  ``liveness`` is the
+    result of :func:`analyze` on ``function`` when the caller already
+    has it; the fixed point is not run a second time.
     """
-    liveness = analyze(function)
+    if liveness is None:
+        liveness = analyze(function)
     live_after: dict[int, set[VReg]] = {}
     for label in function.block_order:
         block = function.blocks[label]

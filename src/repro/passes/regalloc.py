@@ -157,7 +157,7 @@ class _FunctionAllocator:
                                      dict[VReg, set[VReg]]]:
         function = self.function
         liveness = analyze(function)
-        live_after = live_at_instruction(function)
+        live_after = live_at_instruction(function, liveness)
 
         ranges: dict[VReg, LiveRange] = {}
 

@@ -170,6 +170,11 @@ class TestLiveness:
         compare = func.blocks[head.label].instrs[0]
         assert i in live_after[compare.uid]
 
+    def test_live_at_instruction_accepts_computed_liveness(self):
+        func, *_rest = loop_function()
+        assert live_at_instruction(func, analyze(func)) == \
+            live_at_instruction(func)
+
     def test_dead_definitions_found(self):
         func = Function("f", [])
         x = func.new_vreg(INT, "x")

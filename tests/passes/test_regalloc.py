@@ -116,6 +116,28 @@ class TestColouringValidity:
         assert func.instruction_count() > 0
 
 
+    def test_one_liveness_fixed_point_per_colouring_round(
+            self, monkeypatch):
+        """``_build_ranges`` used to run the fixed point twice: once
+        itself, once more inside ``live_at_instruction``."""
+        from repro.ir import liveness
+        from repro.passes import regalloc
+
+        fixed_points = []
+
+        def counting_analyze(function):
+            fixed_points.append(function.name)
+            return analyze(function)
+
+        analyze = liveness.analyze
+        monkeypatch.setattr(liveness, "analyze", counting_analyze)
+        monkeypatch.setattr(regalloc, "analyze", counting_analyze)
+        module = compile_source(PRESSURE_SOURCE)
+        report = allocate_function(module.functions["main"], tiny_machine(6))
+        assert report.rounds > 1  # spilling forces a second round
+        assert len(fixed_points) == report.rounds
+
+
 class TestSpilling:
     def test_spills_occur_on_small_machine(self):
         _result, reports, _module = allocate_and_simulate(
