@@ -12,7 +12,9 @@ every pass must preserve:
 * **operand discipline** — per-opcode source arity, destination
   presence, ``rel`` only on compares, ``dest2`` only on ``cmpp``,
   symbol references resolvable, stack slots inside the frame, call
-  signatures matching the callee;
+  signatures matching the callee, and a uid naming one virtual
+  register per function (the reference interpreter keys its register
+  file by uid and refuses a function that breaks this);
 * **def-before-use** — forward must-defined (definite assignment)
   analysis: every register read needs an unconditional definition on
   every path from entry (which subsumes the dominator-tree check and
@@ -311,6 +313,30 @@ class _FunctionVerifier:
                         f"{reg.vtype.value} file of {capacity}",
                         block=label, instr=instr)
 
+    def _check_vreg_uids(self) -> None:
+        """A uid names one virtual register in a function: the
+        invariant ``Function.new_vreg`` keeps, and the one
+        ``Interpreter._decode`` relies on.  Each clashing uid is
+        reported once, where its second register first appears."""
+        by_uid: dict[int, VReg] = {}
+        clashed: set[int] = set()
+
+        def note(reg, label=None, instr=None) -> None:
+            if not isinstance(reg, VReg) or reg.uid in clashed:
+                return
+            known = by_uid.setdefault(reg.uid, reg)
+            if known != reg:
+                clashed.add(reg.uid)
+                self._issue(f"virtual registers {known} and {reg} share "
+                            f"uid {reg.uid}", block=label, instr=instr)
+
+        for param in self.function.params:
+            note(param)
+        for label in self.function.block_order:
+            for instr in self.function.blocks[label].instrs:
+                for reg in (*instr.reads(), *instr.writes()):
+                    note(reg, label, instr)
+
     # -- def-before-use / predicate legality ---------------------------
     def _speculative_uids(self) -> set[int]:
         """Instructions whose results feed *only* prefetch hints.
@@ -505,6 +531,7 @@ class _FunctionVerifier:
         for label in self.function.block_order:
             for instr in self.function.blocks[label].instrs:
                 self._check_instr(label, instr)
+        self._check_vreg_uids()
         if self.issues:
             # Operand-level breakage makes dataflow results unreliable.
             return self.issues

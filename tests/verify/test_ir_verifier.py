@@ -153,3 +153,38 @@ class TestAllocatedChecks:
         ]
         with pytest.raises(IRVerifyError):
             verify_scheduled(scheduled, DEFAULT_EPIC)
+
+
+class TestVregUids:
+    """A uid names one virtual register per function — what
+    ``Function.new_vreg`` hands out and what the reference interpreter
+    keys its register file by."""
+
+    def _clashing_module(self):
+        module = fresh_module()
+        function = module.functions["main"]
+        entry = function.blocks[function.block_order[0]]
+        victim = next(instr.dest for instr in entry.instrs
+                      if instr.dest is not None and instr.dest.vtype is INT)
+        twin = VReg(uid=victim.uid, vtype=INT, name="twin")
+        entry.instrs.insert(len(entry.instrs) - 1,
+                            Instr(Opcode.MOV, dest=twin, srcs=(victim,)))
+        entry.instrs.insert(len(entry.instrs) - 1,
+                            Instr(Opcode.MOV, dest=twin, srcs=(twin,)))
+        return module, victim, twin
+
+    def test_shared_uid_is_a_structural_issue_reported_once(self):
+        module, victim, twin = self._clashing_module()
+        issues = verify_function(module.functions["main"], module)
+        clashes = [issue for issue in issues if "share uid" in issue.message]
+        assert len(clashes) == 1
+        assert clashes[0].message == (
+            f"virtual registers {victim} and {twin} share uid {victim.uid}")
+        assert clashes[0].block == module.functions["main"].block_order[0]
+
+    def test_the_interpreter_refuses_what_the_verifier_reports(self):
+        from repro.ir.interp import Interpreter
+
+        module, victim, _twin = self._clashing_module()
+        with pytest.raises(ValueError, match=f"share uid {victim.uid}"):
+            Interpreter(module).run()
