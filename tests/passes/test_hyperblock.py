@@ -334,3 +334,35 @@ class TestDecisionMechanics:
 
         _module, _func, report = formation(DIAMOND, priority=broken)
         assert report.regions_converted == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FunctionProfile.branch_accuracy is keyed by the instruction uids of "
+    "prepared.module; compile_backend works on prepared.module.clone(), "
+    "and Instr.copy hands out fresh uids, so every lookup in the pass "
+    "falls back to 0.5 (ROADMAP, robustness: 57 of 57 lookups missed)"))
+def test_branch_accuracy_reaches_the_pass():
+    """Table 4's ``predict_product`` should carry the profiled
+    predictability of the region's branch into a real compile, as it
+    does when the pass runs on the profiled module itself."""
+    from repro.passes.pipeline import (
+        CompilerOptions,
+        compile_backend,
+        prepare,
+    )
+
+    biased = {"data": [10] * 64, "n": [60]}  # the branch is always taken
+    seen = []
+
+    def spy(env):
+        seen.append(env["predict_product"])
+        return -1.0
+
+    formation(DIAMOND, priority=spy, inputs=biased)
+    assert seen and min(seen) > 0.9  # the pass on the profiled module
+
+    seen.clear()
+    prepared = prepare(compile_source(DIAMOND), biased,
+                       CompilerOptions(hyperblock_priority=spy))
+    compile_backend(prepared)
+    assert seen and min(seen) > 0.9  # the same pass behind the clone
