@@ -142,9 +142,9 @@ class Instr:
     hazard:    True for operations the compiler must treat as hazards
                (indirect memory access, potentially-side-effecting
                calls) — feeds the hyperblock features of Table 4.
-    uid:       process-wide unique id.  Every copy gets a fresh one --
+    uid:       process-wide unique id.  Every copy gets a fresh one —
                ``copy()``, and so ``Block.copy`` and
-               ``Function.clone()`` -- so a table keyed by uid (a
+               ``Function.clone()`` — so a table keyed by uid (a
                profile's per-branch statistics) does not describe the
                instructions of a clone.
     """

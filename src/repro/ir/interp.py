@@ -13,6 +13,12 @@ model.  Two jobs:
 
 Integer semantics are 64-bit two's complement (wrapping); division
 truncates toward zero, matching the MiniC frontend's documented rules.
+
+Implementation note: an :class:`Interpreter` decodes each function the
+first time it enters it (operands resolved to register keys, constants
+and frame offsets) and executes the decoded rows; scalar opcodes still
+go through :func:`apply_scalar_op`, the ALU the constant folder shares
+(docs/VERIFY.md, "The reference side").
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.ir.function import Function, Module, STACK_BASE
-from repro.ir.instr import Instr, Opcode, Rel
+from repro.ir.instr import Opcode, Rel
 from repro.ir.values import (
     FLOAT,
     INT,

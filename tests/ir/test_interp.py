@@ -29,7 +29,16 @@ from repro.ir.interp import (
     int_rem,
     wrap_int,
 )
-from repro.ir.values import FLOAT, INT, PRED, Imm, StackSlot, SymRef, VReg
+from repro.ir.values import (
+    FLOAT,
+    INT,
+    PRED,
+    Imm,
+    PReg,
+    StackSlot,
+    SymRef,
+    VReg,
+)
 
 
 def run_source(source, inputs=None, **kwargs):
@@ -354,8 +363,6 @@ class TestFaultsAndCounters:
             Interpreter(module).run()
 
     def test_unreadable_operand_faults_when_reached_not_at_decode(self):
-        from repro.ir.values import PReg
-
         module = self._module(out(Imm(1)), out(PReg(0, INT)), ret())
         interp = Interpreter(module)
         with pytest.raises(InterpError, match="^cannot evaluate operand "):
