@@ -23,6 +23,7 @@ go through :func:`apply_scalar_op`, the ALU the constant folder shares
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,12 +69,12 @@ class InterpError(RuntimeError):
 
 
 _REL_FUNCS = {
-    Rel.EQ: lambda a, b: a == b,
-    Rel.NE: lambda a, b: a != b,
-    Rel.LT: lambda a, b: a < b,
-    Rel.LE: lambda a, b: a <= b,
-    Rel.GT: lambda a, b: a > b,
-    Rel.GE: lambda a, b: a >= b,
+    Rel.EQ: operator.eq,
+    Rel.NE: operator.ne,
+    Rel.LT: operator.lt,
+    Rel.LE: operator.le,
+    Rel.GT: operator.gt,
+    Rel.GE: operator.ge,
 }
 
 
