@@ -7,7 +7,9 @@ fleet of serve daemons — local child processes (``--fleet local:N``)
 and/or remote hosts (``--fleet host:port,host:port``) — via the
 batched ``POST /v1/evaluate-batch`` HTTP API, with work stealing,
 retry/redispatch on worker loss, and results byte-identical to the
-serial path.  See docs/FLEET.md.
+serial path.  The wire is spoken by :class:`repro.serve.client.
+ServeClient`, one per worker; this package has no HTTP code of its
+own.  See docs/FLEET.md.
 """
 
 from repro.fleet.evaluator import FleetEvaluator
@@ -15,9 +17,6 @@ from repro.fleet.workers import (
     FleetError,
     FleetTarget,
     LocalWorkerProcess,
-    WorkerClient,
-    WorkerRejected,
-    WorkerUnreachable,
     parse_fleet_spec,
 )
 
@@ -26,8 +25,5 @@ __all__ = [
     "FleetError",
     "FleetTarget",
     "LocalWorkerProcess",
-    "WorkerClient",
-    "WorkerRejected",
-    "WorkerUnreachable",
     "parse_fleet_spec",
 ]

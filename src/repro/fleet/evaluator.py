@@ -21,12 +21,18 @@ Design invariants (docs/FLEET.md):
   queues; an idle worker drains a global retry queue first, then its
   own queue, then steals from the longest competitor's tail — so a
   straggler bounds only its own last shard, not the generation.
-* **Fault tolerance.**  Transport failures trigger a health probe:
-  a sick-but-alive worker gets the shard back after a backoff, a dead
-  worker is retired and its shard redispatched to the survivors.  If
-  the whole fleet dies mid-batch, the coordinator finishes the
-  remaining shards in-process, on the campaign's own harness — a
-  campaign never loses a generation to infrastructure.
+* **Fault tolerance.**  Each worker is one
+  :class:`~repro.serve.client.ServeClient` built with ``retries=0``,
+  so the shard-level policy here is the only retry policy in force,
+  read off the client's one taxonomy: ``ServerBusy`` without a status
+  (no reply arrived) triggers a health probe — a sick-but-alive worker
+  gets the shard back after a backoff, a dead worker is retired and
+  its shard redispatched to the survivors; ``ServerBusy`` with a
+  429/503 sleeps the server's ``Retry-After`` and requeues; any other
+  ``ServeError`` is permanent.  If the whole fleet dies mid-batch, the
+  coordinator finishes the remaining shards in-process, on the
+  campaign's own harness — a campaign never loses a generation to
+  infrastructure.
 """
 
 from __future__ import annotations
@@ -41,13 +47,11 @@ from repro.fleet.workers import (
     FleetError,
     FleetTarget,
     LocalWorkerProcess,
-    WorkerClient,
-    WorkerRejected,
-    WorkerUnreachable,
     parse_fleet_spec,
 )
 from repro.gp.nodes import Node
 from repro.gp.parse import unparse
+from repro.serve.client import ServeClient, ServeError, ServerBusy
 
 if TYPE_CHECKING:
     from repro.metaopt.harness import EvaluationHarness
@@ -61,9 +65,9 @@ _MAX_SHARD_ITEMS = 32
 
 
 class _ShardItemFailed(FleetError):
-    """A worker answered ``{"ok": false}`` for an item — possibly a
-    worker-local hiccup, so the shard gets its normal retries before
-    the failure is declared permanent."""
+    """A worker answered ``{"ok": false}`` for an item, or left one
+    out — possibly a worker-local hiccup, so the shard gets its normal
+    retries before the failure is declared permanent."""
 
 
 class _Shard:
@@ -80,7 +84,7 @@ class _Shard:
 class _WorkerSlot:
     __slots__ = ("index", "client", "process", "alive", "busy_seconds")
 
-    def __init__(self, index: int, client: WorkerClient,
+    def __init__(self, index: int, client: ServeClient,
                  process: LocalWorkerProcess | None) -> None:
         self.index = index
         self.client = client
@@ -171,7 +175,8 @@ class FleetEvaluator:
                     address = process.address
                 else:
                     address = target.address
-                client = WorkerClient(address, timeout=self.timeout)
+                client = ServeClient(address, timeout=self.timeout,
+                                     retries=0)
                 self._check_capabilities(client)
                 slots.append(_WorkerSlot(index, client, process))
         except BaseException:
@@ -183,18 +188,22 @@ class FleetEvaluator:
         return slots
 
     @staticmethod
-    def _check_capabilities(client: WorkerClient) -> None:
-        """A worker that cannot speak the batch protocol is a
-        misconfiguration, not a transient fault — fail loudly now."""
-        capabilities = client.capabilities()
+    def _check_capabilities(client: ServeClient) -> None:
+        """A worker that cannot be reached or cannot speak the batch
+        protocol is a misconfiguration, not a transient fault — fail
+        loudly now."""
+        try:
+            capabilities = client.capabilities()
+        except ServeError as exc:
+            raise FleetError(f"worker {client.address}: {exc}") from exc
         if capabilities.get("schema") != 1:
             raise FleetError(
-                f"worker {client.label} speaks API schema "
+                f"worker {client.address} speaks API schema "
                 f"{capabilities.get('schema')!r}, coordinator needs 1")
         endpoints = capabilities.get("endpoints", ())
         if "POST /v1/evaluate-batch" not in endpoints:
             raise FleetError(
-                f"worker {client.label} does not serve "
+                f"worker {client.address} does not serve "
                 f"/v1/evaluate-batch")
 
     def _retire(self, slot: _WorkerSlot) -> None:
@@ -289,32 +298,32 @@ class FleetEvaluator:
             started = time.monotonic()
             try:
                 self._run_shard(slot, shard, state)
-            except WorkerUnreachable as exc:
-                if self._probe(slot):
+            except ServerBusy as exc:
+                error = f"{slot.client.address}: {exc}"
+                if exc.status is not None:  # 429/503 backpressure
+                    self._sleep(min(exc.retry_after or self.backoff,
+                                    self.max_backoff))
+                    self._requeue(state, shard, error)
+                elif self._probe(slot):
                     self._backoff(shard)
-                    self._requeue(state, shard, str(exc))
+                    self._requeue(state, shard, error)
                 else:
                     self.workers_lost += 1
                     obs.inc("fleet.workers_lost")
                     self._retire(slot)
                     # The shard pays no attempt for our dead worker.
-                    self._requeue(state, shard, str(exc),
+                    self._requeue(state, shard, error,
                                   count_attempt=False)
                     return
-            except WorkerRejected as exc:
-                if exc.retryable:
-                    self._sleep(min(exc.retry_after or self.backoff,
-                                    self.max_backoff))
-                    self._requeue(state, shard, str(exc))
-                else:
-                    self._fail(state, shard, str(exc))
+            except ServeError as exc:
+                self._fail(state, shard, f"{slot.client.address}: {exc}")
             except _ShardItemFailed as exc:
                 self._backoff(shard)
                 self._requeue(state, shard, str(exc))
             else:
                 elapsed = time.monotonic() - started
                 slot.busy_seconds += elapsed
-                obs.observe(f"fleet.shard_seconds.{slot.client.label}",
+                obs.observe(f"fleet.shard_seconds.{slot.client.address}",
                             elapsed)
                 self._complete(state, shard)
 
@@ -324,17 +333,17 @@ class FleetEvaluator:
         obs.inc("fleet.shards_dispatched")
         payload = self._payload(shard)
         records = {record.get("index"): record
-                   for record in slot.client.evaluate_shard(payload)}
+                   for record in slot.client.evaluate_batch(payload)}
         values: dict[int, float] = {}
         for index, _text, _benchmark in shard.items:
             record = records.get(index)
             if record is None:
-                raise WorkerUnreachable(
-                    f"{slot.client.label}: shard {shard.index} came "
+                raise _ShardItemFailed(
+                    f"{slot.client.address}: shard {shard.index} came "
                     f"back without item {index}")
             if not record.get("ok"):
                 raise _ShardItemFailed(
-                    f"{slot.client.label}: item {index}: "
+                    f"{slot.client.address}: item {index}: "
                     f"{record.get('error')}")
             values[index] = record["value"]
         with state.cond:
@@ -435,7 +444,7 @@ class FleetEvaluator:
         try:
             slot.client.health()
             return True
-        except FleetError:
+        except ServeError:
             return False
 
     # -- the in-process safety net ---------------------------------------

@@ -1,5 +1,4 @@
-"""Fleet worker management: spawning, addressing, and talking to
-``repro serve`` processes.
+"""Fleet worker management: naming workers and spawning local ones.
 
 A fleet is described by a *spec string*::
 
@@ -11,25 +10,14 @@ A fleet is described by a *spec string*::
 (``python -m repro serve --port 0``, the OS picking a free port, the
 announce line on stdout reporting it); ``host:port`` entries are
 daemons whose lifecycle belongs to someone else.  Either way the
-coordinator speaks to a worker through one :class:`WorkerClient` — a
-single keep-alive HTTP connection, which matters beyond latency:
-``ThreadingHTTPServer`` pins a connection to one handler thread, and
-the serve daemon's :class:`~repro.serve.jobs.HarnessPool` keys warm
-harnesses per thread, so connection reuse is what keeps a worker's
-prepared-program, baseline-cycle, and snapshot caches hot across
-generations.
-
-Transport failures raise :class:`WorkerUnreachable` (the worker may be
-dead — the coordinator health-checks and redispatches); definitive
-HTTP rejections raise :class:`WorkerRejected` carrying the status and
-any ``Retry-After`` hint (429/503 are retryable backpressure, anything
-else is a protocol error that retrying cannot fix).
+coordinator speaks to a worker through the daemon's one client,
+:class:`repro.serve.client.ServeClient`, and reads failures off its
+single taxonomy (:mod:`repro.fleet.evaluator`); nothing here opens a
+socket.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import re
 import subprocess
 import sys
@@ -39,29 +27,6 @@ from dataclasses import dataclass
 
 class FleetError(RuntimeError):
     """Any failure the fleet layer cannot recover from."""
-
-
-class WorkerUnreachable(FleetError):
-    """Transport-level failure: the worker may have died."""
-
-
-class WorkerRejected(FleetError):
-    """The worker answered with an error.
-
-    ``retryable`` is True for backpressure statuses (429 queue shed,
-    503 draining); everything else — malformed request, fingerprint
-    mismatch — is permanent and poisons the batch.
-    """
-
-    def __init__(self, message: str, status: int | None = None,
-                 retry_after: float | None = None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.retry_after = retry_after
-
-    @property
-    def retryable(self) -> bool:
-        return self.status in (429, 503)
 
 
 @dataclass(frozen=True)
@@ -169,126 +134,3 @@ class LocalWorkerProcess:
         self.process.wait()
         if self.process.stdout is not None:
             self.process.stdout.close()
-
-
-class WorkerClient:
-    """One worker, one keep-alive connection, stdlib only."""
-
-    def __init__(self, address: str, timeout: float = 120.0) -> None:
-        address = address.removeprefix("http://").rstrip("/")
-        host, _, port = address.rpartition(":")
-        self.host = host
-        self.port = int(port)
-        self.label = address
-        self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
-
-    # -- transport -------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
-
-    def _reset(self) -> None:
-        """Drop the connection; the next call reconnects (and lands on
-        a fresh handler thread, whose harness warms up again)."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-
-    def _roundtrip(self, method: str, path: str, body: dict | None = None):
-        conn = self._connection()
-        data = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"} if body else {}
-        try:
-            conn.request(method, path, body=data, headers=headers)
-            return conn.getresponse()
-        except (OSError, http.client.HTTPException) as exc:
-            self._reset()
-            raise WorkerUnreachable(
-                f"{self.label}: {method} {path}: {exc}") from exc
-
-    def _raise_rejection(self, response) -> None:
-        try:
-            payload = json.loads(response.read() or b"{}")
-        except (OSError, ValueError):
-            payload = {}
-            self._reset()
-        retry_after = response.headers.get("Retry-After")
-        try:
-            retry_after = float(retry_after) if retry_after else None
-        except ValueError:
-            retry_after = None
-        raise WorkerRejected(
-            f"{self.label}: {payload.get('error', '')} "
-            f"(HTTP {response.status})".strip(),
-            status=response.status, retry_after=retry_after)
-
-    def request_json(self, method: str, path: str,
-                     body: dict | None = None) -> dict:
-        response = self._roundtrip(method, path, body)
-        if response.status >= 400:
-            self._raise_rejection(response)
-        try:
-            return json.loads(response.read() or b"{}")
-        except (OSError, http.client.HTTPException, ValueError) as exc:
-            self._reset()
-            raise WorkerUnreachable(
-                f"{self.label}: bad response body: {exc}") from exc
-
-    # -- API surface -----------------------------------------------------
-    def health(self) -> dict:
-        return self.request_json("GET", "/healthz")
-
-    def capabilities(self) -> dict:
-        return self.request_json("GET", "/v1/capabilities")
-
-    def evaluate_shard(self, payload: dict) -> list[dict]:
-        """``POST /v1/evaluate-batch``: send one shard, consume the
-        NDJSON stream fully, return the per-item records.
-
-        Full consumption is deliberate: it leaves the connection clean
-        for keep-alive reuse, and shards are small enough (a slice of
-        one generation) that buffering them is free.
-        """
-        response = self._roundtrip("POST", "/v1/evaluate-batch", payload)
-        if response.status != 200:
-            self._raise_rejection(response)
-        records: list[dict] = []
-        try:
-            while True:
-                line = response.readline()
-                if not line:
-                    raise WorkerUnreachable(
-                        f"{self.label}: batch stream ended without "
-                        f"its done marker")
-                record = json.loads(line)
-                if record.get("done"):
-                    # Drain the chunk terminator: leaving it unread
-                    # would poison the next request on this keep-alive
-                    # connection.
-                    response.read()
-                    return records
-                if record.get("fatal"):
-                    # Drain the rest of the stream so the connection
-                    # stays reusable, then surface the failure.
-                    response.read()
-                    raise WorkerRejected(
-                        f"{self.label}: {record.get('error')}")
-                records.append(record)
-        except WorkerRejected:
-            raise  # stream already drained; the connection is clean
-        except (OSError, http.client.HTTPException, ValueError) as exc:
-            self._reset()
-            raise WorkerUnreachable(
-                f"{self.label}: batch stream broke: {exc}") from exc
-        except FleetError:
-            self._reset()
-            raise
-
-    def close(self) -> None:
-        self._reset()

@@ -15,8 +15,9 @@ missing train-to-deploy layer of the reproduction:
   (``repro serve``): ``POST /v1/compile``, ``POST /v1/evaluate``,
   ``GET /v1/jobs/<id>``, ``GET /v1/artifacts``, ``GET /healthz``,
   ``GET /metrics``, with explicit backpressure and SIGTERM drain;
-* :mod:`repro.serve.client` — the stdlib HTTP client with
-  retry/backoff (``repro submit``, ``bench/``'s ``serve-mixed``).
+* :mod:`repro.serve.client` — the one stdlib HTTP client, kept-alive,
+  with retry/backoff (``repro submit``, the fleet coordinator,
+  ``bench/``'s ``serve-mixed``).
 
 See ``docs/SERVING.md`` for the artifact lifecycle and API reference.
 """

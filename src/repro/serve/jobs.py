@@ -375,11 +375,12 @@ class HarnessPool:
     the process-wide codegen cache and any persistent fitness cache
     directory.
 
-    Because ``http.client`` keep-alive pins one fleet connection to
-    one ``ThreadingHTTPServer`` handler thread, a coordinator that
-    reuses its connections also reuses these warm harnesses across
-    generations — the fleet's answer to the process pool's
-    copy-on-write prewarm.
+    A kept-alive connection stays on one ``ThreadingHTTPServer``
+    handler thread, so a coordinator whose :class:`~repro.serve.client.
+    ServeClient` reuses its connection also reuses these warm harnesses
+    across generations — the fleet's answer to the process pool's
+    copy-on-write prewarm.  A fresh connection is a fresh thread and
+    prepares again.
     """
 
     def __init__(self, fitness_cache_dir: str | None = None,

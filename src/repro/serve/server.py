@@ -31,9 +31,12 @@ backpressure path (429 full queue, 429 saturated batch lanes, 503
 draining) carries ``Retry-After``.  A known path hit with the wrong
 method answers ``405`` with an ``Allow`` header.  Overload never blocks
 or grows the queue: a full queue answers ``429``, an oversized body
-``413``.  ``SIGTERM``/``SIGINT`` trigger a graceful drain — stop
-accepting, finish every in-flight and queued job, flush a final metrics
-snapshot — before the process exits.  Request handling rides
+``413``.  Connections are kept alive: a request's body is read before
+it is routed, so no error reply leaves it in the socket, and a body
+that will not be read closes the connection.  ``SIGTERM``/``SIGINT``
+trigger a graceful drain — stop accepting, finish every in-flight and
+queued job, flush a final metrics snapshot — before the process
+exits.  Request handling rides
 :mod:`repro.obs`: every request is a ``serve:request`` span and a
 ``serve.requests.*`` counter.
 
@@ -48,6 +51,7 @@ import json
 import signal
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
@@ -62,6 +66,10 @@ from repro.serve.jobs import (
 
 #: Largest request body accepted (bytes) — beyond this is a 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: How long the reply to a body the daemon refused to read (413, bad
+#: ``Content-Length``) keeps discarding that body before it closes.
+LINGER_SECONDS = 2.0
 
 #: API version prefix of every resource route.
 API_PREFIX = "/v1"
@@ -313,6 +321,10 @@ class ReproServer:
 def _make_handler(server: ReproServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body leave in two writes; with Nagle on, the
+        # second waits out the client's delayed ACK (44 ms a reply on
+        # every kept connection).
+        disable_nagle_algorithm = True
         # Quiet by default; errors still reach the error log.
         def log_message(self, format, *args):  # noqa: A002
             pass
@@ -331,17 +343,44 @@ def _make_handler(server: ReproServer):
             self.wfile.write(body)
             server.count_request(str(status))
 
-        def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
+        def _receive_body(self) -> bytes:
+            """Take the declared body off the socket before routing: an
+            error reply (405, 404, a draining 503) that left it there
+            would have it parsed as the next request of a kept
+            connection.  A body that will not be read ends the
+            connection instead."""
+            declared = self.headers.get("Content-Length") or "0"
+            if not declared.isdecimal():
+                raise _ApiError(400, f"bad Content-Length {declared!r}",
+                                headers={"Connection": "close"})
+            length = int(declared)
             if length > MAX_BODY_BYTES:
                 raise _ApiError(
                     413, f"request body {length} bytes exceeds the "
-                         f"{MAX_BODY_BYTES}-byte limit")
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
+                         f"{MAX_BODY_BYTES}-byte limit",
+                    headers={"Connection": "close"})
+            return self.rfile.read(length)
+
+        def _discard_refused_body(self) -> None:
+            """A client reads the refusal only after sending its last
+            byte, and closing on unread bytes resets the connection
+            under it (``EPIPE`` instead of the reply): swallow what
+            arrives until the client hangs up, goes quiet or the linger
+            runs out."""
+            self.connection.settimeout(LINGER_SECONDS)
+            deadline = time.monotonic() + LINGER_SECONDS
+            try:
+                while (time.monotonic() < deadline
+                       and self.rfile.read1(1 << 16)):
+                    pass
+            except OSError:
+                pass
+
+        def _read_body(self) -> dict:
+            if not self._body:
                 return {}
             try:
-                data = json.loads(raw)
+                data = json.loads(self._body)
             except ValueError as exc:
                 raise _ApiError(400, f"request body is not JSON: {exc}")
             if not isinstance(data, dict):
@@ -599,12 +638,15 @@ def _make_handler(server: ReproServer):
 
         def _handle(self) -> None:
             try:
+                self._body = self._receive_body()
                 self._route()
             except _ApiError as exc:
                 self._send_json(
                     exc.status,
                     {"schema": API_SCHEMA, "ok": False, "error": str(exc)},
                     headers=exc.headers)
+                if exc.headers.get("Connection") == "close":
+                    self._discard_refused_body()
             except Exception as exc:  # noqa: BLE001 — keep serving
                 self._send_json(500, {
                     "schema": API_SCHEMA, "ok": False,

@@ -1,21 +1,9 @@
-"""Fleet spec parsing and the per-worker HTTP client, exercised
-against a real in-process :class:`ReproServer`."""
+"""Fleet spec parsing.  The per-worker HTTP client is the daemon's
+``ServeClient``; its wire tests live in ``tests/serve/test_client.py``."""
 
 import pytest
 
-from repro.fleet import (
-    FleetError,
-    FleetTarget,
-    WorkerClient,
-    WorkerRejected,
-    parse_fleet_spec,
-)
-from repro.gp.parse import unparse
-from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.harness import EvaluationHarness, case_study
-from repro.serve.server import ReproServer
-
-BENCHMARK = "codrle4"
+from repro.fleet import FleetError, FleetTarget, parse_fleet_spec
 
 
 class TestParseFleetSpec:
@@ -44,72 +32,3 @@ class TestParseFleetSpec:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(FleetError):
             parse_fleet_spec(spec)
-
-
-@pytest.fixture(scope="module")
-def server():
-    srv = ReproServer(port=0, workers=1, capacity=4)
-    srv.start()
-    yield srv
-    srv.drain(timeout=30.0)
-
-
-@pytest.fixture()
-def worker(server):
-    client = WorkerClient(f"{server.host}:{server.port}", timeout=60.0)
-    yield client
-    client.close()
-
-
-class TestWorkerClient:
-    def test_health_and_capabilities(self, worker):
-        assert worker.health()["status"] == "ok"
-        caps = worker.capabilities()
-        assert caps["schema"] == 1
-        assert "POST /v1/evaluate-batch" in caps["endpoints"]
-
-    def test_rejection_carries_status(self, worker):
-        with pytest.raises(WorkerRejected) as excinfo:
-            worker.request_json("GET", "/v1/no-such-route")
-        assert excinfo.value.status == 404
-        assert not excinfo.value.retryable
-
-    def test_evaluate_shard_round_trip(self, worker):
-        tree = BASELINE_TREES["hyperblock"]()
-        expected = EvaluationHarness(case_study("hyperblock")).speedup(
-            tree, BENCHMARK, "train")
-        payload = {
-            "schema": 1, "case": "hyperblock", "dataset": "train",
-            "settings": {},
-            "items": [{"index": 4, "tree": unparse(tree),
-                       "benchmark": BENCHMARK}],
-        }
-        records = worker.evaluate_shard(payload)
-        assert records == [{"index": 4, "ok": True, "value": expected}]
-
-    def test_keep_alive_reuses_one_connection(self, worker):
-        """Back-to-back shards must not leave the stream dirty — the
-        second request rides the same socket."""
-        tree = unparse(BASELINE_TREES["hyperblock"]())
-        payload = {
-            "schema": 1, "case": "hyperblock", "dataset": "train",
-            "settings": {},
-            "items": [{"index": 0, "tree": tree,
-                       "benchmark": BENCHMARK}],
-        }
-        worker.evaluate_shard(payload)
-        first_conn = worker._conn
-        worker.evaluate_shard(payload)
-        assert worker._conn is first_conn
-
-    def test_fatal_in_band_record_raises_rejected(self, worker):
-        payload = {
-            "schema": 1, "case": "hyperblock", "dataset": "train",
-            "settings": {},
-            "fingerprint": {"pipeline": "bogus"},
-            "items": [{"index": 0,
-                       "tree": unparse(BASELINE_TREES["hyperblock"]()),
-                       "benchmark": BENCHMARK}],
-        }
-        with pytest.raises(WorkerRejected, match="fingerprint"):
-            worker.evaluate_shard(payload)

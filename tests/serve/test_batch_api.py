@@ -3,8 +3,8 @@ streaming ``POST /v1/evaluate-batch`` endpoint, plus the uniform
 ``{"schema": 1, "ok": false, "error": ...}`` error shape.
 
 Tests speak raw ``http.client`` where streaming details matter
-(NDJSON chunking, in-band fatal records); the higher-level client
-behavior lives in ``tests/fleet/``.
+(NDJSON chunking, in-band fatal records); what ``ServeClient`` makes of
+the same stream lives in ``tests/serve/test_client.py``.
 """
 
 import http.client

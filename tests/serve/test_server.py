@@ -6,9 +6,11 @@ are module-scoped; backpressure/timeout/cancel tests inject gated toy
 handlers so they exercise the HTTP contract in milliseconds.
 """
 
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -234,6 +236,91 @@ class TestHttpContract:
         with pytest.raises(JobFailed):
             client.evaluate("no-such-benchmark")
         assert client.health()["status"] == "ok"
+
+
+class TestKeptConnections:
+    """What a client that keeps its connection relies on."""
+
+    @pytest.fixture()
+    def toy_server(self):
+        srv = ReproServer(port=0, workers=1, capacity=4,
+                          handler=lambda kind, params: {})
+        srv.start()
+        yield srv
+        srv.drain(timeout=10.0)
+
+    def test_accepted_socket_has_nagle_off(self, toy_server):
+        """Headers and body leave in two writes; with Nagle on, every
+        reply on a kept connection waits out a delayed ACK."""
+        accepted = []
+        accept = toy_server.httpd.get_request
+
+        def recording_accept():
+            request, address = accept()
+            accepted.append(request)
+            return request, address
+
+        toy_server.httpd.get_request = recording_accept
+        conn = http.client.HTTPConnection(toy_server.host, toy_server.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            # the reply is in, so the handler has set the socket up
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("status, path, declared, draining", [
+        (405, "/healthz", None, False),
+        (404, "/v1/no-such-route", None, False),
+        (413, "/v1/evaluate", MAX_BODY_BYTES + 1, False),
+        (503, "/v1/evaluate-batch", None, True),
+    ])
+    def test_error_reply_does_not_poison_the_connection(
+            self, toy_server, status, path, declared, draining):
+        """An error sent before the body is read must not leave the
+        body in the socket to be parsed as the next request."""
+        body = json.dumps({"benchmark": BENCHMARK}).encode()
+        if draining:
+            toy_server._draining.set()
+        conn = http.client.HTTPConnection(toy_server.host, toy_server.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(declared or len(body)))
+            conn.endheaders(body)
+            response = conn.getresponse()
+            error = json.loads(response.read())
+            assert response.status == status
+            assert error["ok"] is False and error["schema"] == 1
+            # same connection object: http.client re-opens it only if
+            # the server announced ``Connection: close``
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.headers["Content-Type"] == "application/json"
+            assert json.loads(response.read())["status"] == (
+                "draining" if draining else "ok")
+        finally:
+            conn.close()
+            toy_server._draining.clear()
+
+    def test_malformed_content_length_is_400_and_closes(self, toy_server):
+        conn = http.client.HTTPConnection(toy_server.host, toy_server.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/evaluate")
+            conn.putheader("Content-Length", "-5")
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.headers["Connection"] == "close"
+            assert json.loads(response.read())["ok"] is False
+        finally:
+            conn.close()
 
 
 # ---------------------------------------------------------------------------
