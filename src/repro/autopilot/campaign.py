@@ -16,8 +16,8 @@ extends to the whole autopilot loop.
 
 The GP run itself is an :class:`~repro.experiments.ExperimentSession`
 stepped one generation at a time by low-priority serve jobs; the
-session object (warm harness, open event sink) is process-local and
-rebuilt on demand after a restart via ``resume=True``.
+session object (open event sink, the daemon pool's warm harness) is
+process-local and rebuilt on demand after a restart via ``resume=True``.
 """
 
 from __future__ import annotations
@@ -160,14 +160,15 @@ class Campaign:
     def build_runner(self, autopilot: AutopilotConfig,
                      parent_expression: str,
                      publish_dir,
-                     fitness_cache_dir: str | None,
-                     use_snapshots: bool) -> ExperimentRunner:
+                     harness) -> ExperimentRunner:
+        """``harness`` is the daemon pool's noise-0 one for this case;
+        the config records the cache directory it persists to."""
         return ExperimentRunner(
             self.experiment_config(autopilot, parent_expression,
-                                   fitness_cache_dir),
+                                   harness.settings.fitness_cache_dir),
             run_dir=self.run_dir,
             publish_dir=publish_dir,
-            use_snapshots=use_snapshots,
+            harness=harness,
             publish_parent_id=self.parent_id,
             # pinned so a restarted campaign publishes the identical
             # content address (created_at participates in the digest)

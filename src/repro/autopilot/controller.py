@@ -62,8 +62,6 @@ class Autopilot:
         harness_pool,
         submit,
         current_job=lambda: None,
-        fitness_cache_dir: str | None = None,
-        use_snapshots: bool = True,
     ) -> None:
         self.config = config
         self.registry = registry
@@ -72,8 +70,6 @@ class Autopilot:
         self._submit = submit
         #: ``JobQueue.current_job``-shaped callable (cooperative cancel)
         self._current_job = current_job
-        self.fitness_cache_dir = fitness_cache_dir
-        self.use_snapshots = use_snapshots
         self.state_dir = Path(config.state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.monitor = QualityMonitor(config)
@@ -166,9 +162,9 @@ class Autopilot:
 
     # -- observation ------------------------------------------------------
     def observe_evaluation(self, params: dict, payload: dict) -> None:
-        """Fold one finished evaluate job into the loop.  Called on the
-        worker thread that ran the job, so baseline probes and pair
-        simulations reuse that thread's warm harness."""
+        """Fold one finished evaluate job into the loop.  Baseline
+        probes and pair simulations run on the pool's noise-0 harness
+        for the case, which the campaigns share too."""
         artifact_id = payload.get("artifact")
         if not artifact_id:
             return
@@ -307,8 +303,7 @@ class Autopilot:
         runner = campaign.build_runner(
             self.config, parent.expression,
             publish_dir=self.registry.root,
-            fitness_cache_dir=self.fitness_cache_dir,
-            use_snapshots=self.use_snapshots)
+            harness=self.harness_pool.get(campaign.case, 0.0))
         session = campaign.open_session(runner)
         if not session.done:
             with obs.span("autopilot:step", campaign=name):

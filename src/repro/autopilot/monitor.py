@@ -3,9 +3,9 @@
 Samples a configurable fraction of real ``/v1/evaluate`` traffic that
 ran under a deployed artifact and re-runs the same (benchmark, dataset)
 under the case's *baseline* heuristic.  The probe is nearly free: the
-baseline result is memoized per warm harness (and behind that sit the
-persistent fitness cache and pipeline snapshots), so after the first
-probe of a benchmark the comparison costs a dictionary lookup.
+baseline result is memoized in the process's one warm harness for the
+case, so after the first probe of a benchmark on any thread the
+comparison costs a dictionary lookup.
 
 Both the sampling decision and the window contents are deterministic
 functions of the observed traffic:

@@ -1379,8 +1379,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8347,
                               help="listen port (0 = ephemeral)")
     serve_parser.add_argument("--workers", type=int, default=2,
-                              help="warm worker threads draining the "
-                                   "job queue")
+                              help="worker threads draining the job "
+                                   "queue")
     serve_parser.add_argument("--queue-capacity", type=int, default=16,
                               help="bounded queue size; beyond this, "
                                    "submissions get 429 + Retry-After")

@@ -257,6 +257,8 @@ class EvaluationHarness:
             = OrderedDict()
         self._candidate_prepared_cap = 64
         self._cycles_memo: dict[tuple, SimResult] = {}
+        #: held across a ``simulate`` miss; a memo hit never takes it
+        self._miss_lock = threading.Lock()
         #: content-addressed simulation memo keyed by scheduled-binary
         #: digest: distinct candidates frequently reach identical
         #: binaries, whose simulations are identical under zero noise
@@ -313,12 +315,23 @@ class EvaluationHarness:
     def simulate(self, priority, benchmark: str,
                  dataset: str = "train") -> SimResult:
         """Compile with ``priority`` installed and simulate on
-        ``dataset``; memoized."""
+        ``dataset``; memoized.  Safe on a harness threads share (the
+        daemon's): a hit takes no lock, a miss is single-flight."""
         key = (_priority_key(priority), benchmark, dataset)
         cached = self._cycles_memo.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            with self._miss_lock:
+                cached = self._cycles_memo.get(key)
+                if cached is None:
+                    # Published last: a lock-free hit must never see a
+                    # result whose divergence verdict is still pending.
+                    cached = self._simulate_miss(priority, key)
+                    self._cycles_memo[key] = cached
+        return cached
 
+    def _simulate_miss(self, priority, key: tuple) -> SimResult:
+        """Everything below the cycles memo, under ``_miss_lock``."""
+        _, benchmark, dataset = key
         persist_key = None
         persist_meta = None
         if self.fitness_cache is not None:
@@ -334,7 +347,6 @@ class EvaluationHarness:
         if persist_key is not None:
             stored = self.fitness_cache.get(persist_key)
             if stored is not None:
-                self._cycles_memo[key] = stored
                 self.cache_hits += 1
                 obs.inc("harness.persistent_cache_hits")
                 return stored
@@ -362,7 +374,6 @@ class EvaluationHarness:
             if stored is not None:
                 self.binary_hits += 1
                 obs.inc("harness.binary_cache_hits")
-                self._cycles_memo[key] = stored
                 if persist_key is not None:
                     self.fitness_cache.put(persist_key, stored,
                                            meta=persist_meta)
@@ -383,7 +394,6 @@ class EvaluationHarness:
         self.sim_count += 1
         self.sim_cycles += result.cycles
         obs.inc("harness.sims")
-        self._cycles_memo[key] = result
         if digest_key is not None:
             self._binary_memo[digest_key] = result
         diverged = False

@@ -1,20 +1,14 @@
 """The unified evaluation-settings record.
 
-Fitness evaluation used to thread four independent keyword arguments —
-``noise_stddev``, ``fitness_cache_dir`` (or a ``fitness_cache``
-object), ``verify_outputs``, ``use_snapshots`` — through every layer
-that builds an :class:`~repro.metaopt.harness.EvaluationHarness`: the
-harness itself, the process-pool workers, the serving daemon's
-per-thread pool, and now the fleet coordinator and its remote shards.
-Each layer re-declared the same defaults, and adding a flag meant
-touching five signatures.
-
-:class:`EvalSettings` collapses that sprawl into one frozen dataclass
-that travels everywhere a harness is built — including over the wire
-in ``POST /v1/evaluate-batch`` requests, via :meth:`to_json_dict` /
-:meth:`from_json_dict`.  Two settings objects that compare equal
-produce bit-identical fitness values, which is what lets the serial
-path, the process pool, and the fleet interchange freely.
+:class:`EvalSettings` is the one frozen dataclass that travels
+everywhere an :class:`~repro.metaopt.harness.EvaluationHarness` is
+built — the process-pool workers, the serving daemon's harness pool
+(whose key it is), the fleet coordinator and its remote shards —
+including over the wire in ``POST /v1/evaluate-batch`` requests, via
+:meth:`to_json_dict` / :meth:`from_json_dict`.  Two settings objects
+that compare equal produce bit-identical fitness values, which is what
+lets the serial path, the process pool, and the fleet interchange
+freely.
 """
 
 from __future__ import annotations
@@ -48,8 +42,15 @@ class EvalSettings:
     collect_metrics: bool = False
 
     def __post_init__(self) -> None:
-        if self.noise_stddev < 0.0:
-            raise ValueError("noise_stddev must be >= 0")
+        # The record arrives over the wire: check types, not just range
+        # (a bool is an int to isinstance; JSON admits Infinity and NaN).
+        noise = self.noise_stddev
+        if type(noise) not in (int, float) or not 0 <= noise < float("inf"):
+            raise ValueError(
+                f"noise_stddev must be a finite number >= 0, not {noise!r}")
+        for switch in ("verify_outputs", "use_snapshots", "collect_metrics"):
+            if not isinstance(getattr(self, switch), bool):
+                raise ValueError(f"{switch} must be true or false")
         if self.fitness_cache_dir is not None:
             # Normalize Path objects so equal settings hash equally.
             object.__setattr__(self, "fitness_cache_dir",

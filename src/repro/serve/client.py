@@ -5,13 +5,12 @@
 ``bench/`` all speak to ``repro serve`` through :class:`ServeClient`.
 
 **Transport.**  A client holds one ``http.client`` connection, opened
-on the first request and kept alive (which also keeps the daemon's
-handler thread and its warm harness, see :class:`~repro.serve.jobs.
-HarnessPool`).  One lock spans a request and the whole of its
-response, so a client shared between threads hands every caller its
-own reply.  The connection is dropped (the next request re-opens it)
-after any transport error and after a response that was not read to
-its end.
+on the first request and kept alive (it saves the TCP handshake; the
+daemon's warm state belongs to its process, not to the connection).
+One lock spans a request and the whole of its response, so a client
+shared between threads hands every caller its own reply.  The
+connection is dropped (the next request re-opens it) after any
+transport error and after a response that was not read to its end.
 
 **What is a retry.**  Connection failures, ``429`` (queue or batch
 lanes full) and ``503`` (draining) are retried ``retries`` times with

@@ -7,11 +7,10 @@ Design goals, in order:
   instead of blocking or growing without bound, and the HTTP layer
   turns that into ``429 Retry-After``.  A saturated server sheds load,
   it never deadlocks or OOMs.
-* **Warm workers.**  Each worker thread keeps an
-  :class:`~repro.metaopt.harness.EvaluationHarness` per case study
-  (prepared programs, baseline cycles, candidate memo) alive across
-  requests, and all workers share the module-level simulator codegen
-  cache and optional persistent fitness cache — the Compilation-
+* **Warm process.**  :class:`HarnessPool` keeps one
+  :class:`~repro.metaopt.harness.EvaluationHarness` per case and
+  settings (prepared programs, baseline cycles, candidate memo) alive
+  across requests for every thread of the process — the Compilation-
   Forking insight that a long-lived compiler service amortizes warm
   state over many requests.
 * **Bounded job lifecycle.**  Queued jobs can be cancelled; every job
@@ -368,61 +367,56 @@ class JobQueue:
 # Domain handlers: the work the daemon actually runs.
 # ---------------------------------------------------------------------------
 
-class HarnessPool:
-    """Per-thread :class:`EvaluationHarness` instances, keyed by
-    (case, :class:`~repro.metaopt.settings.EvalSettings`): each worker
-    keeps its own warm compile/simulate caches while all workers share
-    the process-wide codegen cache and any persistent fitness cache
-    directory.
+#: Warm harnesses one process keeps: the pool key contains the
+#: requester's noise, so a client walking noise values must not grow it.
+MAX_WARM_HARNESSES = 16
 
-    A kept-alive connection stays on one ``ThreadingHTTPServer``
-    handler thread, so a coordinator whose :class:`~repro.serve.client.
-    ServeClient` reuses its connection also reuses these warm harnesses
-    across generations — the fleet's answer to the process pool's
-    copy-on-write prewarm.  A fresh connection is a fresh thread and
-    prepares again.
+
+class HarnessPool:
+    """The process's warm :class:`EvaluationHarness` instances, one per
+    (case, resolved :class:`~repro.metaopt.settings.EvalSettings`),
+    shared by the job workers, the ``/v1/evaluate-batch`` handler
+    threads and the autopilot.  Least recently used dropped beyond
+    :data:`MAX_WARM_HARNESSES`; it still serves whoever holds it.
     """
 
     def __init__(self, fitness_cache_dir: str | None = None,
                  use_snapshots: bool = True) -> None:
         self.fitness_cache_dir = fitness_cache_dir
-        #: compilation forking (docs/FORKING.md): each thread's harness
-        #: keeps a warm snapshot cache, so repeat ``/v1/evaluate`` hits
-        #: replay only the hook's suffix instead of the full backend
+        #: compilation forking (docs/FORKING.md)
         self.use_snapshots = use_snapshots
-        self._local = threading.local()
-
-    def _resolve(self, settings):
-        """Pin the host-local fields: the cache directory and snapshot
-        switch belong to *this* server's configuration, never to the
-        requester (a remote coordinator must not name local paths).
-        Neither field affects fitness values, so overriding them keeps
-        results bit-identical to the requested settings."""
-        return settings.replace(
-            fitness_cache_dir=self.fitness_cache_dir,
-            use_snapshots=self.use_snapshots,
-            collect_metrics=False,
-        )
+        self._lock = threading.Lock()
+        #: insertion order is recency: most recently used last
+        self._harnesses: dict[tuple, object] = {}
 
     def get_for_settings(self, case_name: str, settings):
         from repro.metaopt.harness import EvaluationHarness, case_study
 
-        harnesses = getattr(self._local, "harnesses", None)
-        if harnesses is None:
-            harnesses = self._local.harnesses = {}
-        settings = self._resolve(settings)
+        # Pin the host-local fields: the cache directory and snapshot
+        # switch belong to *this* server's configuration, never to the
+        # requester (a remote coordinator must not name local paths).
+        # Neither field affects fitness values, so overriding them keeps
+        # results bit-identical to the requested settings.
+        settings = settings.replace(
+            fitness_cache_dir=self.fitness_cache_dir,
+            use_snapshots=self.use_snapshots,
+            collect_metrics=False,
+        )
         key = (case_name, settings)
-        harness = harnesses.get(key)
-        if harness is None:
-            harness = EvaluationHarness(case_study(case_name), settings)
-            harnesses[key] = harness
+        with self._lock:
+            harness = self._harnesses.pop(key, None)
+            if harness is None:
+                harness = EvaluationHarness(case_study(case_name), settings)
+            self._harnesses[key] = harness
+            if len(self._harnesses) > MAX_WARM_HARNESSES:
+                del self._harnesses[next(iter(self._harnesses))]
         return harness
 
     def get(self, case_name: str, noise_stddev: float = 0.0):
         from repro.metaopt.settings import EvalSettings
 
         return self.get_for_settings(
-            case_name, EvalSettings(noise_stddev=float(noise_stddev)))
+            case_name, EvalSettings(noise_stddev=noise_stddev))
 
 
 def simulation_payload(case_name: str, machine_name: str, benchmark: str,

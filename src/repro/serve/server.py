@@ -158,8 +158,6 @@ class ReproServer:
                 harness_pool=self.harness_pool,
                 submit=self.queue.submit,
                 current_job=self.queue.current_job,
-                fitness_cache_dir=fitness_cache_dir,
-                use_snapshots=use_snapshots,
             )
             # re-enqueue campaigns a previous daemon left mid-evolution
             self.autopilot.recover()

@@ -1,6 +1,7 @@
 """EvalSettings: the unified evaluation-settings record."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -40,14 +41,28 @@ class TestEvalSettings:
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown EvalSettings"):
             EvalSettings.from_json_dict({"noise": 0.1})
+        # wire values JSON admits and the record must not
+        for text, field in (('{"noise_stddev": Infinity}', "noise_stddev"),
+                            ('{"noise_stddev": NaN}', "noise_stddev"),
+                            ('{"noise_stddev": true}', "noise_stddev"),
+                            ('{"noise_stddev": "0.1"}', "noise_stddev"),
+                            ('{"verify_outputs": "yes"}', "verify_outputs"),
+                            ('{"use_snapshots": 1}', "use_snapshots"),
+                            ('{"collect_metrics": null}',
+                             "collect_metrics")):
+            with pytest.raises(ValueError, match=field):
+                EvalSettings.from_json_dict(json.loads(text))
+        assert EvalSettings.from_json_dict(
+            json.loads('{"noise_stddev": 1}')).noise_stddev == 1
 
     def test_path_normalized_for_equality(self, tmp_path):
         assert (EvalSettings(fitness_cache_dir=tmp_path)
                 == EvalSettings(fitness_cache_dir=str(tmp_path)))
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            EvalSettings(noise_stddev=-0.1)
+        for noise in (-0.1, float("inf"), float("nan"), True, None):
+            with pytest.raises(ValueError, match="noise_stddev"):
+                EvalSettings(noise_stddev=noise)
 
     def test_replace(self):
         settings = EvalSettings().replace(use_snapshots=False)

@@ -16,7 +16,7 @@ from repro.gp.parse import unparse
 from repro.metaopt.baselines import BASELINE_TREES
 from repro.metaopt.fitness_cache import pipeline_fingerprint
 from repro.metaopt.harness import EvaluationHarness, case_study
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import JobFailed, ServeClient, ServeError
 from repro.serve.server import API_SCHEMA, ENDPOINTS, ReproServer
 
 BENCHMARK = "codrle4"
@@ -93,11 +93,25 @@ class TestErrorShape:
         assert excinfo.value.payload["schema"] == API_SCHEMA
         assert excinfo.value.payload["ok"] is False
 
-    def test_bad_batch_is_400(self, server):
+    def test_bad_batch_is_400(self, server, client):
         status, _, body = post_batch(server, {"schema": 99})
         assert status == 400
         assert body["ok"] is False
         assert "schema" in body["error"]
+        for settings in ({"noise_stddev": float("inf")},
+                         {"noise_stddev": float("nan")},
+                         {"noise_stddev": True},
+                         {"verify_outputs": "yes"}):
+            payload = batch_payload()
+            payload["settings"] = settings
+            status, _, body = post_batch(server, payload)
+            assert status == 400, settings
+            field = next(iter(settings))
+            assert body["error"].startswith(f"bad settings: {field} must")
+        # the same record guards the queued endpoint: a failed job
+        # with the same text, not an OverflowError inside the simulator
+        with pytest.raises(JobFailed, match="noise_stddev must be a finite"):
+            client.evaluate(BENCHMARK, noise=float("inf"))
 
     def test_unknown_case_is_400(self, server):
         payload = batch_payload()
