@@ -28,7 +28,13 @@ are judged against:
   ``novel``: one run, with fault text and final globals) and a
   uid-free digest of the training profile.  The interpreter is the
   differential oracle's reference side: *what* it computes must not
-  move when *how* it computes changes.
+  move when *how* it computes changes;
+* **timing** — what the simulator charges each of those three binaries
+  on its own case's machine, on ``train`` and ``novel``: cycles, the
+  two stall totals, operation and access counts, and the L1 and
+  predictor tallies as integers.  Digests pin the code and the
+  reference pins the values; this pins the one thing left, the cycle
+  model, against a change in how it is computed.
 
 A diff here means the *heuristic input features, the decision logic,
 the emitted code or the reference semantics changed*, which silently
@@ -46,8 +52,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.frontend import compile_source
 from repro.ir.interp import Interpreter, InterpError
+from repro.machine.sim import SimError, Simulator
 from repro.metaopt.harness import case_study
 from repro.passes.pipeline import compile_backend, prepare
 from repro.suite.registry import all_benchmarks, get as get_benchmark
@@ -177,23 +185,64 @@ def _profile_digest(prepared) -> str:
     return _sha256((prepared.profile.total_steps, functions))
 
 
+#: ``SimResult`` fields pinned as they are (all integers).
+_TIMING_FIELDS = ("cycles", "memory_stall_cycles", "branch_stall_cycles",
+                  "dynamic_ops", "squashed_ops", "load_count",
+                  "prefetch_count")
+
+#: Integer tallies behind ``SimResult``'s two float rates, read off the
+#: ``sim.*`` obs counters of a registry that saw this one run.
+_TIMING_COUNTERS = {
+    "l1_hits": "sim.l1_hits",
+    "branch_predictions": "sim.branch_predictions",
+    "branch_mispredictions": "sim.branch_mispredicts",
+}
+
+
+def _timing(scheduled, machine, inputs) -> dict:
+    """One simulation's timing observables, integers only."""
+    simulator = Simulator(scheduled, machine)
+    for name, values in inputs.items():
+        simulator.set_global(name, values)
+    outer = obs.disable_metrics()
+    registry = obs.enable_metrics()
+    try:
+        result = simulator.run()
+    except SimError as exc:
+        return {"fault": str(exc)}
+    finally:
+        obs.disable_metrics()
+        if outer is not None:
+            obs.enable_metrics(outer)
+    counters = registry.snapshot()["counters"]
+    timing = {name: getattr(result, name) for name in _TIMING_FIELDS}
+    timing.update((name, counters[counter])
+                  for name, counter in _TIMING_COUNTERS.items())
+    return timing
+
+
 def baseline_decisions(benchmark: str) -> dict:
     """All five baseline heuristics' decisions on one benchmark, the
-    digests of the three binaries they lead to, and the reference
-    interpreter's observables.
+    digests of the three binaries they lead to, what the simulator
+    charges those binaries, and the reference interpreter's
+    observables.
 
     The prepare-stage cases (inline, unroll) read their reports off
     :class:`~repro.passes.pipeline.PreparedProgram`; the backend cases
     read theirs off the compile report.
     """
     bench = get_benchmark(benchmark)
-    entry = {"binary_digest": {}}
+    entry = {"binary_digest": {}, "timing": {}}
     for case_name in ("hyperblock", "regalloc", "prefetch"):
         case = case_study(case_name)
         module = compile_source(bench.source, bench.name)
         prepared = prepare(module, bench.inputs("train"), case.options)
         scheduled, report = compile_backend(prepared)
         entry["binary_digest"][case_name] = scheduled.content_digest()
+        entry["timing"][case_name] = {
+            dataset: _timing(scheduled, case.machine, bench.inputs(dataset))
+            for dataset in ("train", "novel")
+        }
         if case_name == "hyperblock":
             entry["hyperblock"] = {
                 name: _hyperblock_entry(rep)
@@ -275,3 +324,5 @@ def test_goldens_have_decisions_somewhere():
         assert sorted(entry["binary_digest"]) == [
             "hyperblock", "prefetch", "regalloc"]
         assert sorted(entry["reference"]) == ["novel", "profile", "train"]
+        assert sorted(entry["timing"]) == [
+            "hyperblock", "prefetch", "regalloc"]
