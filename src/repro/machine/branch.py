@@ -10,7 +10,7 @@ feature meaningful for small benchmarks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -45,13 +45,17 @@ class TwoBitPredictor:
         predicted = counter >= 2
         correct = predicted == taken
         if taken:
-            counter = min(3, counter + 1)
-        else:
-            counter = max(0, counter - 1)
+            if counter < 3:
+                counter += 1
+        elif counter > 0:
+            counter -= 1
         self._counters[branch_uid] = counter
 
         self.stats.predictions += 1
-        per_branch = self._per_branch.setdefault(branch_uid, BranchStats())
+        try:
+            per_branch = self._per_branch[branch_uid]
+        except KeyError:
+            per_branch = self._per_branch[branch_uid] = BranchStats()
         per_branch.predictions += 1
         if not correct:
             self.stats.mispredictions += 1

@@ -12,8 +12,7 @@ prefetching case study's priority function must learn.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.values import WORD_BYTES
 from repro.machine.descr import CacheLevelConfig, MachineDescription
@@ -21,10 +20,13 @@ from repro.machine.descr import CacheLevelConfig, MachineDescription
 
 @dataclass
 class CacheStats:
-    accesses: int = 0
     hits: int = 0
     misses: int = 0
     prefetch_fills: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
@@ -32,36 +34,37 @@ class CacheStats:
 
 
 class CacheLevel:
-    """One set-associative level with true-LRU replacement."""
+    """One set-associative level with true-LRU replacement.
+
+    ``sets``, ``index_mask``, ``word_shift`` and ``stats`` are public
+    because the simulator's generated code does the L1 hit itself
+    (docs/MACHINE.md): a line lives in ``sets[line & index_mask]``, a
+    plain ``dict`` keyed by line number whose insertion order is the
+    LRU order, most recent last; a hit deletes and re-inserts its key.
+    """
 
     def __init__(self, config: CacheLevelConfig) -> None:
         self.config = config
         self.sets_count = config.size_bytes // (config.line_bytes * config.assoc)
-        self._index_mask = self.sets_count - 1
-        self._line_shift = config.line_bytes.bit_length() - 1
-        # Each set: OrderedDict tag -> None, most-recent last.
-        self._sets: list[OrderedDict] = [OrderedDict()
-                                         for _ in range(self.sets_count)]
+        self.index_mask = self.sets_count - 1
+        self.line_shift = config.line_bytes.bit_length() - 1
+        #: word address -> line number, for callers that address words
+        self.word_shift = self.line_shift - (WORD_BYTES.bit_length() - 1)
+        self.sets: list[dict[int, None]] = [{} for _ in range(self.sets_count)]
         self.stats = CacheStats()
-
-    def _locate(self, byte_addr: int) -> tuple[int, int]:
-        line = byte_addr >> self._line_shift
-        return line & self._index_mask, line >> (
-            self.sets_count.bit_length() - 1
-        )
 
     def probe(self, byte_addr: int) -> bool:
         """Look up without updating statistics; refreshes LRU on hit."""
-        index, tag = self._locate(byte_addr)
-        cache_set = self._sets[index]
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
+        line = byte_addr >> self.line_shift
+        cache_set = self.sets[line & self.index_mask]
+        if line in cache_set:
+            del cache_set[line]
+            cache_set[line] = None
             return True
         return False
 
     def access(self, byte_addr: int) -> bool:
         """Demand access: returns hit/miss and updates stats."""
-        self.stats.accesses += 1
         if self.probe(byte_addr):
             self.stats.hits += 1
             return True
@@ -70,19 +73,20 @@ class CacheLevel:
 
     def fill(self, byte_addr: int, from_prefetch: bool = False) -> None:
         """Install the line, evicting LRU if needed."""
-        index, tag = self._locate(byte_addr)
-        cache_set = self._sets[index]
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
+        line = byte_addr >> self.line_shift
+        cache_set = self.sets[line & self.index_mask]
+        if line in cache_set:
+            del cache_set[line]
+            cache_set[line] = None
             return
         if len(cache_set) >= self.config.assoc:
-            cache_set.popitem(last=False)
-        cache_set[tag] = None
+            del cache_set[next(iter(cache_set))]
+        cache_set[line] = None
         if from_prefetch:
             self.stats.prefetch_fills += 1
 
     def flush(self) -> None:
-        for cache_set in self._sets:
+        for cache_set in self.sets:
             cache_set.clear()
 
 
@@ -92,55 +96,69 @@ class CacheHierarchy:
     def __init__(self, machine: MachineDescription) -> None:
         self.machine = machine
         self.levels = [CacheLevel(config) for config in machine.cache_levels]
-        self.loads = 0
-        self.stores = 0
         self.prefetches = 0
 
-    @staticmethod
-    def _to_bytes(word_addr: int) -> int:
-        return word_addr * WORD_BYTES
+    @property
+    def loads(self) -> int:
+        """Demand loads so far: each one accesses L1 exactly once, and
+        nothing else does (stores and prefetches only probe)."""
+        return self.levels[0].stats.accesses
 
     def load(self, word_addr: int) -> int:
         """Demand load: returns total latency in cycles and fills all
         missed levels (inclusive hierarchy)."""
-        self.loads += 1
-        byte_addr = self._to_bytes(word_addr)
-        for depth, level in enumerate(self.levels):
+        level1 = self.levels[0]
+        if level1.probe(word_addr * WORD_BYTES):
+            level1.stats.hits += 1
+            return level1.config.latency
+        return self.load_miss(word_addr)
+
+    def load_miss(self, word_addr: int) -> int:
+        """The rest of a demand load whose L1 lookup missed."""
+        byte_addr = word_addr * WORD_BYTES
+        levels = self.levels
+        levels[0].stats.misses += 1
+        for depth, level in enumerate(levels[1:], 1):
             if level.access(byte_addr):
-                for upper in self.levels[:depth]:
+                for upper in levels[:depth]:
                     upper.fill(byte_addr)
                 return level.config.latency
-        for level in self.levels:
+        for level in levels:
             level.fill(byte_addr)
         return self.machine.memory_latency
 
     def store(self, word_addr: int) -> int:
         """Buffered store: 1 cycle, allocates into L1."""
-        self.stores += 1
-        byte_addr = self._to_bytes(word_addr)
-        # Write-allocate without charging miss latency (buffered).
-        for depth, level in enumerate(self.levels):
-            if level.probe(byte_addr):
-                for upper in self.levels[:depth]:
-                    upper.fill(byte_addr)
-                return 1
-        for level in self.levels:
-            level.fill(byte_addr)
+        if not self.levels[0].probe(word_addr * WORD_BYTES):
+            self.store_miss(word_addr)
         return 1
+
+    def store_miss(self, word_addr: int) -> None:
+        """The rest of a store whose L1 lookup missed: write-allocate
+        without charging miss latency (buffered)."""
+        byte_addr = word_addr * WORD_BYTES
+        levels = self.levels
+        for depth, level in enumerate(levels[1:], 1):
+            if level.probe(byte_addr):
+                for upper in levels[:depth]:
+                    upper.fill(byte_addr)
+                return
+        for level in levels:
+            level.fill(byte_addr)
 
     def prefetch(self, word_addr: int) -> None:
         """Software prefetch: fills every level, charges no latency."""
         self.prefetches += 1
-        byte_addr = self._to_bytes(word_addr)
+        byte_addr = word_addr * WORD_BYTES
         for level in self.levels:
             if not level.probe(byte_addr):
                 level.fill(byte_addr, from_prefetch=True)
 
     def would_hit_l1(self, word_addr: int) -> bool:
         """Non-destructive L1 presence check (used by tests)."""
-        level = self.levels[0]
-        index, tag = level._locate(self._to_bytes(word_addr))
-        return tag in level._sets[index]
+        level1 = self.levels[0]
+        line = word_addr >> level1.word_shift
+        return line in level1.sets[line & level1.index_mask]
 
     def flush(self) -> None:
         for level in self.levels:

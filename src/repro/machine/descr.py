@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.instr import FUClass, Instr, Opcode
+from repro.ir.values import WORD_BYTES
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,12 @@ class CacheLevelConfig:
     latency: int
 
     def __post_init__(self) -> None:
+        line = self.line_bytes
+        if line < WORD_BYTES or line & (line - 1):
+            raise ValueError(
+                f"{self.name}: line size {line} must be a power of 2 "
+                f"holding at least one {WORD_BYTES}-byte word"
+            )
         sets = self.size_bytes // (self.line_bytes * self.assoc)
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(

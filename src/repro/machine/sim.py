@@ -22,13 +22,31 @@ code calls the same arithmetic helpers as the functional interpreter
 diverge semantically; the integration suite asserts output equality on
 every benchmark.
 
+What the generated code does itself and what it calls:
+
+* a ``LOAD`` or ``STORE`` looks its line up in L1 inline, on the
+  :class:`~repro.machine.cache.CacheLevel`'s own sets (line number,
+  set, membership, LRU refresh, hit counter), and calls
+  ``CacheHierarchy.load_miss`` / ``store_miss`` only when L1 misses;
+* a ``BR`` does the 2-bit saturating update and charges the
+  misprediction inline, over ``Simulator.branch_counters`` and
+  ``Simulator.branch_stats`` —
+  :class:`~repro.machine.branch.TwoBitPredictor` is the profiler's
+  predictor and the reference this inline one is tested against;
+* ``PREFETCH``, ``CALL``, division and an L1 miss are calls.
+
+``tests/machine/test_sim_inline_differential.py`` drives random traces
+through the generated code and through ``CacheHierarchy`` /
+``TwoBitPredictor`` and requires equal charges and equal final state.
+
 The compiled code objects are cached at module level, keyed by the
 identity of the scheduled function (a content digest of its generated
 source plus layout-independent metadata).  Per-instance state — the
-simulator, its memory, caches, predictor and machine constants — is
-*not* baked into the generated namespace; each block compiles to a
-``__bind`` factory whose closure binds that state at Simulator-
-construction time.  Repeated simulations of the same binary (every
+simulator, its memory, L1's sets and geometry, the predictor's counters
+and the machine's latencies — is *not* baked into the generated source;
+each block compiles to a ``__bind`` factory whose closure binds that
+state at Simulator-construction time, so one cached binary serves every
+machine description.  Repeated simulations of the same binary (every
 baseline run, every fitness-memo miss repeated across worker
 processes) therefore skip translation + ``compile`` entirely and only
 pay a cheap closure bind.
@@ -52,7 +70,7 @@ from repro.ir.function import STACK_BASE
 from repro.ir.instr import Instr, Opcode, Rel
 from repro.ir.interp import int_div, int_rem, wrap_int
 from repro.ir.values import Imm, PReg, StackSlot, SymRef, VReg
-from repro.machine.branch import TwoBitPredictor
+from repro.machine.branch import BranchStats, TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
 from repro.machine.descr import MachineDescription
 from repro.machine.vliw import ScheduledFunction, ScheduledModule
@@ -90,6 +108,35 @@ _REL_PY = {
 
 #: marker distinguishing a return from a jump in generated block code
 _RET = ("\x00ret",)
+
+#: What every ``__bind`` factory closes over: the simulator, its
+#: memory and output list, L1's sets / index mask / word-to-line shift
+#: / stats, the hierarchy's miss and prefetch methods, the predictor's
+#: counters and stats, the call hook and the two machine latencies.
+#: Geometry and latencies are bound, not baked, so generated source
+#: (and the codegen cache key) is the same on every machine.
+_BIND_PARAMS = ("S, MEM, OUTS, SETS, MASK, SHIFT, STATS, LOAD_MISS, "
+                "STORE_MISS, PREFETCH, COUNTERS, BRANCHES, CALL, L1, PEN")
+
+#: ``CacheLevel.probe`` on L1 for the word address in ``_a``, left
+#: open for the caller's own hit lines and its ``else:`` (miss) arm.
+_L1_LOOKUP = (
+    "_n = _a >> SHIFT",
+    "_s = SETS[_n & MASK]",
+    "if _n in _s:",
+    "    del _s[_n]",
+    "    _s[_n] = None",
+)
+
+_MISPREDICTED = (
+    "BRANCHES.mispredictions += 1",
+    "S.cycles += PEN",
+    "S.branch_stall += PEN",
+)
+
+
+def _indent(lines, depth: int) -> list[str]:
+    return [" " * depth + line for line in lines]
 
 
 def _checked_idiv(a: int, b: int) -> int:
@@ -192,7 +239,9 @@ class Simulator:
         self._noise_rng = random.Random(noise_seed)
 
         self.caches = CacheHierarchy(machine)
-        self.predictor = TwoBitPredictor()
+        #: the 2-bit predictor's state, updated by the generated code
+        self.branch_counters: dict[str, int] = {}
+        self.branch_stats = BranchStats()
         self.memory: dict[int, float | int] = {}
         self.outputs: list[float | int] = []
         self.cycles = 0
@@ -252,7 +301,7 @@ class Simulator:
             branch_stall_cycles=self.branch_stall,
             load_count=self.caches.loads,
             l1_hit_rate=level1.hit_rate,
-            branch_accuracy=self.predictor.stats.accuracy,
+            branch_accuracy=self.branch_stats.accuracy,
             prefetch_count=self.caches.prefetches,
         )
         registry = obs.metrics()
@@ -274,9 +323,9 @@ class Simulator:
         registry.inc("sim.l1_hits", level1.hits)
         registry.inc("sim.l1_misses", level1.misses)
         registry.inc("sim.prefetches", result.prefetch_count)
-        registry.inc("sim.branch_predictions", self.predictor.stats.predictions)
+        registry.inc("sim.branch_predictions", self.branch_stats.predictions)
         registry.inc("sim.branch_mispredicts",
-                     self.predictor.stats.mispredictions)
+                     self.branch_stats.mispredictions)
 
     # -- execution ---------------------------------------------------------------
     def _call(self, name: str, args: tuple):
@@ -376,16 +425,21 @@ class Simulator:
         if op is Opcode.LOAD:
             return [
                 f"_a = {src(0)}",
-                "_l = LOAD(_a)",
-                "if _l > L1:",
-                "    S.cycles += _l - L1",
-                "    S.memory_stall += _l - L1",
-                f"{dest} = MEM.get(_a, 0)",
+                *_L1_LOOKUP,
+                "    STATS.hits += 1",
+                "else:",
+                "    _l = LOAD_MISS(_a)",
+                "    if _l > L1:",
+                "        S.cycles += _l - L1",
+                "        S.memory_stall += _l - L1",
+                f"{dest} = MEM[_a] if _a in MEM else 0",
             ]
         if op is Opcode.STORE:
             return [
                 f"_a = {src(0)}",
-                "STORE(_a)",
+                *_L1_LOOKUP,
+                "else:",
+                "    STORE_MISS(_a)",
                 f"MEM[_a] = {src(1)}",
             ]
         if op is Opcode.PREFETCH:
@@ -399,12 +453,25 @@ class Simulator:
                 return [f"{dest} = {call}"]
             return [call]
         if op is Opcode.BR:
+            # TwoBitPredictor.update, unrolled per outcome: a counter
+            # moves unless saturated, and only a counter that moves
+            # can have been on the wrong side.
+            key = repr(branch_keys[instr.uid])
             return [
-                f"_t = True if {src(0)} else False",
-                f"if not UPDATE({branch_keys[instr.uid]!r}, _t):",
-                "    S.cycles += PEN",
-                "    S.branch_stall += PEN",
-                f"return {instr.targets[0]!r} if _t else {instr.targets[1]!r}",
+                "BRANCHES.predictions += 1",
+                f"_c = COUNTERS[{key}] if {key} in COUNTERS "
+                f"else {TwoBitPredictor.INIT}",
+                f"if {src(0)}:",
+                "    if _c < 3:",
+                f"        COUNTERS[{key}] = _c + 1",
+                "        if _c < 2:",
+                *_indent(_MISPREDICTED, 12),
+                f"    return {instr.targets[0]!r}",
+                "if _c > 0:",
+                f"    COUNTERS[{key}] = _c - 1",
+                "    if _c > 1:",
+                *_indent(_MISPREDICTED, 8),
+                f"return {instr.targets[1]!r}",
             ]
         if op is Opcode.JMP:
             return [f"return {instr.targets[0]!r}"]
@@ -466,21 +533,20 @@ class Simulator:
                 if instr.guard is not None:
                     guard_expr = f"R[{reg_index[instr.guard]}]"
                     lines.append(f"    if {guard_expr}:")
-                    lines.extend(f"        {line}" for line in instr_lines)
+                    lines.extend(_indent(instr_lines, 8))
                     lines.append("    else:")
                     lines.append("        S.squashed_ops += 1")
                     lines.append("        S.dynamic_ops -= 1")
                 else:
-                    lines.extend(f"    {line}" for line in instr_lines)
+                    lines.extend(_indent(instr_lines, 4))
             if not instrs or not instrs[-1].is_terminator:
                 raise SimError(f"block {label} lacks a terminator")
             binder = f"__bind_{position}"
             binder_names[label] = binder
             chunk = [
-                f"def {binder}(S, MEM, OUTS, LOAD, STORE, PREFETCH, "
-                "UPDATE, CALL, L1, PEN):",
+                f"def {binder}({_BIND_PARAMS}):",
             ]
-            chunk.extend(f"    {line}" for line in lines)
+            chunk.extend(_indent(lines, 4))
             chunk.append("    return __block")
             chunks.append("\n".join(chunk))
 
@@ -532,17 +598,23 @@ class Simulator:
     def _compile_function(self,
                           function: ScheduledFunction) -> _CompiledFunction:
         code = self._function_code(function)
-        bindings = (
-            self,
-            self.memory,
-            self.outputs,
-            self.caches.load,
-            self.caches.store,
-            self.caches.prefetch,
-            self.predictor.update,
-            self._call,
-            self.machine.load_latency,
-            self.machine.mispredict_penalty,
+        level1 = self.caches.levels[0]
+        bindings = dict(
+            S=self,
+            MEM=self.memory,
+            OUTS=self.outputs,
+            SETS=level1.sets,
+            MASK=level1.index_mask,
+            SHIFT=level1.word_shift,
+            STATS=level1.stats,
+            LOAD_MISS=self.caches.load_miss,
+            STORE_MISS=self.caches.store_miss,
+            PREFETCH=self.caches.prefetch,
+            COUNTERS=self.branch_counters,
+            BRANCHES=self.branch_stats,
+            CALL=self._call,
+            L1=self.machine.load_latency,
+            PEN=self.machine.mispredict_penalty,
         )
         return _CompiledFunction(
             name=function.name,
@@ -550,6 +622,6 @@ class Simulator:
             reg_count=code.reg_count,
             frame_words=function.frame_words,
             entry=function.entry_label,
-            blocks={label: binder(*bindings)
+            blocks={label: binder(**bindings)
                     for label, binder in code.binders.items()},
         )

@@ -60,7 +60,7 @@ class TestLRUEquivalence:
         for addr in trace:
             if not level.access(addr):
                 level.fill(addr)
-        for cache_set in level._sets:
+        for cache_set in level.sets:
             assert len(cache_set) <= CONFIG.assoc
 
     @settings(max_examples=50, deadline=None)

@@ -73,6 +73,13 @@ class TestTable3:
         with pytest.raises(ValueError):
             CacheLevelConfig("x", 64 * 1024, 64, 6, 2)
 
+    @pytest.mark.parametrize("line_bytes", [4, 48])
+    def test_bad_line_size_rejected(self, line_bytes):
+        # lines hold whole words and are found by shifting: the
+        # simulator's inline L1 lookup shifts word addresses
+        with pytest.raises(ValueError):
+            CacheLevelConfig("x", 1024, line_bytes, 2, 2)
+
 
 class TestCacheLevel:
     def _level(self, size=1024, line=64, assoc=2):

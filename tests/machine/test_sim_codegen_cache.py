@@ -5,7 +5,11 @@ and results are bit-identical with and without cache hits."""
 import pytest
 
 from repro.frontend import compile_source
-from repro.machine.descr import DEFAULT_EPIC, MachineDescription
+from repro.machine.descr import (
+    DEFAULT_EPIC,
+    CacheLevelConfig,
+    MachineDescription,
+)
 from repro.machine.sim import (
     Simulator,
     clear_codegen_cache,
@@ -102,6 +106,32 @@ class TestCodegenCache:
         assert codegen_cache_stats()["entries"] == entries_after_first
         assert slow.output_signature() == fast.output_signature()
         assert slow.cycles > fast.cycles
+
+    def test_l1_geometry_bound_per_instance(self):
+        # The inline L1 lookup takes its sets, mask and shift from the
+        # binding too: a machine with a smaller L1 and another penalty
+        # reuses the cached code and still gets its own timing.
+        scheduled = build()
+        small = MachineDescription(
+            name="small-l1",
+            mispredict_penalty=11,
+            cache_levels=(
+                CacheLevelConfig("L1", 128, 64, 1, 2),
+                *DEFAULT_EPIC.cache_levels[1:],
+            ),
+        )
+        default = simulate(scheduled)
+        before = codegen_cache_stats()
+        warm = simulate(scheduled, machine=small)
+        after = codegen_cache_stats()
+        assert after["hits"] > before["hits"]
+        assert after["misses"] == before["misses"]
+        clear_codegen_cache()
+        assert simulate(scheduled, machine=small) == warm
+        assert warm.output_signature() == default.output_signature()
+        assert warm.l1_hit_rate < default.l1_hit_rate
+        assert warm.memory_stall_cycles > default.memory_stall_cycles
+        assert warm.branch_stall_cycles * 5 == default.branch_stall_cycles * 11
 
     def test_noise_still_per_instance(self):
         scheduled = build()
