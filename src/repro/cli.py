@@ -90,6 +90,7 @@ import sys
 from pathlib import Path
 
 from repro.machine.descr import (
+    CASE_NAMES,
     DEFAULT_EPIC,
     ITANIUM_MACHINE,
     REGALLOC_MACHINE,
@@ -101,16 +102,6 @@ MACHINES: dict[str, MachineDescription] = {
     "itanium": ITANIUM_MACHINE,
     "regalloc": REGALLOC_MACHINE,
 }
-
-#: Case studies whose candidates are priority-function expression
-#: trees — everything simulate/profile/submit can deploy.
-TREE_CASES = ("hyperblock", "regalloc", "prefetch", "scheduling",
-              "inline", "unroll")
-
-#: Everything ``evolve``/``generalize`` accept: the tree cases plus the
-#: FOGA-style flag-genome campaign (serial evaluation only, no
-#: artifacts — see docs/CASES.md).
-CAMPAIGN_CASES = TREE_CASES + ("flags",)
 
 
 def _load_inputs(path: str | None) -> dict:
@@ -280,14 +271,26 @@ def _print_surrogate_table(snapshot: dict) -> None:
               f"{_histogram_p50(corr):>12.2f}")
 
 
+def _tree_case(command: str, case_name: str):
+    """The case study behind ``--case`` for the subcommands that deploy
+    a priority-function tree; the case itself says whether it has one."""
+    from repro.metaopt.harness import case_study
+
+    try:
+        return case_study(case_name).require_tree_valued()
+    except ValueError as exc:
+        raise SystemExit(f"repro {command}: {exc}")
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.metaopt.harness import EvaluationHarness, case_study
+    from repro.metaopt.harness import EvaluationHarness
 
+    case = _tree_case("profile", args.case)
     registry = obs.enable_metrics()
     tracer = obs.enable_tracing() if args.trace else None
     try:
-        harness = EvaluationHarness(case_study(args.case))
+        harness = EvaluationHarness(case)
         result = harness.baseline_result(args.benchmark, args.dataset)
         if getattr(args, "fleet", None):
             # Drive one baseline evaluation through the fleet so the
@@ -651,16 +654,17 @@ def _load_artifact(args: argparse.Namespace):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.metaopt.harness import EvaluationHarness, case_study
+    from repro.metaopt.harness import EvaluationHarness
     from repro.metaopt.settings import EvalSettings
     from repro.serve.jobs import simulation_payload
 
     artifact, case_name = _load_artifact(args)
+    case = _tree_case("simulate", case_name)
     tracer = obs.enable_tracing() if args.trace else None
     registry = obs.enable_metrics() if args.metrics else None
     try:
         harness = EvaluationHarness(
-            case_study(case_name),
+            case,
             EvalSettings(use_snapshots=not args.no_snapshot),
             fitness_cache=_resolve_fitness_cache(args))
         if artifact is not None:
@@ -715,31 +719,26 @@ def _run_campaign(args: argparse.Namespace, config) -> int:
     from repro import obs
     from repro.experiments import ExperimentRunner, PrettySink
 
-    sinks = () if args.json else (PrettySink(),)
-    stop_after = getattr(args, "stop_after_generation", None)
-    collect_metrics = bool(getattr(args, "metrics", False))
-    use_snapshots = not getattr(args, "no_snapshot", False)
     trace_path = getattr(args, "trace", None)
-    fleet = getattr(args, "fleet", None)
-    publish_dir = _resolve_publish_dir(args)
-    surrogate = bool(getattr(args, "surrogate", False))
-    surrogate_top_k = getattr(args, "surrogate_top_k", 8)
+    runner_options = dict(
+        sinks=() if args.json else (PrettySink(),),
+        stop_after_generation=getattr(args, "stop_after_generation", None),
+        collect_metrics=bool(getattr(args, "metrics", False)),
+        publish_dir=_resolve_publish_dir(args),
+        use_snapshots=not getattr(args, "no_snapshot", False),
+        fleet=getattr(args, "fleet", None),
+        surrogate=bool(getattr(args, "surrogate", False)),
+        surrogate_top_k=getattr(args, "surrogate_top_k", 8),
+    )
     if args.resume:
         if args.run_dir is None:
             raise SystemExit("--resume requires --run-dir (the run "
                              "directory holds the campaign's config)")
-        runner = ExperimentRunner.from_run_dir(
-            args.run_dir, sinks=sinks, stop_after_generation=stop_after,
-            collect_metrics=collect_metrics, publish_dir=publish_dir,
-            use_snapshots=use_snapshots, fleet=fleet,
-            surrogate=surrogate, surrogate_top_k=surrogate_top_k)
+        runner = ExperimentRunner.from_run_dir(args.run_dir,
+                                               **runner_options)
     else:
-        runner = ExperimentRunner(
-            config, run_dir=args.run_dir, sinks=sinks,
-            stop_after_generation=stop_after,
-            collect_metrics=collect_metrics, publish_dir=publish_dir,
-            use_snapshots=use_snapshots, fleet=fleet,
-            surrogate=surrogate, surrogate_top_k=surrogate_top_k)
+        runner = ExperimentRunner(config, run_dir=args.run_dir,
+                                  **runner_options)
     tracer = obs.enable_tracing() if trace_path else None
     try:
         outcome = runner.run(resume=args.resume)
@@ -826,9 +825,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     if args.processes < 1:
         raise SystemExit("repro evolve: --processes must be >= 1")
-    if args.fleet and args.processes > 1:
-        raise SystemExit("repro evolve: --fleet and --processes are "
-                         "mutually exclusive (the fleet owns dispatch)")
     config = None
     if not args.resume:
         if not args.case or not args.benchmark:
@@ -858,9 +854,6 @@ def cmd_generalize(args: argparse.Namespace) -> int:
 
     if args.processes < 1:
         raise SystemExit("repro generalize: --processes must be >= 1")
-    if args.fleet and args.processes > 1:
-        raise SystemExit("repro generalize: --fleet and --processes are "
-                         "mutually exclusive (the fleet owns dispatch)")
     config = None
     if not args.resume:
         training = _comma_list(args.train)
@@ -1238,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "baseline heuristic")
     sim_parser.add_argument("benchmark")
     sim_parser.add_argument("--case", default="hyperblock",
-                            choices=TREE_CASES)
+                            choices=CASE_NAMES)
     sim_parser.add_argument("--dataset", default="train",
                             choices=("train", "novel"))
     sim_parser.add_argument("--json", action="store_true",
@@ -1265,7 +1258,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("benchmark")
     profile_parser.add_argument(
         "--case", default="hyperblock",
-        choices=TREE_CASES)
+        choices=CASE_NAMES)
     profile_parser.add_argument("--dataset", default="train",
                                 choices=("train", "novel"))
     profile_parser.add_argument(
@@ -1287,7 +1280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evolve", help="evolve a specialized priority function")
     evolve_parser.add_argument(
         "case", nargs="?",
-        choices=CAMPAIGN_CASES)
+        choices=CASE_NAMES)
     evolve_parser.add_argument("benchmark", nargs="?")
     evolve_parser.add_argument("--pop", type=int, default=24)
     evolve_parser.add_argument("--gens", type=int, default=10)
@@ -1312,7 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
              "training suite (DSS), optionally cross-validating")
     general_parser.add_argument(
         "case", nargs="?",
-        choices=CAMPAIGN_CASES)
+        choices=CASE_NAMES)
     general_parser.add_argument(
         "--train", help="comma-separated training benchmarks")
     general_parser.add_argument(
@@ -1434,7 +1427,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base URL of the serving daemon")
     submit_parser.add_argument(
         "--case", default=None,
-        choices=TREE_CASES,
+        choices=CASE_NAMES,
         help="case study (default: the artifact's, else hyperblock)")
     submit_parser.add_argument("--dataset", default="train",
                                choices=("train", "novel"))

@@ -19,15 +19,14 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.gp.engine import GPParams
+from repro.machine.descr import CASE_NAMES
 
 #: Experiment kinds understood by the runner.
 MODES = ("specialize", "generalize")
 
-#: Case-study names: the paper's three, the scheduling extension, the
-#: two prepare-stage extensions (inline, unroll), and the FOGA-style
-#: flag campaign.
-CASES = ("hyperblock", "regalloc", "prefetch", "scheduling",
-         "inline", "unroll", "flags")
+#: Case-study names a config may carry: the rows of the case table in
+#: :mod:`repro.metaopt.harness`.
+CASES = CASE_NAMES
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,6 @@ class ExperimentConfig:
             raise ValueError("processes must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.seed_expressions and self.case == "flags":
-            raise ValueError("the flags case evolves enum genomes, not "
-                             "expression trees; seed_expressions does "
-                             "not apply")
         # Normalize list inputs (e.g. straight from JSON) to tuples so
         # the config stays hashable and comparable.
         for name in ("training_set", "test_set", "seed_expressions"):

@@ -144,19 +144,10 @@ class ExperimentRunner:
         self._surrogate_evaluator = None
 
     @classmethod
-    def from_run_dir(cls, run_dir, sinks: tuple[EventSink, ...] = (),
-                     stop_after_generation: int | None = None,
-                     collect_metrics: bool = False,
-                     publish_dir=None,
-                     use_snapshots: bool = True,
-                     fleet: str | None = None,
-                     surrogate: bool = False,
-                     surrogate_top_k: int = 8,
-                     publish_parent_id: str | None = None,
-                     publish_created_at: float | None = None,
-                     ) -> "ExperimentRunner":
+    def from_run_dir(cls, run_dir, **runner_options) -> "ExperimentRunner":
         """Reconstruct a runner from a run directory's ``config.json``
-        (the entry point of ``--resume``)."""
+        (the entry point of ``--resume``); ``runner_options`` are the
+        constructor's keywords."""
         run_dir = Path(run_dir)
         config_path = run_dir / CONFIG_FILENAME
         if not config_path.exists():
@@ -164,16 +155,7 @@ class ExperimentRunner:
                 f"{config_path} not found — not a run directory")
         config = ExperimentConfig.from_json_dict(
             json.loads(config_path.read_text()))
-        return cls(config, run_dir=run_dir, sinks=sinks,
-                   stop_after_generation=stop_after_generation,
-                   collect_metrics=collect_metrics,
-                   publish_dir=publish_dir,
-                   use_snapshots=use_snapshots,
-                   fleet=fleet,
-                   surrogate=surrogate,
-                   surrogate_top_k=surrogate_top_k,
-                   publish_parent_id=publish_parent_id,
-                   publish_created_at=publish_created_at)
+        return cls(config, run_dir=run_dir, **runner_options)
 
     # -- assembly --------------------------------------------------------
     def _settings(self):
@@ -485,17 +467,16 @@ class ExperimentSession:
         config = runner.config
         self.config = config
         self.resumed = bool(resume)
-        if config.case == "flags":
-            # Flags genomes are not expression trees: the surrogate's
-            # feature extractor and the artifact store both consume
-            # s-expressions.  (--fleet/--processes reject in
-            # make_evaluator for the same reason.)
-            if runner.surrogate:
-                raise ValueError(
-                    "the flags case does not support --surrogate")
-            if runner.publish_dir is not None:
-                raise ValueError(
-                    "the flags case does not support --publish")
+        self.harness = runner._build_harness()
+        # Everything the case cannot ride is refused here, before the
+        # run directory is touched or anything is evaluated.
+        self.harness.case.check_campaign(
+            processes=config.processes,
+            fleet=runner.fleet,
+            surrogate=runner.surrogate,
+            publish=runner.publish_dir is not None,
+            seed_expressions=config.seed_expressions,
+        )
         self._run_started = time.monotonic()
         self._closed = False
         self._finished = False
@@ -518,7 +499,6 @@ class ExperimentSession:
             raise ValueError("resume requires a run directory")
         self.sink = MultiSink(list(runner.sinks) + self._owned_sinks)
 
-        self.harness = runner._build_harness()
         self.evaluator = None
         self._evaluator_context = nullcontext()
         if runner.fleet is not None or config.processes > 1:
@@ -764,23 +744,11 @@ def run_experiment(
     run_dir=None,
     sinks: tuple[EventSink, ...] = (),
     resume: bool = False,
-    harness=None,
-    stop_after_generation: int | None = None,
-    collect_metrics: bool = False,
-    publish_dir=None,
-    use_snapshots: bool = True,
-    surrogate: bool = False,
-    surrogate_top_k: int = 8,
+    **runner_options,
 ) -> ExperimentResult:
     """One-call form of :class:`ExperimentRunner` — the unified
-    experiment API the CLI and new Python code share."""
-    runner = ExperimentRunner(
-        config, run_dir=run_dir, sinks=sinks, harness=harness,
-        stop_after_generation=stop_after_generation,
-        collect_metrics=collect_metrics,
-        publish_dir=publish_dir,
-        use_snapshots=use_snapshots,
-        surrogate=surrogate,
-        surrogate_top_k=surrogate_top_k,
-    )
+    experiment API the CLI and new Python code share;
+    ``runner_options`` are the constructor's keywords."""
+    runner = ExperimentRunner(config, run_dir=run_dir, sinks=sinks,
+                              **runner_options)
     return runner.run(resume=resume)

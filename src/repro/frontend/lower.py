@@ -24,7 +24,6 @@ from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.parser import parse_source
 from repro.frontend.sema import Symbol, analyze
-from repro.ir.block import Block
 from repro.ir.function import Function, GlobalArray, Module
 from repro.ir.instr import (
     Instr,
@@ -89,11 +88,6 @@ class _FunctionLowerer:
     # -- block plumbing ------------------------------------------------------
     def _emit(self, instr: Instr) -> None:
         self.block.append(instr)
-
-    def _start_block(self, hint: str) -> Block:
-        new_block = self.function.new_block(hint)
-        self.block = new_block
-        return new_block
 
     def _close_with(self, instr: Instr) -> None:
         if not self.block.is_closed():

@@ -34,9 +34,6 @@ class Individual:
     def size(self) -> int:
         return self.tree.size()
 
-    def copy_tree(self) -> Node:
-        return self.tree.copy()
-
 
 def better(left: Individual, right: Individual) -> Individual:
     """Compare two evaluated individuals: higher fitness wins; ties go

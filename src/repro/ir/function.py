@@ -60,9 +60,6 @@ class Function:
         self._next_vreg += 1
         return reg
 
-    def vreg_count(self) -> int:
-        return self._next_vreg
-
     # -- blocks ---------------------------------------------------------
     def new_block(self, hint: str = "bb") -> Block:
         label = f"{hint}{self._next_label}"

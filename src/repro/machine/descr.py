@@ -192,3 +192,11 @@ ITANIUM_MACHINE_B = MachineDescription(
         CacheLevelConfig("L3", 512 * 1024, 64, 8, 27),
     ),
 )
+
+#: The case studies, in catalog order (docs/CASES.md).  The names live
+#: here, beside the machines the cases default to, because argparse
+#: ``choices`` and ``ExperimentConfig`` need them without importing the
+#: compiler; the table itself is in :mod:`repro.metaopt.harness`, and a
+#: test pins the two equal.
+CASE_NAMES = ("hyperblock", "regalloc", "prefetch", "scheduling",
+              "inline", "unroll", "flags")

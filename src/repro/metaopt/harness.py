@@ -16,8 +16,6 @@ are so costly").  Under one harness, outermost first:
   result across processes and runs, skipping compile + simulate;
 * prepared program — frontend, candidate-independent passes and the
   training profile, per benchmark;
-* candidate-prepare LRU — the same, per (candidate, benchmark), for
-  the cases whose candidates steer ``prepare`` itself;
 * snapshot LRU — the backend state just before the hook's stage, per
   benchmark, shared by the whole population (docs/FORKING.md);
 * binary-digest memo — the simulation of one scheduled binary, shared
@@ -31,14 +29,20 @@ from __future__ import annotations
 import itertools
 import threading
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Protocol,
+    runtime_checkable,
+)
 
 if TYPE_CHECKING:
     from repro.metaopt.fitness_cache import FitnessCache
 from repro import obs
 from repro.frontend import compile_source
+from repro.gp.generate import PrimitiveSet
 from repro.gp.genome import FlagsGenome, expression_text
 from repro.gp.nodes import Node
 from repro.machine.descr import (
@@ -63,35 +67,6 @@ from repro.passes.pipeline import (
 from repro.passes.snapshot import SnapshotCache
 from repro.suite.registry import get as get_benchmark
 
-#: Which CompilerOptions hook each case study's expressions occupy.
-#: ``flags`` is special: the genome IS the options delta, so its
-#: "hook" is a sentinel that matches no CompilerOptions field.
-_HOOK_BY_CASE = {
-    "hyperblock": "hyperblock_priority",
-    "regalloc": "spill_priority",
-    "prefetch": "prefetch_priority",
-    "scheduling": "schedule_priority",
-    "inline": "inline_priority",
-    "unroll": "unroll_priority",
-    "flags": "flags",
-}
-
-#: Cases whose candidates steer :func:`repro.passes.pipeline.prepare`
-#: rather than a backend stage.  Their evaluation re-runs prepare per
-#: candidate (memoized) and never forks pipeline snapshots — there is
-#: no shared prefix when the front of the pipeline itself varies.
-PREPARE_CASES = frozenset({"inline", "unroll", "flags"})
-
-_DEFAULT_MACHINE = {
-    "hyperblock": DEFAULT_EPIC,
-    "regalloc": REGALLOC_MACHINE,
-    "prefetch": ITANIUM_MACHINE,
-    "scheduling": SCHEDULING_MACHINE,
-    "inline": DEFAULT_EPIC,
-    "unroll": DEFAULT_EPIC,
-    "flags": DEFAULT_EPIC,
-}
-
 
 def _identity_adapter(priority):
     return priority
@@ -103,26 +78,35 @@ def _scheduling_adapter(priority):
     return make_schedule_priority(priority)
 
 
-#: Adapts an env-callable into the hook's native signature.
-_ADAPTER_BY_CASE = {
-    "hyperblock": _identity_adapter,
-    "regalloc": _identity_adapter,
-    "prefetch": _identity_adapter,
-    "scheduling": _scheduling_adapter,
-    "inline": _identity_adapter,
-    "unroll": _identity_adapter,
+#: THE case table — one row per case study: the CompilerOptions hook
+#: its candidates occupy, its default machine, and the adapter from an
+#: env-callable to the hook's native signature.  Everything else a
+#: case can or cannot do is derived from the row (the properties of
+#: :class:`CaseStudy`; docs/CASES.md has the matrix).  ``flags`` has no
+#: hook: its genome IS the options delta and installs itself.
+_CASE_TABLE = {
+    "hyperblock": ("hyperblock_priority", DEFAULT_EPIC, _identity_adapter),
+    "regalloc": ("spill_priority", REGALLOC_MACHINE, _identity_adapter),
+    "prefetch": ("prefetch_priority", ITANIUM_MACHINE, _identity_adapter),
+    "scheduling": ("schedule_priority", SCHEDULING_MACHINE,
+                   _scheduling_adapter),
+    "inline": ("inline_priority", DEFAULT_EPIC, _identity_adapter),
+    "unroll": ("unroll_priority", DEFAULT_EPIC, _identity_adapter),
+    "flags": (None, DEFAULT_EPIC, _identity_adapter),
 }
 
 
 @dataclass(frozen=True)
 class CaseStudy:
-    """One of the paper's case studies (or the scheduling extension),
-    fully configured."""
+    """One of the paper's case studies (or an extension), fully
+    configured: the single description of a case.  The fields are the
+    case's row of the table; the properties are what follows from it."""
 
     name: str
     machine: MachineDescription
     options: CompilerOptions
-    hook: str
+    hook: str | None
+    adapter: Callable = _identity_adapter
 
     @property
     def pset(self):
@@ -131,15 +115,82 @@ class CaseStudy:
     def baseline_tree(self):
         return BASELINE_TREES[self.name]()
 
+    @property
+    def stage(self) -> str | None:
+        """The backend stage the hook steers; ``None`` when candidates
+        steer :func:`repro.passes.pipeline.prepare` instead.  Such a
+        case re-runs prepare per candidate and never forks pipeline
+        snapshots — there is no shared prefix when the front of the
+        pipeline itself varies."""
+        return STAGE_BY_HOOK.get(self.hook)
+
+    @property
+    def steers_prepare(self) -> bool:
+        return self.stage is None
+
+    @property
+    def tree_valued(self) -> bool:
+        """Candidates are priority-function expression trees — what
+        pool workers and fleet shards exchange as text, the surrogate
+        featurizes and the artifact store holds."""
+        return isinstance(self.pset, PrimitiveSet)
+
+    @property
+    def deployable(self) -> bool:
+        """A champion can be published as a heuristic artifact:
+        ``HeuristicArtifact.install`` runs inside ``compile_backend``,
+        after ``prepare``, so only a backend hook can take effect."""
+        return self.tree_valued and self.stage is not None
+
+    def require_tree_valued(self) -> "CaseStudy":
+        """``self``, for the callers that deploy or exchange expression
+        trees (``simulate``/``profile``, the daemon's endpoints)."""
+        if not self.tree_valued:
+            raise ValueError(
+                f"the {self.name} case evolves enum genomes, not "
+                "priority-function trees; pick a tree-valued case "
+                "(docs/CASES.md)")
+        return self
+
     def options_for(self, priority) -> CompilerOptions:
         """Compiler options with ``priority`` installed in this case's
-        hook (adapted to the hook's native signature if needed).  For
-        the flags case the candidate is a genome and installs itself
+        hook (adapted to the hook's native signature if needed).  A
+        candidate that is not a tree is a genome and installs itself
         across several option fields."""
-        if self.name == "flags":
+        if self.hook is None:
             return priority.install(self.options)
-        adapted = _ADAPTER_BY_CASE[self.name](priority)
-        return replace(self.options, **{self.hook: adapted})
+        return replace(self.options,
+                       **{self.hook: self.adapter(priority)})
+
+    def check_campaign(self, *, processes: int = 1,
+                       fleet: str | None = None, surrogate: bool = False,
+                       publish: bool = False,
+                       seed_expressions: tuple = ()) -> None:
+        """Refuse, before anything is evaluated, what this case cannot
+        ride: the one capability gate of a campaign."""
+        if fleet is not None and processes > 1:
+            raise ValueError(
+                "--fleet and --processes are mutually exclusive: the "
+                "fleet already owns dispatch")
+        if not self.tree_valued:
+            if fleet is not None or processes > 1:
+                # Pool workers and fleet shards ship candidates as
+                # priority-function s-expressions.
+                raise ValueError(
+                    f"the {self.name} case only supports serial "
+                    "evaluation — drop --processes/--fleet")
+            if surrogate:
+                raise ValueError(
+                    f"the {self.name} case does not support --surrogate")
+            if seed_expressions:
+                raise ValueError(
+                    f"the {self.name} case evolves enum genomes, not "
+                    "expression trees; seed_expressions does not apply")
+        if publish and not self.deployable:
+            raise ValueError(
+                f"the {self.name} case does not support --publish: an "
+                "artifact is an expression tree installed in a backend "
+                "hook")
 
 
 def case_study(name: str,
@@ -157,19 +208,16 @@ def case_study(name: str,
     * flags — FOGA-style outer GA over CompilerOptions flags and the
       hyperblock/prefetch stage order (docs/CASES.md).
     """
-    if name not in _HOOK_BY_CASE:
+    if name not in _CASE_TABLE:
         raise ValueError(f"unknown case study {name!r}")
-    machine = machine or _DEFAULT_MACHINE[name]
+    hook, default_machine, adapter = _CASE_TABLE[name]
+    machine = machine or default_machine
     options = CompilerOptions(
         machine=machine,
-        prefetch=(name == "prefetch"),
+        prefetch=(STAGE_BY_HOOK.get(hook) == "prefetch"),
     )
-    return CaseStudy(
-        name=name,
-        machine=machine,
-        options=options,
-        hook=_HOOK_BY_CASE[name],
-    )
+    return CaseStudy(name=name, machine=machine, options=options,
+                     hook=hook, adapter=adapter)
 
 
 #: Registry assigning each native callable a process-unique sequence
@@ -250,12 +298,6 @@ class EvaluationHarness:
         self.snapshot_cache = SnapshotCache() if self.use_snapshots \
             else None
         self._prepared: dict[str, PreparedProgram] = {}
-        #: per-(candidate, benchmark) prepare results for the
-        #: prepare-stage cases (inline/unroll/flags), bounded: prepared
-        #: modules are much heavier than cycle counts.
-        self._candidate_prepared: "OrderedDict[tuple, PreparedProgram]" \
-            = OrderedDict()
-        self._candidate_prepared_cap = 64
         self._cycles_memo: dict[tuple, SimResult] = {}
         #: held across a ``simulate`` miss; a memo hit never takes it
         self._miss_lock = threading.Lock()
@@ -293,23 +335,6 @@ class EvaluationHarness:
             cached = self._prepare(benchmark, self.case.options)
             self._prepared[benchmark] = cached
         return cached
-
-    def _prepared_for(self, priority_key: tuple, benchmark: str,
-                      options: CompilerOptions) -> PreparedProgram:
-        """Per-candidate prepare for the prepare-stage cases: the
-        candidate steers inlining/unrolling (or the whole flag set), so
-        the "candidate-independent" prefix must be rebuilt per genome.
-        Bounded LRU — one entry per (candidate, benchmark)."""
-        key = (priority_key, benchmark)
-        cached = self._candidate_prepared.get(key)
-        if cached is not None:
-            self._candidate_prepared.move_to_end(key)
-            return cached
-        prep = self._prepare(benchmark, options)
-        self._candidate_prepared[key] = prep
-        while len(self._candidate_prepared) > self._candidate_prepared_cap:
-            self._candidate_prepared.popitem(last=False)
-        return prep
 
     # -- evaluation --------------------------------------------------------
     def simulate(self, priority, benchmark: str,
@@ -353,8 +378,11 @@ class EvaluationHarness:
             persist_meta = self._persist_meta(priority, benchmark, dataset)
 
         options = self.case.options_for(_as_hook(priority))
-        if self.case.name in PREPARE_CASES:
-            prep = self._prepared_for(key[0], benchmark, options)
+        if self.case.steers_prepare:
+            # The candidate steers inlining/unrolling (or the whole
+            # flag set): the "candidate-independent" prefix is rebuilt
+            # per genome (the cycles memo above answers repeats).
+            prep = self._prepare(benchmark, options)
         else:
             prep = self.prepared(benchmark)
         scheduled, _report = self._compile(prep, options, benchmark)
@@ -427,11 +455,11 @@ class EvaluationHarness:
         """``compile_backend``, through the forking layer when on: the
         shared prefix is restored from a snapshot and only the hook's
         suffix runs (docs/FORKING.md).  Prepare-stage cases have no
-        shared prefix (``STAGE_BY_HOOK`` carries no entry for their
-        hooks), and the cache answers ``None`` for a hook whose stage
-        runs first; both take the full backend path."""
+        shared prefix (no backend ``stage``), and the cache answers
+        ``None`` for a hook whose stage runs first; both take the full
+        backend path."""
         snapshot = None
-        stage = STAGE_BY_HOOK.get(self.case.hook)
+        stage = self.case.stage
         if self.snapshot_cache is not None and stage is not None:
             snapshot = self.snapshot_cache.get_or_build(
                 benchmark, prep, options, stage)
@@ -640,20 +668,9 @@ def make_evaluator(case_name: str,
     All three speak :class:`EvaluatorProtocol` and are bit-identical
     for equal settings.
     """
-    if case_name == "flags" and (fleet is not None or processes > 1):
-        # Pool workers and fleet shards ship candidates as priority-
-        # function s-expressions; a flags genome is not one, and the
-        # campaign is cheap enough (6 genes) that serial evaluation is
-        # never the bottleneck.
-        raise ValueError(
-            "the flags case only supports serial evaluation — drop "
-            "--processes/--fleet")
-    if fleet is not None and processes > 1:
-        raise ValueError(
-            "--fleet and --processes are mutually exclusive: the "
-            "fleet already owns dispatch")
     if harness is None:
         harness = EvaluationHarness(case_study(case_name), settings)
+    harness.case.check_campaign(processes=processes, fleet=fleet)
     if fleet is not None:
         from repro.fleet import FleetEvaluator  # lazy: avoid cycle
 

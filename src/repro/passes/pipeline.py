@@ -75,7 +75,8 @@ from repro.verify.ir_verifier import verify_module, verify_scheduled
 BACKEND_STAGES: tuple[str, ...] = (
     "hyperblock", "prefetch", "regalloc", "schedule")
 
-#: CompilerOptions hook attribute -> the backend stage it steers.
+#: CompilerOptions hook attribute -> the backend stage it steers: the
+#: one hook<->stage map (the snapshot fingerprint reads it backwards).
 #: Prepare-stage hooks (``inline_priority``, ``unroll_priority``) and
 #: the flags genome have no backend stage and are deliberately absent:
 #: their candidates re-run :func:`prepare`, so nothing downstream of a

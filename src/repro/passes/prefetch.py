@@ -82,16 +82,6 @@ def always_prefetch(env: Mapping[str, float | bool]) -> bool:
 
 
 @dataclass
-class PrefetchCandidate:
-    loop: Loop
-    block_label: str
-    load_index: int
-    addr_reg: VReg
-    stride: int
-    env: dict[str, float | bool] = field(default_factory=dict)
-
-
-@dataclass
 class PrefetchReport:
     candidates: int = 0
     inserted: int = 0

@@ -40,7 +40,7 @@ from repro.ir.function import Function, Module
 from repro.ir.instr import Instr, Opcode
 from repro.ir.liveness import analyze, live_at_instruction
 from repro.ir.loops import loop_depth_of_blocks
-from repro.ir.values import FLOAT, INT, PRED, IRType, PReg, StackSlot, VReg
+from repro.ir.values import FLOAT, INT, PRED, PReg, StackSlot, VReg
 from repro.machine.descr import MachineDescription
 
 #: Estimated cycles saved per avoided load / store (Equation 2's
@@ -125,10 +125,6 @@ class AllocationReport:
 
 class AllocationError(RuntimeError):
     """Raised when colouring cannot converge (e.g. predicate overflow)."""
-
-
-def _register_class(vtype: IRType) -> IRType:
-    return vtype  # classes coincide with types
 
 
 class _FunctionAllocator:

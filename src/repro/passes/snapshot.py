@@ -35,19 +35,12 @@ from repro import obs
 from repro.ir.function import Module
 from repro.passes.pipeline import (
     BACKEND_STAGES,
+    STAGE_BY_HOOK,
     BackendReport,
     CompilerOptions,
     PreparedProgram,
     run_prefix,
 )
-
-#: CompilerOptions priority attribute per backend stage.
-_PRIORITY_FIELD_BY_STAGE = {
-    "hyperblock": "hyperblock_priority",
-    "prefetch": "prefetch_priority",
-    "regalloc": "spill_priority",
-    "schedule": "schedule_priority",
-}
 
 
 def _priority_fingerprint(value) -> tuple:
@@ -90,9 +83,11 @@ def options_fingerprint(options: CompilerOptions, stage: str) -> tuple:
          _priority_fingerprint(options.unroll_priority)),
     ]
     order = tuple(options.backend_order)
-    for prior in order[:order.index(stage)]:
-        field = _PRIORITY_FIELD_BY_STAGE[prior]
-        parts.append((field, _priority_fingerprint(getattr(options, field))))
+    prefix = order[:order.index(stage)]
+    for field, steered in STAGE_BY_HOOK.items():
+        if steered in prefix:
+            parts.append(
+                (field, _priority_fingerprint(getattr(options, field))))
     return tuple(parts)
 
 

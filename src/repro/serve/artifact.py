@@ -27,12 +27,25 @@ from dataclasses import dataclass, field
 #: loader of the previous version could misread.
 ARTIFACT_SCHEMA = 1
 
-#: Case studies an artifact may target (mirrors experiments.config).
-ARTIFACT_CASES = ("hyperblock", "regalloc", "prefetch", "scheduling")
-
 
 class ArtifactError(ValueError):
     """A malformed, corrupt, or unusable artifact document."""
+
+
+def _deployable_case(name: str):
+    """The case study an artifact may target: the case itself says
+    whether its champions deploy (``CaseStudy.deployable``)."""
+    from repro.metaopt.harness import case_study
+
+    try:
+        case = case_study(name)
+    except ValueError:
+        raise ArtifactError(f"unknown case {name!r}") from None
+    if not case.deployable:
+        raise ArtifactError(
+            f"the {name} case is not deployable as an artifact: only "
+            "an expression tree in a backend hook can be installed")
+    return case
 
 
 def _config_fingerprint(config_dict: dict) -> str:
@@ -144,8 +157,10 @@ class HeuristicArtifact:
                 f"unsupported schema {self.schema!r} "
                 f"(this build reads {ARTIFACT_SCHEMA})")
             return problems
-        if self.case not in ARTIFACT_CASES:
-            problems.append(f"unknown case {self.case!r}")
+        try:
+            pset = _deployable_case(self.case).pset
+        except ArtifactError as exc:
+            problems.append(str(exc))
             return problems
         if self.parent_id is not None and not (
                 len(self.parent_id) == 64
@@ -153,9 +168,7 @@ class HeuristicArtifact:
             problems.append(
                 f"parent_id {self.parent_id!r} is not a content digest")
         from repro.gp.parse import parse, unparse
-        from repro.metaopt.psets import PSETS
 
-        pset = PSETS[self.case]
         try:
             tree = parse(self.expression, pset.bool_feature_set())
         except Exception as exc:
@@ -206,11 +219,9 @@ class HeuristicArtifact:
         """
         from dataclasses import replace
 
-        from repro.metaopt.harness import _ADAPTER_BY_CASE, _HOOK_BY_CASE
-
-        adapted = _ADAPTER_BY_CASE[self.case](self.priority())
+        case = _deployable_case(self.case)
         return replace(options, heuristic_artifact=None,
-                       **{_HOOK_BY_CASE[self.case]: adapted})
+                       **{case.hook: case.adapter(self.priority())})
 
 
 def build_artifact(
@@ -225,15 +236,13 @@ def build_artifact(
     """Assemble an artifact from campaign outputs, canonicalizing the
     expression and computing every fingerprint."""
     from repro.gp.parse import parse, unparse
-    from repro.metaopt.psets import PSETS
     from repro.metaopt.fitness_cache import (
         machine_fingerprint,
         pipeline_fingerprint,
     )
 
-    if case not in ARTIFACT_CASES:
-        raise ArtifactError(f"unknown case {case!r}")
-    canonical = unparse(parse(expression, PSETS[case].bool_feature_set()))
+    pset = _deployable_case(case).pset
+    canonical = unparse(parse(expression, pset.bool_feature_set()))
     training_config = dict(training_config or {})
     return HeuristicArtifact(
         case=case,

@@ -206,13 +206,6 @@ class JobQueue:
             obs.inc("serve.jobs_cancelled")
             return True
 
-    def cancel_background_queued(self) -> int:
-        """Cancel every still-queued background job (the drain path:
-        queued campaign steps are resumable from their checkpoints, so
-        there is no reason to run them while shutting down)."""
-        with self._lock:
-            return self._cancel_background_locked()
-
     def _cancel_background_locked(self) -> int:
         cancelled = 0
         for job in self._background:
@@ -497,6 +490,9 @@ def run_evaluate(params: dict, harness_pool: HarnessPool,
     if not benchmark:
         raise ValueError("evaluate requires 'benchmark'")
     case_name = params.get("case", "hyperblock")
+    # the daemon evaluates priority-function trees; the case says
+    # whether it has them
+    case = case_study(case_name).require_tree_valued()
     dataset = params.get("dataset", "train")
     if dataset not in ("train", "novel"):
         raise ValueError(f"unknown dataset {dataset!r}")
@@ -508,10 +504,9 @@ def run_evaluate(params: dict, harness_pool: HarnessPool,
 
     routed_canary = False
     if channel:
-        machine = case_study(case_name).machine.name
         artifact_ref, routed_canary = resolve_channel_artifact(
-            registry, case_name, machine, channel, benchmark, dataset,
-            canary_router=canary_router)
+            registry, case_name, case.machine.name, channel, benchmark,
+            dataset, canary_router=canary_router)
 
     artifact = None
     if artifact_ref:
@@ -547,14 +542,15 @@ def parse_evaluate_batch(params: dict) -> tuple:
     ``{"index", "tree", "benchmark"}`` dicts; indices must be unique
     (they key the coordinator's order-independent reduction).
     """
-    from repro.metaopt.harness import _HOOK_BY_CASE
+    from repro.metaopt.harness import case_study
     from repro.metaopt.settings import EvalSettings
 
     if params.get("schema") != 1:
         raise ValueError("evaluate-batch requires 'schema': 1")
     case_name = params.get("case")
-    if case_name not in _HOOK_BY_CASE:
+    if not isinstance(case_name, str):
         raise ValueError(f"unknown case {case_name!r}")
+    case_study(case_name).require_tree_valued()
     dataset = params.get("dataset", "train")
     if dataset not in ("train", "novel"):
         raise ValueError(f"unknown dataset {dataset!r}")

@@ -283,13 +283,6 @@ class ArtifactRegistry:
             return {"rolled_back": canary, "stable": track["stable"],
                     "version": track["versions"].get(canary)}
 
-    def version_of(self, case: str, machine: str,
-                   artifact_id: str) -> int | None:
-        with self._lock:
-            data = self._read_channels_locked()
-            track = data["tracks"].get(self.track_key(case, machine))
-            return track["versions"].get(artifact_id) if track else None
-
     def channels(self) -> dict:
         """Deep copy of every track, for the status/channels APIs."""
         with self._lock:

@@ -9,8 +9,9 @@ killed run resumes byte-identically.
 
 The flags case additionally carries explicit capability gates — it is
 serial-only (workers exchange s-expression text) and its genome cannot
-ride the tree-feature surrogate or the artifact store — and those
-gates must fail loudly, not corrupt a campaign halfway through.
+ride the tree-feature surrogate or the artifact store — and none of the
+three can be published.  Those gates must fail loudly at session open,
+not corrupt (or waste) a campaign.
 """
 
 import json
@@ -98,8 +99,19 @@ class TestFlagsGates:
             ExperimentRunner(config, run_dir=campaign_run.base / "run",
                              surrogate=True).run()
 
-    def test_rejects_publish(self, campaign_run):
-        config = campaign_run.config(case="flags", generations=2)
+    @pytest.mark.parametrize("case", NEW_CASES)
+    def test_rejects_publish(self, campaign_run, case):
+        """No case here can be deployed as an artifact (a genome is no
+        tree; an inline/unroll tree would be installed after prepare,
+        too late to act), so ``--publish`` is refused at session open —
+        not by ``build_artifact`` after the whole campaign has run."""
+        from repro.metaopt.harness import EvaluationHarness, case_study
+
+        config = campaign_run.config(case=case, generations=2)
+        harness = EvaluationHarness(case_study(case))
         with pytest.raises(ValueError, match="publish"):
             ExperimentRunner(config, run_dir=campaign_run.base / "run",
+                             harness=harness,
                              publish_dir=campaign_run.base / "art").run()
+        assert harness.compile_count == 0
+        assert not (campaign_run.base / "run" / "result.json").exists()

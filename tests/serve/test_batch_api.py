@@ -108,6 +108,17 @@ class TestErrorShape:
             assert status == 400, settings
             field = next(iter(settings))
             assert body["error"].startswith(f"bad settings: {field} must")
+        # a case whose candidates are not trees is refused up front,
+        # not answered item by item with an AttributeError on a warm
+        # harness nobody can use
+        payload = batch_payload()
+        payload["case"] = "flags"
+        status, _, body = post_batch(server, payload)
+        assert status == 400
+        assert body["schema"] == API_SCHEMA and body["ok"] is False
+        assert "flags" in body["error"]
+        assert not any(case == "flags"
+                       for case, _ in server.harness_pool._harnesses)
         # the same record guards the queued endpoint: a failed job
         # with the same text, not an OverflowError inside the simulator
         with pytest.raises(JobFailed, match="noise_stddev must be a finite"):

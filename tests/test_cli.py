@@ -194,6 +194,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", program, "--machine", "cray"])
 
+    def test_building_the_parser_stays_import_light(self):
+        """``--case`` choices come from the one name tuple in
+        ``repro.machine.descr``, so ``repro --help`` (and every
+        subcommand that never compiles) loads no compiler, GP,
+        experiments or serving module."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import json, sys; import repro.cli as cli; "
+                "cli.build_parser(); "
+                "print(json.dumps(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'repro')))")
+        output = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+        packages = {".".join(name.split(".")[:2])
+                    for name in json.loads(output)}
+        assert packages == {"repro", "repro.cli", "repro.ir",
+                            "repro.machine", "repro.obs"}
+
+    @pytest.mark.parametrize("command", ("simulate", "profile"))
+    def test_tree_only_commands_ask_the_case(self, command, capsys):
+        """No second list of "tree cases": argparse offers every case
+        and the case itself says it has no tree to deploy."""
+        assert main([command, "codrle4", "--case", "flags", "--json"]) == 2
+        failure = json.loads(capsys.readouterr().out)
+        assert failure["ok"] is False
+        assert "flags" in failure["error"]
+
 
 class TestVerify:
     def test_clean_program_exits_zero(self, program_file, capsys):
