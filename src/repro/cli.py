@@ -202,27 +202,19 @@ def _histogram_p50(data: dict) -> float:
 
 
 def _print_snapshot_table(snapshot: dict, harness_stats: dict) -> None:
-    """Compilation-forking health (docs/FORKING.md): hit ratio,
-    restore latency, LRU occupancy.  Silent when the layer never ran
-    (``--no-snapshot``, a hook whose stage runs first, or no backend
-    compiles)."""
-    counters = snapshot["counters"]
-    hits = counters.get("pipeline.snapshot.hits", 0)
-    misses = counters.get("pipeline.snapshot.misses", 0)
-    if hits + misses == 0:
-        return
+    """Compilation-forking health (docs/FORKING.md): programs whose
+    prefix was built, compiles that reused one, restore latency.
+    Silent when the layer never ran (``--no-snapshot``, a hook whose
+    stage runs first, or no backend compiles)."""
     restores = snapshot["histograms"].get(
-        "pipeline.snapshot.restore_seconds",
-        {"buckets": [0.0], "counts": [0, 0], "sum": 0.0, "count": 0})
+        "pipeline.snapshot.restore_seconds")
+    if restores is None or restores["count"] == 0:
+        return
     rows = [
-        ("hits", hits),
-        ("misses", misses),
-        ("hit_ratio", f"{hits / (hits + misses):.2f}"),
-        ("builds", counters.get("pipeline.snapshot.builds", 0)),
+        ("hits", harness_stats.get("snapshot_hits", 0)),
+        ("builds", harness_stats.get("snapshot_builds", 0)),
         ("restores", restores["count"]),
         ("restore_p50_ms", f"{_histogram_p50(restores) * 1000:.2f}"),
-        ("entries", harness_stats.get("snapshot_entries", 0)),
-        ("evictions", harness_stats.get("snapshot_evictions", 0)),
     ]
     print(f"{'snapshot':<24s}{'value':>12s}")
     for name, value in rows:
@@ -305,17 +297,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
             # Train a surrogate from the persistent cache and score
             # the baseline with it, so the surrogate table below has
             # something to show.
+            from repro.metaopt.fitness_cache import FitnessCache
             from repro.surrogate import (
                 FeatureExtractor,
                 train_from_cache,
             )
 
-            cache = _resolve_fitness_cache(args)
-            if cache is None:
+            cache_dir = _fitness_cache_dir(args)
+            if cache_dir is None:
                 raise SystemExit(
                     "repro profile --surrogate needs a fitness cache "
                     "(--fitness-cache DIR or $REPRO_FITNESS_CACHE)")
-            model, report = train_from_cache(cache, args.case)
+            model, report = train_from_cache(FitnessCache(cache_dir),
+                                             args.case)
             if model is not None:
                 extractor = FeatureExtractor(harness.case.pset)
                 prediction = model.predict(
@@ -539,12 +533,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_fitness_cache(args: argparse.Namespace):
-    """``--fitness-cache DIR`` / ``--no-fitness-cache`` / the
+def _fitness_cache_dir(args: argparse.Namespace) -> str | None:
+    """``--no-fitness-cache`` / ``--fitness-cache DIR`` / the
     ``REPRO_FITNESS_CACHE`` environment variable, in that order."""
-    from repro.metaopt.fitness_cache import cache_from_env
+    from repro.metaopt.fitness_cache import resolve_cache_dir
 
-    return cache_from_env(
+    return resolve_cache_dir(
         explicit_dir=getattr(args, "fitness_cache", None),
         disabled=getattr(args, "no_fitness_cache", False),
     )
@@ -665,8 +659,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         harness = EvaluationHarness(
             case,
-            EvalSettings(use_snapshots=not args.no_snapshot),
-            fitness_cache=_resolve_fitness_cache(args))
+            EvalSettings(use_snapshots=not args.no_snapshot,
+                         fitness_cache_dir=_fitness_cache_dir(args)))
         if artifact is not None:
             result = harness.simulate(artifact.tree(), args.benchmark,
                                       args.dataset)
@@ -700,11 +694,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if tracer is not None:
         print(f"trace written    : {args.trace}")
     return 0
-
-
-def _fitness_cache_dir(args: argparse.Namespace) -> str | None:
-    cache = _resolve_fitness_cache(args)
-    return str(cache.root) if cache is not None else None
 
 
 def _comma_list(text: str | None) -> tuple[str, ...]:
@@ -986,17 +975,19 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect the persistent fitness cache: ``stats`` summarizes the
     on-disk corpus, ``export`` streams the decodable records (the
     surrogate trainer's data source, docs/SURROGATE.md)."""
-    from repro.metaopt.fitness_cache import FitnessCache, cache_from_env
+    from repro.metaopt.fitness_cache import FitnessCache
 
-    cache = cache_from_env(
-        explicit_dir=getattr(args, "fitness_cache", None),
-        disabled=getattr(args, "no_fitness_cache", False),
-    )
-    if cache is None or cache.root is None:
+    cache_dir = _fitness_cache_dir(args)
+    if cache_dir is None:
         raise SystemExit(
             "repro cache: no cache directory — pass --fitness-cache DIR "
             "or set $REPRO_FITNESS_CACHE")
-    assert isinstance(cache, FitnessCache)
+    if not Path(cache_dir).is_dir():
+        # An inspection command creates nothing: a typo must not leave
+        # an empty cache behind and report "entries": 0.
+        raise SystemExit(
+            f"repro cache: {cache_dir} is not a directory")
+    cache = FitnessCache(cache_dir)
 
     if args.action == "stats":
         total = with_meta = 0

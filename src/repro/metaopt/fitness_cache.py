@@ -1,11 +1,12 @@
 """Persistent, content-addressed fitness cache.
 
 The paper memoizes benchmark fitnesses in memory because "fitness
-evaluations for our problem are costly".  That memo dies with the
-process, so every figure script and every resumed run re-simulates the
-same candidates from scratch.  This module adds the missing layer: a
-disk-backed store of :class:`~repro.machine.sim.SimResult` records,
-content-addressed by everything that determines a simulation's outcome:
+evaluations for our problem are costly".  That memo (the harness's
+cycles memo) dies with the process, so every figure script and every
+resumed run re-simulates the same candidates from scratch.  This module
+is the layer below it: a disk store of
+:class:`~repro.machine.sim.SimResult` records, content-addressed by
+everything that determines a simulation's outcome:
 
 * the candidate expression's structural key (native-callable
   priorities are *never* persisted — their identity is process-local);
@@ -23,8 +24,10 @@ Entries are one JSON file each under ``root/<xx>/<digest>.json`` (two-
 level fan-out keeps directories small); writes go to a temp file in the
 same directory followed by :func:`os.replace`, so concurrent workers
 sharing a cache directory can never observe a torn entry — last writer
-wins with identical bytes.  An in-memory write-through dict serves
-repeated lookups without touching the filesystem.
+wins with identical bytes.  Every :meth:`FitnessCache.get` reads the
+disk: the one caller, the harness, asks only after its own in-process
+memo missed, so a dict in here never answered anything
+(docs/FORKING.md, "What the traffic showed").
 
 Entries written by this version carry a ``meta`` sidecar (expression
 text, case, benchmark, dataset, noise, verified flag) so the cache can
@@ -102,30 +105,22 @@ def machine_fingerprint(machine: MachineDescription) -> str:
 
 def is_persistable_priority_key(priority_key: tuple) -> bool:
     """Only expression trees have process-independent identity; native
-    callables are keyed by ``id()`` and must stay in-memory only."""
+    callables are keyed per process and are never persisted."""
     return bool(priority_key) and priority_key[0] == "tree"
 
 
 class FitnessCache:
-    """Disk-backed simulation-result store with a write-through memory
-    layer.
+    """Simulation-result store in the directory ``root`` (created if
+    missing)."""
 
-    ``root=None`` builds a memory-only cache (useful for tests and for
-    keeping one in-process layer of indirection regardless of whether
-    persistence is enabled).
-    """
-
-    def __init__(self, root: str | os.PathLike | None) -> None:
-        self.root = Path(root) if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, SimResult] = {}
+    def __init__(self, root: str | os.PathLike) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
         # One instance may be shared by the serving daemon's worker
-        # threads; the lock covers the memory layer and the counters
-        # (disk entries were already safe: atomic-rename writes).
+        # threads; the lock covers the counters (disk entries are safe
+        # on their own: atomic-rename writes).
         self._lock = threading.Lock()
         self.hits = 0
-        self.disk_hits = 0
         self.misses = 0
         self.stores = 0
 
@@ -165,7 +160,6 @@ class FitnessCache:
 
     # -- lookup / store -------------------------------------------------
     def _path_for(self, key: str) -> Path:
-        assert self.root is not None
         return self.root / key[:2] / f"{key}.json"
 
     @staticmethod
@@ -192,28 +186,18 @@ class FitnessCache:
             return None, None
 
     def get(self, key: str) -> SimResult | None:
+        try:
+            data = json.loads(self._path_for(key).read_text())
+        except (OSError, ValueError):
+            result = None
+        else:
+            result, _meta = self._parse_entry(data)
         with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
+            if result is not None:
                 self.hits += 1
-                return cached
-        if self.root is not None:
-            path = self._path_for(key)
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                data = None
-            if data is not None:
-                result, _meta = self._parse_entry(data)
-                if result is not None:
-                    with self._lock:
-                        self._memory[key] = result
-                        self.hits += 1
-                        self.disk_hits += 1
-                    return result
-        with self._lock:
-            self.misses += 1
-        return None
+            else:
+                self.misses += 1
+        return result
 
     def put(self, key: str, result: SimResult,
             meta: dict | None = None) -> None:
@@ -222,10 +206,7 @@ class FitnessCache:
         persisted alongside the result for :meth:`scan`; it never
         affects lookups."""
         with self._lock:
-            self._memory[key] = result
             self.stores += 1
-        if self.root is None:
-            return
         path = self._path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = {
@@ -254,11 +235,8 @@ class FitnessCache:
 
         Yields :class:`CacheRecord` in deterministic (sorted-path)
         order.  Undecodable or stale-schema files are skipped silently,
-        matching :meth:`get`'s treatment of them as misses.  Memory-only
-        caches yield nothing: the scan surface is the disk corpus.
+        matching :meth:`get`'s treatment of them as misses.
         """
-        if self.root is None:
-            return
         for path in sorted(self.root.glob("??/*.json")):
             if path.name.startswith(".tmp-"):
                 continue
@@ -271,33 +249,19 @@ class FitnessCache:
                 continue
             yield CacheRecord(key=path.stem, result=result, meta=meta)
 
-    # -- maintenance ----------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
-        with self._lock:
-            self._memory.clear()
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
                 "hits": self.hits,
-                "disk_hits": self.disk_hits,
                 "misses": self.misses,
                 "stores": self.stores,
-                "in_memory": len(self._memory),
             }
 
 
-def cache_from_env(
-    explicit_dir: str | None = None,
-    disabled: bool = False,
-    env_var: str = "REPRO_FITNESS_CACHE",
-) -> FitnessCache | None:
-    """Resolve CLI/env configuration into a cache (or ``None``).
+def resolve_cache_dir(explicit_dir: str | None = None,
+                      disabled: bool = False) -> str | None:
+    """Resolve CLI/env configuration into a cache directory (or
+    ``None``), creating nothing.
 
     Precedence: ``disabled`` beats everything; an explicit directory
     beats the ``REPRO_FITNESS_CACHE`` environment variable; with
@@ -305,7 +269,7 @@ def cache_from_env(
     """
     if disabled:
         return None
-    directory = explicit_dir or os.environ.get(env_var)
-    if not directory:
-        return None
-    return FitnessCache(directory)
+    directory = explicit_dir or os.environ.get("REPRO_FITNESS_CACHE")
+    # Spelled the way FitnessCache.root spells it: the string lands in
+    # config.json, and "cache/" and "cache" are one store.
+    return str(Path(directory)) if directory else None

@@ -10,14 +10,16 @@ Costly work is reused in layers, mirroring the paper's memoization
 are so costly").  Under one harness, outermost first:
 
 * cycles memo — the :class:`SimResult` of one (expression structure,
-  benchmark, dataset), baselines included;
-* persistent fitness cache (optional,
+  benchmark, dataset), baselines included: it answers the baseline
+  half of every ``speedup()`` and the daemon's hot ``evaluate``;
+* persistent fitness cache (``settings.fitness_cache_dir``,
   :class:`~repro.metaopt.fitness_cache.FitnessCache`) — the same
-  result across processes and runs, skipping compile + simulate;
+  result on disk, across processes and runs, skipping compile +
+  simulate;
 * prepared program — frontend, candidate-independent passes and the
   training profile, per benchmark;
-* snapshot LRU — the backend state just before the hook's stage, per
-  benchmark, shared by the whole population (docs/FORKING.md);
+* prefix snapshot — the backend state just before the hook's stage,
+  per benchmark, shared by the whole population (docs/FORKING.md);
 * binary-digest memo — the simulation of one scheduled binary, shared
   by every candidate that compiles to it;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
@@ -31,15 +33,12 @@ import threading
 import zlib
 from dataclasses import dataclass, replace
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterable,
     Protocol,
     runtime_checkable,
 )
 
-if TYPE_CHECKING:
-    from repro.metaopt.fitness_cache import FitnessCache
 from repro import obs
 from repro.frontend import compile_source
 from repro.gp.generate import PrimitiveSet
@@ -54,6 +53,7 @@ from repro.machine.descr import (
 )
 from repro.machine.sim import SimResult, Simulator
 from repro.metaopt.baselines import BASELINE_TREES
+from repro.metaopt.fitness_cache import FitnessCache
 from repro.metaopt.psets import PSETS
 from repro.metaopt.priority import PriorityFunction
 from repro.metaopt.settings import EvalSettings
@@ -64,7 +64,7 @@ from repro.passes.pipeline import (
     compile_backend,
     prepare,
 )
-from repro.passes.snapshot import SnapshotCache
+from repro.passes.snapshot import PipelineSnapshot, build_snapshot
 from repro.suite.registry import get as get_benchmark
 
 
@@ -254,6 +254,11 @@ def _priority_key(priority) -> tuple:
             _native_sequence(priority))
 
 
+#: Step budget of the reference interpreter, for the training profile
+#: and the differential guard's reference run.
+MAX_INTERP_STEPS = 10_000_000
+
+
 def _as_hook(priority):
     if isinstance(priority, Node):
         return PriorityFunction(priority)
@@ -274,31 +279,29 @@ class EvaluationHarness:
     """
 
     def __init__(self, case: CaseStudy,
-                 settings: EvalSettings | None = None,
-                 *,
-                 max_interp_steps: int = 10_000_000,
-                 fitness_cache: "FitnessCache | None" = None) -> None:
+                 settings: EvalSettings | None = None) -> None:
         settings = settings if settings is not None else EvalSettings()
         self.case = case
         self.settings = settings
-        #: convenience mirrors of ``settings`` fields, kept because the
-        #: pre-EvalSettings attribute surface is public API
-        self.noise_stddev = settings.noise_stddev
-        self.verify_outputs = settings.verify_outputs
-        self.use_snapshots = settings.use_snapshots
-        self.max_interp_steps = max_interp_steps
-        #: optional persistent layer (repro.metaopt.fitness_cache);
-        #: injectable, else built from ``settings.fitness_cache_dir``
-        if fitness_cache is None and settings.fitness_cache_dir is not None:
-            from repro.metaopt.fitness_cache import FitnessCache
-
-            fitness_cache = FitnessCache(settings.fitness_cache_dir)
-        self.fitness_cache = fitness_cache
-        #: compilation forking (docs/FORKING.md); None when off
-        self.snapshot_cache = SnapshotCache() if self.use_snapshots \
-            else None
+        #: persistent layer (repro.metaopt.fitness_cache); None when off
+        self.fitness_cache = (
+            FitnessCache(settings.fitness_cache_dir)
+            if settings.fitness_cache_dir is not None else None)
         self._prepared: dict[str, PreparedProgram] = {}
+        #: compilation forking (docs/FORKING.md): the stage candidates
+        #: replay from; None when off, for a prepare-stage case, and
+        #: for a hook whose stage runs first (nothing upstream to share)
+        self._fork_stage = case.stage if (
+            settings.use_snapshots
+            and case.stage != case.options.backend_order[0]) else None
+        #: post-prefix state per benchmark: a case's options differ
+        #: between candidates in the hook alone
+        self._snapshots: dict[str, PipelineSnapshot] = {}
         self._cycles_memo: dict[tuple, SimResult] = {}
+        #: ``simulate`` calls (lock-free, like the hit: exact on one
+        #: thread) and those that went below the memo (under the lock)
+        self.memo_lookups = 0
+        self.memo_misses = 0
         #: held across a ``simulate`` miss; a memo hit never takes it
         self._miss_lock = threading.Lock()
         #: content-addressed simulation memo keyed by scheduled-binary
@@ -315,6 +318,7 @@ class EvaluationHarness:
         self.compile_count = 0
         self.sim_count = 0
         self.cache_hits = 0
+        self.snapshot_hits = 0
         #: simulations skipped because an identical binary was already run
         self.binary_hits = 0
         #: total simulated machine cycles across fresh (uncached) runs —
@@ -327,7 +331,7 @@ class EvaluationHarness:
         bench = get_benchmark(benchmark)
         module = compile_source(bench.source, bench.name)
         return prepare(module, bench.inputs("train"), options,
-                       max_steps=self.max_interp_steps)
+                       max_steps=MAX_INTERP_STEPS)
 
     def prepared(self, benchmark: str) -> PreparedProgram:
         cached = self._prepared.get(benchmark)
@@ -343,11 +347,13 @@ class EvaluationHarness:
         ``dataset``; memoized.  Safe on a harness threads share (the
         daemon's): a hit takes no lock, a miss is single-flight."""
         key = (_priority_key(priority), benchmark, dataset)
+        self.memo_lookups += 1
         cached = self._cycles_memo.get(key)
         if cached is None:
             with self._miss_lock:
                 cached = self._cycles_memo.get(key)
                 if cached is None:
+                    self.memo_misses += 1
                     # Published last: a lock-free hit must never see a
                     # result whose divergence verdict is still pending.
                     cached = self._simulate_miss(priority, key)
@@ -363,11 +369,11 @@ class EvaluationHarness:
             persist_key = self.fitness_cache.result_key(
                 case_name=self.case.name,
                 machine=self.case.machine,
-                noise_stddev=self.noise_stddev,
+                noise_stddev=self.settings.noise_stddev,
                 priority_key=key[0],
                 benchmark=benchmark,
                 dataset=dataset,
-                verified=self.verify_outputs,
+                verified=self.settings.verify_outputs,
             )
         if persist_key is not None:
             stored = self.fitness_cache.get(persist_key)
@@ -395,8 +401,9 @@ class EvaluationHarness:
         # so both disable the shortcut).  Rides the snapshot switch so
         # ``--no-snapshot`` is the exact seed path, digest cost included.
         digest_key = None
-        if (self.use_snapshots and self.noise_stddev == 0.0
-                and not self.verify_outputs):
+        if (self.settings.use_snapshots
+                and self.settings.noise_stddev == 0.0
+                and not self.settings.verify_outputs):
             digest_key = (scheduled.content_digest(), benchmark, dataset)
             stored = self._binary_memo.get(digest_key)
             if stored is not None:
@@ -411,7 +418,7 @@ class EvaluationHarness:
         simulator = Simulator(
             scheduled,
             self.case.machine,
-            noise_stddev=self.noise_stddev,
+            noise_stddev=self.settings.noise_stddev,
             # crc32, not hash(): stable across interpreter runs so
             # memoized noisy measurements are reproducible.
             noise_seed=zlib.crc32(repr(key).encode()),
@@ -425,7 +432,7 @@ class EvaluationHarness:
         if digest_key is not None:
             self._binary_memo[digest_key] = result
         diverged = False
-        if self.verify_outputs:
+        if self.settings.verify_outputs:
             diverged = self._check_against_reference(
                 key, benchmark, dataset, simulator, result, scheduled)
         if persist_key is not None and not diverged:
@@ -446,23 +453,24 @@ class EvaluationHarness:
             "case": self.case.name,
             "benchmark": benchmark,
             "dataset": dataset,
-            "noise_stddev": self.noise_stddev,
-            "verified": self.verify_outputs,
+            "noise_stddev": self.settings.noise_stddev,
+            "verified": self.settings.verify_outputs,
         }
 
     def _compile(self, prep: PreparedProgram, options: CompilerOptions,
                  benchmark: str):
         """``compile_backend``, through the forking layer when on: the
-        shared prefix is restored from a snapshot and only the hook's
-        suffix runs (docs/FORKING.md).  Prepare-stage cases have no
-        shared prefix (no backend ``stage``), and the cache answers
-        ``None`` for a hook whose stage runs first; both take the full
-        backend path."""
+        shared prefix is restored from the program's snapshot and only
+        the hook's suffix runs (docs/FORKING.md).  Runs under
+        ``_miss_lock``, so the first compile builds the snapshot once."""
         snapshot = None
-        stage = self.case.stage
-        if self.snapshot_cache is not None and stage is not None:
-            snapshot = self.snapshot_cache.get_or_build(
-                benchmark, prep, options, stage)
+        if self._fork_stage is not None:
+            snapshot = self._snapshots.get(benchmark)
+            if snapshot is None:
+                snapshot = self._snapshots[benchmark] = build_snapshot(
+                    prep, options, self._fork_stage)
+            else:
+                self.snapshot_hits += 1
         return compile_backend(prep, options, snapshot=snapshot)
 
     # -- differential guard ------------------------------------------------
@@ -477,7 +485,7 @@ class EvaluationHarness:
 
         prep = self.prepared(benchmark)
         bench = get_benchmark(benchmark)
-        interp = Interpreter(prep.module, max_steps=self.max_interp_steps)
+        interp = Interpreter(prep.module, max_steps=MAX_INTERP_STEPS)
         for name, values in bench.inputs(dataset).items():
             interp.set_global(name, values)
         result = fault = None
@@ -552,17 +560,20 @@ class EvaluationHarness:
             "compiles": self.compile_count,
             "sims": self.sim_count,
             "sim_cycles": self.sim_cycles,
+            "memo_lookups": self.memo_lookups,
+            "memo_hits": self.memo_lookups - self.memo_misses,
             "persistent_cache_hits": self.cache_hits,
             "binary_cache_hits": self.binary_hits,
         }
-        if self.verify_outputs:
+        if self.settings.verify_outputs:
             counters["divergences"] = len(self.divergences)
-        if self.snapshot_cache is not None:
-            for key, value in self.snapshot_cache.stats().items():
-                counters[f"snapshot_{key}"] = value
+        if self.settings.use_snapshots:
+            counters["snapshot_hits"] = self.snapshot_hits
+            counters["snapshot_builds"] = len(self._snapshots)
         if self.fitness_cache is not None:
-            for key, value in self.fitness_cache.stats().items():
-                counters[f"fitness_cache_{key}"] = value
+            cache = self.fitness_cache.stats()
+            counters["fitness_cache_misses"] = cache["misses"]
+            counters["fitness_cache_stores"] = cache["stores"]
         return counters
 
     def evaluator(self, dataset: str = "train") -> "HarnessEvaluator":

@@ -76,7 +76,7 @@ BACKEND_STAGES: tuple[str, ...] = (
     "hyperblock", "prefetch", "regalloc", "schedule")
 
 #: CompilerOptions hook attribute -> the backend stage it steers: the
-#: one hook<->stage map (the snapshot fingerprint reads it backwards).
+#: one hook<->stage map.
 #: Prepare-stage hooks (``inline_priority``, ``unroll_priority``) and
 #: the flags genome have no backend stage and are deliberately absent:
 #: their candidates re-run :func:`prepare`, so nothing downstream of a
@@ -333,18 +333,14 @@ def _run_backend_stage(
     raise ValueError(f"unknown backend stage {stage!r}")
 
 
-def run_prefix(
-    prepared: PreparedProgram,
-    options: CompilerOptions | None = None,
-    stage: str = "schedule",
-) -> tuple[Module, BackendReport]:
+def run_prefix(prepared: PreparedProgram, options: CompilerOptions,
+               stage: str) -> tuple[Module, BackendReport]:
     """Run the backend stages strictly before ``stage`` and return the
     working module plus the partial report — the state a
     :class:`~repro.passes.snapshot.PipelineSnapshot` deep-freezes.
     ``verify_ir`` checkpoints for the prefix stages fire here, once per
     snapshot build rather than once per candidate (the replayed IR is
     identical every time)."""
-    options = options or prepared.options
     if options.heuristic_artifact is not None:
         options = options.heuristic_artifact.install(options)
     if stage not in BACKEND_STAGES:

@@ -9,24 +9,24 @@ baseline (docs/CASES.md), and the capability matrix in that document is
 regenerated from the table and compared.
 """
 
+import random
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import config as experiments_config
-from repro.gp.generate import PrimitiveSet
+from repro.gp.generate import PrimitiveSet, TreeGenerator
 from repro.gp.genome import expression_text
 from repro.machine.descr import CASE_NAMES
 from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.harness import _CASE_TABLE, case_study
+from repro.metaopt.harness import _CASE_TABLE, _as_hook, case_study
 from repro.metaopt.psets import PSETS
 from repro.passes.pipeline import (
     BACKEND_STAGES,
     STAGE_BY_HOOK,
     CompilerOptions,
 )
-from repro.passes.snapshot import options_fingerprint
 from repro.serve.artifact import ArtifactError, build_artifact
 
 CASES_DOC = Path(__file__).resolve().parents[2] / "docs" / "CASES.md"
@@ -108,19 +108,25 @@ class TestRow:
         assert callable(getattr(installed, case.hook))
 
     def test_snapshot_fingerprint_reads_the_same_hook_stage_map(self, name):
+        """What keys a harness's prefix snapshots by program alone: two
+        candidates of a case get options that differ in ``case.hook``
+        and nowhere else, so everything upstream of the hook's stage is
+        a constant of the case.  (The name predates the per-program
+        dict; the ids are pinned by the test floor.)"""
         case = case_study(name)
-        if case.stage is None:
-            assert case.hook not in STAGE_BY_HOOK
+        if case.hook is None:
+            # the genome IS the options delta; nothing is forked
+            assert case.stage is None
             return
-        order = case.options.backend_order
-        prefix = order[:order.index(case.stage)]
-        keyed = {key for key, _ in
-                 options_fingerprint(case.options, case.stage)}
-        assert keyed & set(STAGE_BY_HOOK) == {
-            hook for hook, stage in STAGE_BY_HOOK.items()
-            if stage in prefix}
-        # the hook under study never keys its own snapshot
-        assert case.hook not in keyed
+        generator = TreeGenerator(case.pset, random.Random(2))
+        options_a, options_b = (
+            case.options_for(_as_hook(tree))
+            for tree in generator.ramped_half_and_half(2))
+        differing = {field.name for field in fields(CompilerOptions)
+                     if getattr(options_a, field.name)
+                     is not getattr(options_b, field.name)}
+        assert differing == {case.hook}
+        assert (case.stage is None) == (case.hook not in STAGE_BY_HOOK)
 
 
 def _matrix_lines() -> list[str]:

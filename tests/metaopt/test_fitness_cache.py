@@ -10,9 +10,9 @@ from repro.machine.descr import DEFAULT_EPIC, REGALLOC_MACHINE
 from repro.machine.sim import SimResult
 from repro.metaopt.fitness_cache import (
     FitnessCache,
-    cache_from_env,
     machine_fingerprint,
     pipeline_fingerprint,
+    resolve_cache_dir,
 )
 from repro.metaopt.harness import EvaluationHarness, case_study
 from repro.metaopt.settings import EvalSettings
@@ -24,8 +24,8 @@ def sample_result(cycles=1234):
 
 
 class TestKeying:
-    def test_tree_keys_stable_and_discriminating(self):
-        cache = FitnessCache(None)
+    def test_tree_keys_stable_and_discriminating(self, tmp_path):
+        cache = FitnessCache(tmp_path)
         base = dict(case_name="hyperblock", machine=DEFAULT_EPIC,
                     noise_stddev=0.0,
                     priority_key=("tree", ("rconst", 1.0)),
@@ -42,8 +42,8 @@ class TestKeying:
         ):
             assert cache.result_key(**{**base, **change}) != key
 
-    def test_native_priorities_never_persisted(self):
-        cache = FitnessCache(None)
+    def test_native_priorities_never_persisted(self, tmp_path):
+        cache = FitnessCache(tmp_path)
         key = cache.result_key(
             case_name="hyperblock", machine=DEFAULT_EPIC, noise_stddev=0.0,
             priority_key=("native", "<lambda>", 12345),
@@ -71,18 +71,9 @@ class TestRoundTrip:
         reader = FitnessCache(tmp_path)
         recalled = reader.get(key)
         assert recalled == result
-        assert reader.disk_hits == 1
-        # second lookup is served from memory
-        reader.get(key)
-        assert reader.disk_hits == 1
-
-    def test_memory_only_cache(self):
-        cache = FitnessCache(None)
-        key = "a" * 64
-        cache.put(key, sample_result())
-        assert cache.get(key).cycles == 1234
-        cache.clear_memory()
-        assert cache.get(key) is None
+        assert reader.get("0" * 64) is None
+        assert reader.stats() == {"hits": 1, "misses": 1, "stores": 0}
+        assert writer.stats() == {"hits": 0, "misses": 0, "stores": 1}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = FitnessCache(tmp_path)
@@ -105,20 +96,26 @@ class TestRoundTrip:
 class TestEnvResolution:
     def test_disabled_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FITNESS_CACHE", str(tmp_path))
-        assert cache_from_env(disabled=True) is None
+        assert resolve_cache_dir(disabled=True) is None
 
     def test_explicit_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FITNESS_CACHE", str(tmp_path / "env"))
-        cache = cache_from_env(explicit_dir=str(tmp_path / "explicit"))
-        assert cache.root == tmp_path / "explicit"
+        assert resolve_cache_dir(
+            explicit_dir=str(tmp_path / "explicit")) == \
+            str(tmp_path / "explicit")
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FITNESS_CACHE", str(tmp_path / "env"))
-        assert cache_from_env().root == tmp_path / "env"
+        # spelled like FitnessCache.root (it lands in config.json),
+        # and resolving creates nothing
+        assert resolve_cache_dir() == str(tmp_path / "env")
+        monkeypatch.setenv("REPRO_FITNESS_CACHE", f"{tmp_path}/env/")
+        assert resolve_cache_dir() == str(tmp_path / "env")
+        assert not (tmp_path / "env").exists()
 
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FITNESS_CACHE", raising=False)
-        assert cache_from_env() is None
+        assert resolve_cache_dir() is None
 
 
 class TestHarnessIntegration:
@@ -129,11 +126,13 @@ class TestHarnessIntegration:
         tree = PriorityFunction.from_text(
             "(add exec_ratio 2.0)", case.pset).tree
 
-        cold = EvaluationHarness(case, fitness_cache=FitnessCache(tmp_path))
+        cold = EvaluationHarness(
+            case, EvalSettings(fitness_cache_dir=tmp_path))
         cold_speedup = cold.speedup(tree, "codrle4")
         assert cold.sim_count == 2 and cold.compile_count == 2
 
-        warm = EvaluationHarness(case, fitness_cache=FitnessCache(tmp_path))
+        warm = EvaluationHarness(
+            case, EvalSettings(fitness_cache_dir=tmp_path))
         warm_speedup = warm.speedup(tree, "codrle4")
         assert warm_speedup == cold_speedup  # bit-identical
         assert warm.sim_count == 0
@@ -143,15 +142,16 @@ class TestHarnessIntegration:
     def test_noise_levels_do_not_cross_contaminate(self, tmp_path):
         case = case_study("hyperblock")
         tree = case.baseline_tree()
-        clean = EvaluationHarness(case, fitness_cache=FitnessCache(tmp_path))
-        noisy = EvaluationHarness(case, EvalSettings(noise_stddev=0.5),
-                                  fitness_cache=FitnessCache(tmp_path))
+        clean = EvaluationHarness(
+            case, EvalSettings(fitness_cache_dir=tmp_path))
+        noisy = EvaluationHarness(case, EvalSettings(
+            noise_stddev=0.5, fitness_cache_dir=tmp_path))
         clean_cycles = clean.simulate(tree, "codrle4").cycles
         noisy_cycles = noisy.simulate(tree, "codrle4").cycles
         assert noisy.cache_hits == 0
         # and the noisy measurement is reproducible from its own entry
-        noisy_again = EvaluationHarness(case, EvalSettings(noise_stddev=0.5),
-                                        fitness_cache=FitnessCache(tmp_path))
+        noisy_again = EvaluationHarness(case, EvalSettings(
+            noise_stddev=0.5, fitness_cache_dir=tmp_path))
         assert noisy_again.simulate(tree, "codrle4").cycles == noisy_cycles
         assert noisy_again.sim_count == 0
         assert clean_cycles == clean.simulate(tree, "codrle4").cycles
@@ -204,15 +204,10 @@ class TestScan:
         records = list(FitnessCache(tmp_path).scan())
         assert [r.key for r in records] == ["b" * 64]
 
-    def test_scan_on_memory_only_cache_is_empty(self):
-        cache = FitnessCache(None)
-        cache.put("a" * 64, sample_result())
-        assert list(cache.scan()) == []
-
     def test_harness_writes_meta(self, tmp_path):
         case = case_study("hyperblock")
         harness = EvaluationHarness(
-            case, fitness_cache=FitnessCache(tmp_path))
+            case, EvalSettings(fitness_cache_dir=tmp_path))
         harness.speedup(case.baseline_tree(), "codrle4")
         metas = [r.meta for r in FitnessCache(tmp_path).scan()]
         assert metas and all(m is not None for m in metas)

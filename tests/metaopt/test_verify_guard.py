@@ -58,26 +58,27 @@ class TestGuard:
         assert harness.speedup(tree, BENCHMARK) > 0.0
         assert "divergences" not in harness.stats()
 
-    def test_diverged_results_not_persisted(self, corrupted_simulator):
-        cache = FitnessCache(None)
-        harness = EvaluationHarness(case_study("hyperblock"),
-                                    EvalSettings(verify_outputs=True),
-                                    fitness_cache=cache)
+    def test_diverged_results_not_persisted(self, corrupted_simulator,
+                                            tmp_path):
+        harness = EvaluationHarness(
+            case_study("hyperblock"),
+            EvalSettings(verify_outputs=True, fitness_cache_dir=tmp_path))
         harness.speedup(harness.case.baseline_tree(), BENCHMARK)
-        assert cache.stores == 0
+        assert harness.fitness_cache.stores == 0
+        assert list(FitnessCache(tmp_path).scan()) == []
 
-    def test_clean_results_are_persisted(self):
-        cache = FitnessCache(None)
-        harness = EvaluationHarness(case_study("hyperblock"),
-                                    EvalSettings(verify_outputs=True),
-                                    fitness_cache=cache)
+    def test_clean_results_are_persisted(self, tmp_path):
+        harness = EvaluationHarness(
+            case_study("hyperblock"),
+            EvalSettings(verify_outputs=True, fitness_cache_dir=tmp_path))
         harness.speedup(harness.case.baseline_tree(), BENCHMARK)
-        assert cache.stores > 0
+        assert harness.fitness_cache.stores > 0
+        assert list(FitnessCache(tmp_path).scan())
 
 
 class TestCacheKeying:
-    def test_verified_flag_partitions_the_cache(self):
-        cache = FitnessCache(None)
+    def test_verified_flag_partitions_the_cache(self, tmp_path):
+        cache = FitnessCache(tmp_path)
         tree = case_study("hyperblock").baseline_tree()
         priority_key = ("tree",) + tree.structural_key()
         common = dict(case_name="hyperblock", machine=DEFAULT_EPIC,
@@ -88,19 +89,20 @@ class TestCacheKeying:
         assert unverified is not None and verified is not None
         assert unverified != verified
 
-    def test_guarded_harness_never_reads_unverified_entries(self):
+    def test_guarded_harness_never_reads_unverified_entries(self, tmp_path):
         """An unverified cache entry written by a guardless run must not
         satisfy a guarded run's lookup."""
-        cache = FitnessCache(None)
-        unguarded = EvaluationHarness(case_study("hyperblock"),
-                                      fitness_cache=cache)
+        unguarded = EvaluationHarness(
+            case_study("hyperblock"),
+            EvalSettings(fitness_cache_dir=tmp_path))
         tree = unguarded.case.baseline_tree()
         unguarded.speedup(tree, BENCHMARK)
-        stored = cache.stores
+        assert unguarded.fitness_cache.stores > 0
 
-        guarded = EvaluationHarness(case_study("hyperblock"),
-                                    EvalSettings(verify_outputs=True),
-                                    fitness_cache=cache)
+        guarded = EvaluationHarness(
+            case_study("hyperblock"),
+            EvalSettings(verify_outputs=True, fitness_cache_dir=tmp_path))
         guarded.speedup(tree, BENCHMARK)
         assert guarded.cache_hits == 0  # no cross-pollination
-        assert cache.stores > stored  # re-simulated and stored anew
+        # re-simulated and stored anew
+        assert guarded.fitness_cache.stores > 0

@@ -149,8 +149,6 @@ class TestFitnessCacheUnderThreads:
         assert stats["stores"] == writes
         assert stats["hits"] == writes
         assert stats["misses"] == 2 * writes
-        assert stats["in_memory"] == writes
-        assert len(cache) == writes
 
     def test_shared_hot_key_all_threads_hit(self, tmp_path):
         cache = FitnessCache(tmp_path / "cache")
@@ -183,22 +181,7 @@ class TestFitnessCacheUnderThreads:
         fresh = FitnessCache(tmp_path / "cache")
         stored = fresh.get(key)
         assert stored is not None  # readable, i.e. not torn
-        assert fresh.stats()["disk_hits"] == 1
-
-    def test_memory_only_cache_safe(self):
-        cache = FitnessCache(None)
-        barrier = threading.Barrier(THREADS)
-
-        def worker(slot):
-            barrier.wait()
-            for n in range(ROUNDS):
-                cache.put(f"{'c' * 62}{slot}{n}", self._result(n))
-                cache.clear_memory() if slot == 0 and n % 3 == 0 else None
-                len(cache)
-                cache.stats()
-
-        run_threads(worker)
-        assert cache.stats()["stores"] == THREADS * ROUNDS
+        assert fresh.stats()["hits"] == 1
 
 
 def hyperblock_candidates():
@@ -240,6 +223,7 @@ class TestSharedHarnessUnderThreads:
         finally:
             sys.setswitchinterval(interval)
         assert shared.compile_count == len(keys)
+        assert shared.memo_misses == len(keys)
         assert shared.sim_count == serial.sim_count
         assert len(shared._prepared) == len(benchmarks)
 

@@ -457,6 +457,16 @@ class TestCacheCommand:
         with pytest.raises(SystemExit):
             main(["cache", "stats"])
 
+    @pytest.mark.parametrize("action", ("stats", "export"))
+    def test_missing_directory_is_refused_not_created(self, action,
+                                                      tmp_path, capsys):
+        typo = tmp_path / "typo_cache_dir"
+        assert main(["cache", action, "--fitness-cache", str(typo),
+                     "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False and str(typo) in payload["error"]
+        assert not typo.exists()
+
 
 class TestSurrogateFlags:
     def test_evolve_surrogate_smoke(self, tmp_path, capsys):
