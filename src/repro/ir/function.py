@@ -9,6 +9,7 @@ Concrete addresses matter because the cache model hashes them into sets.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.ir.block import Block
@@ -190,6 +191,35 @@ class Module:
         for function in self.functions.values():
             twin.add_function(function.clone())
         return twin
+
+    def content_digest(self) -> str:
+        """Stable content identity of the module as the backend stages
+        read it: instruction text and hazard markers, block order and
+        labels, each function's signature, frame size, local arrays and
+        next virtual register (spill temporaries are numbered from
+        it), and the globals in insertion order (which decides base
+        addresses).  Process-local instruction uids are excluded, so a
+        :meth:`clone` — and two GP candidates whose stage produced the
+        same IR — share a digest.  The IR-level counterpart of
+        :meth:`repro.machine.vliw.ScheduledModule.content_digest`."""
+        digest = hashlib.sha256()
+        for gname, array in self.globals.items():
+            digest.update(f"global {gname} size={array.size} "
+                          f"type={array.elem_type.value} "
+                          f"init={array.init!r}\n".encode())
+        for name, func in self.functions.items():
+            digest.update(
+                f"func {name} params={[str(p) for p in func.params]!r} "
+                f"returns={func.return_type!r} frame={func.frame_words} "
+                f"locals={list(func.local_arrays.items())!r} "
+                f"next_vreg={func._next_vreg}\n".encode())
+            for label in func.block_order:
+                # hazard is not in __str__, and is semantic
+                text = "".join([f"{instr}!h;" if instr.hazard
+                                else f"{instr};"
+                                for instr in func.blocks[label].instrs])
+                digest.update(f"{label}:{text}\n".encode())
+        return digest.hexdigest()
 
     def validate(self) -> None:
         for function in self.functions.values():

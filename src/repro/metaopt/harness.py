@@ -20,8 +20,10 @@ are so costly").  Under one harness, outermost first:
   training profile, per benchmark;
 * prefix snapshot — the backend state just before the hook's stage,
   per benchmark, shared by the whole population (docs/FORKING.md);
-* binary-digest memo — the simulation of one scheduled binary, shared
-  by every candidate that compiles to it;
+* content-digest memo — the simulation of one IR as it leaves the
+  hook's stage (the scheduled binary when the candidate steers
+  ``prepare`` or scheduling), shared by every candidate that produces
+  it: a hit skips the rest of the backend and the simulator;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
   block functions of one scheduled binary.
 """
@@ -288,12 +290,13 @@ class EvaluationHarness:
             FitnessCache(settings.fitness_cache_dir)
             if settings.fitness_cache_dir is not None else None)
         self._prepared: dict[str, PreparedProgram] = {}
+        stage = case.stage
         #: compilation forking (docs/FORKING.md): the stage candidates
         #: replay from; None when off, for a prepare-stage case, and
         #: for a hook whose stage runs first (nothing upstream to share)
-        self._fork_stage = case.stage if (
+        self._fork_stage = stage if (
             settings.use_snapshots
-            and case.stage != case.options.backend_order[0]) else None
+            and stage != case.options.backend_order[0]) else None
         #: post-prefix state per benchmark: a case's options differ
         #: between candidates in the hook alone
         self._snapshots: dict[str, PipelineSnapshot] = {}
@@ -304,10 +307,22 @@ class EvaluationHarness:
         self.memo_misses = 0
         #: held across a ``simulate`` miss; a memo hit never takes it
         self._miss_lock = threading.Lock()
-        #: content-addressed simulation memo keyed by scheduled-binary
-        #: digest: distinct candidates frequently reach identical
-        #: binaries, whose simulations are identical under zero noise
-        self._binary_memo: dict[tuple, SimResult] = {}
+        #: content-addressed simulation memo: distinct candidates often
+        #: leave the hook's stage with identical IR, whose compiles and
+        #: simulations are identical under zero noise.  Keyed by
+        #: (digest after ``_memo_stage``, benchmark, dataset); everything
+        #: after the hook's stage reads only that IR and constants of
+        #: the case.  ``flags`` varies backend options and prepare-stage
+        #: cases have no hook stage, so they key on the scheduled
+        #: binary.  Noise is keyed per candidate and the differential
+        #: guard wants a live simulator, so both switch it off, and it
+        #: rides the snapshot switch so ``--no-snapshot`` is the exact
+        #: seed path, digest cost included.
+        self._memo_stage = (stage or "schedule") if (
+            settings.use_snapshots
+            and settings.noise_stddev == 0.0
+            and not settings.verify_outputs) else None
+        self._digest_memo: dict[tuple, SimResult] = {}
         self._baseline_tree = None
         #: per-(benchmark, dataset) interpreter reference observables
         self._reference_memo: dict[tuple, tuple] = {}
@@ -319,8 +334,8 @@ class EvaluationHarness:
         self.sim_count = 0
         self.cache_hits = 0
         self.snapshot_hits = 0
-        #: simulations skipped because an identical binary was already run
-        self.binary_hits = 0
+        #: compiles ended at ``_memo_stage`` by a content-digest hit
+        self.digest_hits = 0
         #: total simulated machine cycles across fresh (uncached) runs —
         #: the "simulated time" counterpart of wall-clock telemetry
         self.sim_cycles = 0
@@ -391,28 +406,30 @@ class EvaluationHarness:
             prep = self._prepare(benchmark, options)
         else:
             prep = self.prepared(benchmark)
-        scheduled, _report = self._compile(prep, options, benchmark)
+
+        # Content-digest layer (see ``_memo_stage``): the compile asks
+        # it once, right after the hook's stage.
+        digest_key = stored = None
+
+        def probe(ir) -> bool:
+            nonlocal digest_key, stored
+            digest_key = (ir.content_digest(), benchmark, dataset)
+            stored = self._digest_memo.get(digest_key)
+            return stored is not None
+
+        stop_after = None
+        if self._memo_stage is not None:
+            stop_after = (self._memo_stage, probe)
+        scheduled = self._compile(prep, options, benchmark, stop_after)
         self.compile_count += 1
         obs.inc("harness.compiles")
-
-        # Content-addressed layer: two candidates that reached the
-        # same binary have the same cycle count (noise is keyed per
-        # candidate and the differential guard wants a live simulator,
-        # so both disable the shortcut).  Rides the snapshot switch so
-        # ``--no-snapshot`` is the exact seed path, digest cost included.
-        digest_key = None
-        if (self.settings.use_snapshots
-                and self.settings.noise_stddev == 0.0
-                and not self.settings.verify_outputs):
-            digest_key = (scheduled.content_digest(), benchmark, dataset)
-            stored = self._binary_memo.get(digest_key)
-            if stored is not None:
-                self.binary_hits += 1
-                obs.inc("harness.binary_cache_hits")
-                if persist_key is not None:
-                    self.fitness_cache.put(persist_key, stored,
-                                           meta=persist_meta)
-                return stored
+        if stored is not None:
+            self.digest_hits += 1
+            obs.inc("harness.digest_hits")
+            if persist_key is not None:
+                self.fitness_cache.put(persist_key, stored,
+                                       meta=persist_meta)
+            return stored
 
         bench = get_benchmark(benchmark)
         simulator = Simulator(
@@ -430,7 +447,7 @@ class EvaluationHarness:
         self.sim_cycles += result.cycles
         obs.inc("harness.sims")
         if digest_key is not None:
-            self._binary_memo[digest_key] = result
+            self._digest_memo[digest_key] = result
         diverged = False
         if self.settings.verify_outputs:
             diverged = self._check_against_reference(
@@ -458,10 +475,12 @@ class EvaluationHarness:
         }
 
     def _compile(self, prep: PreparedProgram, options: CompilerOptions,
-                 benchmark: str):
-        """``compile_backend``, through the forking layer when on: the
-        shared prefix is restored from the program's snapshot and only
-        the hook's suffix runs (docs/FORKING.md).  Runs under
+                 benchmark: str, stop_after=None):
+        """The scheduled module from ``compile_backend``, through the
+        forking layer when on: the shared prefix is restored from the
+        program's snapshot and only the hook's suffix runs
+        (docs/FORKING.md).  ``stop_after`` is passed through: a probe
+        that ends the compile makes the result ``None``.  Runs under
         ``_miss_lock``, so the first compile builds the snapshot once."""
         snapshot = None
         if self._fork_stage is not None:
@@ -471,7 +490,8 @@ class EvaluationHarness:
                     prep, options, self._fork_stage)
             else:
                 self.snapshot_hits += 1
-        return compile_backend(prep, options, snapshot=snapshot)
+        return compile_backend(prep, options, snapshot=snapshot,
+                               stop_after=stop_after)[0]
 
     # -- differential guard ------------------------------------------------
     def _reference(self, benchmark: str, dataset: str) -> tuple:
@@ -563,7 +583,7 @@ class EvaluationHarness:
             "memo_lookups": self.memo_lookups,
             "memo_hits": self.memo_lookups - self.memo_misses,
             "persistent_cache_hits": self.cache_hits,
-            "binary_cache_hits": self.binary_hits,
+            "digest_hits": self.digest_hits,
         }
         if self.settings.verify_outputs:
             counters["divergences"] = len(self.divergences)

@@ -30,7 +30,9 @@ The backend is itself forkable (docs/FORKING.md): every stage funnels
 through one dispatcher, so :func:`run_prefix` can execute just the
 stages strictly before a hook point and :func:`compile_backend` can
 resume from a :class:`~repro.passes.snapshot.PipelineSnapshot` of that
-state, replaying only the suffix per candidate.
+state, replaying only the suffix per candidate.  It can also end early:
+a caller's probe sees the IR right after one named stage and may stop
+the compile there (the harness's content-digest memo).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro import obs
 from repro.ir.function import Module
@@ -361,7 +364,8 @@ def compile_backend(
     prepared: PreparedProgram,
     options: CompilerOptions | None = None,
     snapshot=None,
-) -> tuple[ScheduledModule, BackendReport]:
+    stop_after: tuple[str, Callable[[object], bool]] | None = None,
+) -> tuple[ScheduledModule | None, BackendReport]:
     """Clone the prepared module and run the candidate-dependent
     backend: hyperblocking, prefetching, allocation, scheduling.
 
@@ -370,7 +374,13 @@ def compile_backend(
     prefix-equivalent options), the prefix stages are skipped: the
     working module and partial report are restored from the snapshot
     and only the suffix — ``snapshot.stage`` onward — executes.  The
-    result is bit-identical to the full path (docs/FORKING.md)."""
+    result is bit-identical to the full path (docs/FORKING.md).
+
+    With ``stop_after=(stage, probe)``, ``probe`` is called with the
+    IR right after ``stage`` runs — the working :class:`Module`, or
+    the :class:`ScheduledModule` after ``schedule`` — and when it
+    returns true the compile ends there: the remaining stages are
+    skipped and the scheduled module returned is ``None``."""
     options = options or prepared.options
     if options.heuristic_artifact is not None:
         options = options.heuristic_artifact.install(options)
@@ -393,6 +403,9 @@ def compile_backend(
                                         options, checkpoint)
             if result is not None:
                 scheduled = result
+            if stop_after is not None and stage == stop_after[0]:
+                if stop_after[1](working if result is None else result):
+                    return None, report
     return scheduled, report
 
 

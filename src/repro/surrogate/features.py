@@ -148,8 +148,8 @@ def static_ir_delta(harness, tree: Node, benchmark: str) -> list[float]:
     baseline_opts = harness.case.options_for(
         _as_hook(harness.baseline_tree()))
     candidate_opts = harness.case.options_for(_as_hook(tree))
-    base, _ = harness._compile(prep, baseline_opts, benchmark)
-    cand, _ = harness._compile(prep, candidate_opts, benchmark)
+    base = harness._compile(prep, baseline_opts, benchmark)
+    cand = harness._compile(prep, candidate_opts, benchmark)
     base_counts = _static_counts(base)
     cand_counts = _static_counts(cand)
     return [float(c - b) for c, b in zip(cand_counts, base_counts)]

@@ -6,7 +6,11 @@ small seeded serial campaign (``regalloc`` on ``codrle4``, population 8,
 3 generations) against a fresh fitness-cache directory, cold then warm,
 and pins the exact traffic of each layer in ``harness.py``'s list, so a
 layer that stops answering — or a new one that answers nothing — shows
-up as a changed number here and not in a profile months later.
+up as a changed number here and not in a profile months later.  A
+second campaign of the same size on ``hyperblock``, whose hook is the
+first backend stage (no snapshot), pins where the content-digest memo
+ends a compile: right after the hook's stage, before register
+allocation.
 
 The counts must not depend on set iteration order: CI runs this file
 under two ``PYTHONHASHSEED`` values.
@@ -14,6 +18,7 @@ under two ``PYTHONHASHSEED`` values.
 
 import pytest
 
+from repro import obs
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.gp.engine import GPParams
 from repro.metaopt.harness import EvaluationHarness, case_study
@@ -22,9 +27,9 @@ from repro.metaopt.settings import EvalSettings
 POPULATION, GENERATIONS = 8, 3
 
 
-def run_campaign(cache_dir, use_snapshots=True):
+def run_campaign(cache_dir, use_snapshots=True, case="regalloc"):
     config = ExperimentConfig(
-        mode="specialize", case="regalloc", benchmark="codrle4",
+        mode="specialize", case=case, benchmark="codrle4",
         params=GPParams(population_size=POPULATION,
                         generations=GENERATIONS, seed=1),
         fitness_cache_dir=cache_dir)
@@ -60,9 +65,9 @@ def test_cold_campaign_layer_by_layer(cold_and_warm):
     assert stats["compiles"] == 14
     assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (1, 13)
     assert len(harness._prepared) == 1
-    # binary-digest memo: asked once per compile
-    assert stats["binary_cache_hits"] == 3
-    assert stats["sims"] == 11
+    # content-digest memo: asked once per compile, after regalloc
+    assert stats["digest_hits"] == 3
+    assert stats["sims"] == 11 == stats["compiles"] - stats["digest_hits"]
 
 
 def test_warm_campaign_is_answered_by_the_disk_store(cold_and_warm):
@@ -75,7 +80,7 @@ def test_warm_campaign_is_answered_by_the_disk_store(cold_and_warm):
     assert stats["persistent_cache_hits"] == 14
     assert (stats["compiles"], stats["sims"]) == (0, 0)
     assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (0, 0)
-    assert stats["binary_cache_hits"] == 0
+    assert stats["digest_hits"] == 0
     assert len(harness._prepared) == 0
 
 
@@ -86,5 +91,29 @@ def test_no_snapshot_switches_forking_and_the_digest_memo_off(
     assert outcome == cold_outcome
     stats = harness.stats()
     assert not harness._snapshots and "snapshot_builds" not in stats
-    assert stats["binary_cache_hits"] == 0
+    assert stats["digest_hits"] == 0
     assert stats["compiles"] == stats["sims"] == 14
+
+
+def test_first_stage_hook_hits_end_before_regalloc():
+    registry = obs.enable_metrics()
+    try:
+        before = registry.snapshot()["counters"]
+        harness, outcome = run_campaign(None, case="hyperblock")
+        after = registry.snapshot()["counters"]
+    finally:
+        obs.disable_metrics()
+
+    def runs(stage: str) -> int:
+        name = f"pipeline.pass_runs.{stage}"
+        return after.get(name, 0) - before.get(name, 0)
+
+    stats = harness.stats()
+    assert outcome["evaluations"] == 12
+    assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (0, 0)
+    assert (stats["compiles"], stats["digest_hits"], stats["sims"]) == (
+        14, 10, 4)
+    # every compile runs the hook's stage; a hit skips the rest
+    assert runs("hyperblock") == stats["compiles"]
+    assert runs("regalloc") == runs("schedule") == (
+        stats["compiles"] - stats["digest_hits"])
