@@ -189,8 +189,7 @@ class ExperimentRunner:
         model = None
         if not skip_train and harness.fitness_cache is not None:
             model, _report = train_from_cache(
-                harness.fitness_cache, self.config.case,
-                seed=self.config.params.seed)
+                harness.fitness_cache, self.config.case)
         surrogate = SurrogateEvaluator(
             inner, self.config.case, model,
             top_k=self.surrogate_top_k,

@@ -17,10 +17,10 @@ Design invariants (docs/FLEET.md):
 * **Order-independent reduction.**  Results carry the coordinator's
   item indices; shards may complete in any order, on any worker,
   evaluated any number of times.
-* **Work stealing.**  Shards are dealt round-robin into per-worker
-  queues; an idle worker drains a global retry queue first, then its
-  own queue, then steals from the longest competitor's tail — so a
-  straggler bounds only its own last shard, not the generation.
+* **One queue.**  Shards wait in one shared queue and whichever
+  worker is free takes the front one; a retried shard goes back to the
+  front — so a straggler bounds only its own last shard, not the
+  generation.
 * **Fault tolerance.**  Each worker is one
   :class:`~repro.serve.client.ServeClient` built with ``retries=0``,
   so the shard-level policy here is the only retry policy in force,
@@ -56,12 +56,20 @@ from repro.serve.client import ServeClient, ServeError, ServerBusy
 if TYPE_CHECKING:
     from repro.metaopt.harness import EvaluationHarness
 
-#: Shards dealt per worker per batch (smaller shards steal better,
+#: Shards cut per worker per batch (smaller shards balance better,
 #: larger ones amortize HTTP round-trips).
 _SHARDS_PER_WORKER = 4
 #: Upper bound on items per shard, so huge generations still redispatch
 #: at a useful granularity after a worker loss.
 _MAX_SHARD_ITEMS = 32
+#: Per-shard HTTP timeout, seconds.
+_TIMEOUT = 300.0
+#: Attempts a shard may fail before the batch fails permanently.
+_RETRIES = 3
+#: Retry backoff: doubles per attempt from the first value, capped at
+#: the second, seconds.
+_BACKOFF = 0.25
+_MAX_BACKOFF = 4.0
 
 
 class _ShardItemFailed(FleetError):
@@ -71,12 +79,11 @@ class _ShardItemFailed(FleetError):
 
 
 class _Shard:
-    __slots__ = ("index", "home", "items", "attempts")
+    __slots__ = ("index", "items", "attempts")
 
-    def __init__(self, index: int, home: int,
+    def __init__(self, index: int,
                  items: list[tuple[int, str, str]]) -> None:
         self.index = index
-        self.home = home  # the worker slot this shard was dealt to
         self.items = items  # (coordinator item index, tree text, benchmark)
         self.attempts = 0
 
@@ -96,24 +103,12 @@ class _WorkerSlot:
 class _BatchState:
     """Everything one ``evaluate_batch`` call's threads share."""
 
-    def __init__(self, shards: list[_Shard], slots: int) -> None:
+    def __init__(self, shards: list[_Shard]) -> None:
         self.cond = threading.Condition()
-        self.queues = [deque() for _ in range(slots)]
-        self.retry: deque[_Shard] = deque()
+        self.queue: deque[_Shard] = deque(shards)
         self.outstanding = len(shards)
         self.results: dict[int, float] = {}
         self.failures: list[str] = []
-        for shard in shards:
-            self.queues[shard.home].append(shard)
-
-    def leftovers(self) -> list[_Shard]:
-        remaining = list(self.retry)
-        for queue in self.queues:
-            remaining.extend(queue)
-        self.retry.clear()
-        for queue in self.queues:
-            queue.clear()
-        return remaining
 
 
 class FleetEvaluator:
@@ -130,23 +125,11 @@ class FleetEvaluator:
     def __init__(self, harness: "EvaluationHarness",
                  fleet: str | list[FleetTarget], *,
                  dataset: str = "train",
-                 shard_items: int | None = None,
-                 timeout: float = 300.0,
-                 retries: int = 3,
-                 backoff: float = 0.25,
-                 max_backoff: float = 4.0,
-                 startup_timeout: float = 30.0,
                  sleep=time.sleep) -> None:
         self.harness = harness
         self.targets = (parse_fleet_spec(fleet)
                         if isinstance(fleet, str) else list(fleet))
         self.dataset = dataset
-        self.shard_items = shard_items
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.startup_timeout = startup_timeout
         self._sleep = sleep
         self._slots: list[_WorkerSlot] | None = None
         self._fingerprint = None
@@ -154,7 +137,6 @@ class FleetEvaluator:
         self.jobs_dispatched = 0
         self.batches_dispatched = 0
         self.shards_dispatched = 0
-        self.shards_stolen = 0
         self.shards_retried = 0
         self.workers_lost = 0
         self.local_fallback_jobs = 0
@@ -171,12 +153,11 @@ class FleetEvaluator:
             for index, target in enumerate(self.targets):
                 process = None
                 if target.kind == "local":
-                    process = LocalWorkerProcess(self.startup_timeout)
+                    process = LocalWorkerProcess()
                     address = process.address
                 else:
                     address = target.address
-                client = ServeClient(address, timeout=self.timeout,
-                                     retries=0)
+                client = ServeClient(address, timeout=_TIMEOUT, retries=0)
                 self._check_capabilities(client)
                 slots.append(_WorkerSlot(index, client, process))
         except BaseException:
@@ -239,8 +220,7 @@ class FleetEvaluator:
         if not pending:
             return []
         slots = [slot for slot in self.start() if slot.alive]
-        shards = self._deal(pending, max(1, len(slots)))
-        state = _BatchState(shards, max(1, len(slots)))
+        state = _BatchState(self._deal(pending, max(1, len(slots))))
         for slot in slots:
             slot.busy_seconds = 0.0
         threads = [
@@ -253,13 +233,12 @@ class FleetEvaluator:
         for thread in threads:
             thread.join()
 
-        remaining = state.leftovers()
-        if remaining:
+        if state.queue:
             # Every worker died mid-batch: finish in-process rather
             # than lose the generation.
             obs.inc("fleet.local_fallback_batches")
-            for shard in remaining:
-                self._evaluate_locally(shard, state)
+            while state.queue:
+                self._evaluate_locally(state.queue.popleft(), state)
         if state.failures:
             raise FleetError(
                 "fleet evaluation failed permanently: "
@@ -274,18 +253,16 @@ class FleetEvaluator:
         obs.inc("fleet.batches")
         return [state.results[index] for index in range(len(pending))]
 
-    def _deal(self, pending: list[tuple[str, str]],
-              slots: int) -> list[_Shard]:
-        per_shard = self.shard_items or min(
-            _MAX_SHARD_ITEMS,
-            -(-len(pending) // (slots * _SHARDS_PER_WORKER)))
-        per_shard = max(1, per_shard)
+    @staticmethod
+    def _deal(pending: list[tuple[str, str]], slots: int) -> list[_Shard]:
+        per_shard = min(_MAX_SHARD_ITEMS,
+                        -(-len(pending) // (slots * _SHARDS_PER_WORKER)))
         shards = []
         for start in range(0, len(pending), per_shard):
             items = [(index, text, benchmark)
                      for index, (text, benchmark) in enumerate(
                          pending[start:start + per_shard], start)]
-            shards.append(_Shard(len(shards), len(shards) % slots, items))
+            shards.append(_Shard(len(shards), items))
         return shards
 
     # -- the per-worker thread -------------------------------------------
@@ -301,8 +278,8 @@ class FleetEvaluator:
             except ServerBusy as exc:
                 error = f"{slot.client.address}: {exc}"
                 if exc.status is not None:  # 429/503 backpressure
-                    self._sleep(min(exc.retry_after or self.backoff,
-                                    self.max_backoff))
+                    self._sleep(min(exc.retry_after or _BACKOFF,
+                                    _MAX_BACKOFF))
                     self._requeue(state, shard, error)
                 elif self._probe(slot):
                     self._backoff(shard)
@@ -380,49 +357,36 @@ class FleetEvaluator:
         return self._fingerprint
 
     # -- scheduling ------------------------------------------------------
-    def _take(self, slot: _WorkerSlot, state: _BatchState) -> _Shard | None:
-        """Next shard for this worker: retries first, then its own
-        queue, then steal from the longest competitor's tail."""
+    @staticmethod
+    def _take(slot: _WorkerSlot, state: _BatchState) -> _Shard | None:
+        """The front of the shared queue, once there is one."""
         with state.cond:
             while True:
                 if state.outstanding == 0 or not slot.alive:
                     return None
-                shard = None
-                if state.retry:
-                    shard = state.retry.popleft()
-                elif state.queues[slot.index]:
-                    shard = state.queues[slot.index].popleft()
-                else:
-                    victim = max(state.queues, key=len)
-                    if victim:
-                        shard = victim.pop()
-                if shard is not None:
-                    if shard.home != slot.index:
-                        self.shards_stolen += 1
-                        obs.inc("fleet.shards_stolen")
-                    return shard
+                if state.queue:
+                    return state.queue.popleft()
                 # Everything is in flight elsewhere; a failure may yet
                 # requeue work for us.
                 state.cond.wait(0.05)
 
     def _backoff(self, shard: _Shard) -> None:
-        self._sleep(min(self.backoff * (2 ** shard.attempts),
-                        self.max_backoff))
+        self._sleep(min(_BACKOFF * (2 ** shard.attempts), _MAX_BACKOFF))
 
     def _requeue(self, state: _BatchState, shard: _Shard, error: str,
                  count_attempt: bool = True) -> None:
         with state.cond:
             if count_attempt:
                 shard.attempts += 1
-            if shard.attempts > self.retries:
+            if shard.attempts > _RETRIES:
                 state.failures.append(
                     f"shard {shard.index} exhausted "
-                    f"{self.retries} retries: {error}")
+                    f"{_RETRIES} retries: {error}")
                 state.outstanding -= 1
             else:
                 self.shards_retried += 1
                 obs.inc("fleet.shards_retried")
-                state.retry.append(shard)
+                state.queue.appendleft(shard)
             state.cond.notify_all()
 
     def _complete(self, state: _BatchState, shard: _Shard) -> None:
@@ -469,7 +433,6 @@ class FleetEvaluator:
             "jobs_dispatched": self.jobs_dispatched,
             "batches_dispatched": self.batches_dispatched,
             "shards_dispatched": self.shards_dispatched,
-            "shards_stolen": self.shards_stolen,
             "shards_retried": self.shards_retried,
             "local_fallback_jobs": self.local_fallback_jobs,
         }

@@ -66,6 +66,8 @@ def parse_fleet_spec(spec: str) -> list[FleetTarget]:
 
 #: The serve daemon's startup announcement on stdout.
 _ANNOUNCE = re.compile(r"serving on (http://\S+)")
+#: Seconds a local worker has to announce its address.
+_STARTUP_TIMEOUT = 30.0
 
 
 class LocalWorkerProcess:
@@ -77,17 +79,15 @@ class LocalWorkerProcess:
     ``/v1/evaluate-batch`` handler threads, not the queue.
     """
 
-    def __init__(self, startup_timeout: float = 30.0,
-                 extra_args: tuple[str, ...] = ()) -> None:
+    def __init__(self) -> None:
         command = [sys.executable, "-m", "repro", "serve",
-                   "--host", "127.0.0.1", "--port", "0", "--workers", "1",
-                   *extra_args]
+                   "--host", "127.0.0.1", "--port", "0", "--workers", "1"]
         self.process = subprocess.Popen(
             command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
-        self.url = self._await_announce(startup_timeout)
+        self.url = self._await_announce()
 
-    def _await_announce(self, timeout: float) -> str:
+    def _await_announce(self) -> str:
         """Wait for the daemon's ``serving on <url>`` line (read on a
         helper thread so a wedged child cannot hang the coordinator)."""
         box: dict[str, str] = {}
@@ -97,13 +97,13 @@ class LocalWorkerProcess:
 
         reader = threading.Thread(target=read, daemon=True)
         reader.start()
-        reader.join(timeout)
+        reader.join(_STARTUP_TIMEOUT)
         line = box.get("line", "")
         match = _ANNOUNCE.search(line)
         if match is None:
             self.kill()
             raise FleetError(
-                f"local worker did not announce within {timeout}s "
+                f"local worker did not announce within {_STARTUP_TIMEOUT}s "
                 f"(last output: {line!r})")
         return match.group(1)
 

@@ -14,9 +14,8 @@ Layers:
 * :mod:`repro.surrogate.features` — candidate expression → fixed
   numeric vector (operator counts, shape, constant stats, per-feature
   usage from the case's primitive set);
-* :mod:`repro.surrogate.model` — pure-Python ridge regression and
-  gradient-boosted stumps with seeded deterministic training and JSON
-  serialization;
+* :mod:`repro.surrogate.model` — pure-Python ridge regression with
+  deterministic closed-form training and JSON serialization;
 * :mod:`repro.surrogate.train` — mine (expression → speedup) training
   pairs out of the persistent
   :class:`~repro.metaopt.fitness_cache.FitnessCache`;
@@ -27,22 +26,15 @@ Layers:
 
 from repro.surrogate.evaluator import SurrogateEvaluator
 from repro.surrogate.features import FeatureExtractor, static_ir_delta
-from repro.surrogate.model import (
-    BoostedStumpsModel,
-    RidgeModel,
-    SurrogateModel,
-    model_from_json_dict,
-)
+from repro.surrogate.model import RidgeModel, SurrogateModel
 from repro.surrogate.train import TrainingReport, train_from_cache
 
 __all__ = [
-    "BoostedStumpsModel",
     "FeatureExtractor",
     "RidgeModel",
     "SurrogateEvaluator",
     "SurrogateModel",
     "TrainingReport",
-    "model_from_json_dict",
     "static_ir_delta",
     "train_from_cache",
 ]

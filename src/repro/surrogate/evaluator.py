@@ -38,10 +38,12 @@ from repro.gp.nodes import Node
 from repro.gp.parse import parse, unparse
 from repro.metaopt.psets import PSETS
 from repro.surrogate.features import FeatureExtractor
-from repro.surrogate.model import SurrogateModel, model_from_json_dict
+from repro.surrogate.model import SurrogateModel
 
 #: Histogram buckets for Spearman rank correlation (bounded [-1, 1]).
 _CORR_BUCKETS = (-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
+#: Spearman floor on the simulated subset; below it the model refits.
+MIN_RANK_CORR = 0.5
 
 
 def _average_ranks(values: list[float]) -> list[float]:
@@ -86,16 +88,14 @@ class SurrogateEvaluator:
     evaluator is owned: :meth:`close` closes it.
     """
 
-    STATE_VERSION = 1
+    STATE_VERSION = 2
 
     def __init__(self, inner, case_name: str,
                  model: SurrogateModel | None = None,
                  *,
                  top_k: int = 8,
                  epsilon: float = 0.125,
-                 min_rank_corr: float = 0.5,
                  min_fit_pairs: int = 16,
-                 kind: str = "ridge",
                  seed: int = 0) -> None:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -106,9 +106,7 @@ class SurrogateEvaluator:
         self.model = model
         self.top_k = top_k
         self.epsilon = epsilon
-        self.min_rank_corr = min_rank_corr
         self.min_fit_pairs = min_fit_pairs
-        self.kind = model.kind if model is not None else kind
         self.seed = seed
         self._rng = random.Random(0x5AC0FFEE ^ seed)
         #: accumulated exact pairs (expression text, benchmark, value)
@@ -232,7 +230,7 @@ class SurrogateEvaluator:
             self.last_rank_corr = corr
             obs.observe("surrogate.rank_corr", corr,
                         buckets=_CORR_BUCKETS)
-            if corr < self.min_rank_corr:
+            if corr < MIN_RANK_CORR:
                 self._refit()
         return values
 
@@ -274,26 +272,24 @@ class SurrogateEvaluator:
             for text, benchmark, value in self._pairs
         ]
 
-    def _maybe_first_fit(self) -> None:
+    def _fit(self) -> bool:
+        """Fit a fresh model from every exact pair, once there are
+        enough of them; whether it did."""
         if len(self._pairs) < self.min_fit_pairs:
-            return
-        model = SurrogateModel(kind=self.kind,
-                               feature_names=self.extractor.names,
-                               seed=self.seed)
+            return False
+        model = SurrogateModel(feature_names=self.extractor.names)
         model.fit(self._vector_pairs())
         self.model = model
-        obs.inc("surrogate.fits")
+        return True
+
+    def _maybe_first_fit(self) -> None:
+        if self._fit():
+            obs.inc("surrogate.fits")
 
     def _refit(self) -> None:
-        if len(self._pairs) < self.min_fit_pairs:
-            return
-        model = SurrogateModel(kind=self.kind,
-                               feature_names=self.extractor.names,
-                               seed=self.seed)
-        model.fit(self._vector_pairs())
-        self.model = model
-        self.refits += 1
-        obs.inc("surrogate.refits")
+        if self._fit():
+            self.refits += 1
+            obs.inc("surrogate.refits")
 
     # -- resume ---------------------------------------------------------
     def state_dict(self) -> dict:
@@ -303,11 +299,9 @@ class SurrogateEvaluator:
         return {
             "version": self.STATE_VERSION,
             "case": self.case_name,
-            "kind": self.kind,
             "seed": self.seed,
             "top_k": self.top_k,
             "epsilon": self.epsilon,
-            "min_rank_corr": self.min_rank_corr,
             "min_fit_pairs": self.min_fit_pairs,
             "model": (self.model.to_json_dict()
                       if self.model is not None else None),
@@ -333,13 +327,11 @@ class SurrogateEvaluator:
             raise ValueError(
                 f"surrogate state is for case {state.get('case')!r}, "
                 f"evaluator is {self.case_name!r}")
-        self.kind = state["kind"]
         self.seed = state["seed"]
         self.top_k = state["top_k"]
         self.epsilon = state["epsilon"]
-        self.min_rank_corr = state["min_rank_corr"]
         self.min_fit_pairs = state["min_fit_pairs"]
-        self.model = (model_from_json_dict(state["model"])
+        self.model = (SurrogateModel.from_json_dict(state["model"])
                       if state["model"] is not None else None)
         self._pairs = [tuple(pair) for pair in state["pairs"]]
         self._pair_keys = {(text, benchmark)

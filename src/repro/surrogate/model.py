@@ -1,28 +1,19 @@
-"""Zero-dependency learned models for surrogate fitness.
+"""Zero-dependency learned model for surrogate fitness.
 
-Two model families, both pure Python, both deterministic given the
-same seed and training pairs, both JSON round-trippable:
+:class:`RidgeModel` is linear least squares with L2 regularization,
+solved exactly by normal equations + Gaussian elimination with partial
+pivoting: pure Python, fast to fit, hard to overfit, surprisingly
+competitive on operator-count features.
 
-* :class:`RidgeModel` — linear least squares with L2 regularization,
-  solved exactly by normal equations + Gaussian elimination with
-  partial pivoting.  The baseline: fast to fit, hard to overfit,
-  surprisingly competitive on operator-count features.
-* :class:`BoostedStumpsModel` — gradient boosting with depth-1
-  regression trees (stumps) on quantile-capped thresholds.  Captures
-  feature interactions ridge cannot, still trains in milliseconds at
-  GP-campaign corpus sizes.
-
-:class:`SurrogateModel` wraps either family into the per-benchmark
-ensemble the evaluator consumes: one submodel per benchmark with
-enough pairs, a global pooled model as the fallback for benchmarks the
-cache has never seen.
+:class:`SurrogateModel` wraps it into the per-benchmark ensemble the
+evaluator consumes: one submodel per benchmark with enough pairs, a
+global pooled model as the fallback for benchmarks the cache has never
+seen.
 
 Determinism is load-bearing (kill+resume byte-identity rides on it):
-training never consults ambient randomness — the only stochastic
-choice, ridge's none and boosting's tie-breaks, is resolved by fixed
-(feature index, threshold) ordering — and serialization is
-``json.dumps(..., sort_keys=True)`` of plain floats, so equal inputs
-produce byte-identical model files.
+the fit is closed-form and consults no randomness, and serialization
+is ``json.dumps(..., sort_keys=True)`` of plain floats, so equal
+training pairs produce byte-identical model files.
 """
 
 from __future__ import annotations
@@ -74,8 +65,6 @@ class RidgeModel:
     means: list[float] = field(default_factory=list)
     scales: list[float] = field(default_factory=list)
 
-    kind = "ridge"
-
     def fit(self, xs: list[list[float]], ys: list[float]) -> None:
         n, d = len(xs), len(xs[0])
         self.means = [sum(row[j] for row in xs) / n for j in range(d)]
@@ -103,7 +92,6 @@ class RidgeModel:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "alpha": self.alpha,
             "weights": self.weights,
             "bias": self.bias,
@@ -118,104 +106,6 @@ class RidgeModel:
                    scales=list(data["scales"]))
 
 
-@dataclass
-class BoostedStumpsModel:
-    """Gradient boosting with depth-1 regression trees.
-
-    Each round fits the stump minimizing squared error on the current
-    residuals, scanning every feature over at most ``max_thresholds``
-    quantile-derived split points.  Ties resolve to the smallest
-    (feature index, threshold), so training is fully deterministic.
-    ``stumps`` rows are ``[feature, threshold, left, right]``.
-    """
-
-    rounds: int = 50
-    learning_rate: float = 0.2
-    max_thresholds: int = 16
-    bias: float = 0.0
-    stumps: list[list[float]] = field(default_factory=list)
-
-    kind = "stumps"
-
-    def fit(self, xs: list[list[float]], ys: list[float]) -> None:
-        n, d = len(xs), len(xs[0])
-        self.bias = sum(ys) / n
-        residuals = [y - self.bias for y in ys]
-        thresholds: list[list[float]] = []
-        for j in range(d):
-            values = sorted({row[j] for row in xs})
-            if len(values) > self.max_thresholds:
-                step = len(values) / (self.max_thresholds + 1)
-                values = sorted({values[int(step * (k + 1))]
-                                 for k in range(self.max_thresholds)})
-            # midpoints between consecutive distinct values
-            thresholds.append([(a + b) / 2.0
-                               for a, b in zip(values, values[1:])])
-        self.stumps = []
-        for _ in range(self.rounds):
-            best = None  # (sse, feature, threshold, left, right)
-            for j in range(d):
-                for t in thresholds[j]:
-                    left = [residuals[i] for i in range(n) if xs[i][j] <= t]
-                    right = [residuals[i] for i in range(n) if xs[i][j] > t]
-                    if not left or not right:
-                        continue
-                    lm = sum(left) / len(left)
-                    rm = sum(right) / len(right)
-                    sse = (sum((v - lm) ** 2 for v in left)
-                           + sum((v - rm) ** 2 for v in right))
-                    if best is None or sse < best[0] - 1e-15:
-                        best = (sse, j, t, lm, rm)
-            if best is None:
-                break
-            _, j, t, lm, rm = best
-            self.stumps.append([float(j), t,
-                                self.learning_rate * lm,
-                                self.learning_rate * rm])
-            for i in range(n):
-                residuals[i] -= (self.learning_rate * lm
-                                 if xs[i][j] <= t
-                                 else self.learning_rate * rm)
-
-    def predict(self, x: list[float]) -> float:
-        value = self.bias
-        for j, t, left, right in self.stumps:
-            value += left if x[int(j)] <= t else right
-        return value
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rounds": self.rounds,
-            "learning_rate": self.learning_rate,
-            "max_thresholds": self.max_thresholds,
-            "bias": self.bias,
-            "stumps": self.stumps,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoostedStumpsModel":
-        return cls(rounds=data["rounds"],
-                   learning_rate=data["learning_rate"],
-                   max_thresholds=data["max_thresholds"],
-                   bias=data["bias"],
-                   stumps=[list(s) for s in data["stumps"]])
-
-
-_FAMILIES = {"ridge": RidgeModel, "stumps": BoostedStumpsModel}
-
-
-def _new_base(kind: str):
-    if kind not in _FAMILIES:
-        raise ValueError(f"unknown surrogate model kind {kind!r} "
-                         f"(choose from {sorted(_FAMILIES)})")
-    return _FAMILIES[kind]()
-
-
-def _base_from_json(data: dict):
-    return _FAMILIES[data["kind"]].from_json_dict(data)
-
-
 #: Minimum pairs before a per-benchmark submodel is worth fitting.
 MIN_BENCH_PAIRS = 8
 #: Minimum pairs before any model is fit at all.
@@ -224,7 +114,7 @@ MIN_TOTAL_PAIRS = 8
 
 @dataclass
 class SurrogateModel:
-    """Per-benchmark ensemble over one base model family.
+    """Per-benchmark ensemble of ridge models.
 
     ``predict`` routes through the benchmark's submodel when one was
     fit, else the global pooled model.  ``feature_names`` pins the
@@ -232,10 +122,8 @@ class SurrogateModel:
     vectors of any other width rather than silently misreading slots.
     """
 
-    kind: str = "ridge"
     feature_names: tuple[str, ...] = ()
-    seed: int = 0
-    global_model: object | None = None
+    global_model: RidgeModel | None = None
     per_benchmark: dict = field(default_factory=dict)
     training_pairs: int = 0
 
@@ -261,7 +149,7 @@ class SurrogateModel:
         ordered = sorted(pairs, key=lambda p: (p[1], p[0], p[2]))
         xs = [p[0] for p in ordered]
         ys = [p[2] for p in ordered]
-        self.global_model = _new_base(self.kind)
+        self.global_model = RidgeModel()
         self.global_model.fit(xs, ys)
         self.per_benchmark = {}
         by_bench: dict[str, list] = {}
@@ -270,7 +158,7 @@ class SurrogateModel:
         for benchmark, rows in sorted(by_bench.items()):
             if len(rows) < MIN_BENCH_PAIRS:
                 continue
-            sub = _new_base(self.kind)
+            sub = RidgeModel()
             sub.fit([r[0] for r in rows], [r[1] for r in rows])
             self.per_benchmark[benchmark] = sub
         self.training_pairs = len(pairs)
@@ -289,9 +177,7 @@ class SurrogateModel:
     def to_json_dict(self) -> dict:
         return {
             "schema": 1,
-            "kind": self.kind,
             "feature_names": list(self.feature_names),
-            "seed": self.seed,
             "training_pairs": self.training_pairs,
             "global": (self.global_model.to_json_dict()
                        if self.global_model is not None else None),
@@ -307,20 +193,13 @@ class SurrogateModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SurrogateModel":
         model = cls(
-            kind=data["kind"],
             feature_names=tuple(data["feature_names"]),
-            seed=data["seed"],
             training_pairs=data["training_pairs"],
         )
         if data["global"] is not None:
-            model.global_model = _base_from_json(data["global"])
+            model.global_model = RidgeModel.from_json_dict(data["global"])
         model.per_benchmark = {
-            name: _base_from_json(sub)
+            name: RidgeModel.from_json_dict(sub)
             for name, sub in data["per_benchmark"].items()
         }
         return model
-
-
-def model_from_json_dict(data: dict) -> SurrogateModel:
-    """Load a serialized :class:`SurrogateModel`."""
-    return SurrogateModel.from_json_dict(data)

@@ -99,9 +99,6 @@ def mine_pairs(
 def train_from_cache(
     cache: FitnessCache,
     case_name: str,
-    *,
-    kind: str = "ridge",
-    seed: int = 0,
 ) -> tuple[SurrogateModel | None, TrainingReport]:
     """Train a :class:`SurrogateModel` from everything ``cache`` holds
     for ``case_name``.
@@ -122,7 +119,6 @@ def train_from_cache(
         (extractor.vector(parse(text, bool_features)), benchmark, label)
         for text, benchmark, label in text_pairs
     ]
-    model = SurrogateModel(kind=kind, feature_names=extractor.names,
-                           seed=seed)
+    model = SurrogateModel(feature_names=extractor.names)
     model.fit(vector_pairs)
     return model, report

@@ -2,8 +2,8 @@
 
 The fake worker is a minimal HTTP server whose ``/v1/evaluate-batch``
 behavior is a per-request script — succeed, stream in reverse order,
-shed with 503, fail one item, die mid-request — so retry, work
-stealing, order-independent reduction, worker loss, and the local
+shed with 503, fail one item, die mid-request — so retry, the shared
+shard queue, order-independent reduction, worker loss, and the local
 fallback are each exercised deterministically without subprocesses.
 """
 
@@ -39,7 +39,9 @@ class FakeWorker:
     ``hiccup`` (drop this connection, stay healthy), ``die``
     (drop the connection and refuse everything afterwards — a dead
     process), and ``real`` (evaluate the items on a harness of the
-    request's case, on the request's dataset).
+    request's case, on the request's dataset).  ``first_items``
+    records the first item index of each request, i.e. which shard
+    it carried.
     """
 
     def __init__(self, script=(), healthy=True):
@@ -82,6 +84,7 @@ class FakeWorker:
                 behavior = (worker.script.pop(0)
                             if worker.script else "ok")
                 worker.batches.append(behavior)
+                worker.first_items.append(params["items"][0]["index"])
                 if behavior == "hiccup":
                     raise ConnectionError("scripted hiccup")
                 if behavior == "die":
@@ -130,6 +133,7 @@ class FakeWorker:
 
         self.script = list(script)
         self.batches: list[str] = []
+        self.first_items: list[int] = []
         self.healthy = healthy
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.httpd.handle_error = lambda *args: None  # scripted deaths
@@ -154,29 +158,38 @@ def make_jobs(count: int):
     return [(parse(f"{float(i + 1)}"), BENCHMARK) for i in range(count)]
 
 
-def make_fleet(workers, **kwargs):
-    kwargs.setdefault("backoff", 0.01)
-    kwargs.setdefault("max_backoff", 0.05)
+def make_fleet(workers):
+    """A fleet over ``workers`` whose retry backoff does not sleep.
+    Shards are cut for about four per worker: a batch of up to
+    ``4 * len(workers)`` jobs goes out one job per shard, and twice
+    that many goes out two jobs per shard."""
     harness = EvaluationHarness(case_study("hyperblock"))
-    return FleetEvaluator(harness, [w.target for w in workers], **kwargs)
+    return FleetEvaluator(harness, [w.target for w in workers],
+                          sleep=lambda seconds: None)
 
 
 class TestHappyPath:
     def test_values_come_back_in_job_order(self):
         worker = FakeWorker()
         try:
-            with make_fleet([worker], shard_items=2) as fleet:
+            with make_fleet([worker]) as fleet:
                 values = fleet.evaluate_batch(make_jobs(6))
             assert values == [fake_value(i) for i in range(6)]
         finally:
             worker.close()
 
     def test_reversed_streams_reduce_identically(self):
+        """16 jobs on two workers are cut into 8 shards of 2 items, so
+        each reversed stream really arrives out of index order."""
         workers = [FakeWorker(script=["reverse"] * 8) for _ in range(2)]
         try:
-            with make_fleet(workers, shard_items=2) as fleet:
-                values = fleet.evaluate_batch(make_jobs(8))
-            assert values == [fake_value(i) for i in range(8)]
+            with make_fleet(workers) as fleet:
+                values = fleet.evaluate_batch(make_jobs(16))
+            assert values == [fake_value(i) for i in range(16)]
+            first_items = sorted(workers[0].first_items
+                                 + workers[1].first_items)
+            assert first_items == list(range(0, 16, 2))
+            assert all(set(w.batches) <= {"reverse"} for w in workers)
         finally:
             for worker in workers:
                 worker.close()
@@ -211,7 +224,7 @@ class TestFaultTolerance:
     def test_backpressure_503_is_retried(self):
         worker = FakeWorker(script=["503", "ok"])
         try:
-            with make_fleet([worker], shard_items=4) as fleet:
+            with make_fleet([worker]) as fleet:
                 values = fleet.evaluate_batch(make_jobs(3))
             assert values == [fake_value(i) for i in range(3)]
             assert fleet.shards_retried == 1
@@ -221,7 +234,7 @@ class TestFaultTolerance:
     def test_item_error_is_retried(self):
         worker = FakeWorker(script=["item-error", "ok"])
         try:
-            with make_fleet([worker], shard_items=4) as fleet:
+            with make_fleet([worker]) as fleet:
                 values = fleet.evaluate_batch(make_jobs(2))
             assert values == [fake_value(i) for i in range(2)]
             assert fleet.shards_retried == 1
@@ -231,7 +244,7 @@ class TestFaultTolerance:
     def test_transient_death_of_healthy_worker_is_retried(self):
         worker = FakeWorker(script=["hiccup", "ok"])
         try:
-            with make_fleet([worker], shard_items=4) as fleet:
+            with make_fleet([worker]) as fleet:
                 values = fleet.evaluate_batch(make_jobs(2))
             assert values == [fake_value(i) for i in range(2)]
         finally:
@@ -249,7 +262,7 @@ class TestFaultTolerance:
     def test_retries_exhaust_to_permanent_failure(self):
         worker = FakeWorker(script=["item-error"] * 10)
         try:
-            with make_fleet([worker], retries=2) as fleet:
+            with make_fleet([worker]) as fleet:
                 with pytest.raises(FleetError, match="exhausted"):
                     fleet.evaluate_batch(make_jobs(1))
         finally:
@@ -259,7 +272,7 @@ class TestFaultTolerance:
         dead = FakeWorker(script=["die"])
         alive = FakeWorker()
         try:
-            with make_fleet([dead, alive], shard_items=1) as fleet:
+            with make_fleet([dead, alive]) as fleet:
                 values = fleet.evaluate_batch(make_jobs(6))
             assert values == [fake_value(i) for i in range(6)]
             assert fleet.workers_lost == 1
@@ -284,18 +297,28 @@ class TestFaultTolerance:
             worker.close()
 
 
-class TestWorkStealing:
-    def test_fast_worker_steals_from_straggler(self):
+class TestOneQueue:
+    def test_fast_worker_takes_more_shards(self):
         slow = FakeWorker(script=["slow-ok"] * 20)
         fast = FakeWorker()
         try:
-            with make_fleet([slow, fast], shard_items=1) as fleet:
+            with make_fleet([slow, fast]) as fleet:
                 values = fleet.evaluate_batch(make_jobs(8))
             assert values == [fake_value(i) for i in range(8)]
-            assert fleet.shards_stolen >= 1
+            assert len(fast.batches) > len(slow.batches)
         finally:
             slow.close()
             fast.close()
+
+    def test_retried_shard_goes_before_untouched_ones(self):
+        worker = FakeWorker(script=["503"])
+        try:
+            with make_fleet([worker]) as fleet:
+                values = fleet.evaluate_batch(make_jobs(4))
+            assert values == [fake_value(i) for i in range(4)]
+            assert worker.first_items == [0, 0, 1, 2, 3]
+        finally:
+            worker.close()
 
 
 class TestStats:

@@ -107,12 +107,11 @@ class TestRow:
         assert changed == {case.hook, "heuristic_artifact"}
         assert callable(getattr(installed, case.hook))
 
-    def test_snapshot_fingerprint_reads_the_same_hook_stage_map(self, name):
+    def test_candidates_differ_only_in_the_hook_option(self, name):
         """What keys a harness's prefix snapshots by program alone: two
         candidates of a case get options that differ in ``case.hook``
         and nowhere else, so everything upstream of the hook's stage is
-        a constant of the case.  (The name predates the per-program
-        dict; the ids are pinned by the test floor.)"""
+        a constant of the case."""
         case = case_study(name)
         if case.hook is None:
             # the genome IS the options delta; nothing is forked

@@ -7,13 +7,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.surrogate.model import (
-    BoostedStumpsModel,
-    MIN_TOTAL_PAIRS,
-    RidgeModel,
-    SurrogateModel,
-    model_from_json_dict,
-)
+from repro.surrogate.model import MIN_TOTAL_PAIRS, RidgeModel, SurrogateModel
 
 DETERMINISTIC = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -36,27 +30,24 @@ def synthetic_pairs(seed, count=24, benchmarks=("a", "b", "c")):
 class TestTrainingDeterminism:
     @DETERMINISTIC
     @given(st.integers(min_value=0, max_value=10_000),
-           st.sampled_from(["ridge", "stumps"]),
            st.integers(min_value=0, max_value=10_000))
-    def test_same_pairs_any_order_byte_identical(self, seed, kind,
-                                                 shuffle_seed):
+    def test_same_pairs_any_order_byte_identical(self, seed, shuffle_seed):
         pairs = synthetic_pairs(seed)
         shuffled = pairs[:]
         random.Random(shuffle_seed).shuffle(shuffled)
 
-        first = SurrogateModel(kind=kind, feature_names=NAMES, seed=7)
+        first = SurrogateModel(feature_names=NAMES)
         first.fit(pairs)
-        second = SurrogateModel(kind=kind, feature_names=NAMES, seed=7)
+        second = SurrogateModel(feature_names=NAMES)
         second.fit(shuffled)
         assert first.to_json() == second.to_json()
 
     @DETERMINISTIC
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.sampled_from(["ridge", "stumps"]))
-    def test_json_round_trip_byte_identical(self, seed, kind):
-        model = SurrogateModel(kind=kind, feature_names=NAMES, seed=3)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_json_round_trip_byte_identical(self, seed):
+        model = SurrogateModel(feature_names=NAMES)
         model.fit(synthetic_pairs(seed))
-        restored = model_from_json_dict(model.to_json_dict())
+        restored = SurrogateModel.from_json_dict(model.to_json_dict())
         assert restored.to_json() == model.to_json()
         vector = [1.0, 2.0, 3.0, 4.0, 5.0]
         for benchmark in ("a", "never-seen"):
@@ -87,11 +78,6 @@ class TestFitContract:
         with pytest.raises(ValueError):
             model.predict([0.0] * (WIDTH + 1), "a")
 
-    def test_unknown_kind_rejected(self):
-        model = SurrogateModel(kind="forest", feature_names=NAMES)
-        with pytest.raises(ValueError):
-            model.fit(synthetic_pairs(2))
-
     def test_per_benchmark_submodels_fit_when_enough_rows(self):
         # 24 pairs over 3 benchmarks → 8 rows each, exactly the floor.
         model = SurrogateModel(feature_names=NAMES)
@@ -116,18 +102,9 @@ class TestBaseModels:
         for x, y in zip(xs, ys):
             assert abs(model.predict(x) - y) < 0.2
 
-    def test_stumps_fit_a_step_function(self):
-        xs = [[float(i)] for i in range(20)]
-        ys = [0.0 if i < 10 else 1.0 for i in range(20)]
-        model = BoostedStumpsModel()
-        model.fit(xs, ys)
-        assert model.predict([2.0]) < 0.2
-        assert model.predict([17.0]) > 0.8
-
     def test_constant_target_is_exact(self):
         xs = [[float(i), float(i % 3)] for i in range(12)]
         ys = [4.0] * 12
-        for cls in (RidgeModel, BoostedStumpsModel):
-            model = cls()
-            model.fit(xs, ys)
-            assert abs(model.predict([99.0, 1.0]) - 4.0) < 1e-9
+        model = RidgeModel()
+        model.fit(xs, ys)
+        assert abs(model.predict([99.0, 1.0]) - 4.0) < 1e-9

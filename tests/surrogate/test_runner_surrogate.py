@@ -56,7 +56,7 @@ class TestResumeByteIdentity:
                               **SURROGATE_KWARGS)
         state = json.loads(
             (campaign_run.base / "run" / "surrogate.json").read_text())
-        assert state["version"] == 1
+        assert state["version"] == 2
         assert state["case"] == "hyperblock"
         assert state["top_k"] == 2
         assert state["pairs"]

@@ -104,9 +104,8 @@ class TestMinePairs:
 class TestTrainFromCache:
     def test_trains_when_enough_pairs(self, tmp_path):
         cache, _, _ = fill_cache(tmp_path, candidates=10)
-        model, report = train_from_cache(cache, CASE, seed=4)
+        model, report = train_from_cache(cache, CASE)
         assert model is not None and model.trained
-        assert model.seed == 4
         assert report.usable == 11
 
     def test_cold_cache_returns_none(self, tmp_path):
@@ -117,6 +116,6 @@ class TestTrainFromCache:
 
     def test_training_is_deterministic(self, tmp_path):
         cache, _, _ = fill_cache(tmp_path, candidates=12)
-        first, _ = train_from_cache(cache, CASE, seed=1)
-        second, _ = train_from_cache(cache, CASE, seed=1)
+        first, _ = train_from_cache(cache, CASE)
+        second, _ = train_from_cache(cache, CASE)
         assert first.to_json() == second.to_json()
