@@ -17,11 +17,9 @@ Subcommands::
         explicit train/novel split (--split).
 
     python -m repro simulate BENCHMARK [--dataset train|novel] [...]
-        Compile + simulate one suite benchmark, print machine counters.
-
-    python -m repro profile BENCHMARK [--case C] [--trace FILE]
-        Compile + simulate one benchmark with observability on and
-        print per-pass timing and simulator counter tables.
+        Compile + simulate one suite benchmark, print machine counters;
+        with --metrics also the per-pass timing, simulator counter and
+        snapshot tables.
 
     python -m repro verify PROGRAM.mc [--inputs data.json] [--machine M]
         Compile a MiniC file with the IR verifier on and check the
@@ -78,8 +76,9 @@ exit).
 (write a Chrome ``trace_event`` JSON of the run, loadable in
 ``chrome://tracing`` / Perfetto) and ``--metrics`` (collect
 :mod:`repro.obs` metrics: on campaigns, per-generation ``metrics``
-events land in ``events.jsonl``; on ``simulate``, a counter summary is
-printed).  See ``docs/OBSERVABILITY.md``.
+events land in ``events.jsonl``; on ``simulate``, the per-pass,
+simulator and snapshot tables are printed).  See
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def _print_sim_result(result) -> None:
     print(f"prefetches       : {result.prefetch_count}")
 
 
-#: Pipeline stage display order for the profile tables.
+#: Pipeline stage display order for the ``simulate --metrics`` pass table.
 _STAGE_ORDER = ("inline", "cleanup", "unroll", "profile",
                 "hyperblock", "prefetch", "regalloc", "schedule")
 
@@ -141,8 +140,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics", action="store_true",
         help="collect repro.obs metrics: campaigns emit per-generation "
-             "'metrics' events into events.jsonl; simulate prints a "
-             "counter summary")
+             "'metrics' events into events.jsonl; simulate prints the "
+             "per-pass, simulator and snapshot tables")
 
 
 def _add_fleet_flag(parser: argparse.ArgumentParser) -> None:
@@ -204,8 +203,8 @@ def _histogram_p50(data: dict) -> float:
 def _print_snapshot_table(snapshot: dict, harness_stats: dict) -> None:
     """Compilation-forking health (docs/FORKING.md): programs whose
     prefix was built, compiles that reused one, restore latency.
-    Silent when the layer never ran (``--no-snapshot``, a hook whose
-    stage runs first, or no backend compiles)."""
+    Silent when the layer never ran (a hook whose stage runs first, or
+    no backend compiles)."""
     restores = snapshot["histograms"].get(
         "pipeline.snapshot.restore_seconds")
     if restores is None or restores["count"] == 0:
@@ -221,48 +220,6 @@ def _print_snapshot_table(snapshot: dict, harness_stats: dict) -> None:
         print(f"{name:<24s}{value:>12}")
 
 
-def _print_fleet_table(snapshot: dict) -> None:
-    """Fleet dispatch health (docs/FLEET.md): shard counters,
-    per-worker latency, straggler spread.  Silent when no fleet ran
-    inside this process."""
-    counters = snapshot["counters"]
-    if not any(name.startswith("fleet.") for name in counters):
-        return
-    _print_counter_table(snapshot, "fleet.", "fleet counter")
-    prefix = "fleet.shard_seconds."
-    workers = sorted(name[len(prefix):]
-                     for name in snapshot["histograms"]
-                     if name.startswith(prefix))
-    if workers:
-        print()
-        print(f"{'fleet worker':<24s}{'shards':>8s}{'total_s':>11s}"
-              f"{'p50_s':>9s}")
-        for worker in workers:
-            data = snapshot["histograms"][prefix + worker]
-            print(f"{worker:<24s}{data['count']:>8d}{data['sum']:>11.3f}"
-                  f"{_histogram_p50(data):>9.3f}")
-    straggler = snapshot["gauges"].get("fleet.straggler_seconds")
-    if straggler is not None:
-        print(f"{'straggler spread (s)':<24s}{straggler:>12.3f}")
-
-
-def _print_surrogate_table(snapshot: dict) -> None:
-    """Learned-surrogate health (docs/SURROGATE.md): sims saved, rank
-    correlation, refit/promotion counts.  Silent when no surrogate ran
-    inside this process."""
-    counters = snapshot["counters"]
-    if not any(name.startswith("surrogate.") for name in counters):
-        return
-    _print_counter_table(snapshot, "surrogate.", "surrogate counter")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        if name.startswith("surrogate."):
-            print(f"{name[len('surrogate.'):]:<24s}{value:>12.4f}")
-    corr = snapshot["histograms"].get("surrogate.rank_corr")
-    if corr is not None and corr["count"]:
-        print(f"{'rank_corr_p50':<24s}"
-              f"{_histogram_p50(corr):>12.2f}")
-
-
 def _tree_case(command: str, case_name: str):
     """The case study behind ``--case`` for the subcommands that deploy
     a priority-function tree; the case itself says whether it has one."""
@@ -272,84 +229,6 @@ def _tree_case(command: str, case_name: str):
         return case_study(case_name).require_tree_valued()
     except ValueError as exc:
         raise SystemExit(f"repro {command}: {exc}")
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.metaopt.harness import EvaluationHarness
-
-    case = _tree_case("profile", args.case)
-    registry = obs.enable_metrics()
-    tracer = obs.enable_tracing() if args.trace else None
-    try:
-        harness = EvaluationHarness(case)
-        result = harness.baseline_result(args.benchmark, args.dataset)
-        if getattr(args, "fleet", None):
-            # Drive one baseline evaluation through the fleet so the
-            # dispatch/latency tables below have something to show.
-            from repro.fleet import FleetEvaluator
-
-            with FleetEvaluator(harness, args.fleet,
-                                dataset=args.dataset) as fleet:
-                fleet.evaluate_batch(
-                    [(harness.case.baseline_tree(), args.benchmark)])
-        if getattr(args, "surrogate", False):
-            # Train a surrogate from the persistent cache and score
-            # the baseline with it, so the surrogate table below has
-            # something to show.
-            from repro.metaopt.fitness_cache import FitnessCache
-            from repro.surrogate import (
-                FeatureExtractor,
-                train_from_cache,
-            )
-
-            cache_dir = _fitness_cache_dir(args)
-            if cache_dir is None:
-                raise SystemExit(
-                    "repro profile --surrogate needs a fitness cache "
-                    "(--fitness-cache DIR or $REPRO_FITNESS_CACHE)")
-            model, report = train_from_cache(FitnessCache(cache_dir),
-                                             args.case)
-            if model is not None:
-                extractor = FeatureExtractor(harness.case.pset)
-                prediction = model.predict(
-                    extractor.vector(harness.case.baseline_tree()),
-                    args.benchmark)
-                obs.set_gauge("surrogate.baseline_prediction", prediction)
-    finally:
-        obs.disable_metrics()
-        if tracer is not None:
-            obs.disable_tracing()
-    snapshot = registry.snapshot()
-    if tracer is not None:
-        tracer.write(args.trace)
-
-    if args.json:
-        print(json.dumps({
-            "schema": 1,
-            "benchmark": args.benchmark,
-            "case": args.case,
-            "dataset": args.dataset,
-            "machine": harness.case.machine.name,
-            "cycles": result.cycles,
-            "metrics": snapshot,
-        }, indent=2, sort_keys=True))
-        return 0
-    print(f"profile of {args.benchmark} ({args.case} baseline, "
-          f"{args.dataset} data, {harness.case.machine.name})")
-    print()
-    _print_pass_table(snapshot)
-    print()
-    _print_counter_table(snapshot, "sim.", "simulator counter")
-    print()
-    _print_snapshot_table(snapshot, harness.stats())
-    _print_fleet_table(snapshot)
-    _print_surrogate_table(snapshot)
-    print()
-    _print_sim_result(result)
-    if tracer is not None:
-        print(f"trace written    : {args.trace}")
-    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -619,27 +498,21 @@ def _add_surrogate_flags(parser: argparse.ArgumentParser) -> None:
              "simulation under --surrogate (default 8)")
 
 
-def _add_snapshot_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-snapshot", action="store_true",
-        help="disable compilation forking (hook-point pipeline "
-             "snapshots with suffix-only replay, docs/FORKING.md) and "
-             "recompile the full backend for every candidate; results "
-             "are bit-identical either way")
-
-
 def _load_artifact(args: argparse.Namespace):
     """Resolve ``--artifact``/``--artifact-store`` into a loaded
-    artifact (or None) and the case name to simulate under."""
+    artifact (or None) and the case name to simulate under: the
+    artifact's, else ``--case``, else hyperblock.  An explicit
+    ``--case`` that names another case than the artifact's is
+    refused."""
     from repro.serve.artifact import ArtifactError
     from repro.serve.registry import registry_from_env
 
     case_name = args.case
-    if not getattr(args, "artifact", None):
-        return None, case_name
-    registry = registry_from_env(getattr(args, "artifact_store", None))
+    if not args.artifact:
+        return None, case_name or "hyperblock"
+    registry = registry_from_env(args.artifact_store)
     artifact = registry.load(args.artifact)
-    if artifact.case != case_name and case_name != "hyperblock":
+    if case_name is not None and artifact.case != case_name:
         raise ArtifactError(
             f"artifact {artifact.short_id} targets {artifact.case}, "
             f"--case says {case_name}")
@@ -658,9 +531,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     registry = obs.enable_metrics() if args.metrics else None
     try:
         harness = EvaluationHarness(
-            case,
-            EvalSettings(use_snapshots=not args.no_snapshot,
-                         fitness_cache_dir=_fitness_cache_dir(args)))
+            case, EvalSettings(fitness_cache_dir=_fitness_cache_dir(args)))
         if artifact is not None:
             result = harness.simulate(artifact.tree(), args.benchmark,
                                       args.dataset)
@@ -688,9 +559,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"artifact         : {artifact.short_id} ({artifact.case})")
     _print_sim_result(result)
     if registry is not None:
+        snapshot = registry.snapshot()
         print()
-        _print_counter_table(registry.snapshot(), "sim.",
-                             "simulator counter")
+        _print_pass_table(snapshot)
+        print()
+        _print_counter_table(snapshot, "sim.", "simulator counter")
+        print()
+        _print_snapshot_table(snapshot, harness.stats())
     if tracer is not None:
         print(f"trace written    : {args.trace}")
     return 0
@@ -714,7 +589,6 @@ def _run_campaign(args: argparse.Namespace, config) -> int:
         stop_after_generation=getattr(args, "stop_after_generation", None),
         collect_metrics=bool(getattr(args, "metrics", False)),
         publish_dir=_resolve_publish_dir(args),
-        use_snapshots=not getattr(args, "no_snapshot", False),
         fleet=getattr(args, "fleet", None),
         surrogate=bool(getattr(args, "surrogate", False)),
         surrogate_top_k=getattr(args, "surrogate_top_k", 8),
@@ -1078,10 +952,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             with open(args.autopilot_config, encoding="utf-8") as handle:
                 overrides = json.load(handle)
         overrides["state_dir"] = args.autopilot
-        if args.autopilot_sample_rate is not None:
-            overrides["sample_rate"] = args.autopilot_sample_rate
-        if args.autopilot_threshold is not None:
-            overrides["threshold"] = args.autopilot_threshold
         autopilot_config = AutopilotConfig.from_json_dict(overrides)
     server = ReproServer(
         host=args.host,
@@ -1091,7 +961,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         job_timeout=args.job_timeout,
         registry=registry_from_env(args.artifact_store),
         fitness_cache_dir=_fitness_cache_dir(args),
-        use_snapshots=not args.no_snapshot,
         batch_concurrency=args.batch_concurrency,
         autopilot_config=autopilot_config,
     )
@@ -1221,8 +1090,9 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="simulate one benchmark under a case study's "
                          "baseline heuristic")
     sim_parser.add_argument("benchmark")
-    sim_parser.add_argument("--case", default="hyperblock",
-                            choices=CASE_NAMES)
+    sim_parser.add_argument(
+        "--case", default=None, choices=CASE_NAMES,
+        help="case study (default: the artifact's, else hyperblock)")
     sim_parser.add_argument("--dataset", default="train",
                             choices=("train", "novel"))
     sim_parser.add_argument("--json", action="store_true",
@@ -1231,41 +1101,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--artifact", metavar="ID",
         help="simulate under a published heuristic artifact (id or "
-             "unambiguous prefix) instead of the case baseline; the "
-             "artifact's case study wins over --case")
+             "unambiguous prefix) instead of the case baseline; an "
+             "explicit --case must name the artifact's case study")
     sim_parser.add_argument(
         "--artifact-store", metavar="DIR",
         help="artifact store directory (default: "
              "$REPRO_ARTIFACT_STORE or ./artifacts)")
     _add_fitness_cache_flags(sim_parser)
-    _add_snapshot_flag(sim_parser)
     _add_obs_flags(sim_parser)
     sim_parser.set_defaults(func=cmd_simulate)
-
-    profile_parser = commands.add_parser(
-        "profile", help="compile + simulate one benchmark with "
-                        "observability on; print per-pass timing and "
-                        "simulator counter tables")
-    profile_parser.add_argument("benchmark")
-    profile_parser.add_argument(
-        "--case", default="hyperblock",
-        choices=CASE_NAMES)
-    profile_parser.add_argument("--dataset", default="train",
-                                choices=("train", "novel"))
-    profile_parser.add_argument(
-        "--surrogate", action="store_true",
-        help="also train a surrogate model from the persistent fitness "
-             "cache and show the surrogate table (needs "
-             "--fitness-cache or $REPRO_FITNESS_CACHE)")
-    _add_fitness_cache_flags(profile_parser)
-    _add_fleet_flag(profile_parser)
-    profile_parser.add_argument(
-        "--trace", metavar="FILE",
-        help="also write a Chrome trace_event JSON to FILE")
-    profile_parser.add_argument(
-        "--json", action="store_true",
-        help="print the full metrics snapshot as JSON instead of tables")
-    profile_parser.set_defaults(func=cmd_profile)
 
     evolve_parser = commands.add_parser(
         "evolve", help="evolve a specialized priority function")
@@ -1285,7 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify_flag(evolve_parser)
     _add_surrogate_flags(evolve_parser)
     _add_fitness_cache_flags(evolve_parser)
-    _add_snapshot_flag(evolve_parser)
     _add_campaign_flags(evolve_parser)
     _add_obs_flags(evolve_parser)
     evolve_parser.set_defaults(func=cmd_evolve)
@@ -1314,7 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify_flag(general_parser)
     _add_surrogate_flags(general_parser)
     _add_fitness_cache_flags(general_parser)
-    _add_snapshot_flag(general_parser)
     _add_campaign_flags(general_parser)
     _add_obs_flags(general_parser)
     general_parser.set_defaults(func=cmd_generalize)
@@ -1394,19 +1236,9 @@ def build_parser() -> argparse.ArgumentParser:
              "run directories, and the decision log")
     serve_parser.add_argument(
         "--autopilot-config", metavar="FILE",
-        help="JSON file of AutopilotConfig overrides (thresholds, "
-             "canary fraction, campaign sizing)")
-    serve_parser.add_argument(
-        "--autopilot-sample-rate", type=float, default=None,
-        metavar="FRACTION",
-        help="fraction of evaluate traffic probed against the baseline")
-    serve_parser.add_argument(
-        "--autopilot-threshold", type=float, default=None,
-        metavar="SPEEDUP",
-        help="trip a re-optimization campaign when an artifact's "
-             "rolling mean speedup-vs-baseline drops below this")
+        help="JSON file of AutopilotConfig overrides (sample rate, "
+             "threshold, canary fraction, campaign sizing)")
     _add_fitness_cache_flags(serve_parser)
-    _add_snapshot_flag(serve_parser)
     serve_parser.set_defaults(func=cmd_serve)
 
     submit_parser = commands.add_parser(

@@ -84,7 +84,6 @@ class ExperimentRunner:
         stop_after_generation: int | None = None,
         collect_metrics: bool = False,
         publish_dir=None,
-        use_snapshots: bool = True,
         fleet: str | None = None,
         surrogate: bool = False,
         surrogate_top_k: int = 8,
@@ -111,13 +110,9 @@ class ExperimentRunner:
         #: a deployment side effect, never part of the run's identity,
         #: so result.json (and resume byte-identity) are unaffected.
         self.publish_dir = publish_dir
-        #: compilation forking (docs/FORKING.md).  Runner-level like
-        #: ``collect_metrics``: bit-identical either way, so it is a
-        #: performance switch, never part of the run's identity.
-        self.use_snapshots = use_snapshots
         #: fleet spec (``"local:N"`` or ``"host:port,..."``): shard each
         #: generation across serve workers (docs/FLEET.md).  Runner-level
-        #: like ``use_snapshots`` — the fleet is bit-identical to serial
+        #: like ``collect_metrics`` — the fleet is bit-identical to serial
         #: evaluation, so it describes *where* a run executes, never
         #: *what* it computes, and a resume may use a different fleet
         #: (or none) without perturbing result.json.
@@ -165,7 +160,6 @@ class ExperimentRunner:
             noise_stddev=self.config.noise_stddev,
             fitness_cache_dir=self.config.fitness_cache_dir,
             verify_outputs=self.config.verify_outputs,
-            use_snapshots=self.use_snapshots,
         )
 
     def _build_harness(self):
@@ -482,11 +476,16 @@ class ExperimentSession:
 
         self.registry = None
         self._owns_metrics = False
+        #: baseline of the first step's ``metrics`` delta, so work done
+        #: while the session opens (the surrogate's training from the
+        #: cache) lands in that step's event
+        self._open_metrics = None
         if runner.collect_metrics:
             from repro import obs
 
             self._owns_metrics = not obs.metrics_enabled()
             self.registry = obs.enable_metrics()
+            self._open_metrics = self.registry.snapshot()
 
         self.checkpoint_path = None
         self._owned_sinks: list[EventSink] = []
@@ -574,8 +573,10 @@ class ExperimentSession:
         try:
             generation_started = time.monotonic()
             before = runner._counters(self.harness, self.evaluator)
-            metrics_before = (self.registry.snapshot()
-                              if self.registry is not None else None)
+            metrics_before = self._open_metrics
+            self._open_metrics = None
+            if metrics_before is None and self.registry is not None:
+                metrics_before = self.registry.snapshot()
             evaluations_before = self.engine.evaluations
             stats = self.engine.step()
             wall_s = time.monotonic() - generation_started

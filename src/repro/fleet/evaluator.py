@@ -208,9 +208,6 @@ class FleetEvaluator:
         self.close()
 
     # -- evaluation ------------------------------------------------------
-    def __call__(self, tree: Node, benchmark: str) -> float:
-        return self.evaluate_batch([(tree, benchmark)])[0]
-
     def evaluate_batch(
             self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
         """Evaluate distinct ``(tree, benchmark)`` pairs across the
@@ -329,8 +326,7 @@ class FleetEvaluator:
     def _payload(self, shard: _Shard) -> dict:
         # Host-local fields stay home: the worker pins its own cache
         # directory and snapshot switch (neither affects values).
-        wire = self.harness.settings.replace(fitness_cache_dir=None,
-                                             collect_metrics=False)
+        wire = self.harness.settings.replace(fitness_cache_dir=None)
         return {
             "schema": 1,
             "case": self.harness.case.name,

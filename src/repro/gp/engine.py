@@ -55,17 +55,17 @@ class FitnessEvaluator(Protocol):
     Returns the speedup of the candidate-compiled benchmark over the
     baseline-compiled benchmark (>1.0 means the candidate wins).
 
-    Evaluators may additionally expose ``evaluate_batch(jobs) ->
+    Evaluators may instead expose ``evaluate_batch(jobs) ->
     list[float]`` over ``(tree, benchmark)`` pairs; the engine then
     ships every uncached pair of a generation in one call, which is
     what lets a process-pool or fleet evaluator keep all workers busy
-    instead of receiving one-job batches.  The engine's memo is the
-    only fitness dedupe: a batch holds structurally distinct pairs,
-    none of which was ever dispatched before.  Batch results must be
-    identical to calling the evaluator pairwise (the pairs of a batch
-    are independent) and must come back in job order regardless of
-    completion order, so batching never changes the evolution.  The
-    full multi-backend contract lives in
+    instead of receiving one-job batches, and never calls the
+    evaluator pairwise.  The engine's memo is the only fitness dedupe:
+    a batch holds structurally distinct pairs, none of which was ever
+    dispatched before.  Batch results must not depend on how pairs are
+    grouped (the pairs of a batch are independent) and must come back
+    in job order regardless of completion order, so batching never
+    changes the evolution.  The full multi-backend contract lives in
     :class:`repro.metaopt.harness.EvaluatorProtocol`, with
     :func:`repro.metaopt.harness.make_evaluator` as the constructor
     entry point.

@@ -146,7 +146,7 @@ class CaseStudy:
 
     def require_tree_valued(self) -> "CaseStudy":
         """``self``, for the callers that deploy or exchange expression
-        trees (``simulate``/``profile``, the daemon's endpoints)."""
+        trees (``simulate``, the daemon's endpoints)."""
         if not self.tree_valued:
             raise ValueError(
                 f"the {self.name} case evolves enum genomes, not "
@@ -316,8 +316,8 @@ class EvaluationHarness:
         #: cases have no hook stage, so they key on the scheduled
         #: binary.  Noise is keyed per candidate and the differential
         #: guard wants a live simulator, so both switch it off, and it
-        #: rides the snapshot switch so ``--no-snapshot`` is the exact
-        #: seed path, digest cost included.
+        #: rides the snapshot switch so ``use_snapshots=False`` is the
+        #: exact seed path, digest cost included.
         self._memo_stage = (stage or "schedule") if (
             settings.use_snapshots
             and settings.noise_stddev == 0.0
@@ -597,11 +597,9 @@ class EvaluationHarness:
         return counters
 
     def evaluator(self, dataset: str = "train") -> "HarnessEvaluator":
-        """A ``(tree, benchmark) -> speedup`` callable for the GP
-        engine (fitness = speedup over baseline, Table 2).  The object
-        also implements ``evaluate_batch`` so the engine's generation-
-        batching fast path works uniformly; here the batch is simply
-        evaluated in order, preserving the serial seed semantics."""
+        """The serial evaluator for the GP engine (fitness = speedup
+        over baseline, Table 2): ``evaluate_batch`` simply evaluates
+        the batch in order, preserving the serial seed semantics."""
         return HarnessEvaluator(self, dataset)
 
 
@@ -609,19 +607,14 @@ class EvaluationHarness:
 class HarnessEvaluator:
     """Serial fitness evaluator bound to one harness and dataset.
 
-    Implements both halves of the engine's evaluator protocol: the
-    single-pair ``__call__`` and the generation-level
-    ``evaluate_batch``.  The batch form is the reference semantics the
-    parallel and fleet evaluators must reproduce bit-identically.
-    Implements :class:`EvaluatorProtocol` so serial, process-pool, and
-    fleet evaluation interchange freely.
+    Its ``evaluate_batch`` is the reference semantics the parallel and
+    fleet evaluators must reproduce bit-identically.  Implements
+    :class:`EvaluatorProtocol` so serial, process-pool, and fleet
+    evaluation interchange freely.
     """
 
     harness: EvaluationHarness
     dataset: str = "train"
-
-    def __call__(self, tree: Node, benchmark: str) -> float:
-        return self.harness.speedup(tree, benchmark, self.dataset)
 
     def evaluate_batch(self, jobs) -> list[float]:
         return [
@@ -664,9 +657,11 @@ class EvaluatorProtocol(Protocol):
       bit-identical values on every backend;
     * ``stats()`` is cheap and side-effect free; ``close()`` is
       idempotent.
-    """
 
-    def __call__(self, tree: Node, benchmark: str) -> float: ...
+    There is no single-pair call: the engine fills its memo a
+    generation at a time through ``evaluate_batch``, and finalization
+    scores on the harness itself.
+    """
 
     def evaluate_batch(
         self, jobs: Iterable[tuple[Node, str]]) -> list[float]: ...

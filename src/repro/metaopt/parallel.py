@@ -197,11 +197,6 @@ class ParallelEvaluator:
         obs.inc("parallel.batches")
         return results
 
-    def __call__(self, tree: Node, benchmark: str) -> float:
-        """GPEngine-compatible single evaluation (uses the pool so the
-        worker-side caches stay warm)."""
-        return self.evaluate_batch([(tree, benchmark)])[0]
-
     def stats(self) -> dict[str, int]:
         """Telemetry counters for event streams and progress reports."""
         return {

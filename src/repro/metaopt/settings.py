@@ -30,16 +30,14 @@ class EvalSettings:
       processes and fleet workers may share one directory.
     * ``verify_outputs`` — differential guard: check fresh simulations
       against the interpreter, score miscompiles 0.0.
-    * ``use_snapshots`` — compilation forking (docs/FORKING.md).
-    * ``collect_metrics`` — ship :mod:`repro.obs` metric deltas back
-      from pool workers (observational only; never affects fitness).
+    * ``use_snapshots`` — compilation forking (docs/FORKING.md); off
+      is the unforked seed path the identity tests compare against.
     """
 
     noise_stddev: float = 0.0
     fitness_cache_dir: str | None = None
     verify_outputs: bool = False
     use_snapshots: bool = True
-    collect_metrics: bool = False
 
     def __post_init__(self) -> None:
         # The record arrives over the wire: check types, not just range
@@ -48,7 +46,7 @@ class EvalSettings:
         if type(noise) not in (int, float) or not 0 <= noise < float("inf"):
             raise ValueError(
                 f"noise_stddev must be a finite number >= 0, not {noise!r}")
-        for switch in ("verify_outputs", "use_snapshots", "collect_metrics"):
+        for switch in ("verify_outputs", "use_snapshots"):
             if not isinstance(getattr(self, switch), bool):
                 raise ValueError(f"{switch} must be true or false")
         if self.fitness_cache_dir is not None:

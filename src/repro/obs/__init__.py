@@ -19,8 +19,9 @@ Enabling is explicit and process-local::
     tracer.write("trace.json")             # chrome://tracing / Perfetto
     obs.disable_metrics(); obs.disable_tracing()
 
-Surfaces: the ``repro profile`` subcommand, ``--trace FILE`` /
-``--metrics`` on ``evolve``/``generalize``/``simulate``, per-generation
+Surfaces: ``--trace FILE`` / ``--metrics`` on
+``evolve``/``generalize``/``simulate`` (``simulate --metrics`` prints
+the per-pass, simulator and snapshot tables), per-generation
 ``metrics`` events in the experiments stream, and the ``--trace 1``
 runs of ``bench/run.py``.  Span and metric names are catalogued in
 ``docs/OBSERVABILITY.md``.

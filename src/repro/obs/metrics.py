@@ -3,8 +3,9 @@
 The registry is the numeric half of the observability layer
 (:mod:`repro.obs`): long-running subsystems — the compilation pipeline,
 the cycle simulator, the GP engine, the parallel evaluator — feed named
-instruments, and surfaces (``repro profile``, the experiments event
-stream, ``bench/run.py``) read consistent snapshots back out.
+instruments, and surfaces (``repro simulate --metrics``, the
+experiments event stream, ``bench/run.py``) read consistent snapshots
+back out.
 
 Three instrument kinds, deliberately minimal:
 

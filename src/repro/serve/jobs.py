@@ -373,11 +373,8 @@ class HarnessPool:
     :data:`MAX_WARM_HARNESSES`; it still serves whoever holds it.
     """
 
-    def __init__(self, fitness_cache_dir: str | None = None,
-                 use_snapshots: bool = True) -> None:
+    def __init__(self, fitness_cache_dir: str | None = None) -> None:
         self.fitness_cache_dir = fitness_cache_dir
-        #: compilation forking (docs/FORKING.md)
-        self.use_snapshots = use_snapshots
         self._lock = threading.Lock()
         #: insertion order is recency: most recently used last
         self._harnesses: dict[tuple, object] = {}
@@ -385,15 +382,15 @@ class HarnessPool:
     def get_for_settings(self, case_name: str, settings):
         from repro.metaopt.harness import EvaluationHarness, case_study
 
-        # Pin the host-local fields: the cache directory and snapshot
-        # switch belong to *this* server's configuration, never to the
-        # requester (a remote coordinator must not name local paths).
-        # Neither field affects fitness values, so overriding them keeps
-        # results bit-identical to the requested settings.
+        # Pin the host-local fields: the cache directory belongs to
+        # *this* server's configuration, never to the requester (a
+        # remote coordinator must not name local paths), and a daemon
+        # always forks compiles at the hook.  Neither field affects
+        # fitness values, so overriding them keeps results
+        # bit-identical to the requested settings.
         settings = settings.replace(
             fitness_cache_dir=self.fitness_cache_dir,
-            use_snapshots=self.use_snapshots,
-            collect_metrics=False,
+            use_snapshots=True,
         )
         key = (case_name, settings)
         with self._lock:

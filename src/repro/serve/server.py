@@ -124,15 +124,13 @@ class ReproServer:
         registry=None,
         fitness_cache_dir: str | None = None,
         handler=None,
-        use_snapshots: bool = True,
         batch_concurrency: int = 4,
         autopilot_config=None,
     ) -> None:
         if batch_concurrency < 1:
             raise ValueError("batch_concurrency must be >= 1")
         self.registry = registry
-        self.harness_pool = HarnessPool(fitness_cache_dir=fitness_cache_dir,
-                                        use_snapshots=use_snapshots)
+        self.harness_pool = HarnessPool(fitness_cache_dir=fitness_cache_dir)
         #: bounds concurrent ``/v1/evaluate-batch`` streams; a request
         #: that cannot get a lane immediately is shed with 429 rather
         #: than queued (the fleet coordinator retries with backoff)

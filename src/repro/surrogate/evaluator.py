@@ -124,14 +124,6 @@ class SurrogateEvaluator:
         self.last_rank_corr: float | None = None
 
     # -- EvaluatorProtocol ----------------------------------------------
-    def __call__(self, tree: Node, benchmark: str) -> float:
-        """Single evaluations are always exact: they come from
-        finalization and scoring paths where ground truth is the
-        point."""
-        value = self.inner(tree, benchmark)
-        self._record_pairs([(tree, benchmark)], [value])
-        return value
-
     def evaluate_batch(
             self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
         jobs = list(jobs)

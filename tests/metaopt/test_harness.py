@@ -94,8 +94,9 @@ class TestHarness:
             == harness.baseline_result("rawcaudio").cycles
 
     def test_evaluator_interface(self, harness):
-        evaluate = harness.evaluator("train")
-        speedup = evaluate(harness.case.baseline_tree(), "rawcaudio")
+        evaluator = harness.evaluator("train")
+        [speedup] = evaluator.evaluate_batch(
+            [(harness.case.baseline_tree(), "rawcaudio")])
         assert speedup == pytest.approx(1.0)
 
     def test_outputs_match_reference_interpreter(self, harness):

@@ -33,7 +33,8 @@ class TestParallelEvaluator:
         sequential = EvaluationHarness(case)
         baseline = case.baseline_tree()
         with pool(2) as parallel:
-            parallel_value = parallel(baseline, "codrle4")
+            parallel_value = parallel.evaluate_batch(
+                [(baseline, "codrle4")])[0]
         sequential_value = sequential.speedup(baseline, "codrle4")
         assert parallel_value == pytest.approx(sequential_value)
 
@@ -57,7 +58,7 @@ class TestParallelEvaluator:
         baseline = case.baseline_tree()
         with make_evaluator("hyperblock", processes=1) as serial:
             assert isinstance(serial, HarnessEvaluator)
-            value = serial(baseline, "codrle4")
+            value = serial.evaluate_batch([(baseline, "codrle4")])[0]
         sequential = EvaluationHarness(case).speedup(baseline, "codrle4")
         assert value == sequential
 
@@ -65,7 +66,7 @@ class TestParallelEvaluator:
         case = case_study("hyperblock")
         baseline = case.baseline_tree()
         evaluator = pool(2)
-        first = evaluator(baseline, "codrle4")
+        first = evaluator.evaluate_batch([(baseline, "codrle4")])[0]
         evaluator.close()
         evaluator.close()  # idempotent
         evaluator.close(force=True)

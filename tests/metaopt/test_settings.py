@@ -16,7 +16,6 @@ class TestEvalSettings:
         assert settings.fitness_cache_dir is None
         assert settings.verify_outputs is False
         assert settings.use_snapshots is True
-        assert settings.collect_metrics is False
 
     def test_frozen_and_hashable(self):
         settings = EvalSettings(noise_stddev=0.01)
@@ -34,22 +33,21 @@ class TestEvalSettings:
             "fitness_cache_dir": "/tmp/cache",
             "verify_outputs": True,
             "use_snapshots": True,
-            "collect_metrics": False,
         }
         assert EvalSettings.from_json_dict(wire) == settings
 
     def test_from_json_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown EvalSettings"):
-            EvalSettings.from_json_dict({"noise": 0.1})
+        # a typo, and a field the record no longer has
+        for text in ('{"noise": 0.1}', '{"collect_metrics": false}'):
+            with pytest.raises(ValueError, match="unknown EvalSettings"):
+                EvalSettings.from_json_dict(json.loads(text))
         # wire values JSON admits and the record must not
         for text, field in (('{"noise_stddev": Infinity}', "noise_stddev"),
                             ('{"noise_stddev": NaN}', "noise_stddev"),
                             ('{"noise_stddev": true}', "noise_stddev"),
                             ('{"noise_stddev": "0.1"}', "noise_stddev"),
                             ('{"verify_outputs": "yes"}', "verify_outputs"),
-                            ('{"use_snapshots": 1}', "use_snapshots"),
-                            ('{"collect_metrics": null}',
-                             "collect_metrics")):
+                            ('{"use_snapshots": 1}', "use_snapshots")):
             with pytest.raises(ValueError, match=field):
                 EvalSettings.from_json_dict(json.loads(text))
         assert EvalSettings.from_json_dict(

@@ -1,8 +1,8 @@
 """The instrumented subsystems feed the observability layer.
 
 These tests pin the span names and metric names that
-``docs/OBSERVABILITY.md`` documents and the ``repro profile`` tables
-read — renaming an instrument is a docs change, not a refactor.
+``docs/OBSERVABILITY.md`` documents and the ``repro simulate --metrics``
+tables read — renaming an instrument is a docs change, not a refactor.
 """
 
 import pytest

@@ -101,6 +101,31 @@ class TestUniformJsonFailures:
         document = self.assert_failure_doc(capsys, code)
         assert "feedface" in document["error"]
 
+    def test_simulate_explicit_case_must_match_artifact(self, tmp_path,
+                                                         capsys):
+        """An explicit ``--case hyperblock`` (the default case's name)
+        is still an explicit choice: against a regalloc artifact it is
+        refused, not silently overridden."""
+        from repro.gp.parse import unparse
+        from repro.machine.descr import REGALLOC_MACHINE
+        from repro.metaopt.baselines import BASELINE_TREES
+        from repro.serve.artifact import build_artifact
+        from repro.serve.registry import ArtifactRegistry
+
+        artifact = build_artifact(
+            case="regalloc",
+            expression=unparse(BASELINE_TREES["regalloc"]()),
+            machine=REGALLOC_MACHINE,
+            training_config={"mode": "manual"}, metrics={},
+            created_at=1.0)
+        ArtifactRegistry(tmp_path).save(artifact)
+        code = main(["simulate", "codrle4", "--case", "hyperblock",
+                     "--artifact", artifact.artifact_id,
+                     "--artifact-store", str(tmp_path), "--json"])
+        document = self.assert_failure_doc(capsys, code)
+        assert document["error"].startswith("ArtifactError")
+        assert "--case says hyperblock" in document["error"]
+
     def test_artifacts_show_missing(self, tmp_path, capsys):
         code = main(["artifacts", "show", "feedface",
                      "--store", str(tmp_path), "--json"])

@@ -32,10 +32,6 @@ class FakeInner:
         digest = sum(ord(c) for c in unparse(tree) + benchmark)
         return self.offset + (digest % 100) / 100.0
 
-    def __call__(self, tree, benchmark):
-        self.jobs += 1
-        return self._value(tree, benchmark)
-
     def evaluate_batch(self, jobs):
         jobs = list(jobs)
         self.jobs += len(jobs)
@@ -86,14 +82,6 @@ class TestColdStart:
         assert ev.model is not None and ev.model.trained
         assert ev.predicted_jobs == 0
         assert inner.jobs == 24
-
-    def test_single_calls_always_exact(self):
-        inner = FakeInner()
-        ev = SurrogateEvaluator(inner, CASE,
-                                model=constant_model(10.0))
-        tree = distinct_trees(1)[0]
-        assert ev(tree, "codrle4") == inner._value(tree, "codrle4")
-        assert ev.predicted_jobs == 0
 
 
 class TestPrescreening:

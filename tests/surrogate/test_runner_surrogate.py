@@ -104,6 +104,23 @@ class TestTelemetry:
             assert set(event) == {"event", "generation", "sims_saved",
                                   "rank_corr", "refits", "promotions"}
 
+    def test_warm_cache_training_reaches_the_first_metrics_event(
+            self, tmp_path):
+        """The model trains while the session opens, before any
+        generation runs; its counters belong to generation 0."""
+        cache_dir = str(tmp_path / "cache")
+        ExperimentRunner(config(generations=2, fitness_cache_dir=cache_dir),
+                         run_dir=tmp_path / "exact").run()
+        sink = MemorySink()
+        ExperimentRunner(config(generations=2, fitness_cache_dir=cache_dir),
+                         run_dir=tmp_path / "run", collect_metrics=True,
+                         sinks=(sink,), **SURROGATE_KWARGS).run()
+        first = sink.of_type("metrics")[0]
+        assert first["generation"] == 0
+        counters = first["metrics"]["counters"]
+        assert counters["surrogate.train_scanned"] > 0
+        assert counters["surrogate.train_pairs"] > 0
+
     def test_no_surrogate_events_without_metrics(self, tmp_path):
         sink = MemorySink()
         ExperimentRunner(config(generations=2),

@@ -212,7 +212,7 @@ class TestParser:
         assert packages == {"repro", "repro.cli", "repro.ir",
                             "repro.machine", "repro.obs"}
 
-    @pytest.mark.parametrize("command", ("simulate", "profile"))
+    @pytest.mark.parametrize("command", ("simulate",))
     def test_tree_only_commands_ask_the_case(self, command, capsys):
         """No second list of "tree cases": argparse offers every case
         and the case itself says it has no tree to deploy."""
@@ -318,11 +318,16 @@ class TestFuzz:
         assert any(name.endswith(".report.json") for name in saved)
 
 
-class TestProfile:
-    def test_profile_prints_tables(self, capsys):
-        assert main(["profile", "codrle4"]) == 0
+class TestObsFlags:
+    def test_simulate_metrics_flag(self, capsys):
+        assert main(["simulate", "codrle4", "--metrics"]) == 0
         output = capsys.readouterr().out
-        assert "profile of codrle4" in output
+        assert "simulator counter" in output
+
+    def test_simulate_metrics_prints_tables(self, capsys):
+        assert main(["simulate", "codrle4", "--case", "regalloc",
+                     "--metrics", "--no-fitness-cache"]) == 0
+        output = capsys.readouterr().out
         # per-pass timing table
         for column in ("pass", "runs", "total_s", "mean_s", "ir_delta"):
             assert column in output
@@ -331,10 +336,12 @@ class TestProfile:
         # simulator counter table
         assert "simulator counter" in output
         assert "cycles" in output
+        # compilation-forking table: regalloc replays from a snapshot
+        assert "restore_p50_ms" in output
 
-    def test_profile_json_payload(self, capsys):
-        assert main(["profile", "codrle4", "--case", "regalloc",
-                     "--json"]) == 0
+    def test_simulate_metrics_json_payload(self, capsys):
+        assert main(["simulate", "codrle4", "--case", "regalloc",
+                     "--metrics", "--no-fitness-cache", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["benchmark"] == "codrle4"
@@ -344,9 +351,10 @@ class TestProfile:
         assert metrics["counters"]["sim.runs"] == 1
         assert "pipeline.pass_seconds.regalloc" in metrics["histograms"]
 
-    def test_profile_writes_chrome_trace(self, tmp_path, capsys):
+    def test_simulate_metrics_writes_chrome_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
-        assert main(["profile", "codrle4", "--trace", str(trace)]) == 0
+        assert main(["simulate", "codrle4", "--metrics",
+                     "--no-fitness-cache", "--trace", str(trace)]) == 0
         capsys.readouterr()
         loaded = json.loads(trace.read_text())
         assert set(loaded) == {"traceEvents", "displayTimeUnit"}
@@ -354,23 +362,16 @@ class TestProfile:
         assert "pipeline:backend" in names
         assert "sim:run" in names
 
-    def test_profile_leaves_observability_disabled(self, capsys):
+    def test_simulate_metrics_leaves_observability_disabled(self, capsys):
         from repro import obs
 
-        assert main(["profile", "codrle4"]) == 0
+        assert main(["simulate", "codrle4", "--metrics"]) == 0
         capsys.readouterr()
         assert not obs.enabled()
 
-    def test_profile_unknown_benchmark_rejected(self):
+    def test_simulate_metrics_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
-            main(["profile"])
-
-
-class TestObsFlags:
-    def test_simulate_metrics_flag(self, capsys):
-        assert main(["simulate", "codrle4", "--metrics"]) == 0
-        output = capsys.readouterr().out
-        assert "simulator counter" in output
+            main(["simulate", "--metrics"])
 
     def test_simulate_json_with_metrics(self, capsys):
         assert main(["simulate", "codrle4", "--metrics", "--json"]) == 0
@@ -481,22 +482,3 @@ class TestSurrogateFlags:
         assert payload["mode"] == "specialize"
         state = json.loads((run_dir / "surrogate.json").read_text())
         assert state["top_k"] == 3
-
-    def test_profile_surrogate_table(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["evolve", "hyperblock", "codrle4",
-                     "--pop", "8", "--gens", "2",
-                     "--fitness-cache", cache_dir]) == 0
-        capsys.readouterr()
-        assert main(["profile", "codrle4", "--case", "hyperblock",
-                     "--surrogate", "--fitness-cache", cache_dir]) == 0
-        output = capsys.readouterr().out
-        assert "surrogate counter" in output
-        assert "train_pairs" in output
-        assert "baseline_prediction" in output
-
-    def test_profile_surrogate_without_cache_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FITNESS_CACHE", raising=False)
-        with pytest.raises(SystemExit):
-            main(["profile", "codrle4", "--case", "hyperblock",
-                  "--surrogate"])
