@@ -147,10 +147,10 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _add_fleet_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fleet", metavar="SPEC",
-        help="shard fitness evaluation across serve workers: 'local:N' "
-             "spawns N local workers, 'host:port,host:port' uses "
-             "running daemons (docs/FLEET.md); mutually exclusive "
-             "with --processes > 1")
+        help="shard fitness evaluation across running serve daemons, "
+             "'host:port,host:port' (docs/FLEET.md); on one host use "
+             "--processes N instead; mutually exclusive with "
+             "--processes > 1")
 
 
 def _print_pass_table(snapshot: dict) -> None:

@@ -2,7 +2,10 @@
 
 A checkpoint is one pickle file holding the engine snapshot
 (:meth:`repro.gp.engine.GPEngine.state_dict` — population, RNG state,
-fitness memo, DSS state, history) plus the config it belongs to.  The
+fitness memo, DSS state, history) plus the config it belongs to and,
+for a ``--surrogate`` run, the surrogate's
+:meth:`~repro.surrogate.SurrogateEvaluator.state_dict` under
+``"surrogate"``, so the two can never fall out of step.  The
 write is atomic (temp file + ``os.replace`` in the same directory), so
 a run killed mid-checkpoint leaves the previous checkpoint intact and a
 run killed between checkpoints simply replays the last completed
@@ -20,7 +23,8 @@ from pathlib import Path
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, config_dict: dict, engine_state: dict) -> None:
+def save_checkpoint(path, config_dict: dict, engine_state: dict,
+                    surrogate_state: dict | None = None) -> None:
     """Atomically write a checkpoint next to its final location."""
     path = Path(path)
     payload = {
@@ -28,6 +32,8 @@ def save_checkpoint(path, config_dict: dict, engine_state: dict) -> None:
         "config": config_dict,
         "engine": engine_state,
     }
+    if surrogate_state is not None:
+        payload["surrogate"] = surrogate_state
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)

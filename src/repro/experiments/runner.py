@@ -45,7 +45,6 @@ EVENTS_FILENAME = "events.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.pkl"
 RESULT_FILENAME = "result.json"
 POPULATIONS_DIRNAME = "populations"
-SURROGATE_FILENAME = "surrogate.json"
 
 
 @dataclass
@@ -110,8 +109,8 @@ class ExperimentRunner:
         #: a deployment side effect, never part of the run's identity,
         #: so result.json (and resume byte-identity) are unaffected.
         self.publish_dir = publish_dir
-        #: fleet spec (``"local:N"`` or ``"host:port,..."``): shard each
-        #: generation across serve workers (docs/FLEET.md).  Runner-level
+        #: fleet spec (``"host:port,..."``): shard each generation
+        #: across running serve daemons (docs/FLEET.md).  Runner-level
         #: like ``collect_metrics`` — the fleet is bit-identical to serial
         #: evaluation, so it describes *where* a run executes, never
         #: *what* it computes, and a resume may use a different fleet
@@ -124,7 +123,7 @@ class ExperimentRunner:
         #: unlike the other switches it changes the search trajectory
         #: (tail fitnesses are predictions), so a resumed run must use
         #: the same flag as the original; the surrogate's own state
-        #: rides ``surrogate.json`` beside the checkpoint to keep
+        #: rides ``checkpoint.pkl`` (its ``surrogate`` entry) to keep
         #: kill+resume byte-identical.
         self.surrogate = surrogate
         self.surrogate_top_k = surrogate_top_k
@@ -170,37 +169,29 @@ class ExperimentRunner:
         return EvaluationHarness(case_study(self.config.case),
                                  self._settings())
 
-    def _build_surrogate(self, harness, inner, skip_train: bool):
+    def _build_surrogate(self, harness, inner, state: dict | None):
         """Wrap ``inner`` (or the serial harness evaluator) in a
-        :class:`~repro.surrogate.SurrogateEvaluator`.  The initial
-        model trains from the harness's persistent fitness cache;
-        ``skip_train`` (resume with a saved ``surrogate.json``) leaves
-        the model to the state restore instead."""
+        :class:`~repro.surrogate.SurrogateEvaluator`.  ``state`` is the
+        checkpoint's ``surrogate`` entry on resume; without one (a
+        fresh run, or a checkpoint written before the entry existed)
+        the initial model trains from the harness's persistent fitness
+        cache."""
         from repro.surrogate import SurrogateEvaluator, train_from_cache
 
         if inner is None:
             inner = harness.evaluator("train")
         model = None
-        if not skip_train and harness.fitness_cache is not None:
+        if state is None and harness.fitness_cache is not None:
             model, _report = train_from_cache(
                 harness.fitness_cache, self.config.case)
         surrogate = SurrogateEvaluator(
             inner, self.config.case, model,
             top_k=self.surrogate_top_k,
             seed=self.config.params.seed)
+        if state is not None:
+            surrogate.restore_state(state)
         self._surrogate_evaluator = surrogate
         return surrogate
-
-    def _surrogate_path(self):
-        return self.run_dir / SURROGATE_FILENAME
-
-    def _save_surrogate_state(self) -> None:
-        path = self._surrogate_path()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(
-            self._surrogate_evaluator.state_dict(),
-            indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
 
     def _extra_seeds(self, harness):
         if not self.config.seed_expressions:
@@ -497,6 +488,14 @@ class ExperimentSession:
             raise ValueError("resume requires a run directory")
         self.sink = MultiSink(list(runner.sinks) + self._owned_sinks)
 
+        snapshot = None
+        if resume:
+            snapshot = load_checkpoint(self.checkpoint_path)
+            if snapshot["config"] != config.to_json_dict():
+                raise ValueError(
+                    "checkpoint was written by a different configuration "
+                    f"than {runner.run_dir / CONFIG_FILENAME} describes")
+
         self.evaluator = None
         self._evaluator_context = nullcontext()
         if runner.fleet is not None or config.processes > 1:
@@ -510,25 +509,15 @@ class ExperimentSession:
             )
             self._evaluator_context = self.evaluator
         runner._surrogate_evaluator = None
-        saved_state = False
         if runner.surrogate:
-            saved_state = (runner.run_dir is not None and resume
-                           and runner._surrogate_path().exists())
             self.evaluator = runner._build_surrogate(
-                self.harness, self.evaluator, skip_train=saved_state)
+                self.harness, self.evaluator,
+                None if snapshot is None else snapshot.get("surrogate"))
             self._evaluator_context = self.evaluator
 
         self.engine = runner._build_engine(self.harness, self.evaluator)
-        if resume:
-            snapshot = load_checkpoint(self.checkpoint_path)
-            if snapshot["config"] != config.to_json_dict():
-                raise ValueError(
-                    "checkpoint was written by a different configuration "
-                    f"than {runner.run_dir / CONFIG_FILENAME} describes")
+        if snapshot is not None:
             self.engine.restore_state(snapshot["engine"])
-            if runner._surrogate_evaluator is not None and saved_state:
-                runner._surrogate_evaluator.restore_state(
-                    json.loads(runner._surrogate_path().read_text()))
 
         if runner.run_dir is not None:
             engine = self.engine
@@ -586,11 +575,12 @@ class ExperimentSession:
                 self.engine.generation % config.checkpoint_every == 0
                 or self.engine.done
             ):
+                surrogate = runner._surrogate_evaluator
                 save_checkpoint(self.checkpoint_path,
                                 config.to_json_dict(),
-                                self.engine.state_dict())
-                if runner._surrogate_evaluator is not None:
-                    runner._save_surrogate_state()
+                                self.engine.state_dict(),
+                                None if surrogate is None
+                                else surrogate.state_dict())
                 checkpointed = True
             else:
                 checkpointed = False

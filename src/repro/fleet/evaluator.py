@@ -5,7 +5,10 @@ heuristics on 15–20 machines.  :class:`FleetEvaluator` is that tier:
 it implements the same :class:`~repro.metaopt.harness.
 EvaluatorProtocol` as the in-process evaluators, but ships each
 batch of distinct candidates (the GP engine owns the fitness memo) to
-``repro serve`` workers over ``POST /v1/evaluate-batch``.
+running ``repro serve`` daemons over ``POST /v1/evaluate-batch``.
+A fleet is a spec string of ``host:port`` entries; the daemons'
+lifecycle belongs to whoever started them.  On one host the process
+pool (``--processes N``) is the parallel path.
 
 Design invariants (docs/FLEET.md):
 
@@ -43,12 +46,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
 from repro import obs
-from repro.fleet.workers import (
-    FleetError,
-    FleetTarget,
-    LocalWorkerProcess,
-    parse_fleet_spec,
-)
 from repro.gp.nodes import Node
 from repro.gp.parse import unparse
 from repro.serve.client import ServeClient, ServeError, ServerBusy
@@ -72,6 +69,31 @@ _BACKOFF = 0.25
 _MAX_BACKOFF = 4.0
 
 
+class FleetError(RuntimeError):
+    """Any failure the fleet layer cannot recover from."""
+
+
+def parse_fleet_spec(spec: str) -> list[str]:
+    """Parse ``"host:port,host:port"`` into worker addresses."""
+    addresses: list[str] = []
+    for entry in spec.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        host, sep, port = entry.rpartition(":")
+        if entry == "local" or host == "local":
+            raise FleetError(
+                "--fleet takes host:port daemons; on one host use "
+                "--processes N")
+        if not sep or not host or not port.isdigit():
+            raise FleetError(
+                f"bad fleet entry {entry!r}: expected 'host:port'")
+        addresses.append(entry)
+    if not addresses:
+        raise FleetError(f"fleet spec {spec!r} names no workers")
+    return addresses
+
+
 class _ShardItemFailed(FleetError):
     """A worker answered ``{"ok": false}`` for an item, or left one
     out — possibly a worker-local hiccup, so the shard gets its normal
@@ -89,13 +111,11 @@ class _Shard:
 
 
 class _WorkerSlot:
-    __slots__ = ("index", "client", "process", "alive", "busy_seconds")
+    __slots__ = ("index", "client", "alive", "busy_seconds")
 
-    def __init__(self, index: int, client: ServeClient,
-                 process: LocalWorkerProcess | None) -> None:
+    def __init__(self, index: int, client: ServeClient) -> None:
         self.index = index
         self.client = client
-        self.process = process
         self.alive = True
         self.busy_seconds = 0.0
 
@@ -117,18 +137,16 @@ class FleetEvaluator:
 
     ``harness`` names the case and settings the workers evaluate with
     (and is where the dead-fleet fallback runs); ``fleet`` is a spec
-    string (``"local:2"``, ``"host:8347,host:8348"``) or a pre-parsed
-    target list.  Workers spawn lazily on the first batch (or eagerly
-    via ``__enter__``), so constructing an evaluator is free.
+    string of running daemons (``"host:8347,host:8348"``).  Workers
+    are connected lazily on the first batch (or eagerly via
+    ``__enter__``), so constructing an evaluator is free.
     """
 
-    def __init__(self, harness: "EvaluationHarness",
-                 fleet: str | list[FleetTarget], *,
+    def __init__(self, harness: "EvaluationHarness", fleet: str, *,
                  dataset: str = "train",
                  sleep=time.sleep) -> None:
         self.harness = harness
-        self.targets = (parse_fleet_spec(fleet)
-                        if isinstance(fleet, str) else list(fleet))
+        self.addresses = parse_fleet_spec(fleet)
         self.dataset = dataset
         self._sleep = sleep
         self._slots: list[_WorkerSlot] | None = None
@@ -143,23 +161,17 @@ class FleetEvaluator:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> list["_WorkerSlot"]:
-        """Spawn local workers, connect, and verify capabilities."""
+        """Connect to every worker and verify its capabilities."""
         if self._slots is not None:
             return self._slots
         if self._closed:
             raise FleetError("evaluator is closed")
         slots: list[_WorkerSlot] = []
         try:
-            for index, target in enumerate(self.targets):
-                process = None
-                if target.kind == "local":
-                    process = LocalWorkerProcess()
-                    address = process.address
-                else:
-                    address = target.address
+            for index, address in enumerate(self.addresses):
                 client = ServeClient(address, timeout=_TIMEOUT, retries=0)
                 self._check_capabilities(client)
-                slots.append(_WorkerSlot(index, client, process))
+                slots.append(_WorkerSlot(index, client))
         except BaseException:
             for slot in slots:
                 self._retire(slot)
@@ -190,11 +202,9 @@ class FleetEvaluator:
     def _retire(self, slot: _WorkerSlot) -> None:
         slot.alive = False
         slot.client.close()
-        if slot.process is not None:
-            slot.process.terminate()
 
     def close(self) -> None:
-        """Idempotent: disconnect every worker, reap local children."""
+        """Idempotent: disconnect every worker."""
         self._closed = True
         slots, self._slots = self._slots, None
         for slot in slots or ():
@@ -399,8 +409,6 @@ class FleetEvaluator:
 
     def _probe(self, slot: _WorkerSlot) -> bool:
         """Is the worker still there after a transport error?"""
-        if slot.process is not None and not slot.process.alive():
-            return False
         try:
             slot.client.health()
             return True
@@ -424,7 +432,7 @@ class FleetEvaluator:
     # -- telemetry -------------------------------------------------------
     def stats(self) -> dict[str, int]:
         return {
-            "workers": len(self.targets),
+            "workers": len(self.addresses),
             "workers_lost": self.workers_lost,
             "jobs_dispatched": self.jobs_dispatched,
             "batches_dispatched": self.batches_dispatched,

@@ -684,9 +684,9 @@ def make_evaluator(case_name: str,
     ``harness`` to evaluate on an existing one instead.  Every backend
     evaluates ``dataset`` on (copies of) that single harness:
 
-    * ``fleet`` set (e.g. ``"local:2"`` or ``"host:1234,host:1235"``) —
-      a :class:`~repro.fleet.FleetEvaluator` sharding batches across
-      serve workers (mutually exclusive with ``processes > 1``);
+    * ``fleet`` set (e.g. ``"host:1234,host:1235"``) — a
+      :class:`~repro.fleet.FleetEvaluator` sharding batches across
+      running serve daemons (mutually exclusive with ``processes > 1``);
     * ``processes > 1`` — a
       :class:`~repro.metaopt.parallel.ParallelEvaluator` process pool;
     * otherwise — the serial :class:`HarnessEvaluator`.

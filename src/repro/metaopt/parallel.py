@@ -57,6 +57,9 @@ _WORKER_HARNESS = None
 #: out both the parent state inherited via fork and earlier jobs, so
 #: each job's delta carries only its own activity.
 _WORKER_METRICS_MARK = None
+#: The worker harness's ``stats()`` at the last shipped delta, with the
+#: same baselining as the metrics mark.
+_WORKER_STATS_MARK: dict[str, int] = {}
 
 
 def _worker_init(harness: "EvaluationHarness",
@@ -64,8 +67,9 @@ def _worker_init(harness: "EvaluationHarness",
     """Adopt the harness this worker was forked with: its prepared-
     program and baseline-cycle caches came along copy-on-write (fork
     hands ``initargs`` over by reference, nothing is pickled)."""
-    global _WORKER_HARNESS, _WORKER_METRICS_MARK
+    global _WORKER_HARNESS, _WORKER_METRICS_MARK, _WORKER_STATS_MARK
     _WORKER_HARNESS = harness
+    _WORKER_STATS_MARK = harness.stats()
     if collect_metrics:
         # Reuses a registry inherited copy-on-write (enable_metrics is
         # idempotent); the mark excludes its pre-fork contents from the
@@ -78,24 +82,29 @@ def _worker_init(harness: "EvaluationHarness",
 
 def _worker_evaluate(
     job: tuple[int, str, str, str]
-) -> tuple[int, float, dict | None]:
-    """Evaluate one job; ships a metrics *delta* (everything this
-    worker recorded since its last shipped job) alongside the value so
-    the parent can fold per-worker activity into its own registry."""
-    global _WORKER_METRICS_MARK
+) -> tuple[int, float, dict[str, int], dict | None]:
+    """Evaluate one job; ships the harness ``stats()`` delta and a
+    metrics *delta* (everything this worker did since its last shipped
+    job) alongside the value, so the parent can count per-worker work
+    and fold it into its own registry."""
+    global _WORKER_METRICS_MARK, _WORKER_STATS_MARK
     index, tree_text, benchmark, dataset = job
     from repro.metaopt.priority import PriorityFunction
 
     priority = PriorityFunction.from_text(tree_text,
                                           _WORKER_HARNESS.case.pset)
     value = _WORKER_HARNESS.speedup(priority.tree, benchmark, dataset)
+    stats = _WORKER_HARNESS.stats()
+    stats_delta = {key: count - _WORKER_STATS_MARK.get(key, 0)
+                   for key, count in stats.items()}
+    _WORKER_STATS_MARK = stats
     registry = obs.metrics()
     if registry is None:
-        return index, value, None
+        return index, value, stats_delta, None
     snapshot = registry.snapshot()
     delta = diff_snapshots(_WORKER_METRICS_MARK or {}, snapshot)
     _WORKER_METRICS_MARK = snapshot
-    return index, value, delta
+    return index, value, stats_delta, delta
 
 
 class ParallelEvaluator:
@@ -112,6 +121,8 @@ class ParallelEvaluator:
         self._pool = None
         self.jobs_dispatched = 0
         self.batches_dispatched = 0
+        #: the workers' harness counters, summed over every job
+        self._worker_stats: dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_pool(self, benchmarks: Iterable[str]):
@@ -177,10 +188,13 @@ class ParallelEvaluator:
         results: list[float | None] = [None] * len(indexed)
         registry = obs.metrics()
         try:
-            for index, value, delta in pool.imap_unordered(
+            for index, value, stats_delta, delta in pool.imap_unordered(
                 _worker_evaluate, indexed, chunksize=chunksize
             ):
                 results[index] = value
+                for key, count in stats_delta.items():
+                    self._worker_stats[key] = (
+                        self._worker_stats.get(key, 0) + count)
                 if delta is not None and registry is not None:
                     registry.merge_snapshot(delta)
         except KeyboardInterrupt:
@@ -198,9 +212,15 @@ class ParallelEvaluator:
         return results
 
     def stats(self) -> dict[str, int]:
-        """Telemetry counters for event streams and progress reports."""
-        return {
+        """Telemetry counters for event streams and progress reports:
+        the harness counters summed over the parent and every worker,
+        plus the dispatch counts."""
+        counters = dict(self.harness.stats())
+        for key, count in self._worker_stats.items():
+            counters[key] = counters.get(key, 0) + count
+        counters.update({
             "processes": self.processes,
             "jobs_dispatched": self.jobs_dispatched,
             "batches_dispatched": self.batches_dispatched,
-        }
+        })
+        return counters

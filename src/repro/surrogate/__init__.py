@@ -25,7 +25,7 @@ Layers:
 """
 
 from repro.surrogate.evaluator import SurrogateEvaluator
-from repro.surrogate.features import FeatureExtractor, static_ir_delta
+from repro.surrogate.features import FeatureExtractor
 from repro.surrogate.model import RidgeModel, SurrogateModel
 from repro.surrogate.train import TrainingReport, train_from_cache
 
@@ -35,6 +35,5 @@ __all__ = [
     "SurrogateEvaluator",
     "SurrogateModel",
     "TrainingReport",
-    "static_ir_delta",
     "train_from_cache",
 ]

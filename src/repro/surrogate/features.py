@@ -1,8 +1,8 @@
 """Candidate expression → fixed numeric feature vector.
 
 The surrogate model never sees the simulator; everything it knows
-about a candidate must be computable from the expression tree alone
-(plus, optionally, a compile-only static probe).  The vector layout is
+about a candidate must be computable from the expression tree alone.
+The vector layout is
 fixed per primitive set — every case study gets the same structural
 features plus one usage slot per feature name its compiler hook
 supplies — so models serialize with their feature names and refuse
@@ -114,42 +114,3 @@ class FeatureExtractor:
         vector.extend(float(usage[name])
                       for name in self.pset.feature_names)
         return vector
-
-
-#: Static-probe feature names appended when the IR delta probe is used.
-STATIC_NAMES: tuple[str, ...] = (
-    "ir_bundles_delta", "ir_instrs_delta", "ir_blocks_delta",
-)
-
-
-def _static_counts(scheduled) -> tuple[int, int, int]:
-    bundles = instrs = blocks = 0
-    for func in scheduled.functions.values():
-        for label in func.block_order:
-            blocks += 1
-            for bundle in func.blocks[label].bundles:
-                bundles += 1
-                instrs += len(bundle.instrs)
-    return bundles, instrs, blocks
-
-
-def static_ir_delta(harness, tree: Node, benchmark: str) -> list[float]:
-    """Optional compile-only probe: candidate-vs-baseline deltas of
-    static schedule statistics (bundles, instructions, blocks).
-
-    Costs one backend compile per candidate — cheap next to a
-    simulation, and nearly free with compilation forking on — but not
-    free, so the evaluator leaves it off by default.  Rides the
-    harness's snapshot layer when enabled.
-    """
-    from repro.metaopt.harness import _as_hook
-
-    prep = harness.prepared(benchmark)
-    baseline_opts = harness.case.options_for(
-        _as_hook(harness.baseline_tree()))
-    candidate_opts = harness.case.options_for(_as_hook(tree))
-    base = harness._compile(prep, baseline_opts, benchmark)
-    cand = harness._compile(prep, candidate_opts, benchmark)
-    base_counts = _static_counts(base)
-    cand_counts = _static_counts(cand)
-    return [float(c - b) for c, b in zip(cand_counts, base_counts)]

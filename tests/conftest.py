@@ -25,7 +25,7 @@ class CampaignDriver:
     """The shared tempdir campaign runner of the experiments, fleet,
     and surrogate suites (formerly three copy-pasted helpers).
 
-    ``runner_kwargs`` (``surrogate=True``, ``fleet="local:2"``, ...)
+    ``runner_kwargs`` (``surrogate=True``, ``fleet="host:8347"``, ...)
     pass straight through to :class:`repro.experiments.
     ExperimentRunner` on the initial run *and* on the resume leg, so a
     killed run always resumes under the same evaluation backend.

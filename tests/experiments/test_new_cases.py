@@ -91,7 +91,7 @@ class TestFlagsGates:
         config = campaign_run.config(case="flags", generations=2)
         with pytest.raises(ValueError, match="serial"):
             ExperimentRunner(config, run_dir=campaign_run.base / "run",
-                             fleet="local:2").run()
+                             fleet="127.0.0.1:8347").run()
 
     def test_rejects_surrogate(self, campaign_run):
         config = campaign_run.config(case="flags", generations=2)

@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.fleet import FleetError, FleetEvaluator, FleetTarget
+from repro.fleet import FleetError, FleetEvaluator
 from repro.gp.parse import parse
 from repro.metaopt.baselines import BASELINE_TREES
 from repro.metaopt.harness import (
@@ -142,9 +142,9 @@ class FakeWorker:
         self.thread.start()
 
     @property
-    def target(self) -> FleetTarget:
+    def target(self) -> str:
         host, port = self.httpd.server_address[:2]
-        return FleetTarget("remote", f"{host}:{port}")
+        return f"{host}:{port}"
 
     def close(self):
         self.httpd.shutdown()
@@ -164,7 +164,7 @@ def make_fleet(workers):
     ``4 * len(workers)`` jobs goes out one job per shard, and twice
     that many goes out two jobs per shard."""
     harness = EvaluationHarness(case_study("hyperblock"))
-    return FleetEvaluator(harness, [w.target for w in workers],
+    return FleetEvaluator(harness, ",".join(w.target for w in workers),
                           sleep=lambda seconds: None)
 
 
@@ -210,7 +210,7 @@ class TestDatasetBinding:
             backend_args = {
                 "serial": {},
                 "pool": {"processes": 2},
-                "fleet": {"fleet": worker.target.address},
+                "fleet": {"fleet": worker.target},
             }[backend]
             with make_evaluator("hyperblock", dataset="novel",
                                 **backend_args) as evaluator:

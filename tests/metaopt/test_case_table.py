@@ -78,8 +78,8 @@ class TestRow:
     def test_campaign_gate_follows_the_capabilities(self, name):
         case = case_study(name)
         case.check_campaign()
-        assert _refused(case, processes=2, fleet="local:2")
-        for options in ({"processes": 2}, {"fleet": "local:2"},
+        assert _refused(case, processes=2, fleet="127.0.0.1:8347")
+        for options in ({"processes": 2}, {"fleet": "127.0.0.1:8347"},
                         {"surrogate": True},
                         {"seed_expressions": ("(add 1.0 1.0)",)}):
             assert _refused(case, **options) == (not case.tree_valued), \
@@ -143,7 +143,7 @@ def _matrix_lines() -> list[str]:
     ]
     for name in CASE_NAMES:
         case = case_study(name)
-        pool = {gate(case, processes=2), gate(case, fleet="local:2")}
+        pool = {gate(case, processes=2), gate(case, fleet="127.0.0.1:8347")}
         assert len(pool) == 1
         lines.append(
             f"| `{name}` | {case.stage or '—'} "

@@ -106,6 +106,32 @@ class TestParallelSerialEquivalence:
             assert outcome == reference, f"processes={processes} diverged"
 
 
+class TestWorkerCounters:
+    def test_generation_counters_include_the_workers_work(
+            self, campaign_run):
+        """The compiles and simulations pool workers run reach the
+        ``counters`` of the generation events: summed over the run,
+        ``compiles`` is the serial run's, and every compile is either
+        simulated or answered by the content-digest memo."""
+        from repro.experiments import ExperimentRunner, MemorySink
+
+        def generations(processes):
+            sink = MemorySink()
+            ExperimentRunner(
+                campaign_run.config(case="regalloc", generations=3,
+                                    seed=1, processes=processes),
+                sinks=(sink,)).run()
+            return [event["counters"]
+                    for event in sink.of_type("generation")]
+
+        serial, pooled = generations(1), generations(2)
+        assert sum(c["compiles"] for c in pooled) == \
+            sum(c["compiles"] for c in serial)
+        for counters in pooled:
+            assert counters["sims"] + counters["digest_hits"] == \
+                counters["compiles"]
+
+
 class TestSerialCampaignImportsNoPool:
     def test_serial_evolve_never_imports_multiprocessing(self, tmp_path):
         """A serial campaign builds no pool and must not pay for the

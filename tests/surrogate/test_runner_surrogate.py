@@ -8,10 +8,15 @@ Campaign execution goes through the shared ``campaign_run`` fixture
 
 import json
 
+import pytest
+
 from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
     MemorySink,
+    load_checkpoint,
+    runner as runner_module,
+    save_checkpoint,
 )
 from repro.gp.engine import GPParams
 
@@ -40,7 +45,8 @@ class TestResumeByteIdentity:
         resumed = json.loads(campaign_run.run_killed_then_resumed(
             config(fitness_cache_dir=str(base / "cache_b")),
             stop_after=1, **SURROGATE_KWARGS))
-        assert (base / "killed" / "surrogate.json").exists()
+        assert "surrogate" in load_checkpoint(
+            base / "killed" / "checkpoint.pkl")
         full.pop("config"), resumed.pop("config")
         assert resumed == full
 
@@ -48,18 +54,70 @@ class TestResumeByteIdentity:
         full = campaign_run.run_full(config(), **SURROGATE_KWARGS)
         resumed = campaign_run.run_killed_then_resumed(
             config(), stop_after=0, **SURROGATE_KWARGS)
-        assert (campaign_run.base / "killed" / "surrogate.json").exists()
+        assert "surrogate" in load_checkpoint(
+            campaign_run.base / "killed" / "checkpoint.pkl")
         assert resumed == full
 
     def test_surrogate_state_rides_the_checkpoint(self, campaign_run):
         campaign_run.run_full(config(generations=2), name="run",
                               **SURROGATE_KWARGS)
-        state = json.loads(
-            (campaign_run.base / "run" / "surrogate.json").read_text())
+        state = load_checkpoint(
+            campaign_run.base / "run" / "checkpoint.pkl")["surrogate"]
         assert state["version"] == 2
         assert state["case"] == "hyperblock"
         assert state["top_k"] == 2
         assert state["pairs"]
+
+    def test_kill_right_after_a_checkpoint_write_keeps_the_state_in_step(
+            self, campaign_run, monkeypatch):
+        """A kill that lands right after generation 1's checkpoint is
+        written: the surrogate's state went out in that same write, so
+        the resumed run ends with the uninterrupted run's state and
+        bytes."""
+        base = campaign_run.base
+        full = campaign_run.run_full(config(), **SURROGATE_KWARGS)
+
+        def save_then_die(path, config_dict, engine_state, *rest):
+            save_checkpoint(path, config_dict, engine_state, *rest)
+            # the engine is at generation 2 once generation 1 is done
+            if engine_state["generation"] == 2:
+                raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "save_checkpoint", save_then_die)
+            with pytest.raises(KeyboardInterrupt):
+                ExperimentRunner(config(), run_dir=base / "killed",
+                                 **SURROGATE_KWARGS).run()
+        ExperimentRunner.from_run_dir(
+            base / "killed", **SURROGATE_KWARGS).run(resume=True)
+
+        assert (base / "killed" / "result.json").read_bytes() == full
+        assert load_checkpoint(base / "killed" / "checkpoint.pkl")[
+            "surrogate"] == load_checkpoint(
+                base / "full" / "checkpoint.pkl")["surrogate"]
+
+    def test_checkpoint_without_the_entry_trains_from_the_cache(
+            self, campaign_run):
+        """A run directory from before the state rode the checkpoint:
+        resume trains the model from the cache, as a fresh run does."""
+        cache_dir = str(campaign_run.base / "cache")
+        campaign_run.run_full(config(generations=2,
+                                     fitness_cache_dir=cache_dir),
+                              name="exact")
+        run_dir = campaign_run.base / "old"
+        ExperimentRunner(config(fitness_cache_dir=cache_dir),
+                         run_dir=run_dir, stop_after_generation=0,
+                         **SURROGATE_KWARGS).run()
+        checkpoint = run_dir / "checkpoint.pkl"
+        payload = load_checkpoint(checkpoint)
+        del payload["surrogate"]
+        save_checkpoint(checkpoint, payload["config"], payload["engine"])
+
+        ExperimentRunner.from_run_dir(
+            run_dir, **SURROGATE_KWARGS).run(resume=True)
+        state = load_checkpoint(checkpoint)["surrogate"]
+        assert state["model"] is not None
+        assert state["model"]["training_pairs"] >= 8
 
 
 class TestWarmCacheTraining:
@@ -79,8 +137,8 @@ class TestWarmCacheTraining:
         exact, exact_sims = campaign("exact")
         # ...so the surrogate campaign starts with a trained model.
         surrogate, surrogate_sims = campaign("run", **SURROGATE_KWARGS)
-        state = json.loads(
-            (campaign_run.base / "run" / "surrogate.json").read_text())
+        state = load_checkpoint(
+            campaign_run.base / "run" / "checkpoint.pkl")["surrogate"]
         assert state["model"] is not None
         assert state["model"]["training_pairs"] >= 8
         # The acceptance bar of docs/SURROGATE.md: the champion's

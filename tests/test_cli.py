@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments import load_checkpoint
 
 PROGRAM = """
 int data[16];
@@ -480,5 +481,5 @@ class TestSurrogateFlags:
                      "--run-dir", str(run_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "specialize"
-        state = json.loads((run_dir / "surrogate.json").read_text())
+        state = load_checkpoint(run_dir / "checkpoint.pkl")["surrogate"]
         assert state["top_k"] == 3
