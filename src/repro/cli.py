@@ -128,8 +128,8 @@ def _print_sim_result(result) -> None:
 
 
 #: Pipeline stage display order for the ``simulate --metrics`` pass table.
-_STAGE_ORDER = ("inline", "cleanup", "unroll", "profile",
-                "hyperblock", "prefetch", "regalloc", "schedule")
+_STAGE_ORDER = ("inline", "cleanup", "unroll", "profile", "hyperblock",
+                "hyperblock_cleanup", "prefetch", "regalloc", "schedule")
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -162,14 +162,14 @@ def _print_pass_table(snapshot: dict) -> None:
               if name.startswith("pipeline.pass_seconds.")]
     ordered = [s for s in _STAGE_ORDER if s in stages]
     ordered += sorted(s for s in stages if s not in _STAGE_ORDER)
-    print(f"{'pass':<12s}{'runs':>6s}{'total_s':>11s}{'mean_s':>11s}"
+    print(f"{'pass':<20s}{'runs':>6s}{'total_s':>11s}{'mean_s':>11s}"
           f"{'ir_delta':>10s}")
     for stage in ordered:
         data = histograms[f"pipeline.pass_seconds.{stage}"]
         runs = counters.get(f"pipeline.pass_runs.{stage}", data["count"])
         mean = data["sum"] / data["count"] if data["count"] else 0.0
         delta = counters.get(f"pipeline.ir_delta.{stage}", 0)
-        print(f"{stage:<12s}{runs:>6d}{data['sum']:>11.4f}{mean:>11.5f}"
+        print(f"{stage:<20s}{runs:>6d}{data['sum']:>11.4f}{mean:>11.5f}"
               f"{delta:>+10d}")
 
 

@@ -311,8 +311,10 @@ class EvaluationHarness:
         #: leave the hook's stage with identical IR, whose compiles and
         #: simulations are identical under zero noise.  Keyed by
         #: (digest after ``_memo_stage``, benchmark, dataset); everything
-        #: after the hook's stage reads only that IR and constants of
-        #: the case.  ``flags`` varies backend options and prepare-stage
+        #: after the probe reads only that IR and constants of the case.
+        #: For ``hyperblock`` the probe sits after if-conversion and
+        #: before the cleanup that follows it, so a hit skips that
+        #: cleanup too.  ``flags`` varies backend options and prepare-stage
         #: cases have no hook stage, so they key on the scheduled
         #: binary.  Noise is keyed per candidate and the differential
         #: guard wants a live simulator, so both switch it off, and it

@@ -211,8 +211,6 @@ class HyperblockFormation:
             term = block.instrs[-1]
             if term.op is not Opcode.JMP:
                 # BR (unconverted nested region) or RET: not absorbable.
-                if chain or current != start:
-                    return None
                 return None
             if len(chain) >= self.max_chain_blocks:
                 return None

@@ -32,7 +32,10 @@ stages strictly before a hook point and :func:`compile_backend` can
 resume from a :class:`~repro.passes.snapshot.PipelineSnapshot` of that
 state, replaying only the suffix per candidate.  It can also end early:
 a caller's probe sees the IR right after one named stage and may stop
-the compile there (the harness's content-digest memo).
+the compile there (the harness's content-digest memo).  For
+``hyperblock`` the probe sits after if-conversion and before the
+module-wide cleanup that follows it, which runs as a step of its own
+(``hyperblock_cleanup``), so a stop there skips that cleanup too.
 """
 
 from __future__ import annotations
@@ -293,6 +296,12 @@ def _run_backend_stage(
                     options.hyperblock_priority,
                     rel_threshold=options.hyperblock_threshold,
                 )
+        return None
+
+    if stage == "hyperblock_cleanup":
+        if not options.hyperblock:
+            return None
+        with _staged("hyperblock_cleanup", working):
             cleanup_module(working)
         checkpoint("hyperblock")
         return None
@@ -336,6 +345,16 @@ def _run_backend_stage(
     raise ValueError(f"unknown backend stage {stage!r}")
 
 
+def _steps(stages: tuple[str, ...]):
+    """The dispatcher steps that run ``stages``: ``hyperblock`` is
+    if-conversion followed by its own ``hyperblock_cleanup`` step, so a
+    ``stop_after`` probe on ``hyperblock`` sees the IR between them."""
+    for stage in stages:
+        yield stage
+        if stage == "hyperblock":
+            yield "hyperblock_cleanup"
+
+
 def run_prefix(prepared: PreparedProgram, options: CompilerOptions,
                stage: str) -> tuple[Module, BackendReport]:
     """Run the backend stages strictly before ``stage`` and return the
@@ -354,7 +373,7 @@ def run_prefix(prepared: PreparedProgram, options: CompilerOptions,
     checkpoint = _make_checkpoint(working, options)
     with obs.span("pipeline:prefix", module=prepared.module.name,
                   stage=stage):
-        for prior in order[:order.index(stage)]:
+        for prior in _steps(order[:order.index(stage)]):
             _run_backend_stage(prior, working, report, prepared, options,
                                checkpoint)
     return working, report
@@ -377,8 +396,9 @@ def compile_backend(
     result is bit-identical to the full path (docs/FORKING.md).
 
     With ``stop_after=(stage, probe)``, ``probe`` is called with the
-    IR right after ``stage`` runs — the working :class:`Module`, or
-    the :class:`ScheduledModule` after ``schedule`` — and when it
+    IR right after ``stage`` runs — the working :class:`Module` (for
+    ``hyperblock``, before the cleanup after if-conversion), or the
+    :class:`ScheduledModule` after ``schedule`` — and when it
     returns true the compile ends there: the remaining stages are
     skipped and the scheduled module returned is ``None``."""
     options = options or prepared.options
@@ -398,7 +418,7 @@ def compile_backend(
     checkpoint = _make_checkpoint(working, options)
     scheduled = None
     with obs.span("pipeline:backend", **span_args):
-        for stage in stages:
+        for stage in _steps(stages):
             result = _run_backend_stage(stage, working, report, prepared,
                                         options, checkpoint)
             if result is not None:

@@ -113,7 +113,8 @@ def test_first_stage_hook_hits_end_before_regalloc():
     assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (0, 0)
     assert (stats["compiles"], stats["digest_hits"], stats["sims"]) == (
         14, 10, 4)
-    # every compile runs the hook's stage; a hit skips the rest
+    # every compile runs if-conversion; a hit skips the rest, the
+    # cleanup after if-conversion included
     assert runs("hyperblock") == stats["compiles"]
-    assert runs("regalloc") == runs("schedule") == (
-        stats["compiles"] - stats["digest_hits"])
+    assert runs("hyperblock_cleanup") == runs("regalloc") == runs(
+        "schedule") == stats["compiles"] - stats["digest_hits"]

@@ -16,7 +16,8 @@ from repro.suite.registry import get as get_benchmark
 
 PIPELINE_SPANS = {"pipeline:prepare", "pipeline:backend"}
 PASS_SPANS = {"pass:inline", "pass:cleanup", "pass:unroll", "pass:profile",
-              "pass:hyperblock", "pass:regalloc", "pass:schedule"}
+              "pass:hyperblock", "pass:hyperblock_cleanup", "pass:regalloc",
+              "pass:schedule"}
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +70,8 @@ class TestPipelineAndSimulator:
         compile_and_simulate()
         snapshot = registry.snapshot()
         for stage in ("inline", "cleanup", "unroll", "profile",
-                      "hyperblock", "regalloc", "schedule"):
+                      "hyperblock", "hyperblock_cleanup", "regalloc",
+                      "schedule"):
             assert snapshot["counters"][f"pipeline.pass_runs.{stage}"] >= 1
             assert f"pipeline.ir_delta.{stage}" in snapshot["counters"]
             histogram = snapshot["histograms"][

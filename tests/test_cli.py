@@ -332,8 +332,12 @@ class TestObsFlags:
         # per-pass timing table
         for column in ("pass", "runs", "total_s", "mean_s", "ir_delta"):
             assert column in output
-        for stage in ("inline", "cleanup", "regalloc", "schedule"):
-            assert stage in output
+        # one row per pass, in pipeline order
+        stages = ["inline", "cleanup", "unroll", "profile", "hyperblock",
+                  "hyperblock_cleanup", "regalloc", "schedule"]
+        rows = [line.split()[0] for line in output.splitlines()
+                if line.split() and line.split()[0] in stages]
+        assert rows == stages
         # simulator counter table
         assert "simulator counter" in output
         assert "cycles" in output
