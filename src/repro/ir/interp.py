@@ -23,6 +23,7 @@ go through :func:`apply_scalar_op`, the ALU the constant folder shares
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -68,6 +69,10 @@ class InterpError(RuntimeError):
     """Raised on runtime faults: step overrun, division by zero, bad call."""
 
 
+#: Fault text of FTOI on an infinity or NaN; the simulator raises it too.
+NONFINITE_FTOI = "float-to-integer conversion of a non-finite value"
+
+
 _REL_FUNCS = {
     Rel.EQ: operator.eq,
     Rel.NE: operator.ne,
@@ -84,7 +89,8 @@ def apply_scalar_op(op: Opcode, rel: Rel | None, values: tuple):
     Shared between the functional interpreter and the timing simulator
     so the two engines cannot drift semantically.  CMPP returns a
     ``(truth, complement)`` pair; every other opcode returns one value.
-    Raises :class:`InterpError` on division by zero.
+    Raises :class:`InterpError` on division by zero and on FTOI of an
+    infinity or NaN.
     """
     if op is Opcode.MOV:
         return values[0]
@@ -131,6 +137,8 @@ def apply_scalar_op(op: Opcode, rel: Rel | None, values: tuple):
     if op is Opcode.ITOF:
         return float(values[0])
     if op is Opcode.FTOI:
+        if not math.isfinite(values[0]):
+            raise InterpError(NONFINITE_FTOI)
         return wrap_int(int(values[0]))
     if op is Opcode.CMP:
         return 1 if _REL_FUNCS[rel](values[0], values[1]) else 0

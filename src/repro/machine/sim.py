@@ -16,14 +16,20 @@ Table 3 machine:
 
 Implementation note: for speed, each scheduled block is translated
 once into a generated Python function over a dense register file
-(``R[i]``), with immediates and global addresses baked in.  Generated
-code calls the same arithmetic helpers as the functional interpreter
-(``wrap_int`` / ``int_div`` / ``int_rem``), so the two engines cannot
-diverge semantically; the integration suite asserts output equality on
-every benchmark.
+(``R[i]``), with immediates and global addresses baked in.  The
+functional interpreter's :func:`~repro.ir.interp.apply_scalar_op` is
+the reference for what each scalar operation computes; the integration
+suite asserts output equality on every benchmark.
 
 What the generated code does itself and what it calls:
 
+* an integer ``ADD``/``SUB``/``MUL``/``NEG``/``AND``/``OR``/``XOR``/
+  ``SHL``/``SHR``/``FTOI`` result is range-checked inline and passed
+  to ``wrap_int`` only when it leaves 64 bits, so ``wrap_int`` stays
+  the one definition of overflow;
+* ``DIV`` and ``REM`` fault on a zero divisor and compute C's
+  truncating quotient inline (floor division, one up when negative
+  and inexact), then take the same range check;
 * a ``LOAD`` or ``STORE`` looks its line up in L1 inline, on the
   :class:`~repro.machine.cache.CacheLevel`'s own sets (line number,
   set, membership, LRU refresh, hit counter), and calls
@@ -33,11 +39,14 @@ What the generated code does itself and what it calls:
   ``Simulator.branch_stats`` —
   :class:`~repro.machine.branch.TwoBitPredictor` is the profiler's
   predictor and the reference this inline one is tested against;
-* ``PREFETCH``, ``CALL``, division and an L1 miss are calls.
+* ``PREFETCH``, ``CALL``, ``FDIV``, the FTOI conversion and an L1 miss
+  are calls.
 
 ``tests/machine/test_sim_inline_differential.py`` drives random traces
 through the generated code and through ``CacheHierarchy`` /
-``TwoBitPredictor`` and requires equal charges and equal final state.
+``TwoBitPredictor`` and requires equal charges and equal final state,
+and random 64-bit operands through each integer opcode and through
+``apply_scalar_op`` and requires equal results and faults.
 
 The compiled code objects are cached at module level, keyed by the
 identity of the scheduled function (a content digest of its generated
@@ -60,6 +69,7 @@ smaller than the attainable speedups.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import threading
 from collections import OrderedDict
@@ -68,7 +78,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.ir.function import STACK_BASE
 from repro.ir.instr import Instr, Opcode, Rel
-from repro.ir.interp import int_div, int_rem, wrap_int
+from repro.ir.interp import NONFINITE_FTOI, wrap_int
 from repro.ir.values import Imm, PReg, StackSlot, SymRef, VReg
 from repro.machine.branch import BranchStats, TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
@@ -106,6 +116,9 @@ _REL_PY = {
     Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=",
 }
 
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
+
 #: marker distinguishing a return from a jump in generated block code
 _RET = ("\x00ret",)
 
@@ -139,16 +152,36 @@ def _indent(lines, depth: int) -> list[str]:
     return [" " * depth + line for line in lines]
 
 
-def _checked_idiv(a: int, b: int) -> int:
-    if b == 0:
-        raise SimError("integer division by zero")
-    return wrap_int(int_div(a, b))
+def _wrapped(dest: str, value: str = "_v") -> str:
+    """Store the integer result in ``value`` to ``dest``, wrapped to 64
+    bits: ``wrap_int`` (``wi``) runs only when the result is out of
+    range, so it stays the one definition of overflow without costing
+    a call per operation."""
+    return (f"{dest} = {value} if {_INT_MIN} <= {value} <= {_INT_MAX} "
+            f"else wi({value})")
 
 
-def _checked_irem(a: int, b: int) -> int:
-    if b == 0:
-        raise SimError("integer remainder by zero")
-    return wrap_int(int_rem(a, b))
+def _truncating_quotient(numerator: str, divisor: str,
+                         what: str) -> list[str]:
+    """C's truncating quotient of ``_a`` by ``_b`` into ``_q``, after
+    faulting on a zero divisor as ``apply_scalar_op`` does.  Floor
+    division rounds a negative inexact quotient down; one up is
+    truncation."""
+    return [
+        f"_a = {numerator}",
+        f"_b = {divisor}",
+        "if _b == 0:",
+        f"    raise SimError('integer {what} by zero')",
+        "_q = _a // _b",
+        "if _q < 0 and _q * _b != _a:",
+        "    _q += 1",
+    ]
+
+
+def _checked_ftoi(value: float) -> int:
+    if not math.isfinite(value):
+        raise SimError(NONFINITE_FTOI)
+    return int(value)
 
 
 def _checked_fdiv(a: float, b: float) -> float:
@@ -182,8 +215,7 @@ class _FunctionCode:
 #: once per *scheduled function* (not per simulation) is sound.
 _STATIC_NAMESPACE = {
     "wi": wrap_int,
-    "idiv": _checked_idiv,
-    "irem": _checked_irem,
+    "ftoi": _checked_ftoi,
     "fdiv": _checked_fdiv,
     "RET": _RET[0],
     "SimError": SimError,
@@ -375,27 +407,29 @@ class Simulator:
         if op is Opcode.MOV or op is Opcode.LEA:
             return [f"{dest} = {src(0)}"]
         if op is Opcode.ADD:
-            return [f"{dest} = wi({src(0)} + {src(1)})"]
+            return [f"_v = {src(0)} + {src(1)}", _wrapped(dest)]
         if op is Opcode.SUB:
-            return [f"{dest} = wi({src(0)} - {src(1)})"]
+            return [f"_v = {src(0)} - {src(1)}", _wrapped(dest)]
         if op is Opcode.MUL:
-            return [f"{dest} = wi({src(0)} * {src(1)})"]
+            return [f"_v = {src(0)} * {src(1)}", _wrapped(dest)]
         if op is Opcode.DIV:
-            return [f"{dest} = idiv({src(0)}, {src(1)})"]
+            return [*_truncating_quotient(src(0), src(1), "division"),
+                    _wrapped(dest, "_q")]
         if op is Opcode.REM:
-            return [f"{dest} = irem({src(0)}, {src(1)})"]
+            return [*_truncating_quotient(src(0), src(1), "remainder"),
+                    "_v = _a - _q * _b", _wrapped(dest)]
         if op is Opcode.NEG:
-            return [f"{dest} = wi(-{src(0)})"]
+            return [f"_v = -{src(0)}", _wrapped(dest)]
         if op is Opcode.AND:
-            return [f"{dest} = wi({src(0)} & {src(1)})"]
+            return [f"_v = {src(0)} & {src(1)}", _wrapped(dest)]
         if op is Opcode.OR:
-            return [f"{dest} = wi({src(0)} | {src(1)})"]
+            return [f"_v = {src(0)} | {src(1)}", _wrapped(dest)]
         if op is Opcode.XOR:
-            return [f"{dest} = wi({src(0)} ^ {src(1)})"]
+            return [f"_v = {src(0)} ^ {src(1)}", _wrapped(dest)]
         if op is Opcode.SHL:
-            return [f"{dest} = wi({src(0)} << ({src(1)} & 63))"]
+            return [f"_v = {src(0)} << ({src(1)} & 63)", _wrapped(dest)]
         if op is Opcode.SHR:
-            return [f"{dest} = wi({src(0)} >> ({src(1)} & 63))"]
+            return [f"_v = {src(0)} >> ({src(1)} & 63)", _wrapped(dest)]
         if op is Opcode.FADD:
             return [f"{dest} = {src(0)} + {src(1)}"]
         if op is Opcode.FSUB:
@@ -411,7 +445,7 @@ class Simulator:
         if op is Opcode.ITOF:
             return [f"{dest} = float({src(0)})"]
         if op is Opcode.FTOI:
-            return [f"{dest} = wi(int({src(0)}))"]
+            return [f"_v = ftoi({src(0)})", _wrapped(dest)]
         if op is Opcode.CMP:
             return [f"{dest} = 1 if {src(0)} {_REL_PY[instr.rel]} {src(1)} "
                     f"else 0"]

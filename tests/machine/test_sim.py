@@ -1,16 +1,24 @@
 """Timing-simulator tests: functional equivalence with the reference
-interpreter, cycle accounting for stalls/mispredicts/squashes, and
-measurement-noise behaviour."""
+interpreter, cycle accounting for stalls/mispredicts/squashes,
+measurement-noise behaviour, and when generated code calls
+``wrap_int``."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.frontend import compile_source
-from repro.ir.interp import Interpreter
+from repro.ir.interp import Interpreter, wrap_int
 from repro.machine.descr import DEFAULT_EPIC
-from repro.machine.sim import SimError, Simulator
+from repro.machine.sim import _STATIC_NAMESPACE, SimError, Simulator
+from repro.metaopt.harness import case_study
 from repro.passes.pipeline import CompilerOptions, compile_backend, prepare
 from repro.passes.regalloc import allocate_module
 from repro.passes.schedule import schedule_module
+from repro.suite.registry import get as get_benchmark
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def build(source, inputs=None, allocate=True):
@@ -187,3 +195,45 @@ class TestNoise:
         noisy = simulate(build(LOOP_SOURCE), LOOP_INPUTS,
                          noise_stddev=0.1, noise_seed=5)
         assert noisy.output_signature() == ref.output_signature()
+
+
+class TestWrapCalls:
+    """Generated code range-checks each integer result inline and calls
+    ``wrap_int`` (``wi``, looked up at run time) only for one outside
+    64 bits."""
+
+    @pytest.fixture
+    def wrap_calls(self, monkeypatch):
+        calls = []
+
+        def counting_wrap(value):
+            calls.append(value)
+            return wrap_int(value)
+
+        monkeypatch.setitem(_STATIC_NAMESPACE, "wi", counting_wrap)
+        return calls
+
+    @pytest.mark.parametrize("case_name", ["hyperblock", "regalloc",
+                                           "prefetch"])
+    @pytest.mark.parametrize("bench_name", ["codrle4", "unepic"])
+    def test_baselines_make_no_call(self, wrap_calls, bench_name,
+                                    case_name):
+        bench = get_benchmark(bench_name)
+        case = case_study(case_name)
+        inputs = bench.inputs("train")
+        prepared = prepare(compile_source(bench.source, bench.name),
+                           inputs, case.options)
+        scheduled, _report = compile_backend(prepared)
+        simulator = Simulator(scheduled, case.machine)
+        for name, values in inputs.items():
+            simulator.set_global(name, values)
+        assert simulator.run().dynamic_ops > 0
+        assert wrap_calls == []
+
+    def test_out_of_range_results_call_it(self, wrap_calls):
+        source = (CORPUS_DIR / "int-wrap.mc").read_text()
+        inputs = json.loads((CORPUS_DIR / "int-wrap.inputs.json").read_text())
+        result = simulate(build(source), inputs)
+        assert len(wrap_calls) > 0
+        assert result.output_signature() == \
+            reference(source, inputs).output_signature()

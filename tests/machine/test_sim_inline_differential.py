@@ -1,9 +1,11 @@
-"""The simulator's generated code does the L1 hit and the 2-bit
-predictor update itself (docs/MACHINE.md).  These properties drive
-random access and branch traces through that generated code and
-through the model's own methods — ``CacheHierarchy.load/store/
-prefetch`` and ``TwoBitPredictor.update`` — and require the same
-charge per event and the same state at the end."""
+"""The simulator's generated code does the L1 hit, the 2-bit
+predictor update and integer arithmetic itself (docs/MACHINE.md).
+These properties drive random access and branch traces and random
+operands through that generated code and through the reference for
+each — ``CacheHierarchy.load/store/prefetch``,
+``TwoBitPredictor.update`` and the interpreter's ``apply_scalar_op``
+— and require the same charge per event, the same results and faults,
+and the same state at the end."""
 
 from functools import cache
 
@@ -11,13 +13,26 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.ir.function import Function, Module
-from repro.ir.instr import Rel, br, cmpp, load, mov, prefetch, ret, store
-from repro.ir.values import INT, PRED, Imm, VReg
+from repro.ir.instr import (
+    Instr,
+    Opcode,
+    Rel,
+    binop,
+    br,
+    cmpp,
+    load,
+    mov,
+    prefetch,
+    ret,
+    store,
+)
+from repro.ir.interp import InterpError, apply_scalar_op
+from repro.ir.values import FLOAT, INT, PRED, Imm, VReg
 from repro.machine import descr
 from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
 from repro.machine.descr import CacheLevelConfig, MachineDescription
-from repro.machine.sim import Simulator
+from repro.machine.sim import SimError, Simulator
 from repro.passes.schedule import schedule_module
 
 TOY = MachineDescription(
@@ -194,3 +209,94 @@ def test_branch_events_match_the_predictor(machine, trace):
     assert simulator.branch_counters == {
         f"br{index}:0": counter
         for index, counter in reference._counters.items()}
+
+
+INT_MIN = -(1 << 63)
+INT_MAX = (1 << 63) - 1
+
+#: The opcodes whose generated code wraps to 64 bits inline.
+INT_OPS = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM,
+           Opcode.NEG, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL,
+           Opcode.SHR)
+
+#: Operands at and around the 64-bit boundaries, the shift widths and
+#: the square root of 2**63 (whose square is just past it).
+BOUNDARY_INTS = (INT_MIN, INT_MIN + 1, INT_MIN // 2, -3037000500, -64,
+                 -2, -1, 0, 1, 2, 63, 64, 3037000500, INT_MAX // 2,
+                 INT_MAX - 1, INT_MAX)
+
+int64 = st.one_of(st.sampled_from(BOUNDARY_INTS), st.integers(-9, 9),
+                  st.integers(INT_MIN, INT_MAX))
+
+
+def alu_module() -> Module:
+    """One function per integer opcode over ``(a, b)`` returning
+    ``a OP b`` (``-a`` for NEG), and ``ftoi`` over one float."""
+    module = Module()
+    for op in INT_OPS:
+        function = Function(op.name.lower(),
+                            [VReg(0, INT, "a"), VReg(1, INT, "b")])
+        block = function.new_block("entry")
+        left, right = function.params
+        result = function.new_vreg(INT, "r")
+        if op is Opcode.NEG:
+            block.append(Instr(op, dest=result, srcs=(left,)))
+        else:
+            block.append(binop(op, result, left, right))
+        block.append(ret(result))
+        module.add_function(function)
+    function = Function("ftoi", [VReg(0, FLOAT, "x")])
+    block = function.new_block("entry")
+    result = function.new_vreg(INT, "r")
+    block.append(Instr(Opcode.FTOI, dest=result, srcs=function.params))
+    block.append(ret(result))
+    module.add_function(function)
+    return module
+
+
+@cache
+def scheduled_alu():
+    return schedule_module(alu_module(), descr.DEFAULT_EPIC)
+
+
+def simulated(entry: str, args: tuple):
+    """``(result, None)`` or ``(None, fault text)`` of one run."""
+    simulator = Simulator(scheduled_alu(), descr.DEFAULT_EPIC)
+    try:
+        return simulator.run(entry, args).return_value, None
+    except SimError as exc:
+        return None, str(exc)
+
+
+def referenced(op: Opcode, values: tuple):
+    """The same pair from the interpreter's ALU."""
+    try:
+        return apply_scalar_op(op, None, values), None
+    except InterpError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None, phases=PHASES)
+@given(op=st.sampled_from(INT_OPS), left=int64, right=int64)
+def test_integer_ops_match_the_alu(op, left, right):
+    assert simulated(op.name.lower(), (left, right)) == \
+        referenced(op, (left, right)), (op, left, right)
+
+
+@pytest.mark.parametrize("op, text", [
+    (Opcode.DIV, "integer division by zero"),
+    (Opcode.REM, "integer remainder by zero"),
+])
+@settings(max_examples=20, deadline=None, phases=PHASES)
+@given(numerator=int64)
+def test_zero_divisor_faults(op, text, numerator):
+    assert simulated(op.name.lower(), (numerator, 0)) == (None, text)
+
+
+@settings(max_examples=200, deadline=None, phases=PHASES)
+@given(value=st.one_of(
+    st.sampled_from((float("inf"), float("-inf"), float("nan"), 9.3e18,
+                     -9.3e18, 2.0 ** 63, -(2.0 ** 63), -0.5, 0.5)),
+    st.floats(allow_nan=True, allow_infinity=True)))
+def test_ftoi_matches_the_alu(value):
+    assert simulated("ftoi", (value,)) == referenced(Opcode.FTOI, (value,))
