@@ -14,12 +14,30 @@ Table 3 machine:
 * stores are buffered (1 cycle, no stall); prefetches charge nothing
   but occupy their memory slot and may pollute the caches.
 
-Implementation note: for speed, each scheduled block is translated
-once into a generated Python function over a dense register file
-(``R[i]``), with immediates and global addresses baked in.  The
-functional interpreter's :func:`~repro.ir.interp.apply_scalar_op` is
-the reference for what each scalar operation computes; the integration
-suite asserts output equality on every benchmark.
+Implementation note: for speed, each scheduled function is translated
+once into generated Python over a dense register file (``R[i]``), with
+immediates and global addresses baked in, one function per *region*:
+
+* every innermost natural loop (``repro.ir.loops.find_loops``, a loop
+  with no loop inside it) is one region: a ``while True`` over an arm
+  number, one arm per block in layout order.  Going to a later arm
+  falls through the arm tests in between, going back is a
+  ``continue``, and leaving the loop returns the label it leaves to.
+  The six counters (cycles, bundles, dynamic and squashed ops, memory
+  and branch stall) are locals there, added to the simulator in a
+  ``finally`` and before each ``CALL``, because the callee charges the
+  simulator; the cycle budget is checked against the local on every
+  arm entry;
+* every other block is a region of its own and charges the simulator
+  directly.
+
+A natural loop is entered only through its header, so every label a
+region returns is another region's entry, and ``Simulator._call`` runs
+one region per step: a loop costs one Python call per entry, not one
+per block it runs.  The functional interpreter's
+:func:`~repro.ir.interp.apply_scalar_op` is the reference for what
+each scalar operation computes; the integration suite asserts output
+equality on every benchmark.
 
 What the generated code does itself and what it calls:
 
@@ -43,22 +61,23 @@ What the generated code does itself and what it calls:
   are calls.
 
 ``tests/machine/test_sim_inline_differential.py`` drives random traces
-through the generated code and through ``CacheHierarchy`` /
-``TwoBitPredictor`` and requires equal charges and equal final state,
-and random 64-bit operands through each integer opcode and through
-``apply_scalar_op`` and requires equal results and faults.
+through the generated code, one event per call and inside one loop
+region, and through ``CacheHierarchy`` / ``TwoBitPredictor`` and
+requires equal charges and equal final state, and random 64-bit
+operands through each integer opcode and through ``apply_scalar_op``
+and requires equal results and faults.
 
 The compiled code objects are cached at module level, keyed by the
 identity of the scheduled function (a content digest of its generated
 source plus layout-independent metadata).  Per-instance state — the
 simulator, its memory, L1's sets and geometry, the predictor's counters
 and the machine's latencies — is *not* baked into the generated source;
-each block compiles to a ``__bind`` factory whose closure binds that
-state at Simulator-construction time, so one cached binary serves every
-machine description.  Repeated simulations of the same binary (every
-baseline run, every fitness-memo miss repeated across worker
-processes) therefore skip translation + ``compile`` entirely and only
-pay a cheap closure bind.
+each region compiles to a ``__bind`` factory whose closure binds that
+state when a Simulator first calls the function, so one cached binary
+serves every machine description.  Repeated simulations of the same
+binary (every baseline run, every fitness-memo miss repeated across
+worker processes) therefore skip ``compile`` and ``exec`` and pay the
+translation that computes the key plus a cheap closure bind.
 
 Fitness noise (Section 7.1): real-machine measurements are noisy; the
 simulator can inject multiplicative Gaussian noise into the final
@@ -79,6 +98,7 @@ from repro import obs
 from repro.ir.function import STACK_BASE
 from repro.ir.instr import Instr, Opcode, Rel
 from repro.ir.interp import NONFINITE_FTOI, wrap_int
+from repro.ir.loops import find_loops
 from repro.ir.values import Imm, PReg, StackSlot, SymRef, VReg
 from repro.machine.branch import BranchStats, TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
@@ -119,7 +139,7 @@ _REL_PY = {
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
 
-#: marker distinguishing a return from a jump in generated block code
+#: marker distinguishing a return from a jump in generated region code
 _RET = ("\x00ret",)
 
 #: What every ``__bind`` factory closes over: the simulator, its
@@ -141,11 +161,20 @@ _L1_LOOKUP = (
     "    _s[_n] = None",
 )
 
-_MISPREDICTED = (
-    "BRANCHES.mispredictions += 1",
-    "S.cycles += PEN",
-    "S.branch_stall += PEN",
-)
+#: The counters a loop region keeps in locals of the same names, as
+#: amounts not yet added to ``S``; a one-block region charges ``S``.
+_COUNTERS = ("cycles", "bundles", "dynamic_ops", "squashed_ops",
+             "memory_stall", "branch_stall")
+
+#: Add a loop region's counters to ``S``: when the region is left, and
+#: before a ``CALL`` (the callee charges ``S``), after which they
+#: restart at 0.
+_FLUSH = tuple(f"S.{name} += {name}" for name in _COUNTERS)
+_RESTART = " = ".join(_COUNTERS) + " = 0"
+
+#: The cycles a loop region may still add before the budget fault:
+#: computed on entry and after each ``CALL``.
+_LIMIT = "limit = S.max_cycles - S.cycles"
 
 
 def _indent(lines, depth: int) -> list[str]:
@@ -197,17 +226,17 @@ class _CompiledFunction:
     reg_count: int
     frame_words: int
     entry: str
-    blocks: dict[str, object]  # label -> generated callable
+    regions: dict[str, object]  # entry label -> generated callable
 
 
 @dataclass
 class _FunctionCode:
     """Instance-independent compilation artifact: one ``__bind``
-    factory per block, ready to close over a Simulator's state."""
+    factory per region, ready to close over a Simulator's state."""
 
     param_indices: list[int]
     reg_count: int
-    binders: dict[str, object]  # label -> bind factory
+    binders: dict[str, object]  # entry label -> bind factory
 
 
 #: Names and constants shared by all generated code; nothing here
@@ -374,9 +403,9 @@ class Simulator:
         self._sp += compiled.frame_words
         try:
             label = compiled.entry
-            blocks = compiled.blocks
+            regions = compiled.regions
             while True:
-                outcome = blocks[label](registers, frame_base)
+                outcome = regions[label](registers, frame_base)
                 if type(outcome) is str:
                     label = outcome
                     continue
@@ -397,8 +426,11 @@ class Simulator:
         raise SimError(f"cannot translate operand {operand!r}")
 
     def _instr_lines(self, instr: Instr, reg_index: dict,
-                     branch_keys: dict) -> list[str]:
-        """Python source lines implementing one instruction."""
+                     branch_keys: dict, jump, acc: str) -> list[str]:
+        """Python source lines implementing one instruction.  ``jump``
+        gives the lines that go to a label; ``acc`` prefixes the
+        counters: ``"S."`` in a one-block region, ``""`` in a loop
+        region, whose counters are locals."""
         op = instr.op
         src = lambda i: self._operand_expr(instr.srcs[i], reg_index)
         dest = (f"R[{reg_index[instr.dest]}]"
@@ -464,8 +496,8 @@ class Simulator:
                 "else:",
                 "    _l = LOAD_MISS(_a)",
                 "    if _l > L1:",
-                "        S.cycles += _l - L1",
-                "        S.memory_stall += _l - L1",
+                f"        {acc}cycles += _l - L1",
+                f"        {acc}memory_stall += _l - L1",
                 f"{dest} = MEM[_a] if _a in MEM else 0",
             ]
         if op is Opcode.STORE:
@@ -484,13 +516,21 @@ class Simulator:
             arguments = ", ".join(src(i) for i in range(len(instr.srcs)))
             call = f"CALL({instr.callee!r}, ({arguments}{',' if instr.srcs else ''}))"
             if dest is not None:
-                return [f"{dest} = {call}"]
-            return [call]
+                call = f"{dest} = {call}"
+            if acc:
+                return [call]
+            # the callee charges S and checks the budget on it
+            return [*_FLUSH, _RESTART, call, _LIMIT]
         if op is Opcode.BR:
             # TwoBitPredictor.update, unrolled per outcome: a counter
             # moves unless saturated, and only a counter that moves
             # can have been on the wrong side.
             key = repr(branch_keys[instr.uid])
+            mispredicted = _indent((
+                "BRANCHES.mispredictions += 1",
+                f"{acc}cycles += PEN",
+                f"{acc}branch_stall += PEN",
+            ), 12)
             return [
                 "BRANCHES.predictions += 1",
                 f"_c = COUNTERS[{key}] if {key} in COUNTERS "
@@ -499,16 +539,17 @@ class Simulator:
                 "    if _c < 3:",
                 f"        COUNTERS[{key}] = _c + 1",
                 "        if _c < 2:",
-                *_indent(_MISPREDICTED, 12),
-                f"    return {instr.targets[0]!r}",
-                "if _c > 0:",
-                f"    COUNTERS[{key}] = _c - 1",
-                "    if _c > 1:",
-                *_indent(_MISPREDICTED, 8),
-                f"return {instr.targets[1]!r}",
+                *mispredicted,
+                *_indent(jump(instr.targets[0]), 4),
+                "else:",
+                "    if _c > 0:",
+                f"        COUNTERS[{key}] = _c - 1",
+                "        if _c > 1:",
+                *mispredicted,
+                *_indent(jump(instr.targets[1]), 4),
             ]
         if op is Opcode.JMP:
-            return [f"return {instr.targets[0]!r}"]
+            return jump(instr.targets[0])
         if op is Opcode.RET:
             value = src(0) if instr.srcs else "None"
             return [f"return (RET, {value})"]
@@ -518,10 +559,13 @@ class Simulator:
         self, function: ScheduledFunction
     ) -> tuple[str, list[int], int, dict[str, str]]:
         """Generate instance-independent Python source for a scheduled
-        function: one ``__bind`` factory per block whose closure
-        parameters carry all per-simulation state.  Returns the source
-        blob, the parameter register indices, the register count, and
-        the label -> factory-name map."""
+        function: one ``__bind`` factory per region whose closure
+        parameters carry all per-simulation state.  A region is an
+        innermost natural loop, or one block outside every innermost
+        loop.  A natural loop is entered only through its header, so
+        every label a region returns is another region's entry.
+        Returns the source blob, the parameter register indices, the
+        register count, and the entry label -> factory-name map."""
         reg_index: dict = {}
 
         def index_of(reg) -> int:
@@ -539,54 +583,117 @@ class Simulator:
         # need only be unique per module (function names are), stable
         # across recompiles, and injective per branch.
         branch_keys: dict = {}
-        for instr in function.flat_instructions():
-            for reg in instr.reads():
-                index_of(reg)
-            for reg in instr.writes():
-                index_of(reg)
-            if instr.op is Opcode.BR:
-                branch_keys[instr.uid] = (
-                    f"{function.name}:{len(branch_keys)}"
-                )
+        for label in function.block_order:
+            instrs = function.blocks[label].flat_instructions()
+            # A loop arm ends where its block's terminator jumps or
+            # falls through to a later arm, so that must be the last
+            # instruction and run unconditionally.
+            if (not instrs or not instrs[-1].is_terminator
+                    or instrs[-1].guard is not None
+                    or any(instr.is_terminator for instr in instrs[:-1])):
+                raise SimError(
+                    f"block {label} must end in its one unguarded terminator")
+            for instr in instrs:
+                for reg in instr.reads():
+                    index_of(reg)
+                for reg in instr.writes():
+                    index_of(reg)
+                if instr.op is Opcode.BR:
+                    branch_keys[instr.uid] = (
+                        f"{function.name}:{len(branch_keys)}"
+                    )
 
+        loop_of = {label: loop for loop in find_loops(function)
+                   if not loop.children for label in loop.body}
         chunks: list[str] = []
         binder_names: dict[str, str] = {}
-        for position, label in enumerate(function.block_order):
-            block = function.blocks[label]
-            instrs = block.flat_instructions()
-            lines = [
-                "def __block(R, fb):",
-                f"    S.cycles += {block.cycles}",
-                f"    S.bundles += {block.cycles}",
-                f"    S.dynamic_ops += {block.op_count}",
-                "    if S.cycles > S.max_cycles:",
-                "        raise SimError('cycle budget exceeded')",
-            ]
-            for instr in instrs:
-                instr_lines = self._instr_lines(instr, reg_index, branch_keys)
-                if instr.guard is not None:
-                    guard_expr = f"R[{reg_index[instr.guard]}]"
-                    lines.append(f"    if {guard_expr}:")
-                    lines.extend(_indent(instr_lines, 8))
-                    lines.append("    else:")
-                    lines.append("        S.squashed_ops += 1")
-                    lines.append("        S.dynamic_ops -= 1")
-                else:
-                    lines.extend(_indent(instr_lines, 4))
-            if not instrs or not instrs[-1].is_terminator:
-                raise SimError(f"block {label} lacks a terminator")
-            binder = f"__bind_{position}"
+        for label in function.block_order:
+            loop = loop_of.get(label)
+            if loop is None:
+                lines = [
+                    "def __region(R, fb):",
+                    *_indent(self._block_lines(
+                        function.blocks[label], reg_index, branch_keys,
+                        lambda target: [f"return {target!r}"], "S."), 4),
+                ]
+            elif label == loop.header:
+                lines = self._loop_lines(function, loop.body, label,
+                                         reg_index, branch_keys)
+            else:
+                continue
+            binder = f"__bind_{len(binder_names)}"
             binder_names[label] = binder
-            chunk = [
+            chunks.append("\n".join([
                 f"def {binder}({_BIND_PARAMS}):",
-            ]
-            chunk.extend(_indent(lines, 4))
-            chunk.append("    return __block")
-            chunks.append("\n".join(chunk))
+                *_indent(lines, 4),
+                "    return __region",
+            ]))
 
         source = "\n\n".join(chunks)
         param_indices = [reg_index[param] for param in function.params]
         return source, param_indices, len(reg_index), binder_names
+
+    def _block_lines(self, block, reg_index: dict, branch_keys: dict,
+                     jump, acc: str) -> list[str]:
+        """One block's entry charges, budget check and instructions;
+        ``jump`` and ``acc`` as for :meth:`_instr_lines`."""
+        budget = "S.cycles > S.max_cycles" if acc else "cycles > limit"
+        lines = [
+            f"{acc}cycles += {block.cycles}",
+            f"{acc}bundles += {block.cycles}",
+            f"{acc}dynamic_ops += {block.op_count}",
+            f"if {budget}:",
+            "    raise SimError('cycle budget exceeded')",
+        ]
+        for instr in block.flat_instructions():
+            instr_lines = self._instr_lines(instr, reg_index, branch_keys,
+                                            jump, acc)
+            if instr.guard is not None:
+                lines.append(f"if R[{reg_index[instr.guard]}]:")
+                lines.extend(_indent(instr_lines, 4))
+                lines.append("else:")
+                lines.append(f"    {acc}squashed_ops += 1")
+                lines.append(f"    {acc}dynamic_ops -= 1")
+            else:
+                lines.extend(instr_lines)
+        return lines
+
+    def _loop_lines(self, function: ScheduledFunction, body: set[str],
+                    header: str, reg_index: dict,
+                    branch_keys: dict) -> list[str]:
+        """An innermost loop as one ``__region``: a ``while True`` over
+        the arm number ``at``, one ``if at == k:`` arm per block in
+        layout order (never in the set order of ``body``).  Going to a
+        later arm falls through the tests in between; going to this or
+        an earlier one is a ``continue``; leaving the loop returns the
+        label.  The counters are locals, added to ``S`` in ``finally``
+        and before each ``CALL``."""
+        arms = [label for label in function.block_order if label in body]
+        arm_of = {label: index for index, label in enumerate(arms)}
+        lines = [
+            "def __region(R, fb):",
+            f"    {_RESTART}",
+            f"    {_LIMIT}",
+            f"    at = {arm_of[header]}",
+            "    try:",
+            "        while True:",
+        ]
+        for index, label in enumerate(arms):
+            def jump(target, index=index):
+                arm = arm_of.get(target)
+                if arm is None:
+                    return [f"return {target!r}"]
+                if arm > index:
+                    return [f"at = {arm}"]
+                return [f"at = {arm}", "continue"]
+
+            lines.append(f"            if at == {index}:")
+            lines.extend(_indent(self._block_lines(
+                function.blocks[label], reg_index, branch_keys, jump, ""),
+                16))
+        lines.append("    finally:")
+        lines.extend(_indent(_FLUSH, 8))
+        return lines
 
     def _function_code(self, function: ScheduledFunction) -> _FunctionCode:
         """Translate-or-recall: the exec/compile step is cached at
@@ -656,6 +763,6 @@ class Simulator:
             reg_count=code.reg_count,
             frame_words=function.frame_words,
             entry=function.entry_label,
-            blocks={label: binder(**bindings)
+            regions={label: binder(**bindings)
                     for label, binder in code.binders.items()},
         )

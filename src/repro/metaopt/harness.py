@@ -25,7 +25,7 @@ are so costly").  Under one harness, outermost first:
   ``prepare`` or scheduling), shared by every candidate that produces
   it: a hit skips the rest of the backend and the simulator;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
-  block functions of one scheduled binary.
+  region functions of one scheduled binary.
 """
 
 from __future__ import annotations

@@ -72,7 +72,6 @@ from repro.passes.regalloc import (
 from repro.passes.schedule import SchedulePriority, schedule_module
 from repro.passes.unroll import UnrollReport, unroll_module
 from repro.profile.profiler import ModuleProfile, collect_profile
-from repro.verify.ir_verifier import verify_module, verify_scheduled
 
 #: Candidate-dependent backend stages, in execution order.  A case
 #: study's *prefix* is every stage strictly before its hook's stage;
@@ -261,6 +260,14 @@ def prepare(
                            unroll_report=unroll_report)
 
 
+def verify_module(module: Module, **checks) -> None:
+    """The IR verifier's ``verify_module``, imported on use: only
+    ``verify_ir`` runs it, and a campaign need not pay its import."""
+    from repro.verify.ir_verifier import verify_module as verify
+
+    verify(module, **checks)
+
+
 def _make_checkpoint(working: Module, options: CompilerOptions):
     """The per-stage ``verify_ir`` hook; a no-op unless enabled."""
 
@@ -339,6 +346,8 @@ def _run_backend_stage(
             scheduled = schedule_module(working, options.machine,
                                         options.schedule_priority)
         if options.verify_ir:
+            from repro.verify.ir_verifier import verify_scheduled
+
             verify_scheduled(scheduled, options.machine)
         return scheduled
 

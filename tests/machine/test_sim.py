@@ -1,15 +1,20 @@
 """Timing-simulator tests: functional equivalence with the reference
 interpreter, cycle accounting for stalls/mispredicts/squashes,
-measurement-noise behaviour, and when generated code calls
-``wrap_int``."""
+measurement-noise behaviour, when generated code calls ``wrap_int``,
+and the loop regions: each loop shape's counters and faults, and how
+many generated calls a run makes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.frontend import compile_source
-from repro.ir.interp import Interpreter, wrap_int
+from repro.ir.function import Function, Module
+from repro.ir.instr import Opcode, Rel, binop, br, cmp, jmp, mov, out, ret
+from repro.ir.interp import InterpError, Interpreter, wrap_int
+from repro.ir.values import INT, PRED, Imm, VReg
 from repro.machine.descr import DEFAULT_EPIC
 from repro.machine.sim import _STATIC_NAMESPACE, SimError, Simulator
 from repro.metaopt.harness import case_study
@@ -237,3 +242,252 @@ class TestWrapCalls:
         assert len(wrap_calls) > 0
         assert result.output_signature() == \
             reference(source, inputs).output_signature()
+
+
+NESTED_SOURCE = """
+int data[64];
+void main() {
+  int acc = 0;
+  int i;
+  int j;
+  for (i = 0; i < 8; i = i + 1) {
+    for (j = 0; j < i; j = j + 1) { acc = acc + data[i * 8 + j] * j; }
+    out(acc);
+  }
+}
+"""
+
+TWO_EXIT_SOURCE = """
+int data[64];
+int n;
+int find(int key) {
+  int i;
+  for (i = 0; i < n; i = i + 1) {
+    if (data[i] == key) { return i; }
+  }
+  return -1;
+}
+void main() { out(find(7)); out(find(1000)); out(find(3)); }
+"""
+
+CALL_FAULT_SOURCE = """
+int data[16];
+int ratio(int x) { return 100 / x; }
+void main() {
+  int acc = 0;
+  int i;
+  for (i = 0; i < 16; i = i + 1) { acc = acc + ratio(data[i]); out(acc); }
+}
+"""
+
+
+def self_loop_module() -> Module:
+    """``main(n)``: one block adds ``i`` to ``acc`` and branches back to
+    itself while ``i < n``."""
+    module = Module()
+    function = Function("main", [VReg(0, INT, "n")])
+    (limit,) = function.params
+    entry, loop, done = (function.new_block(hint)
+                         for hint in ("entry", "loop", "done"))
+    index, acc, more = (function.new_vreg(INT, name)
+                        for name in ("i", "acc", "more"))
+    entry.append(mov(index, Imm(0)))
+    entry.append(mov(acc, Imm(0)))
+    entry.append(jmp(loop.label))
+    loop.append(binop(Opcode.ADD, acc, acc, index))
+    loop.append(binop(Opcode.ADD, index, index, Imm(1)))
+    loop.append(cmp(more, Rel.LT, index, limit))
+    loop.append(br(more, loop.label, done.label))
+    done.append(out(acc))
+    done.append(ret(acc))
+    module.add_function(function)
+    return module
+
+
+def entry_header_module() -> Module:
+    """``main(n)``: the entry block is the loop header; the body prints
+    ``n`` and counts it down."""
+    module = Module()
+    function = Function("main", [VReg(0, INT, "n")])
+    (count,) = function.params
+    head, body, done = (function.new_block(hint)
+                        for hint in ("head", "body", "done"))
+    more = function.new_vreg(INT, "more")
+    head.append(cmp(more, Rel.GT, count, Imm(0)))
+    head.append(br(more, body.label, done.label))
+    body.append(out(count))
+    body.append(binop(Opcode.SUB, count, count, Imm(1)))
+    body.append(jmp(head.label))
+    done.append(ret(count))
+    module.add_function(function)
+    return module
+
+
+def from_source(source):
+    return build(source), compile_source(source)
+
+
+def from_ir(make_module):
+    return schedule_module(make_module(), DEFAULT_EPIC), make_module()
+
+
+def hyperblock_loop():
+    options = CompilerOptions(machine=DEFAULT_EPIC)
+    prepared = prepare(compile_source(LOOP_SOURCE), LOOP_INPUTS, options)
+    scheduled, report = compile_backend(
+        prepared,
+        options.with_priorities(hyperblock_priority=lambda env: 1.0))
+    assert any(r.regions_converted for r in report.hyperblock.values())
+    return scheduled, compile_source(LOOP_SOURCE)
+
+
+#: shape -> (binary and reference module, inputs, args, max_cycles)
+LOOP_SHAPES = {
+    "nested": (lambda: from_source(NESTED_SOURCE),
+               {"data": [(i * 5) % 7 for i in range(64)]}, (), None),
+    "two-exit": (lambda: from_source(TWO_EXIT_SOURCE),
+                 {"data": [(i * 3) % 11 for i in range(64)], "n": [40]},
+                 (), None),
+    "self-loop": (lambda: from_ir(self_loop_module), {}, (50,), None),
+    "entry-header": (lambda: from_ir(entry_header_module), {}, (12,), None),
+    "predicated": (hyperblock_loop, LOOP_INPUTS, (), None),
+    "call-faults": (lambda: from_source(CALL_FAULT_SOURCE),
+                    {"data": [9, 4, -3, 7, 1, 5, 2, 8, 6, 0, 3, 2]},
+                    (), None),
+    "budget": (lambda: from_source(LOOP_SOURCE), LOOP_INPUTS, (), 300),
+    "call-budget": (lambda: from_source(CALL_FAULT_SOURCE),
+                    {"data": [9, 4, -3, 7, 1, 5, 2, 8, 6, 3, 3, 2,
+                              5, 1, 7, 4]},
+                    (), 450),
+}
+
+#: (cycles, bundles, dynamic_ops, squashed_ops, memory_stall,
+#: branch_stall) and fault text of each shape, recorded from the
+#: simulator that called one generated function per block.
+LOOP_SHAPE_COUNTERS = {
+    "budget": ((304, 58, 59, 0, 236, 10), "cycle budget exceeded"),
+    "call-budget": ((457, 221, 164, 0, 236, 0), "cycle budget exceeded"),
+    "call-faults": ((445, 209, 151, 0, 236, 0), "integer division by zero"),
+    "entry-header": ((44, 39, 63, 0, 0, 5), None),
+    "nested": ((1397, 516, 488, 0, 826, 55), None),
+    "predicated": ((3364, 1707, 1341, 268, 1652, 5), None),
+    "self-loop": ((157, 152, 205, 0, 0, 5), None),
+    "two-exit": ((1426, 698, 655, 0, 708, 20), None),
+}
+
+
+#: Generated calls a shape's run makes: one per entry of an innermost
+#: loop and one per entry of a block outside them.  ``call-faults``
+#: and ``call-budget`` enter ``ratio`` ten times from one loop
+#: invocation.
+LOOP_SHAPE_CALLS = {
+    "budget": 2, "call-budget": 12, "call-faults": 12, "entry-header": 2,
+    "nested": 43, "predicated": 3, "self-loop": 3, "two-exit": 10,
+}
+
+
+def simulator_counters(simulator):
+    return (simulator.cycles, simulator.bundles, simulator.dynamic_ops,
+            simulator.squashed_ops, simulator.memory_stall,
+            simulator.branch_stall)
+
+
+def run_shape(shape):
+    make, inputs, args, max_cycles = LOOP_SHAPES[shape]
+    scheduled, module = make()
+    simulator = Simulator(scheduled, DEFAULT_EPIC,
+                          max_cycles=max_cycles or 100_000_000)
+    interpreter = Interpreter(module)
+    for name, values in inputs.items():
+        simulator.set_global(name, values)
+        interpreter.set_global(name, values)
+    observed = []
+    for machine, error in ((simulator, SimError),
+                           (interpreter, InterpError)):
+        try:
+            observed.append((machine.run("main", args).return_value, None))
+        except error as exc:
+            observed.append((None, str(exc)))
+    return simulator, interpreter, observed
+
+
+def sim_frame_calls(run):
+    """Calls into generated simulator code (``<sim:...>`` frames) while
+    ``run()`` executes, and its result.  The one-time module body and
+    ``__bind`` factories of a translation do not count."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith("<sim:") \
+                and code.co_name != "<module>" \
+                and not code.co_name.startswith("__bind"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+class TestLoopRegions:
+    """Every innermost loop runs in one generated call.  Each shape must
+    keep the outputs of the interpreter and the exact counters and
+    fault of the call-per-block simulator."""
+
+    @pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
+    def test_shape(self, shape):
+        calls, (simulator, interpreter, (simulated, interpreted)) = \
+            sim_frame_calls(lambda: run_shape(shape))
+        counters, fault = LOOP_SHAPE_COUNTERS[shape]
+        assert simulated[1] == fault
+        assert simulator_counters(simulator) == counters
+        if shape.endswith("budget"):
+            # the interpreter has no cycle budget and runs to the end
+            assert interpreted[1] is None
+            assert simulator.outputs == \
+                interpreter.outputs[:len(simulator.outputs)]
+        else:
+            assert simulated == interpreted
+            assert simulator.outputs == interpreter.outputs
+        assert calls == LOOP_SHAPE_CALLS[shape]
+
+
+    @pytest.mark.parametrize("defect", ["guarded", "mid-block"])
+    def test_terminator_must_end_its_block_unguarded(self, defect):
+        """A loop arm falls through to a later arm after its block's
+        terminator, so a block whose terminator is guarded, or comes
+        before other operations, is refused."""
+        scheduled, _module = from_ir(entry_header_module)
+        function = scheduled.functions["main"]
+        body = function.blocks[function.block_order[1]]
+        if defect == "guarded":
+            body.terminator().guard = VReg(99, PRED, "p")
+        else:
+            body.bundles[0].instrs.insert(0, jmp(function.entry_label))
+        with pytest.raises(SimError, match="one unguarded terminator"):
+            Simulator(scheduled, DEFAULT_EPIC).run("main", (3,))
+
+
+class TestRegionCalls:
+    """Shaped like ``TestWrapCalls``: ``unepic``'s regalloc baseline
+    spends almost all its block entries inside four innermost loops,
+    so a run makes a few dozen generated calls, not one per block
+    entry (about 13.7k)."""
+
+    def test_unepic_baseline_enters_each_loop_once(self):
+        bench = get_benchmark("unepic")
+        case = case_study("regalloc")
+        inputs = bench.inputs("train")
+        prepared = prepare(compile_source(bench.source, bench.name),
+                           inputs, case.options)
+        scheduled, _report = compile_backend(prepared)
+        simulator = Simulator(scheduled, case.machine)
+        for name, values in inputs.items():
+            simulator.set_global(name, values)
+        calls, result = sim_frame_calls(simulator.run)
+        assert result.bundles > 10_000
+        assert 0 < calls <= 50

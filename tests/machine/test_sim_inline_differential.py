@@ -5,21 +5,26 @@ operands through that generated code and through the reference for
 each — ``CacheHierarchy.load/store/prefetch``,
 ``TwoBitPredictor.update`` and the interpreter's ``apply_scalar_op``
 — and require the same charge per event, the same results and faults,
-and the same state at the end."""
+and the same state at the end.  The memory and branch events run both
+one per call and inside one loop, whose generated code keeps the
+counters in locals."""
 
 from functools import cache
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from repro.ir.function import Function, Module
+from repro.ir.function import GLOBAL_BASE, Function, GlobalArray, Module
 from repro.ir.instr import (
     Instr,
     Opcode,
     Rel,
     binop,
     br,
+    cmp,
     cmpp,
+    jmp,
+    lea,
     load,
     mov,
     prefetch,
@@ -27,7 +32,7 @@ from repro.ir.instr import (
     store,
 )
 from repro.ir.interp import InterpError, apply_scalar_op
-from repro.ir.values import FLOAT, INT, PRED, Imm, VReg
+from repro.ir.values import FLOAT, INT, PRED, Imm, SymRef, VReg
 from repro.machine import descr
 from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
@@ -209,6 +214,157 @@ def test_branch_events_match_the_predictor(machine, trace):
     assert simulator.branch_counters == {
         f"br{index}:0": counter
         for index, counter in reference._counters.items()}
+
+
+#: The looped driver's event kinds, by their code in a trace word.
+LOOP_KINDS = ("ld", "st", "pf", "gld", "gst", "br")
+#: Room for the longest trace ``accesses`` draws.
+LOOP_TRACE = 64
+#: Added to every event address, so no store lands on the trace.
+DATA_BASE = 1 << 20
+#: Guarded operations in the loop body (ld: load + out; st; pf; gld:
+#: mov + load + out; gst), and how many of them each event executes
+#: besides the load or store a set flag adds to gld or gst.
+LOOP_GUARDED = 8
+LOOP_EXECUTES = {"ld": 2, "st": 1, "pf": 1, "gld": 2, "gst": 0, "br": 0}
+
+
+def looped_driver_module() -> Module:
+    """``walk(n)``: one loop over the first ``n`` words of ``trace``.
+    A word is ``address << 4 | kind << 1 | flag``; the body decodes it
+    and runs the event under predicates (``ld`` and ``gld`` print what
+    they load, ``gld`` prints -1 when its flag is clear), or branches
+    on ``flag`` for ``br``.  Its three branches are ``walk:0`` (loop
+    test), ``walk:1`` (is it ``br``?) and ``walk:2`` (the event)."""
+    module = Module()
+    module.add_global(GlobalArray("trace", LOOP_TRACE))
+    function = Function("walk", [VReg(0, INT, "n")])
+    (count,) = function.params
+    entry, head, body, branch, taken, fallthrough, latch, done = (
+        function.new_block(hint) for hint in (
+            "entry", "head", "body", "branch", "taken", "fallthrough",
+            "latch", "done"))
+    step, more, base, word, flag, kind, address, loaded, is_br = (
+        function.new_vreg(INT, name) for name in (
+            "i", "more", "base", "word", "flag", "kind", "address",
+            "loaded", "is_br"))
+    entry.append(mov(step, Imm(0)))
+    entry.append(jmp(head.label))
+    head.append(cmp(more, Rel.LT, step, count))
+    head.append(br(more, body.label, done.label))
+
+    body.append(lea(base, SymRef("trace")))
+    body.append(binop(Opcode.ADD, base, base, step))
+    body.append(load(word, base))
+    body.append(binop(Opcode.AND, flag, word, Imm(1)))
+    body.append(binop(Opcode.SHR, kind, word, Imm(1)))
+    body.append(binop(Opcode.AND, kind, kind, Imm(7)))
+    body.append(binop(Opcode.SHR, address, word, Imm(4)))
+    body.append(binop(Opcode.ADD, address, address, Imm(DATA_BASE)))
+
+    def predicate(name, flagged=False):
+        """True when the event is ``name`` (and, if ``flagged``, its
+        flag is set)."""
+        test = function.new_vreg(INT, name)
+        body.append(cmp(test, Rel.EQ, kind, Imm(LOOP_KINDS.index(name))))
+        if flagged:
+            body.append(binop(Opcode.AND, test, test, flag))
+        on = function.new_vreg(PRED, name)
+        body.append(cmpp(on, function.new_vreg(PRED, name), Rel.NE, test,
+                         Imm(0)))
+        return on
+
+    def printed(value, guard):
+        return Instr(Opcode.OUT, srcs=(value,), guard=guard)
+
+    on = predicate("ld")
+    body.append(load(loaded, address, guard=on))
+    body.append(printed(loaded, on))
+    body.append(store(address, step, guard=predicate("st")))
+    body.append(prefetch(address, guard=predicate("pf")))
+    on, loads = predicate("gld"), predicate("gld", flagged=True)
+    body.append(mov(loaded, Imm(-1), guard=on))
+    body.append(load(loaded, address, guard=loads))
+    body.append(printed(loaded, on))
+    body.append(store(address, step, guard=predicate("gst", flagged=True)))
+    body.append(cmp(is_br, Rel.EQ, kind, Imm(LOOP_KINDS.index("br"))))
+    body.append(br(is_br, branch.label, latch.label))
+
+    branch.append(br(flag, taken.label, fallthrough.label))
+    taken.append(jmp(latch.label))
+    fallthrough.append(jmp(latch.label))
+    latch.append(binop(Opcode.ADD, step, step, Imm(1)))
+    latch.append(jmp(head.label))
+    done.append(ret(step))
+    module.add_function(function)
+    return module
+
+
+@cache
+def scheduled_looped_driver(machine_name: str):
+    machine = next(m for m in MACHINES if m.name == machine_name)
+    return schedule_module(looped_driver_module(), machine)
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+@settings(max_examples=30, deadline=None, phases=PHASES)
+@given(data=st.data())
+def test_events_in_a_loop_match_the_references(machine, data):
+    trace = data.draw(accesses(machine))
+    trace += data.draw(st.lists(
+        st.tuples(st.just("br"), st.just(0), st.booleans()),
+        max_size=LOOP_TRACE - len(trace)))
+    trace = data.draw(st.permutations(trace))
+    words = [address << 4 | LOOP_KINDS.index(kind) << 1 | int(flag)
+             for kind, address, flag in trace]
+    simulator = Simulator(scheduled_looped_driver(machine.name), machine)
+    simulator.set_global("trace", words)
+    result = simulator.run("walk", (len(trace),))
+
+    caches, predictor = CacheHierarchy(machine), TwoBitPredictor()
+    memory = {GLOBAL_BASE + index: word for index, word in enumerate(words)}
+    outputs, squashed, stall = [], 0, 0
+
+    def charge(latency):
+        nonlocal stall
+        stall += max(0, latency - machine.load_latency)
+
+    for step, (kind, address, flag) in enumerate(trace):
+        address += DATA_BASE
+        predictor.update("walk:0", True)
+        charge(caches.load(GLOBAL_BASE + step))
+        executes = LOOP_EXECUTES[kind]
+        if kind == "ld" or (kind == "gld" and flag):
+            charge(caches.load(address))
+            outputs.append(memory.get(address, 0))
+            executes += kind == "gld"
+        elif kind == "gld":
+            outputs.append(-1)
+        elif kind == "pf":
+            caches.prefetch(address)
+        elif kind == "st" or (kind == "gst" and flag):
+            caches.store(address)
+            memory[address] = step
+            executes += kind == "gst"
+        squashed += LOOP_GUARDED - executes
+        predictor.update("walk:1", kind == "br")
+        if kind == "br":
+            predictor.update("walk:2", flag)
+    predictor.update("walk:0", False)
+
+    assert len(simulator._compiled["walk"].regions) == 3  # entry, loop, done
+    assert result.return_value == len(trace)
+    assert simulator.outputs == outputs, trace
+    assert simulator.memory == memory, trace
+    assert cache_state(simulator.caches) == cache_state(caches), trace
+    assert result.memory_stall_cycles == stall, trace
+    assert result.squashed_ops == squashed, trace
+    assert simulator.branch_stats == predictor.stats, trace
+    assert result.branch_stall_cycles == \
+        machine.mispredict_penalty * predictor.stats.mispredictions
+    assert result.cycles == result.bundles + result.memory_stall_cycles \
+        + result.branch_stall_cycles
+    assert simulator.branch_counters == predictor._counters, trace
 
 
 INT_MIN = -(1 << 63)

@@ -2,6 +2,10 @@
 end-to-end equivalence."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,15 @@ class TestOneShot:
         ref = reference()
         result = simulate(scheduled, DEFAULT_EPIC)
         assert result.output_signature() == ref.output_signature()
+
+
+def test_importing_the_pipeline_leaves_the_verifier_out():
+    """Only ``verify_ir`` runs the IR verifier, so the pipeline imports
+    it on use and a campaign does not pay for the import."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = ("import sys, repro.passes.pipeline; "
+            "print('repro.verify.ir_verifier' in sys.modules)")
+    output = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert output.stdout.strip() == "False"
