@@ -7,18 +7,21 @@ model.  Two jobs:
   register-allocated code; tests assert that its observable output (the
   ``out`` stream and return value) matches this interpreter's, which
   validates every transformation in the pipeline end to end.
-* **Profiling substrate.**  :mod:`repro.profile` runs the interpreter
-  with callbacks to collect edge counts and branch histories, producing
-  the ``exec_ratio`` and branch-predictability features of Table 4.
+* **Profiling substrate.**  Every run counts each ``JMP`` taken and,
+  per ``BR``, its outcomes and a 2-bit predictor's mispredictions;
+  :mod:`repro.profile` reads those counts once, after the run, to
+  produce the ``exec_ratio`` and branch-predictability features of
+  Table 4.
 
 Integer semantics are 64-bit two's complement (wrapping); division
 truncates toward zero, matching the MiniC frontend's documented rules.
 
 Implementation note: an :class:`Interpreter` decodes each function the
 first time it enters it (operands resolved to register keys, constants
-and frame offsets) and executes the decoded rows; scalar opcodes still
-go through :func:`apply_scalar_op`, the ALU the constant folder shares
-(docs/VERIFY.md, "The reference side").
+and frame offsets, a counter on each ``JMP`` and ``BR``) and executes
+the decoded rows, updating the counters inline, without a call; scalar
+opcodes still go through :func:`apply_scalar_op`, the ALU the constant
+folder shares (docs/VERIFY.md, "The reference side").
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.ir.function import Function, Module, STACK_BASE
 from repro.ir.instr import Opcode, Rel
@@ -42,6 +44,8 @@ from repro.ir.values import (
 
 _INT_MASK = (1 << 64) - 1
 _INT_SIGN = 1 << 63
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
 
 
 def wrap_int(value: int) -> int:
@@ -89,17 +93,21 @@ def apply_scalar_op(op: Opcode, rel: Rel | None, values: tuple):
     Shared between the functional interpreter and the timing simulator
     so the two engines cannot drift semantically.  CMPP returns a
     ``(truth, complement)`` pair; every other opcode returns one value.
-    Raises :class:`InterpError` on division by zero and on FTOI of an
-    infinity or NaN.
+    An integer result inside 64 bits is returned as is; :func:`wrap_int`
+    runs only on one outside them.  Raises :class:`InterpError` on
+    division by zero and on FTOI of an infinity or NaN.
     """
     if op is Opcode.MOV:
         return values[0]
     if op is Opcode.ADD:
-        return wrap_int(values[0] + values[1])
+        value = values[0] + values[1]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.SUB:
-        return wrap_int(values[0] - values[1])
+        value = values[0] - values[1]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.MUL:
-        return wrap_int(values[0] * values[1])
+        value = values[0] * values[1]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.DIV:
         if values[1] == 0:
             raise InterpError("integer division by zero")
@@ -109,17 +117,23 @@ def apply_scalar_op(op: Opcode, rel: Rel | None, values: tuple):
             raise InterpError("integer remainder by zero")
         return wrap_int(int_rem(values[0], values[1]))
     if op is Opcode.NEG:
-        return wrap_int(-values[0])
+        value = -values[0]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.AND:
-        return wrap_int(values[0] & values[1])
+        value = values[0] & values[1]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.OR:
-        return wrap_int(values[0] | values[1])
+        value = values[0] | values[1]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.XOR:
-        return wrap_int(values[0] ^ values[1])
+        value = values[0] ^ values[1]
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.SHL:
-        return wrap_int(values[0] << (values[1] & 63))
+        value = values[0] << (values[1] & 63)
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.SHR:
-        return wrap_int(values[0] >> (values[1] & 63))
+        value = values[0] >> (values[1] & 63)
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.FADD:
         return values[0] + values[1]
     if op is Opcode.FSUB:
@@ -139,7 +153,8 @@ def apply_scalar_op(op: Opcode, rel: Rel | None, values: tuple):
     if op is Opcode.FTOI:
         if not math.isfinite(values[0]):
             raise InterpError(NONFINITE_FTOI)
-        return wrap_int(int(values[0]))
+        value = int(values[0])
+        return value if _INT_MIN <= value <= _INT_MAX else wrap_int(value)
     if op is Opcode.CMP:
         return 1 if _REL_FUNCS[rel](values[0], values[1]) else 0
     if op is Opcode.CMPP:
@@ -171,6 +186,11 @@ _KIND_BY_OPCODE = {
 #: Operand modes of a decoded source.
 _REG, _CONST, _FRAME, _FAULT = range(4)
 
+#: Initial state of a branch's 2-bit counter: weakly taken, as
+#: ``TwoBitPredictor.INIT`` (``repro.machine`` imports this module, so
+#: the value is repeated here and a test holds the two equal).
+_WEAKLY_TAKEN = 2
+
 
 @dataclass
 class RunResult:
@@ -197,18 +217,13 @@ class Interpreter:
     max_steps:
         Dynamic instruction budget; exceeded => :class:`InterpError`
         (guards against accidental infinite loops in generated code).
-    on_edge:
-        Optional callback ``(function_name, from_label, to_label)``
-        invoked for every control-flow edge taken.
-    on_branch:
-        Optional callback ``(function_name, instr_uid, taken)`` invoked
-        for every conditional branch executed.
+
+    Every run counts its control flow as it goes; after it, faulted or
+    not, :meth:`control_counts` returns the counts.
     """
 
     module: Module
     max_steps: int = 10_000_000
-    on_edge: Callable[[str, str, str], None] | None = None
-    on_branch: Callable[[str, int, bool], None] | None = None
 
     memory: dict[int, float | int] = field(init=False, default_factory=dict)
     outputs: list[float | int] = field(init=False, default_factory=list)
@@ -222,6 +237,9 @@ class Interpreter:
         #: serves one run, so no run sees a module through the decode
         #: of an earlier state of it.
         self._decoded: dict[str, tuple] = {}
+        #: branch uid -> its counter in the decode, shared by every row
+        #: of that uid: ``[2-bit state, mispredictions, taken, not taken]``
+        self._branch_counters: dict[int, list[int]] = {}
         for name, array in self.module.globals.items():
             base = self._layout[name]
             for index, value in enumerate(array.init):
@@ -263,10 +281,27 @@ class Interpreter:
             blocks_executed=self.blocks_executed,
         )
 
+    def control_counts(self) -> dict[str, list[tuple]]:
+        """The control-flow counts of every function this instance has
+        entered, in the order it first entered them: per function, one
+        ``(label, instr, counter)`` per ``JMP`` and ``BR`` in block
+        order.  A ``JMP``'s counter is ``[times taken]``; a ``BR``'s is
+        the list its uid shares, ``[2-bit state, mispredictions, taken,
+        not taken]``, the state being ``TwoBitPredictor``'s.  The lists
+        are the ones :meth:`_call` updates, so they hold the counts up
+        to a fault too."""
+        return {
+            name: [(label, row[1], row[6])
+                   for label, rows in blocks.items()
+                   for row in rows if row[6] is not None]
+            for name, (blocks, _vregs) in self._decoded.items()
+        }
+
     # -- execution core -----------------------------------------------------
     def _decode(self, function: Function):
         """Decode ``function`` for :meth:`_call`: per block, one row
-        ``(kind, instr, guard, dest, dest2, operands)`` per instruction.
+        ``(kind, instr, guard, dest, dest2, operands, counter)`` per
+        instruction.
 
         ``guard``/``dest``/``dest2`` are register-file keys and
         ``operands`` holds ``(mode, payload)`` for exactly the sources
@@ -275,8 +310,10 @@ class Interpreter:
         frame offset, or the fault that evaluating the operand raises.
         The register file is keyed by ``uid``, so a function in which
         two distinct virtual registers share one is refused rather
-        than run with the two merged.  Returns the rows by block label
-        and the registers by uid (for fault messages).
+        than run with the two merged.  ``counter`` is ``None`` except
+        on a ``JMP`` (a fresh one-slot list) and a ``BR`` (the list of
+        its uid, see :meth:`control_counts`).  Returns the rows by block
+        label and the registers by uid (for fault messages).
         """
         vregs: dict[int, VReg] = {}
 
@@ -313,6 +350,7 @@ class Interpreter:
             rows = blocks[label] = []
             for instr in block.instrs:
                 op, read = instr.op, instr.srcs[:1]
+                counter = None
                 if op in SCALAR_OPS:
                     kind = _CMPP if op is Opcode.CMPP else _SCALAR
                     read = instr.srcs
@@ -325,12 +363,16 @@ class Interpreter:
                     known = instr.callee in self.module.functions
                     read = instr.srcs if known else ()
                 elif op is Opcode.JMP:
-                    kind, read = _JMP, ()
+                    kind, read, counter = _JMP, (), [0]
                 else:
                     kind = _KIND_BY_OPCODE[op]
+                    if kind == _BR:
+                        counter = self._branch_counters.setdefault(
+                            instr.uid, [_WEAKLY_TAKEN, 0, 0, 0])
                 rows.append((
                     kind, instr, key(instr.guard), key(instr.dest),
                     key(instr.dest2), tuple(operand(src) for src in read),
+                    counter,
                 ))
         return blocks, vregs
 
@@ -352,17 +394,23 @@ class Interpreter:
         self._sp += function.frame_words
         name = function.name
         memory = self.memory
+        outputs = self.outputs
         max_steps = self.max_steps
+        # Locals for speed; on the instance whenever another frame
+        # can read them: around a CALL and on every way out.
+        steps = self.steps
+        blocks_executed = self.blocks_executed
 
         try:
             label = function.block_order[0]
             while True:
                 rows = blocks[label]
-                self.blocks_executed += 1
+                blocks_executed += 1
                 next_label: str | None = None
-                for kind, instr, guard, dest, dest2, operands in rows:
-                    self.steps += 1
-                    if self.steps > max_steps:
+                for (kind, instr, guard, dest, dest2, operands,
+                     counter) in rows:
+                    steps += 1
+                    if steps > max_steps:
                         raise InterpError(f"step budget exceeded in {name}")
                     if guard is not None and not regs.get(guard, False):
                         if kind >= _BR:
@@ -391,10 +439,24 @@ class Interpreter:
                     elif kind == _LOAD:
                         regs[dest] = memory.get(values[0], 0)
                     elif kind == _BR:
-                        taken = bool(values[0])
-                        if self.on_branch is not None:
-                            self.on_branch(name, instr.uid, taken)
-                        next_label = instr.targets[0 if taken else 1]
+                        # TwoBitPredictor.update, inline: a state moves
+                        # unless saturated, and only a state that moves
+                        # can have predicted the other way.
+                        state = counter[0]
+                        if values[0]:
+                            counter[2] += 1
+                            if state < 3:
+                                counter[0] = state + 1
+                                if state < 2:
+                                    counter[1] += 1
+                            next_label = instr.targets[0]
+                        else:
+                            counter[3] += 1
+                            if state > 0:
+                                counter[0] = state - 1
+                                if state > 1:
+                                    counter[1] += 1
+                            next_label = instr.targets[1]
                         break
                     elif kind == _CMPP:
                         regs[dest], regs[dest2] = apply_scalar_op(
@@ -402,18 +464,25 @@ class Interpreter:
                     elif kind == _STORE:
                         memory[values[1]] = values[0]
                     elif kind == _JMP:
+                        counter[0] += 1
                         next_label = instr.targets[0]
                         break
                     elif kind == _LEA:
                         regs[dest] = values[0]
                     elif kind == _OUT:
-                        self.outputs.append(values[0])
+                        outputs.append(values[0])
                     elif kind == _CALL:
                         callee = self.module.functions.get(instr.callee)
                         if callee is None:
                             raise InterpError(
                                 f"call to unknown function {instr.callee}")
-                        result = self._call(callee, values)
+                        self.steps = steps
+                        self.blocks_executed = blocks_executed
+                        try:
+                            result = self._call(callee, values)
+                        finally:
+                            steps = self.steps
+                            blocks_executed = self.blocks_executed
                         if dest is not None:
                             regs[dest] = result
                     elif kind == _RET:
@@ -423,8 +492,8 @@ class Interpreter:
                     raise InterpError(
                         f"block {label} fell through without terminator"
                     )
-                if self.on_edge is not None:
-                    self.on_edge(name, label, next_label)
                 label = next_label
         finally:
+            self.steps = steps
+            self.blocks_executed = blocks_executed
             self._sp = frame_base

@@ -55,8 +55,9 @@ What the generated code does itself and what it calls:
 * a ``BR`` does the 2-bit saturating update and charges the
   misprediction inline, over ``Simulator.branch_counters`` and
   ``Simulator.branch_stats`` —
-  :class:`~repro.machine.branch.TwoBitPredictor` is the profiler's
-  predictor and the reference this inline one is tested against;
+  :class:`~repro.machine.branch.TwoBitPredictor` is the reference this
+  inline update and the interpreter's (whose counts the profiler
+  reads) are tested against;
 * ``PREFETCH``, ``CALL``, ``FDIV``, the FTOI conversion and an L1 miss
   are calls.
 

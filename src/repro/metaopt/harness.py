@@ -328,6 +328,9 @@ class EvaluationHarness:
         self._baseline_tree = None
         #: per-(benchmark, dataset) interpreter reference observables
         self._reference_memo: dict[tuple, tuple] = {}
+        #: per-(benchmark, dataset) input arrays, generated once; shared
+        #: safely because every ``set_global`` copies the values
+        self._inputs_memo: dict[tuple, dict[str, list]] = {}
         #: memo keys whose simulation diverged from the interpreter
         self._diverged: set = set()
         #: (benchmark, dataset, Divergence) records for reporting
@@ -343,11 +346,21 @@ class EvaluationHarness:
         self.sim_cycles = 0
 
     # -- candidate-independent stages ------------------------------------
+    def _inputs(self, benchmark: str, dataset: str) -> dict[str, list]:
+        """The benchmark's ``dataset`` arrays, memoized: read them, do
+        not mutate them."""
+        key = (benchmark, dataset)
+        inputs = self._inputs_memo.get(key)
+        if inputs is None:
+            inputs = self._inputs_memo[key] = \
+                get_benchmark(benchmark).inputs(dataset)
+        return inputs
+
     def _prepare(self, benchmark: str,
                  options: CompilerOptions) -> PreparedProgram:
         bench = get_benchmark(benchmark)
         module = compile_source(bench.source, bench.name)
-        return prepare(module, bench.inputs("train"), options,
+        return prepare(module, self._inputs(benchmark, "train"), options,
                        max_steps=MAX_INTERP_STEPS)
 
     def prepared(self, benchmark: str) -> PreparedProgram:
@@ -433,7 +446,6 @@ class EvaluationHarness:
                                        meta=persist_meta)
             return stored
 
-        bench = get_benchmark(benchmark)
         simulator = Simulator(
             scheduled,
             self.case.machine,
@@ -442,7 +454,7 @@ class EvaluationHarness:
             # memoized noisy measurements are reproducible.
             noise_seed=zlib.crc32(repr(key).encode()),
         )
-        for name, values in bench.inputs(dataset).items():
+        for name, values in self._inputs(benchmark, dataset).items():
             simulator.set_global(name, values)
         result = simulator.run()
         self.sim_count += 1
@@ -506,9 +518,8 @@ class EvaluationHarness:
         from repro.ir.interp import Interpreter, InterpError
 
         prep = self.prepared(benchmark)
-        bench = get_benchmark(benchmark)
         interp = Interpreter(prep.module, max_steps=MAX_INTERP_STEPS)
-        for name, values in bench.inputs(dataset).items():
+        for name, values in self._inputs(benchmark, dataset).items():
             interp.set_global(name, values)
         result = fault = None
         globals_snapshot: dict[str, list] = {}

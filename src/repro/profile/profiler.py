@@ -4,8 +4,11 @@ IMPACT's hyperblock heuristic consumes profile information
 (``exec_ratio`` comes "from a runtime profile"), and the paper adds
 branch-predictability statistics by modifying the profiler.  This
 module reproduces both: it executes a module under the functional
-interpreter, counting CFG edges and simulating a 2-bit predictor per
-static branch to measure its predictability.
+interpreter, whose decoded rows count every CFG edge taken and run a
+2-bit predictor per static branch as they go
+(:meth:`Interpreter.control_counts`), and reads those counts once,
+after the run, into per-function edge and block counts, loop trip
+counts and per-branch predictability and taken ratio.
 
 Profiles are collected **on the training input** only; candidates are
 then compiled with this fixed profile and evaluated on train or novel
@@ -19,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.function import Module
+from repro.ir.instr import Opcode
 from repro.ir.interp import Interpreter, InterpError, RunResult
-from repro.machine.branch import TwoBitPredictor
 
 
 @dataclass
@@ -68,29 +71,11 @@ def collect_profile(
     """Run ``module`` on ``inputs`` and collect the profile.
 
     ``inputs`` maps global array names to their contents (the benchmark
-    dataset).
+    dataset).  Branch statistics are keyed by instruction uid, edge,
+    block and loop statistics by block label.
     """
     profile = ModuleProfile()
-    predictor = TwoBitPredictor()
-    taken_counts: dict[int, list[int]] = {}
-
-    def on_edge(function_name: str, source: str, target: str) -> None:
-        func_profile = profile.function(function_name)
-        key = (source, target)
-        func_profile.edge_counts[key] = func_profile.edge_counts.get(key, 0) + 1
-        func_profile.block_counts[target] = (
-            func_profile.block_counts.get(target, 0) + 1
-        )
-
-    def on_branch(function_name: str, uid: int, taken: bool) -> None:
-        predictor.update(uid, taken)
-        counts = taken_counts.setdefault(uid, [0, 0])
-        counts[0] += 1
-        if taken:
-            counts[1] += 1
-
-    interp = Interpreter(module, max_steps=max_steps,
-                         on_edge=on_edge, on_branch=on_branch)
+    interp = Interpreter(module, max_steps=max_steps)
     for name, values in (inputs or {}).items():
         interp.set_global(name, values)
     try:
@@ -103,6 +88,31 @@ def collect_profile(
     if result is not None:
         profile.run_result = result
         profile.total_steps = result.steps
+
+    # The counts the run left in the decode; a block is counted once
+    # per edge into it.
+    for name, terminators in interp.control_counts().items():
+        func_profile = profile.function(name)
+        edge_counts = func_profile.edge_counts
+        block_counts = func_profile.block_counts
+        for label, instr, counter in terminators:
+            if instr.op is Opcode.JMP:
+                taken_edges = ((instr.targets[0], counter[0]),)
+            else:
+                _state, mispredictions, taken, not_taken = counter
+                taken_edges = ((instr.targets[0], taken),
+                               (instr.targets[1], not_taken))
+                predictions = taken + not_taken
+                if predictions:
+                    func_profile.branch_accuracy[instr.uid] = (
+                        1.0 - mispredictions / predictions)
+                    func_profile.branch_taken_ratio[instr.uid] = (
+                        taken / predictions)
+            for target, count in taken_edges:
+                if count:
+                    key = (label, target)
+                    edge_counts[key] = edge_counts.get(key, 0) + count
+                    block_counts[target] = block_counts.get(target, 0) + count
 
     # Entry blocks are executed once per call but produce no edge event;
     # reconstruct their counts from outgoing edges.
@@ -138,15 +148,4 @@ def collect_profile(
                 back_count / entries if header_count else 0.0
             )
 
-    accuracies = predictor.branch_accuracies()
-    for name, function in module.functions.items():
-        func_profile = profile.function(name)
-        for instr in function.instructions():
-            if instr.uid in accuracies:
-                func_profile.branch_accuracy[instr.uid] = accuracies[instr.uid]
-            if instr.uid in taken_counts:
-                total, taken = taken_counts[instr.uid]
-                func_profile.branch_taken_ratio[instr.uid] = (
-                    taken / total if total else 0.5
-                )
     return profile

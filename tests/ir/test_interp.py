@@ -39,6 +39,7 @@ from repro.ir.values import (
     SymRef,
     VReg,
 )
+from repro.profile import FunctionProfile, collect_profile
 
 
 def run_source(source, inputs=None, **kwargs):
@@ -231,22 +232,6 @@ class TestPredication:
         result = Interpreter(self._predicated_module(0)).run()
         assert result.outputs == [222]
 
-    def test_branch_and_edge_callbacks(self):
-        edges = []
-        branches = []
-        module = compile_source("""
-        void main() {
-          int i;
-          for (i = 0; i < 3; i = i + 1) { out(i); }
-        }
-        """)
-        interp = Interpreter(module, on_edge=lambda f, a, b: edges.append((a, b)),
-                             on_branch=lambda f, uid, t: branches.append(t))
-        interp.run()
-        assert branches.count(True) == 3
-        assert branches.count(False) == 1
-        assert len(edges) >= 7
-
     def test_undefined_register_read_raises(self):
         module = Module()
         func = Function("main", [])
@@ -413,32 +398,134 @@ class TestFaultsAndCounters:
             interp.run()
         assert interp._sp == before
 
-    def test_callbacks_fire_in_execution_order(self):
-        events = []
+
+def _uid_at(function, label: str, index: int) -> int:
+    return function.blocks[label].instrs[index].uid
+
+
+class TestControlCounts:
+    """The counters a run leaves in the decode.  Every expected count
+    below was recorded from the ``on_edge``/``on_branch`` callbacks the
+    interpreter had before the counters replaced them, and each
+    expected ``BR`` state and misprediction count from a
+    ``TwoBitPredictor`` fed the outcomes those callbacks reported."""
+
+    LOOP = """
+    void main() {
+      int i;
+      for (i = 0; i < %d; i = i + 1) { out(i); }
+    }
+    """
+
+    @pytest.mark.parametrize("trips, taken, steps, blocks", [
+        pytest.param(3, [1, 3, 3], 27, 12, id="three_trips"),
+        pytest.param(2, [1, 2, 2], 20, 9, id="two_trips"),
+    ])
+    def test_loop(self, trips, taken, steps, blocks):
+        module = compile_source(self.LOOP % trips)
+        interp = Interpreter(module)
+        result = interp.run()
+        entry, body, step = taken
+        # TwoBitPredictor fed trips x taken, then not taken: from weakly
+        # taken to strongly taken, one miss at the exit, back to weak.
+        assert [(label, instr.op, counter) for label, instr, counter
+                in interp.control_counts()["main"]] == [
+            ("entry0", Opcode.JMP, [entry]),
+            ("for_head1", Opcode.BR, [2, 1, trips, 1]),
+            ("for_body2", Opcode.JMP, [body]),
+            ("for_step3", Opcode.JMP, [step]),
+        ]
+        assert (result.steps, result.blocks_executed) == (steps, blocks)
+        # a block is entered once per edge into it, the entry once
+        assert blocks == entry + trips + 1 + body + step + 1
+
+    def test_counter_is_the_terminator_and_shared_per_uid(self):
+        module = compile_source(self.LOOP % 2)
+        function = module.functions["main"]
+        interp = Interpreter(module)
+        interp.run()
+        for label, instr, counter in interp.control_counts()["main"]:
+            assert instr is function.blocks[label].terminator
+            if instr.op is Opcode.BR:
+                assert counter is interp._branch_counters[instr.uid]
+
+    def test_division_by_zero_mid_loop_keeps_the_profile(self):
         module = compile_source("""
+        int d[8];
         void main() {
-          int i;
-          for (i = 0; i < 2; i = i + 1) { out(i); }
+          int i; int s;
+          s = 0;
+          for (i = 0; i < 8; i = i + 1) {
+            if (i & 1) { s = s + 1; } else { s = s + 2; }
+            s = s + 100 / d[i];
+            out(s);
+          }
         }
         """)
-        func = module.functions["main"]
-        branch_uids = {instr.uid for instr in func.instructions()
-                       if instr.op is Opcode.BR}
-        interp = Interpreter(
-            module,
-            on_edge=lambda f, a, b: events.append(("edge", f, a, b)),
-            on_branch=lambda f, uid, t: events.append(("branch", f, uid, t)))
-        result = interp.run()
-        branches = [e for e in events if e[0] == "branch"]
-        assert [e[3] for e in branches] == [True, True, False]
-        assert all(e[1] == "main" and e[2] in branch_uids
-                   and type(e[3]) is bool for e in branches)
-        # a branch is reported before the edge it takes, and the edge
-        # leads to one of the branch's own targets
-        for index, event in enumerate(events):
-            if event[0] == "branch":
-                _kind, name, source, target = events[index + 1]
-                assert name == "main" and source in func.blocks
-                assert target in func.blocks[source].terminator.targets
-        edges = [e for e in events if e[0] == "edge"]
-        assert result.blocks_executed == len(edges) + 1
+        function = module.functions["main"]
+        profile = collect_profile(module, {"d": [1, 2, 3, 4, 5, 0, 7, 8]})
+        assert profile.run_result is None and profile.total_steps == 0
+        assert list(profile.functions) == ["main"]
+        header = _uid_at(function, "for_head1", 1)
+        parity = _uid_at(function, "for_body2", 1)
+        assert profile.functions["main"] == FunctionProfile(
+            edge_counts={
+                ("entry0", "for_head1"): 1, ("for_head1", "for_body2"): 6,
+                ("for_body2", "then5"): 3, ("for_body2", "else6"): 3,
+                ("then5", "join7"): 3, ("else6", "join7"): 3,
+                ("join7", "for_step3"): 5, ("for_step3", "for_head1"): 5,
+            },
+            block_counts={
+                "entry0": 1, "for_head1": 6, "for_body2": 6, "then5": 3,
+                "else6": 3, "join7": 6, "for_step3": 5,
+            },
+            branch_accuracy={header: 1.0, parity: 0.0},
+            branch_taken_ratio={header: 1.0, parity: 0.5},
+            loop_trips={"for_head1": 5.0},
+        )
+
+    NESTED = """
+    int leaf(int x) {
+      int i; int s;
+      s = 0;
+      for (i = 0; i < x; i = i + 1) { s = s + i; }
+      return s;
+    }
+    int mid(int x) { return leaf(x) + leaf(x + 1); }
+    void main() { out(mid(3)); out(mid(50)); }
+    """
+
+    def test_nested_calls_count_every_frame(self):
+        result = Interpreter(compile_source(self.NESTED)).run()
+        assert (result.steps, result.blocks_executed) == (913, 339)
+        assert result.outputs == [9, 2500]
+
+    @pytest.mark.parametrize("budget, steps, blocks", [
+        (300, 301, 111),
+        (411, 412, 153),
+    ])
+    def test_budget_overrun_in_a_nested_call(self, budget, steps, blocks):
+        module = compile_source(self.NESTED)
+        interp = Interpreter(module, max_steps=budget)
+        with pytest.raises(InterpError,
+                           match="^step budget exceeded in leaf$"):
+            interp.run()
+        assert (interp.steps, interp.blocks_executed) == (steps, blocks)
+        assert interp.outputs == [9]
+
+    def test_budget_overrun_in_a_nested_call_keeps_the_profile(self):
+        profile = collect_profile(compile_source(self.NESTED), max_steps=411)
+        leaf = profile.functions["leaf"]
+        assert leaf.edge_counts == {
+            ("entry0", "for_head1"): 3, ("for_head1", "for_body2"): 48,
+            ("for_body2", "for_step3"): 47, ("for_step3", "for_head1"): 47,
+            ("for_head1", "for_exit4"): 2,
+        }
+        assert leaf.block_counts == {
+            "entry0": 3, "for_head1": 50, "for_body2": 48, "for_step3": 47,
+            "for_exit4": 2,
+        }
+        assert leaf.loop_trips == {"for_head1": 47 / 3}
+        for name in ("main", "mid"):
+            assert profile.functions[name].block_counts == {"entry0": 0}
+            assert profile.functions[name].edge_counts == {}

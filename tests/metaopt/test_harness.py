@@ -132,3 +132,38 @@ class TestNoisyHarness:
         a = harness.simulate(never_prefetch, "178.galgel").cycles
         b = harness.simulate(always_prefetch, "178.galgel").cycles
         assert a != b
+
+
+class TestInputsMemo:
+    def test_each_dataset_is_generated_once_per_harness(self, monkeypatch):
+        """A verified campaign prepares, simulates and runs the
+        reference on both datasets; each (program, dataset) is
+        generated once, and the shared lists are still the dataset
+        after every simulation and interpreter run has read them."""
+        from collections import Counter
+
+        from repro.experiments import ExperimentConfig, run_experiment
+        from repro.gp.engine import GPParams
+        from repro.suite.registry import Benchmark, get as get_benchmark
+
+        generated = Counter()
+        inputs = Benchmark.inputs
+
+        def counting(bench, dataset="train"):
+            generated[bench.name, dataset] += 1
+            return inputs(bench, dataset)
+
+        monkeypatch.setattr(Benchmark, "inputs", counting)
+        config = ExperimentConfig(
+            mode="specialize", case="hyperblock", benchmark="codrle4",
+            params=GPParams(population_size=4, generations=2, seed=1),
+            verify_outputs=True)
+        harness = EvaluationHarness(case_study(config.case),
+                                    EvalSettings(verify_outputs=True))
+        run_experiment(config, harness=harness)
+        assert harness.stats()["sims"] > 1
+        assert generated == {("codrle4", "train"): 1,
+                             ("codrle4", "novel"): 1}
+        monkeypatch.undo()
+        for (name, dataset), memoized in harness._inputs_memo.items():
+            assert memoized == get_benchmark(name).inputs(dataset)

@@ -1,0 +1,145 @@
+"""The profile the interpreter's inline counters produce.
+
+``collect_profile`` reads the counts a run leaves in the interpreter's
+decode (``Interpreter.control_counts``).  These tests hold its branch
+statistics to ``TwoBitPredictor`` fed the same outcomes, pin how few
+Python frames a profiling run spends outside the interpreter, and hold
+the range-checked integer results of ``apply_scalar_op`` to
+``wrap_int`` of the exact result."""
+
+import sys
+from functools import cache
+
+from hypothesis import Phase, given, settings, strategies as st
+
+from repro.frontend import compile_source
+from repro.ir import interp as interp_mod
+from repro.ir.instr import Opcode
+from repro.ir.interp import apply_scalar_op, wrap_int
+from repro.machine import branch as branch_mod
+from repro.machine.branch import TwoBitPredictor
+from repro.profile import collect_profile, profiler as profiler_mod
+from repro.suite.registry import get as get_benchmark
+
+PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
+
+INT_MIN = -(1 << 63)
+INT_MAX = (1 << 63) - 1
+
+BITS = 40
+
+
+@cache
+def bit_loop():
+    """A loop whose body branches on ``bits[i]`` for ``i < n[0]``."""
+    return compile_source(f"""
+    int n[1];
+    int bits[{BITS}];
+    void main() {{
+      int i; int s;
+      s = 0;
+      for (i = 0; i < n[0]; i = i + 1) {{
+        if (bits[i]) {{ s = s + 1; }}
+      }}
+      out(s);
+    }}
+    """)
+
+
+def test_the_decode_starts_each_branch_weakly_taken():
+    assert interp_mod._WEAKLY_TAKEN == TwoBitPredictor.INIT
+
+
+@settings(max_examples=60, deadline=None, phases=PHASES)
+@given(bits=st.lists(st.booleans(), max_size=BITS))
+def test_branch_statistics_match_the_predictor(bits):
+    module = bit_loop()
+    function = module.functions["main"]
+    header = function.blocks["for_head1"].terminator
+    body = function.blocks["for_body2"].terminator
+    assert body.op is Opcode.BR and body.targets[0] == "then5"
+
+    profile = collect_profile(
+        module, {"n": [len(bits)], "bits": [int(bit) for bit in bits]})
+    outcomes = {header.uid: [True] * len(bits) + [False], body.uid: bits}
+    predictor = TwoBitPredictor()
+    for uid, taken in outcomes.items():
+        for outcome in taken:
+            predictor.update(uid, outcome)
+    main = profile.functions["main"]
+    assert main.branch_accuracy == predictor.branch_accuracies()
+    assert main.branch_taken_ratio == {
+        uid: sum(taken) / len(taken)
+        for uid, taken in outcomes.items() if taken}
+    assert main.edge_counts.get(("for_body2", "then5"), 0) == sum(bits)
+    assert profile.run_result.outputs == [sum(bits)]
+
+
+def test_profiling_makes_no_call_per_edge_or_branch():
+    """One profiling run of ``unepic`` on its training input: the
+    profiler and the predictor model are entered a handful of times,
+    not once per edge or branch (54,910 frames before the counters
+    moved into the decode), and ``wrap_int`` only for results outside
+    64 bits (28,493 calls before the range check)."""
+    bench = get_benchmark("unepic")
+    module = compile_source(bench.source, bench.name)
+    inputs = bench.inputs("train")
+    ours = {profiler_mod.__file__, branch_mod.__file__}
+    wrap = wrap_int.__code__
+    counts = {"ours": 0, "wrap": 0}
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            if frame.f_code.co_filename in ours:
+                counts["ours"] += 1
+            elif frame.f_code is wrap:
+                counts["wrap"] += 1
+
+    sys.setprofile(hook)
+    try:
+        profile = collect_profile(module, inputs)
+    finally:
+        sys.setprofile(None)
+    assert profile.run_result is not None
+    assert counts["ours"] <= 20, counts
+    assert counts["wrap"] <= 1_100, counts
+
+
+BOUNDARY_INTS = (INT_MIN, INT_MIN + 1, INT_MIN // 2, -3037000500, -64,
+                 -2, -1, 0, 1, 2, 63, 64, 3037000500, INT_MAX // 2,
+                 INT_MAX - 1, INT_MAX)
+
+int64 = st.one_of(st.sampled_from(BOUNDARY_INTS), st.integers(-9, 9),
+                  st.integers(INT_MIN, INT_MAX))
+
+EXACT = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.NEG: lambda a, b: -a,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.SHL: lambda a, b: a << (b & 63),
+    Opcode.SHR: lambda a, b: a >> (b & 63),
+}
+
+
+@settings(max_examples=400, deadline=None, phases=PHASES)
+@given(op=st.sampled_from(sorted(EXACT, key=lambda op: op.name)),
+       left=int64, right=int64)
+def test_integer_results_equal_the_wrapped_exact_result(op, left, right):
+    values = (left,) if op is Opcode.NEG else (left, right)
+    result = apply_scalar_op(op, None, values)
+    assert type(result) is int
+    assert result == wrap_int(EXACT[op](left, right)), (op, left, right)
+
+
+@settings(max_examples=200, deadline=None, phases=PHASES)
+@given(value=st.one_of(
+    st.sampled_from((9.3e18, -9.3e18, 2.0 ** 63, -(2.0 ** 63),
+                     2.0 ** 64, -0.5, 0.5)),
+    st.floats(allow_nan=False, allow_infinity=False)))
+def test_ftoi_equals_the_wrapped_truncation(value):
+    assert apply_scalar_op(Opcode.FTOI, None, (value,)) == \
+        wrap_int(int(value))
