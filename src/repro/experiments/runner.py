@@ -183,7 +183,7 @@ class ExperimentRunner:
         model = None
         if state is None and harness.fitness_cache is not None:
             model, _report = train_from_cache(
-                harness.fitness_cache, self.config.case)
+                harness.fitness_cache, harness.case)
         surrogate = SurrogateEvaluator(
             inner, self.config.case, model,
             top_k=self.surrogate_top_k,

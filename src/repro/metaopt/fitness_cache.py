@@ -24,18 +24,20 @@ Entries are one JSON file each under ``root/<xx>/<digest>.json`` (two-
 level fan-out keeps directories small); writes go to a temp file in the
 same directory followed by :func:`os.replace`, so concurrent workers
 sharing a cache directory can never observe a torn entry — last writer
-wins with identical bytes.  Every :meth:`FitnessCache.get` reads the
-disk: the one caller, the harness, asks only after its own in-process
-memo missed, so a dict in here never answered anything
-(docs/FORKING.md, "What the traffic showed").
+wins with identical bytes.  The store keeps no state beyond the
+directory: the one caller, the harness, asks only after its own memo
+missed (so every :meth:`FitnessCache.get` reads the disk), and counts
+hits, misses and stores from the answer of each evaluation.
 
 Entries written by this version carry a ``meta`` sidecar (expression
-text, case, benchmark, dataset, noise, verified flag) so the cache can
-be mined offline — :meth:`FitnessCache.scan` iterates every persisted
-record, and that stream is the training corpus for the learned
-surrogate fitness model (:mod:`repro.surrogate.train`).  Pre-meta
-entries (bare ``SimResult`` dicts) still load through :meth:`get`; the
-key schema is unchanged, only the on-disk envelope grew.
+text, case, benchmark, dataset, noise, verified flag, and the pipeline
+and machine fingerprints of the key) so the cache can be mined offline
+— :meth:`FitnessCache.scan` iterates every persisted record, and that
+stream is the training corpus for the learned surrogate fitness model
+(:mod:`repro.surrogate.train`), which keeps only the records a current
+compile could produce.  Pre-meta entries (bare ``SimResult`` dicts)
+still load through :meth:`get`; the key schema is unchanged, only the
+on-disk envelope grew.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
@@ -116,13 +117,6 @@ class FitnessCache:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # One instance may be shared by the serving daemon's worker
-        # threads; the lock covers the counters (disk entries are safe
-        # on their own: atomic-rename writes).
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     # -- keys -----------------------------------------------------------
     def result_key(
@@ -189,15 +183,8 @@ class FitnessCache:
         try:
             data = json.loads(self._path_for(key).read_text())
         except (OSError, ValueError):
-            result = None
-        else:
-            result, _meta = self._parse_entry(data)
-        with self._lock:
-            if result is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-        return result
+            return None
+        return self._parse_entry(data)[0]
 
     def put(self, key: str, result: SimResult,
             meta: dict | None = None) -> None:
@@ -205,8 +192,6 @@ class FitnessCache:
         provenance (expression text, case, benchmark, dataset, …)
         persisted alongside the result for :meth:`scan`; it never
         affects lookups."""
-        with self._lock:
-            self.stores += 1
         path = self._path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = {
@@ -220,7 +205,9 @@ class FitnessCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(data, handle)
+                # dumps, not dump: the same bytes from the C encoder,
+                # without a Python call per chunk
+                handle.write(json.dumps(data))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -248,14 +235,6 @@ class FitnessCache:
             if result is None:
                 continue
             yield CacheRecord(key=path.stem, result=result, meta=meta)
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-            }
 
 
 def resolve_cache_dir(explicit_dir: str | None = None,

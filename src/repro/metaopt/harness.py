@@ -26,6 +26,12 @@ are so costly").  Under one harness, outermost first:
   it: a hit skips the rest of the backend and the simulator;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
   region functions of one scheduled binary.
+
+Each evaluation is answered by one layer: ``memo``, ``fitness_cache``,
+``digest`` or ``sim`` (a fresh simulation).  The harness tallies the
+answers, and every layer counter of :meth:`EvaluationHarness.stats` and
+of the ``harness.*`` metrics derives from that one tally; an evaluation
+that raises is counted nowhere.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ from __future__ import annotations
 import itertools
 import threading
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Iterable,
+    NamedTuple,
     Protocol,
     runtime_checkable,
 )
@@ -55,7 +63,11 @@ from repro.machine.descr import (
 )
 from repro.machine.sim import SimResult, Simulator
 from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.fitness_cache import FitnessCache
+from repro.metaopt.fitness_cache import (
+    FitnessCache,
+    machine_fingerprint,
+    pipeline_fingerprint,
+)
 from repro.metaopt.psets import PSETS
 from repro.metaopt.priority import PriorityFunction
 from repro.metaopt.settings import EvalSettings
@@ -267,6 +279,28 @@ def _as_hook(priority):
     return priority
 
 
+class Answer(NamedTuple):
+    """One evaluation below the cycles memo, as the memo keeps it."""
+
+    layer: str  # "fitness_cache", "digest" or "sim"
+    result: SimResult
+    diverged: bool = False  # the differential guard's verdict
+    #: True when the fitness cache missed and was written, False when
+    #: it missed and the result diverged; None when it did not miss
+    stored: bool | None = None
+
+
+#: the counters an answer of each layer adds to, in ``stats()`` and,
+#: as ``harness.<name>``, in the metrics (a memo hit, counted without
+#: the lock, reaches ``stats()`` alone)
+_COUNTERS = {
+    "memo": ("memo_hits",),
+    "fitness_cache": ("persistent_cache_hits",),
+    "digest": ("compiles", "digest_hits"),
+    "sim": ("compiles", "sims"),
+}
+
+
 class EvaluationHarness:
     """Compiles and simulates benchmarks under candidate priorities.
 
@@ -300,11 +334,10 @@ class EvaluationHarness:
         #: post-prefix state per benchmark: a case's options differ
         #: between candidates in the hook alone
         self._snapshots: dict[str, PipelineSnapshot] = {}
-        self._cycles_memo: dict[tuple, SimResult] = {}
-        #: ``simulate`` calls (lock-free, like the hit: exact on one
-        #: thread) and those that went below the memo (under the lock)
-        self.memo_lookups = 0
-        self.memo_misses = 0
+        self._cycles_memo: dict[tuple, Answer] = {}
+        #: answers by (layer, stored), the record ``stats()`` reads; a
+        #: memo hit counts without the lock (exact on one thread)
+        self._tally: Counter[tuple] = Counter()
         #: held across a ``simulate`` miss; a memo hit never takes it
         self._miss_lock = threading.Lock()
         #: content-addressed simulation memo: distinct candidates often
@@ -331,16 +364,9 @@ class EvaluationHarness:
         #: per-(benchmark, dataset) input arrays, generated once; shared
         #: safely because every ``set_global`` copies the values
         self._inputs_memo: dict[tuple, dict[str, list]] = {}
-        #: memo keys whose simulation diverged from the interpreter
-        self._diverged: set = set()
         #: (benchmark, dataset, Divergence) records for reporting
         self.divergences: list = []
-        self.compile_count = 0
-        self.sim_count = 0
-        self.cache_hits = 0
         self.snapshot_hits = 0
-        #: compiles ended at ``_memo_stage`` by a content-digest hit
-        self.digest_hits = 0
         #: total simulated machine cycles across fresh (uncached) runs —
         #: the "simulated time" counterpart of wall-clock telemetry
         self.sim_cycles = 0
@@ -376,25 +402,29 @@ class EvaluationHarness:
         """Compile with ``priority`` installed and simulate on
         ``dataset``; memoized.  Safe on a harness threads share (the
         daemon's): a hit takes no lock, a miss is single-flight."""
-        key = (_priority_key(priority), benchmark, dataset)
-        self.memo_lookups += 1
-        cached = self._cycles_memo.get(key)
-        if cached is None:
-            with self._miss_lock:
-                cached = self._cycles_memo.get(key)
-                if cached is None:
-                    self.memo_misses += 1
-                    # Published last: a lock-free hit must never see a
-                    # result whose divergence verdict is still pending.
-                    cached = self._simulate_miss(priority, key)
-                    self._cycles_memo[key] = cached
-        return cached
+        return self._answer(priority, benchmark, dataset).result
 
-    def _simulate_miss(self, priority, key: tuple) -> SimResult:
+    def _answer(self, priority, benchmark: str, dataset: str) -> Answer:
+        """The memo's :class:`Answer`, tallied by layer."""
+        key = (_priority_key(priority), benchmark, dataset)
+        answer = self._cycles_memo.get(key)
+        if answer is None:
+            with self._miss_lock:
+                answer = self._cycles_memo.get(key)
+                if answer is None:
+                    answer = self._simulate_miss(priority, key)
+                    self._tally[answer.layer, answer.stored] += 1
+                    for name in _COUNTERS[answer.layer]:
+                        obs.inc("harness." + name)
+                    self._cycles_memo[key] = answer
+                    return answer
+        self._tally["memo", None] += 1
+        return answer
+
+    def _simulate_miss(self, priority, key: tuple) -> Answer:
         """Everything below the cycles memo, under ``_miss_lock``."""
         _, benchmark, dataset = key
         persist_key = None
-        persist_meta = None
         if self.fitness_cache is not None:
             persist_key = self.fitness_cache.result_key(
                 case_name=self.case.name,
@@ -408,10 +438,7 @@ class EvaluationHarness:
         if persist_key is not None:
             stored = self.fitness_cache.get(persist_key)
             if stored is not None:
-                self.cache_hits += 1
-                obs.inc("harness.persistent_cache_hits")
-                return stored
-            persist_meta = self._persist_meta(priority, benchmark, dataset)
+                return Answer("fitness_cache", stored)
 
         options = self.case.options_for(_as_hook(priority))
         if self.case.steers_prepare:
@@ -436,39 +463,34 @@ class EvaluationHarness:
         if self._memo_stage is not None:
             stop_after = (self._memo_stage, probe)
         scheduled = self._compile(prep, options, benchmark, stop_after)
-        self.compile_count += 1
-        obs.inc("harness.compiles")
         if stored is not None:
-            self.digest_hits += 1
-            obs.inc("harness.digest_hits")
-            if persist_key is not None:
-                self.fitness_cache.put(persist_key, stored,
-                                       meta=persist_meta)
-            return stored
-
-        simulator = Simulator(
-            scheduled,
-            self.case.machine,
-            noise_stddev=self.settings.noise_stddev,
-            # crc32, not hash(): stable across interpreter runs so
-            # memoized noisy measurements are reproducible.
-            noise_seed=zlib.crc32(repr(key).encode()),
-        )
-        for name, values in self._inputs(benchmark, dataset).items():
-            simulator.set_global(name, values)
-        result = simulator.run()
-        self.sim_count += 1
-        self.sim_cycles += result.cycles
-        obs.inc("harness.sims")
-        if digest_key is not None:
-            self._digest_memo[digest_key] = result
-        diverged = False
-        if self.settings.verify_outputs:
-            diverged = self._check_against_reference(
-                key, benchmark, dataset, simulator, result, scheduled)
-        if persist_key is not None and not diverged:
-            self.fitness_cache.put(persist_key, result, meta=persist_meta)
-        return result
+            layer, result, diverged = "digest", stored, False
+        else:
+            layer = "sim"
+            simulator = Simulator(
+                scheduled,
+                self.case.machine,
+                noise_stddev=self.settings.noise_stddev,
+                # crc32, not hash(): stable across interpreter runs so
+                # memoized noisy measurements are reproducible.
+                noise_seed=zlib.crc32(repr(key).encode()),
+            )
+            for name, values in self._inputs(benchmark, dataset).items():
+                simulator.set_global(name, values)
+            result = simulator.run()
+            self.sim_cycles += result.cycles
+            if digest_key is not None:
+                self._digest_memo[digest_key] = result
+            diverged = self.settings.verify_outputs and \
+                self._check_against_reference(
+                    benchmark, dataset, simulator, result, scheduled)
+        if persist_key is None:
+            return Answer(layer, result, diverged)
+        if not diverged:
+            self.fitness_cache.put(
+                persist_key, result,
+                meta=self._persist_meta(priority, benchmark, dataset))
+        return Answer(layer, result, diverged, stored=not diverged)
 
     def _persist_meta(self, priority, benchmark: str,
                       dataset: str) -> dict:
@@ -476,12 +498,16 @@ class EvaluationHarness:
         :meth:`FitnessCache.scan` (and the surrogate trainer mining it)
         can recover the expression behind each cycle count.  Only built
         for tree-keyed priorities, which are the only persistable ones.
+        The two fingerprints are those of the cache key, so a miner can
+        keep only the records today's compiles could produce.
         """
         tree = priority.tree if isinstance(priority, PriorityFunction) \
             else priority
         return {
             "expression": expression_text(tree),
             "case": self.case.name,
+            "pipeline": pipeline_fingerprint(),
+            "machine": machine_fingerprint(self.case.machine),
             "benchmark": benchmark,
             "dataset": dataset,
             "noise_stddev": self.settings.noise_stddev,
@@ -535,7 +561,7 @@ class EvaluationHarness:
         self._reference_memo[ref_key] = cached
         return cached
 
-    def _check_against_reference(self, key, benchmark: str, dataset: str,
+    def _check_against_reference(self, benchmark: str, dataset: str,
                                  simulator: Simulator, result: SimResult,
                                  scheduled) -> bool:
         """Compare a fresh simulation against the interpreter; record
@@ -554,7 +580,6 @@ class EvaluationHarness:
         )
         if not divergences:
             return False
-        self._diverged.add(key)
         for divergence in divergences:
             self.divergences.append((benchmark, dataset, divergence))
         return True
@@ -580,23 +605,36 @@ class EvaluationHarness:
         answer computed quickly must never look like a speedup.
         """
         baseline = self.baseline_result(benchmark, dataset).cycles
-        candidate = self.simulate(priority, benchmark, dataset).cycles
-        if (_priority_key(priority), benchmark, dataset) in self._diverged:
-            return 0.0
-        if candidate <= 0:
+        answer = self._answer(priority, benchmark, dataset)
+        candidate = answer.result.cycles
+        if answer.diverged or candidate <= 0:
             return 0.0
         return baseline / candidate
 
     def stats(self) -> dict[str, int]:
-        """Telemetry counters for event streams and progress reports."""
+        """Telemetry counters for event streams and progress reports.
+
+        Each tallied answer adds to ``memo_lookups`` and its layer's
+        ``_COUNTERS``, and to ``fitness_cache_misses`` (and ``_stores``)
+        when the cache missed (and was written); one that raised is in
+        none.  ``sim_cycles``, ``snapshot_*`` and ``divergences`` are
+        counted where they happen."""
+        counts: Counter[str] = Counter()
+        for (layer, stored), count in self._tally.items():
+            counts["memo_lookups"] += count
+            for name in _COUNTERS[layer]:
+                counts[name] += count
+            if stored is not None:
+                counts["fitness_cache_misses"] += count
+                counts["fitness_cache_stores"] += count * stored
         counters = {
-            "compiles": self.compile_count,
-            "sims": self.sim_count,
+            "compiles": counts["compiles"],
+            "sims": counts["sims"],
             "sim_cycles": self.sim_cycles,
-            "memo_lookups": self.memo_lookups,
-            "memo_hits": self.memo_lookups - self.memo_misses,
-            "persistent_cache_hits": self.cache_hits,
-            "digest_hits": self.digest_hits,
+            "memo_lookups": counts["memo_lookups"],
+            "memo_hits": counts["memo_hits"],
+            "persistent_cache_hits": counts["persistent_cache_hits"],
+            "digest_hits": counts["digest_hits"],
         }
         if self.settings.verify_outputs:
             counters["divergences"] = len(self.divergences)
@@ -604,9 +642,8 @@ class EvaluationHarness:
             counters["snapshot_hits"] = self.snapshot_hits
             counters["snapshot_builds"] = len(self._snapshots)
         if self.fitness_cache is not None:
-            cache = self.fitness_cache.stats()
-            counters["fitness_cache_misses"] = cache["misses"]
-            counters["fitness_cache_stores"] = cache["stores"]
+            counters["fitness_cache_misses"] = counts["fitness_cache_misses"]
+            counters["fitness_cache_stores"] = counts["fitness_cache_stores"]
         return counters
 
     def evaluator(self, dataset: str = "train") -> "HarnessEvaluator":

@@ -481,6 +481,7 @@ def run_evaluate(params: dict, harness_pool: HarnessPool,
     (``"channel": "stable"`` rides the autopilot's canary slice when
     one is live)."""
     from repro.metaopt.harness import case_study
+    from repro.metaopt.settings import EvalSettings
     from repro.serve.artifact import ArtifactError
 
     benchmark = params.get("benchmark")
@@ -493,7 +494,8 @@ def run_evaluate(params: dict, harness_pool: HarnessPool,
     dataset = params.get("dataset", "train")
     if dataset not in ("train", "novel"):
         raise ValueError(f"unknown dataset {dataset!r}")
-    noise = float(params.get("noise", 0.0))
+    # checked, not coerced: the record /v1/evaluate-batch checks too
+    settings = EvalSettings(noise_stddev=params.get("noise", 0.0))
     artifact_ref = params.get("artifact")
     channel = params.get("channel")
     if channel and artifact_ref:
@@ -517,7 +519,7 @@ def run_evaluate(params: dict, harness_pool: HarnessPool,
                     f"{artifact.case}, request says {case_name}")
             case_name = artifact.case
 
-    harness = harness_pool.get(case_name, noise)
+    harness = harness_pool.get_for_settings(case_name, settings)
     if artifact is not None:
         result = harness.simulate(artifact.tree(), benchmark, dataset)
     else:
@@ -655,10 +657,18 @@ def run_compile(params: dict, registry=None) -> dict:
             raise ArtifactError("no artifact store configured")
         artifact = registry.load(params["artifact"])
 
+    prefetch, run = params.get("prefetch", False), params.get("run", False)
+    unroll = params.get("unroll", 2)
+    # checked, not coerced; type(), because a bool is an int to isinstance
+    for name, value, kind in (("prefetch", prefetch, bool),
+                              ("run", run, bool), ("unroll", unroll, int)):
+        if type(value) is not kind:
+            raise ValueError(f"'{name}' must be {kind.__name__}, "
+                             f"not {value!r}")
     options = CompilerOptions(
         machine=MACHINES[machine_name],
-        prefetch=bool(params.get("prefetch", False)),
-        unroll_factor=int(params.get("unroll", 2)),
+        prefetch=prefetch,
+        unroll_factor=unroll,
         heuristic_artifact=artifact,
     )
     inputs = params.get("inputs") or {}
@@ -682,7 +692,7 @@ def run_compile(params: dict, registry=None) -> dict:
         "artifact": (artifact.artifact_id
                      if artifact is not None else None),
     }
-    if params.get("run", False):
+    if run:
         result = program.run(inputs)
         payload["simulation"] = {
             "outputs": result.outputs,

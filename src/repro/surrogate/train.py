@@ -6,7 +6,9 @@ expression behind each cycle count, and speedup labels fall out by
 dividing against the baseline expression's record in the same
 (benchmark, dataset, noise, verified) group.  A warm cache from one
 exact campaign therefore trains a model with zero additional
-simulator time.
+simulator time.  Only records a current compile could produce are
+mined: one whose meta names another pipeline or machine fingerprint
+(or none) is stale, as :meth:`FitnessCache.get` would never return it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.gp.parse import parse, unparse
-from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.fitness_cache import FitnessCache
-from repro.metaopt.psets import PSETS
+from repro.metaopt.fitness_cache import (
+    FitnessCache,
+    machine_fingerprint,
+    pipeline_fingerprint,
+)
+from repro.metaopt.harness import CaseStudy
 from repro.surrogate.features import FeatureExtractor
 from repro.surrogate.model import MIN_TOTAL_PAIRS, SurrogateModel
 
@@ -30,6 +35,7 @@ class TrainingReport:
     usable: int = 0
     skipped_no_meta: int = 0
     skipped_other_case: int = 0
+    skipped_stale: int = 0
     skipped_no_baseline: int = 0
     benchmarks: list[str] = field(default_factory=list)
 
@@ -39,6 +45,7 @@ class TrainingReport:
             "usable": self.usable,
             "skipped_no_meta": self.skipped_no_meta,
             "skipped_other_case": self.skipped_other_case,
+            "skipped_stale": self.skipped_stale,
             "skipped_no_baseline": self.skipped_no_baseline,
             "benchmarks": sorted(self.benchmarks),
         }
@@ -46,10 +53,11 @@ class TrainingReport:
 
 def mine_pairs(
     cache: FitnessCache,
-    case_name: str,
+    case: CaseStudy,
 ) -> tuple[list[tuple[str, str, float]], TrainingReport]:
     """Scan ``cache`` for ``(expression, benchmark, speedup)`` pairs
-    belonging to ``case_name``.
+    belonging to ``case`` as compiled today (its name, the current
+    pipeline and its machine).
 
     Records group by (benchmark, dataset, noise, verified); a group
     without a baseline-expression record contributes nothing (no
@@ -57,7 +65,8 @@ def mine_pairs(
     model should know what speedup 1.0 looks like.
     """
     report = TrainingReport()
-    baseline_text = unparse(BASELINE_TREES[case_name]())
+    baseline_text = unparse(case.baseline_tree())
+    fingerprints = (pipeline_fingerprint(), machine_fingerprint(case.machine))
     groups: dict[tuple, list] = {}
     for record in cache.scan():
         report.scanned += 1
@@ -65,8 +74,11 @@ def mine_pairs(
         if meta is None or "expression" not in meta:
             report.skipped_no_meta += 1
             continue
-        if meta.get("case") != case_name:
+        if meta.get("case") != case.name:
             report.skipped_other_case += 1
+            continue
+        if (meta.get("pipeline"), meta.get("machine")) != fingerprints:
+            report.skipped_stale += 1
             continue
         group_key = (meta.get("benchmark"), meta.get("dataset"),
                      meta.get("noise_stddev"), meta.get("verified"))
@@ -98,18 +110,18 @@ def mine_pairs(
 
 def train_from_cache(
     cache: FitnessCache,
-    case_name: str,
+    case: CaseStudy,
 ) -> tuple[SurrogateModel | None, TrainingReport]:
-    """Train a :class:`SurrogateModel` from everything ``cache`` holds
-    for ``case_name``.
+    """Train a :class:`SurrogateModel` from everything current that
+    ``cache`` holds for ``case``.
 
     Returns ``(model, report)``; ``model`` is ``None`` when the cache
     has too few usable pairs (the evaluator then starts cold and fits
     from its own exact evaluations once enough accumulate).
     """
-    pset = PSETS[case_name]
+    pset = case.pset
     extractor = FeatureExtractor(pset)
-    text_pairs, report = mine_pairs(cache, case_name)
+    text_pairs, report = mine_pairs(cache, case)
     obs.inc("surrogate.train_scanned", report.scanned)
     obs.inc("surrogate.train_pairs", report.usable)
     if len(text_pairs) < MIN_TOTAL_PAIRS:

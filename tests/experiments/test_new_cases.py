@@ -113,5 +113,5 @@ class TestFlagsGates:
             ExperimentRunner(config, run_dir=campaign_run.base / "run",
                              harness=harness,
                              publish_dir=campaign_run.base / "art").run()
-        assert harness.compile_count == 0
+        assert harness.stats()["compiles"] == 0
         assert not (campaign_run.base / "run" / "result.json").exists()

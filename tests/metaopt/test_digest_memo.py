@@ -64,13 +64,13 @@ def test_memo_hits_return_what_a_full_compile_would(name):
     hits = 0
     for benchmark in PROGRAMS:
         for tree in candidates(case, seed=CASES.index(name)):
-            before = memo.digest_hits
+            before = memo.stats()["digest_hits"]
             result = memo.simulate(tree, benchmark)
             assert result == plain.simulate(tree, benchmark)
             ir_digest, binary, cycles = full_compile(memo, tree, benchmark)
             assert result.cycles == cycles
             key = (ir_digest, benchmark)
-            if memo.digest_hits > before:
+            if memo.stats()["digest_hits"] > before:
                 hits += 1
                 assert key in by_ir, "a hit on an IR nobody produced"
             # equal post-stage IR, equal binary and cycles: no conflict

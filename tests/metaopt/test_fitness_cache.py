@@ -72,8 +72,6 @@ class TestRoundTrip:
         recalled = reader.get(key)
         assert recalled == result
         assert reader.get("0" * 64) is None
-        assert reader.stats() == {"hits": 1, "misses": 1, "stores": 0}
-        assert writer.stats() == {"hits": 0, "misses": 0, "stores": 1}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = FitnessCache(tmp_path)
@@ -129,15 +127,15 @@ class TestHarnessIntegration:
         cold = EvaluationHarness(
             case, EvalSettings(fitness_cache_dir=tmp_path))
         cold_speedup = cold.speedup(tree, "codrle4")
-        assert cold.sim_count == 2 and cold.compile_count == 2
+        assert (cold.stats()["sims"], cold.stats()["compiles"]) == (2, 2)
 
         warm = EvaluationHarness(
             case, EvalSettings(fitness_cache_dir=tmp_path))
         warm_speedup = warm.speedup(tree, "codrle4")
         assert warm_speedup == cold_speedup  # bit-identical
-        assert warm.sim_count == 0
-        assert warm.compile_count == 0
-        assert warm.cache_hits == 2  # baseline + candidate
+        stats = warm.stats()
+        assert (stats["sims"], stats["compiles"]) == (0, 0)
+        assert stats["persistent_cache_hits"] == 2  # baseline + candidate
 
     def test_noise_levels_do_not_cross_contaminate(self, tmp_path):
         case = case_study("hyperblock")
@@ -148,12 +146,12 @@ class TestHarnessIntegration:
             noise_stddev=0.5, fitness_cache_dir=tmp_path))
         clean_cycles = clean.simulate(tree, "codrle4").cycles
         noisy_cycles = noisy.simulate(tree, "codrle4").cycles
-        assert noisy.cache_hits == 0
+        assert noisy.stats()["persistent_cache_hits"] == 0
         # and the noisy measurement is reproducible from its own entry
         noisy_again = EvaluationHarness(case, EvalSettings(
             noise_stddev=0.5, fitness_cache_dir=tmp_path))
         assert noisy_again.simulate(tree, "codrle4").cycles == noisy_cycles
-        assert noisy_again.sim_count == 0
+        assert noisy_again.stats()["sims"] == 0
         assert clean_cycles == clean.simulate(tree, "codrle4").cycles
 
 

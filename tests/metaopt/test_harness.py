@@ -65,17 +65,17 @@ class TestHarness:
 
     def test_simulation_memoized(self, harness):
         tree = harness.case.baseline_tree()
-        before = harness.sim_count
+        before = harness.stats()["sims"]
         harness.simulate(tree, "rawcaudio")
         harness.simulate(tree, "rawcaudio")
-        after = harness.sim_count
+        after = harness.stats()["sims"]
         assert after - before <= 1
 
     def test_structurally_equal_trees_share_memo(self, harness):
-        before = harness.sim_count
+        before = harness.stats()["sims"]
         harness.simulate(harness.case.baseline_tree(), "rawcaudio")
         harness.simulate(harness.case.baseline_tree(), "rawcaudio")
-        assert harness.sim_count - before <= 1
+        assert harness.stats()["sims"] - before <= 1
 
     def test_datasets_memoized_separately(self, harness):
         tree = harness.case.baseline_tree()

@@ -158,12 +158,12 @@ class TestPersistentCacheIntegration:
 
         with make_evaluator("hyperblock", settings, processes=1) as cold:
             cold_outcome = _run_engine(cold, case, "cold")
-            assert cold.harness.sim_count > 0
+            assert cold.harness.stats()["sims"] > 0
 
         with make_evaluator("hyperblock", settings, processes=1) as warm:
             warm_outcome = _run_engine(warm, case, "warm")
-            assert warm.harness.sim_count == 0
-            assert warm.harness.compile_count == 0
+            assert warm.harness.stats()["sims"] == 0
+            assert warm.harness.stats()["compiles"] == 0
         assert warm_outcome == cold_outcome
 
     def test_pool_workers_share_cache_with_serial(self, tmp_path):
@@ -174,5 +174,5 @@ class TestPersistentCacheIntegration:
             cold_outcome = _run_engine(cold, case, "pool")
         with make_evaluator("hyperblock", settings, processes=1) as warm:
             warm_outcome = _run_engine(warm, case, "warm-serial")
-            assert warm.harness.sim_count == 0
+            assert warm.harness.stats()["sims"] == 0
         assert warm_outcome == cold_outcome

@@ -64,7 +64,7 @@ class TestGuard:
             case_study("hyperblock"),
             EvalSettings(verify_outputs=True, fitness_cache_dir=tmp_path))
         harness.speedup(harness.case.baseline_tree(), BENCHMARK)
-        assert harness.fitness_cache.stores == 0
+        assert harness.stats()["fitness_cache_stores"] == 0
         assert list(FitnessCache(tmp_path).scan()) == []
 
     def test_clean_results_are_persisted(self, tmp_path):
@@ -72,7 +72,7 @@ class TestGuard:
             case_study("hyperblock"),
             EvalSettings(verify_outputs=True, fitness_cache_dir=tmp_path))
         harness.speedup(harness.case.baseline_tree(), BENCHMARK)
-        assert harness.fitness_cache.stores > 0
+        assert harness.stats()["fitness_cache_stores"] > 0
         assert list(FitnessCache(tmp_path).scan())
 
 
@@ -97,12 +97,13 @@ class TestCacheKeying:
             EvalSettings(fitness_cache_dir=tmp_path))
         tree = unguarded.case.baseline_tree()
         unguarded.speedup(tree, BENCHMARK)
-        assert unguarded.fitness_cache.stores > 0
+        assert unguarded.stats()["fitness_cache_stores"] > 0
 
         guarded = EvaluationHarness(
             case_study("hyperblock"),
             EvalSettings(verify_outputs=True, fitness_cache_dir=tmp_path))
         guarded.speedup(tree, BENCHMARK)
-        assert guarded.cache_hits == 0  # no cross-pollination
+        # no cross-pollination
+        assert guarded.stats()["persistent_cache_hits"] == 0
         # re-simulated and stored anew
-        assert guarded.fitness_cache.stores > 0
+        assert guarded.stats()["fitness_cache_stores"] > 0

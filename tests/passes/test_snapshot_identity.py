@@ -141,7 +141,7 @@ def test_warm_path_runs_zero_prefix_stages():
     def delta(name: str) -> int:
         return after.get(name, 0) - before.get(name, 0)
 
-    compiles = harness.compile_count
+    compiles = harness.stats()["compiles"]
     assert compiles == len(trees)
     # One prefix execution total (the snapshot build) — zero on the
     # warm path — while the suffix ran once per candidate.
@@ -174,7 +174,7 @@ def test_first_stage_hook_takes_the_plain_path():
     def delta(name: str) -> int:
         return after.get(name, 0) - before.get(name, 0)
 
-    compiles = harness.compile_count
+    compiles = harness.stats()["compiles"]
     assert compiles == len(trees)
     assert delta("pipeline.pass_runs.hyperblock") == compiles
     assert delta("pipeline.snapshot.builds") == 0

@@ -124,6 +124,27 @@ class TestErrorShape:
         with pytest.raises(JobFailed, match="noise_stddev must be a finite"):
             client.evaluate(BENCHMARK, noise=float("inf"))
 
+    def test_evaluate_params_are_checked_not_coerced(self, client):
+        """``noise`` meets the same ``EvalSettings`` check as the batch
+        endpoint's settings: ``true`` is not stddev 1.0, and a string
+        is not a number."""
+        for noise in (True, "0.5"):
+            with pytest.raises(JobFailed, match="noise_stddev must be a"):
+                client.run("evaluate",
+                           {"benchmark": BENCHMARK, "noise": noise})
+
+    def test_compile_params_are_checked_not_coerced(self, client):
+        source = "int main() { return 1; }"
+        for params, message in (({"prefetch": "false"}, "'prefetch' must"),
+                                ({"run": "false"}, "'run' must"),
+                                ({"unroll": True}, "'unroll' must"),
+                                ({"unroll": 2.9}, "'unroll' must")):
+            with pytest.raises(JobFailed, match=message):
+                client.run("compile", {"source": source, **params})
+        payload = client.run("compile", {"source": source, "run": True,
+                                         "prefetch": False, "unroll": 4})
+        assert payload["simulation"]["return_value"] == 1
+
     def test_unknown_case_is_400(self, server):
         payload = batch_payload()
         payload["case"] = "mystery"

@@ -144,11 +144,9 @@ class TestFitnessCacheUnderThreads:
                 cache.get(f"{'m' * 62}{slot}{n}")  # guaranteed miss
 
         run_threads(worker)
-        stats = cache.stats()
-        writes = THREADS * ROUNDS
-        assert stats["stores"] == writes
-        assert stats["hits"] == writes
-        assert stats["misses"] == 2 * writes
+        fresh = FitnessCache(tmp_path / "cache")
+        assert sorted(record.result.cycles for record in fresh.scan()) == \
+            sorted(n for _ in range(THREADS) for n in range(ROUNDS))
 
     def test_shared_hot_key_all_threads_hit(self, tmp_path):
         cache = FitnessCache(tmp_path / "cache")
@@ -163,7 +161,6 @@ class TestFitnessCacheUnderThreads:
                 assert stored is not None and stored.cycles == 42
 
         run_threads(worker)
-        assert cache.stats()["hits"] == THREADS * ROUNDS * 10
 
     def test_disk_layer_atomic_under_writers(self, tmp_path):
         """All 8 threads write the same key concurrently; the on-disk
@@ -181,7 +178,6 @@ class TestFitnessCacheUnderThreads:
         fresh = FitnessCache(tmp_path / "cache")
         stored = fresh.get(key)
         assert stored is not None  # readable, i.e. not torn
-        assert fresh.stats()["hits"] == 1
 
 
 def hyperblock_candidates():
@@ -206,7 +202,7 @@ class TestSharedHarnessUnderThreads:
         serial = EvaluationHarness(case)
         expected = [serial.speedup(*key) for key in keys]
         # the candidates plus the baseline each speedup() divides by
-        assert serial.compile_count == len(keys)
+        assert serial.stats()["compiles"] == len(keys)
 
         shared = EvaluationHarness(case)
         barrier = threading.Barrier(THREADS)
@@ -222,9 +218,10 @@ class TestSharedHarnessUnderThreads:
             run_threads(worker)
         finally:
             sys.setswitchinterval(interval)
-        assert shared.compile_count == len(keys)
-        assert shared.memo_misses == len(keys)
-        assert shared.sim_count == serial.sim_count
+        stats = shared.stats()
+        assert stats["compiles"] == len(keys)
+        assert stats["memo_lookups"] - stats["memo_hits"] == len(keys)
+        assert stats["sims"] == serial.stats()["sims"]
         assert len(shared._prepared) == len(benchmarks)
 
 

@@ -8,12 +8,18 @@ from repro.gp.generate import TreeGenerator
 from repro.gp.parse import unparse
 from repro.machine.sim import SimResult
 from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.fitness_cache import FitnessCache
+from repro.machine.descr import REGALLOC_MACHINE_B
+from repro.metaopt.fitness_cache import (
+    FitnessCache,
+    machine_fingerprint,
+    pipeline_fingerprint,
+)
+from repro.metaopt.harness import case_study
 from repro.metaopt.psets import PSETS
 from repro.surrogate.train import mine_pairs, train_from_cache
 
-CASE = "regalloc"
-BASELINE_TEXT = unparse(BASELINE_TREES[CASE]())
+CASE = case_study("regalloc")
+BASELINE_TEXT = unparse(BASELINE_TREES[CASE.name]())
 
 
 def result(cycles):
@@ -21,15 +27,18 @@ def result(cycles):
                      dynamic_ops=1, bundles=1)
 
 
-def meta(expression, benchmark="codrle4", case=CASE, dataset="train",
-         noise_stddev=0.0, verified=True):
+def meta(expression, benchmark="codrle4", case=CASE.name, dataset="train",
+         noise_stddev=0.0, verified=True, pipeline=None,
+         machine=CASE.machine):
     return dict(expression=expression, case=case, benchmark=benchmark,
                 dataset=dataset, noise_stddev=noise_stddev,
-                verified=verified)
+                verified=verified,
+                pipeline=pipeline or pipeline_fingerprint(),
+                machine=machine_fingerprint(machine))
 
 
 def expressions(count, seed=0):
-    generator = TreeGenerator(PSETS[CASE], rng=random.Random(seed))
+    generator = TreeGenerator(PSETS[CASE.name], rng=random.Random(seed))
     texts, seen = [], {BASELINE_TEXT}
     while len(texts) < count:
         text = unparse(generator.grow(4))
@@ -91,6 +100,38 @@ class TestMinePairs:
         pairs, report = mine_pairs(cache, CASE)
         assert [p[0] for p in pairs] == [BASELINE_TEXT]
         assert report.skipped_no_baseline == 1
+
+    def test_records_of_another_pipeline_or_machine_are_stale(
+            self, tmp_path):
+        """Records ``get`` could never return again, written before a
+        source edit or for another machine of the case, are never a
+        label or a denominator."""
+        cache = FitnessCache(tmp_path)
+        text = expressions(1)[0]
+        cache.put("0" * 64, result(1000), meta=meta(BASELINE_TEXT))
+        cache.put("1" * 64, result(10),
+                  meta=meta(BASELINE_TEXT, benchmark="other"))
+        cache.put("2" * 64, result(500),
+                  meta=meta(text, pipeline="0" * 16))
+        cache.put("3" * 64, result(400),
+                  meta=meta(text, machine=REGALLOC_MACHINE_B))
+        cache.put("4" * 64, result(5),
+                  meta=meta(text, benchmark="other", pipeline="0" * 16))
+        legacy = meta(text)
+        del legacy["pipeline"], legacy["machine"]
+        cache.put("5" * 64, result(300), meta=legacy)
+        pairs, report = mine_pairs(cache, CASE)
+        assert sorted(pairs) == [(BASELINE_TEXT, "codrle4", 1.0),
+                                 (BASELINE_TEXT, "other", 1.0)]
+        assert report.skipped_stale == 4
+        assert report.skipped_no_baseline == 0
+        # the other machine's records pair up under its own case
+        other = case_study("regalloc", machine=REGALLOC_MACHINE_B)
+        cache.put("6" * 64, result(800),
+                  meta=meta(BASELINE_TEXT, machine=REGALLOC_MACHINE_B))
+        pairs, report = mine_pairs(cache, other)
+        assert sorted(pairs) == sorted([(BASELINE_TEXT, "codrle4", 1.0),
+                                        (text, "codrle4", 2.0)])
 
     def test_report_serializes(self, tmp_path):
         cache, _, _ = fill_cache(tmp_path, candidates=2)
