@@ -202,7 +202,8 @@ def _histogram_p50(data: dict) -> float:
 
 def _print_snapshot_table(snapshot: dict, harness_stats: dict) -> None:
     """Compilation-forking health (docs/FORKING.md): programs whose
-    prefix was built, compiles that reused one, restore latency.
+    prefix was built, compiles that reused one, allocations that reused
+    a seed, restore latency.
     Silent when the layer never ran (a hook whose stage runs first, or
     no backend compiles)."""
     restores = snapshot["histograms"].get(
@@ -213,6 +214,8 @@ def _print_snapshot_table(snapshot: dict, harness_stats: dict) -> None:
         ("hits", harness_stats.get("snapshot_hits", 0)),
         ("builds", harness_stats.get("snapshot_builds", 0)),
         ("restores", restores["count"]),
+        ("seeded_allocations", snapshot["counters"].get(
+            "pipeline.snapshot.seeded_allocations", 0)),
         ("restore_p50_ms", f"{_histogram_p50(restores) * 1000:.2f}"),
     ]
     print(f"{'snapshot':<24s}{'value':>12s}")

@@ -65,6 +65,7 @@ from repro.passes.prefetch import (
 )
 from repro.passes.regalloc import (
     AllocationReport,
+    AllocationSeed,
     SpillPriority,
     allocate_function,
     chow_hennessy_savings,
@@ -286,11 +287,14 @@ def _run_backend_stage(
     prepared: PreparedProgram,
     options: CompilerOptions,
     checkpoint,
+    allocation_seeds: dict[str, AllocationSeed] | None = None,
 ) -> ScheduledModule | None:
     """Execute one backend stage in place; returns the ScheduledModule
     for the terminal ``schedule`` stage, None otherwise.  Both the full
     compile and a snapshot replay funnel through this dispatcher, so
-    the suffix path can never drift from the reference semantics."""
+    the suffix path can never drift from the reference semantics.
+    ``allocation_seeds`` (function name -> seed, from a ``regalloc``
+    snapshot) replace each function's round-one allocation analysis."""
     if stage == "hyperblock":
         if not options.hyperblock:
             return None
@@ -328,6 +332,7 @@ def _run_backend_stage(
         return None
 
     if stage == "regalloc":
+        seeds = allocation_seeds or {}
         with _staged("regalloc", working):
             for name, function in working.functions.items():
                 freq = {
@@ -336,8 +341,11 @@ def _run_backend_stage(
                     in prepared.profile.function(name).block_counts.items()
                 }
                 report.regalloc[name] = allocate_function(
-                    function, options.machine, options.spill_priority, freq
+                    function, options.machine, options.spill_priority, freq,
+                    seed=seeds.get(name),
                 )
+        if seeds:
+            obs.inc("pipeline.snapshot.seeded_allocations", len(seeds))
         checkpoint("regalloc", allocated=True)
         return None
 
@@ -401,8 +409,10 @@ def compile_backend(
     PipelineSnapshot` built from this prepared program under
     prefix-equivalent options), the prefix stages are skipped: the
     working module and partial report are restored from the snapshot
-    and only the suffix — ``snapshot.stage`` onward — executes.  The
-    result is bit-identical to the full path (docs/FORKING.md).
+    and only the suffix — ``snapshot.stage`` onward — executes; a
+    ``regalloc`` snapshot also hands the allocator its round-one
+    analysis.  The result is bit-identical to the full path
+    (docs/FORKING.md).
 
     With ``stop_after=(stage, probe)``, ``probe`` is called with the
     IR right after ``stage`` runs — the working :class:`Module` (for
@@ -418,10 +428,12 @@ def compile_backend(
         working = prepared.module.clone()
         report = BackendReport()
         stages = order
+        seeds = None
         span_args = {"module": prepared.module.name}
     else:
         working, report = snapshot.restore()
         stages = order[order.index(snapshot.stage):]
+        seeds = snapshot.allocation_seeds
         span_args = {"module": prepared.module.name,
                      "replay_from": snapshot.stage}
     checkpoint = _make_checkpoint(working, options)
@@ -429,7 +441,7 @@ def compile_backend(
     with obs.span("pipeline:backend", **span_args):
         for stage in _steps(stages):
             result = _run_backend_stage(stage, working, report, prepared,
-                                        options, checkpoint)
+                                        options, checkpoint, seeds)
             if result is not None:
                 scheduled = result
             if stop_after is not None and stage == stop_after[0]:

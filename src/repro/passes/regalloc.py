@@ -29,6 +29,15 @@ Case study II's optimization.  The allocator:
 
 The priority function therefore decides *which live ranges lose their
 registers*, which is the lever the paper's GP search turns.
+
+Step 1, and the loop depths and has-call flags step 3 reads, depend on
+neither the machine nor the priority.  :func:`allocation_seed` computes
+that round-one analysis once as an :class:`AllocationSeed`; a
+``regalloc`` pipeline snapshot keeps one per function, so every GP
+candidate allocating the same IR runs only priority evaluation,
+colouring, any spill rounds and the rewrite (docs/FORKING.md).  Later
+rounds, and any allocation without a seed, analyse the IR themselves,
+with the same function.
 """
 
 from __future__ import annotations
@@ -95,7 +104,6 @@ class LiveRange:
     defs_by_block: dict[str, int] = field(default_factory=dict)
     degree: int = 0
     spillable: bool = True
-    priority: float = 0.0
 
     @property
     def total_uses(self) -> int:
@@ -127,6 +135,127 @@ class AllocationError(RuntimeError):
     """Raised when colouring cannot converge (e.g. predicate overflow)."""
 
 
+@dataclass(frozen=True)
+class AllocationSeed:
+    """What one colouring round knows before it ranks anything: the
+    live ranges (blocks, per-block uses and defs, spillability,
+    degree), the interference sets, and each block's loop depth and
+    has-call flag.  None of it depends on the machine or the spill
+    priority.
+
+    :func:`allocation_seed` computes round one's value once per
+    function, so every candidate allocating that same IR (a regalloc
+    snapshot's restores) starts from it instead of re-deriving it.  An
+    allocation reads a seed and never writes it; its priorities,
+    assignment and report are its own."""
+
+    ranges: dict[VReg, LiveRange]
+    interference: dict[VReg, set[VReg]]
+    loop_depth: dict[str, int]
+    has_call: dict[str, bool]
+
+
+def allocation_seed(function: Function) -> AllocationSeed:
+    """Round one's analysis of ``function`` as it stands: no spill
+    temps yet.  Valid for any clone of it (same labels, block order and
+    ``VReg`` objects; only instruction uids differ, and the seed holds
+    none)."""
+    return _build_ranges(function, {})
+
+
+def _build_ranges(function: Function,
+                  temps: Mapping[VReg, int]) -> AllocationSeed:
+    """One colouring round's analysis.  Spill ``temps`` live in the
+    reserved registers, so they get no uses, defs or interference
+    edges (a guarded one, live-in at entry, still gets a range)."""
+    liveness = analyze(function)
+    live_after = live_at_instruction(function, liveness)
+    unspillable = set(function.params)
+
+    ranges: dict[VReg, LiveRange] = {}
+
+    def range_of(reg: VReg) -> LiveRange:
+        live_range = ranges.get(reg)
+        if live_range is None:
+            live_range = LiveRange(reg)
+            live_range.spillable = reg not in unspillable
+            ranges[reg] = live_range
+        return live_range
+
+    for label in function.block_order:
+        block = function.blocks[label]
+        present: set[VReg] = set(liveness[label].live_in)
+        for instr in block.instrs:
+            for reg in instr.reads():
+                if isinstance(reg, VReg) and reg not in temps:
+                    live_range = range_of(reg)
+                    live_range.uses_by_block[label] = (
+                        live_range.uses_by_block.get(label, 0) + 1
+                    )
+                    present.add(reg)
+            for reg in instr.writes():
+                if isinstance(reg, VReg) and reg not in temps:
+                    live_range = range_of(reg)
+                    live_range.defs_by_block[label] = (
+                        live_range.defs_by_block.get(label, 0) + 1
+                    )
+                    present.add(reg)
+        for reg in present:
+            if reg in ranges and label not in ranges[reg].blocks:
+                ranges[reg].blocks.append(label)
+
+    # Interference graph.
+    interference: dict[VReg, set[VReg]] = {reg: set() for reg in ranges}
+
+    def connect(left: VReg, right: VReg) -> None:
+        if left is right or left == right:
+            return
+        if left.vtype is not right.vtype:
+            return
+        if left in temps or right in temps:
+            return  # temps live in the reserved registers
+        interference[left].add(right)
+        interference[right].add(left)
+
+    entry_live = liveness[function.block_order[0]].live_in | set(
+        function.params
+    )
+    entry_list = [reg for reg in entry_live if isinstance(reg, VReg)]
+    for reg in entry_list:
+        # an unused param has no range yet, but still needs a colour
+        # (``_rewrite`` maps every param to a physical register)
+        if reg not in ranges:
+            range_of(reg)
+        interference.setdefault(reg, set())
+    for position, left in enumerate(entry_list):
+        for right in entry_list[position + 1:]:
+            connect(left, right)
+
+    for label in function.block_order:
+        for instr in function.blocks[label].instrs:
+            after = live_after[instr.uid]
+            for written in instr.writes():
+                if not isinstance(written, VReg) or written in temps:
+                    continue
+                if written not in interference:
+                    interference[written] = set()
+                    # written-but-dead reg still needs a colour
+                    if written not in ranges:
+                        range_of(written)
+                for live in after:
+                    if isinstance(live, VReg):
+                        connect(written, live)
+
+    for reg, live_range in ranges.items():
+        live_range.degree = len(interference.get(reg, ()))
+    has_call = {
+        label: any(instr.is_call for instr in function.blocks[label].instrs)
+        for label in function.block_order
+    }
+    return AllocationSeed(ranges, interference,
+                          loop_depth_of_blocks(function), has_call)
+
+
 class _FunctionAllocator:
     def __init__(
         self,
@@ -139,8 +268,9 @@ class _FunctionAllocator:
         self.machine = machine
         self.spill_priority = spill_priority
         self.block_freq = dict(block_freq or {})
+        #: Equation 2's ``w`` divisor: the hottest block's count
+        self._top_freq = max(self.block_freq.values(), default=1.0) or 1.0
         self.report = AllocationReport()
-        self._unspillable: set[VReg] = set(function.params)
         #: spill temp -> reserved colour slot (0..SPILL_RESERVE-1)
         self._spill_temps: dict[VReg, int] = {}
         #: per-instruction count of reserved slots already handed out
@@ -148,140 +278,50 @@ class _FunctionAllocator:
         #: instruction never collide with earlier temps)
         self._slots_used: dict[int, int] = {}
 
-    # -- analysis ----------------------------------------------------------
-    def _build_ranges(self) -> tuple[dict[VReg, LiveRange],
-                                     dict[VReg, set[VReg]]]:
-        function = self.function
-        liveness = analyze(function)
-        live_after = live_at_instruction(function, liveness)
-
-        ranges: dict[VReg, LiveRange] = {}
-
-        temps = self._spill_temps
-
-        def range_of(reg: VReg) -> LiveRange:
-            live_range = ranges.get(reg)
-            if live_range is None:
-                live_range = LiveRange(reg)
-                live_range.spillable = reg not in self._unspillable
-                ranges[reg] = live_range
-            return live_range
-
-        for label in function.block_order:
-            block = function.blocks[label]
-            present: set[VReg] = set(liveness[label].live_in)
-            for instr in block.instrs:
-                for reg in instr.reads():
-                    if isinstance(reg, VReg) and reg not in temps:
-                        live_range = range_of(reg)
-                        live_range.uses_by_block[label] = (
-                            live_range.uses_by_block.get(label, 0) + 1
-                        )
-                        present.add(reg)
-                for reg in instr.writes():
-                    if isinstance(reg, VReg) and reg not in temps:
-                        live_range = range_of(reg)
-                        live_range.defs_by_block[label] = (
-                            live_range.defs_by_block.get(label, 0) + 1
-                        )
-                        present.add(reg)
-            for reg in present:
-                if reg in ranges and label not in ranges[reg].blocks:
-                    ranges[reg].blocks.append(label)
-
-        # Interference graph.
-        interference: dict[VReg, set[VReg]] = {reg: set() for reg in ranges}
-
-        def connect(left: VReg, right: VReg) -> None:
-            if left is right or left == right:
-                return
-            if left.vtype is not right.vtype:
-                return
-            if left in temps or right in temps:
-                return  # temps live in the reserved registers
-            interference[left].add(right)
-            interference[right].add(left)
-
-        entry_live = liveness[function.block_order[0]].live_in | set(
-            function.params
-        )
-        entry_list = [reg for reg in entry_live if isinstance(reg, VReg)]
-        for reg in entry_list:
-            # an unused param has no range yet, but still needs a colour
-            # (``_rewrite`` maps every param to a physical register)
-            if reg not in ranges:
-                range_of(reg)
-            interference.setdefault(reg, set())
-        for position, left in enumerate(entry_list):
-            for right in entry_list[position + 1:]:
-                connect(left, right)
-
-        for label in function.block_order:
-            for instr in function.blocks[label].instrs:
-                after = live_after[instr.uid]
-                for written in instr.writes():
-                    if not isinstance(written, VReg) or written in temps:
-                        continue
-                    if written not in interference:
-                        interference[written] = set()
-                        # written-but-dead reg still needs a colour
-                        if written not in ranges:
-                            range_of(written)
-                    for live in after:
-                        if isinstance(live, VReg):
-                            connect(written, live)
-
-        for reg, live_range in ranges.items():
-            live_range.degree = len(interference.get(reg, ()))
-        return ranges, interference
-
     # -- priority --------------------------------------------------------------
-    def _freq(self, label: str) -> float:
-        if not self.block_freq:
-            return 1.0
-        total = max(self.block_freq.values(), default=1.0) or 1.0
-        return self.block_freq.get(label, 0.0) / total
-
     def _compute_priority(self, live_range: LiveRange,
                           loop_depth: Mapping[str, int],
                           has_call: Mapping[str, bool],
                           forbidden_ratio: float) -> float:
         blocks = live_range.blocks or ["?"]
         count = len(blocks)
+        freq, top = self.block_freq, self._top_freq
+        uses_by_block = live_range.uses_by_block
+        defs_by_block = live_range.defs_by_block
+        # The same for every block of the range.
+        live_blocks = float(count)
+        degree = float(live_range.degree)
+        total_uses = float(live_range.total_uses)
+        total_defs = float(live_range.total_defs)
+        is_float = live_range.reg.vtype is FLOAT
         total = 0.0
         for label in blocks:
             env = {
-                "w": self._freq(label),
-                "uses": float(live_range.uses_by_block.get(label, 0)),
-                "defs": float(live_range.defs_by_block.get(label, 0)),
+                "w": freq.get(label, 0.0) / top if freq else 1.0,
+                "uses": float(uses_by_block.get(label, 0)),
+                "defs": float(defs_by_block.get(label, 0)),
                 "ld_save": LD_SAVE,
                 "st_save": ST_SAVE,
-                "live_blocks": float(count),
-                "degree": float(live_range.degree),
+                "live_blocks": live_blocks,
+                "degree": degree,
                 "loop_depth": float(loop_depth.get(label, 0)),
-                "total_uses": float(live_range.total_uses),
-                "total_defs": float(live_range.total_defs),
+                "total_uses": total_uses,
+                "total_defs": total_defs,
                 "forbidden_ratio": forbidden_ratio,
                 "has_call": has_call.get(label, False),
-                "is_float": live_range.reg.vtype is FLOAT,
+                "is_float": is_float,
             }
             total += float(self.spill_priority(env))
         return total / count  # Equation 3
 
     # -- one colouring round ------------------------------------------------------
-    def _colour_round(self) -> bool:
-        """Attempt to colour everything; returns True when done, False
-        after inserting spill code (another round needed)."""
+    def _colour_round(self, analysis: AllocationSeed) -> bool:
+        """Attempt to colour everything from this round's ``analysis``
+        (read, never written); returns True when done, False after
+        inserting spill code (another round needed)."""
         function = self.function
-        ranges, interference = self._build_ranges()
+        ranges, interference = analysis.ranges, analysis.interference
         self.report.ranges = len(ranges)
-
-        loop_depth = loop_depth_of_blocks(function)
-        has_call = {
-            label: any(instr.is_call
-                       for instr in function.blocks[label].instrs)
-            for label in function.block_order
-        }
 
         capacity = {
             INT: self.machine.gp_registers,
@@ -313,17 +353,17 @@ class _FunctionAllocator:
             unconstrained = [r for r in class_ranges if r.degree < k]
             self.report.constrained += len(constrained)
 
+            # VReg uid (unique in the function) -> Equation 3 priority
+            priority: dict[int, float] = {}
             for live_range in constrained:
-                live_range.priority = self._compute_priority(
-                    live_range, loop_depth, has_call,
+                priority[live_range.reg.uid] = value = self._compute_priority(
+                    live_range, analysis.loop_depth, analysis.has_call,
                     forbidden_ratio=0.0,
                 )
-                self.report.priorities[str(live_range.reg)] = (
-                    live_range.priority
-                )
+                self.report.priorities[str(live_range.reg)] = value
             # Unspillable ranges colour first regardless of priority.
             constrained.sort(
-                key=lambda r: (r.spillable, -r.priority, r.reg.uid)
+                key=lambda r: (r.spillable, -priority[r.reg.uid], r.reg.uid)
             )
 
             for live_range in constrained + sorted(
@@ -432,20 +472,22 @@ class _FunctionAllocator:
             INT: self.machine.gp_registers,
             FLOAT: self.machine.fp_registers,
         }
+        preg = {reg: PReg(colour, reg.vtype)
+                for reg, colour in assignment.items()}
+        # Temps after the assignment: a guarded spill temp is live-in at
+        # entry, so it has a range and a colour too, but it lives in
+        # its reserved register.
+        for temp, slot in self._spill_temps.items():
+            preg[temp] = PReg(capacity[temp.vtype] - SPILL_RESERVE + slot,
+                              temp.vtype)
 
         def map_reg(reg):
-            if isinstance(reg, VReg):
-                slot = self._spill_temps.get(reg)
-                if slot is not None:
-                    base = capacity[reg.vtype] - SPILL_RESERVE
-                    return PReg(base + slot, reg.vtype)
-                return PReg(assignment[reg], reg.vtype)
-            return reg
+            return preg[reg] if isinstance(reg, VReg) else reg
 
         function = self.function
         for label in function.block_order:
             for instr in function.blocks[label].instrs:
-                instr.srcs = tuple(map_reg(src) for src in instr.srcs)
+                instr.srcs = tuple([map_reg(src) for src in instr.srcs])
                 if instr.dest is not None:
                     instr.dest = map_reg(instr.dest)
                 if instr.dest2 is not None:
@@ -455,11 +497,18 @@ class _FunctionAllocator:
         function.params = [map_reg(param) for param in function.params]
 
     # -- driver -------------------------------------------------------------------
-    def allocate(self, max_rounds: int = 16) -> AllocationReport:
+    def allocate(self, seed: AllocationSeed | None = None,
+                 max_rounds: int = 16) -> AllocationReport:
+        """Colour until done; round one starts from ``seed`` when one
+        is given (it must be :func:`allocation_seed` of this IR)."""
+        analysis = seed
         for round_index in range(max_rounds):
             self.report.rounds = round_index + 1
-            if self._colour_round():
+            if analysis is None:
+                analysis = _build_ranges(self.function, self._spill_temps)
+            if self._colour_round(analysis):
                 return self.report
+            analysis = None  # spill code changed the IR
         raise AllocationError(
             f"register allocation did not converge in {max_rounds} rounds "
             f"for {self.function.name}"
@@ -471,11 +520,14 @@ def allocate_function(
     machine: MachineDescription,
     spill_priority: SpillPriority = chow_hennessy_savings,
     block_freq: Mapping[str, float] | None = None,
+    seed: AllocationSeed | None = None,
 ) -> AllocationReport:
-    """Allocate one function in place (VRegs become PRegs)."""
+    """Allocate one function in place (VRegs become PRegs).  ``seed``,
+    :func:`allocation_seed` of this function's IR or of the IR it was
+    cloned from, replaces round one's analysis."""
     return _FunctionAllocator(
         function, machine, spill_priority, block_freq
-    ).allocate()
+    ).allocate(seed)
 
 
 def allocate_module(

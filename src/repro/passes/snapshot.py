@@ -14,6 +14,15 @@ and the partial :class:`~repro.passes.pipeline.BackendReport` after
 path (docs/FORKING.md has the audit, and the traffic numbers that
 decided what this layer keeps).
 
+A ``regalloc`` snapshot forks past the allocator's analysis too: it
+carries one :class:`~repro.passes.regalloc.AllocationSeed` per
+function of the master module (live ranges, interference, loop depths,
+has-call flags — round one of Chow–Hennessy, which no spill priority
+changes), so each candidate runs only priority evaluation, colouring,
+any spill rounds and the rewrite.  A clone keeps the seed valid: it
+has the master's labels, block order and ``VReg`` objects, and only
+instruction uids, which the seed does not hold, change.
+
 Who holds the snapshots is the caller's business: the evaluation
 harness keeps one per benchmark beside its prepared programs, because
 the options of its case differ between candidates in the hook alone
@@ -23,7 +32,7 @@ the options of its case differ between candidates in the hook alone
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.ir.function import Module
@@ -33,6 +42,7 @@ from repro.passes.pipeline import (
     PreparedProgram,
     run_prefix,
 )
+from repro.passes.regalloc import AllocationSeed, allocation_seed
 
 
 @dataclass
@@ -41,11 +51,14 @@ class PipelineSnapshot:
 
     ``module``/``report`` are the master copies and are never handed
     out directly; :meth:`restore` always returns fresh, independently
-    mutable state for one suffix replay."""
+    mutable state for one suffix replay.  ``allocation_seeds`` (function
+    name -> seed; only at ``regalloc``) is shared by every replay and
+    only read."""
 
     stage: str
     module: Module
     report: BackendReport
+    allocation_seeds: dict[str, AllocationSeed] = field(default_factory=dict)
 
     def restore(self) -> tuple[Module, BackendReport]:
         started = time.perf_counter()
@@ -63,8 +76,14 @@ class PipelineSnapshot:
 
 def build_snapshot(prepared: PreparedProgram, options: CompilerOptions,
                    stage: str) -> PipelineSnapshot:
-    """Run the prefix for ``stage`` and freeze the result."""
+    """Run the prefix for ``stage`` and freeze the result, with the
+    allocator's round-one analysis when ``stage`` is ``regalloc``."""
     with obs.span("pipeline:snapshot_build", stage=stage):
         module, report = run_prefix(prepared, options, stage)
+        seeds = {}
+        if stage == "regalloc":
+            seeds = {name: allocation_seed(function)
+                     for name, function in module.functions.items()}
     obs.inc("pipeline.snapshot.builds")
-    return PipelineSnapshot(stage=stage, module=module, report=report)
+    return PipelineSnapshot(stage=stage, module=module, report=report,
+                            allocation_seeds=seeds)

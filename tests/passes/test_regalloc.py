@@ -1,6 +1,7 @@
 """Register allocation: colouring validity, spilling correctness,
 priority-function influence, and the Chow–Hennessy baseline."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -18,6 +19,7 @@ from repro.passes.regalloc import (
     AllocationError,
     allocate_function,
     allocate_module,
+    allocation_seed,
     chow_hennessy_savings,
 )
 from repro.passes.schedule import schedule_module
@@ -137,6 +139,29 @@ class TestColouringValidity:
         assert report.rounds > 1  # spilling forces a second round
         assert len(fixed_points) == report.rounds
 
+    def test_seeded_allocation_skips_round_one_fixed_point(
+            self, monkeypatch):
+        """A seed is round one's analysis: only the later rounds run
+        the liveness fixed point."""
+        from repro.ir import liveness
+        from repro.passes import regalloc
+
+        module = compile_source(PRESSURE_SOURCE)
+        function = module.functions["main"]
+        seed = allocation_seed(function)
+        fixed_points = []
+
+        def counting_analyze(function):
+            fixed_points.append(function.name)
+            return analyze(function)
+
+        analyze = liveness.analyze
+        monkeypatch.setattr(liveness, "analyze", counting_analyze)
+        monkeypatch.setattr(regalloc, "analyze", counting_analyze)
+        report = allocate_function(function, tiny_machine(6), seed=seed)
+        assert report.rounds > 1
+        assert len(fixed_points) == report.rounds - 1
+
 
 class TestSpilling:
     def test_spills_occur_on_small_machine(self):
@@ -187,6 +212,76 @@ class TestSpilling:
         result = harness.simulate(lambda env: 1.0, "rawcaudio", "train")
         baseline = reference_bench("rawcaudio")
         assert result.output_signature() == baseline.output_signature()
+
+
+def guarded_spill_module():
+    """``rawcaudio`` after if-conversion, as the allocator receives it
+    on an 8-register machine: its guarded defs spill (the spill stores
+    keep their guards) over several rounds."""
+    from repro.metaopt import EvaluationHarness, case_study
+    from repro.metaopt.settings import EvalSettings
+    from repro.passes.pipeline import run_prefix
+
+    machine = tiny_machine(8)
+    case = case_study("hyperblock", machine=machine)
+    harness = EvaluationHarness(case, EvalSettings(use_snapshots=False))
+    module, _report = run_prefix(harness.prepared("rawcaudio"),
+                                 case.options_for(lambda env: 1.0),
+                                 "regalloc")
+    return module, machine
+
+
+def allocate_clone(module, machine, priority=chow_hennessy_savings,
+                   seeds=None):
+    """Allocate a clone of ``module``; returns it and its reports as
+    plain data."""
+    twin = module.clone()
+    reports = {
+        name: dataclasses.asdict(allocate_function(
+            function, machine, priority,
+            seed=seeds[name] if seeds else None))
+        for name, function in twin.functions.items()
+    }
+    return twin, reports
+
+
+class TestAllocationSeed:
+    """A seed — round one's analysis, computed once per function —
+    stands in for that round's own analysis and changes nothing."""
+
+    @pytest.mark.parametrize("program", ("pressure", "guarded"))
+    def test_seeded_equals_unseeded(self, program):
+        if program == "pressure":
+            module, machine = compile_source(PRESSURE_SOURCE), tiny_machine(6)
+        else:
+            module, machine = guarded_spill_module()
+        seeds = {name: allocation_seed(function)
+                 for name, function in module.functions.items()}
+        plain, plain_reports = allocate_clone(module, machine)
+        seeded, seeded_reports = allocate_clone(module, machine,
+                                                seeds=seeds)
+        assert max(r["rounds"] for r in plain_reports.values()) > 2
+        assert seeded_reports == plain_reports
+        assert seeded.content_digest() == plain.content_digest()
+        if program == "guarded":
+            assert any(instr.op is Opcode.STORE and instr.guard is not None
+                       for function in seeded.functions.values()
+                       for instr in function.instructions())
+
+    def test_seed_is_never_written(self):
+        module = compile_source(PRESSURE_SOURCE)
+        seeds = {name: allocation_seed(function)
+                 for name, function in module.functions.items()}
+        before = copy.deepcopy(seeds)
+
+        def inverted(env):
+            return -chow_hennessy_savings(env)
+
+        _m1, reports1 = allocate_clone(module, tiny_machine(6), seeds=seeds)
+        _m2, reports2 = allocate_clone(module, tiny_machine(6), inverted,
+                                       seeds=seeds)
+        assert reports1["main"]["spilled"] != reports2["main"]["spilled"]
+        assert seeds == before
 
 
 def reference_bench(name):

@@ -91,6 +91,31 @@ def test_replay_cycles_match(case_name: str):
         _simulate(full_sched, case, "codrle4")
 
 
+def test_regalloc_snapshot_replays_random_spill_priorities():
+    """A ``regalloc`` snapshot carries the allocator's round-one
+    analysis, shared by every replay: a dozen random spill priorities
+    replayed from one snapshot each match their own full compile
+    (``huff_enc`` spills differently under nearly every one)."""
+    case = case_study("regalloc")
+    harness = EvaluationHarness(case, EvalSettings(use_snapshots=False))
+    prep = harness.prepared("huff_enc")
+    trees = TreeGenerator(case.pset, random.Random(7)) \
+        .ramped_half_and_half(12)
+    snapshot = build_snapshot(prep, case.options_for(_as_hook(trees[0])),
+                              "regalloc")
+    assert set(snapshot.allocation_seeds) == set(prep.module.functions)
+    digests = set()
+    for tree in trees:
+        options = case.options_for(_as_hook(tree))
+        full_sched, full_report = compile_backend(prep, options)
+        replay_sched, replay_report = compile_backend(prep, options,
+                                                      snapshot=snapshot)
+        assert replay_sched.content_digest() == full_sched.content_digest()
+        assert _report_data(replay_report) == _report_data(full_report)
+        digests.add(full_sched.content_digest())
+    assert len(digests) > 6
+
+
 def test_verify_ir_checkpoints_fire_on_both_paths():
     case = case_study("regalloc")
     options = dataclasses.replace(
@@ -150,6 +175,10 @@ def test_warm_path_runs_zero_prefix_stages():
     assert delta("pipeline.pass_runs.schedule") == compiles
     assert delta("pipeline.snapshot.builds") == 1
     assert delta("pipeline.snapshot.restores") == compiles
+    # Every replayed allocation started from the snapshot's seed.
+    functions = len(harness.prepared("codrle4").module.functions)
+    assert delta("pipeline.snapshot.seeded_allocations") == \
+        compiles * functions
     assert harness.stats()["snapshot_builds"] == 1
     assert harness.stats()["snapshot_hits"] == compiles - 1
 
@@ -179,5 +208,6 @@ def test_first_stage_hook_takes_the_plain_path():
     assert delta("pipeline.pass_runs.hyperblock") == compiles
     assert delta("pipeline.snapshot.builds") == 0
     assert delta("pipeline.snapshot.restores") == 0
+    assert delta("pipeline.snapshot.seeded_allocations") == 0
     assert harness.stats()["snapshot_builds"] == 0
     assert harness.stats()["snapshot_hits"] == 0
