@@ -15,26 +15,28 @@ Table 3 machine:
   but occupy their memory slot and may pollute the caches.
 
 Implementation note: for speed, each scheduled function is translated
-once into generated Python over a dense register file (``R[i]``), with
-immediates and global addresses baked in, one function per *region*:
+once into one generated Python function over a dense register file
+(``R[i]``), with immediates and global addresses baked in.  Its body is
+a ``while True`` over the block number ``at`` (the block's index in
+layout order), one ``if at == k:`` arm per block in layout order:
 
-* every innermost natural loop (``repro.ir.loops.find_loops``, a loop
-  with no loop inside it) is one region: a ``while True`` over an arm
-  number, one arm per block in layout order.  Going to a later arm
-  falls through the arm tests in between, going back is a
-  ``continue``, and leaving the loop returns the label it leaves to.
-  The six counters (cycles, bundles, dynamic and squashed ops, memory
-  and branch stall) are locals there, added to the simulator in a
-  ``finally`` and before each ``CALL``, because the callee charges the
-  simulator; the cycle budget is checked against the local on every
-  arm entry;
-* every other block is a region of its own and charges the simulator
-  directly.
+* a block outside every innermost loop is an arm of that outer chain;
+  going to a later arm falls through the arm tests in between, going
+  back is a ``continue``;
+* an innermost natural loop (``repro.ir.loops.find_loops``, a loop
+  with no loop inside it) is one arm, at its header, holding an inner
+  ``while True`` with one arm per loop block.  Inside it, jumps behave
+  as above; leaving the loop is a ``break``, after which the outer
+  chain continues.  A natural loop is entered only through its
+  header, so every jump into a loop lands on its arm;
+* ``RET`` is a ``return``.
 
-A natural loop is entered only through its header, so every label a
-region returns is another region's entry, and ``Simulator._call`` runs
-one region per step: a loop costs one Python call per entry, not one
-per block it runs.  The functional interpreter's
+The six counters (cycles, bundles, dynamic and squashed ops, memory
+and branch stall) are locals, added to the simulator in a ``finally``
+and before each ``CALL``, because the callee charges the simulator;
+the cycle budget is checked against the local on every block entry.
+So a run costs one Python call per scheduled-function invocation, not
+one per block or loop it enters.  The functional interpreter's
 :func:`~repro.ir.interp.apply_scalar_op` is the reference for what
 each scalar operation computes; the integration suite asserts output
 equality on every benchmark.
@@ -62,8 +64,8 @@ What the generated code does itself and what it calls:
   are calls.
 
 ``tests/machine/test_sim_inline_differential.py`` drives random traces
-through the generated code, one event per call and inside one loop
-region, and through ``CacheHierarchy`` / ``TwoBitPredictor`` and
+through the generated code, one event per call and inside one inner
+loop, and through ``CacheHierarchy`` / ``TwoBitPredictor`` and
 requires equal charges and equal final state, and random 64-bit
 operands through each integer opcode and through ``apply_scalar_op``
 and requires equal results and faults.
@@ -73,12 +75,15 @@ identity of the scheduled function (a content digest of its generated
 source plus layout-independent metadata).  Per-instance state — the
 simulator, its memory, L1's sets and geometry, the predictor's counters
 and the machine's latencies — is *not* baked into the generated source;
-each region compiles to a ``__bind`` factory whose closure binds that
-state when a Simulator first calls the function, so one cached binary
-serves every machine description.  Repeated simulations of the same
-binary (every baseline run, every fitness-memo miss repeated across
-worker processes) therefore skip ``compile`` and ``exec`` and pay the
-translation that computes the key plus a cheap closure bind.
+each function compiles to a ``__bind`` factory whose closure binds that
+state when a run first calls the function, so one cached binary serves
+every machine description.  Repeated simulations of the same binary
+(every baseline run, every fitness-memo miss repeated across worker
+processes) therefore skip ``compile`` and ``exec`` and pay the
+translation that computes the key plus a cheap closure bind.  The
+bound functions close over the simulator, so ``run()`` drops them when
+it returns: a simulator is freed by reference counting, and a second
+``run()`` binds again.
 
 Fitness noise (Section 7.1): real-machine measurements are noisy; the
 simulator can inject multiplicative Gaussian noise into the final
@@ -140,9 +145,6 @@ _REL_PY = {
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
 
-#: marker distinguishing a return from a jump in generated region code
-_RET = ("\x00ret",)
-
 #: What every ``__bind`` factory closes over: the simulator, its
 #: memory and output list, L1's sets / index mask / word-to-line shift
 #: / stats, the hierarchy's miss and prefetch methods, the predictor's
@@ -162,18 +164,18 @@ _L1_LOOKUP = (
     "    _s[_n] = None",
 )
 
-#: The counters a loop region keeps in locals of the same names, as
-#: amounts not yet added to ``S``; a one-block region charges ``S``.
+#: The counters a generated function keeps in locals of the same
+#: names, as amounts not yet added to ``S``.
 _COUNTERS = ("cycles", "bundles", "dynamic_ops", "squashed_ops",
              "memory_stall", "branch_stall")
 
-#: Add a loop region's counters to ``S``: when the region is left, and
+#: Add the counters to ``S``: when the function returns or faults, and
 #: before a ``CALL`` (the callee charges ``S``), after which they
 #: restart at 0.
 _FLUSH = tuple(f"S.{name} += {name}" for name in _COUNTERS)
 _RESTART = " = ".join(_COUNTERS) + " = 0"
 
-#: The cycles a loop region may still add before the budget fault:
+#: The cycles the function may still add before the budget fault:
 #: computed on entry and after each ``CALL``.
 _LIMIT = "limit = S.max_cycles - S.cycles"
 
@@ -221,23 +223,15 @@ def _checked_fdiv(a: float, b: float) -> float:
 
 
 @dataclass
-class _CompiledFunction:
-    name: str
+class _FunctionCode:
+    """Instance-independent compilation artifact: the ``__bind``
+    factory of one scheduled function, ready to close over a
+    Simulator's state."""
+
     param_indices: list[int]
     reg_count: int
     frame_words: int
-    entry: str
-    regions: dict[str, object]  # entry label -> generated callable
-
-
-@dataclass
-class _FunctionCode:
-    """Instance-independent compilation artifact: one ``__bind``
-    factory per region, ready to close over a Simulator's state."""
-
-    param_indices: list[int]
-    reg_count: int
-    binders: dict[str, object]  # entry label -> bind factory
+    bind: object
 
 
 #: Names and constants shared by all generated code; nothing here
@@ -247,7 +241,6 @@ _STATIC_NAMESPACE = {
     "wi": wrap_int,
     "ftoi": _checked_ftoi,
     "fdiv": _checked_fdiv,
-    "RET": _RET[0],
     "SimError": SimError,
 }
 
@@ -314,7 +307,9 @@ class Simulator:
         self.branch_stall = 0
         self._sp = STACK_BASE
         self._layout = scheduled.module.layout()
-        self._compiled: dict[str, _CompiledFunction] = {}
+        #: name -> (code, bound function), for one run() only: the
+        #: bound functions close over the simulator
+        self._compiled: dict[str, tuple[_FunctionCode, object]] = {}
         for name, array in scheduled.module.globals.items():
             base = self._layout[name]
             for index, value in enumerate(array.init):
@@ -346,7 +341,12 @@ class Simulator:
             raise SimError(f"no scheduled function {entry!r}")
         with obs.span("sim:run", entry=entry,
                       module=self.scheduled.module.name):
-            value = self._call(entry, tuple(args))
+            try:
+                value = self._call(entry, tuple(args))
+            finally:
+                # drop the only references back to self, so the
+                # simulator is freed by reference counting
+                self._compiled.clear()
         cycles = self.cycles
         if self.noise_stddev > 0.0:
             factor = max(0.5, self._noise_rng.gauss(1.0, self.noise_stddev))
@@ -395,22 +395,16 @@ class Simulator:
         if compiled is None:
             compiled = self._compile_function(self.scheduled.functions[name])
             self._compiled[name] = compiled
-        if len(args) != len(compiled.param_indices):
-            raise SimError(f"{name} expects {len(compiled.param_indices)} args")
-        registers: list = [0] * compiled.reg_count
-        for index, arg in zip(compiled.param_indices, args):
+        code, run = compiled
+        if len(args) != len(code.param_indices):
+            raise SimError(f"{name} expects {len(code.param_indices)} args")
+        registers: list = [0] * code.reg_count
+        for index, arg in zip(code.param_indices, args):
             registers[index] = arg
         frame_base = self._sp
-        self._sp += compiled.frame_words
+        self._sp += code.frame_words
         try:
-            label = compiled.entry
-            regions = compiled.regions
-            while True:
-                outcome = regions[label](registers, frame_base)
-                if type(outcome) is str:
-                    label = outcome
-                    continue
-                return outcome[1]
+            return run(registers, frame_base)
         finally:
             self._sp = frame_base
 
@@ -427,11 +421,9 @@ class Simulator:
         raise SimError(f"cannot translate operand {operand!r}")
 
     def _instr_lines(self, instr: Instr, reg_index: dict,
-                     branch_keys: dict, jump, acc: str) -> list[str]:
+                     branch_keys: dict, jump) -> list[str]:
         """Python source lines implementing one instruction.  ``jump``
-        gives the lines that go to a label; ``acc`` prefixes the
-        counters: ``"S."`` in a one-block region, ``""`` in a loop
-        region, whose counters are locals."""
+        gives the lines that go to a label."""
         op = instr.op
         src = lambda i: self._operand_expr(instr.srcs[i], reg_index)
         dest = (f"R[{reg_index[instr.dest]}]"
@@ -497,8 +489,8 @@ class Simulator:
                 "else:",
                 "    _l = LOAD_MISS(_a)",
                 "    if _l > L1:",
-                f"        {acc}cycles += _l - L1",
-                f"        {acc}memory_stall += _l - L1",
+                "        cycles += _l - L1",
+                "        memory_stall += _l - L1",
                 f"{dest} = MEM[_a] if _a in MEM else 0",
             ]
         if op is Opcode.STORE:
@@ -518,8 +510,6 @@ class Simulator:
             call = f"CALL({instr.callee!r}, ({arguments}{',' if instr.srcs else ''}))"
             if dest is not None:
                 call = f"{dest} = {call}"
-            if acc:
-                return [call]
             # the callee charges S and checks the budget on it
             return [*_FLUSH, _RESTART, call, _LIMIT]
         if op is Opcode.BR:
@@ -529,8 +519,8 @@ class Simulator:
             key = repr(branch_keys[instr.uid])
             mispredicted = _indent((
                 "BRANCHES.mispredictions += 1",
-                f"{acc}cycles += PEN",
-                f"{acc}branch_stall += PEN",
+                "cycles += PEN",
+                "branch_stall += PEN",
             ), 12)
             return [
                 "BRANCHES.predictions += 1",
@@ -553,20 +543,19 @@ class Simulator:
             return jump(instr.targets[0])
         if op is Opcode.RET:
             value = src(0) if instr.srcs else "None"
-            return [f"return (RET, {value})"]
+            return [f"return {value}"]
         raise SimError(f"unimplemented opcode {op}")  # pragma: no cover
 
     def _translate_function(
         self, function: ScheduledFunction
-    ) -> tuple[str, list[int], int, dict[str, str]]:
+    ) -> tuple[str, list[int], int]:
         """Generate instance-independent Python source for a scheduled
-        function: one ``__bind`` factory per region whose closure
-        parameters carry all per-simulation state.  A region is an
-        innermost natural loop, or one block outside every innermost
-        loop.  A natural loop is entered only through its header, so
-        every label a region returns is another region's entry.
-        Returns the source blob, the parameter register indices, the
-        register count, and the entry label -> factory-name map."""
+        function: one ``__bind`` factory whose closure parameters carry
+        all per-simulation state, returning ``__function(R, fb)`` with
+        one arm per block or innermost loop (the module docstring has
+        the shape).  Arms come in layout order, never in the set order
+        of ``Loop.body``.  Returns the source, the parameter register
+        indices and the register count."""
         reg_index: dict = {}
 
         def index_of(reg) -> int:
@@ -586,8 +575,8 @@ class Simulator:
         branch_keys: dict = {}
         for label in function.block_order:
             instrs = function.blocks[label].flat_instructions()
-            # A loop arm ends where its block's terminator jumps or
-            # falls through to a later arm, so that must be the last
+            # An arm ends where its block's terminator jumps or falls
+            # through to a later arm, so that must be the last
             # instruction and run unconditionally.
             if (not instrs or not instrs[-1].is_terminator
                     or instrs[-1].guard is not None
@@ -604,105 +593,83 @@ class Simulator:
                         f"{function.name}:{len(branch_keys)}"
                     )
 
+        at_of = {label: index
+                 for index, label in enumerate(function.block_order)}
         loop_of = {label: loop for loop in find_loops(function)
                    if not loop.children for label in loop.body}
-        chunks: list[str] = []
-        binder_names: dict[str, str] = {}
+
+        def arm(label: str, body, depth: int) -> list[str]:
+            """The arm of block ``label`` at ``depth`` in the chain over
+            ``body`` (the loop's blocks, or None for the outer chain);
+            each line is indented once, here."""
+            def jump(target):
+                if body is not None and target not in body:
+                    return [f"at = {at_of[target]}", "break"]
+                if at_of[target] > at_of[label]:
+                    return [f"at = {at_of[target]}"]
+                return [f"at = {at_of[target]}", "continue"]
+
+            return [" " * depth + f"if at == {at_of[label]}:",
+                    *_indent(self._block_lines(function.blocks[label],
+                                               reg_index, branch_keys, jump),
+                             depth + 4)]
+
+        lines = [
+            f"def __bind({_BIND_PARAMS}):",
+            "    def __function(R, fb):",
+            f"        {_RESTART}",
+            f"        {_LIMIT}",
+            f"        at = {at_of[function.entry_label]}",
+            "        try:",
+            "            while True:",
+        ]
         for label in function.block_order:
             loop = loop_of.get(label)
             if loop is None:
-                lines = [
-                    "def __region(R, fb):",
-                    *_indent(self._block_lines(
-                        function.blocks[label], reg_index, branch_keys,
-                        lambda target: [f"return {target!r}"], "S."), 4),
-                ]
+                lines.extend(arm(label, None, 16))
             elif label == loop.header:
-                lines = self._loop_lines(function, loop.body, label,
-                                         reg_index, branch_keys)
-            else:
-                continue
-            binder = f"__bind_{len(binder_names)}"
-            binder_names[label] = binder
-            chunks.append("\n".join([
-                f"def {binder}({_BIND_PARAMS}):",
-                *_indent(lines, 4),
-                "    return __region",
-            ]))
-
-        source = "\n\n".join(chunks)
+                lines.append(f"                if at == {at_of[label]}:")
+                lines.append("                    while True:")
+                for member in function.block_order:
+                    if member in loop.body:
+                        lines.extend(arm(member, loop.body, 24))
+                lines.append("                    continue")
+        lines.append("        finally:")
+        lines.extend(_indent(_FLUSH, 12))
+        lines.append("    return __function")
+        source = "\n".join(lines)
         param_indices = [reg_index[param] for param in function.params]
-        return source, param_indices, len(reg_index), binder_names
+        return source, param_indices, len(reg_index)
 
     def _block_lines(self, block, reg_index: dict, branch_keys: dict,
-                     jump, acc: str) -> list[str]:
+                     jump) -> list[str]:
         """One block's entry charges, budget check and instructions;
-        ``jump`` and ``acc`` as for :meth:`_instr_lines`."""
-        budget = "S.cycles > S.max_cycles" if acc else "cycles > limit"
+        ``jump`` as for :meth:`_instr_lines`."""
         lines = [
-            f"{acc}cycles += {block.cycles}",
-            f"{acc}bundles += {block.cycles}",
-            f"{acc}dynamic_ops += {block.op_count}",
-            f"if {budget}:",
+            f"cycles += {block.cycles}",
+            f"bundles += {block.cycles}",
+            f"dynamic_ops += {block.op_count}",
+            "if cycles > limit:",
             "    raise SimError('cycle budget exceeded')",
         ]
         for instr in block.flat_instructions():
             instr_lines = self._instr_lines(instr, reg_index, branch_keys,
-                                            jump, acc)
+                                            jump)
             if instr.guard is not None:
                 lines.append(f"if R[{reg_index[instr.guard]}]:")
                 lines.extend(_indent(instr_lines, 4))
                 lines.append("else:")
-                lines.append(f"    {acc}squashed_ops += 1")
-                lines.append(f"    {acc}dynamic_ops -= 1")
+                lines.append("    squashed_ops += 1")
+                lines.append("    dynamic_ops -= 1")
             else:
                 lines.extend(instr_lines)
-        return lines
-
-    def _loop_lines(self, function: ScheduledFunction, body: set[str],
-                    header: str, reg_index: dict,
-                    branch_keys: dict) -> list[str]:
-        """An innermost loop as one ``__region``: a ``while True`` over
-        the arm number ``at``, one ``if at == k:`` arm per block in
-        layout order (never in the set order of ``body``).  Going to a
-        later arm falls through the tests in between; going to this or
-        an earlier one is a ``continue``; leaving the loop returns the
-        label.  The counters are locals, added to ``S`` in ``finally``
-        and before each ``CALL``."""
-        arms = [label for label in function.block_order if label in body]
-        arm_of = {label: index for index, label in enumerate(arms)}
-        lines = [
-            "def __region(R, fb):",
-            f"    {_RESTART}",
-            f"    {_LIMIT}",
-            f"    at = {arm_of[header]}",
-            "    try:",
-            "        while True:",
-        ]
-        for index, label in enumerate(arms):
-            def jump(target, index=index):
-                arm = arm_of.get(target)
-                if arm is None:
-                    return [f"return {target!r}"]
-                if arm > index:
-                    return [f"at = {arm}"]
-                return [f"at = {arm}", "continue"]
-
-            lines.append(f"            if at == {index}:")
-            lines.extend(_indent(self._block_lines(
-                function.blocks[label], reg_index, branch_keys, jump, ""),
-                16))
-        lines.append("    finally:")
-        lines.extend(_indent(_FLUSH, 8))
         return lines
 
     def _function_code(self, function: ScheduledFunction) -> _FunctionCode:
         """Translate-or-recall: the exec/compile step is cached at
         module level, keyed by the function's content identity."""
         global _codegen_hits, _codegen_misses
-        source, param_indices, reg_count, binder_names = (
-            self._translate_function(function)
-        )
+        source, param_indices, reg_count = self._translate_function(function)
         key = (
             function.name,
             function.entry_label,
@@ -728,8 +695,8 @@ class Simulator:
         code = _FunctionCode(
             param_indices=param_indices,
             reg_count=reg_count,
-            binders={label: local_ns[name]
-                     for label, name in binder_names.items()},
+            frame_words=function.frame_words,
+            bind=local_ns["__bind"],
         )
         with _CODEGEN_LOCK:
             _CODEGEN_CACHE[key] = code
@@ -737,11 +704,12 @@ class Simulator:
                 _CODEGEN_CACHE.popitem(last=False)
         return code
 
-    def _compile_function(self,
-                          function: ScheduledFunction) -> _CompiledFunction:
+    def _compile_function(
+        self, function: ScheduledFunction
+    ) -> tuple[_FunctionCode, object]:
         code = self._function_code(function)
         level1 = self.caches.levels[0]
-        bindings = dict(
+        return code, code.bind(
             S=self,
             MEM=self.memory,
             OUTS=self.outputs,
@@ -757,13 +725,4 @@ class Simulator:
             CALL=self._call,
             L1=self.machine.load_latency,
             PEN=self.machine.mispredict_penalty,
-        )
-        return _CompiledFunction(
-            name=function.name,
-            param_indices=list(code.param_indices),
-            reg_count=code.reg_count,
-            frame_words=function.frame_words,
-            entry=function.entry_label,
-            regions={label: binder(**bindings)
-                    for label, binder in code.binders.items()},
         )

@@ -25,7 +25,7 @@ are so costly").  Under one harness, outermost first:
   ``prepare`` or scheduling), shared by every candidate that produces
   it: a hit skips the rest of the backend and the simulator;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
-  region functions of one scheduled binary.
+  function of each scheduled function of one binary.
 
 Each evaluation is answered by one layer: ``memo``, ``fitness_cache``,
 ``digest`` or ``sim`` (a fresh simulation).  The harness tallies the

@@ -35,6 +35,7 @@ Design goals, in order:
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -635,6 +636,14 @@ def run_evaluate_batch(params: dict, harness_pool: HarnessPool):
                    "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _is_number(value) -> bool:
+    """An int within 64 bits or a finite float; checked by type(), so a
+    bool is not a number."""
+    if type(value) is int:
+        return -(1 << 63) <= value < (1 << 63)
+    return type(value) is float and math.isfinite(value)
+
+
 def run_compile(params: dict, registry=None) -> dict:
     """Execute one compile request: MiniC source through the full
     pipeline (optionally under an artifact), returning static stats
@@ -674,6 +683,12 @@ def run_compile(params: dict, registry=None) -> dict:
     inputs = params.get("inputs") or {}
     if not isinstance(inputs, dict):
         raise ValueError("'inputs' must be a JSON object of globals")
+    # each value goes into the profiling interpreter as it is
+    for name, values in inputs.items():
+        if type(values) is not list or not all(map(_is_number, values)):
+            raise ValueError(
+                "'inputs' must map each global to a list of numbers "
+                f"(64-bit ints or finite floats); {name!r} does not")
     program = compile_program(source, profile_inputs=inputs,
                               options=options,
                               name=params.get("name", "request"))

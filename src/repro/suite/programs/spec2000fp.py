@@ -14,12 +14,6 @@ from repro.suite.datagen import rng_for
 from repro.suite.registry import Benchmark, register
 
 
-def _uniform(name: str, dataset: str, size: int, low: float,
-             high: float) -> list[float]:
-    rng = rng_for(name, dataset)
-    return [rng.uniform(low, high) for _ in range(size)]
-
-
 WUPWISE_SOURCE = """
 // Lattice-QCD-like: blocked complex matrix multiply (zgemm flavour).
 float ar[400]; float ai[400];

@@ -1,11 +1,14 @@
 """Timing-simulator tests: functional equivalence with the reference
 interpreter, cycle accounting for stalls/mispredicts/squashes,
 measurement-noise behaviour, when generated code calls ``wrap_int``,
-and the loop regions: each loop shape's counters and faults, and how
-many generated calls a run makes."""
+and the generated function's inner loops: each loop shape's counters
+and faults, how many generated calls a run makes, and that a simulator
+is freed by reference counting when ``run()`` returns."""
 
+import gc
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -376,13 +379,12 @@ LOOP_SHAPE_COUNTERS = {
 }
 
 
-#: Generated calls a shape's run makes: one per entry of an innermost
-#: loop and one per entry of a block outside them.  ``call-faults``
-#: and ``call-budget`` enter ``ratio`` ten times from one loop
-#: invocation.
+#: Generated calls a shape's run makes: one per invocation of a
+#: scheduled function.  ``call-faults`` and ``call-budget`` call
+#: ``ratio`` ten times from ``main``'s loop.
 LOOP_SHAPE_CALLS = {
-    "budget": 2, "call-budget": 12, "call-faults": 12, "entry-header": 2,
-    "nested": 43, "predicated": 3, "self-loop": 3, "two-exit": 10,
+    "budget": 1, "call-budget": 11, "call-faults": 11, "entry-header": 1,
+    "nested": 1, "predicated": 1, "self-loop": 1, "two-exit": 4,
 }
 
 
@@ -434,9 +436,10 @@ def sim_frame_calls(run):
 
 
 class TestLoopRegions:
-    """Every innermost loop runs in one generated call.  Each shape must
-    keep the outputs of the interpreter and the exact counters and
-    fault of the call-per-block simulator."""
+    """Every scheduled function runs in one generated call, its
+    innermost loops inside it.  Each shape must keep the outputs of the
+    interpreter and the exact counters and fault of the call-per-block
+    simulator."""
 
     @pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
     def test_shape(self, shape):
@@ -458,7 +461,7 @@ class TestLoopRegions:
 
     @pytest.mark.parametrize("defect", ["guarded", "mid-block"])
     def test_terminator_must_end_its_block_unguarded(self, defect):
-        """A loop arm falls through to a later arm after its block's
+        """An arm falls through to a later arm after its block's
         terminator, so a block whose terminator is guarded, or comes
         before other operations, is refused."""
         scheduled, _module = from_ir(entry_header_module)
@@ -474,9 +477,8 @@ class TestLoopRegions:
 
 class TestRegionCalls:
     """Shaped like ``TestWrapCalls``: ``unepic``'s regalloc baseline
-    spends almost all its block entries inside four innermost loops,
-    so a run makes a few dozen generated calls, not one per block
-    entry (about 13.7k)."""
+    is one scheduled function, so a run makes one generated call, not
+    one per loop entry (31) or per block entry (about 13.7k)."""
 
     def test_unepic_baseline_enters_each_loop_once(self):
         bench = get_benchmark("unepic")
@@ -490,4 +492,41 @@ class TestRegionCalls:
             simulator.set_global(name, values)
         calls, result = sim_frame_calls(simulator.run)
         assert result.bundles > 10_000
-        assert 0 < calls <= 50
+        assert calls == 1
+
+
+class TestFreedOnReturn:
+    """The bound generated functions close over their simulator; run()
+    drops them when it returns or faults, so with the cyclic collector
+    off a simulator still dies on its last ``del``, and a second run()
+    binds them again."""
+
+    @pytest.mark.parametrize("max_cycles,fault", [
+        (100_000_000, None), (300, "cycle budget exceeded")])
+    def test_simulator_dies_without_the_cyclic_collector(self, max_cycles,
+                                                          fault):
+        scheduled = build(LOOP_SOURCE)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulator = Simulator(scheduled, DEFAULT_EPIC,
+                                  max_cycles=max_cycles)
+            for name, values in LOOP_INPUTS.items():
+                simulator.set_global(name, values)
+            outcomes = []
+            for _ in range(2):
+                try:
+                    outcomes.append(simulator.run().outputs)
+                except SimError as exc:
+                    outcomes.append(str(exc))
+            if fault is None:
+                assert len(outcomes[0]) == 1
+                assert outcomes[1] == outcomes[0] * 2
+            else:
+                assert outcomes == [fault, fault]
+            alive = weakref.ref(simulator)
+            del simulator
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -39,6 +39,7 @@ from repro.machine.cache import CacheHierarchy
 from repro.machine.descr import CacheLevelConfig, MachineDescription
 from repro.machine.sim import SimError, Simulator
 from repro.passes.schedule import schedule_module
+from tests.machine.test_sim import sim_frame_calls
 
 TOY = MachineDescription(
     name="toy-2set-2way",
@@ -319,7 +320,8 @@ def test_events_in_a_loop_match_the_references(machine, data):
              for kind, address, flag in trace]
     simulator = Simulator(scheduled_looped_driver(machine.name), machine)
     simulator.set_global("trace", words)
-    result = simulator.run("walk", (len(trace),))
+    calls, result = sim_frame_calls(
+        lambda: simulator.run("walk", (len(trace),)))
 
     caches, predictor = CacheHierarchy(machine), TwoBitPredictor()
     memory = {GLOBAL_BASE + index: word for index, word in enumerate(words)}
@@ -352,7 +354,7 @@ def test_events_in_a_loop_match_the_references(machine, data):
             predictor.update("walk:2", flag)
     predictor.update("walk:0", False)
 
-    assert len(simulator._compiled["walk"].regions) == 3  # entry, loop, done
+    assert calls == 1  # entry, loop and done in one generated function
     assert result.return_value == len(trace)
     assert simulator.outputs == outputs, trace
     assert simulator.memory == memory, trace

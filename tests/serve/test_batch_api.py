@@ -141,6 +141,18 @@ class TestErrorShape:
                                 ({"unroll": 2.9}, "'unroll' must")):
             with pytest.raises(JobFailed, match=message):
                 client.run("compile", {"source": source, **params})
+        # each global's input is a list of numbers, refused before the
+        # profiling interpreter multiplies a string or sizes an int
+        product = "int data[2]; int main() { return data[0] * data[1]; }"
+        for data in (["a", 200000000], 7, [True], [1 << 63],
+                     [-(1 << 63) - 1], [float("inf")], [1.5, None],
+                     {"0": 1}):
+            with pytest.raises(JobFailed, match="'inputs' must map each"):
+                client.run("compile", {"source": product,
+                                       "inputs": {"data": data}})
+        payload = client.run("compile", {"source": product, "run": True,
+                                         "inputs": {"data": [-3, 4]}})
+        assert payload["simulation"]["return_value"] == -12
         payload = client.run("compile", {"source": source, "run": True,
                                          "prefetch": False, "unroll": 4})
         assert payload["simulation"]["return_value"] == 1
