@@ -20,6 +20,11 @@ are so costly").  Under one harness, outermost first:
   training profile, per benchmark;
 * prefix snapshot — the backend state just before the hook's stage,
   per benchmark, shared by the whole population (docs/FORKING.md);
+* decision trie (``hyperblock`` only) — per benchmark, the
+  if-conversion verdict sequences compiles have made, each ending in
+  the IR digest it produced: a candidate walks it with its priority
+  alone, and a walk that ends in a digest the memo below holds skips
+  the compile altogether;
 * content-digest memo — the simulation of one IR as it leaves the
   hook's stage (the scheduled binary when the candidate steers
   ``prepare`` or scheduling), shared by every candidate that produces
@@ -28,10 +33,11 @@ are so costly").  Under one harness, outermost first:
   function of each scheduled function of one binary.
 
 Each evaluation is answered by one layer: ``memo``, ``fitness_cache``,
-``digest`` or ``sim`` (a fresh simulation).  The harness tallies the
-answers, and every layer counter of :meth:`EvaluationHarness.stats` and
-of the ``harness.*`` metrics derives from that one tally; an evaluation
-that raises is counted nowhere.
+``decisions``, ``digest`` or ``sim`` (a fresh simulation).  The
+harness tallies the answers, and every layer counter of
+:meth:`EvaluationHarness.stats` and of the ``harness.*`` metrics
+derives from that one tally; an evaluation that raises is counted
+nowhere.
 """
 
 from __future__ import annotations
@@ -71,12 +77,15 @@ from repro.metaopt.fitness_cache import (
 from repro.metaopt.psets import PSETS
 from repro.metaopt.priority import PriorityFunction
 from repro.metaopt.settings import EvalSettings
+from repro.passes.hyperblock import DEFAULT_MAX_OPS, PathInfo, decide
 from repro.passes.pipeline import (
     STAGE_BY_HOOK,
+    BackendReport,
     CompilerOptions,
     PreparedProgram,
     compile_backend,
     prepare,
+    with_artifact,
 )
 from repro.passes.snapshot import PipelineSnapshot, build_snapshot
 from repro.suite.registry import get as get_benchmark
@@ -282,7 +291,7 @@ def _as_hook(priority):
 class Answer(NamedTuple):
     """One evaluation below the cycles memo, as the memo keeps it."""
 
-    layer: str  # "fitness_cache", "digest" or "sim"
+    layer: str  # "fitness_cache", "decisions", "digest" or "sim"
     result: SimResult
     diverged: bool = False  # the differential guard's verdict
     #: True when the fitness cache missed and was written, False when
@@ -296,9 +305,26 @@ class Answer(NamedTuple):
 _COUNTERS = {
     "memo": ("memo_hits",),
     "fitness_cache": ("persistent_cache_hits",),
+    "decisions": ("decision_hits",),
     "digest": ("compiles", "digest_hits"),
     "sim": ("compiles", "sims"),
 }
+
+
+class _Region:
+    """A decision-trie node: the region evaluation if-conversion reaches
+    next, given the verdicts on the path to it.  ``children`` maps a
+    verdict (converted or not) to the next node, or to the IR digest
+    after if-conversion when no region follows."""
+
+    __slots__ = ("function", "paths", "head_ops", "children")
+
+    def __init__(self, function: str, paths: list[PathInfo],
+                 head_ops: int) -> None:
+        self.function = function
+        self.paths = paths
+        self.head_ops = head_ops
+        self.children: dict[bool, _Region | str] = {}
 
 
 class EvaluationHarness:
@@ -358,6 +384,12 @@ class EvaluationHarness:
             and settings.noise_stddev == 0.0
             and not settings.verify_outputs) else None
         self._digest_memo: dict[tuple, SimResult] = {}
+        #: decision trie root per benchmark, on with the memo at
+        #: ``hyperblock``: a node's paths were computed from the IR the
+        #: verdicts above it shaped, so a walk reads no IR, and the
+        #: train profile they were read from serves every dataset
+        self._decision_tries: dict[str, _Region | str] = {}
+        self._decision_vectors = 0  # the tries' leaves
         self._baseline_tree = None
         #: per-(benchmark, dataset) interpreter reference observables
         self._reference_memo: dict[tuple, tuple] = {}
@@ -440,7 +472,30 @@ class EvaluationHarness:
             if stored is not None:
                 return Answer("fitness_cache", stored)
 
-        options = self.case.options_for(_as_hook(priority))
+        options = with_artifact(self.case.options_for(_as_hook(priority)))
+        result = None
+        if self._memo_stage == "hyperblock":
+            digest = self._walk_decisions(benchmark, options)
+            if digest is not None:
+                result = self._digest_memo.get((digest, benchmark, dataset))
+        if result is not None:
+            layer, diverged = "decisions", False
+        else:
+            layer, result, diverged = self._compile_and_simulate(
+                options, key)
+        if persist_key is None:
+            return Answer(layer, result, diverged)
+        if not diverged:
+            self.fitness_cache.put(
+                persist_key, result,
+                meta=self._persist_meta(priority, benchmark, dataset))
+        return Answer(layer, result, diverged, stored=not diverged)
+
+    def _compile_and_simulate(self, options: CompilerOptions,
+                              key: tuple) -> tuple[str, SimResult, bool]:
+        """``(layer, result, diverged)`` of a compile under ``options``:
+        answered by the content-digest memo or by a fresh simulation."""
+        _, benchmark, dataset = key
         if self.case.steers_prepare:
             # The candidate steers inlining/unrolling (or the whole
             # flag set): the "candidate-independent" prefix is rebuilt
@@ -462,7 +517,8 @@ class EvaluationHarness:
         stop_after = None
         if self._memo_stage is not None:
             stop_after = (self._memo_stage, probe)
-        scheduled = self._compile(prep, options, benchmark, stop_after)
+        scheduled, report = self._compile(prep, options, benchmark,
+                                          stop_after)
         if stored is not None:
             layer, result, diverged = "digest", stored, False
         else:
@@ -484,13 +540,41 @@ class EvaluationHarness:
             diverged = self.settings.verify_outputs and \
                 self._check_against_reference(
                     benchmark, dataset, simulator, result, scheduled)
-        if persist_key is None:
-            return Answer(layer, result, diverged)
-        if not diverged:
-            self.fitness_cache.put(
-                persist_key, result,
-                meta=self._persist_meta(priority, benchmark, dataset))
-        return Answer(layer, result, diverged, stored=not diverged)
+        if self._memo_stage == "hyperblock":
+            self._record_decisions(benchmark, report, digest_key[0])
+        return layer, result, diverged
+
+    # -- decision trie -----------------------------------------------------
+    def _walk_decisions(self, benchmark: str,
+                        options: CompilerOptions) -> str | None:
+        """The IR digest after if-conversion under ``options``, from
+        calls of its hyperblock priority alone; ``None`` where the trie
+        does not reach (a verdict no compile has made yet)."""
+        node = self._decision_tries.get(benchmark)
+        while isinstance(node, _Region):
+            _, converted, _ = decide(
+                node.paths, options.hyperblock_priority, options.machine,
+                options.hyperblock_threshold, DEFAULT_MAX_OPS,
+                node.head_ops)
+            node = node.children.get(converted)
+        return node
+
+    def _record_decisions(self, benchmark: str, report: BackendReport,
+                          digest: str) -> None:
+        """Add a compile's verdict sequence (in evaluation order) and
+        the digest it led to; the prefix a walk already knew is only
+        followed."""
+        slots, key = self._decision_tries, benchmark
+        for function, formation in report.hyperblock.items():
+            for decision in formation.decisions:
+                node = slots.get(key)
+                if node is None:
+                    node = slots[key] = _Region(
+                        function, decision.paths, decision.head_ops)
+                slots, key = node.children, decision.converted
+        if key not in slots:
+            slots[key] = digest
+            self._decision_vectors += 1
 
     def _persist_meta(self, priority, benchmark: str,
                       dataset: str) -> dict:
@@ -516,7 +600,7 @@ class EvaluationHarness:
 
     def _compile(self, prep: PreparedProgram, options: CompilerOptions,
                  benchmark: str, stop_after=None):
-        """The scheduled module from ``compile_backend``, through the
+        """``compile_backend``'s (scheduled module, report), through the
         forking layer when on: the shared prefix is restored from the
         program's snapshot and only the hook's suffix runs
         (docs/FORKING.md).  ``stop_after`` is passed through: a probe
@@ -531,7 +615,7 @@ class EvaluationHarness:
             else:
                 self.snapshot_hits += 1
         return compile_backend(prep, options, snapshot=snapshot,
-                               stop_after=stop_after)[0]
+                               stop_after=stop_after)
 
     # -- differential guard ------------------------------------------------
     def _reference(self, benchmark: str, dataset: str) -> tuple:
@@ -635,7 +719,10 @@ class EvaluationHarness:
             "memo_hits": counts["memo_hits"],
             "persistent_cache_hits": counts["persistent_cache_hits"],
             "digest_hits": counts["digest_hits"],
+            "decision_hits": counts["decision_hits"],
         }
+        if self._memo_stage == "hyperblock":
+            counters["decision_vectors"] = self._decision_vectors
         if self.settings.verify_outputs:
             counters["divergences"] = len(self.divergences)
         if self.settings.use_snapshots:

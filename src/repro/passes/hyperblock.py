@@ -105,6 +105,8 @@ class RegionDecision:
     priorities: list[float]
     converted: bool
     reason: str
+    #: ops of the head block shared by both paths (its branch excluded)
+    head_ops: int
 
 
 @dataclass
@@ -143,6 +145,59 @@ def region_feature_env(paths: list[PathInfo],
     return env
 
 
+#: default merged-region op cap of the resource budget
+DEFAULT_MAX_OPS = 128
+
+
+def decide(paths: list[PathInfo], priority: HyperblockPriority,
+           machine: MachineDescription, rel_threshold: float,
+           max_ops: int, head_ops: int) -> tuple[list[float], bool, str]:
+    """One region's verdict: ``(priorities, converted, reason)``.
+
+    Scores every path with ``priority`` (a raising or NaN priority
+    scores 0.0), then merges paths best-first while each is positive,
+    within ``rel_threshold`` of the best and inside the machine's
+    resource budget.  Pure: it reads its arguments and nothing else, so
+    the pass and the harness's decision trie share the rule."""
+    priorities = []
+    for index in range(len(paths)):
+        env = region_feature_env(paths, index)
+        try:
+            value = float(priority(env))
+        except (ArithmeticError, ValueError, OverflowError):
+            value = 0.0
+        if value != value:  # NaN
+            value = 0.0
+        priorities.append(value)
+
+    order = sorted(range(len(paths)), key=lambda i: -priorities[i])
+    best = priorities[order[0]]
+    selected = [order[0]]
+    total_ops = paths[order[0]].num_ops
+    max_height = paths[order[0]].dep_height
+    reason = "secondary path rejected"
+    for index in order[1:]:
+        value = priorities[index]
+        if best <= 0.0 or value <= 0.0:
+            reason = "non-positive priority"
+            continue
+        if value < rel_threshold * best:
+            reason = "below relative threshold"
+            continue
+        candidate_ops = total_ops + paths[index].num_ops - head_ops
+        candidate_height = max(max_height, paths[index].dep_height)
+        budget = machine.issue_width * candidate_height
+        if candidate_ops > budget or candidate_ops > max_ops:
+            reason = "resource budget exhausted"
+            continue
+        selected.append(index)
+        total_ops = candidate_ops
+        max_height = candidate_height
+
+    converted = len(selected) == len(paths)
+    return priorities, converted, "converted" if converted else reason
+
+
 class HyperblockFormation:
     """Runs hammock if-conversion over one function, in place."""
 
@@ -153,7 +208,7 @@ class HyperblockFormation:
         profile: FunctionProfile,
         priority: HyperblockPriority = impact_priority,
         rel_threshold: float = 0.10,
-        max_ops: int = 128,
+        max_ops: int = DEFAULT_MAX_OPS,
         max_chain_blocks: int = 8,
     ) -> None:
         self.function = function
@@ -298,50 +353,18 @@ class HyperblockFormation:
             self._path_info(head_label, "fall", fall_chain,
                             fall_chain[0] if fall_chain else None, join),
         ]
-        priorities = []
-        for index in range(len(paths)):
-            env = region_feature_env(paths, index)
-            try:
-                value = float(self.priority(env))
-            except (ArithmeticError, ValueError, OverflowError):
-                value = 0.0
-            if value != value:  # NaN
-                value = 0.0
-            priorities.append(value)
-
-        order = sorted(range(len(paths)), key=lambda i: -priorities[i])
-        best = priorities[order[0]]
-        selected = [order[0]]
         head_ops = len(self.function.blocks[head_label].instrs) - 1
-        total_ops = paths[order[0]].num_ops
-        max_height = paths[order[0]].dep_height
-        reason = "secondary path rejected"
-        for index in order[1:]:
-            value = priorities[index]
-            if best <= 0.0 or value <= 0.0:
-                reason = "non-positive priority"
-                continue
-            if value < self.rel_threshold * best:
-                reason = "below relative threshold"
-                continue
-            candidate_ops = total_ops + paths[index].num_ops - head_ops
-            candidate_height = max(max_height, paths[index].dep_height)
-            budget = self.machine.issue_width * candidate_height
-            if candidate_ops > budget or candidate_ops > self.max_ops:
-                reason = "resource budget exhausted"
-                continue
-            selected.append(index)
-            total_ops = candidate_ops
-            max_height = candidate_height
-
-        converted = len(selected) == len(paths)
+        priorities, converted, reason = decide(
+            paths, self.priority, self.machine, self.rel_threshold,
+            self.max_ops, head_ops)
         decision = RegionDecision(
             head=head_label,
             join=join,
             paths=paths,
             priorities=priorities,
             converted=converted,
-            reason="converted" if converted else reason,
+            reason=reason,
+            head_ops=head_ops,
         )
         self.report.decisions.append(decision)
         if not converted:
@@ -416,7 +439,7 @@ def form_hyperblocks(
     profile: FunctionProfile,
     priority: HyperblockPriority = impact_priority,
     rel_threshold: float = 0.10,
-    max_ops: int = 128,
+    max_ops: int = DEFAULT_MAX_OPS,
 ) -> HyperblockReport:
     """Convenience wrapper: run hyperblock formation on one function."""
     return HyperblockFormation(

@@ -195,6 +195,14 @@ class CompilerOptions:
         return updated
 
 
+def with_artifact(options: CompilerOptions) -> CompilerOptions:
+    """The options a backend compile runs under: ``options`` with its
+    ``heuristic_artifact`` (if any) installed in the hook it names."""
+    if options.heuristic_artifact is None:
+        return options
+    return options.heuristic_artifact.install(options)
+
+
 @dataclass
 class PreparedProgram:
     """Candidate-independent compilation state, cacheable per benchmark.
@@ -380,8 +388,7 @@ def run_prefix(prepared: PreparedProgram, options: CompilerOptions,
     ``verify_ir`` checkpoints for the prefix stages fire here, once per
     snapshot build rather than once per candidate (the replayed IR is
     identical every time)."""
-    if options.heuristic_artifact is not None:
-        options = options.heuristic_artifact.install(options)
+    options = with_artifact(options)
     if stage not in BACKEND_STAGES:
         raise ValueError(f"unknown backend stage {stage!r}")
     order = validate_backend_order(options.backend_order)
@@ -421,8 +428,7 @@ def compile_backend(
     returns true the compile ends there: the remaining stages are
     skipped and the scheduled module returned is ``None``."""
     options = options or prepared.options
-    if options.heuristic_artifact is not None:
-        options = options.heuristic_artifact.install(options)
+    options = with_artifact(options)
     order = validate_backend_order(options.backend_order)
     if snapshot is None:
         working = prepared.module.clone()

@@ -8,9 +8,10 @@ and pins the exact traffic of each layer in ``harness.py``'s list, so a
 layer that stops answering — or a new one that answers nothing — shows
 up as a changed number here and not in a profile months later.  A
 second campaign of the same size on ``hyperblock``, whose hook is the
-first backend stage (no snapshot), pins where the content-digest memo
-ends a compile: right after the hook's stage, before register
-allocation.
+first backend stage (no snapshot), pins the decision trie above the
+content-digest memo: a candidate whose if-conversion verdicts a compile
+already made is answered with no compile at all, and a compile the memo
+ends stops right after the hook's stage, before register allocation.
 
 The counts must not depend on set iteration order: CI runs this file
 under two ``PYTHONHASHSEED`` values.
@@ -109,8 +110,12 @@ def test_first_stage_hook_hits_end_before_regalloc():
     assert outcome["evaluations"] == 12
     assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (0, 0)
     assert (stats["compiles"], stats["digest_hits"], stats["sims"]) == (
-        14, 10, 4)
-    # every compile runs if-conversion; a hit skips the rest, the
+        4, 0, 4)
+    # 3 verdict vectors; their 10 repeats are answered by the trie, and
+    # the champion's first novel-dataset score compiles (the digest
+    # memo is keyed per dataset)
+    assert (stats["decision_hits"], stats["decision_vectors"]) == (10, 3)
+    # every compile runs if-conversion; a digest hit skips the rest, the
     # cleanup after if-conversion included
     assert runs("hyperblock") == stats["compiles"]
     assert runs("hyperblock_cleanup") == runs("regalloc") == runs(
