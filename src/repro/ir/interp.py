@@ -7,11 +7,12 @@ model.  Two jobs:
   register-allocated code; tests assert that its observable output (the
   ``out`` stream and return value) matches this interpreter's, which
   validates every transformation in the pipeline end to end.
-* **Profiling substrate.**  Every run counts each ``JMP`` taken and,
-  per ``BR``, its outcomes and a 2-bit predictor's mispredictions;
-  :mod:`repro.profile` reads those counts once, after the run, to
-  produce the ``exec_ratio`` and branch-predictability features of
-  Table 4.
+* **Profile reference.**  Every run counts each ``JMP`` taken and,
+  per ``BR``, its outcomes and a 2-bit predictor's mispredictions.
+  The training profile (the ``exec_ratio`` and branch-predictability
+  features of Table 4) is counted by the simulator's generated code in
+  profiling form; the differential oracle holds it to the profile
+  these counts give (``repro.profile.profiler.profile_from_counts``).
 
 Integer semantics are 64-bit two's complement (wrapping); division
 truncates toward zero, matching the MiniC frontend's documented rules.

@@ -58,17 +58,18 @@ What the generated code does itself and what it calls:
   misprediction inline, over ``Simulator.branch_counters`` and
   ``Simulator.branch_stats`` —
   :class:`~repro.machine.branch.TwoBitPredictor` is the reference this
-  inline update and the interpreter's (whose counts the profiler
-  reads) are tested against;
+  inline update, the profiling form's and the interpreter's are tested
+  against;
 * ``PREFETCH``, ``CALL``, ``FDIV``, the FTOI conversion and an L1 miss
   are calls.
 
 ``tests/machine/test_sim_inline_differential.py`` drives random traces
 through the generated code, one event per call and inside one inner
 loop, and through ``CacheHierarchy`` / ``TwoBitPredictor`` and
-requires equal charges and equal final state, and random 64-bit
-operands through each integer opcode and through ``apply_scalar_op``
-and requires equal results and faults.
+requires equal charges and equal final state (the branch traces in the
+profiling form too), and random 64-bit operands through each integer
+opcode and through ``apply_scalar_op`` and requires equal results and
+faults.
 
 The compiled code objects are cached at module level, keyed by the
 identity of the scheduled function (a content digest of its generated
@@ -84,6 +85,19 @@ translation that computes the key plus a cheap closure bind.  The
 bound functions close over the simulator, so ``run()`` drops them when
 it returns: a simulator is freed by reference counting, and a second
 ``run()`` binds again.
+
+The same translation has a profiling form, :class:`ProfilingRun`,
+which ``repro.profile.collect_profile`` runs on the training input.
+It translates an unscheduled module as it stands
+(:func:`program_order`: blocks in ``block_order``, one bundle each, the
+module's own ``Instr`` objects), so no scheduler runs and a block's
+operations execute in the interpreter's order.  Its generated code
+keeps no cache or cycle model; it counts each ``JMP`` taken and, per
+``BR``, the taken, not-taken and mispredicted outcomes of a 2-bit
+counter of its own in one flat list per function, and charges IR
+steps against ``max_steps`` as the interpreter does, a block's steps up
+to each ``CALL`` at once.  ``tests/profile/test_generated_profile.py``
+holds its profile to the one the interpreter's counters give.
 
 Fitness noise (Section 7.1): real-machine measurements are noisy; the
 simulator can inject multiplicative Gaussian noise into the final
@@ -101,15 +115,20 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro import obs
-from repro.ir.function import STACK_BASE
+from repro.ir.function import STACK_BASE, Module
 from repro.ir.instr import Instr, Opcode, Rel
-from repro.ir.interp import NONFINITE_FTOI, wrap_int
+from repro.ir.interp import NONFINITE_FTOI, RunResult, wrap_int
 from repro.ir.loops import find_loops
 from repro.ir.values import Imm, PReg, StackSlot, SymRef, VReg
 from repro.machine.branch import BranchStats, TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
 from repro.machine.descr import MachineDescription
-from repro.machine.vliw import ScheduledFunction, ScheduledModule
+from repro.machine.vliw import (
+    Bundle,
+    ScheduledBlock,
+    ScheduledFunction,
+    ScheduledModule,
+)
 
 
 @dataclass
@@ -145,15 +164,6 @@ _REL_PY = {
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
 
-#: What every ``__bind`` factory closes over: the simulator, its
-#: memory and output list, L1's sets / index mask / word-to-line shift
-#: / stats, the hierarchy's miss and prefetch methods, the predictor's
-#: counters and stats, the call hook and the two machine latencies.
-#: Geometry and latencies are bound, not baked, so generated source
-#: (and the codegen cache key) is the same on every machine.
-_BIND_PARAMS = ("S, MEM, OUTS, SETS, MASK, SHIFT, STATS, LOAD_MISS, "
-                "STORE_MISS, PREFETCH, COUNTERS, BRANCHES, CALL, L1, PEN")
-
 #: ``CacheLevel.probe`` on L1 for the word address in ``_a``, left
 #: open for the caller's own hit lines and its ``else:`` (miss) arm.
 _L1_LOOKUP = (
@@ -163,22 +173,6 @@ _L1_LOOKUP = (
     "    del _s[_n]",
     "    _s[_n] = None",
 )
-
-#: The counters a generated function keeps in locals of the same
-#: names, as amounts not yet added to ``S``.
-_COUNTERS = ("cycles", "bundles", "dynamic_ops", "squashed_ops",
-             "memory_stall", "branch_stall")
-
-#: Add the counters to ``S``: when the function returns or faults, and
-#: before a ``CALL`` (the callee charges ``S``), after which they
-#: restart at 0.
-_FLUSH = tuple(f"S.{name} += {name}" for name in _COUNTERS)
-_RESTART = " = ".join(_COUNTERS) + " = 0"
-
-#: The cycles the function may still add before the budget fault:
-#: computed on entry and after each ``CALL``.
-_LIMIT = "limit = S.max_cycles - S.cycles"
-
 
 def _indent(lines, depth: int) -> list[str]:
     return [" " * depth + line for line in lines]
@@ -276,39 +270,41 @@ def clear_codegen_cache() -> None:
         _codegen_misses = 0
 
 
-class Simulator:
-    """Executes scheduled code with cycle accounting."""
+class _Executor:
+    """What both translation forms share: the memory and its global
+    layout, frames and calls, the translation of each instruction and
+    the codegen cache.  A form sets the three class attributes below
+    and provides
 
-    def __init__(
-        self,
-        scheduled: ScheduledModule,
-        machine: MachineDescription,
-        max_cycles: int = 100_000_000,
-        noise_stddev: float = 0.0,
-        noise_seed: int = 0,
-    ) -> None:
+    * ``_control_keys(function)``: per ``BR`` (and, in the profiling
+      form, ``JMP``) uid, the key of its state in the bound counters;
+    * ``_form_lines(instr, src, dest, keys, jump)``: the lines of a
+      ``LOAD``, ``STORE``, ``PREFETCH``, ``BR`` or ``JMP``, ``src(i)``
+      being the i-th source's expression;
+    * ``_block_lines(function, label, reg_index, keys, jump)``: one
+      block's entry charges, budget check and instructions;
+    * ``_compile_function(function)``: the cached code and its bound
+      function for one run.
+    """
+
+    #: The counters a generated function keeps in locals of the same
+    #: names, as amounts not yet added to ``S``.
+    _COUNTERS: tuple[str, ...]
+    #: The line computing ``limit``, what the function may still add to
+    #: its budgeted counter before the budget fault: run on entry and
+    #: after each CALL.
+    _LIMIT: str
+    #: What every ``__bind`` factory closes over.
+    _BIND_PARAMS: str
+
+    def __init__(self, scheduled: ScheduledModule) -> None:
         self.scheduled = scheduled
-        self.machine = machine
-        self.max_cycles = max_cycles
-        self.noise_stddev = noise_stddev
-        self._noise_rng = random.Random(noise_seed)
-
-        self.caches = CacheHierarchy(machine)
-        #: the 2-bit predictor's state, updated by the generated code
-        self.branch_counters: dict[str, int] = {}
-        self.branch_stats = BranchStats()
         self.memory: dict[int, float | int] = {}
         self.outputs: list[float | int] = []
-        self.cycles = 0
-        self.dynamic_ops = 0
-        self.squashed_ops = 0
-        self.bundles = 0
-        self.memory_stall = 0
-        self.branch_stall = 0
         self._sp = STACK_BASE
         self._layout = scheduled.module.layout()
         #: name -> (code, bound function), for one run() only: the
-        #: bound functions close over the simulator
+        #: bound functions close over the executor
         self._compiled: dict[str, tuple[_FunctionCode, object]] = {}
         for name, array in scheduled.module.globals.items():
             base = self._layout[name]
@@ -335,59 +331,15 @@ class Simulator:
         length = array.size if count is None else count
         return [self.memory.get(base + i, 0) for i in range(length)]
 
-    def run(self, entry: str = "main",
-            args: tuple[float | int, ...] = ()) -> SimResult:
+    def _run(self, entry: str, args: tuple):
         if entry not in self.scheduled.functions:
             raise SimError(f"no scheduled function {entry!r}")
-        with obs.span("sim:run", entry=entry,
-                      module=self.scheduled.module.name):
-            try:
-                value = self._call(entry, tuple(args))
-            finally:
-                # drop the only references back to self, so the
-                # simulator is freed by reference counting
-                self._compiled.clear()
-        cycles = self.cycles
-        if self.noise_stddev > 0.0:
-            factor = max(0.5, self._noise_rng.gauss(1.0, self.noise_stddev))
-            cycles = int(round(cycles * factor))
-        level1 = self.caches.levels[0].stats
-        result = SimResult(
-            cycles=cycles,
-            return_value=value,
-            outputs=list(self.outputs),
-            dynamic_ops=self.dynamic_ops,
-            squashed_ops=self.squashed_ops,
-            bundles=self.bundles,
-            memory_stall_cycles=self.memory_stall,
-            branch_stall_cycles=self.branch_stall,
-            load_count=self.caches.loads,
-            l1_hit_rate=level1.hit_rate,
-            branch_accuracy=self.branch_stats.accuracy,
-            prefetch_count=self.caches.prefetches,
-        )
-        registry = obs.metrics()
-        if registry is not None:
-            self._record_metrics(registry, result, level1)
-        return result
-
-    def _record_metrics(self, registry, result: SimResult, level1) -> None:
-        """Aggregate counters, recorded once per run() — never in the
-        generated inner-loop code, so the fast path stays untouched."""
-        registry.inc("sim.runs")
-        registry.inc("sim.cycles", result.cycles)
-        registry.inc("sim.dynamic_ops", result.dynamic_ops)
-        registry.inc("sim.squashed_ops", result.squashed_ops)
-        registry.inc("sim.bundles", result.bundles)
-        registry.inc("sim.memory_stall_cycles", result.memory_stall_cycles)
-        registry.inc("sim.branch_stall_cycles", result.branch_stall_cycles)
-        registry.inc("sim.loads", result.load_count)
-        registry.inc("sim.l1_hits", level1.hits)
-        registry.inc("sim.l1_misses", level1.misses)
-        registry.inc("sim.prefetches", result.prefetch_count)
-        registry.inc("sim.branch_predictions", self.branch_stats.predictions)
-        registry.inc("sim.branch_mispredicts",
-                     self.branch_stats.mispredictions)
+        try:
+            return self._call(entry, tuple(args))
+        finally:
+            # drop the only references back to self, so the executor
+            # is freed by reference counting
+            self._compiled.clear()
 
     # -- execution ---------------------------------------------------------------
     def _call(self, name: str, args: tuple):
@@ -409,6 +361,15 @@ class Simulator:
             self._sp = frame_base
 
     # -- translation ---------------------------------------------------------------
+    def _flush(self) -> list[str]:
+        """Add the counters to ``S``: when the function returns or
+        faults, and before a ``CALL`` (the callee charges ``S``), after
+        which :meth:`_restart` sets them to 0."""
+        return [f"S.{name} += {name}" for name in self._COUNTERS]
+
+    def _restart(self) -> str:
+        return " = ".join(self._COUNTERS) + " = 0"
+
     def _operand_expr(self, operand, reg_index: dict) -> str:
         if isinstance(operand, (VReg, PReg)):
             return f"R[{reg_index[operand]}]"
@@ -421,9 +382,10 @@ class Simulator:
         raise SimError(f"cannot translate operand {operand!r}")
 
     def _instr_lines(self, instr: Instr, reg_index: dict,
-                     branch_keys: dict, jump) -> list[str]:
-        """Python source lines implementing one instruction.  ``jump``
-        gives the lines that go to a label."""
+                     keys: dict, jump) -> list[str]:
+        """Python source lines implementing one instruction.  ``keys``
+        is what :meth:`_control_keys` gave the function; ``jump`` gives
+        the lines that go to a label."""
         op = instr.op
         src = lambda i: self._operand_expr(instr.srcs[i], reg_index)
         dest = (f"R[{reg_index[instr.dest]}]"
@@ -481,28 +443,6 @@ class Simulator:
                 f"{dest} = _t",
                 f"{dest2} = not _t",
             ]
-        if op is Opcode.LOAD:
-            return [
-                f"_a = {src(0)}",
-                *_L1_LOOKUP,
-                "    STATS.hits += 1",
-                "else:",
-                "    _l = LOAD_MISS(_a)",
-                "    if _l > L1:",
-                "        cycles += _l - L1",
-                "        memory_stall += _l - L1",
-                f"{dest} = MEM[_a] if _a in MEM else 0",
-            ]
-        if op is Opcode.STORE:
-            return [
-                f"_a = {src(0)}",
-                *_L1_LOOKUP,
-                "else:",
-                "    STORE_MISS(_a)",
-                f"MEM[_a] = {src(1)}",
-            ]
-        if op is Opcode.PREFETCH:
-            return [f"PREFETCH({src(0)})"]
         if op is Opcode.OUT:
             return [f"OUTS.append({src(0)})"]
         if op is Opcode.CALL:
@@ -511,50 +451,24 @@ class Simulator:
             if dest is not None:
                 call = f"{dest} = {call}"
             # the callee charges S and checks the budget on it
-            return [*_FLUSH, _RESTART, call, _LIMIT]
-        if op is Opcode.BR:
-            # TwoBitPredictor.update, unrolled per outcome: a counter
-            # moves unless saturated, and only a counter that moves
-            # can have been on the wrong side.
-            key = repr(branch_keys[instr.uid])
-            mispredicted = _indent((
-                "BRANCHES.mispredictions += 1",
-                "cycles += PEN",
-                "branch_stall += PEN",
-            ), 12)
-            return [
-                "BRANCHES.predictions += 1",
-                f"_c = COUNTERS[{key}] if {key} in COUNTERS "
-                f"else {TwoBitPredictor.INIT}",
-                f"if {src(0)}:",
-                "    if _c < 3:",
-                f"        COUNTERS[{key}] = _c + 1",
-                "        if _c < 2:",
-                *mispredicted,
-                *_indent(jump(instr.targets[0]), 4),
-                "else:",
-                "    if _c > 0:",
-                f"        COUNTERS[{key}] = _c - 1",
-                "        if _c > 1:",
-                *mispredicted,
-                *_indent(jump(instr.targets[1]), 4),
-            ]
-        if op is Opcode.JMP:
-            return jump(instr.targets[0])
+            return [*self._flush(), self._restart(), call, self._LIMIT]
         if op is Opcode.RET:
             value = src(0) if instr.srcs else "None"
             return [f"return {value}"]
-        raise SimError(f"unimplemented opcode {op}")  # pragma: no cover
+        lines = self._form_lines(instr, src, dest, keys, jump)
+        if lines is None:  # pragma: no cover
+            raise SimError(f"unimplemented opcode {op}")
+        return lines
 
     def _translate_function(
         self, function: ScheduledFunction
     ) -> tuple[str, list[int], int]:
         """Generate instance-independent Python source for a scheduled
         function: one ``__bind`` factory whose closure parameters carry
-        all per-simulation state, returning ``__function(R, fb)`` with
-        one arm per block or innermost loop (the module docstring has
-        the shape).  Arms come in layout order, never in the set order
-        of ``Loop.body``.  Returns the source, the parameter register
+        all per-run state, returning ``__function(R, fb)`` with one arm
+        per block or innermost loop (the module docstring has the
+        shape).  Arms come in layout order, never in the set order of
+        ``Loop.body``.  Returns the source, the parameter register
         indices and the register count."""
         reg_index: dict = {}
 
@@ -567,12 +481,6 @@ class Simulator:
 
         for param in function.params:
             index_of(param)
-        # Deterministic branch-predictor keys: instruction uids are a
-        # process-global counter, so baking them into generated code
-        # would make recompiles of the same binary cache-miss.  Keys
-        # need only be unique per module (function names are), stable
-        # across recompiles, and injective per branch.
-        branch_keys: dict = {}
         for label in function.block_order:
             instrs = function.blocks[label].flat_instructions()
             # An arm ends where its block's terminator jumps or falls
@@ -588,10 +496,7 @@ class Simulator:
                     index_of(reg)
                 for reg in instr.writes():
                     index_of(reg)
-                if instr.op is Opcode.BR:
-                    branch_keys[instr.uid] = (
-                        f"{function.name}:{len(branch_keys)}"
-                    )
+        keys = self._control_keys(function)
 
         at_of = {label: index
                  for index, label in enumerate(function.block_order)}
@@ -610,15 +515,14 @@ class Simulator:
                 return [f"at = {at_of[target]}", "continue"]
 
             return [" " * depth + f"if at == {at_of[label]}:",
-                    *_indent(self._block_lines(function.blocks[label],
-                                               reg_index, branch_keys, jump),
-                             depth + 4)]
+                    *_indent(self._block_lines(function, label, reg_index,
+                                               keys, jump), depth + 4)]
 
         lines = [
-            f"def __bind({_BIND_PARAMS}):",
+            f"def __bind({self._BIND_PARAMS}):",
             "    def __function(R, fb):",
-            f"        {_RESTART}",
-            f"        {_LIMIT}",
+            f"        {self._restart()}",
+            f"        {self._LIMIT}",
             f"        at = {at_of[function.entry_label]}",
             "        try:",
             "            while True:",
@@ -635,35 +539,11 @@ class Simulator:
                         lines.extend(arm(member, loop.body, 24))
                 lines.append("                    continue")
         lines.append("        finally:")
-        lines.extend(_indent(_FLUSH, 12))
+        lines.extend(_indent(self._flush(), 12))
         lines.append("    return __function")
         source = "\n".join(lines)
         param_indices = [reg_index[param] for param in function.params]
         return source, param_indices, len(reg_index)
-
-    def _block_lines(self, block, reg_index: dict, branch_keys: dict,
-                     jump) -> list[str]:
-        """One block's entry charges, budget check and instructions;
-        ``jump`` as for :meth:`_instr_lines`."""
-        lines = [
-            f"cycles += {block.cycles}",
-            f"bundles += {block.cycles}",
-            f"dynamic_ops += {block.op_count}",
-            "if cycles > limit:",
-            "    raise SimError('cycle budget exceeded')",
-        ]
-        for instr in block.flat_instructions():
-            instr_lines = self._instr_lines(instr, reg_index, branch_keys,
-                                            jump)
-            if instr.guard is not None:
-                lines.append(f"if R[{reg_index[instr.guard]}]:")
-                lines.extend(_indent(instr_lines, 4))
-                lines.append("else:")
-                lines.append("    squashed_ops += 1")
-                lines.append("    dynamic_ops -= 1")
-            else:
-                lines.extend(instr_lines)
-        return lines
 
     def _function_code(self, function: ScheduledFunction) -> _FunctionCode:
         """Translate-or-recall: the exec/compile step is cached at
@@ -704,6 +584,187 @@ class Simulator:
                 _CODEGEN_CACHE.popitem(last=False)
         return code
 
+
+class Simulator(_Executor):
+    """Executes scheduled code with cycle accounting."""
+
+    _COUNTERS = ("cycles", "bundles", "dynamic_ops", "squashed_ops",
+                 "memory_stall", "branch_stall")
+    _LIMIT = "limit = S.max_cycles - S.cycles"
+    #: The simulator, its memory and output list, L1's sets / index
+    #: mask / word-to-line shift / stats, the hierarchy's miss and
+    #: prefetch methods, the predictor's counters and stats, the call
+    #: hook and the two machine latencies.  Geometry and latencies are
+    #: bound, not baked, so generated source (and the codegen cache
+    #: key) is the same on every machine.
+    _BIND_PARAMS = ("S, MEM, OUTS, SETS, MASK, SHIFT, STATS, LOAD_MISS, "
+                    "STORE_MISS, PREFETCH, COUNTERS, BRANCHES, CALL, L1, PEN")
+
+    def __init__(
+        self,
+        scheduled: ScheduledModule,
+        machine: MachineDescription,
+        max_cycles: int = 100_000_000,
+        noise_stddev: float = 0.0,
+        noise_seed: int = 0,
+    ) -> None:
+        super().__init__(scheduled)
+        self.machine = machine
+        self.max_cycles = max_cycles
+        self.noise_stddev = noise_stddev
+        self._noise_rng = random.Random(noise_seed)
+
+        self.caches = CacheHierarchy(machine)
+        #: the 2-bit predictor's state, updated by the generated code
+        self.branch_counters: dict[str, int] = {}
+        self.branch_stats = BranchStats()
+        self.cycles = 0
+        self.dynamic_ops = 0
+        self.squashed_ops = 0
+        self.bundles = 0
+        self.memory_stall = 0
+        self.branch_stall = 0
+
+    # -- public API -----------------------------------------------------------
+    def run(self, entry: str = "main",
+            args: tuple[float | int, ...] = ()) -> SimResult:
+        with obs.span("sim:run", entry=entry,
+                      module=self.scheduled.module.name):
+            value = self._run(entry, args)
+        cycles = self.cycles
+        if self.noise_stddev > 0.0:
+            factor = max(0.5, self._noise_rng.gauss(1.0, self.noise_stddev))
+            cycles = int(round(cycles * factor))
+        level1 = self.caches.levels[0].stats
+        result = SimResult(
+            cycles=cycles,
+            return_value=value,
+            outputs=list(self.outputs),
+            dynamic_ops=self.dynamic_ops,
+            squashed_ops=self.squashed_ops,
+            bundles=self.bundles,
+            memory_stall_cycles=self.memory_stall,
+            branch_stall_cycles=self.branch_stall,
+            load_count=self.caches.loads,
+            l1_hit_rate=level1.hit_rate,
+            branch_accuracy=self.branch_stats.accuracy,
+            prefetch_count=self.caches.prefetches,
+        )
+        registry = obs.metrics()
+        if registry is not None:
+            self._record_metrics(registry, result, level1)
+        return result
+
+    def _record_metrics(self, registry, result: SimResult, level1) -> None:
+        """Aggregate counters, recorded once per run() — never in the
+        generated inner-loop code, so the fast path stays untouched."""
+        registry.inc("sim.runs")
+        registry.inc("sim.cycles", result.cycles)
+        registry.inc("sim.dynamic_ops", result.dynamic_ops)
+        registry.inc("sim.squashed_ops", result.squashed_ops)
+        registry.inc("sim.bundles", result.bundles)
+        registry.inc("sim.memory_stall_cycles", result.memory_stall_cycles)
+        registry.inc("sim.branch_stall_cycles", result.branch_stall_cycles)
+        registry.inc("sim.loads", result.load_count)
+        registry.inc("sim.l1_hits", level1.hits)
+        registry.inc("sim.l1_misses", level1.misses)
+        registry.inc("sim.prefetches", result.prefetch_count)
+        registry.inc("sim.branch_predictions", self.branch_stats.predictions)
+        registry.inc("sim.branch_mispredicts",
+                     self.branch_stats.mispredictions)
+
+    # -- translation ---------------------------------------------------------------
+    def _control_keys(self, function: ScheduledFunction) -> dict:
+        # Deterministic branch-predictor keys: instruction uids are a
+        # process-global counter, so baking them into generated code
+        # would make recompiles of the same binary cache-miss.  Keys
+        # need only be unique per module (function names are), stable
+        # across recompiles, and injective per branch.
+        keys: dict = {}
+        for label in function.block_order:
+            for instr in function.blocks[label].flat_instructions():
+                if instr.op is Opcode.BR:
+                    keys[instr.uid] = f"{function.name}:{len(keys)}"
+        return keys
+
+    def _form_lines(self, instr: Instr, src, dest: str | None, keys: dict,
+                    jump) -> list[str] | None:
+        op = instr.op
+        if op is Opcode.LOAD:
+            return [
+                f"_a = {src(0)}",
+                *_L1_LOOKUP,
+                "    STATS.hits += 1",
+                "else:",
+                "    _l = LOAD_MISS(_a)",
+                "    if _l > L1:",
+                "        cycles += _l - L1",
+                "        memory_stall += _l - L1",
+                f"{dest} = MEM[_a] if _a in MEM else 0",
+            ]
+        if op is Opcode.STORE:
+            return [
+                f"_a = {src(0)}",
+                *_L1_LOOKUP,
+                "else:",
+                "    STORE_MISS(_a)",
+                f"MEM[_a] = {src(1)}",
+            ]
+        if op is Opcode.PREFETCH:
+            return [f"PREFETCH({src(0)})"]
+        if op is Opcode.BR:
+            # TwoBitPredictor.update, unrolled per outcome: a counter
+            # moves unless saturated, and only a counter that moves
+            # can have been on the wrong side.
+            key = repr(keys[instr.uid])
+            mispredicted = _indent((
+                "BRANCHES.mispredictions += 1",
+                "cycles += PEN",
+                "branch_stall += PEN",
+            ), 12)
+            return [
+                "BRANCHES.predictions += 1",
+                f"_c = COUNTERS[{key}] if {key} in COUNTERS "
+                f"else {TwoBitPredictor.INIT}",
+                f"if {src(0)}:",
+                "    if _c < 3:",
+                f"        COUNTERS[{key}] = _c + 1",
+                "        if _c < 2:",
+                *mispredicted,
+                *_indent(jump(instr.targets[0]), 4),
+                "else:",
+                "    if _c > 0:",
+                f"        COUNTERS[{key}] = _c - 1",
+                "        if _c > 1:",
+                *mispredicted,
+                *_indent(jump(instr.targets[1]), 4),
+            ]
+        if op is Opcode.JMP:
+            return jump(instr.targets[0])
+        return None
+
+    def _block_lines(self, function: ScheduledFunction, label: str,
+                     reg_index: dict, keys: dict, jump) -> list[str]:
+        block = function.blocks[label]
+        lines = [
+            f"cycles += {block.cycles}",
+            f"bundles += {block.cycles}",
+            f"dynamic_ops += {block.op_count}",
+            "if cycles > limit:",
+            "    raise SimError('cycle budget exceeded')",
+        ]
+        for instr in block.flat_instructions():
+            instr_lines = self._instr_lines(instr, reg_index, keys, jump)
+            if instr.guard is not None:
+                lines.append(f"if R[{reg_index[instr.guard]}]:")
+                lines.extend(_indent(instr_lines, 4))
+                lines.append("else:")
+                lines.append("    squashed_ops += 1")
+                lines.append("    dynamic_ops -= 1")
+            else:
+                lines.extend(instr_lines)
+        return lines
+
     def _compile_function(
         self, function: ScheduledFunction
     ) -> tuple[_FunctionCode, object]:
@@ -726,3 +787,163 @@ class Simulator:
             L1=self.machine.load_latency,
             PEN=self.machine.mispredict_penalty,
         )
+
+
+def program_order(module: Module) -> ScheduledModule:
+    """``module`` laid out as it stands: every block one bundle holding
+    its instructions in order, blocks in ``block_order``, and the
+    module's own ``Instr`` objects throughout."""
+    return ScheduledModule(module, {
+        name: ScheduledFunction(
+            name, function.params, function.frame_words,
+            {label: ScheduledBlock(label, [Bundle(list(block.instrs))])
+             for label, block in function.blocks.items()},
+            list(function.block_order))
+        for name, function in module.functions.items()
+    })
+
+
+class ProfilingRun(_Executor):
+    """The profiling form: executes an unscheduled module in
+    :func:`program_order`, as the interpreter does, and counts its
+    control flow instead of timing it.
+
+    Every run counts each ``JMP`` taken and, per ``BR``, its taken and
+    not-taken outcomes and the mispredictions of a 2-bit counter of its
+    own (``TwoBitPredictor``'s update); :meth:`control_counts` returns
+    them in the shape of ``Interpreter.control_counts``.  IR steps are
+    charged against ``max_steps`` as the interpreter charges them, one
+    per instruction reached; a block's are charged in segments, each
+    ending at a ``CALL`` or the terminator, so a budget overrun faults
+    before the same call or terminator as the interpreter's.  Faults
+    raise :class:`SimError`.
+
+    The counts equal the interpreter's on IR the verifier accepts
+    (``repro.verify.ir_verifier``); the register file starts at zero,
+    so only a read of a register no path defined could differ.
+    """
+
+    _COUNTERS = ("steps", "blocks")
+    _LIMIT = "limit = S.max_steps - S.steps"
+    #: The run, its memory and output list, the function's control-flow
+    #: counts and the call hook.
+    _BIND_PARAMS = "S, MEM, OUTS, C, CALL"
+
+    def __init__(self, module: Module, max_steps: int = 10_000_000) -> None:
+        super().__init__(program_order(module))
+        self.max_steps = max_steps
+        self.steps = 0
+        self.blocks = 0
+        #: function name -> its control-flow counts, in the order the
+        #: run first entered the functions (:meth:`control_counts`)
+        self._counts: dict[str, list[int]] = {}
+
+    def run(self, entry: str = "main",
+            args: tuple[float | int, ...] = ()) -> RunResult:
+        value = self._run(entry, args)
+        return RunResult(return_value=value, outputs=list(self.outputs),
+                         steps=self.steps, blocks_executed=self.blocks)
+
+    def control_counts(self) -> dict[str, list[tuple]]:
+        """``Interpreter.control_counts`` of this run: per function it
+        entered, in that order, one ``(label, instr, counter)`` per
+        ``JMP`` and ``BR`` in the order of the function's blocks.  A
+        ``JMP``'s counter is ``[times taken]``; a ``BR``'s is ``[2-bit
+        state, mispredictions, taken, not taken]``.  They hold the
+        counts up to a fault too."""
+        return {
+            name: [(label, instr, counts[slot:slot + width])
+                   for label, instr, slot, width
+                   in _control_slots(self.scheduled.functions[name])]
+            for name, counts in self._counts.items()
+        }
+
+    def _control_keys(self, function: ScheduledFunction) -> dict:
+        return {instr.uid: slot
+                for _label, instr, slot, _width in _control_slots(function)}
+
+    def _form_lines(self, instr: Instr, src, dest: str | None, keys: dict,
+                    jump) -> list[str] | None:
+        op = instr.op
+        if op is Opcode.LOAD:
+            return [f"_a = {src(0)}",
+                    f"{dest} = MEM[_a] if _a in MEM else 0"]
+        if op is Opcode.STORE:
+            return [f"MEM[{src(0)}] = {src(1)}"]
+        if op is Opcode.PREFETCH:
+            return ["pass"]
+        if op is Opcode.BR:
+            # [state, mispredictions, taken, not taken] at C[k:k + 4];
+            # the state moves as in the timing form's update
+            k = keys[instr.uid]
+            return [
+                f"_c = C[{k}]",
+                f"if {src(0)}:",
+                f"    C[{k + 2}] += 1",
+                "    if _c < 3:",
+                f"        C[{k}] = _c + 1",
+                "        if _c < 2:",
+                f"            C[{k + 1}] += 1",
+                *_indent(jump(instr.targets[0]), 4),
+                "else:",
+                f"    C[{k + 3}] += 1",
+                "    if _c > 0:",
+                f"        C[{k}] = _c - 1",
+                "        if _c > 1:",
+                f"            C[{k + 1}] += 1",
+                *_indent(jump(instr.targets[1]), 4),
+            ]
+        if op is Opcode.JMP:
+            return [f"C[{keys[instr.uid]}] += 1", *jump(instr.targets[0])]
+        return None
+
+    def _block_lines(self, function: ScheduledFunction, label: str,
+                     reg_index: dict, keys: dict, jump) -> list[str]:
+        # Steps are charged per segment: up to and including each CALL
+        # (the callee charges S), then up to the terminator.
+        segments: list[list[Instr]] = [[]]
+        for instr in function.blocks[label].flat_instructions():
+            segments[-1].append(instr)
+            if instr.op is Opcode.CALL:
+                segments.append([])
+        overrun = f"step budget exceeded in {function.name}"
+        lines = ["blocks += 1"]
+        for segment in segments:
+            lines += [f"steps += {len(segment)}",
+                      "if steps > limit:",
+                      f"    raise SimError({overrun!r})"]
+            for instr in segment:
+                instr_lines = self._instr_lines(instr, reg_index, keys,
+                                                jump)
+                if instr.guard is not None:
+                    lines.append(f"if R[{reg_index[instr.guard]}]:")
+                    lines.extend(_indent(instr_lines, 4))
+                else:
+                    lines.extend(instr_lines)
+        return lines
+
+    def _compile_function(
+        self, function: ScheduledFunction
+    ) -> tuple[_FunctionCode, object]:
+        code = self._function_code(function)
+        counts = self._counts.get(function.name)
+        if counts is None:
+            counts = self._counts[function.name] = []
+            for _label, instr, _slot, _width in _control_slots(function):
+                counts += ([TwoBitPredictor.INIT, 0, 0, 0]
+                           if instr.op is Opcode.BR else [0])
+        return code, code.bind(S=self, MEM=self.memory, OUTS=self.outputs,
+                               C=counts, CALL=self._call)
+
+
+def _control_slots(function: ScheduledFunction):
+    """The profiling form's counts of ``function``: per ``JMP`` and
+    ``BR``, in the order of ``function.blocks``, ``(label, instr,
+    first slot, width)``; a ``JMP`` takes one slot, a ``BR`` four."""
+    slot = 0
+    for label, block in function.blocks.items():
+        for instr in block.flat_instructions():
+            if instr.op is Opcode.JMP or instr.op is Opcode.BR:
+                width = 1 if instr.op is Opcode.JMP else 4
+                yield label, instr, slot, width
+                slot += width

@@ -277,8 +277,8 @@ def _priority_key(priority) -> tuple:
             _native_sequence(priority))
 
 
-#: Step budget of the reference interpreter, for the training profile
-#: and the differential guard's reference run.
+#: Step budget of the training profile's run and of the differential
+#: guard's reference interpreter run.
 MAX_INTERP_STEPS = 10_000_000
 
 

@@ -3,12 +3,21 @@
 IMPACT's hyperblock heuristic consumes profile information
 (``exec_ratio`` comes "from a runtime profile"), and the paper adds
 branch-predictability statistics by modifying the profiler.  This
-module reproduces both: it executes a module under the functional
-interpreter, whose decoded rows count every CFG edge taken and run a
-2-bit predictor per static branch as they go
-(:meth:`Interpreter.control_counts`), and reads those counts once,
-after the run, into per-function edge and block counts, loop trip
-counts and per-branch predictability and taken ratio.
+module reproduces both: it executes a module as generated Python, the
+simulator's translation in profiling form
+(:class:`~repro.machine.sim.ProfilingRun`: the module's own blocks in
+program order, no scheduler, no timing), whose code counts every CFG
+edge taken and runs a 2-bit predictor per static branch as it goes,
+and reads those counts once, after the run, into per-function edge and
+block counts, loop trip counts and per-branch predictability and taken
+ratio (:func:`profile_from_counts`).
+
+The functional interpreter counts the same things in its decode
+(``Interpreter.control_counts``), and :func:`profile_from_counts`
+turns either producer's counts into a profile, so only the counting
+differs.  The interpreter's are the reference: the differential
+oracle's ``profile`` channel (``repro.verify.differential``) holds the
+generated profile to them on every ``repro verify`` and fuzz run.
 
 Profiles are collected **on the training input** only; candidates are
 then compiled with this fixed profile and evaluated on train or novel
@@ -23,7 +32,8 @@ from dataclasses import dataclass, field
 
 from repro.ir.function import Module
 from repro.ir.instr import Opcode
-from repro.ir.interp import Interpreter, InterpError, RunResult
+from repro.ir.interp import RunResult
+from repro.machine.sim import ProfilingRun, SimError
 
 
 @dataclass
@@ -71,27 +81,41 @@ def collect_profile(
     """Run ``module`` on ``inputs`` and collect the profile.
 
     ``inputs`` maps global array names to their contents (the benchmark
-    dataset).  Branch statistics are keyed by instruction uid, edge,
-    block and loop statistics by block label.
+    dataset).  The run is the module's generated code in profiling form
+    (:class:`~repro.machine.sim.ProfilingRun`); branch statistics are
+    keyed by instruction uid, edge, block and loop statistics by block
+    label.
     """
-    profile = ModuleProfile()
-    interp = Interpreter(module, max_steps=max_steps)
+    run = ProfilingRun(module, max_steps=max_steps)
     for name, values in (inputs or {}).items():
-        interp.set_global(name, values)
+        run.set_global(name, values)
     try:
-        result = interp.run(entry=entry, args=args)
-    except InterpError:
+        result = run.run(entry=entry, args=args)
+    except SimError:
         # A program that faults on the training input (e.g. division by
         # zero) still has to compile; the counts collected up to the
         # fault are the best profile available.
         result = None
+    return profile_from_counts(module, run.control_counts(), result)
+
+
+def profile_from_counts(
+    module: Module,
+    control_counts: dict[str, list[tuple]],
+    result: RunResult | None,
+) -> ModuleProfile:
+    """The profile of one run of ``module`` from its control-flow
+    counts, in the shape of ``Interpreter.control_counts`` (which
+    ``ProfilingRun.control_counts`` shares), and its result (None when
+    it faulted).  Functions come in the order the run first entered
+    them, then the rest in module order."""
+    profile = ModuleProfile()
     if result is not None:
         profile.run_result = result
         profile.total_steps = result.steps
 
-    # The counts the run left in the decode; a block is counted once
-    # per edge into it.
-    for name, terminators in interp.control_counts().items():
+    # A block is counted once per edge into it.
+    for name, terminators in control_counts.items():
         func_profile = profile.function(name)
         edge_counts = func_profile.edge_counts
         block_counts = func_profile.block_counts

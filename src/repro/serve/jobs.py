@@ -683,7 +683,7 @@ def run_compile(params: dict, registry=None) -> dict:
     inputs = params.get("inputs") or {}
     if not isinstance(inputs, dict):
         raise ValueError("'inputs' must be a JSON object of globals")
-    # each value goes into the profiling interpreter as it is
+    # each value goes into the profiling run as it is
     for name, values in inputs.items():
         if type(values) is not list or not all(map(_is_number, values)):
             raise ValueError(

@@ -14,6 +14,12 @@ two must agree bit-for-bit on every observable:
   reorder the fault point but not to add or remove one on the executed
   path.
 
+The same interpreter run also checks the training profile: ``prepare``
+collects it from generated code (``ProfilingRun``), and the ``profile``
+channel holds it to the profile the interpreter's own control-flow
+counters give for that run (:func:`compare_profiles`), at no extra
+execution.
+
 ``run_differential`` compiles one MiniC source under a given
 :class:`~repro.passes.pipeline.CompilerOptions`, runs both engines on
 the same inputs, and reports the first difference as a structured
@@ -41,6 +47,7 @@ from repro.passes.pipeline import (
     compile_backend,
     prepare,
 )
+from repro.profile.profiler import ModuleProfile, profile_from_counts
 from repro.verify.ir_verifier import IRVerifyError
 
 Inputs = dict[str, list]
@@ -75,7 +82,8 @@ def _first_diff(left: list, right: list) -> int | None:
 class Divergence:
     """One observable difference between the two engines."""
 
-    channel: str  # "fault" | "return" | "out" | "global" | "verify"
+    #: "fault" | "return" | "out" | "global" | "verify" | "profile"
+    channel: str
     detail: str
     #: differing global's name ("" for non-global channels)
     symbol: str = ""
@@ -216,6 +224,41 @@ def compare_executions(
     return divergences
 
 
+def _profile_fields(profile: ModuleProfile) -> dict[str, str]:
+    """Everything a profile holds, in its order, as text: function
+    order, each function's counts in insertion order, and the run's
+    observables, steps and blocks (``repr`` keeps NaN equal to NaN and
+    ``-0.0`` apart from ``0.0``, as :func:`values_equal` does)."""
+    run = profile.run_result
+    fields = {"functions": repr(list(profile.functions))}
+    for name, function in profile.functions.items():
+        for field_name in ("edge_counts", "block_counts", "branch_accuracy",
+                           "branch_taken_ratio", "loop_trips"):
+            fields[f"{name}.{field_name}"] = repr(
+                list(getattr(function, field_name).items()))
+    fields["total_steps"] = repr(profile.total_steps)
+    fields["run_result"] = repr(None if run is None else (
+        run.return_value, run.outputs, run.steps, run.blocks_executed))
+    return fields
+
+
+def compare_profiles(generated: ModuleProfile,
+                     reference: ModuleProfile) -> list[Divergence]:
+    """The ``profile`` channel: the first field in which the profile
+    collected from generated code differs from the one the reference
+    interpreter's counters give for the same run."""
+    ours, theirs = _profile_fields(generated), _profile_fields(reference)
+    for key in {**theirs, **ours}:
+        if ours.get(key) != theirs.get(key):
+            return [Divergence(
+                channel="profile",
+                detail=f"training profile differs in {key}",
+                interp_value=theirs.get(key),
+                sim_value=ours.get(key),
+            )]
+    return []
+
+
 def run_differential(
     source: str,
     inputs: Inputs | None = None,
@@ -230,7 +273,9 @@ def run_differential(
     point where the IR is machine-independent — and the simulator runs
     the scheduled binary, so the comparison covers every candidate-
     dependent transformation: hyperblock formation, prefetching,
-    register allocation and scheduling.
+    register allocation and scheduling.  With ``entry`` ``main`` the
+    interpreter's run also checks ``prepared.profile``, which came from
+    the same inputs and step budget (the ``profile`` channel).
     """
     options = options or CompilerOptions()
     inputs = inputs or {}
@@ -286,6 +331,11 @@ def run_differential(
         interp_result, sim_result, interp_globals, sim_globals,
         interp_fault, sim_fault,
     )
+    if entry == "main":  # the entry ``prepare`` profiles
+        divergences += compare_profiles(
+            prepared.profile,
+            profile_from_counts(prepared.module, interp.control_counts(),
+                                interp_result))
     return DifferentialResult(
         equivalent=not divergences,
         divergences=divergences,

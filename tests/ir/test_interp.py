@@ -408,7 +408,16 @@ class TestControlCounts:
     below was recorded from the ``on_edge``/``on_branch`` callbacks the
     interpreter had before the counters replaced them, and each
     expected ``BR`` state and misprediction count from a
-    ``TwoBitPredictor`` fed the outcomes those callbacks reported."""
+    ``TwoBitPredictor`` fed the outcomes those callbacks reported.  The
+    ``collect_profile`` cases run the generated code's profiling form,
+    with the interpreter barred, to the same expectations."""
+
+    @pytest.fixture
+    def no_interpreter(self, monkeypatch):
+        def barred(*_args, **_kwargs):
+            raise AssertionError("collect_profile ran the interpreter")
+
+        monkeypatch.setattr(Interpreter, "_call", barred)
 
     LOOP = """
     void main() {
@@ -449,7 +458,8 @@ class TestControlCounts:
             if instr.op is Opcode.BR:
                 assert counter is interp._branch_counters[instr.uid]
 
-    def test_division_by_zero_mid_loop_keeps_the_profile(self):
+    def test_division_by_zero_mid_loop_keeps_the_profile(
+            self, no_interpreter):
         module = compile_source("""
         int d[8];
         void main() {
@@ -513,7 +523,8 @@ class TestControlCounts:
         assert (interp.steps, interp.blocks_executed) == (steps, blocks)
         assert interp.outputs == [9]
 
-    def test_budget_overrun_in_a_nested_call_keeps_the_profile(self):
+    def test_budget_overrun_in_a_nested_call_keeps_the_profile(
+            self, no_interpreter):
         profile = collect_profile(compile_source(self.NESTED), max_steps=411)
         leaf = profile.functions["leaf"]
         assert leaf.edge_counts == {

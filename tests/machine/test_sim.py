@@ -394,9 +394,11 @@ def simulator_counters(simulator):
             simulator.branch_stall)
 
 
-def run_shape(shape):
-    make, inputs, args, max_cycles = LOOP_SHAPES[shape]
-    scheduled, module = make()
+def run_shape(shape, built):
+    """Run ``shape``'s binary and reference module, ``built`` by its
+    maker, on the simulator and the interpreter."""
+    _make, inputs, args, max_cycles = LOOP_SHAPES[shape]
+    scheduled, module = built
     simulator = Simulator(scheduled, DEFAULT_EPIC,
                           max_cycles=max_cycles or 100_000_000)
     interpreter = Interpreter(module)
@@ -443,8 +445,11 @@ class TestLoopRegions:
 
     @pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
     def test_shape(self, shape):
+        # built first: preparing ``predicated`` runs its training
+        # profile, which is generated code too
+        built = LOOP_SHAPES[shape][0]()
         calls, (simulator, interpreter, (simulated, interpreted)) = \
-            sim_frame_calls(lambda: run_shape(shape))
+            sim_frame_calls(lambda: run_shape(shape, built))
         counters, fault = LOOP_SHAPE_COUNTERS[shape]
         assert simulated[1] == fault
         assert simulator_counters(simulator) == counters

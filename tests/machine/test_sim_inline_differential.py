@@ -7,7 +7,9 @@ each — ``CacheHierarchy.load/store/prefetch``,
 — and require the same charge per event, the same results and faults,
 and the same state at the end.  The memory and branch events run both
 one per call and inside one loop, whose generated code keeps the
-counters in locals."""
+counters in locals.  The branch traces also run through the profiling
+form (``ProfilingRun``), whose per-branch counts must be the
+predictor's."""
 
 from functools import cache
 
@@ -37,7 +39,7 @@ from repro.machine import descr
 from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
 from repro.machine.descr import CacheLevelConfig, MachineDescription
-from repro.machine.sim import SimError, Simulator
+from repro.machine.sim import ProfilingRun, SimError, Simulator
 from repro.passes.schedule import schedule_module
 from tests.machine.test_sim import sim_frame_calls
 
@@ -367,6 +369,88 @@ def test_events_in_a_loop_match_the_references(machine, data):
     assert result.cycles == result.bundles + result.memory_stall_cycles \
         + result.branch_stall_cycles
     assert simulator.branch_counters == predictor._counters, trace
+
+
+def profiled_branches(run: ProfilingRun) -> dict:
+    """Per function and ``BR`` in block order, its profiling-form counts
+    ``[2-bit state, mispredictions, taken, not taken]``."""
+    return {name: [counter for _label, instr, counter in rows
+                   if instr.op is Opcode.BR]
+            for name, rows in run.control_counts().items()}
+
+
+def predicted(predictor: TwoBitPredictor, key, outcomes: list) -> list:
+    """What the profiling form must count for a branch that ``predictor``
+    has seen take ``outcomes``."""
+    return [predictor._counters[key],
+            predictor._per_branch[key].mispredictions,
+            sum(outcomes), len(outcomes) - sum(outcomes)]
+
+
+@settings(max_examples=50, deadline=None, phases=PHASES)
+@given(trace=st.lists(st.tuples(st.integers(0, BRANCHES - 1), st.booleans()),
+                      min_size=1, max_size=80))
+def test_profiled_branches_match_the_predictor(trace):
+    run = ProfilingRun(driver_module())
+    reference = TwoBitPredictor()
+    outcomes: dict[int, list] = {}
+    for index, taken in trace:
+        reference.update(index, taken)
+        outcomes.setdefault(index, []).append(taken)
+        assert run.run(f"br{index}", (0, 0, int(taken))).return_value \
+            == int(taken)
+    # functions in the order the runs first entered them
+    assert profiled_branches(run) == {
+        f"br{index}": [predicted(reference, index, taken)]
+        for index, taken in outcomes.items()}, trace
+
+
+@settings(max_examples=30, deadline=None, phases=PHASES)
+@given(data=st.data())
+def test_profiled_events_in_a_loop_match_the_references(data):
+    """The looped driver in profiling form: its outputs and memory are
+    the events', and its three branches count as the predictor does."""
+    trace = data.draw(accesses(TOY))
+    trace += data.draw(st.lists(
+        st.tuples(st.just("br"), st.just(0), st.booleans()),
+        max_size=LOOP_TRACE - len(trace)))
+    trace = data.draw(st.permutations(trace))
+    words = [address << 4 | LOOP_KINDS.index(kind) << 1 | int(flag)
+             for kind, address, flag in trace]
+    run = ProfilingRun(looped_driver_module())
+    run.set_global("trace", words)
+    result = run.run("walk", (len(trace),))
+
+    predictor = TwoBitPredictor()
+    outcomes: dict[str, list] = {"walk:0": [], "walk:1": [], "walk:2": []}
+
+    def branch(key, taken):
+        predictor.update(key, taken)
+        outcomes[key].append(taken)
+
+    memory = {GLOBAL_BASE + index: word for index, word in enumerate(words)}
+    outputs = []
+    for step, (kind, address, flag) in enumerate(trace):
+        address += DATA_BASE
+        branch("walk:0", True)
+        if kind == "ld" or (kind == "gld" and flag):
+            outputs.append(memory.get(address, 0))
+        elif kind == "gld":
+            outputs.append(-1)
+        elif kind == "st" or (kind == "gst" and flag):
+            memory[address] = step
+        branch("walk:1", kind == "br")
+        if kind == "br":
+            branch("walk:2", flag)
+    branch("walk:0", False)
+
+    assert result.return_value == len(trace)
+    assert result.outputs == outputs, trace
+    assert run.memory == memory, trace
+    assert profiled_branches(run) == {"walk": [
+        predicted(predictor, key, seen) if seen
+        else [TwoBitPredictor.INIT, 0, 0, 0]
+        for key, seen in outcomes.items()]}, trace
 
 
 INT_MIN = -(1 << 63)

@@ -1,24 +1,25 @@
-"""The profile the interpreter's inline counters produce.
+"""The profile the generated code's counters produce.
 
-``collect_profile`` reads the counts a run leaves in the interpreter's
-decode (``Interpreter.control_counts``).  These tests hold its branch
-statistics to ``TwoBitPredictor`` fed the same outcomes, pin how few
-Python frames a profiling run spends outside the interpreter, and hold
-the range-checked integer results of ``apply_scalar_op`` to
-``wrap_int`` of the exact result."""
+``collect_profile`` runs the module's generated code in profiling form
+and reads the counts the run leaves (``ProfilingRun.control_counts``).
+These tests hold its branch statistics to ``TwoBitPredictor`` fed the
+same outcomes, pin that a profiling run enters no interpreter frame and
+few Python frames at all, mark the entry count of a single-block
+callee as a known defect, and hold the range-checked integer results
+of ``apply_scalar_op`` to ``wrap_int`` of the exact result."""
 
 import sys
 from functools import cache
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.frontend import compile_source
 from repro.ir import interp as interp_mod
 from repro.ir.instr import Opcode
 from repro.ir.interp import apply_scalar_op, wrap_int
-from repro.machine import branch as branch_mod
 from repro.machine.branch import TwoBitPredictor
-from repro.profile import collect_profile, profiler as profiler_mod
+from repro.profile import collect_profile
 from repro.suite.registry import get as get_benchmark
 
 PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
@@ -76,23 +77,26 @@ def test_branch_statistics_match_the_predictor(bits):
 
 
 def test_profiling_makes_no_call_per_edge_or_branch():
-    """One profiling run of ``unepic`` on its training input: the
-    profiler and the predictor model are entered a handful of times,
-    not once per edge or branch (54,910 frames before the counters
-    moved into the decode), and ``wrap_int`` only for results outside
-    64 bits (28,493 calls before the range check)."""
+    """One profiling run of ``unepic`` on its training input: no frame
+    of the ``Interpreter`` (which ran it until the profile moved to
+    generated code) and about 3,700 Python frames in all, nearly all
+    of them translating the module once, not one per edge, branch or
+    operation (54,910 profiler and predictor frames before the counters
+    moved into the interpreter's decode); ``wrap_int`` only for results
+    outside 64 bits (28,493 calls before the range check)."""
     bench = get_benchmark("unepic")
     module = compile_source(bench.source, bench.name)
     inputs = bench.inputs("train")
-    ours = {profiler_mod.__file__, branch_mod.__file__}
     wrap = wrap_int.__code__
-    counts = {"ours": 0, "wrap": 0}
+    counts = {"interpreter": 0, "frames": 0, "wrap": 0}
 
     def hook(frame, event, _arg):
         if event == "call":
-            if frame.f_code.co_filename in ours:
-                counts["ours"] += 1
-            elif frame.f_code is wrap:
+            counts["frames"] += 1
+            code = frame.f_code
+            if code.co_qualname.startswith("Interpreter."):
+                counts["interpreter"] += 1
+            elif code is wrap:
                 counts["wrap"] += 1
 
     sys.setprofile(hook)
@@ -101,8 +105,26 @@ def test_profiling_makes_no_call_per_edge_or_branch():
     finally:
         sys.setprofile(None)
     assert profile.run_result is not None
-    assert counts["ours"] <= 20, counts
+    assert counts["interpreter"] == 0, counts
+    assert counts["frames"] <= 4_500, counts
     assert counts["wrap"] <= 1_100, counts
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the entry count of a single-block function is left at 0, however "
+    "often it is called (ROADMAP item 1)"))
+def test_single_block_callee_counts_its_calls():
+    module = compile_source("""
+    int sq(int x) { return x * x; }
+    void main() {
+      int i;
+      for (i = 0; i < 5; i = i + 1) { out(sq(i)); }
+    }
+    """)
+    assert list(module.functions["sq"].blocks) == ["entry0"]
+    profile = collect_profile(module)
+    assert profile.run_result.outputs == [0, 1, 4, 9, 16]
+    assert profile.functions["sq"].block_counts == {"entry0": 5}
 
 
 BOUNDARY_INTS = (INT_MIN, INT_MIN + 1, INT_MIN // 2, -3037000500, -64,
