@@ -129,7 +129,7 @@ def _print_sim_result(result) -> None:
 
 #: Pipeline stage display order for the ``simulate --metrics`` pass table.
 _STAGE_ORDER = ("inline", "cleanup", "unroll", "profile", "hyperblock",
-                "hyperblock_cleanup", "prefetch", "regalloc", "schedule")
+                "prefetch", "regalloc", "schedule")
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:

@@ -2,17 +2,14 @@
 
 The CFG is derived (not stored): block labels plus terminator targets
 define it.  These helpers compute predecessor maps, traversal orders,
-and perform the structural edits passes need (edge splitting, dead block
-removal).
+and perform the structural edits passes need (dead block removal,
+straight-line merging).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from repro.ir.block import Block
 from repro.ir.function import Function
-from repro.ir.instr import Opcode, jmp
+from repro.ir.instr import Opcode
 
 
 def successors(function: Function) -> dict[str, tuple[str, ...]]:
@@ -78,33 +75,6 @@ def reverse_postorder(function: Function) -> list[str]:
     return order
 
 
-def split_edge(function: Function, source: str, target: str) -> Block:
-    """Insert an empty block on the ``source -> target`` edge.
-
-    Needed when inserting code on a critical edge (e.g. profiling
-    counters or spill code).
-    """
-    source_block = function.blocks[source]
-    term = source_block.terminator
-    if target not in term.targets:
-        raise ValueError(f"no edge {source} -> {target}")
-    middle = function.new_block(hint=f"split_{source}_{target}_")
-    middle.append(jmp(target))
-    new_targets = tuple(
-        middle.label if label == target else label for label in term.targets
-    )
-    term.targets = new_targets
-    return middle
-
-
-def retarget(block: Block, old: str, new: str) -> None:
-    """Rewrite every occurrence of branch target ``old`` to ``new``."""
-    term = block.terminator
-    if old not in term.targets:
-        raise ValueError(f"{block.label} does not target {old}")
-    term.targets = tuple(new if label == old else label for label in term.targets)
-
-
 def merge_straightline(function: Function) -> int:
     """Merge ``a -> b`` pairs where a jmp-terminated ``a`` is ``b``'s only
     predecessor and ``b`` has exactly that predecessor.  Returns the
@@ -133,30 +103,3 @@ def merge_straightline(function: Function) -> int:
             changed = True
             break
     return merges
-
-
-def edge_list(function: Function) -> list[tuple[str, str]]:
-    edges: list[tuple[str, str]] = []
-    for label in function.block_order:
-        for succ in function.blocks[label].successors():
-            edges.append((label, succ))
-    return edges
-
-
-def branch_blocks(function: Function) -> list[str]:
-    """Labels of blocks ending in a conditional branch."""
-    return [
-        label
-        for label in function.block_order
-        if function.blocks[label].terminator.op is Opcode.BR
-    ]
-
-
-def cfg_counts(function: Function) -> dict[str, int]:
-    """Quick shape statistics used by tests and reports."""
-    preds = predecessors(function)
-    return {
-        "blocks": len(function.block_order),
-        "edges": sum(len(p) for p in preds.values()),
-        "branches": len(branch_blocks(function)),
-    }

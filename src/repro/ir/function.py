@@ -177,13 +177,6 @@ class Module:
             self._layout = addresses
         return self._layout
 
-    def global_end(self) -> int:
-        layout = self.layout()
-        if not layout:
-            return GLOBAL_BASE
-        last = max(layout, key=layout.__getitem__)
-        return layout[last] + self.globals[last].size
-
     def clone(self) -> "Module":
         twin = Module(self.name)
         for array in self.globals.values():

@@ -154,12 +154,6 @@ class CacheHierarchy:
             if not level.probe(byte_addr):
                 level.fill(byte_addr, from_prefetch=True)
 
-    def would_hit_l1(self, word_addr: int) -> bool:
-        """Non-destructive L1 presence check (used by tests)."""
-        level1 = self.levels[0]
-        line = word_addr >> level1.word_shift
-        return line in level1.sets[line & level1.index_mask]
-
     def flush(self) -> None:
         for level in self.levels:
             level.flush()

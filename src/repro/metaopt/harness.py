@@ -22,13 +22,14 @@ are so costly").  Under one harness, outermost first:
   per benchmark, shared by the whole population (docs/FORKING.md);
 * decision trie (``hyperblock`` only) — per benchmark, the
   if-conversion verdict sequences compiles have made, each ending in
-  the IR digest it produced: a candidate walks it with its priority
-  alone, and a walk that ends in a digest the memo below holds skips
-  the compile altogether;
-* content-digest memo — the simulation of one IR as it leaves the
-  hook's stage (the scheduled binary when the candidate steers
-  ``prepare`` or scheduling), shared by every candidate that produces
-  it: a hit skips the rest of the backend and the simulator;
+  a leaf of the simulations that phenotype was given, per dataset: a
+  candidate walks it with its priority alone, and a walk that ends in
+  a leaf holding its dataset skips the compile altogether;
+* content-digest memo (every other backend hook) — the simulation of
+  one IR as it leaves the hook's stage (the scheduled binary when the
+  candidate steers ``prepare`` or scheduling), shared by every
+  candidate that produces it: a hit skips the rest of the backend and
+  the simulator;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
   function of each scheduled function of one binary.
 
@@ -314,8 +315,8 @@ _COUNTERS = {
 class _Region:
     """A decision-trie node: the region evaluation if-conversion reaches
     next, given the verdicts on the path to it.  ``children`` maps a
-    verdict (converted or not) to the next node, or to the IR digest
-    after if-conversion when no region follows."""
+    verdict (converted or not) to the next node, or, when no region
+    follows, to a leaf: the phenotype's results by dataset."""
 
     __slots__ = ("function", "paths", "head_ops", "children")
 
@@ -324,7 +325,7 @@ class _Region:
         self.function = function
         self.paths = paths
         self.head_ops = head_ops
-        self.children: dict[bool, _Region | str] = {}
+        self.children: dict[bool, _Region | dict[str, SimResult]] = {}
 
 
 class EvaluationHarness:
@@ -366,29 +367,31 @@ class EvaluationHarness:
         self._tally: Counter[tuple] = Counter()
         #: held across a ``simulate`` miss; a memo hit never takes it
         self._miss_lock = threading.Lock()
-        #: content-addressed simulation memo: distinct candidates often
-        #: leave the hook's stage with identical IR, whose compiles and
-        #: simulations are identical under zero noise.  Keyed by
-        #: (digest after ``_memo_stage``, benchmark, dataset); everything
-        #: after the probe reads only that IR and constants of the case.
-        #: For ``hyperblock`` the probe sits after if-conversion and
-        #: before the cleanup that follows it, so a hit skips that
-        #: cleanup too.  ``flags`` varies backend options and prepare-stage
-        #: cases have no hook stage, so they key on the scheduled
-        #: binary.  Noise is keyed per candidate and the differential
-        #: guard wants a live simulator, so both switch it off, and it
-        #: rides the snapshot switch so ``use_snapshots=False`` is the
-        #: exact seed path, digest cost included.
+        #: the stage whose output the phenotype memo keys on (the
+        #: decision trie on ``hyperblock``, else the content-digest
+        #: memo): distinct candidates often leave it with identical IR,
+        #: whose compiles and simulations are identical under zero
+        #: noise.  ``flags``
+        #: varies backend options and prepare-stage cases have no hook
+        #: stage, so they key on the scheduled binary.  Noise is keyed
+        #: per candidate and the differential guard wants a live
+        #: simulator, so both switch it off, and it rides the snapshot
+        #: switch so ``use_snapshots=False`` is the exact seed path.
         self._memo_stage = (stage or "schedule") if (
             settings.use_snapshots
             and settings.noise_stddev == 0.0
             and not settings.verify_outputs) else None
+        #: content-addressed simulation memo, keyed by (digest after
+        #: ``_memo_stage``, benchmark, dataset): everything after the
+        #: probe reads only that IR and constants of the case
         self._digest_memo: dict[tuple, SimResult] = {}
-        #: decision trie root per benchmark, on with the memo at
-        #: ``hyperblock``: a node's paths were computed from the IR the
-        #: verdicts above it shaped, so a walk reads no IR, and the
-        #: train profile they were read from serves every dataset
-        self._decision_tries: dict[str, _Region | str] = {}
+        #: decision trie root per benchmark, in place of the digest memo
+        #: when its stage is ``hyperblock``: equal verdict sequences
+        #: leave if-conversion with equal IR, and a node's paths were
+        #: computed from the IR the verdicts above it shaped, so a walk
+        #: reads no IR, and the train profile they were read from
+        #: serves every dataset
+        self._decision_tries: dict[str, _Region | dict[str, SimResult]] = {}
         self._decision_vectors = 0  # the tries' leaves
         self._baseline_tree = None
         #: per-(benchmark, dataset) interpreter reference observables
@@ -475,9 +478,9 @@ class EvaluationHarness:
         options = with_artifact(self.case.options_for(_as_hook(priority)))
         result = None
         if self._memo_stage == "hyperblock":
-            digest = self._walk_decisions(benchmark, options)
-            if digest is not None:
-                result = self._digest_memo.get((digest, benchmark, dataset))
+            leaf = self._walk_decisions(benchmark, options)
+            if leaf is not None:
+                result = leaf.get(dataset)
         if result is not None:
             layer, diverged = "decisions", False
         else:
@@ -494,7 +497,8 @@ class EvaluationHarness:
     def _compile_and_simulate(self, options: CompilerOptions,
                               key: tuple) -> tuple[str, SimResult, bool]:
         """``(layer, result, diverged)`` of a compile under ``options``:
-        answered by the content-digest memo or by a fresh simulation."""
+        answered by the content-digest memo or by a fresh simulation,
+        which a ``hyperblock`` compile records in the decision trie."""
         _, benchmark, dataset = key
         if self.case.steers_prepare:
             # The candidate steers inlining/unrolling (or the whole
@@ -505,7 +509,8 @@ class EvaluationHarness:
             prep = self.prepared(benchmark)
 
         # Content-digest layer (see ``_memo_stage``): the compile asks
-        # it once, right after the hook's stage.
+        # it once, right after the hook's stage.  On ``hyperblock`` the
+        # decision trie is that layer instead.
         digest_key = stored = None
 
         def probe(ir) -> bool:
@@ -515,7 +520,7 @@ class EvaluationHarness:
             return stored is not None
 
         stop_after = None
-        if self._memo_stage is not None:
+        if self._memo_stage not in (None, "hyperblock"):
             stop_after = (self._memo_stage, probe)
         scheduled, report = self._compile(prep, options, benchmark,
                                           stop_after)
@@ -541,15 +546,15 @@ class EvaluationHarness:
                 self._check_against_reference(
                     benchmark, dataset, simulator, result, scheduled)
         if self._memo_stage == "hyperblock":
-            self._record_decisions(benchmark, report, digest_key[0])
+            self._record_decisions(benchmark, report, dataset, result)
         return layer, result, diverged
 
     # -- decision trie -----------------------------------------------------
-    def _walk_decisions(self, benchmark: str,
-                        options: CompilerOptions) -> str | None:
-        """The IR digest after if-conversion under ``options``, from
-        calls of its hyperblock priority alone; ``None`` where the trie
-        does not reach (a verdict no compile has made yet)."""
+    def _walk_decisions(self, benchmark: str, options: CompilerOptions
+                        ) -> dict[str, SimResult] | None:
+        """The leaf of the verdicts ``options`` makes, from calls of its
+        hyperblock priority alone; ``None`` where the trie does not
+        reach (a verdict no compile has made yet)."""
         node = self._decision_tries.get(benchmark)
         while isinstance(node, _Region):
             _, converted, _ = decide(
@@ -560,9 +565,9 @@ class EvaluationHarness:
         return node
 
     def _record_decisions(self, benchmark: str, report: BackendReport,
-                          digest: str) -> None:
-        """Add a compile's verdict sequence (in evaluation order) and
-        the digest it led to; the prefix a walk already knew is only
+                          dataset: str, result: SimResult) -> None:
+        """Store ``result`` at the leaf of a compile's verdict sequence
+        (in evaluation order); the prefix a walk already knew is only
         followed."""
         slots, key = self._decision_tries, benchmark
         for function, formation in report.hyperblock.items():
@@ -572,9 +577,11 @@ class EvaluationHarness:
                     node = slots[key] = _Region(
                         function, decision.paths, decision.head_ops)
                 slots, key = node.children, decision.converted
-        if key not in slots:
-            slots[key] = digest
+        leaf = slots.get(key)
+        if leaf is None:
+            leaf = slots[key] = {}
             self._decision_vectors += 1
+        leaf[dataset] = result
 
     def _persist_meta(self, priority, benchmark: str,
                       dataset: str) -> dict:

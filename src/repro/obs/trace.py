@@ -69,22 +69,6 @@ class Tracer:
             with self._lock:
                 self.events.append(event)
 
-    def instant(self, name: str, args: dict | None = None) -> None:
-        """Record a zero-duration marker (``"ph": "i"``)."""
-        event = {
-            "name": name,
-            "cat": "repro",
-            "ph": "i",
-            "s": "t",
-            "ts": (time.perf_counter_ns() - self._epoch_ns) / 1000.0,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-        }
-        if args:
-            event["args"] = args
-        with self._lock:
-            self.events.append(event)
-
     # -- export ----------------------------------------------------------
     def chrome_trace(self) -> dict:
         """The trace as a Chrome/Perfetto-loadable JSON object."""

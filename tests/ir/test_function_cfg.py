@@ -4,16 +4,11 @@ import pytest
 
 from repro.ir.block import Block
 from repro.ir.cfg import (
-    branch_blocks,
-    cfg_counts,
-    edge_list,
     merge_straightline,
     predecessors,
     reachable,
     remove_unreachable,
-    retarget,
     reverse_postorder,
-    split_edge,
     successors,
 )
 from repro.ir.function import Function, GlobalArray, Module, GLOBAL_BASE
@@ -122,7 +117,6 @@ class TestModule:
         layout = module.layout()
         assert layout["a"] == GLOBAL_BASE
         assert layout["b"] == GLOBAL_BASE + 10
-        assert module.global_end() == GLOBAL_BASE + 15
 
     def test_duplicate_global_rejected(self):
         module = Module()
@@ -174,23 +168,6 @@ class TestCFG:
         assert removed == 1
         assert dead.label not in func.blocks
 
-    def test_split_edge(self):
-        func, entry, then_blk, _else_blk, _join = diamond_function()
-        middle = split_edge(func, entry.label, then_blk.label)
-        func.validate()
-        assert middle.label in entry.terminator.targets
-        assert middle.successors() == (then_blk.label,)
-
-    def test_split_edge_requires_edge(self):
-        func, entry, _t, _e, join = diamond_function()
-        with pytest.raises(ValueError):
-            split_edge(func, entry.label, join.label)
-
-    def test_retarget(self):
-        func, entry, then_blk, else_blk, join = diamond_function()
-        retarget(func.blocks[then_blk.label], join.label, else_blk.label)
-        assert func.blocks[then_blk.label].successors() == (else_blk.label,)
-
     def test_merge_straightline(self):
         func = Function("f", [])
         a = func.new_block("a")
@@ -211,10 +188,3 @@ class TestCFG:
         merge_straightline(func)
         # join has two predecessors: nothing merged into it.
         assert set(func.blocks) == before
-
-    def test_counts_and_edges(self):
-        func, *_ = diamond_function()
-        counts = cfg_counts(func)
-        assert counts == {"blocks": 4, "edges": 4, "branches": 1}
-        assert len(edge_list(func)) == 4
-        assert len(branch_blocks(func)) == 1

@@ -160,7 +160,7 @@ class TestHierarchy:
         # Fill the set with prefetches until line 0 is evicted from L1.
         for i in range(1, 5):
             hierarchy.prefetch(i * 64 * line_words)
-        assert not hierarchy.would_hit_l1(0)
+        assert hierarchy.load(0) == 7  # L2 hit
 
     def test_store_is_buffered(self):
         hierarchy = CacheHierarchy(DEFAULT_EPIC)

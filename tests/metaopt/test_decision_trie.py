@@ -4,20 +4,21 @@ A ``hyperblock`` candidate's phenotype is its sequence of if-conversion
 verdicts.  The harness keeps, per benchmark, a trie of the sequences
 its compiles made: a node holds the region the pass evaluates next (the
 function, both paths' ``PathInfo`` and ``head_ops``), an edge is a
-verdict and a leaf the IR digest after if-conversion.  A candidate
-walks it calling only its priority and :func:`decide`, and a walk that
-reaches a leaf the content-digest memo holds is answered with no
-compile.
+verdict and a leaf the simulations of that phenotype, by dataset.  A
+candidate walks it calling only its priority and :func:`decide`, and a
+walk that reaches a leaf holding its dataset is answered with no
+compile; the trie is the case's only phenotype memo, so a campaign
+digests no IR and never stops a compile early.
 
-Every trie hit below is compiled in full again: its probe digest must
-be the leaf's and its simulation the answer's.  ``decide`` must replay
-each verdict and reason the pass recorded, for random trees and for
-priorities that raise or return NaN.  The trie must stay off wherever
-the digest memo at ``hyperblock`` is off, and must walk with the hook a
-compile would install (a heuristic artifact's, when the case sets one).
+Every trie hit below is compiled in full and simulated again: the
+result must be the leaf's.  ``decide`` must replay each verdict and
+reason the pass recorded, for random trees and for priorities that
+raise or return NaN.  The trie must stay off wherever the phenotype
+memos are off, and must walk with the hook a compile would install (a
+heuristic artifact's, when the case sets one).
 
-Leaves are IR digests, which follow set iteration order: CI runs this
-file under two ``PYTHONHASHSEED`` values.
+The passes iterate sets of IR values, which follow the hash seed: CI
+runs this file under two ``PYTHONHASHSEED`` values.
 """
 
 import dataclasses
@@ -33,7 +34,9 @@ from repro.experiments import ExperimentConfig, MemorySink, run_experiment
 from repro.gp.engine import GPParams
 from repro.gp.generate import TreeGenerator
 from repro.gp.genome import FlagsGenome, expression_text
+from repro.ir.function import Module
 from repro.machine.sim import Simulator
+from repro.metaopt import harness as harness_module
 from repro.metaopt.harness import EvaluationHarness, _as_hook, case_study
 from repro.metaopt.psets import FLAGS_SPACE
 from repro.metaopt.settings import EvalSettings
@@ -46,8 +49,8 @@ PROGRAMS = ("codrle4", "huff_enc")
 
 
 class CheckedHarness(EvaluationHarness):
-    """A harness that keeps every trie hit: (priority, key, leaf
-    digest, answer)."""
+    """A harness that keeps every trie hit: (priority, key, leaf,
+    answer)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -67,26 +70,22 @@ class CheckedHarness(EvaluationHarness):
 
 
 def full_compile(harness, priority, benchmark: str, dataset: str):
-    """(IR digest after if-conversion, SimResult) of the whole backend
-    and a fresh simulation: no trie, no memo."""
+    """The SimResult of the whole backend and a fresh simulation: no
+    trie, no memo."""
     options = harness.case.options_for(_as_hook(priority))
-    seen = []
-    scheduled, _ = compile_backend(
-        harness.prepared(benchmark), options,
-        stop_after=("hyperblock",
-                    lambda ir: seen.append(ir.content_digest())))
+    scheduled, _ = compile_backend(harness.prepared(benchmark), options)
     simulator = Simulator(scheduled, harness.case.machine)
     for name, values in get_benchmark(benchmark).inputs(dataset).items():
         simulator.set_global(name, values)
-    return seen[0], simulator.run()
+    return simulator.run()
 
 
 def assert_hits_compile_to_their_leaves(harness) -> None:
     assert harness.hits, "expected the trie to answer something"
     for priority, (_, benchmark, dataset), leaf, answer in harness.hits:
-        digest, result = full_compile(harness, priority, benchmark, dataset)
-        assert digest == leaf
-        assert result == answer.result
+        assert leaf[dataset] is answer.result
+        assert full_compile(harness, priority, benchmark,
+                            dataset) == answer.result
     stats = harness.stats()
     assert stats["decision_hits"] == len(harness.hits)
     assert stats["compiles"] == stats["digest_hits"] + stats["sims"]
@@ -103,6 +102,33 @@ def test_campaign_trie_hits_equal_full_compiles(program):
         params=GPParams(population_size=8, generations=3, seed=1))
     run_experiment(config, harness=harness)
     assert_hits_compile_to_their_leaves(harness)
+
+
+def test_campaign_digests_no_ir_and_stops_no_compile(monkeypatch):
+    digests, stops = [], []
+    content_digest = Module.content_digest
+    compile_backend_ = harness_module.compile_backend
+
+    def counted_digest(module):
+        digests.append(module.name)
+        return content_digest(module)
+
+    def recorded_compile(*args, stop_after=None, **kwargs):
+        stops.append(stop_after)
+        return compile_backend_(*args, stop_after=stop_after, **kwargs)
+
+    monkeypatch.setattr(Module, "content_digest", counted_digest)
+    monkeypatch.setattr(harness_module, "compile_backend", recorded_compile)
+    harness = EvaluationHarness(case_study("hyperblock"))
+    config = ExperimentConfig(
+        mode="specialize", case="hyperblock", benchmark="codrle4",
+        params=GPParams(population_size=8, generations=3, seed=1))
+    run_experiment(config, harness=harness)
+    stats = harness.stats()
+    assert stats["decision_hits"] > 0
+    assert len(stops) == stats["compiles"] == stats["sims"] > 0
+    assert stops == [None] * len(stops)
+    assert digests == []
 
 
 @pytest.mark.parametrize("program", PROGRAMS)

@@ -133,6 +133,30 @@ class TestNoisyHarness:
         b = harness.simulate(always_prefetch, "178.galgel").cycles
         assert a != b
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a native callable's noise seed carries its process-local "
+        "sequence number, so its noisy score depends on which natives "
+        "were evaluated before it (ROADMAP item 14(a))"))
+    def test_native_noise_does_not_depend_on_evaluation_order(
+            self, monkeypatch):
+        import itertools
+
+        from repro.metaopt import harness as harness_module
+        from repro.passes.prefetch import always_prefetch, never_prefetch
+
+        def speedup(earlier):
+            # a fresh process's native-key registry, per order
+            monkeypatch.setattr(harness_module, "_NATIVE_KEYS", {})
+            monkeypatch.setattr(harness_module, "_NATIVE_SEQ",
+                                itertools.count())
+            harness = EvaluationHarness(case_study("prefetch"),
+                                        EvalSettings(noise_stddev=0.01))
+            for priority in earlier:
+                harness.speedup(priority, "102.swim")
+            return harness.speedup(never_prefetch, "102.swim")
+
+        assert speedup(()) == speedup((always_prefetch,))
+
 
 class TestInputsMemo:
     def test_each_dataset_is_generated_once_per_harness(self, monkeypatch):

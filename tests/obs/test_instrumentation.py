@@ -16,8 +16,7 @@ from repro.suite.registry import get as get_benchmark
 
 PIPELINE_SPANS = {"pipeline:prepare", "pipeline:backend"}
 PASS_SPANS = {"pass:inline", "pass:cleanup", "pass:unroll", "pass:profile",
-              "pass:hyperblock", "pass:hyperblock_cleanup", "pass:regalloc",
-              "pass:schedule"}
+              "pass:hyperblock", "pass:regalloc", "pass:schedule"}
 
 
 @pytest.fixture(autouse=True)
@@ -70,8 +69,7 @@ class TestPipelineAndSimulator:
         compile_and_simulate()
         snapshot = registry.snapshot()
         for stage in ("inline", "cleanup", "unroll", "profile",
-                      "hyperblock", "hyperblock_cleanup", "regalloc",
-                      "schedule"):
+                      "hyperblock", "regalloc", "schedule"):
             assert snapshot["counters"][f"pipeline.pass_runs.{stage}"] >= 1
             assert f"pipeline.ir_delta.{stage}" in snapshot["counters"]
             histogram = snapshot["histograms"][

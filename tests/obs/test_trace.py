@@ -41,13 +41,6 @@ class TestTracer:
             pass
         assert len(tracer) == 1
 
-    def test_instant_event(self):
-        tracer = Tracer()
-        tracer.instant("marker", args={"k": 1})
-        (event,) = tracer.events
-        assert event["ph"] == "i"
-        assert event["s"] == "t"
-
     def test_chrome_trace_shape_and_ordering(self):
         tracer = Tracer()
         with tracer.span("a"):

@@ -1,10 +1,8 @@
 """Where a ``stop_after`` probe on ``hyperblock`` sees the IR.
 
-The hyperblock stage is two steps of the one backend stage loop:
-if-conversion (``hyperblock``), then the module-wide cleanup that
-follows it (``hyperblock_cleanup``).  A probe on ``hyperblock`` runs
-between them, so a content-digest hit ends the compile before the
-cleanup.  Pinned here on two programs: the probe sees exactly the
+The hyperblock stage is if-conversion followed by the module-wide
+cleanup after it, and a probe on ``hyperblock`` runs after both.
+Pinned here on two programs: the probe sees exactly the cleaned-up
 if-converted IR; a probe that declines changes neither the binary nor
 the report under either backend order; and the ``verify_ir``
 checkpoints keep their labels and order.
@@ -37,7 +35,7 @@ def baseline(program: str):
 
 
 @pytest.mark.parametrize("program", PROGRAMS)
-def test_probe_sees_if_converted_ir_before_its_cleanup(program):
+def test_probe_sees_if_converted_ir_after_its_cleanup(program):
     prep, options = baseline(program)
     seen = []
     scheduled, _ = compile_backend(prep, options, stop_after=(
@@ -50,10 +48,10 @@ def test_probe_sees_if_converted_ir_before_its_cleanup(program):
                          prep.profile.function(name),
                          options.hyperblock_priority,
                          rel_threshold=options.hyperblock_threshold)
-    assert seen == [converted.content_digest()]
-    # the cleanup has work to do here, so the check above can tell
+    # the cleanup has work to do here, so the check below can tell
+    before_cleanup = converted.content_digest()
     cleanup_module(converted)
-    assert converted.content_digest() != seen[0]
+    assert seen == [converted.content_digest()] != [before_cleanup]
 
 
 @pytest.mark.parametrize("order", ORDERS)

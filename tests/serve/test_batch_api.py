@@ -142,7 +142,8 @@ class TestErrorShape:
             with pytest.raises(JobFailed, match=message):
                 client.run("compile", {"source": source, **params})
         # each global's input is a list of numbers, refused before the
-        # profiling interpreter multiplies a string or sizes an int
+        # profiling run's generated code multiplies a string or sizes
+        # an int
         product = "int data[2]; int main() { return data[0] * data[1]; }"
         for data in (["a", 200000000], 7, [True], [1 << 63],
                      [-(1 << 63) - 1], [float("inf")], [1.5, None],

@@ -334,7 +334,7 @@ class TestObsFlags:
             assert column in output
         # one row per pass, in pipeline order
         stages = ["inline", "cleanup", "unroll", "profile", "hyperblock",
-                  "hyperblock_cleanup", "regalloc", "schedule"]
+                  "regalloc", "schedule"]
         rows = [line.split()[0] for line in output.splitlines()
                 if line.split() and line.split()[0] in stages]
         assert rows == stages
