@@ -23,12 +23,11 @@ process-local and rebuilt on demand after a restart via ``resume=True``.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.autopilot.config import AUTOPILOT_SCHEMA, AutopilotConfig
+from repro.experiments.checkpoint import atomic_write
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     CHECKPOINT_FILENAME,
@@ -95,19 +94,7 @@ class Campaign:
         self.root.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(self.to_json_dict(), indent=2,
                              sort_keys=True) + "\n"
-        fd, tmp_name = tempfile.mkstemp(dir=self.root,
-                                        prefix=".tmp-campaign-",
-                                        suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self.record_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.record_path, payload.encode())
 
     @classmethod
     def load(cls, root: Path) -> "Campaign":

@@ -25,14 +25,13 @@ benchmarks.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import zlib
 from pathlib import Path
 
 from repro import obs
 from repro.autopilot.config import AUTOPILOT_SCHEMA, AutopilotConfig
+from repro.experiments.checkpoint import atomic_write
 
 MONITOR_FILENAME = "monitor.json"
 
@@ -78,19 +77,7 @@ class QualityMonitor:
             "counts": self._counts,
         }, indent=2, sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.path.parent,
-                                        prefix=".tmp-monitor-",
-                                        suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, payload.encode())
 
     # -- sampling --------------------------------------------------------
     def should_sample(self, case: str, benchmark: str, dataset: str) -> bool:

@@ -28,7 +28,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.checkpoint import load_checkpoint, save_checkpoint
+from repro.experiments.checkpoint import (
+    atomic_write,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.events import (
     SCHEMA_VERSION,
@@ -45,6 +49,11 @@ EVENTS_FILENAME = "events.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.pkl"
 RESULT_FILENAME = "result.json"
 POPULATIONS_DIRNAME = "populations"
+
+
+def _canonical_json(data: dict) -> bytes:
+    """The bytes of ``config.json`` and ``result.json``."""
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 @dataclass
@@ -259,32 +268,27 @@ class ExperimentRunner:
                     f"{self.run_dir} already holds a run — pass "
                     "resume=True (--resume) to continue it, or choose "
                     "a fresh run directory")
-            config_path = self.run_dir / CONFIG_FILENAME
-            config_path.write_text(
-                json.dumps(self.config.to_json_dict(), indent=2,
-                           sort_keys=True) + "\n")
+            atomic_write(self.run_dir / CONFIG_FILENAME,
+                         _canonical_json(self.config.to_json_dict()))
         (self.run_dir / POPULATIONS_DIRNAME).mkdir(exist_ok=True)
         return checkpoint_path
 
     def _snapshot_population(self, generation: int, population) -> None:
         from repro.gp.genome import expression_text
 
-        path = (self.run_dir / POPULATIONS_DIRNAME /
-                f"gen_{generation:04d}.jsonl")
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for index, individual in enumerate(population):
-                json.dump(
-                    {
-                        "index": index,
-                        "expression": expression_text(individual.tree),
-                        "fitness": individual.fitness,
-                        "origin": individual.origin,
-                        "size": individual.size,
-                    },
-                    handle, sort_keys=True)
-                handle.write("\n")
-        tmp.replace(path)
+        lines = [
+            json.dumps({
+                "index": index,
+                "expression": expression_text(individual.tree),
+                "fitness": individual.fitness,
+                "origin": individual.origin,
+                "size": individual.size,
+            }, sort_keys=True) + "\n"
+            for index, individual in enumerate(population)
+        ]
+        atomic_write(self.run_dir / POPULATIONS_DIRNAME /
+                     f"gen_{generation:04d}.jsonl",
+                     "".join(lines).encode())
 
     def _counters(self, harness, evaluator) -> dict[str, int]:
         counters = dict(harness.stats())
@@ -684,11 +688,8 @@ class ExperimentSession:
 
         payload = runner._result_payload(spec, gen, cross)
         if runner.run_dir is not None:
-            result_path = runner.run_dir / RESULT_FILENAME
-            tmp = result_path.with_name(result_path.name + ".tmp")
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                           + "\n")
-            tmp.replace(result_path)
+            atomic_write(runner.run_dir / RESULT_FILENAME,
+                         _canonical_json(payload))
         artifact_id = None
         if runner.publish_dir is not None:
             artifact_id = runner._publish(self.harness, spec, gen)

@@ -21,8 +21,8 @@ everything that determines a simulation's outcome:
   noise setting).
 
 Entries are one JSON file each under ``root/<xx>/<digest>.json`` (two-
-level fan-out keeps directories small); writes go to a temp file in the
-same directory followed by :func:`os.replace`, so concurrent workers
+level fan-out keeps directories small); each is written by
+:func:`repro.experiments.checkpoint.atomic_write`, so concurrent workers
 sharing a cache directory can never observe a torn entry — last writer
 wins with identical bytes.  The store keeps no state beyond the
 directory: the one caller, the harness, asks only after its own memo
@@ -46,7 +46,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
@@ -192,6 +191,8 @@ class FitnessCache:
         provenance (expression text, case, benchmark, dataset, …)
         persisted alongside the result for :meth:`scan`; it never
         affects lookups."""
+        from repro.experiments.checkpoint import atomic_write
+
         path = self._path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = {
@@ -200,21 +201,7 @@ class FitnessCache:
         }
         if meta is not None:
             data["meta"] = meta
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # dumps, not dump: the same bytes from the C encoder,
-                # without a Python call per chunk
-                handle.write(json.dumps(data))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(data).encode())
 
     # -- offline mining --------------------------------------------------
     def scan(self) -> Iterator[CacheRecord]:
@@ -222,10 +209,11 @@ class FitnessCache:
 
         Yields :class:`CacheRecord` in deterministic (sorted-path)
         order.  Undecodable or stale-schema files are skipped silently,
-        matching :meth:`get`'s treatment of them as misses.
+        matching :meth:`get`'s treatment of them as misses; so are
+        dot-files, which are a writer's temp files, never entries.
         """
         for path in sorted(self.root.glob("??/*.json")):
-            if path.name.startswith(".tmp-"):
+            if path.name.startswith("."):
                 continue
             try:
                 data = json.loads(path.read_text())

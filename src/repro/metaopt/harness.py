@@ -43,7 +43,6 @@ nowhere.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import zlib
 from collections import Counter
@@ -244,26 +243,6 @@ def case_study(name: str,
                      hook=hook, adapter=adapter)
 
 
-#: Registry assigning each native callable a process-unique sequence
-#: number for memo keys.  Keying by raw ``id()`` would be unsound:
-#: CPython reuses addresses after garbage collection, so two distinct
-#: (short-lived) natives could silently alias one memo entry.  The
-#: registry holds a reference to every callable it has numbered, which
-#: pins the id for the life of the process.
-_NATIVE_KEY_LOCK = threading.Lock()
-_NATIVE_KEYS: dict[int, tuple[object, int]] = {}
-_NATIVE_SEQ = itertools.count()
-
-
-def _native_sequence(priority) -> int:
-    with _NATIVE_KEY_LOCK:
-        entry = _NATIVE_KEYS.get(id(priority))
-        if entry is None or entry[0] is not priority:
-            entry = (priority, next(_NATIVE_SEQ))
-            _NATIVE_KEYS[id(priority)] = entry
-        return entry[1]
-
-
 def _priority_key(priority) -> tuple:
     if isinstance(priority, Node):
         return ("tree",) + priority.structural_key()
@@ -271,11 +250,24 @@ def _priority_key(priority) -> tuple:
         return ("tree",) + priority.tree.structural_key()
     if isinstance(priority, FlagsGenome):
         return priority.structural_key()  # ("flags", gene values...)
-    # Distinct native callables must not share memo entries (every
-    # lambda has __qualname__ "<lambda>"), so include a kept-alive
-    # registry sequence number.
-    return ("native", getattr(priority, "__qualname__", ""),
-            _native_sequence(priority))
+    # The callable itself, not its id(): a memo key that holds it keeps
+    # it alive, so CPython cannot hand its address to another callable.
+    return ("native", priority)
+
+
+def _noise_seed(key: tuple) -> int:
+    """Seed of a noisy measurement of memo key ``key``.  crc32, not
+    hash(): stable across interpreter runs, so memoized noisy
+    measurements are reproducible.  A native callable is named by
+    ``module:qualname``, so its seed does not depend on what else the
+    process has evaluated."""
+    priority_key, benchmark, dataset = key
+    if priority_key[0] == "native":
+        native = priority_key[1]
+        name = (f"{getattr(native, '__module__', '')}:"
+                f"{getattr(native, '__qualname__', '')}")
+        key = (("native", name), benchmark, dataset)
+    return zlib.crc32(repr(key).encode())
 
 
 #: Step budget of the training profile's run and of the differential
@@ -532,9 +524,7 @@ class EvaluationHarness:
                 scheduled,
                 self.case.machine,
                 noise_stddev=self.settings.noise_stddev,
-                # crc32, not hash(): stable across interpreter runs so
-                # memoized noisy measurements are reproducible.
-                noise_seed=zlib.crc32(repr(key).encode()),
+                noise_seed=_noise_seed(key),
             )
             for name, values in self._inputs(benchmark, dataset).items():
                 simulator.set_global(name, values)

@@ -1,9 +1,10 @@
 """Content-addressed on-disk store of heuristic artifacts.
 
 Layout mirrors the fitness cache: one JSON document per artifact under
-``root/<id[:2]>/<id>.json``, written via temp-file + ``os.replace`` so
-concurrent publishers can never leave a torn document (identical
-content produces identical bytes, so the last writer wins benignly).
+``root/<id[:2]>/<id>.json``, written by
+:func:`repro.experiments.checkpoint.atomic_write` so concurrent
+publishers can never leave a torn document (identical content produces
+identical bytes, so the last writer wins benignly).
 Lookup accepts unambiguous id prefixes, like git.
 
 On top of the content-addressed documents the registry keeps one small
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
@@ -59,31 +59,24 @@ class ArtifactRegistry:
         for shard in sorted(self.root.iterdir()):
             if not shard.is_dir() or len(shard.name) != 2:
                 continue
-            yield from sorted(shard.glob("*.json"))
+            # a dot-file is a writer's temp file, never an artifact
+            yield from sorted(path for path in shard.glob("*.json")
+                              if not path.name.startswith("."))
 
     # -- store -----------------------------------------------------------
     def save(self, artifact: HeuristicArtifact) -> str:
         """Write the artifact; returns its content-address id.
         Idempotent: re-saving identical content rewrites identical
         bytes."""
+        from repro.experiments.checkpoint import atomic_write
+
         artifact_id = artifact.artifact_id
         path = self.path_for(artifact_id)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(artifact.to_json_dict(), indent=2,
                              sort_keys=True) + "\n"
         with self._lock:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, payload.encode())
         return artifact_id
 
     # -- lookup ----------------------------------------------------------
@@ -145,21 +138,10 @@ class ArtifactRegistry:
         return data
 
     def _write_channels_locked(self, data: dict) -> None:
+        from repro.experiments.checkpoint import atomic_write
+
         payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-channels-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.channels_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.channels_path, payload.encode())
 
     def _track_locked(self, data: dict, case: str, machine: str) -> dict:
         return data["tracks"].setdefault(self.track_key(case, machine), {

@@ -131,6 +131,8 @@ def load_promoted(path: Path | None = None) -> list[PromotedProgram]:
 def save_promoted(programs: list[PromotedProgram],
                   path: Path | None = None) -> Path:
     """Write the registry file atomically, sorted by name."""
+    from repro.experiments.checkpoint import atomic_write
+
     path = path if path is not None else promoted_path()
     payload = {
         "schema": PROMOTED_SCHEMA,
@@ -138,9 +140,8 @@ def save_promoted(programs: list[PromotedProgram],
                      for program in sorted(programs,
                                            key=lambda p: p.name)],
     }
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    tmp.replace(path)
+    atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True)
+                        + "\n").encode())
     return path
 
 

@@ -1,5 +1,6 @@
 """Shared pytest configuration for the whole suite."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,35 @@ class CampaignDriver:
 def campaign_run(tmp_path):
     """A :class:`CampaignDriver` rooted in this test's tmp dir."""
     return CampaignDriver(tmp_path)
+
+
+@pytest.fixture
+def kill_after_write(monkeypatch):
+    """The fault point of the one write path: ``kill_after_write(
+    matches)`` makes the first :func:`repro.experiments.checkpoint.
+    atomic_write` whose target satisfies ``matches`` complete and then
+    raise :class:`KeyboardInterrupt` — a kill landing right after that
+    write.  Later writes run unharmed.  Returns the list that receives
+    the target killed at."""
+    from repro.experiments import checkpoint
+
+    real = checkpoint.atomic_write
+
+    def arm(matches):
+        killed = []
+
+        def write_then_die(path, data):
+            real(path, data)
+            if not killed and matches(Path(path)):
+                killed.append(Path(path))
+                raise KeyboardInterrupt
+
+        # every module that bound the function, and the lazy importers
+        # that read it off the checkpoint module at call time
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("atomic_write") is real:
+                monkeypatch.setattr(module, "atomic_write",
+                                    write_then_die)
+        return killed
+
+    return arm

@@ -9,6 +9,9 @@ use.
 """
 
 import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.experiments import (
     run_experiment,
     save_checkpoint,
 )
+from repro.experiments.checkpoint import atomic_write
 from repro.gp.engine import GPParams
 
 
@@ -230,7 +234,26 @@ class TestCheckpointFile:
         payload = load_checkpoint(path)
         assert payload["config"] == {"case": "hyperblock"}
         assert payload["engine"] == {"generation": 3}
-        assert not path.with_name("checkpoint.pkl.tmp").exists()
+        assert [entry.name for entry in tmp_path.iterdir()] == \
+            ["checkpoint.pkl"]
+
+    def test_failed_write_keeps_old_bytes_and_no_temp_file(
+            self, tmp_path, monkeypatch):
+        """A failure between the write and the rename leaves the
+        target as it was and removes the temp file."""
+        path = tmp_path / "result.json"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            assert Path(src).read_bytes() == b"new"
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [entry.name for entry in tmp_path.iterdir()] == \
+            ["result.json"]
 
     def test_version_check(self, tmp_path):
         import pickle
@@ -239,3 +262,47 @@ class TestCheckpointFile:
         path.write_bytes(pickle.dumps({"version": 99}))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+#: The first write of each file a ``--fitness-cache`` campaign keeps,
+#: in the order the campaign makes them.
+KILL_TARGETS = {
+    "config.json": lambda path: path.name == "config.json",
+    "fitness-cache entry": lambda path: path.parent.parent.name == "cache",
+    "populations/gen_0000.jsonl": lambda path: path.name == "gen_0000.jsonl",
+    "checkpoint.pkl": lambda path: path.name == "checkpoint.pkl",
+    "result.json": lambda path: path.name == "result.json",
+}
+
+
+class TestKillAfterWrite:
+    """A kill right after any write a campaign makes, injected at the
+    one write path, recovers to the uninterrupted run's bytes."""
+
+    @pytest.mark.parametrize("target", list(KILL_TARGETS))
+    def test_recovery_is_byte_identical(self, tmp_path, kill_after_write,
+                                        target):
+        # one cache path for both runs (it is in result.json's config),
+        # emptied between them so the killed run writes every entry
+        cache = tmp_path / "cache"
+        config = ExperimentConfig(
+            mode="specialize", case="hyperblock", benchmark="codrle4",
+            params=GPParams(population_size=4, generations=2, seed=0),
+            fitness_cache_dir=str(cache))
+        full = tmp_path / "full"
+        ExperimentRunner(config, run_dir=full).run()
+        shutil.rmtree(cache)
+
+        run_dir = tmp_path / "killed"
+        killed = kill_after_write(KILL_TARGETS[target])
+        with pytest.raises(KeyboardInterrupt):
+            ExperimentRunner(config, run_dir=run_dir).run()
+        assert killed
+        # a kill before the first checkpoint leaves nothing to resume:
+        # the same command starts the run again
+        if (run_dir / "checkpoint.pkl").exists():
+            ExperimentRunner.from_run_dir(run_dir).run(resume=True)
+        else:
+            ExperimentRunner(config, run_dir=run_dir).run()
+        assert (run_dir / "result.json").read_bytes() == \
+            (full / "result.json").read_bytes()

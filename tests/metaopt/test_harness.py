@@ -1,7 +1,13 @@
 """Evaluation harness: case-study configuration, caching, speedups."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.machine.descr import (
     DEFAULT_EPIC,
     ITANIUM_MACHINE,
@@ -133,29 +139,30 @@ class TestNoisyHarness:
         b = harness.simulate(always_prefetch, "178.galgel").cycles
         assert a != b
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a native callable's noise seed carries its process-local "
-        "sequence number, so its noisy score depends on which natives "
-        "were evaluated before it (ROADMAP item 14(a))"))
-    def test_native_noise_does_not_depend_on_evaluation_order(
-            self, monkeypatch):
-        import itertools
-
-        from repro.metaopt import harness as harness_module
-        from repro.passes.prefetch import always_prefetch, never_prefetch
+    def test_native_noise_does_not_depend_on_evaluation_order(self):
+        """Each order in its own interpreter: a fresh process is where a
+        native's identity could depend on what was evaluated first."""
 
         def speedup(earlier):
-            # a fresh process's native-key registry, per order
-            monkeypatch.setattr(harness_module, "_NATIVE_KEYS", {})
-            monkeypatch.setattr(harness_module, "_NATIVE_SEQ",
-                                itertools.count())
-            harness = EvaluationHarness(case_study("prefetch"),
-                                        EvalSettings(noise_stddev=0.01))
-            for priority in earlier:
-                harness.speedup(priority, "102.swim")
-            return harness.speedup(never_prefetch, "102.swim")
+            script = (
+                "from repro.metaopt.harness import EvaluationHarness, "
+                "case_study\n"
+                "from repro.metaopt.settings import EvalSettings\n"
+                "from repro.passes.prefetch import always_prefetch, "
+                "never_prefetch\n"
+                "harness = EvaluationHarness(case_study('prefetch'), "
+                "EvalSettings(noise_stddev=0.01))\n"
+                f"for priority in [{', '.join(earlier)}]:\n"
+                "    harness.speedup(priority, '102.swim')\n"
+                "print(repr(harness.speedup(never_prefetch, '102.swim')))\n")
+            src = Path(repro.__file__).resolve().parents[1]
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                check=True, capture_output=True, text=True, timeout=120)
+            return float(done.stdout)
 
-        assert speedup(()) == speedup((always_prefetch,))
+        assert speedup(()) == speedup(("always_prefetch",))
 
 
 class TestInputsMemo:

@@ -140,6 +140,18 @@ class TestRegistry:
         registry.save(artifact)
         assert registry.load(artifact.artifact_id[:8]) == artifact
 
+    def test_temp_file_debris_is_not_an_artifact(self, tmp_path):
+        """A writer killed before its rename leaves a dot-file in the
+        shard (here the name older releases used); it is no entry."""
+        registry = ArtifactRegistry(tmp_path)
+        artifact_id = registry.save(hyperblock_artifact())
+        registry.path_for(artifact_id).with_name(
+            ".tmp-k3j2.json").write_text("{")
+        assert len(registry) == 1
+        assert [row["artifact_id"] for row in registry.list()] == \
+            [artifact_id]
+        assert registry.resolve(artifact_id[:8]) == artifact_id
+
     def test_ambiguous_prefix_rejected(self, tmp_path):
         registry = ArtifactRegistry(tmp_path)
         # 17 distinct ids must collide on the first hex character

@@ -142,6 +142,36 @@ class TestChannels:
         assert reopened.get_channel(CASE, MACHINE,
                                     "stable") == parent.artifact_id
 
+    def test_pointers_survive_a_kill_right_after_set_channel(
+            self, registry, family, tmp_path, kill_after_write):
+        _, parent, child = family
+        registry.set_channel(CASE, MACHINE, "stable", parent.artifact_id)
+        kill_after_write(lambda path: path.name == "channels.json")
+        with pytest.raises(KeyboardInterrupt):
+            registry.set_channel(CASE, MACHINE, "canary",
+                                 child.artifact_id)
+        reopened = ArtifactRegistry(tmp_path / "store")
+        assert reopened.get_channel(CASE, MACHINE,
+                                    "stable") == parent.artifact_id
+        assert reopened.get_channel(CASE, MACHINE,
+                                    "canary") == child.artifact_id
+
+    def test_pointers_survive_a_kill_right_after_promote(
+            self, registry, family, tmp_path, kill_after_write):
+        _, parent, child = family
+        registry.set_channel(CASE, MACHINE, "stable", parent.artifact_id)
+        registry.set_channel(CASE, MACHINE, "canary", child.artifact_id)
+        kill_after_write(lambda path: path.name == "channels.json")
+        with pytest.raises(KeyboardInterrupt):
+            registry.promote(CASE, MACHINE)
+        reopened = ArtifactRegistry(tmp_path / "store")
+        assert reopened.get_channel(CASE, MACHINE,
+                                    "stable") == child.artifact_id
+        assert reopened.get_channel(CASE, MACHINE, "canary") is None
+        assert [entry["action"] for entry in
+                reopened.channels()[f"{CASE}/{MACHINE}"]["log"]][-1] == \
+            "promote"
+
 
 class TestLineage:
     def test_chain_walks_parents(self, registry, family):

@@ -438,6 +438,55 @@ cycles: {anti}).
   (see `benchmarks/results/table5_suite.json`).
 """)
 
+    sections.append("""## The evaluation fast path (infrastructure, not a paper figure)
+
+The paper ran fitness evaluations on 15–20 machines; our substitute is
+the three-layer fast path (generation batching → process pool →
+persistent fitness cache) described in README.md.  How to use it when
+regenerating figures:
+
+**Cache layout on disk.**  `--fitness-cache DIR` (CLI) or
+`FitnessCache(DIR)` (API) stores one JSON file per simulation under
+`DIR/<k₁k₂>/<sha256-key>.json`, where the key digests `(cache format
+version, pipeline fingerprint, case name, machine fingerprint, noise
+level, expression structural key, benchmark, dataset)` and the payload
+is the full `SimResult` (cycles plus all counters).  Writes go
+through the one atomic write path (temp file, fsync, `os.replace`), so
+any number of worker processes and concurrent figure scripts can share
+one directory; racing writers produce identical bytes.
+
+**Invalidation.**  The *pipeline fingerprint* hashes every `.py` file
+under `src/repro/`, so editing any pass, the simulator, the IR, a
+benchmark program or the GP evaluation semantics silently retires all
+old entries (they are simply never addressed again — prune stale
+directories whenever convenient, the store is append-only).  Native
+(non-tree) priority callables are never persisted: their identity is
+process-local.  Noisy harnesses (`noise_stddev > 0`) cache fine —
+noise seeds derive from the memo key — but each noise level addresses
+its own entries.
+
+**Sharing across figure scripts.**  Export
+`REPRO_FITNESS_CACHE=~/.cache/repro-fitness` once and every
+`python -m repro simulate/evolve` invocation (and any harness you
+construct with `EvalSettings(fitness_cache_dir=resolve_cache_dir())`)
+shares one store: all baseline
+simulations and every candidate that any previous run already scored
+come back without compiling or simulating.  A warm re-run of an entire
+specialized search executes **zero** simulator invocations (asserted
+in `tests/metaopt/test_parallel.py` and by the `warm-rerun` workload
+of `bench/`).
+
+**Measuring.**  `python3 bench/run.py` (see `bench/README.md`) times a
+cold specialised campaign, a cold DSS campaign and the warm re-run of
+a campaign, each repeated for a fixed window between calibration
+slices; that serial, pool and warm-cache runs produce bit-identical
+fitness curves and champions is asserted in
+`tests/metaopt/test_parallel.py`.  Parallel wall-clock gains require
+as many free cores as workers (the simulation is pure CPU) and a
+campaign a few seconds long (`docs/FLEET.md` has the measured table);
+the warm-cache speedup is hardware-independent.
+""")
+
     if missing:
         sections.append(
             "## Missing results\n\nNo recorded JSON for: "
