@@ -44,6 +44,7 @@ from repro.autopilot.campaign import Campaign
 from repro.autopilot.config import AUTOPILOT_SCHEMA, AutopilotConfig
 from repro.autopilot.monitor import QualityMonitor, traffic_hash
 from repro.autopilot.stats import paired_verdict
+from repro.experiments.events import trim_torn_tail
 
 DECISIONS_FILENAME = "decisions.jsonl"
 CAMPAIGNS_DIRNAME = "campaigns"
@@ -89,6 +90,9 @@ class Autopilot:
         return self.state_dir / CAMPAIGNS_DIRNAME
 
     def _count_decisions(self) -> int:
+        """Records already in the journal, after cutting off a last
+        line a kill tore: the next record's ``seq`` follows them."""
+        trim_torn_tail(self._decisions_path)
         try:
             with open(self._decisions_path, encoding="utf-8") as handle:
                 return sum(1 for _ in handle)

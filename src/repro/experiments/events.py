@@ -57,6 +57,7 @@ given config, which is what the golden-schema tests pin down.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import IO
 
@@ -79,6 +80,31 @@ EVENT_TYPES = (
     "artifact_published",
     "run_finished",
 )
+
+
+def trim_torn_tail(path) -> None:
+    """Cut the append-only log ``path`` back to its last complete line.
+
+    A process killed inside an append can leave a last line with no
+    ``"\n"``; a record appended after it would be glued onto it, and
+    neither line would parse.  Call this before reopening a log for
+    append.  A missing file is left missing."""
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = keep = handle.seek(0, os.SEEK_END)
+        while keep > 0:  # back to the last newline, a block at a time
+            start = max(0, keep - 4096)
+            handle.seek(start)
+            newline = handle.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep != end:
+            handle.truncate(keep)
 
 
 class EventSink:
@@ -109,16 +135,17 @@ class JsonlSink(EventSink):
 
     Lines are flushed per event so a killed run leaves a readable
     stream; a resumed run appends to the same file, giving a single
-    chronological log of all attempts.
+    chronological log of all attempts.  A line a kill tore is cut off
+    when the file is reopened (:func:`trim_torn_tail`).
     """
 
     def __init__(self, path) -> None:
         self.path = path
+        trim_torn_tail(path)
         self._handle: IO[str] = open(path, "a", encoding="utf-8")
 
     def emit(self, event: dict) -> None:
-        json.dump(event, self._handle, sort_keys=True)
-        self._handle.write("\n")
+        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
         self._handle.flush()
 
     def close(self) -> None:

@@ -12,34 +12,42 @@ Public surface:
   selection for multi-benchmark training.
 * :func:`~repro.gp.simplify.simplify` — presentation-quality cleanup of
   evolved expressions.
+
+Exports are resolved lazily (PEP 562): ``from repro.gp import
+GPParams`` loads :mod:`repro.gp.engine` alone, not the DSS code or
+the simplifier a campaign may never call.
 """
 
-from repro.gp.dss import DSSState
-from repro.gp.engine import GenerationStats, GPEngine, GPParams, GPResult
-from repro.gp.generate import PrimitiveSet, TreeGenerator
-from repro.gp.nodes import Node
-from repro.gp.parse import ParseError, infix, parse, unparse
-from repro.gp.select import Individual
-from repro.gp.simplify import find_introns, simplify
-from repro.gp.types import BOOL, REAL, GPType
+from __future__ import annotations
 
-__all__ = [
-    "BOOL",
-    "DSSState",
-    "GenerationStats",
-    "GPEngine",
-    "GPParams",
-    "GPResult",
-    "GPType",
-    "Individual",
-    "Node",
-    "ParseError",
-    "PrimitiveSet",
-    "REAL",
-    "TreeGenerator",
-    "find_introns",
-    "infix",
-    "parse",
-    "simplify",
-    "unparse",
-]
+_EXPORTS = {
+    "DSSState": "repro.gp.dss",
+    "GenerationStats": "repro.gp.engine",
+    "GPEngine": "repro.gp.engine",
+    "GPParams": "repro.gp.engine",
+    "GPResult": "repro.gp.engine",
+    "PrimitiveSet": "repro.gp.generate",
+    "TreeGenerator": "repro.gp.generate",
+    "Node": "repro.gp.nodes",
+    "ParseError": "repro.gp.parse",
+    "infix": "repro.gp.parse",
+    "parse": "repro.gp.parse",
+    "unparse": "repro.gp.parse",
+    "Individual": "repro.gp.select",
+    "find_introns": "repro.gp.simplify",
+    "simplify": "repro.gp.simplify",
+    "BOOL": "repro.gp.types",
+    "REAL": "repro.gp.types",
+    "GPType": "repro.gp.types",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

@@ -39,14 +39,16 @@ import copy
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro import obs
-from repro.gp.dss import DSSState
 from repro.gp.generate import PrimitiveSet
 from repro.gp.genome import genome_ops_for
 from repro.gp.nodes import Node
 from repro.gp.select import Individual, best_of, tournament
+
+if TYPE_CHECKING:
+    from repro.gp.dss import DSSState
 
 
 class FitnessEvaluator(Protocol):

@@ -20,7 +20,7 @@ feature list with the expression evaluator.
 
 from __future__ import annotations
 
-from repro.gp import nodes
+import repro.gp.nodes as nodes
 from repro.gp.nodes import ALL_CLASSES, BArg, BConst, Node, RArg, RConst
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.gp import nodes
+import repro.gp.nodes as nodes
 from repro.gp.nodes import (
     Add,
     And,

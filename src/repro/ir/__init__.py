@@ -1,44 +1,6 @@
-"""Compiler IR substrate: values, instructions, CFG, analyses, interpreter."""
+"""Compiler IR substrate: values, instructions, CFG, analyses, interpreter.
 
-from repro.ir.block import Block
-from repro.ir.function import Function, GlobalArray, Module, GLOBAL_BASE, STACK_BASE
-from repro.ir.instr import FUClass, Instr, Opcode, Rel
-from repro.ir.interp import Interpreter, InterpError, RunResult
-from repro.ir.values import (
-    FLOAT,
-    INT,
-    PRED,
-    Imm,
-    IRType,
-    PReg,
-    StackSlot,
-    SymRef,
-    VReg,
-    WORD_BYTES,
-)
-
-__all__ = [
-    "Block",
-    "FLOAT",
-    "FUClass",
-    "Function",
-    "GLOBAL_BASE",
-    "GlobalArray",
-    "Imm",
-    "Instr",
-    "IRType",
-    "INT",
-    "Interpreter",
-    "InterpError",
-    "Module",
-    "Opcode",
-    "PRED",
-    "PReg",
-    "Rel",
-    "RunResult",
-    "STACK_BASE",
-    "StackSlot",
-    "SymRef",
-    "VReg",
-    "WORD_BYTES",
-]
+Import names from the defining modules (``repro.ir.function``,
+``repro.ir.instr``, ``repro.ir.interp``, ...): the package re-exports
+nothing, so a module that needs only the IR data types does not load
+the interpreter (DESIGN.md, "What a command loads")."""

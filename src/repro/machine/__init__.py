@@ -1,43 +1,7 @@
 """EPIC machine model: description (Table 3), caches, branch predictor,
-VLIW containers, and the cycle-level simulator."""
+VLIW containers, and the cycle-level simulator.
 
-from repro.machine.branch import BranchStats, TwoBitPredictor
-from repro.machine.cache import CacheHierarchy, CacheLevel, CacheStats
-from repro.machine.descr import (
-    DEFAULT_EPIC,
-    ITANIUM_MACHINE,
-    ITANIUM_MACHINE_B,
-    REGALLOC_MACHINE,
-    REGALLOC_MACHINE_B,
-    CacheLevelConfig,
-    MachineDescription,
-)
-from repro.machine.sim import SimError, SimResult, Simulator
-from repro.machine.vliw import (
-    Bundle,
-    ScheduledBlock,
-    ScheduledFunction,
-    ScheduledModule,
-)
-
-__all__ = [
-    "BranchStats",
-    "Bundle",
-    "CacheHierarchy",
-    "CacheLevel",
-    "CacheLevelConfig",
-    "CacheStats",
-    "DEFAULT_EPIC",
-    "ITANIUM_MACHINE",
-    "ITANIUM_MACHINE_B",
-    "MachineDescription",
-    "REGALLOC_MACHINE",
-    "REGALLOC_MACHINE_B",
-    "ScheduledBlock",
-    "ScheduledFunction",
-    "ScheduledModule",
-    "SimError",
-    "SimResult",
-    "Simulator",
-    "TwoBitPredictor",
-]
+Import names from the defining modules (``repro.machine.descr``,
+``repro.machine.sim``, ...): the package re-exports nothing, so a
+module that needs only a machine description or a ``SimResult`` does
+not load the simulator (DESIGN.md, "What a command loads")."""

@@ -200,3 +200,28 @@ ITANIUM_MACHINE_B = MachineDescription(
 #: test pins the two equal.
 CASE_NAMES = ("hyperblock", "regalloc", "prefetch", "scheduling",
               "inline", "unroll", "flags")
+
+
+@dataclass
+class SimResult:
+    """Timing and observable outcome of one simulated execution.
+
+    Defined here, beside the machine it was measured on, rather than in
+    :mod:`repro.machine.sim` (which re-exports it): the fitness cache
+    decodes a hit into one without loading the simulator."""
+
+    cycles: int
+    return_value: float | int | None
+    outputs: list[float | int]
+    dynamic_ops: int = 0
+    squashed_ops: int = 0
+    bundles: int = 0
+    memory_stall_cycles: int = 0
+    branch_stall_cycles: int = 0
+    load_count: int = 0
+    l1_hit_rate: float = 0.0
+    branch_accuracy: float = 0.0
+    prefetch_count: int = 0
+
+    def output_signature(self) -> tuple:
+        return (self.return_value, tuple(self.outputs))

@@ -122,34 +122,13 @@ from repro.ir.loops import find_loops
 from repro.ir.values import Imm, PReg, StackSlot, SymRef, VReg
 from repro.machine.branch import BranchStats, TwoBitPredictor
 from repro.machine.cache import CacheHierarchy
-from repro.machine.descr import MachineDescription
+from repro.machine.descr import MachineDescription, SimResult
 from repro.machine.vliw import (
     Bundle,
     ScheduledBlock,
     ScheduledFunction,
     ScheduledModule,
 )
-
-
-@dataclass
-class SimResult:
-    """Timing and observable outcome of one simulated execution."""
-
-    cycles: int
-    return_value: float | int | None
-    outputs: list[float | int]
-    dynamic_ops: int = 0
-    squashed_ops: int = 0
-    bundles: int = 0
-    memory_stall_cycles: int = 0
-    branch_stall_cycles: int = 0
-    load_count: int = 0
-    l1_hit_rate: float = 0.0
-    branch_accuracy: float = 0.0
-    prefetch_count: int = 0
-
-    def output_signature(self) -> tuple:
-        return (self.return_value, tuple(self.outputs))
 
 
 class SimError(RuntimeError):

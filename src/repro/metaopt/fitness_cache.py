@@ -5,7 +5,7 @@ evaluations for our problem are costly".  That memo (the harness's
 cycles memo) dies with the process, so every figure script and every
 resumed run re-simulates the same candidates from scratch.  This module
 is the layer below it: a disk store of
-:class:`~repro.machine.sim.SimResult` records, content-addressed by
+:class:`~repro.machine.descr.SimResult` records, content-addressed by
 everything that determines a simulation's outcome:
 
 * the candidate expression's structural key (native-callable
@@ -50,8 +50,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.machine.descr import MachineDescription
-from repro.machine.sim import SimResult
+from repro.machine.descr import MachineDescription, SimResult
 
 #: Bump manually on semantic changes that the source fingerprint cannot
 #: see (e.g. a change in how cache keys themselves are formed).

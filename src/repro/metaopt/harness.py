@@ -48,6 +48,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Iterable,
     NamedTuple,
@@ -56,7 +57,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.frontend import compile_source
 from repro.gp.generate import PrimitiveSet
 from repro.gp.genome import FlagsGenome, expression_text
 from repro.gp.nodes import Node
@@ -66,8 +66,8 @@ from repro.machine.descr import (
     MachineDescription,
     REGALLOC_MACHINE,
     SCHEDULING_MACHINE,
+    SimResult,
 )
-from repro.machine.sim import SimResult, Simulator
 from repro.metaopt.baselines import BASELINE_TREES
 from repro.metaopt.fitness_cache import (
     FitnessCache,
@@ -87,8 +87,14 @@ from repro.passes.pipeline import (
     prepare,
     with_artifact,
 )
-from repro.passes.snapshot import PipelineSnapshot, build_snapshot
 from repro.suite.registry import get as get_benchmark
+
+# The frontend, the simulator and the snapshot layer are imported where
+# a compile starts (``_prepare``, ``_compile_and_simulate``,
+# ``_compile``): an evaluation the fitness cache answers loads none.
+if TYPE_CHECKING:
+    from repro.machine.sim import Simulator
+    from repro.passes.snapshot import PipelineSnapshot
 
 
 def _identity_adapter(priority):
@@ -411,6 +417,8 @@ class EvaluationHarness:
 
     def _prepare(self, benchmark: str,
                  options: CompilerOptions) -> PreparedProgram:
+        from repro.frontend import compile_source
+
         bench = get_benchmark(benchmark)
         module = compile_source(bench.source, bench.name)
         return prepare(module, self._inputs(benchmark, "train"), options,
@@ -491,6 +499,8 @@ class EvaluationHarness:
         """``(layer, result, diverged)`` of a compile under ``options``:
         answered by the content-digest memo or by a fresh simulation,
         which a ``hyperblock`` compile records in the decision trie."""
+        from repro.machine.sim import Simulator
+
         _, benchmark, dataset = key
         if self.case.steers_prepare:
             # The candidate steers inlining/unrolling (or the whole
@@ -603,6 +613,8 @@ class EvaluationHarness:
         (docs/FORKING.md).  ``stop_after`` is passed through: a probe
         that ends the compile makes the result ``None``.  Runs under
         ``_miss_lock``, so the first compile builds the snapshot once."""
+        from repro.passes.snapshot import build_snapshot
+
         snapshot = None
         if self._fork_stage is not None:
             snapshot = self._snapshots.get(benchmark)

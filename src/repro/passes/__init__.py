@@ -1,109 +1,6 @@
 """Optimization passes: cleanup, inlining, unrolling, hyperblock
 formation, prefetching, register allocation, list scheduling, and the
-pipeline driver."""
+pipeline itself.
 
-from repro.passes.cleanup import (
-    cleanup_function,
-    cleanup_module,
-    constant_fold_function,
-    copy_propagate_function,
-    dce_function,
-    peephole_function,
-)
-from repro.passes.hyperblock import (
-    HYPERBLOCK_BOOL_FEATURES,
-    HYPERBLOCK_REAL_FEATURES,
-    HyperblockFormation,
-    HyperblockReport,
-    form_hyperblocks,
-    impact_priority,
-    region_feature_env,
-)
-from repro.passes.inline import InlineReport, inline_function, inline_module
-from repro.passes.pipeline import (
-    BackendReport,
-    CompilerOptions,
-    PreparedProgram,
-    compile_backend,
-    compile_module,
-    prepare,
-)
-from repro.passes.prefetch import (
-    PREFETCH_BOOL_FEATURES,
-    PREFETCH_REAL_FEATURES,
-    PrefetchInsertion,
-    PrefetchReport,
-    always_prefetch,
-    insert_prefetches,
-    insert_prefetches_module,
-    never_prefetch,
-    orc_confidence,
-)
-from repro.passes.regalloc import (
-    REGALLOC_BOOL_FEATURES,
-    REGALLOC_REAL_FEATURES,
-    AllocationError,
-    AllocationReport,
-    allocate_function,
-    allocate_module,
-    chow_hennessy_savings,
-)
-from repro.passes.schedule import (
-    BlockDAG,
-    build_dag,
-    latency_weighted_depth,
-    schedule_block,
-    schedule_function,
-    schedule_module,
-)
-from repro.passes.unroll import UnrollReport, unroll_function, unroll_module
-
-__all__ = [
-    "AllocationError",
-    "AllocationReport",
-    "BackendReport",
-    "BlockDAG",
-    "CompilerOptions",
-    "HYPERBLOCK_BOOL_FEATURES",
-    "HYPERBLOCK_REAL_FEATURES",
-    "HyperblockFormation",
-    "HyperblockReport",
-    "InlineReport",
-    "PREFETCH_BOOL_FEATURES",
-    "PREFETCH_REAL_FEATURES",
-    "PreparedProgram",
-    "PrefetchInsertion",
-    "PrefetchReport",
-    "REGALLOC_BOOL_FEATURES",
-    "REGALLOC_REAL_FEATURES",
-    "UnrollReport",
-    "allocate_function",
-    "allocate_module",
-    "always_prefetch",
-    "build_dag",
-    "chow_hennessy_savings",
-    "cleanup_function",
-    "cleanup_module",
-    "compile_backend",
-    "compile_module",
-    "constant_fold_function",
-    "copy_propagate_function",
-    "dce_function",
-    "form_hyperblocks",
-    "impact_priority",
-    "inline_function",
-    "inline_module",
-    "insert_prefetches",
-    "insert_prefetches_module",
-    "latency_weighted_depth",
-    "never_prefetch",
-    "orc_confidence",
-    "peephole_function",
-    "prepare",
-    "region_feature_env",
-    "schedule_block",
-    "schedule_function",
-    "schedule_module",
-    "unroll_function",
-    "unroll_module",
-]
+Import names from the defining modules (``repro.passes.pipeline``,
+``repro.passes.hyperblock``, ...): the package re-exports nothing."""

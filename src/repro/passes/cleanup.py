@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.ir.cfg import merge_straightline, remove_unreachable
 from repro.ir.function import Function, Module
 from repro.ir.instr import Instr, Opcode, Rel, jmp, mov
-from repro.ir.interp import InterpError, apply_scalar_op
 from repro.ir.liveness import dead_definitions
 from repro.ir.values import FLOAT, Imm, INT, VReg
 
@@ -33,6 +32,10 @@ def constant_fold_function(function: Function) -> int:
     are foldable too (folding preserves the guard on the resulting
     ``mov``).
     """
+    # The interpreter's arithmetic is the reference for folding; it is
+    # imported here so that loading the passes does not load it.
+    from repro.ir.interp import InterpError, apply_scalar_op
+
     folded = 0
     for block in function.ordered_blocks():
         for index, instr in enumerate(block.instrs):

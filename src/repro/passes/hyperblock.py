@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.ir.block import Block
 from repro.ir.cfg import predecessors
@@ -41,7 +41,9 @@ from repro.ir.instr import Instr, Opcode, Rel, cmpp, jmp, mov
 from repro.ir.values import Imm, INT, PRED, VReg
 from repro.machine.descr import MachineDescription
 from repro.passes.schedule import build_dag
-from repro.profile.profiler import FunctionProfile
+
+if TYPE_CHECKING:
+    from repro.profile.profiler import FunctionProfile
 
 #: Priority hook: feature environment -> path priority (higher = merge
 #: first).  The environment contains the Table 4 features plus region

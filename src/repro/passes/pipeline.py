@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.ir.function import Module
@@ -71,7 +71,9 @@ from repro.passes.regalloc import (
 )
 from repro.passes.schedule import SchedulePriority, schedule_module
 from repro.passes.unroll import UnrollReport, unroll_module
-from repro.profile.profiler import ModuleProfile, collect_profile
+
+if TYPE_CHECKING:
+    from repro.profile.profiler import ModuleProfile
 
 #: Candidate-dependent backend stages, in execution order.  A case
 #: study's *prefix* is every stage strictly before its hook's stage;
@@ -234,6 +236,11 @@ def prepare(
 ) -> PreparedProgram:
     """Run candidate-independent stages and profile on the training
     input.  The input module is not mutated."""
+    # Imported where a prepare starts: the profiler runs the simulator's
+    # generated code, and a caller that only needs CompilerOptions must
+    # load neither.
+    from repro.profile.profiler import collect_profile
+
     options = options or CompilerOptions()
     working = module.clone()
 

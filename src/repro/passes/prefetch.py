@@ -29,14 +29,16 @@ prefetching punishing real Itanium runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.ir.function import Function, Module
 from repro.ir.instr import Instr, Opcode, prefetch
 from repro.ir.loops import Loop, find_loops
 from repro.ir.values import Imm, INT, VReg
 from repro.machine.descr import MachineDescription
-from repro.profile.profiler import FunctionProfile
+
+if TYPE_CHECKING:
+    from repro.profile.profiler import FunctionProfile
 
 #: Boolean priority hook: feature env -> prefetch this access?
 PrefetchPriority = Callable[[Mapping[str, float | bool]], bool]
@@ -316,6 +318,8 @@ def insert_prefetches_module(
     profiles: Mapping[str, FunctionProfile],
     priority: PrefetchPriority = orc_confidence,
 ) -> dict[str, PrefetchReport]:
+    from repro.profile.profiler import FunctionProfile
+
     reports = {}
     for name, function in module.functions.items():
         profile = profiles.get(name) or FunctionProfile()

@@ -1,10 +1,5 @@
 """Runtime profiling: edge counts, path frequencies, branch
-predictability (feeds Table 4 features)."""
+predictability (feeds Table 4 features).
 
-from repro.profile.profiler import (
-    FunctionProfile,
-    ModuleProfile,
-    collect_profile,
-)
-
-__all__ = ["FunctionProfile", "ModuleProfile", "collect_profile"]
+Import names from :mod:`repro.profile.profiler`: the package
+re-exports nothing."""

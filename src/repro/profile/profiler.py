@@ -29,11 +29,13 @@ training").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir.function import Module
 from repro.ir.instr import Opcode
-from repro.ir.interp import RunResult
-from repro.machine.sim import ProfilingRun, SimError
+
+if TYPE_CHECKING:
+    from repro.ir.interp import RunResult
 
 
 @dataclass
@@ -86,6 +88,10 @@ def collect_profile(
     keyed by instruction uid, edge, block and loop statistics by block
     label.
     """
+    # Imported on use: the passes read profiles without collecting one,
+    # and must not load the simulator.
+    from repro.machine.sim import ProfilingRun, SimError
+
     run = ProfilingRun(module, max_steps=max_steps)
     for name, values in (inputs or {}).items():
         run.set_global(name, values)

@@ -386,3 +386,25 @@ class TestRollbackPath:
         assert campaign.phase == "rolled_back"
         assert registry.get_channel(CASE, MACHINE,
                                     "stable") == good.artifact_id
+
+
+class TestTornDecisionJournal:
+    def test_restart_cuts_a_torn_record(self, tmp_path):
+        """A kill inside an append leaves the journal's last record
+        without its newline.  A restarted autopilot cuts it off and
+        neither glues its next record onto it nor counts it: every
+        line parses and ``seq`` runs 1..n with no gap or repeat."""
+        config = autopilot_config(tmp_path / "autopilot")
+        first = Autopilot(config, None, None, submit=lambda *a, **k: None)
+        for _ in range(2):
+            first._record_decision({"event": "probe"})
+        journal = tmp_path / "autopilot" / "decisions.jsonl"
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "probe", "schema": 1, "seq": 3')
+        restarted = Autopilot(config, None, None,
+                              submit=lambda *a, **k: None)
+        for _ in range(2):
+            restarted._record_decision({"event": "probe"})
+        records = [json.loads(line)
+                   for line in journal.read_text().splitlines()]
+        assert [record["seq"] for record in records] == [1, 2, 3, 4]

@@ -172,6 +172,26 @@ class TestSinks:
                  for line in path.read_text().splitlines()]
         assert [line["value"] for line in lines] == [1, 2]
 
+    @pytest.mark.parametrize("before", ([], [1], ["x" * 10_000, 1]),
+                             ids=("only-torn", "one-line", "long-lines"))
+    def test_jsonl_sink_cuts_a_torn_last_line(self, tmp_path, before):
+        """A kill inside an append leaves a last line with no newline;
+        reopening cuts it off, so the next record is a line of its own
+        and every line parses."""
+        path = tmp_path / "events.jsonl"
+        sink = JsonlSink(path)
+        for value in before:
+            sink.emit({"event": "tick", "value": value})
+        sink.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "tick", "value": "torn' + "y" * 5000)
+        sink = JsonlSink(path)
+        sink.emit({"event": "tick", "value": 2})
+        sink.close()
+        lines = [json.loads(line)
+                 for line in path.read_text().splitlines()]
+        assert [line["value"] for line in lines] == [*before, 2]
+
     def test_pretty_sink_narrates(self, capsys):
         sink = PrettySink()
         sink.emit({"event": "run_started", "resumed": False,

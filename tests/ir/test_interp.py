@@ -39,7 +39,7 @@ from repro.ir.values import (
     SymRef,
     VReg,
 )
-from repro.profile import FunctionProfile, collect_profile
+from repro.profile.profiler import FunctionProfile, collect_profile
 
 
 def run_source(source, inputs=None, **kwargs):

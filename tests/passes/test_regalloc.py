@@ -204,7 +204,7 @@ class TestSpilling:
     def test_guarded_defs_spill_with_guard(self):
         """Predicated code allocates correctly: the spill store keeps
         the defining instruction's guard."""
-        from repro.metaopt import case_study, EvaluationHarness
+        from repro.metaopt.harness import EvaluationHarness, case_study
 
         case = case_study("hyperblock",
                           machine=tiny_machine(8))
@@ -218,7 +218,7 @@ def guarded_spill_module():
     """``rawcaudio`` after if-conversion, as the allocator receives it
     on an 8-register machine: its guarded defs spill (the spill stores
     keep their guards) over several rounds."""
-    from repro.metaopt import EvaluationHarness, case_study
+    from repro.metaopt.harness import EvaluationHarness, case_study
     from repro.metaopt.settings import EvalSettings
     from repro.passes.pipeline import run_prefix
 

@@ -20,7 +20,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from repro.frontend import compile_source
 from repro.ir.interp import Interpreter, InterpError
 from repro.passes.pipeline import prepare
-from repro.profile import collect_profile
+from repro.profile.profiler import collect_profile
 from repro.profile.profiler import profile_from_counts
 from repro.suite.registry import all_benchmarks, get as get_benchmark
 from repro.verify.differential import compare_profiles

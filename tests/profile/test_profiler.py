@@ -19,7 +19,7 @@ from repro.ir import interp as interp_mod
 from repro.ir.instr import Opcode
 from repro.ir.interp import apply_scalar_op, wrap_int
 from repro.machine.branch import TwoBitPredictor
-from repro.profile import collect_profile
+from repro.profile.profiler import collect_profile
 from repro.suite.registry import get as get_benchmark
 
 PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)

@@ -10,8 +10,12 @@ racy implementation they fail with KeyError/RuntimeError (dict mutation
 during iteration), silently lost counts or duplicated compiles.
 """
 
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 from repro import obs
 from repro.gp.parse import parse, unparse
@@ -25,7 +29,12 @@ from repro.metaopt.fitness_cache import FitnessCache
 from repro.metaopt.harness import EvaluationHarness, case_study
 from repro.metaopt.settings import EvalSettings
 from repro.serve.client import ServeClient
-from repro.serve.jobs import MAX_WARM_HARNESSES
+from repro.serve.jobs import (
+    MAX_WARM_HARNESSES,
+    HarnessPool,
+    run_compile,
+    run_evaluate,
+)
 from repro.serve.server import ReproServer
 from repro.suite.registry import get as get_benchmark
 
@@ -303,3 +312,70 @@ class TestWarmStateIsProcessWide:
                                        EvalSettings(noise_stddev=noise))
             assert reply["cycles"] == direct.baseline_result(
                 "codrle4", "train").cycles
+
+
+#: Run in a fresh interpreter: a daemon whose first three requests, two
+#: evaluates and a compile, arrive at once on three worker threads, so
+#: the modules a compile loads on first use are imported concurrently.
+_FIRST_REQUESTS = """
+import json, sys, threading
+from repro.serve.client import ServeClient
+from repro.serve.server import ReproServer
+
+requests = json.loads(sys.argv[1])
+server = ReproServer(port=0, workers=len(requests), capacity=8)
+server.start()
+loaded = sorted(name for name in ("repro.frontend", "repro.ir.interp",
+                                  "repro.machine.sim", "repro.passes.snapshot")
+                if name in sys.modules)
+barrier = threading.Barrier(len(requests))
+replies = [None] * len(requests)
+
+def send(slot):
+    client = ServeClient(server.url, timeout=120.0)
+    kind, params = requests[slot]
+    barrier.wait()
+    try:
+        replies[slot] = client.run(kind, params, timeout=120.0)
+    except Exception as exc:
+        replies[slot] = repr(exc)
+    client.close()
+
+sys.setswitchinterval(1e-5)  # switch threads inside the imports
+threads = [threading.Thread(target=send, args=(slot,))
+           for slot in range(len(requests))]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=240.0)
+    assert not thread.is_alive(), "a first request hung"
+server.drain(timeout=30.0)
+print(json.dumps({"loaded_at_boot": loaded, "replies": replies}))
+"""
+
+
+class TestFirstRequestsImportConcurrently:
+    def test_concurrent_first_requests_equal_serial(self):
+        """The compiler and simulator are imported by the first compile,
+        not at boot.  Two first ``evaluate`` requests and a first
+        ``compile`` on a fresh daemon race those imports on three
+        threads; all succeed and equal a serial harness's answers."""
+        bench = get_benchmark("codrle4")
+        requests = [
+            ("evaluate", {"benchmark": "codrle4", "case": "hyperblock"}),
+            ("evaluate", {"benchmark": "huff_dec", "case": "regalloc"}),
+            ("compile", {"source": bench.source, "run": True,
+                         "inputs": bench.inputs("train")}),
+        ]
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _FIRST_REQUESTS, json.dumps(requests)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["loaded_at_boot"] == []
+        pool = HarnessPool()
+        serial = [run_evaluate(params, pool) if kind == "evaluate"
+                  else run_compile(params) for kind, params in requests]
+        assert report["replies"] == json.loads(json.dumps(serial))
