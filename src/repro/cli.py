@@ -867,26 +867,21 @@ def cmd_cache(args: argparse.Namespace) -> int:
     cache = FitnessCache(cache_dir)
 
     if args.action == "stats":
-        total = with_meta = 0
-        cycles = 0
+        total = cycles = 0
         by_case: dict[str, int] = {}
         by_benchmark: dict[str, int] = {}
         for record in cache.scan():
             total += 1
             cycles += record.result.cycles
-            if record.meta is not None:
-                with_meta += 1
-                case = str(record.meta.get("case", "?"))
-                bench = str(record.meta.get("benchmark", "?"))
-                by_case[case] = by_case.get(case, 0) + 1
-                by_benchmark[bench] = by_benchmark.get(bench, 0) + 1
+            case = str(record.meta.get("case", "?"))
+            bench = str(record.meta.get("benchmark", "?"))
+            by_case[case] = by_case.get(case, 0) + 1
+            by_benchmark[bench] = by_benchmark.get(bench, 0) + 1
         if args.json:
             print(json.dumps({
                 "schema": 1,
                 "root": str(cache.root),
                 "entries": total,
-                "with_meta": with_meta,
-                "legacy": total - with_meta,
                 "total_cycles": cycles,
                 "by_case": by_case,
                 "by_benchmark": by_benchmark,
@@ -894,8 +889,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             return 0
         print(f"fitness cache: {cache.root}")
         print(f"  entries     : {total}")
-        print(f"  with meta   : {with_meta}")
-        print(f"  legacy      : {total - with_meta}")
         print(f"  total cycles: {cycles}")
         for title, table in (("case", by_case), ("benchmark", by_benchmark)):
             if table:
@@ -908,8 +901,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     records = []
     for record in cache.scan():
         meta = record.meta
-        if meta is None:
-            continue  # legacy entries have no expression to export
         if args.case and meta.get("case") != args.case:
             continue
         if args.benchmark and meta.get("benchmark") != args.benchmark:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,8 +142,6 @@ class ExperimentRunner:
         #: deployment metadata, never part of the run's identity.
         self.publish_parent_id = publish_parent_id
         self.publish_created_at = publish_created_at
-        #: the live SurrogateEvaluator of the current run (telemetry)
-        self._surrogate_evaluator = None
 
     @classmethod
     def from_run_dir(cls, run_dir, **runner_options) -> "ExperimentRunner":
@@ -179,7 +176,7 @@ class ExperimentRunner:
                                  self._settings())
 
     def _build_surrogate(self, harness, inner, state: dict | None):
-        """Wrap ``inner`` (or the serial harness evaluator) in a
+        """Wrap the session's evaluator ``inner`` in a
         :class:`~repro.surrogate.SurrogateEvaluator`.  ``state`` is the
         checkpoint's ``surrogate`` entry on resume; without one (a
         fresh run, or a checkpoint written before the entry existed)
@@ -187,8 +184,6 @@ class ExperimentRunner:
         cache."""
         from repro.surrogate import SurrogateEvaluator, train_from_cache
 
-        if inner is None:
-            inner = harness.evaluator("train")
         model = None
         if state is None and harness.fitness_cache is not None:
             model, _report = train_from_cache(
@@ -199,7 +194,6 @@ class ExperimentRunner:
             seed=self.config.params.seed)
         if state is not None:
             surrogate.restore_state(state)
-        self._surrogate_evaluator = surrogate
         return surrogate
 
     def _extra_seeds(self, harness):
@@ -291,10 +285,7 @@ class ExperimentRunner:
                      "".join(lines).encode())
 
     def _counters(self, harness, evaluator) -> dict[str, int]:
-        counters = dict(harness.stats())
-        if evaluator is not None:
-            counters.update(evaluator.stats())
-        return counters
+        return {**harness.stats(), **evaluator.stats()}
 
     # -- result payload ----------------------------------------------------
     def _history_payload(self, history) -> list[dict]:
@@ -500,24 +491,22 @@ class ExperimentSession:
                     "checkpoint was written by a different configuration "
                     f"than {runner.run_dir / CONFIG_FILENAME} describes")
 
-        self.evaluator = None
-        self._evaluator_context = nullcontext()
-        if runner.fleet is not None or config.processes > 1:
-            from repro.metaopt.harness import make_evaluator
+        from repro.metaopt.harness import make_evaluator
 
-            self.evaluator = make_evaluator(
-                config.case,
-                processes=config.processes,
-                fleet=runner.fleet,
-                harness=self.harness,
-            )
-            self._evaluator_context = self.evaluator
-        runner._surrogate_evaluator = None
+        self.evaluator = make_evaluator(
+            config.case,
+            processes=config.processes,
+            fleet=runner.fleet,
+            harness=self.harness,
+        )
+        #: the live SurrogateEvaluator of a ``--surrogate`` run (its
+        #: state rides the checkpoint), else None
+        self.surrogate = None
         if runner.surrogate:
-            self.evaluator = runner._build_surrogate(
+            self.surrogate = runner._build_surrogate(
                 self.harness, self.evaluator,
                 None if snapshot is None else snapshot.get("surrogate"))
-            self._evaluator_context = self.evaluator
+            self.evaluator = self.surrogate
 
         self.engine = runner._build_engine(self.harness, self.evaluator)
         if snapshot is not None:
@@ -528,7 +517,7 @@ class ExperimentSession:
             engine.on_generation = lambda stats: runner._snapshot_population(
                 stats.generation, engine.population)
 
-        self._evaluator_context.__enter__()
+        self.evaluator.__enter__()
         self._evaluator_open = True
 
         self.sink.emit({
@@ -554,7 +543,7 @@ class ExperimentSession:
     def _exit_evaluator(self) -> None:
         if self._evaluator_open:
             self._evaluator_open = False
-            self._evaluator_context.__exit__(None, None, None)
+            self.evaluator.__exit__(None, None, None)
 
     # -- stepping ----------------------------------------------------------
     def step(self):
@@ -579,12 +568,11 @@ class ExperimentSession:
                 self.engine.generation % config.checkpoint_every == 0
                 or self.engine.done
             ):
-                surrogate = runner._surrogate_evaluator
                 save_checkpoint(self.checkpoint_path,
                                 config.to_json_dict(),
                                 self.engine.state_dict(),
-                                None if surrogate is None
-                                else surrogate.state_dict())
+                                None if self.surrogate is None
+                                else self.surrogate.state_dict())
                 checkpointed = True
             else:
                 checkpointed = False
@@ -618,18 +606,16 @@ class ExperimentSession:
                     "metrics": diff_snapshots(metrics_before,
                                               self.registry.snapshot()),
                 })
-            if (runner._surrogate_evaluator is not None
-                    and self.registry is not None):
+            if self.surrogate is not None and self.registry is not None:
                 # telemetry-only, like ``metrics``: per-generation
                 # deltas of the surrogate counters
-                surrogate = runner._surrogate_evaluator
                 self.sink.emit({
                     "event": "surrogate",
                     "generation": stats.generation,
                     "sims_saved":
                         after.get("surrogate_sims_saved", 0)
                         - before.get("surrogate_sims_saved", 0),
-                    "rank_corr": surrogate.last_rank_corr,
+                    "rank_corr": self.surrogate.last_rank_corr,
                     "refits":
                         after.get("surrogate_refits", 0)
                         - before.get("surrogate_refits", 0),

@@ -1,12 +1,14 @@
 """The generational GP loop (Figure 2, parameters from Table 2).
 
 The engine is deliberately generic: it knows nothing about compilers.
-It is handed a *fitness evaluator* — a callable mapping ``(tree,
-benchmark_name) -> speedup`` — and evolves expressions that maximize the
-average speedup across the benchmark set active in each generation.
-The Meta Optimization harness (:mod:`repro.metaopt.harness`) supplies
-an evaluator that compiles and simulates benchmarks with the candidate
-priority function installed.
+It is handed a *fitness evaluator* — an object whose ``evaluate_batch``
+maps a list of ``(tree, benchmark_name)`` pairs to their speedups, in
+job order (:class:`repro.metaopt.harness.EvaluatorProtocol`) — and
+evolves expressions that maximize the average speedup across the
+benchmark set active in each generation.  Each generation ships every
+uncached pair in one batch.  The Meta Optimization harness
+(:mod:`repro.metaopt.harness`) supplies evaluators that compile and
+simulate benchmarks with the candidate priority function installed.
 
 Paper parameters (Table 2), kept as defaults:
 
@@ -39,7 +41,7 @@ import copy
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.gp.generate import PrimitiveSet
@@ -49,31 +51,7 @@ from repro.gp.select import Individual, best_of, tournament
 
 if TYPE_CHECKING:
     from repro.gp.dss import DSSState
-
-
-class FitnessEvaluator(Protocol):
-    """Evaluates one expression on one benchmark.
-
-    Returns the speedup of the candidate-compiled benchmark over the
-    baseline-compiled benchmark (>1.0 means the candidate wins).
-
-    Evaluators may instead expose ``evaluate_batch(jobs) ->
-    list[float]`` over ``(tree, benchmark)`` pairs; the engine then
-    ships every uncached pair of a generation in one call, which is
-    what lets a process-pool or fleet evaluator keep all workers busy
-    instead of receiving one-job batches, and never calls the
-    evaluator pairwise.  The engine's memo is the only fitness dedupe:
-    a batch holds structurally distinct pairs, none of which was ever
-    dispatched before.  Batch results must not depend on how pairs are
-    grouped (the pairs of a batch are independent) and must come back
-    in job order regardless of completion order, so batching never
-    changes the evolution.  The full multi-backend contract lives in
-    :class:`repro.metaopt.harness.EvaluatorProtocol`, with
-    :func:`repro.metaopt.harness.make_evaluator` as the constructor
-    entry point.
-    """
-
-    def __call__(self, tree: Node, benchmark: str) -> float: ...
+    from repro.metaopt.harness import EvaluatorProtocol
 
 
 @dataclass(frozen=True)
@@ -156,7 +134,7 @@ class GPEngine:
     def __init__(
         self,
         pset: PrimitiveSet,
-        evaluator: FitnessEvaluator,
+        evaluator: EvaluatorProtocol,
         benchmarks: tuple[str, ...],
         params: GPParams | None = None,
         seed_trees: tuple[Node, ...] = (),
@@ -164,6 +142,10 @@ class GPEngine:
         on_generation: Callable[[GenerationStats], None] | None = None,
         genome_ops=None,
     ) -> None:
+        if not callable(getattr(evaluator, "evaluate_batch", None)):
+            raise TypeError(
+                f"{type(evaluator).__name__} has no evaluate_batch: the "
+                "engine needs an EvaluatorProtocol evaluator")
         self.pset = pset
         self.evaluator = evaluator
         self.benchmarks = tuple(benchmarks)
@@ -190,60 +172,42 @@ class GPEngine:
         self.history: list[GenerationStats] = []
 
     # -- fitness --------------------------------------------------------
-    def _speedup(self, tree: Node, benchmark: str) -> float:
-        key = (tree.structural_key(), benchmark)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        speedup = float(self.evaluator(tree, benchmark))
-        self._memo[key] = speedup
-        self.evaluations += 1
-        return speedup
-
-    def _prefetch_fitness(
-        self, population: list[Individual], subset: tuple[str, ...]
-    ) -> None:
-        """Generation batching: collect every uncached, structurally
-        distinct ``(tree, benchmark)`` pair and dispatch them through
-        the evaluator's ``evaluate_batch`` in one shot, filling the
-        memo so the per-individual loop below is pure lookups."""
-        batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
-        if batch_evaluate is None:
-            return
-        pending: list[tuple[Node, str, tuple]] = []
-        queued: set[tuple] = set()
-        for individual in population:
-            tree_key = individual.tree.structural_key()
-            for name in subset:
-                key = (tree_key, name)
-                if key in self._memo or key in queued:
-                    continue
-                queued.add(key)
-                pending.append((individual.tree, name, key))
-        if not pending:
-            return
-        values = batch_evaluate([(tree, name) for tree, name, _ in pending])
-        for (_, _, key), value in zip(pending, values):
-            self._memo[key] = float(value)
-            self.evaluations += 1
-
     def _assign_fitness(
         self, population: list[Individual], subset: tuple[str, ...]
-    ) -> dict[str, float]:
-        """Evaluate the population on ``subset``; returns per-benchmark
-        population-average speedups (for DSS difficulty updates)."""
-        self._prefetch_fitness(population, subset)
+    ) -> tuple[dict[str, float], int]:
+        """Evaluate the population on ``subset``.
+
+        Every uncached, structurally distinct ``(tree, benchmark)``
+        pair goes to the evaluator in one ``evaluate_batch`` call,
+        which fills the memo.  Returns the per-benchmark
+        population-average speedups (for DSS difficulty updates) and
+        the number of structurally distinct individuals."""
+        memo = self._memo
+        tree_keys = [individual.tree.structural_key()
+                     for individual in population]
+        pending: dict[tuple, Node] = {}
+        for individual, tree_key in zip(population, tree_keys):
+            for name in subset:
+                key = (tree_key, name)
+                if key not in memo and key not in pending:
+                    pending[key] = individual.tree
+        if pending:
+            values = self.evaluator.evaluate_batch(
+                [(tree, name) for (_, name), tree in pending.items()])
+            for key, value in zip(pending, values):
+                memo[key] = float(value)
+            self.evaluations += len(pending)
         per_benchmark_totals = {name: 0.0 for name in subset}
-        for individual in population:
-            speedups = [
-                self._speedup(individual.tree, name) for name in subset
-            ]
+        for individual, tree_key in zip(population, tree_keys):
+            speedups = [memo[(tree_key, name)] for name in subset]
             individual.fitness = sum(speedups) / len(speedups)
             individual.evaluations += len(subset)
             for name, value in zip(subset, speedups):
                 per_benchmark_totals[name] += value
         count = len(population)
-        return {name: total / count for name, total in per_benchmark_totals.items()}
+        means = {name: total / count
+                 for name, total in per_benchmark_totals.items()}
+        return means, len(set(tree_keys))
 
     # -- population construction ----------------------------------------
     def initial_population(self) -> list[Individual]:
@@ -327,7 +291,8 @@ class GPEngine:
             eval_start = time.perf_counter()
             with obs.span("engine:evaluation", generation=self.generation,
                           benchmarks=len(subset)):
-                bench_means = self._assign_fitness(population, subset)
+                bench_means, unique_structures = self._assign_fitness(
+                    population, subset)
             if registry is not None:
                 registry.observe("gp.eval_seconds",
                                  time.perf_counter() - eval_start)
@@ -346,9 +311,7 @@ class GPEngine:
                 best_size=champion.size,
                 best_expression=self.genome_ops.unparse(champion.tree),
                 baseline_rank=self._baseline_rank(population),
-                unique_structures=len(
-                    {ind.tree.structural_key() for ind in population}
-                ),
+                unique_structures=unique_structures,
                 mean_size=sum(ind.size for ind in population)
                 / len(population),
             )

@@ -29,15 +29,17 @@ directory: the one caller, the harness, asks only after its own memo
 missed (so every :meth:`FitnessCache.get` reads the disk), and counts
 hits, misses and stores from the answer of each evaluation.
 
-Entries written by this version carry a ``meta`` sidecar (expression
-text, case, benchmark, dataset, noise, verified flag, and the pipeline
-and machine fingerprints of the key) so the cache can be mined offline
-— :meth:`FitnessCache.scan` iterates every persisted record, and that
+Every entry carries a ``meta`` sidecar (expression text, case,
+benchmark, dataset, noise, verified flag, and the pipeline and machine
+fingerprints of the key) so the cache can be mined offline —
+:meth:`FitnessCache.scan` iterates every persisted record, and that
 stream is the training corpus for the learned surrogate fitness model
 (:mod:`repro.surrogate.train`), which keeps only the records a current
-compile could produce.  Pre-meta entries (bare ``SimResult`` dicts)
-still load through :meth:`get`; the key schema is unchanged, only the
-on-disk envelope grew.
+compile could produce.  A file in any other shape (a bare
+``SimResult`` dict written before the envelope, or an envelope without
+``meta``) is a miss in :meth:`get` and skipped by :meth:`scan`: the
+harness, the one writer, always stores ``meta``, and a bare dict's key
+hashed an older pipeline fingerprint, so no ``get`` could reach it.
 """
 
 from __future__ import annotations
@@ -56,23 +58,18 @@ from repro.machine.descr import MachineDescription, SimResult
 #: see (e.g. a change in how cache keys themselves are formed).
 CACHE_FORMAT_VERSION = 1
 
-#: On-disk envelope version for entries that carry a ``meta`` record.
-#: Version 1 entries were bare ``SimResult`` dicts; version 2 wraps the
-#: result and adds provenance so :meth:`FitnessCache.scan` can recover
-#: the expression behind each cycle count.
+#: On-disk envelope version: the ``SimResult`` wrapped with the
+#: provenance that lets :meth:`FitnessCache.scan` recover the
+#: expression behind each cycle count.
 ENTRY_SCHEMA = 2
 
 
 class CacheRecord(NamedTuple):
-    """One persisted simulation, as yielded by :meth:`FitnessCache.scan`.
-
-    ``meta`` is ``None`` for entries written before the meta envelope
-    existed (they are still valid results, just unattributable).
-    """
+    """One persisted simulation, as yielded by :meth:`FitnessCache.scan`."""
 
     key: str
     result: SimResult
-    meta: dict | None
+    meta: dict
 
 _PIPELINE_FINGERPRINT: str | None = None
 
@@ -155,37 +152,29 @@ class FitnessCache:
         return self.root / key[:2] / f"{key}.json"
 
     @staticmethod
-    def _parse_entry(data) -> tuple[SimResult | None, dict | None]:
-        """Decode one on-disk entry in either envelope: a version-2
-        ``{"schema", "result", "meta"}`` wrapper or a legacy bare
-        ``SimResult`` dict.  Undecodable entries parse to ``None`` —
-        a stale schema is a miss, never an error."""
-        if not isinstance(data, dict):
-            return None, None
-        meta = None
-        if "schema" in data and "result" in data:
-            raw = data.get("result")
-            candidate_meta = data.get("meta")
-            if isinstance(candidate_meta, dict):
-                meta = candidate_meta
-            if not isinstance(raw, dict):
-                return None, None
-        else:
-            raw = data
+    def _parse_entry(data) -> tuple[SimResult, dict] | None:
+        """Decode one on-disk ``{"schema", "result", "meta"}`` entry.
+        Anything else parses to ``None`` — a stale or foreign file is
+        a miss, never an error."""
+        if not isinstance(data, dict) or data.get("schema") != ENTRY_SCHEMA:
+            return None
+        raw, meta = data.get("result"), data.get("meta")
+        if not isinstance(raw, dict) or not isinstance(meta, dict):
+            return None
         try:
             return SimResult(**raw), meta
         except TypeError:
-            return None, None
+            return None
 
     def get(self, key: str) -> SimResult | None:
         try:
             data = json.loads(self._path_for(key).read_text())
         except (OSError, ValueError):
             return None
-        return self._parse_entry(data)[0]
+        entry = self._parse_entry(data)
+        return None if entry is None else entry[0]
 
-    def put(self, key: str, result: SimResult,
-            meta: dict | None = None) -> None:
+    def put(self, key: str, result: SimResult, meta: dict) -> None:
         """Store ``result`` under ``key``.  ``meta`` is free-form
         provenance (expression text, case, benchmark, dataset, …)
         persisted alongside the result for :meth:`scan`; it never
@@ -197,9 +186,8 @@ class FitnessCache:
         data = {
             "schema": ENTRY_SCHEMA,
             "result": dataclasses.asdict(result),
+            "meta": meta,
         }
-        if meta is not None:
-            data["meta"] = meta
         atomic_write(path, json.dumps(data).encode())
 
     # -- offline mining --------------------------------------------------
@@ -218,10 +206,9 @@ class FitnessCache:
                 data = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue
-            result, meta = self._parse_entry(data)
-            if result is None:
-                continue
-            yield CacheRecord(key=path.stem, result=result, meta=meta)
+            entry = self._parse_entry(data)
+            if entry is not None:
+                yield CacheRecord(path.stem, *entry)
 
 
 def resolve_cache_dir(explicit_dir: str | None = None,

@@ -787,11 +787,14 @@ class EvaluatorProtocol(Protocol):
 
     :class:`HarnessEvaluator` (serial),
     :class:`~repro.metaopt.parallel.ParallelEvaluator` (process pool),
-    and :class:`~repro.fleet.FleetEvaluator` (distributed) all
-    implement it, so the GP engine, the experiments runner, and the
+    :class:`~repro.fleet.FleetEvaluator` (distributed) and
+    :class:`~repro.surrogate.SurrogateEvaluator` (learned prescreen)
+    all implement it, so the GP engine, the experiments runner, and the
     benchmarks can swap evaluation backends without caring which one
-    they hold.  An evaluator is bound at construction to one harness
-    and one dataset.  The contract:
+    they hold; :class:`~repro.gp.engine.GPEngine` refuses an evaluator
+    without ``evaluate_batch`` with a ``TypeError``.  An evaluator is
+    bound at construction to one harness and one dataset.  The
+    contract:
 
     * **callers pass distinct jobs** — the GP engine owns the one
       fitness memo (it rides the checkpoint) and never dispatches a
@@ -805,8 +808,8 @@ class EvaluatorProtocol(Protocol):
       idempotent.
 
     There is no single-pair call: the engine fills its memo a
-    generation at a time through ``evaluate_batch``, and finalization
-    scores on the harness itself.
+    generation at a time through one ``evaluate_batch`` call, and
+    finalization scores on the harness itself.
     """
 
     def evaluate_batch(
@@ -825,10 +828,10 @@ def make_evaluator(case_name: str,
                    dataset: str = "train",
                    harness: EvaluationHarness | None = None,
                    ) -> EvaluatorProtocol:
-    """The one constructor entry point for fitness evaluators, and the
-    one place a harness is built from ``(case_name, settings)`` — pass
-    ``harness`` to evaluate on an existing one instead.  Every backend
-    evaluates ``dataset`` on (copies of) that single harness:
+    """The one constructor entry point for fitness evaluators.  It
+    builds a harness from ``(case_name, settings)`` unless ``harness``
+    is passed, as the experiment runner does with its own.  Every
+    backend evaluates ``dataset`` on (copies of) that single harness:
 
     * ``fleet`` set (e.g. ``"host:1234,host:1235"``) — a
       :class:`~repro.fleet.FleetEvaluator` sharding batches across

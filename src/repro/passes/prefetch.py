@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.instr import Instr, Opcode, prefetch
 from repro.ir.loops import Loop, find_loops
 from repro.ir.values import Imm, INT, VReg
@@ -311,18 +311,3 @@ def insert_prefetches(
 ) -> PrefetchReport:
     return PrefetchInsertion(function, machine, profile, priority).run()
 
-
-def insert_prefetches_module(
-    module: Module,
-    machine: MachineDescription,
-    profiles: Mapping[str, FunctionProfile],
-    priority: PrefetchPriority = orc_confidence,
-) -> dict[str, PrefetchReport]:
-    from repro.profile.profiler import FunctionProfile
-
-    reports = {}
-    for name, function in module.functions.items():
-        profile = profiles.get(name) or FunctionProfile()
-        reports[name] = insert_prefetches(function, machine, profile,
-                                          priority)
-    return reports

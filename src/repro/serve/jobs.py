@@ -545,7 +545,8 @@ def parse_evaluate_batch(params: dict) -> tuple:
     from repro.metaopt.harness import case_study
     from repro.metaopt.settings import EvalSettings
 
-    if params.get("schema") != 1:
+    schema = params.get("schema")
+    if type(schema) is not int or schema != 1:
         raise ValueError("evaluate-batch requires 'schema': 1")
     case_name = params.get("case")
     if not isinstance(case_name, str):
@@ -566,7 +567,7 @@ def parse_evaluate_batch(params: dict) -> tuple:
         if not isinstance(item, dict):
             raise ValueError("each item must be a JSON object")
         index = item.get("index")
-        if not isinstance(index, int) or index < 0:
+        if type(index) is not int or index < 0:
             raise ValueError("each item needs a non-negative 'index'")
         if index in seen:
             raise ValueError(f"duplicate item index {index}")

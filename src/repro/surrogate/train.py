@@ -71,7 +71,7 @@ def mine_pairs(
     for record in cache.scan():
         report.scanned += 1
         meta = record.meta
-        if meta is None or "expression" not in meta:
+        if "expression" not in meta:
             report.skipped_no_meta += 1
             continue
         if meta.get("case") != case.name:

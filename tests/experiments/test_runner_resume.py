@@ -226,6 +226,25 @@ class TestWithoutRunDir:
         assert outcome.generalization.best_expression == \
             manual.best_expression
 
+    def test_serial_session_holds_and_closes_a_harness_evaluator(
+            self, monkeypatch):
+        """A serial campaign holds an evaluator like every backend —
+        the session's ``HarnessEvaluator`` on its own harness — and
+        ``close()`` closes it, once."""
+        from repro.metaopt.harness import HarnessEvaluator
+
+        closed = []
+        monkeypatch.setattr(HarnessEvaluator, "close",
+                            lambda evaluator: closed.append(evaluator))
+        session = ExperimentRunner(spec_config(generations=1)).open_session()
+        evaluator = session.evaluator
+        assert isinstance(evaluator, HarnessEvaluator)
+        assert evaluator.harness is session.harness
+        assert session.engine.evaluator is evaluator
+        session.close()
+        session.close()
+        assert len(closed) == 1 and closed[0] is evaluator
+
 
 class TestCheckpointFile:
     def test_atomic_round_trip(self, tmp_path):

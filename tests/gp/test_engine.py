@@ -21,6 +21,26 @@ def regression_fitness(tree, benchmark):
     return 1.0 / (1.0 + error)
 
 
+class BatchAdapter:
+    """Gives a toy ``(tree, benchmark) -> fitness`` function the
+    engine's batch evaluator surface, recording how work arrives."""
+
+    def __init__(self, fitness=regression_fitness):
+        self.fitness = fitness
+        #: per batch, the ``(structural_key, benchmark)`` pairs shipped
+        self.batches = []
+
+    @property
+    def batch_sizes(self):
+        return [len(batch) for batch in self.batches]
+
+    def evaluate_batch(self, jobs):
+        jobs = list(jobs)
+        self.batches.append([(tree.structural_key(), benchmark)
+                             for tree, benchmark in jobs])
+        return [self.fitness(tree, benchmark) for tree, benchmark in jobs]
+
+
 def small_params(**overrides):
     defaults = dict(population_size=30, generations=10, seed=11)
     defaults.update(overrides)
@@ -50,13 +70,19 @@ class TestParams:
 
 
 class TestEngine:
+    def test_requires_a_batch_evaluator(self):
+        """There is no pairwise dispatch: a plain callable is refused
+        up front, naming the contract it misses."""
+        with pytest.raises(TypeError, match="EvaluatorProtocol"):
+            GPEngine(PSET, regression_fitness, ("toy",), small_params())
+
     def test_requires_benchmarks(self):
         with pytest.raises(ValueError):
-            GPEngine(PSET, regression_fitness, benchmarks=())
+            GPEngine(PSET, BatchAdapter(), benchmarks=())
 
     def test_initial_population_includes_seed(self):
         seed_tree = parse("(add x y)")
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(), seed_trees=(seed_tree,))
         population = engine.initial_population()
         assert len(population) == 30
@@ -66,13 +92,13 @@ class TestEngine:
 
     def test_too_many_seeds_rejected(self):
         seeds = tuple(parse(f"{i}.0") for i in range(31))
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(), seed_trees=seeds)
         with pytest.raises(ValueError):
             engine.initial_population()
 
     def test_run_produces_history(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params())
         result = engine.run()
         assert len(result.history) == 10
@@ -80,14 +106,14 @@ class TestEngine:
         assert len(result.fitness_curve()) == 10
 
     def test_elitism_makes_best_fitness_monotone(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(seed=7))
         result = engine.run()
         curve = result.fitness_curve()
         assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_evolution_improves_over_initial(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(generations=20, seed=5))
         result = engine.run()
         curve = result.fitness_curve()
@@ -98,7 +124,7 @@ class TestEngine:
         seed (the paper's guarantee that evolved heuristics match or
         beat the stock one on the training input)."""
         seed_tree = parse("(add (add x x) y)")  # the exact solution
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(), seed_trees=(seed_tree,))
         result = engine.run()
         assert result.best.fitness >= regression_fitness(seed_tree, "toy") \
@@ -111,7 +137,7 @@ class TestEngine:
             calls.append(tree.structural_key())
             return regression_fitness(tree, benchmark)
 
-        engine = GPEngine(PSET, counting_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(counting_fitness), ("toy",),
                           small_params())
         engine.run()
         assert len(calls) == len(set(calls))
@@ -120,26 +146,26 @@ class TestEngine:
     def test_deterministic_under_seed(self):
         results = []
         for _ in range(2):
-            engine = GPEngine(PSET, regression_fitness, ("toy",),
+            engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                               small_params(seed=99))
             results.append(engine.run().fitness_curve())
         assert results[0] == results[1]
 
     def test_baseline_rank_reported_when_seeded(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(), seed_trees=(parse("(add x y)"),))
         result = engine.run()
         assert result.history[0].baseline_rank is not None
 
     def test_baseline_rank_none_without_seed(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params())
         result = engine.run()
         assert result.history[0].baseline_rank is None
 
     def test_on_generation_callback(self):
         seen = []
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(generations=4),
                           on_generation=seen.append)
         engine.run()
@@ -158,7 +184,7 @@ class TestEngineWithDSS:
         import random as _random
 
         dss = DSSState(benchmarks, subset_size=2, rng=_random.Random(1))
-        engine = GPEngine(PSET, per_bench_fitness, benchmarks,
+        engine = GPEngine(PSET, BatchAdapter(per_bench_fitness), benchmarks,
                           small_params(generations=8), dss=dss)
         result = engine.run()
         subsets = [set(stats.subset) for stats in result.history]
@@ -168,7 +194,7 @@ class TestEngineWithDSS:
 
     def test_without_dss_full_set_used(self):
         benchmarks = ("b0", "b1")
-        engine = GPEngine(PSET, regression_fitness, benchmarks,
+        engine = GPEngine(PSET, BatchAdapter(), benchmarks,
                           small_params(generations=3))
         result = engine.run()
         assert all(stats.subset == benchmarks for stats in result.history)
@@ -176,7 +202,7 @@ class TestEngineWithDSS:
 
 class TestDiversityStats:
     def test_unique_structures_bounded_by_population(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(generations=4))
         result = engine.run()
         for stats in result.history:
@@ -187,7 +213,7 @@ class TestDiversityStats:
         """Replacement by crossover of tournament winners reduces (or
         at least never explodes) structural diversity — the paper's
         inbreeding observation."""
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(generations=12, seed=2))
         result = engine.run()
         first = result.history[0].unique_structures
@@ -195,40 +221,12 @@ class TestDiversityStats:
         assert last <= first + 5
 
 
-class _BatchingFitness:
-    """Callable evaluator that also exposes ``evaluate_batch`` and
-    records how work arrives, for asserting the engine's generation
-    batching."""
-
-    def __init__(self):
-        self.single_calls = 0
-        #: per batch, the ``(structural_key, benchmark)`` pairs shipped
-        self.batches = []
-
-    @property
-    def batch_sizes(self):
-        return [len(batch) for batch in self.batches]
-
-    def __call__(self, tree, benchmark):
-        self.single_calls += 1
-        return regression_fitness(tree, benchmark)
-
-    def evaluate_batch(self, jobs):
-        jobs = list(jobs)
-        self.batches.append([(tree.structural_key(), benchmark)
-                             for tree, benchmark in jobs])
-        return [regression_fitness(tree, benchmark)
-                for tree, benchmark in jobs]
-
-
 class TestGenerationBatching:
     def test_uncached_pairs_arrive_in_one_batch(self):
-        evaluator = _BatchingFitness()
+        evaluator = BatchAdapter()
         engine = GPEngine(PSET, evaluator, ("toy",),
                           small_params(generations=4))
         engine.run()
-        # every fitness came through evaluate_batch, never pairwise
-        assert evaluator.single_calls == 0
         assert evaluator.batch_sizes
         # generation 0 ships the whole population in one call
         assert evaluator.batch_sizes[0] <= 30
@@ -236,21 +234,12 @@ class TestGenerationBatching:
         # later generations only ship new (uncached) individuals
         assert all(size < 30 for size in evaluator.batch_sizes[1:])
 
-    def test_batching_identical_to_pairwise(self):
-        batched = GPEngine(PSET, _BatchingFitness(), ("toy",),
-                           small_params(generations=6)).run()
-        pairwise = GPEngine(PSET, regression_fitness, ("toy",),
-                            small_params(generations=6)).run()
-        assert batched.fitness_curve() == pairwise.fitness_curve()
-        assert batched.best.tree == pairwise.best.tree
-        assert batched.evaluations == pairwise.evaluations
-
     def test_batch_deduplicates_structural_twins(self):
         """The engine's memo is the only fitness dedupe — evaluators
         below it are plain transports — so it must never ship a pair
         twice: not within a batch, not across generations, not across
         a checkpoint round trip."""
-        evaluator = _BatchingFitness()
+        evaluator = BatchAdapter()
 
         def build():
             return GPEngine(
@@ -271,7 +260,6 @@ class TestGenerationBatching:
         while not resumed.done:
             resumed.step()
 
-        assert evaluator.single_calls == 0
         assert len(evaluator.batches) > 3
         dispatched = [pair for batch in evaluator.batches
                       for pair in batch]
@@ -280,18 +268,18 @@ class TestGenerationBatching:
 
 class TestSteppedCheckpointing:
     def test_step_matches_run(self):
-        stepped = GPEngine(PSET, regression_fitness, ("toy",),
+        stepped = GPEngine(PSET, BatchAdapter(), ("toy",),
                            small_params(generations=6))
         while not stepped.done:
             stepped.step()
-        monolithic = GPEngine(PSET, regression_fitness, ("toy",),
+        monolithic = GPEngine(PSET, BatchAdapter(), ("toy",),
                               small_params(generations=6)).run()
         assert stepped.result().fitness_curve() == \
             monolithic.fitness_curve()
         assert stepped.result().best.tree == monolithic.best.tree
 
     def test_step_after_done_rejected(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(generations=2))
         engine.run()
         with pytest.raises(RuntimeError):
@@ -299,16 +287,16 @@ class TestSteppedCheckpointing:
 
     @pytest.mark.parametrize("stop_at", [1, 4, 9])
     def test_state_round_trip_continues_identically(self, stop_at):
-        reference = GPEngine(PSET, regression_fitness, ("toy",),
+        reference = GPEngine(PSET, BatchAdapter(), ("toy",),
                              small_params()).run()
 
-        first = GPEngine(PSET, regression_fitness, ("toy",),
+        first = GPEngine(PSET, BatchAdapter(), ("toy",),
                          small_params())
         for _ in range(stop_at):
             first.step()
         state = first.state_dict()
 
-        second = GPEngine(PSET, regression_fitness, ("toy",),
+        second = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params())
         second.restore_state(state)
         resumed = second.run()
@@ -324,7 +312,7 @@ class TestSteppedCheckpointing:
         def build():
             dss = DSSState(benchmarks, subset_size=2,
                            rng=_random.Random(1))
-            return GPEngine(PSET, regression_fitness, benchmarks,
+            return GPEngine(PSET, BatchAdapter(), benchmarks,
                             small_params(generations=8), dss=dss)
 
         reference = build().run()
@@ -341,19 +329,19 @@ class TestSteppedCheckpointing:
     def test_state_is_picklable_and_detached(self):
         import pickle
 
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params(generations=4))
         engine.step()
         state = pickle.loads(pickle.dumps(engine.state_dict()))
         engine.step()  # mutating the engine must not affect the snapshot
-        fresh = GPEngine(PSET, regression_fitness, ("toy",),
+        fresh = GPEngine(PSET, BatchAdapter(), ("toy",),
                          small_params(generations=4))
         fresh.restore_state(state)
         assert fresh.generation == 1
         assert len(fresh.history) == 1
 
     def test_unsupported_state_version_rejected(self):
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params())
         with pytest.raises(ValueError):
             engine.restore_state({"version": 99})
@@ -368,7 +356,7 @@ class TestBaselineRankFast:
         rng = random.Random(5)
         trees = [parse("x"),
                  parse("y")]
-        engine = GPEngine(PSET, regression_fitness, ("toy",),
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
                           small_params())
         for trial in range(200):
             population = []

@@ -66,7 +66,7 @@ class TestRoundTrip:
             priority_key=("tree", ("rconst", 1.0)),
             benchmark="codrle4", dataset="train")
         result = sample_result()
-        writer.put(key, result)
+        writer.put(key, result, meta={})
 
         reader = FitnessCache(tmp_path)
         recalled = reader.get(key)
@@ -76,7 +76,7 @@ class TestRoundTrip:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = FitnessCache(tmp_path)
         key = "b" * 64
-        cache.put(key, sample_result())
+        cache.put(key, sample_result(), meta={})
         path = cache._path_for(key)
         path.write_text("not json {")
         fresh = FitnessCache(tmp_path)
@@ -180,18 +180,24 @@ class TestScan:
         keys = [record.key for record in FitnessCache(tmp_path).scan()]
         assert keys == sorted(keys)
 
-    def test_scan_reads_meta_less_and_legacy_entries(self, tmp_path):
+    def test_scan_and_get_skip_meta_less_and_legacy_entries(self,
+                                                            tmp_path):
+        """One entry format: an envelope without ``meta`` and a
+        pre-envelope flat ``SimResult`` are neither records nor hits."""
         cache = FitnessCache(tmp_path)
-        cache.put("e" * 64, sample_result(250))  # no meta
-        legacy = cache._path_for("1" * 64)
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(json.dumps(  # pre-envelope flat SimResult
-            {"cycles": 9, "return_value": None, "outputs": [],
-             "dynamic_ops": 1, "bundles": 1}))
-        records = {r.key: r for r in FitnessCache(tmp_path).scan()}
-        assert records["e" * 64].meta is None
-        assert records["1" * 64].result.cycles == 9
-        assert records["1" * 64].meta is None
+        flat = {"cycles": 9, "return_value": None, "outputs": [],
+                "dynamic_ops": 1, "bundles": 1}
+        for key, data in (("e" * 64, {"schema": 2, "result": flat}),
+                          ("1" * 64, flat)):
+            path = cache._path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(data))
+        self.put_with_meta(cache, "b" * 64, cycles=100)
+        fresh = FitnessCache(tmp_path)
+        assert [r.key for r in fresh.scan()] == ["b" * 64]
+        assert fresh.get("e" * 64) is None
+        assert fresh.get("1" * 64) is None
+        assert fresh.get("b" * 64).cycles == 100
 
     def test_scan_skips_corrupt_entries(self, tmp_path):
         cache = FitnessCache(tmp_path)
@@ -208,7 +214,7 @@ class TestScan:
             case, EvalSettings(fitness_cache_dir=tmp_path))
         harness.speedup(case.baseline_tree(), "codrle4")
         metas = [r.meta for r in FitnessCache(tmp_path).scan()]
-        assert metas and all(m is not None for m in metas)
+        assert metas
         for meta in metas:
             assert meta["case"] == "hyperblock"
             assert meta["benchmark"] == "codrle4"

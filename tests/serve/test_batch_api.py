@@ -124,6 +124,24 @@ class TestErrorShape:
         with pytest.raises(JobFailed, match="noise_stddev must be a finite"):
             client.evaluate(BENCHMARK, noise=float("inf"))
 
+    def test_batch_integers_are_checked_not_coerced(self, server):
+        """``true == 1`` and a bool is an int to ``isinstance``: neither
+        ``"schema": true`` nor a boolean item ``"index"`` is accepted."""
+        for schema in (True, 1.0):
+            payload = batch_payload()
+            payload["schema"] = schema
+            status, _, body = post_batch(server, payload)
+            assert status == 400, schema
+            assert body["schema"] == API_SCHEMA and body["ok"] is False
+            assert "'schema': 1" in body["error"]
+        for index in (True, False, 1.0):
+            payload = batch_payload()
+            payload["items"][0]["index"] = index
+            status, _, body = post_batch(server, payload)
+            assert status == 400, index
+            assert body["schema"] == API_SCHEMA and body["ok"] is False
+            assert "'index'" in body["error"]
+
     def test_evaluate_params_are_checked_not_coerced(self, client):
         """``noise`` meets the same ``EvalSettings`` check as the batch
         endpoint's settings: ``true`` is not stddev 1.0, and a string

@@ -147,7 +147,7 @@ class TestFitnessCacheUnderThreads:
             for n in range(ROUNDS):
                 key = f"{'k' * 62}{slot}{n}"  # 64-char unique keys
                 assert cache.get(key) is None  # cold
-                cache.put(key, self._result(n))
+                cache.put(key, self._result(n), meta={})
                 stored = cache.get(key)
                 assert stored is not None and stored.cycles == n
                 cache.get(f"{'m' * 62}{slot}{n}")  # guaranteed miss
@@ -160,7 +160,7 @@ class TestFitnessCacheUnderThreads:
     def test_shared_hot_key_all_threads_hit(self, tmp_path):
         cache = FitnessCache(tmp_path / "cache")
         key = "a" * 64
-        cache.put(key, self._result(42))
+        cache.put(key, self._result(42), meta={})
         barrier = threading.Barrier(THREADS)
 
         def worker(slot):
@@ -181,7 +181,8 @@ class TestFitnessCacheUnderThreads:
         def worker(slot):
             barrier.wait()
             for n in range(ROUNDS):
-                cache.put(key, self._result(slot * 1000 + n))
+                cache.put(key, self._result(slot * 1000 + n),
+                          meta={})
 
         run_threads(worker)
         fresh = FitnessCache(tmp_path / "cache")

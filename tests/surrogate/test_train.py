@@ -81,7 +81,7 @@ class TestMinePairs:
 
     def test_other_cases_and_meta_less_records_skipped(self, tmp_path):
         cache, _, _ = fill_cache(tmp_path, candidates=2)
-        cache.put("a" * 64, result(700))  # no meta
+        cache.put("a" * 64, result(700), meta={})  # no expression
         cache.put("b" * 64, result(700),
                   meta=meta("(add exec_ratio 1.0)", case="hyperblock"))
         pairs, report = mine_pairs(cache, CASE)

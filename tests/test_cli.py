@@ -429,8 +429,6 @@ class TestCacheCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["entries"] > 0
-        assert payload["with_meta"] == payload["entries"]
-        assert payload["legacy"] == 0
         assert payload["by_case"] == {"hyperblock": payload["entries"]}
         assert payload["by_benchmark"] == {"codrle4": payload["entries"]}
 
