@@ -28,7 +28,7 @@ def run_engine(harness, *, elitism=True, seed_baseline=True, seed=3):
     seeds = (harness.case.baseline_tree(),) if seed_baseline else ()
     engine = GPEngine(
         pset=harness.case.pset,
-        evaluator=harness.evaluator("train"),
+        evaluator=harness,
         benchmarks=(BENCH,),
         params=params,
         seed_trees=seeds,
@@ -122,7 +122,7 @@ def test_ablation_dss_vs_full(benchmark):
         params = gp_params(seed=17)
         return GPEngine(
             pset=harness.case.pset,
-            evaluator=harness.evaluator("train"),
+            evaluator=harness,
             benchmarks=training,
             params=params,
             seed_trees=(harness.case.baseline_tree(),),

@@ -22,7 +22,7 @@ def test_ablation_population_scale(benchmark):
         for population in POPULATIONS:
             engine = GPEngine(
                 pset=harness.case.pset,
-                evaluator=harness.evaluator("train"),
+                evaluator=harness,
                 benchmarks=(BENCH,),
                 params=GPParams(population_size=population,
                                 generations=8, seed=23),

@@ -23,7 +23,7 @@ def test_claim_seed_stability(benchmark):
             base = gp_params(seed=seed)
             engine = GPEngine(
                 pset=harness.case.pset,
-                evaluator=harness.evaluator("train"),
+                evaluator=harness,
                 benchmarks=(BENCH,),
                 params=base,
                 seed_trees=(harness.case.baseline_tree(),),

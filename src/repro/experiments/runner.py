@@ -196,32 +196,31 @@ class ExperimentRunner:
             surrogate.restore_state(state)
         return surrogate
 
-    def _extra_seeds(self, harness):
+    def _extra_seeds(self, case):
         if not self.config.seed_expressions:
             return ()
         from repro.gp.parse import parse
 
-        pset = harness.case.pset
-        return tuple(parse(text, pset.bool_feature_set())
+        return tuple(parse(text, case.pset.bool_feature_set())
                      for text in self.config.seed_expressions)
 
-    def _build_engine(self, harness, evaluator):
+    def _build_engine(self, case, evaluator):
         config = self.config
-        extra_seeds = self._extra_seeds(harness)
+        extra_seeds = self._extra_seeds(case)
         if config.mode == "specialize":
             from repro.metaopt.specialize import build_specialize_engine
 
             return build_specialize_engine(
-                harness.case, config.benchmark, config.params, harness,
-                seed_baseline=config.seed_baseline, evaluator=evaluator,
+                case, config.benchmark, config.params, evaluator,
+                seed_baseline=config.seed_baseline,
                 extra_seeds=extra_seeds,
             )
         from repro.metaopt.generalize import build_generalize_engine
 
         return build_generalize_engine(
-            harness.case, config.training_set, config.params, harness,
+            case, config.training_set, config.params, evaluator,
             subset_size=config.subset_size,
-            seed_baseline=config.seed_baseline, evaluator=evaluator,
+            seed_baseline=config.seed_baseline,
             extra_seeds=extra_seeds,
         )
 
@@ -283,9 +282,6 @@ class ExperimentRunner:
         atomic_write(self.run_dir / POPULATIONS_DIRNAME /
                      f"gen_{generation:04d}.jsonl",
                      "".join(lines).encode())
-
-    def _counters(self, harness, evaluator) -> dict[str, int]:
-        return {**harness.stats(), **evaluator.stats()}
 
     # -- result payload ----------------------------------------------------
     def _history_payload(self, history) -> list[dict]:
@@ -434,11 +430,13 @@ class ExperimentSession:
     Owns everything :meth:`ExperimentRunner.run` used to hold on its
     stack: the event sink, metrics registry, harness, evaluator,
     engine, and checkpoint path.  Construction performs the whole
-    run-start sequence (run-dir prep, state restore, ``run_started``
-    event); each :meth:`step` is one engine generation plus its
-    checkpoint and telemetry; :meth:`finalize`/:meth:`interrupt` end
-    the run; :meth:`close` releases the evaluator, metrics, and sinks
-    (idempotent — always call it).
+    run-start sequence (capability gate, evaluator, run-dir prep, state
+    restore, ``run_started`` event) and, if any of it raises, releases
+    what it took before the error propagates; each :meth:`step` is one
+    engine generation plus its checkpoint and telemetry;
+    :meth:`finalize`/:meth:`interrupt` end the run; :meth:`close`
+    releases the evaluator, metrics, and sinks (idempotent — always
+    call it).
     """
 
     def __init__(self, runner: ExperimentRunner, resume: bool = False):
@@ -456,12 +454,28 @@ class ExperimentSession:
             publish=runner.publish_dir is not None,
             seed_expressions=config.seed_expressions,
         )
+        if resume and runner.run_dir is None:
+            raise ValueError("resume requires a run directory")
+        from repro.metaopt.harness import make_evaluator
+
+        self.evaluator = make_evaluator(
+            self.harness, processes=config.processes, fleet=runner.fleet)
         self._run_started = time.monotonic()
         self._closed = False
-        self._finished = False
-
         self.registry = None
         self._owns_metrics = False
+        self._owned_sinks: list[EventSink] = []
+        try:
+            self._open(resume)
+        except BaseException:
+            self.close()
+            raise
+
+    def _open(self, resume: bool) -> None:
+        """The run-start sequence after the evaluator is built; what it
+        takes is released by :meth:`close`."""
+        runner = self.runner
+        config = self.config
         #: baseline of the first step's ``metrics`` delta, so work done
         #: while the session opens (the surrogate's training from the
         #: cache) lands in that step's event
@@ -474,13 +488,10 @@ class ExperimentSession:
             self._open_metrics = self.registry.snapshot()
 
         self.checkpoint_path = None
-        self._owned_sinks: list[EventSink] = []
         if runner.run_dir is not None:
             self.checkpoint_path = runner._prepare_run_dir(resume)
             self._owned_sinks.append(
                 JsonlSink(runner.run_dir / EVENTS_FILENAME))
-        elif resume:
-            raise ValueError("resume requires a run directory")
         self.sink = MultiSink(list(runner.sinks) + self._owned_sinks)
 
         snapshot = None
@@ -491,14 +502,6 @@ class ExperimentSession:
                     "checkpoint was written by a different configuration "
                     f"than {runner.run_dir / CONFIG_FILENAME} describes")
 
-        from repro.metaopt.harness import make_evaluator
-
-        self.evaluator = make_evaluator(
-            config.case,
-            processes=config.processes,
-            fleet=runner.fleet,
-            harness=self.harness,
-        )
         #: the live SurrogateEvaluator of a ``--surrogate`` run (its
         #: state rides the checkpoint), else None
         self.surrogate = None
@@ -508,7 +511,8 @@ class ExperimentSession:
                 None if snapshot is None else snapshot.get("surrogate"))
             self.evaluator = self.surrogate
 
-        self.engine = runner._build_engine(self.harness, self.evaluator)
+        self.engine = runner._build_engine(self.harness.case,
+                                           self.evaluator)
         if snapshot is not None:
             self.engine.restore_state(snapshot["engine"])
 
@@ -516,9 +520,6 @@ class ExperimentSession:
             engine = self.engine
             engine.on_generation = lambda stats: runner._snapshot_population(
                 stats.generation, engine.population)
-
-        self.evaluator.__enter__()
-        self._evaluator_open = True
 
         self.sink.emit({
             "event": "run_started",
@@ -540,11 +541,6 @@ class ExperimentSession:
         """The generation a resume (or the next step) continues from."""
         return self.engine.generation
 
-    def _exit_evaluator(self) -> None:
-        if self._evaluator_open:
-            self._evaluator_open = False
-            self.evaluator.__exit__(None, None, None)
-
     # -- stepping ----------------------------------------------------------
     def step(self):
         """Run exactly one engine generation: evaluate, checkpoint,
@@ -554,7 +550,7 @@ class ExperimentSession:
         config = self.config
         try:
             generation_started = time.monotonic()
-            before = runner._counters(self.harness, self.evaluator)
+            before = self.evaluator.stats()
             metrics_before = self._open_metrics
             self._open_metrics = None
             if metrics_before is None and self.registry is not None:
@@ -562,7 +558,7 @@ class ExperimentSession:
             evaluations_before = self.engine.evaluations
             stats = self.engine.step()
             wall_s = time.monotonic() - generation_started
-            after = runner._counters(self.harness, self.evaluator)
+            after = self.evaluator.stats()
 
             if self.checkpoint_path is not None and (
                 self.engine.generation % config.checkpoint_every == 0
@@ -631,10 +627,9 @@ class ExperimentSession:
                 })
             return stats
         except BaseException:
-            # mirror the old with-block: the evaluator shuts down
-            # before the interrupt event is emitted or the error
-            # propagates to the caller
-            self._exit_evaluator()
+            # the evaluator shuts down before the interrupt event is
+            # emitted or the error propagates to the caller
+            self.evaluator.close()
             raise
 
     # -- endings -----------------------------------------------------------
@@ -649,8 +644,7 @@ class ExperimentSession:
         checkpoint stands and a resume continues from
         ``next_generation``."""
         self.emit_interrupted()
-        self._exit_evaluator()
-        self._finished = True
+        self.evaluator.close()
         return ExperimentResult(
             config=self.config,
             run_dir=self.runner.run_dir,
@@ -667,10 +661,8 @@ class ExperimentSession:
             # final re-scores always run on the serial harness
             spec, gen, cross = runner._finalize(self.harness,
                                                 self.engine.result())
-        except BaseException:
-            self._exit_evaluator()
-            raise
-        self._exit_evaluator()
+        finally:
+            self.evaluator.close()
 
         payload = runner._result_payload(spec, gen, cross)
         if runner.run_dir is not None:
@@ -689,7 +681,6 @@ class ExperimentSession:
             "result": payload,
             "wall_s": time.monotonic() - self._run_started,
         })
-        self._finished = True
         return ExperimentResult(
             config=self.config,
             run_dir=runner.run_dir,
@@ -707,7 +698,7 @@ class ExperimentSession:
         if self._closed:
             return
         self._closed = True
-        self._exit_evaluator()
+        self.evaluator.close()
         if self._owns_metrics:
             from repro import obs
 

@@ -143,11 +143,9 @@ class FleetEvaluator:
     """
 
     def __init__(self, harness: "EvaluationHarness", fleet: str, *,
-                 dataset: str = "train",
                  sleep=time.sleep) -> None:
         self.harness = harness
         self.addresses = parse_fleet_spec(fleet)
-        self.dataset = dataset
         self._sleep = sleep
         self._slots: list[_WorkerSlot] | None = None
         self._fingerprint = None
@@ -340,7 +338,7 @@ class FleetEvaluator:
         return {
             "schema": 1,
             "case": self.harness.case.name,
-            "dataset": self.dataset,
+            "dataset": "train",
             "settings": wire.to_json_dict(),
             "fingerprint": self._fingerprints(),
             "items": [
@@ -423,15 +421,18 @@ class FleetEvaluator:
         for index, text, benchmark in shard.items:
             priority = PriorityFunction.from_text(
                 text, self.harness.case.pset)
-            state.results[index] = self.harness.speedup(
-                priority.tree, benchmark, self.dataset)
+            state.results[index] = self.harness.speedup(priority.tree,
+                                                        benchmark)
             self.local_fallback_jobs += 1
             obs.inc("fleet.local_fallback_jobs")
         state.outstanding -= 1
 
     # -- telemetry -------------------------------------------------------
     def stats(self) -> dict[str, int]:
+        """The harness counters (the local fallback's work; the workers
+        keep their own) plus the dispatch counts."""
         return {
+            **self.harness.stats(),
             "workers": len(self.addresses),
             "workers_lost": self.workers_lost,
             "jobs_dispatched": self.jobs_dispatched,

@@ -7,8 +7,10 @@ job order (:class:`repro.metaopt.harness.EvaluatorProtocol`) — and
 evolves expressions that maximize the average speedup across the
 benchmark set active in each generation.  Each generation ships every
 uncached pair in one batch.  The Meta Optimization harness
-(:mod:`repro.metaopt.harness`) supplies evaluators that compile and
-simulate benchmarks with the candidate priority function installed.
+(:class:`repro.metaopt.harness.EvaluationHarness`) is such an
+evaluator, compiling and simulating benchmarks with the candidate
+priority function installed; the process pool and the fleet spread
+its work.
 
 Paper parameters (Table 2), kept as defaults:
 

@@ -15,7 +15,11 @@ from repro.gp.dss import DSSState
 from repro.gp.engine import GenerationStats, GPEngine, GPParams
 from repro.gp.genome import expression_text
 from repro.gp.nodes import Node
-from repro.metaopt.harness import CaseStudy, EvaluationHarness
+from repro.metaopt.harness import (
+    CaseStudy,
+    EvaluationHarness,
+    EvaluatorProtocol,
+)
 from repro.metaopt.settings import EvalSettings
 
 
@@ -71,15 +75,16 @@ def build_generalize_engine(
     case: CaseStudy,
     training_set: tuple[str, ...],
     params: GPParams,
-    harness: EvaluationHarness,
+    evaluator: EvaluatorProtocol,
     subset_size: int | None = None,
     seed_baseline: bool = True,
-    evaluator=None,
     extra_seeds: tuple = (),
 ) -> GPEngine:
     """The DSS-driven GP engine of a generalization campaign, not yet
-    run.  Stepping it yourself (checkpointing between generations,
-    including the attached :class:`~repro.gp.dss.DSSState`) is what
+    run; ``evaluator`` drives it, as in
+    :func:`~repro.metaopt.specialize.build_specialize_engine`.
+    Stepping it yourself (checkpointing between generations, including
+    the attached :class:`~repro.gp.dss.DSSState`) is what
     :class:`repro.experiments.ExperimentRunner` does."""
     if not training_set:
         raise ValueError("training set must not be empty")
@@ -97,8 +102,7 @@ def build_generalize_engine(
     seeds = seeds + tuple(extra_seeds)
     return GPEngine(
         pset=case.pset,
-        evaluator=evaluator if evaluator is not None
-        else harness.evaluator("train"),
+        evaluator=evaluator,
         benchmarks=tuple(training_set),
         params=params,
         seed_trees=seeds,

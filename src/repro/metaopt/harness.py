@@ -3,7 +3,11 @@
 Wraps the compiler + simulator into the fitness function of Figure 2:
 a candidate priority function is installed into its case study's hook,
 every training benchmark is compiled and simulated, and fitness is the
-average speedup over the baseline-compiled binaries.
+average speedup over the baseline-compiled binaries.  The harness is
+also a campaign's serial evaluator: its ``evaluate_batch`` scores a
+generation's jobs in order, behind the :class:`EvaluatorProtocol` it
+shares with the process pool, the fleet and the surrogate
+(:func:`make_evaluator` picks the backend).
 
 Costly work is reused in layers, mirroring the paper's memoization
 ("Our system memoizes benchmark fitnesses because fitness evaluations
@@ -704,6 +708,17 @@ class EvaluationHarness:
             return 0.0
         return baseline / candidate
 
+    # -- EvaluatorProtocol -------------------------------------------------
+    def evaluate_batch(
+            self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
+        """The ``train`` speedups of ``(tree, benchmark)`` jobs, in job
+        order: the serial backend, whose values the pool and the fleet
+        reproduce bit-identically."""
+        return [self.speedup(tree, benchmark) for tree, benchmark in jobs]
+
+    def close(self) -> None:
+        """Nothing to release: the harness holds memos, no workers."""
+
     def stats(self) -> dict[str, int]:
         """Telemetry counters for event streams and progress reports.
 
@@ -742,58 +757,21 @@ class EvaluationHarness:
             counters["fitness_cache_stores"] = counts["fitness_cache_stores"]
         return counters
 
-    def evaluator(self, dataset: str = "train") -> "HarnessEvaluator":
-        """The serial evaluator for the GP engine (fitness = speedup
-        over baseline, Table 2): ``evaluate_batch`` simply evaluates
-        the batch in order, preserving the serial seed semantics."""
-        return HarnessEvaluator(self, dataset)
-
-
-@dataclass
-class HarnessEvaluator:
-    """Serial fitness evaluator bound to one harness and dataset.
-
-    Its ``evaluate_batch`` is the reference semantics the parallel and
-    fleet evaluators must reproduce bit-identically.  Implements
-    :class:`EvaluatorProtocol` so serial, process-pool, and fleet
-    evaluation interchange freely.
-    """
-
-    harness: EvaluationHarness
-    dataset: str = "train"
-
-    def evaluate_batch(self, jobs) -> list[float]:
-        return [
-            self.harness.speedup(tree, benchmark, self.dataset)
-            for tree, benchmark in jobs
-        ]
-
-    def stats(self) -> dict[str, int]:
-        return dict(self.harness.stats())
-
-    def close(self) -> None:
-        """Nothing to release: the harness is owned by the caller."""
-
-    def __enter__(self) -> "HarnessEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 @runtime_checkable
 class EvaluatorProtocol(Protocol):
-    """The shared evaluator surface.
+    """The shared evaluator surface: the fitness of ``(tree,
+    benchmark)`` jobs, always the ``train`` speedup of Figure 2.
 
-    :class:`HarnessEvaluator` (serial),
+    :class:`EvaluationHarness` itself (serial),
     :class:`~repro.metaopt.parallel.ParallelEvaluator` (process pool),
     :class:`~repro.fleet.FleetEvaluator` (distributed) and
     :class:`~repro.surrogate.SurrogateEvaluator` (learned prescreen)
     all implement it, so the GP engine, the experiments runner, and the
     benchmarks can swap evaluation backends without caring which one
     they hold; :class:`~repro.gp.engine.GPEngine` refuses an evaluator
-    without ``evaluate_batch`` with a ``TypeError``.  An evaluator is
-    bound at construction to one harness and one dataset.  The
+    without ``evaluate_batch`` with a ``TypeError``.  Every backend
+    evaluates on one campaign harness (or forked copies of it).  The
     contract:
 
     * **callers pass distinct jobs** — the GP engine owns the one
@@ -804,12 +782,13 @@ class EvaluatorProtocol(Protocol):
       regardless of completion order (order-independent reduction);
     * equal :class:`~repro.metaopt.settings.EvalSettings` produce
       bit-identical values on every backend;
-    * ``stats()`` is cheap and side-effect free; ``close()`` is
-      idempotent.
+    * ``stats()`` is cheap and side-effect free and includes the
+      harness's counters; ``close()`` is idempotent.
 
     There is no single-pair call: the engine fills its memo a
     generation at a time through one ``evaluate_batch`` call, and
-    finalization scores on the harness itself.
+    finalization scores on the harness's ``speedup`` (train and novel
+    data).
     """
 
     def evaluate_batch(
@@ -820,38 +799,28 @@ class EvaluatorProtocol(Protocol):
     def close(self) -> None: ...
 
 
-def make_evaluator(case_name: str,
-                   settings: EvalSettings | None = None,
-                   *,
-                   processes: int = 1,
-                   fleet: str | None = None,
-                   dataset: str = "train",
-                   harness: EvaluationHarness | None = None,
-                   ) -> EvaluatorProtocol:
-    """The one constructor entry point for fitness evaluators.  It
-    builds a harness from ``(case_name, settings)`` unless ``harness``
-    is passed, as the experiment runner does with its own.  Every
-    backend evaluates ``dataset`` on (copies of) that single harness:
+def make_evaluator(harness: EvaluationHarness, *, processes: int = 1,
+                   fleet: str | None = None) -> EvaluatorProtocol:
+    """The campaign's fitness evaluator over ``harness``:
 
     * ``fleet`` set (e.g. ``"host:1234,host:1235"``) — a
       :class:`~repro.fleet.FleetEvaluator` sharding batches across
-      running serve daemons (mutually exclusive with ``processes > 1``);
+      running serve daemons;
     * ``processes > 1`` — a
-      :class:`~repro.metaopt.parallel.ParallelEvaluator` process pool;
-    * otherwise — the serial :class:`HarnessEvaluator`.
+      :class:`~repro.metaopt.parallel.ParallelEvaluator` process pool
+      forked from ``harness``;
+    * otherwise — ``harness`` itself.
 
-    All three speak :class:`EvaluatorProtocol` and are bit-identical
-    for equal settings.
+    All three are bit-identical for equal settings.  The caller runs
+    :meth:`CaseStudy.check_campaign` first, as the experiment session
+    does: this builds, it does not refuse.
     """
-    if harness is None:
-        harness = EvaluationHarness(case_study(case_name), settings)
-    harness.case.check_campaign(processes=processes, fleet=fleet)
     if fleet is not None:
         from repro.fleet import FleetEvaluator  # lazy: avoid cycle
 
-        return FleetEvaluator(harness, fleet, dataset=dataset)
+        return FleetEvaluator(harness, fleet)
     if processes > 1:
         from repro.metaopt.parallel import ParallelEvaluator
 
-        return ParallelEvaluator(harness, processes, dataset=dataset)
-    return harness.evaluator(dataset)
+        return ParallelEvaluator(harness, processes)
+    return harness

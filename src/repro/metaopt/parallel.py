@@ -81,19 +81,19 @@ def _worker_init(harness: "EvaluationHarness",
 
 
 def _worker_evaluate(
-    job: tuple[int, str, str, str]
+    job: tuple[int, str, str]
 ) -> tuple[int, float, dict[str, int], dict | None]:
     """Evaluate one job; ships the harness ``stats()`` delta and a
     metrics *delta* (everything this worker did since its last shipped
     job) alongside the value, so the parent can count per-worker work
     and fold it into its own registry."""
     global _WORKER_METRICS_MARK, _WORKER_STATS_MARK
-    index, tree_text, benchmark, dataset = job
+    index, tree_text, benchmark = job
     from repro.metaopt.priority import PriorityFunction
 
     priority = PriorityFunction.from_text(tree_text,
                                           _WORKER_HARNESS.case.pset)
-    value = _WORKER_HARNESS.speedup(priority.tree, benchmark, dataset)
+    value = _WORKER_HARNESS.speedup(priority.tree, benchmark)
     stats = _WORKER_HARNESS.stats()
     stats_delta = {key: count - _WORKER_STATS_MARK.get(key, 0)
                    for key, count in stats.items()}
@@ -108,16 +108,15 @@ def _worker_evaluate(
 
 
 class ParallelEvaluator:
-    """Process-pool fitness evaluation on forked copies of ``harness``,
-    bound to one ``dataset``."""
+    """Process-pool fitness evaluation on forked copies of
+    ``harness``."""
 
-    def __init__(self, harness: "EvaluationHarness", processes: int = 2,
-                 *, dataset: str = "train") -> None:
+    def __init__(self, harness: "EvaluationHarness",
+                 processes: int = 2) -> None:
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.harness = harness
         self.processes = processes
-        self.dataset = dataset
         self._pool = None
         self.jobs_dispatched = 0
         self.batches_dispatched = 0
@@ -134,7 +133,7 @@ class ParallelEvaluator:
         if self._pool is None:
             for benchmark in benchmarks:
                 self.harness.prepared(benchmark)
-                self.harness.baseline_result(benchmark, self.dataset)
+                self.harness.baseline_result(benchmark)
             # Imported here, not at module level: a serial campaign
             # never builds a pool and should not pay for the import.
             import multiprocessing
@@ -179,7 +178,7 @@ class ParallelEvaluator:
         self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
         """Evaluate distinct ``(tree, benchmark)`` pairs across the
         pool; values come back in job order."""
-        indexed = [(index, unparse(tree), benchmark, self.dataset)
+        indexed = [(index, unparse(tree), benchmark)
                    for index, (tree, benchmark) in enumerate(jobs)]
         if not indexed:
             return []

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from repro.gp.engine import GenerationStats, GPEngine, GPParams
 from repro.gp.genome import expression_text
 from repro.gp.nodes import Node
-from repro.metaopt.harness import CaseStudy, EvaluationHarness
+from repro.metaopt.harness import (
+    CaseStudy,
+    EvaluationHarness,
+    EvaluatorProtocol,
+)
 
 
 @dataclass
@@ -42,27 +46,25 @@ def build_specialize_engine(
     case: CaseStudy,
     benchmark: str,
     params: GPParams,
-    harness: EvaluationHarness,
+    evaluator: EvaluatorProtocol,
     seed_baseline: bool = True,
-    evaluator=None,
     extra_seeds: tuple[Node, ...] = (),
 ) -> GPEngine:
     """The GP engine of a specialization campaign, not yet run.
 
-    ``evaluator`` overrides the fitness evaluator driving the GP loop
-    (e.g. a :class:`~repro.metaopt.parallel.ParallelEvaluator`); the
-    final train/novel re-scores always run on ``harness``.  Stepping
-    this engine yourself (checkpointing between generations) is what
-    :class:`repro.experiments.ExperimentRunner` does.  ``extra_seeds``
-    joins the initial population after the baseline — an autopilot
-    campaign seeds the incumbent champion here.
+    ``evaluator`` drives the GP loop: an :class:`EvaluationHarness`
+    itself, or any backend of :func:`~repro.metaopt.harness.
+    make_evaluator`; :func:`finalize_specialization` re-scores on the
+    harness.  Stepping this engine yourself (checkpointing between
+    generations) is what :class:`repro.experiments.ExperimentRunner`
+    does.  ``extra_seeds`` joins the initial population after the
+    baseline — an autopilot campaign seeds the incumbent champion here.
     """
     seeds = (case.baseline_tree(),) if seed_baseline else ()
     seeds = seeds + tuple(extra_seeds)
     return GPEngine(
         pset=case.pset,
-        evaluator=evaluator if evaluator is not None
-        else harness.evaluator("train"),
+        evaluator=evaluator,
         benchmarks=(benchmark,),
         params=params,
         seed_trees=seeds,

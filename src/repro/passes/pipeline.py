@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -178,22 +178,6 @@ class CompilerOptions:
     #: swapped into the hook its pass kind names, so any compile can
     #: run under a published artifact (see docs/SERVING.md).
     heuristic_artifact: object | None = None
-
-    def with_priorities(
-        self,
-        hyperblock_priority: HyperblockPriority | None = None,
-        spill_priority: SpillPriority | None = None,
-        prefetch_priority: PrefetchPriority | None = None,
-    ) -> "CompilerOptions":
-        """A copy with some hooks swapped (used per GP candidate)."""
-        updated = self
-        if hyperblock_priority is not None:
-            updated = replace(updated, hyperblock_priority=hyperblock_priority)
-        if spill_priority is not None:
-            updated = replace(updated, spill_priority=spill_priority)
-        if prefetch_priority is not None:
-            updated = replace(updated, prefetch_priority=prefetch_priority)
-        return updated
 
 
 def with_artifact(options: CompilerOptions) -> CompilerOptions:

@@ -240,12 +240,6 @@ class SurrogateEvaluator:
     def close(self) -> None:
         self.inner.close()
 
-    def __enter__(self) -> "SurrogateEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- training -------------------------------------------------------
     def _record_pairs(self, jobs, values) -> None:
         for (tree, benchmark), value in zip(jobs, values):

@@ -33,7 +33,7 @@ class TrainingReport:
 
     scanned: int = 0
     usable: int = 0
-    skipped_no_meta: int = 0
+    skipped_no_expression: int = 0
     skipped_other_case: int = 0
     skipped_stale: int = 0
     skipped_no_baseline: int = 0
@@ -43,7 +43,7 @@ class TrainingReport:
         return {
             "scanned": self.scanned,
             "usable": self.usable,
-            "skipped_no_meta": self.skipped_no_meta,
+            "skipped_no_expression": self.skipped_no_expression,
             "skipped_other_case": self.skipped_other_case,
             "skipped_stale": self.skipped_stale,
             "skipped_no_baseline": self.skipped_no_baseline,
@@ -72,7 +72,7 @@ def mine_pairs(
         report.scanned += 1
         meta = record.meta
         if "expression" not in meta:
-            report.skipped_no_meta += 1
+            report.skipped_no_expression += 1
             continue
         if meta.get("case") != case.name:
             report.skipped_other_case += 1

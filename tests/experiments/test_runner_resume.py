@@ -228,22 +228,74 @@ class TestWithoutRunDir:
 
     def test_serial_session_holds_and_closes_a_harness_evaluator(
             self, monkeypatch):
-        """A serial campaign holds an evaluator like every backend —
-        the session's ``HarnessEvaluator`` on its own harness — and
-        ``close()`` closes it, once."""
-        from repro.metaopt.harness import HarnessEvaluator
+        """A serial campaign's evaluator is the session's harness
+        itself — no wrapper — and ``close()`` closes it, once."""
+        from repro.metaopt.harness import EvaluationHarness
 
         closed = []
-        monkeypatch.setattr(HarnessEvaluator, "close",
+        monkeypatch.setattr(EvaluationHarness, "close",
                             lambda evaluator: closed.append(evaluator))
         session = ExperimentRunner(spec_config(generations=1)).open_session()
         evaluator = session.evaluator
-        assert isinstance(evaluator, HarnessEvaluator)
-        assert evaluator.harness is session.harness
+        assert evaluator is session.harness
         assert session.engine.evaluator is evaluator
         session.close()
         session.close()
         assert len(closed) == 1 and closed[0] is evaluator
+
+
+class TestFailedOpen:
+    """A session whose open raises releases what it took: the
+    evaluator, the sinks it owns and a metrics registry it enabled."""
+
+    @pytest.fixture(autouse=True)
+    def metrics_off(self):
+        from repro import obs
+
+        obs.disable_metrics()
+        yield
+        obs.disable_metrics()
+
+    def test_bad_fleet_spec_touches_nothing(self, tmp_path):
+        from repro import obs
+        from repro.fleet import FleetError
+
+        run_dir = tmp_path / "run"
+        with pytest.raises(FleetError):
+            ExperimentRunner(spec_config(generations=1), run_dir=run_dir,
+                             collect_metrics=True, fleet="nohost").run()
+        assert not run_dir.exists()
+        assert not obs.metrics_enabled()
+
+    def test_mismatched_resume_releases_metrics_sink_and_evaluator(
+            self, tmp_path, monkeypatch):
+        from repro import obs
+        from repro.experiments.events import JsonlSink
+        from repro.metaopt.harness import EvaluationHarness
+
+        run_dir = tmp_path / "run"
+        ExperimentRunner(spec_config(generations=2), run_dir=run_dir,
+                         stop_after_generation=0).run()
+        checkpoint = load_checkpoint(run_dir / "checkpoint.pkl")
+        save_checkpoint(run_dir / "checkpoint.pkl",
+                        {**checkpoint["config"], "case": "regalloc"},
+                        checkpoint["engine"])
+        sinks, closed = [], []
+        real_init = JsonlSink.__init__
+
+        def tracking_init(sink, *args, **kwargs):
+            real_init(sink, *args, **kwargs)
+            sinks.append(sink)
+
+        monkeypatch.setattr(JsonlSink, "__init__", tracking_init)
+        monkeypatch.setattr(EvaluationHarness, "close",
+                            lambda evaluator: closed.append(evaluator))
+        with pytest.raises(ValueError, match="different configuration"):
+            ExperimentRunner.from_run_dir(
+                run_dir, collect_metrics=True).run(resume=True)
+        assert not obs.metrics_enabled()
+        assert len(sinks) == 1 and sinks[0]._handle.closed
+        assert len(closed) == 1
 
 
 class TestCheckpointFile:

@@ -101,8 +101,8 @@ class TestWorkerLossMidGeneration:
                               random.Random(7)).ramped_half_and_half(
                                   10, 2, 4)
         jobs = [(tree, BENCHMARK) for tree in trees]
-        expected = EvaluationHarness(case, EvalSettings()).evaluator(
-            "train").evaluate_batch(jobs)
+        expected = EvaluationHarness(case, EvalSettings()).evaluate_batch(
+            jobs)
 
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
                    REPRO_ARTIFACT_STORE=str(tmp_path / "store"))

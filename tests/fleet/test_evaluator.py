@@ -10,6 +10,7 @@ fallback are each exercised deterministically without subprocesses.
 import json
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -195,16 +196,16 @@ class TestHappyPath:
                 worker.close()
 
 
-class TestDatasetBinding:
+class TestTrainBinding:
     @pytest.mark.parametrize("backend", ["serial", "pool", "fleet"])
-    def test_make_evaluator_binds_dataset(self, backend):
-        """Every backend evaluates the dataset it was built with, not
-        the ``train`` default."""
+    def test_every_backend_scores_train(self, backend):
+        """Every backend scores the ``train`` speedup: the fleet's wire
+        payload names ``train``, which the ``real`` worker evaluates."""
         case = case_study("hyperblock")
         tree = parse("(mul 2.0000 num_ops)", case.pset.bool_feature_set())
         harness = EvaluationHarness(case)
-        expected = harness.speedup(tree, BENCHMARK, "novel")
-        assert expected != harness.speedup(tree, BENCHMARK, "train")
+        expected = harness.speedup(tree, BENCHMARK, "train")
+        assert expected != harness.speedup(tree, BENCHMARK, "novel")
         worker = FakeWorker(script=["real"])
         try:
             backend_args = {
@@ -212,8 +213,8 @@ class TestDatasetBinding:
                 "pool": {"processes": 2},
                 "fleet": {"fleet": worker.target},
             }[backend]
-            with make_evaluator("hyperblock", dataset="novel",
-                                **backend_args) as evaluator:
+            with closing(make_evaluator(EvaluationHarness(case),
+                                        **backend_args)) as evaluator:
                 values = evaluator.evaluate_batch([(tree, BENCHMARK)])
             assert values == [expected]
         finally:

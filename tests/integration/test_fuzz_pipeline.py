@@ -129,11 +129,9 @@ SMALL_MACHINE = MachineDescription(name="fuzz-small", gp_registers=8,
 POLICIES = [
     ("default", CompilerOptions(machine=DEFAULT_EPIC)),
     ("always-convert", CompilerOptions(
-        machine=DEFAULT_EPIC).with_priorities(
-            hyperblock_priority=lambda env: 1.0)),
+        machine=DEFAULT_EPIC, hyperblock_priority=lambda env: 1.0)),
     ("never-convert", CompilerOptions(
-        machine=DEFAULT_EPIC).with_priorities(
-            hyperblock_priority=lambda env: -1.0)),
+        machine=DEFAULT_EPIC, hyperblock_priority=lambda env: -1.0)),
     ("tiny-registers", CompilerOptions(machine=SMALL_MACHINE)),
 ]
 

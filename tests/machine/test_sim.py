@@ -5,6 +5,7 @@ and the generated function's inner loops: each loop shape's counters
 and faults, how many generated calls a run makes, and that a simulator
 is freed by reference counting when ``run()`` returns."""
 
+import dataclasses
 import gc
 import json
 import sys
@@ -164,7 +165,8 @@ class TestCycleAccounting:
         prepared = prepare(module, LOOP_INPUTS, options)
         scheduled, report = compile_backend(
             prepared,
-            options.with_priorities(hyperblock_priority=lambda env: 1.0),
+            dataclasses.replace(options,
+                                hyperblock_priority=lambda env: 1.0),
         )
         assert any(r.regions_converted
                    for r in report.hyperblock.values())
@@ -339,7 +341,7 @@ def hyperblock_loop():
     prepared = prepare(compile_source(LOOP_SOURCE), LOOP_INPUTS, options)
     scheduled, report = compile_backend(
         prepared,
-        options.with_priorities(hyperblock_priority=lambda env: 1.0))
+        dataclasses.replace(options, hyperblock_priority=lambda env: 1.0))
     assert any(r.regions_converted for r in report.hyperblock.values())
     return scheduled, compile_source(LOOP_SOURCE)
 

@@ -13,7 +13,13 @@ from repro.machine.descr import (
     ITANIUM_MACHINE,
     REGALLOC_MACHINE,
 )
-from repro.metaopt.harness import EvaluationHarness, case_study
+from repro.gp.parse import parse
+from repro.metaopt.harness import (
+    EvaluationHarness,
+    EvaluatorProtocol,
+    case_study,
+    make_evaluator,
+)
 from repro.metaopt.settings import EvalSettings
 from repro.metaopt.priority import PriorityFunction
 
@@ -100,10 +106,28 @@ class TestHarness:
             == harness.baseline_result("rawcaudio").cycles
 
     def test_evaluator_interface(self, harness):
-        evaluator = harness.evaluator("train")
-        [speedup] = evaluator.evaluate_batch(
+        [speedup] = harness.evaluate_batch(
             [(harness.case.baseline_tree(), "rawcaudio")])
         assert speedup == pytest.approx(1.0)
+
+    def test_harness_is_the_serial_evaluator(self, harness):
+        assert isinstance(harness, EvaluatorProtocol)
+        assert make_evaluator(harness) is harness
+        assert make_evaluator(harness, processes=1) is harness
+        harness.close()  # nothing to release, and idempotent
+        harness.close()
+
+    def test_evaluate_batch_is_train_speedups_in_job_order(self, harness):
+        pset = harness.case.pset
+        trees = [parse(text, pset.bool_feature_set()) for text in (
+            "(mul 2.0000 num_ops)", "(sub 1.0000 exec_ratio)")]
+        trees.append(harness.case.baseline_tree())
+        jobs = [(tree, benchmark) for benchmark in ("rawcaudio", "codrle4")
+                for tree in trees]
+        fresh = EvaluationHarness(harness.case)
+        assert fresh.evaluate_batch(jobs) == [
+            harness.speedup(tree, benchmark, "train")
+            for tree, benchmark in jobs]
 
     def test_outputs_match_reference_interpreter(self, harness):
         from repro.frontend import compile_source

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from repro.gp.engine import GPEngine, GPParams
 from repro.metaopt.harness import (
     EvaluationHarness,
-    HarnessEvaluator,
     case_study,
     make_evaluator,
 )
@@ -52,13 +52,14 @@ class TestParallelEvaluator:
         assert result.best.fitness >= 1.0 - 1e-9
 
     def test_serial_fallback_skips_pool(self):
-        """``processes=1`` is the serial evaluator itself — there is
-        no pool-shaped object around it."""
+        """``processes=1`` is the harness itself — there is no
+        pool-shaped object around it."""
         case = case_study("hyperblock")
         baseline = case.baseline_tree()
-        with make_evaluator("hyperblock", processes=1) as serial:
-            assert isinstance(serial, HarnessEvaluator)
-            value = serial.evaluate_batch([(baseline, "codrle4")])[0]
+        harness = EvaluationHarness(case)
+        serial = make_evaluator(harness, processes=1)
+        assert serial is harness
+        value = serial.evaluate_batch([(baseline, "codrle4")])[0]
         sequential = EvaluationHarness(case).speedup(baseline, "codrle4")
         assert value == sequential
 
@@ -97,11 +98,10 @@ class TestParallelSerialEquivalence:
 
     def test_processes_1_2_4_identical(self):
         case = case_study("hyperblock")
-        reference = _run_engine(
-            EvaluationHarness(case).evaluator("train"), case, "serial")
+        reference = _run_engine(EvaluationHarness(case), case, "serial")
         for processes in (1, 2, 4):
-            with make_evaluator("hyperblock",
-                                processes=processes) as evaluator:
+            with closing(make_evaluator(EvaluationHarness(case),
+                                        processes=processes)) as evaluator:
                 outcome = _run_engine(evaluator, case, str(processes))
             assert outcome == reference, f"processes={processes} diverged"
 
@@ -156,23 +156,24 @@ class TestPersistentCacheIntegration:
 
         settings = EvalSettings(fitness_cache_dir=cache_dir)
 
-        with make_evaluator("hyperblock", settings, processes=1) as cold:
-            cold_outcome = _run_engine(cold, case, "cold")
-            assert cold.harness.stats()["sims"] > 0
+        cold = EvaluationHarness(case, settings)
+        cold_outcome = _run_engine(cold, case, "cold")
+        assert cold.stats()["sims"] > 0
 
-        with make_evaluator("hyperblock", settings, processes=1) as warm:
-            warm_outcome = _run_engine(warm, case, "warm")
-            assert warm.harness.stats()["sims"] == 0
-            assert warm.harness.stats()["compiles"] == 0
+        warm = EvaluationHarness(case, settings)
+        warm_outcome = _run_engine(warm, case, "warm")
+        assert warm.stats()["sims"] == 0
+        assert warm.stats()["compiles"] == 0
         assert warm_outcome == cold_outcome
 
     def test_pool_workers_share_cache_with_serial(self, tmp_path):
         case = case_study("hyperblock")
         cache_dir = str(tmp_path / "fitness")
         settings = EvalSettings(fitness_cache_dir=cache_dir)
-        with make_evaluator("hyperblock", settings, processes=2) as cold:
+        with closing(make_evaluator(EvaluationHarness(case, settings),
+                                    processes=2)) as cold:
             cold_outcome = _run_engine(cold, case, "pool")
-        with make_evaluator("hyperblock", settings, processes=1) as warm:
-            warm_outcome = _run_engine(warm, case, "warm-serial")
-            assert warm.harness.stats()["sims"] == 0
+        warm = EvaluationHarness(case, settings)
+        warm_outcome = _run_engine(warm, case, "warm-serial")
+        assert warm.stats()["sims"] == 0
         assert warm_outcome == cold_outcome

@@ -5,6 +5,8 @@ These tests pin the span names and metric names that
 tables read — renaming an instrument is a docs change, not a refactor.
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro import obs
@@ -107,7 +109,7 @@ class TestEngineInstrumentation:
         harness = EvaluationHarness(case)
         engine = GPEngine(
             pset=case.pset,
-            evaluator=harness.evaluator("train"),
+            evaluator=harness,
             benchmarks=("codrle4",),
             params=GPParams(population_size=6, generations=2, seed=3),
             seed_trees=(case.baseline_tree(),),
@@ -141,14 +143,24 @@ class TestEngineInstrumentation:
         assert gauges["gp.memo_size"] > 0
 
 
+def hyperblock_evaluator(processes):
+    from repro.metaopt.harness import (
+        EvaluationHarness,
+        case_study,
+        make_evaluator,
+    )
+
+    return make_evaluator(EvaluationHarness(case_study("hyperblock")),
+                          processes=processes)
+
+
 class TestParallelMerging:
     def test_worker_metrics_merge_without_double_counting(self):
         from repro.metaopt.baselines import BASELINE_TREES
-        from repro.metaopt.harness import make_evaluator
 
         registry = obs.enable_metrics()
         tree = BASELINE_TREES["hyperblock"]()
-        with make_evaluator("hyperblock", processes=2) as evaluator:
+        with closing(hyperblock_evaluator(processes=2)) as evaluator:
             evaluator.evaluate_batch(
                 [(tree, "codrle4"), (tree, "rawcaudio")])
         counters = registry.snapshot()["counters"]
@@ -162,13 +174,12 @@ class TestParallelMerging:
 
     def test_worker_fresh_work_is_merged(self):
         from repro.gp.parse import parse
-        from repro.metaopt.harness import make_evaluator
         from repro.metaopt.psets import PSETS
 
         registry = obs.enable_metrics()
         pset = PSETS["hyperblock"]
         candidate = parse("(mul 2.0000 num_ops)", pset.bool_feature_set())
-        with make_evaluator("hyperblock", processes=2) as evaluator:
+        with closing(hyperblock_evaluator(processes=2)) as evaluator:
             evaluator.evaluate_batch([(candidate, "codrle4")])
         counters = registry.snapshot()["counters"]
         # baseline (parent, pre-fork) + candidate (worker) compiles both
@@ -178,12 +189,10 @@ class TestParallelMerging:
 
     def test_serial_path_needs_no_merging(self):
         from repro.metaopt.baselines import BASELINE_TREES
-        from repro.metaopt.harness import make_evaluator
 
         registry = obs.enable_metrics()
         tree = BASELINE_TREES["hyperblock"]()
-        with make_evaluator("hyperblock", processes=1) as evaluator:
-            evaluator.evaluate_batch([(tree, "codrle4")])
+        hyperblock_evaluator(processes=1).evaluate_batch([(tree, "codrle4")])
         counters = registry.snapshot()["counters"]
         assert counters["harness.compiles"] == 1
         assert counters["sim.runs"] == 1

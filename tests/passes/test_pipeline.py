@@ -20,7 +20,7 @@ from repro.passes.pipeline import (
     compile_module,
     prepare,
 )
-from repro.passes.prefetch import never_prefetch, orc_confidence
+from repro.passes.prefetch import orc_confidence
 from repro.passes.regalloc import chow_hennessy_savings
 
 SOURCE = """
@@ -65,13 +65,6 @@ class TestOptions:
         assert options.spill_priority is chow_hennessy_savings
         assert options.prefetch_priority is orc_confidence
 
-    def test_with_priorities_swaps_only_given_hooks(self):
-        options = CompilerOptions()
-        swapped = options.with_priorities(prefetch_priority=never_prefetch)
-        assert swapped.prefetch_priority is never_prefetch
-        assert swapped.hyperblock_priority is impact_priority
-        assert options.prefetch_priority is orc_confidence  # original kept
-
 
 class TestPrepare:
     def test_input_module_not_mutated(self):
@@ -113,8 +106,8 @@ class TestBackend:
         compile_backend(prepared)
         compile_backend(
             prepared,
-            prepared.options.with_priorities(
-                hyperblock_priority=lambda env: 1.0),
+            dataclasses.replace(prepared.options,
+                                hyperblock_priority=lambda env: 1.0),
         )
         assert prepared.module.functions["main"].instruction_count() \
             == snapshot
@@ -139,8 +132,8 @@ class TestBackend:
         for priority in priorities:
             scheduled, _report = compile_backend(
                 prepared,
-                prepared.options.with_priorities(
-                    hyperblock_priority=priority),
+                dataclasses.replace(prepared.options,
+                                    hyperblock_priority=priority),
             )
             result = simulate(scheduled, DEFAULT_EPIC)
             assert result.output_signature() == ref.output_signature()

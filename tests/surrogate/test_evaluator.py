@@ -154,8 +154,7 @@ class TestStatsAndClose:
 
     def test_close_closes_inner(self):
         inner = FakeInner()
-        with SurrogateEvaluator(inner, CASE):
-            pass
+        SurrogateEvaluator(inner, CASE).close()
         assert inner.closed
 
 

@@ -85,7 +85,7 @@ class TestMinePairs:
         cache.put("b" * 64, result(700),
                   meta=meta("(add exec_ratio 1.0)", case="hyperblock"))
         pairs, report = mine_pairs(cache, CASE)
-        assert report.skipped_no_meta == 1
+        assert report.skipped_no_expression == 1
         assert report.skipped_other_case == 1
         assert len(pairs) == 3  # baseline + 2 candidates
 
@@ -139,6 +139,7 @@ class TestMinePairs:
         payload = report.to_json_dict()
         assert payload["scanned"] == 3
         assert payload["usable"] == 3
+        assert payload["skipped_no_expression"] == 0
         assert payload["benchmarks"] == ["codrle4"]
 
 
