@@ -199,7 +199,7 @@ ITANIUM_MACHINE_B = MachineDescription(
 #: compiler; the table itself is in :mod:`repro.metaopt.harness`, and a
 #: test pins the two equal.
 CASE_NAMES = ("hyperblock", "regalloc", "prefetch", "scheduling",
-              "inline", "unroll", "flags")
+              "unroll", "flags")
 
 
 @dataclass

@@ -16,7 +16,6 @@ from repro.gp.parse import parse
 from repro.metaopt.psets import (
     FLAGS_SPACE,
     HYPERBLOCK_PSET,
-    INLINE_PSET,
     PREFETCH_PSET,
     REGALLOC_PSET,
     UNROLL_PSET,
@@ -44,11 +43,6 @@ ORC_PREFETCH_TEXT = (
     "    (and (not trip_known) (gt est_trip_count 7.5)))"
 )
 
-#: The historical inlining policy as a priority: positive exactly when
-#: the callee fits the fixed 24-instruction budget, so the seeded
-#: baseline reproduces ``inline_module``'s default decisions exactly.
-SIZE_THRESHOLD_INLINE_TEXT = "(sub 24.5 callee_ops)"
-
 #: The historical unrolling policy as a factor score: strictly positive
 #: only at factor 2 among the candidates {2, 4, 8}, so argmax picks the
 #: stock factor and rolled loops stay rolled when 2 is illegal.
@@ -73,11 +67,6 @@ def latency_weighted_depth_tree() -> Node:
                  SCHEDULE_PSET.bool_feature_set())
 
 
-def size_threshold_inline_tree() -> Node:
-    return parse(SIZE_THRESHOLD_INLINE_TEXT,
-                 INLINE_PSET.bool_feature_set())
-
-
 def fixed_factor_unroll_tree() -> Node:
     return parse(FIXED_FACTOR_UNROLL_TEXT,
                  UNROLL_PSET.bool_feature_set())
@@ -94,7 +83,6 @@ BASELINE_TREES = {
     "regalloc": chow_hennessy_tree,
     "prefetch": orc_prefetch_tree,
     "scheduling": latency_weighted_depth_tree,
-    "inline": size_threshold_inline_tree,
     "unroll": fixed_factor_unroll_tree,
     "flags": default_flags_genome,
 }

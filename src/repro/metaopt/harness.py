@@ -123,7 +123,6 @@ _CASE_TABLE = {
     "prefetch": ("prefetch_priority", ITANIUM_MACHINE, _identity_adapter),
     "scheduling": ("schedule_priority", SCHEDULING_MACHINE,
                    _scheduling_adapter),
-    "inline": ("inline_priority", DEFAULT_EPIC, _identity_adapter),
     "unroll": ("unroll_priority", DEFAULT_EPIC, _identity_adapter),
     "flags": (None, DEFAULT_EPIC, _identity_adapter),
 }
@@ -219,6 +218,12 @@ class CaseStudy:
                 raise ValueError(
                     f"the {self.name} case evolves enum genomes, not "
                     "expression trees; seed_expressions does not apply")
+        if surrogate and self.stage == "hyperblock":
+            raise ValueError(
+                f"the {self.name} case does not support --surrogate: its "
+                "decision trie already answers almost every evaluation "
+                "without a simulation, so a prescreen saves at most one "
+                "simulation at twice the wall time (docs/SURROGATE.md)")
         if publish and not self.deployable:
             raise ValueError(
                 f"the {self.name} case does not support --publish: an "
@@ -236,8 +241,8 @@ def case_study(name: str,
       measured with real-machine noise handled by the caller;
     * scheduling — extension: the Section 2 list-scheduling priority,
       evolved on the Table 3 machine;
-    * inline / unroll — prepare-stage extensions: inlining priority
-      and unroll-factor score, evolved on the Table 3 machine;
+    * unroll — prepare-stage extension: the unroll-factor score,
+      evolved on the Table 3 machine;
     * flags — FOGA-style outer GA over CompilerOptions flags and the
       hyperblock/prefetch stage order (docs/CASES.md).
     """
@@ -507,7 +512,7 @@ class EvaluationHarness:
 
         _, benchmark, dataset = key
         if self.case.steers_prepare:
-            # The candidate steers inlining/unrolling (or the whole
+            # The candidate steers unrolling (or the whole
             # flag set): the "candidate-independent" prefix is rebuilt
             # per genome (the cycles memo above answers repeats).
             prep = self._prepare(benchmark, options)

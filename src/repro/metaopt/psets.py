@@ -22,10 +22,6 @@ from repro.passes.hyperblock import (
     HYPERBLOCK_BOOL_FEATURES,
     HYPERBLOCK_REAL_FEATURES,
 )
-from repro.passes.inline import (
-    INLINE_BOOL_FEATURES,
-    INLINE_FEATURES,
-)
 from repro.passes.prefetch import (
     PREFETCH_BOOL_FEATURES,
     PREFETCH_REAL_FEATURES,
@@ -63,17 +59,7 @@ PREFETCH_PSET = PrimitiveSet(
     const_range=(0.0, 64.0),
 )
 
-#: Extension case study IV: real-valued inlining priority over legal
-#: call sites (positive value inlines).  Constants range over callee
-#: sizes the threshold heuristic reasons about.
-INLINE_PSET = PrimitiveSet(
-    real_features=INLINE_FEATURES,
-    bool_features=INLINE_BOOL_FEATURES,
-    result_type=REAL,
-    const_range=(0.0, 32.0),
-)
-
-#: Extension case study V: real-valued unroll-factor score — evaluated
+#: Extension case study: real-valued unroll-factor score — evaluated
 #: once per legal candidate factor, highest positive factor wins.
 UNROLL_PSET = PrimitiveSet(
     real_features=UNROLL_FEATURES,
@@ -95,7 +81,6 @@ PSETS = {
     "regalloc": REGALLOC_PSET,
     "prefetch": PREFETCH_PSET,
     "scheduling": SCHEDULE_PSET,
-    "inline": INLINE_PSET,
     "unroll": UNROLL_PSET,
     "flags": FLAGS_SPACE,
 }

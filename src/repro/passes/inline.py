@@ -7,12 +7,8 @@ hazardous paths into predicatable ones.
 
 Legality: a call site may be inlined only when it is unguarded, the
 callee is known, is not the caller, allocates no stack frame, and is
-not (mutually) recursive.  *Which* legal sites to inline is a policy
-question, and since PR 9 an evolvable one: a priority hook receives the
-site's feature environment and the site is inlined iff the priority is
-positive.  The default policy reproduces the original fixed threshold
-(inline when the callee has at most ``max_callee_ops`` instructions)
-exactly, so ``priority=None`` is byte-identical to the historical pass.
+not (mutually) recursive.  A legal site is inlined when the callee has
+at most ``max_callee_ops`` instructions.
 
 Bodies are cloned with fresh registers and labels; every ``ret``
 becomes a move to the call's destination plus a jump to the split-off
@@ -28,29 +24,15 @@ from repro.ir.function import Function, Module
 from repro.ir.instr import Instr, Opcode, jmp, mov
 from repro.ir.values import VReg
 
-#: Feature names every inline-priority environment carries, in order.
-INLINE_FEATURES = (
-    "callee_ops",      # instruction count of the callee
-    "caller_ops",      # instruction count of the caller (pre-inline)
-    "callee_blocks",   # basic blocks in the callee
-    "param_count",     # formal parameters of the callee
-    "site_count",      # call sites targeting this callee, module-wide
-)
-
-#: Boolean features alongside the reals above.
-INLINE_BOOL_FEATURES = (
-    "callee_is_leaf",  # callee makes no calls of its own
-    "single_site",     # this is the only call site of the callee
-)
-
 
 @dataclass(frozen=True)
 class InlineDecision:
-    """One legal call site judged by the inlining policy."""
+    """One legal call site judged by the size threshold: ``priority``
+    is ``max_callee_ops + 0.5`` minus the callee's instruction count,
+    and the site is inlined iff it is positive."""
 
     caller: str
     callee: str
-    features: dict
     priority: float
     inlined: bool
 
@@ -86,31 +68,6 @@ def _reaches(graph: dict[str, set[str]], source: str, target: str) -> bool:
         seen.add(node)
         stack.extend(graph.get(node, ()))
     return False
-
-
-def _site_count(module: Module, callee_name: str) -> int:
-    count = 0
-    for function in module.functions.values():
-        for instr in function.instructions():
-            if instr.op is Opcode.CALL and instr.callee == callee_name:
-                count += 1
-    return count
-
-
-def site_features(module: Module, caller: Function, callee: Function,
-                  graph: dict[str, set[str]]) -> dict:
-    """The feature environment one legal call site presents to the
-    inlining priority."""
-    sites = _site_count(module, callee.name)
-    return {
-        "callee_ops": float(callee.instruction_count()),
-        "caller_ops": float(caller.instruction_count()),
-        "callee_blocks": float(len(callee.block_order)),
-        "param_count": float(len(callee.params)),
-        "site_count": float(sites),
-        "callee_is_leaf": not graph.get(callee.name),
-        "single_site": sites == 1,
-    }
 
 
 def _clone_into(caller: Function, callee: Function,
@@ -152,17 +109,11 @@ def _clone_into(caller: Function, callee: Function,
 
 
 def inline_function(module: Module, caller: Function,
-                    max_callee_ops: int = 24, priority=None,
+                    max_callee_ops: int = 24,
                     report: InlineReport | None = None) -> int:
     """Inline eligible call sites in ``caller``; returns sites inlined.
 
-    ``priority`` maps a feature environment (see :data:`INLINE_FEATURES`)
-    to a float; a legal site is inlined iff the value is positive.  Each
-    physical call site is judged exactly once, at first encounter —
-    re-judging rejected sites after the caller grows would make the
-    policy order-dependent in a way no fixed threshold is.  ``None``
-    applies the historical threshold (``callee_ops <= max_callee_ops``)
-    and is byte-identical to the pre-hook pass.
+    Each physical call site is judged exactly once, at first encounter.
     """
     graph = _call_graph(module)
     inlined = 0
@@ -188,17 +139,12 @@ def inline_function(module: Module, caller: Function,
                     continue  # already rejected at first encounter
                 judged.add(id(instr))
 
-                features = site_features(module, caller, callee, graph)
-                if priority is None:
-                    value = (max_callee_ops + 0.5) - features["callee_ops"]
-                else:
-                    value = float(priority(features))
+                value = (max_callee_ops + 0.5) - callee.instruction_count()
                 accept = value > 0.0
                 if report is not None:
                     report.decisions.append(InlineDecision(
                         caller=caller.name, callee=callee.name,
-                        features=features, priority=value,
-                        inlined=accept))
+                        priority=value, inlined=accept))
                 if not accept:
                     continue
 
@@ -239,8 +185,7 @@ def inline_function(module: Module, caller: Function,
     return inlined
 
 
-def inline_module(module: Module, max_callee_ops: int = 24,
-                  priority=None) -> InlineReport:
+def inline_module(module: Module, max_callee_ops: int = 24) -> InlineReport:
     """Inline small calls across the whole module (callees first, so
     helper-of-helper chains flatten)."""
     report = InlineReport()
@@ -251,7 +196,6 @@ def inline_module(module: Module, max_callee_ops: int = 24,
     for function in module.functions.values():
         report.sites_inlined += inline_function(module, function,
                                                 max_callee_ops,
-                                                priority=priority,
                                                 report=report)
     module.validate()
     return report

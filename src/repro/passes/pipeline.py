@@ -84,10 +84,10 @@ BACKEND_STAGES: tuple[str, ...] = (
 
 #: CompilerOptions hook attribute -> the backend stage it steers: the
 #: one hook<->stage map.
-#: Prepare-stage hooks (``inline_priority``, ``unroll_priority``) and
-#: the flags genome have no backend stage and are deliberately absent:
-#: their candidates re-run :func:`prepare`, so nothing downstream of a
-#: snapshot prefix can cover them.
+#: The prepare-stage hook (``unroll_priority``) and the flags genome
+#: have no backend stage and are deliberately absent: their candidates
+#: re-run :func:`prepare`, so nothing downstream of a snapshot prefix
+#: can cover them.
 STAGE_BY_HOOK = {
     "hyperblock_priority": "hyperblock",
     "prefetch_priority": "prefetch",
@@ -156,10 +156,8 @@ class CompilerOptions:
     spill_priority: SpillPriority = chow_hennessy_savings
     prefetch_priority: PrefetchPriority = orc_confidence
     schedule_priority: SchedulePriority | None = None
-    #: Prepare-stage hooks (Meta Optimization case studies 4 and 5):
-    #: score legal inline sites / candidate unroll factors.  ``None``
-    #: applies the historical fixed policies byte-for-byte.
-    inline_priority: object | None = None
+    #: Prepare-stage hook: scores candidate unroll factors.  ``None``
+    #: applies the historical fixed factor byte-for-byte.
     unroll_priority: object | None = None
     #: Backend stage ordering (FOGA-style flag search); only the
     #: hyperblock/prefetch prefix may permute — see
@@ -193,7 +191,7 @@ class PreparedProgram:
     """Candidate-independent compilation state, cacheable per benchmark.
 
     ("Candidate-independent" is relative to the backend case studies;
-    for the inline/unroll/flags cases :func:`prepare` itself is the
+    for the unroll and flags cases :func:`prepare` itself is the
     candidate-dependent step and the harness re-runs it per genome.)"""
 
     module: Module
@@ -238,8 +236,7 @@ def prepare(
     with obs.span("pipeline:prepare", module=module.name):
         if options.inline:
             with _staged("inline", working):
-                inline_report = inline_module(
-                    working, priority=options.inline_priority)
+                inline_report = inline_module(working)
             checkpoint("inline")
         with _staged("cleanup", working):
             cleanup_module(working)

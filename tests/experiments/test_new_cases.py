@@ -1,16 +1,16 @@
-"""Campaign-level acceptance for the three new case studies.
+"""Campaign-level acceptance for the two extension case studies.
 
-``inline`` and ``unroll`` evolve prepare-stage priority functions;
-``flags`` runs the FOGA-style GA over ``CompilerOptions``.  All three
-must behave exactly like the established cases at the experiments
-layer: a short verified campaign completes with the champion at least
-matching the seeded baseline (fitness 1.0 by construction), and a
-killed run resumes byte-identically.
+``unroll`` evolves a prepare-stage priority function; ``flags`` runs
+the FOGA-style GA over ``CompilerOptions``.  Both must behave exactly
+like the established cases at the experiments layer: a short verified
+campaign completes with the champion at least matching the seeded
+baseline (fitness 1.0 by construction), and a killed run resumes
+byte-identically.
 
 The flags case additionally carries explicit capability gates — it is
 serial-only (workers exchange s-expression text) and its genome cannot
-ride the tree-feature surrogate or the artifact store — and none of the
-three can be published.  Those gates must fail loudly at session open,
+ride the tree-feature surrogate or the artifact store — and neither
+can be published.  Those gates must fail loudly at session open,
 not corrupt (or waste) a campaign.
 """
 
@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments import ExperimentRunner
 
-NEW_CASES = ("inline", "unroll", "flags")
+NEW_CASES = ("unroll", "flags")
 
 
 class TestNewCaseCampaigns:
@@ -102,7 +102,7 @@ class TestFlagsGates:
     @pytest.mark.parametrize("case", NEW_CASES)
     def test_rejects_publish(self, campaign_run, case):
         """No case here can be deployed as an artifact (a genome is no
-        tree; an inline/unroll tree would be installed after prepare,
+        tree; an unroll tree would be installed after prepare,
         too late to act), so ``--publish`` is refused at session open —
         not by ``build_artifact`` after the whole campaign has run."""
         from repro.metaopt.harness import EvaluationHarness, case_study

@@ -227,7 +227,7 @@ def baseline_decisions(benchmark: str) -> dict:
     charges those binaries, and the reference interpreter's
     observables.
 
-    The prepare-stage cases (inline, unroll) read their reports off
+    The prepare-stage passes (inline, unroll) read their reports off
     :class:`~repro.passes.pipeline.PreparedProgram`; the backend cases
     read theirs off the compile report.
     """

@@ -158,7 +158,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("case", ["hyperblock", "regalloc",
                                       "prefetch", "scheduling",
-                                      "inline", "unroll"])
+                                      "unroll"])
     def test_tree_psets_get_tree_ops(self, case):
         ops = genome_ops_for(PSETS[case])
         assert isinstance(ops, TreeGenomeOps)

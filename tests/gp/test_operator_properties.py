@@ -31,8 +31,7 @@ from repro.gp.simplify import simplify
 from repro.gp.types import BOOL, REAL
 from repro.metaopt.psets import PSETS
 
-CASES = ("hyperblock", "regalloc", "prefetch", "scheduling",
-         "inline", "unroll")
+CASES = ("hyperblock", "regalloc", "prefetch", "scheduling", "unroll")
 
 DETERMINISTIC = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import config as experiments_config
+from repro.frontend import compile_source
 from repro.gp.generate import PrimitiveSet, TreeGenerator
 from repro.gp.genome import expression_text
 from repro.machine.descr import CASE_NAMES
@@ -26,8 +27,11 @@ from repro.passes.pipeline import (
     BACKEND_STAGES,
     STAGE_BY_HOOK,
     CompilerOptions,
+    compile_backend,
+    prepare,
 )
 from repro.serve.artifact import ArtifactError, build_artifact
+from repro.suite.registry import get as get_benchmark
 
 CASES_DOC = Path(__file__).resolve().parents[2] / "docs" / "CASES.md"
 
@@ -80,10 +84,12 @@ class TestRow:
         case.check_campaign()
         assert _refused(case, processes=2, fleet="127.0.0.1:8347")
         for options in ({"processes": 2}, {"fleet": "127.0.0.1:8347"},
-                        {"surrogate": True},
                         {"seed_expressions": ("(add 1.0 1.0)",)}):
             assert _refused(case, **options) == (not case.tree_valued), \
                 options
+        # the decision trie leaves a surrogate nothing to save
+        assert _refused(case, surrogate=True) == (
+            not case.tree_valued or case.stage == "hyperblock")
         assert _refused(case, publish=True) == (not case.deployable)
 
     def test_deployable_means_an_artifact_installs_in_the_hook(self, name):
@@ -126,6 +132,38 @@ class TestRow:
                      is not getattr(options_b, field.name)}
         assert differing == {case.hook}
         assert (case.stage is None) == (case.hook not in STAGE_BY_HOOK)
+
+
+#: Six cheap suite programs, none with a call site (only two suite
+#: programs have one).
+TRAFFIC_PROGRAMS = ("codrle4", "huff_dec", "rawcaudio", "g721encode",
+                    "101.tomcatv", "unepic")
+
+
+@pytest.mark.parametrize("name", [name for name in CASE_NAMES
+                                  if _CASE_TABLE[name][0] is not None])
+def test_every_hook_is_consulted(name):
+    """A hook that no program asks decides nothing, so GP has nothing
+    to learn there: the baseline tree, installed behind a call counter,
+    is consulted while compiling at least one program."""
+    case = case_study(name)
+    baseline = _as_hook(case.baseline_tree())
+    calls = []
+
+    def counted(env):
+        calls.append(1)
+        return baseline(env)
+
+    options = case.options_for(counted)
+    for program in TRAFFIC_PROGRAMS:
+        bench = get_benchmark(program)
+        prepared = prepare(compile_source(bench.source, bench.name),
+                           bench.inputs("train"), options)
+        compile_backend(prepared, options)
+        if calls:
+            return
+    pytest.fail(f"no program of {TRAFFIC_PROGRAMS} consults the "
+                f"{case.hook} hook")
 
 
 def _matrix_lines() -> list[str]:

@@ -244,7 +244,7 @@ def test_trie_is_off_with_the_hyperblock_digest_memo(trie_untouched,
 
 
 @pytest.mark.parametrize("name", (
-    "regalloc", "prefetch", "scheduling", "inline", "unroll", "flags"))
+    "regalloc", "prefetch", "scheduling", "unroll", "flags"))
 def test_trie_is_off_in_other_cases(trie_untouched, name):
     case = case_study(name)
     harness = EvaluationHarness(case)

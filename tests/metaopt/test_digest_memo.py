@@ -3,7 +3,7 @@
 The memo keys a simulation on the IR right after the hook's stage (the
 scheduled binary for cases with no backend hook) and, on a hit, skips
 the rest of the backend and the simulator.  For seeded random
-candidates of the four backend cases and ``inline``, on two cheap
+candidates of the four backend cases and ``unroll``, on two cheap
 programs, every result of a harness with the memo on must equal that
 of a ``use_snapshots=False`` harness (the seed path), and every hit
 must be a candidate whose full ``compile_backend`` + ``Simulator.run``
@@ -25,7 +25,7 @@ from repro.metaopt.settings import EvalSettings
 from repro.passes.pipeline import compile_backend
 from repro.suite.registry import get as get_benchmark
 
-CASES = ("hyperblock", "prefetch", "regalloc", "scheduling", "inline")
+CASES = ("hyperblock", "prefetch", "regalloc", "scheduling", "unroll")
 PROGRAMS = ("codrle4", "decodrle4")
 TREES = 8
 

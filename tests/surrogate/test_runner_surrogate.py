@@ -26,7 +26,7 @@ SURROGATE_KWARGS = dict(surrogate=True, surrogate_top_k=2)
 
 def config(generations=4, fitness_cache_dir=None, seed=0):
     return ExperimentConfig(
-        mode="specialize", case="hyperblock", benchmark="codrle4",
+        mode="specialize", case="regalloc", benchmark="codrle4",
         params=GPParams(population_size=8, generations=generations,
                         seed=seed),
         fitness_cache_dir=fitness_cache_dir)
@@ -64,7 +64,7 @@ class TestResumeByteIdentity:
         state = load_checkpoint(
             campaign_run.base / "run" / "checkpoint.pkl")["surrogate"]
         assert state["version"] == 2
-        assert state["case"] == "hyperblock"
+        assert state["case"] == "regalloc"
         assert state["top_k"] == 2
         assert state["pairs"]
 

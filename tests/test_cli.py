@@ -477,7 +477,7 @@ class TestSurrogateFlags:
     def test_evolve_surrogate_smoke(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         run_dir = tmp_path / "run"
-        assert main(["evolve", "hyperblock", "codrle4",
+        assert main(["evolve", "regalloc", "codrle4",
                      "--pop", "8", "--gens", "2",
                      "--surrogate", "--surrogate-top-k", "3",
                      "--fitness-cache", cache_dir,
@@ -486,3 +486,15 @@ class TestSurrogateFlags:
         assert payload["mode"] == "specialize"
         state = load_checkpoint(run_dir / "checkpoint.pkl")["surrogate"]
         assert state["top_k"] == 3
+
+    def test_hyperblock_refuses_the_surrogate(self, tmp_path, capsys):
+        """The decision trie answers almost every hyperblock evaluation
+        without a simulation, so the session refuses ``--surrogate``
+        before the run directory is touched."""
+        run_dir = tmp_path / "run"
+        assert main(["evolve", "hyperblock", "codrle4", "--surrogate",
+                     "--run-dir", str(run_dir), "--json"]) == 1
+        failure = json.loads(capsys.readouterr().out)
+        assert failure["ok"] is False
+        assert "decision trie" in failure["error"]
+        assert not run_dir.exists()
