@@ -26,30 +26,41 @@ are so costly").  Under one harness, outermost first:
   per benchmark, shared by the whole population (docs/FORKING.md);
 * decision trie (``hyperblock`` only) — per benchmark, the
   if-conversion verdict sequences compiles have made, each ending in
-  a leaf of the simulations that phenotype was given, per dataset: a
-  candidate walks it with its priority alone, and a walk that ends in
-  a leaf holding its dataset skips the compile altogether;
-* content-digest memo (every other backend hook) — the simulation of
-  one IR as it leaves the hook's stage (the scheduled binary when the
-  candidate steers ``prepare`` or scheduling), shared by every
-  candidate that produces it: a hit skips the rest of the backend and
-  the simulator;
+  a leaf that is the phenotype's record: a candidate walks it with its
+  priority alone, and a walk that ends in a leaf holding its dataset
+  skips the compile altogether;
+* content-digest memo (every other backend hook) — the record of one
+  IR as it leaves the hook's stage (the scheduled binary when the
+  candidate steers ``prepare`` or scheduling), keyed by (digest,
+  benchmark) and shared by every candidate that produces it: a hit
+  skips the rest of the backend and the simulator;
+* held binaries — a phenotype record holds its results by dataset and,
+  while a harness-wide LRU of ``_HELD_BINARY_CAPACITY`` keeps it, the
+  scheduled binary its compile built, so a trie leaf or digest entry
+  that lacks the dataset only simulates that binary (an evicted one
+  compiles as if unheld, and is held again); only a memo that finds
+  the phenotype before ``schedule`` holds binaries;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
   function of each scheduled function of one binary.
 
 Each evaluation is answered by one layer: ``memo``, ``fitness_cache``,
-``decisions``, ``digest`` or ``sim`` (a fresh simulation).  The
-harness tallies the answers, and every layer counter of
-:meth:`EvaluationHarness.stats` and of the ``harness.*`` metrics
-derives from that one tally; an evaluation that raises is counted
-nowhere.
+``decisions``, ``digest``, ``binary`` (a simulation of a held binary)
+or ``sim`` (a compile and a fresh simulation).  The harness tallies
+the answers, and every layer counter of :meth:`EvaluationHarness.stats`
+and of the ``harness.*`` metrics derives from that one tally; an
+evaluation that raises is counted nowhere.  A ``binary`` answer adds
+to ``sims`` and ``binary_hits`` but not to ``compiles`` (on the digest
+path the compile it ran stopped at the probe that found the record),
+so ``compiles + binary_hits == digest_hits + sims`` and
+``memo_lookups == memo_hits + persistent_cache_hits + decision_hits +
+digest_hits + sims``.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -94,10 +105,11 @@ from repro.passes.pipeline import (
 from repro.suite.registry import get as get_benchmark
 
 # The frontend, the simulator and the snapshot layer are imported where
-# a compile starts (``_prepare``, ``_compile_and_simulate``,
+# a compile or a simulation starts (``_prepare``, ``_run``,
 # ``_compile``): an evaluation the fitness cache answers loads none.
 if TYPE_CHECKING:
     from repro.machine.sim import Simulator
+    from repro.machine.vliw import ScheduledModule
     from repro.passes.snapshot import PipelineSnapshot
 
 
@@ -299,7 +311,8 @@ def _as_hook(priority):
 class Answer(NamedTuple):
     """One evaluation below the cycles memo, as the memo keeps it."""
 
-    layer: str  # "fitness_cache", "decisions", "digest" or "sim"
+    #: "fitness_cache", "decisions", "digest", "binary" or "sim"
+    layer: str
     result: SimResult
     diverged: bool = False  # the differential guard's verdict
     #: True when the fitness cache missed and was written, False when
@@ -315,15 +328,35 @@ _COUNTERS = {
     "fitness_cache": ("persistent_cache_hits",),
     "decisions": ("decision_hits",),
     "digest": ("compiles", "digest_hits"),
+    "binary": ("sims", "binary_hits"),
     "sim": ("compiles", "sims"),
 }
+
+#: Scheduled binaries the phenotype records of one harness hold at
+#: once, least recently used out first (modelled on the simulator's
+#: ``_CODEGEN_CACHE_CAPACITY``).  A held binary is about 40-90 KB, and
+#: a record is reused mostly by the ``novel`` score that follows its
+#: ``train`` score at the end of a campaign.
+_HELD_BINARY_CAPACITY = 32
+
+
+class _Phenotype:
+    """One phenotype's record, as a decision-trie leaf or a
+    content-digest memo entry: its results by dataset and, while the
+    harness's LRU keeps it, the scheduled binary that produced them."""
+
+    __slots__ = ("results", "binary")
+
+    def __init__(self) -> None:
+        self.results: dict[str, SimResult] = {}
+        self.binary: ScheduledModule | None = None
 
 
 class _Region:
     """A decision-trie node: the region evaluation if-conversion reaches
     next, given the verdicts on the path to it.  ``children`` maps a
     verdict (converted or not) to the next node, or, when no region
-    follows, to a leaf: the phenotype's results by dataset."""
+    follows, to a leaf: the phenotype's record."""
 
     __slots__ = ("function", "paths", "head_ops", "children")
 
@@ -332,7 +365,7 @@ class _Region:
         self.function = function
         self.paths = paths
         self.head_ops = head_ops
-        self.children: dict[bool, _Region | dict[str, SimResult]] = {}
+        self.children: dict[bool, _Region | _Phenotype] = {}
 
 
 class EvaluationHarness:
@@ -388,18 +421,23 @@ class EvaluationHarness:
             settings.use_snapshots
             and settings.noise_stddev == 0.0
             and not settings.verify_outputs) else None
-        #: content-addressed simulation memo, keyed by (digest after
-        #: ``_memo_stage``, benchmark, dataset): everything after the
-        #: probe reads only that IR and constants of the case
-        self._digest_memo: dict[tuple, SimResult] = {}
+        #: content-addressed phenotype memo, keyed by (digest after
+        #: ``_memo_stage``, benchmark): everything after the probe
+        #: reads only that IR and constants of the case
+        self._digest_memo: dict[tuple, _Phenotype] = {}
         #: decision trie root per benchmark, in place of the digest memo
         #: when its stage is ``hyperblock``: equal verdict sequences
         #: leave if-conversion with equal IR, and a node's paths were
         #: computed from the IR the verdicts above it shaped, so a walk
         #: reads no IR, and the train profile they were read from
         #: serves every dataset
-        self._decision_tries: dict[str, _Region | dict[str, SimResult]] = {}
+        self._decision_tries: dict[str, _Region | _Phenotype] = {}
         self._decision_vectors = 0  # the tries' leaves
+        #: the records whose binary is held, least recently used first;
+        #: none when the memo finds a phenotype only after ``schedule``,
+        #: where its binary is already built
+        self._held: OrderedDict[_Phenotype, None] = OrderedDict()
+        self._holds_binaries = self._memo_stage not in (None, "schedule")
         self._baseline_tree = None
         #: per-(benchmark, dataset) interpreter reference observables
         self._reference_memo: dict[tuple, tuple] = {}
@@ -485,13 +523,12 @@ class EvaluationHarness:
                 return Answer("fitness_cache", stored)
 
         options = with_artifact(self.case.options_for(_as_hook(priority)))
-        result = None
+        recalled = None
         if self._memo_stage == "hyperblock":
-            leaf = self._walk_decisions(benchmark, options)
-            if leaf is not None:
-                result = leaf.get(dataset)
-        if result is not None:
-            layer, diverged = "decisions", False
+            recalled = self._recall(
+                self._walk_decisions(benchmark, options), key, "decisions")
+        if recalled is not None:
+            (layer, result), diverged = recalled, False
         else:
             layer, result, diverged = self._compile_and_simulate(
                 options, key)
@@ -506,10 +543,8 @@ class EvaluationHarness:
     def _compile_and_simulate(self, options: CompilerOptions,
                               key: tuple) -> tuple[str, SimResult, bool]:
         """``(layer, result, diverged)`` of a compile under ``options``:
-        answered by the content-digest memo or by a fresh simulation,
-        which a ``hyperblock`` compile records in the decision trie."""
-        from repro.machine.sim import Simulator
-
+        answered by the content-digest memo's record or by a fresh
+        simulation, which the phenotype memo records with its binary."""
         _, benchmark, dataset = key
         if self.case.steers_prepare:
             # The candidate steers unrolling (or the whole
@@ -520,47 +555,92 @@ class EvaluationHarness:
             prep = self.prepared(benchmark)
 
         # Content-digest layer (see ``_memo_stage``): the compile asks
-        # it once, right after the hook's stage.  On ``hyperblock`` the
-        # decision trie is that layer instead.
-        digest_key = stored = None
+        # it once, right after the hook's stage, and ends there when the
+        # record holds the dataset's result or the binary.  On
+        # ``hyperblock`` the decision trie is that layer instead.
+        digest_key = record = None
 
         def probe(ir) -> bool:
-            nonlocal digest_key, stored
-            digest_key = (ir.content_digest(), benchmark, dataset)
-            stored = self._digest_memo.get(digest_key)
-            return stored is not None
+            nonlocal digest_key, record
+            digest_key = (ir.content_digest(), benchmark)
+            record = self._digest_memo.get(digest_key)
+            return record is not None and (
+                dataset in record.results or record.binary is not None)
 
         stop_after = None
         if self._memo_stage not in (None, "hyperblock"):
             stop_after = (self._memo_stage, probe)
         scheduled, report = self._compile(prep, options, benchmark,
                                           stop_after)
-        if stored is not None:
-            layer, result, diverged = "digest", stored, False
-        else:
-            layer = "sim"
-            simulator = Simulator(
-                scheduled,
-                self.case.machine,
-                noise_stddev=self.settings.noise_stddev,
-                noise_seed=_noise_seed(key),
-            )
-            for name, values in self._inputs(benchmark, dataset).items():
-                simulator.set_global(name, values)
-            result = simulator.run()
-            self.sim_cycles += result.cycles
-            if digest_key is not None:
-                self._digest_memo[digest_key] = result
-            diverged = self.settings.verify_outputs and \
-                self._check_against_reference(
-                    benchmark, dataset, simulator, result, scheduled)
+        if scheduled is None:
+            layer, result = self._recall(record, key, "digest")
+            return layer, result, False
+        simulator, result = self._run(scheduled, key)
+        diverged = self.settings.verify_outputs and \
+            self._check_against_reference(
+                benchmark, dataset, simulator, result, scheduled)
         if self._memo_stage == "hyperblock":
-            self._record_decisions(benchmark, report, dataset, result)
-        return layer, result, diverged
+            record = self._record_decisions(benchmark, report)
+        elif digest_key is not None and record is None:
+            record = self._digest_memo[digest_key] = _Phenotype()
+        if record is not None:
+            record.results[dataset] = result
+            if self._holds_binaries:
+                self._hold(record, scheduled)
+        return "sim", result, diverged
+
+    def _run(self, scheduled: ScheduledModule,
+             key: tuple) -> tuple[Simulator, SimResult]:
+        """A fresh simulation of ``scheduled`` on the memo key's
+        benchmark and dataset."""
+        from repro.machine.sim import Simulator
+
+        _, benchmark, dataset = key
+        simulator = Simulator(
+            scheduled,
+            self.case.machine,
+            noise_stddev=self.settings.noise_stddev,
+            noise_seed=_noise_seed(key),
+        )
+        for name, values in self._inputs(benchmark, dataset).items():
+            simulator.set_global(name, values)
+        result = simulator.run()
+        self.sim_cycles += result.cycles
+        return simulator, result
+
+    # -- phenotype records -------------------------------------------------
+    def _recall(self, record: _Phenotype | None, key: tuple,
+                layer: str) -> tuple[str, SimResult] | None:
+        """``(layer, result)`` of the memo key's dataset from a record
+        a phenotype memo found: its stored result, answered by
+        ``layer``, or a simulation of its held binary (``binary``);
+        ``None`` when the record has neither."""
+        if record is None:
+            return None
+        dataset = key[2]
+        result = record.results.get(dataset)
+        if result is None:
+            if record.binary is None:
+                return None
+            _, result = self._run(record.binary, key)
+            record.results[dataset] = result
+            layer = "binary"
+        if record.binary is not None:
+            self._held.move_to_end(record)
+        return layer, result
+
+    def _hold(self, record: _Phenotype, binary: ScheduledModule) -> None:
+        """Keep ``binary`` with ``record``, dropping the least recently
+        used binary beyond ``_HELD_BINARY_CAPACITY``."""
+        record.binary = binary
+        self._held[record] = None
+        while len(self._held) > _HELD_BINARY_CAPACITY:
+            evicted, _ = self._held.popitem(last=False)
+            evicted.binary = None
 
     # -- decision trie -----------------------------------------------------
     def _walk_decisions(self, benchmark: str, options: CompilerOptions
-                        ) -> dict[str, SimResult] | None:
+                        ) -> _Phenotype | None:
         """The leaf of the verdicts ``options`` makes, from calls of its
         hyperblock priority alone; ``None`` where the trie does not
         reach (a verdict no compile has made yet)."""
@@ -573,10 +653,10 @@ class EvaluationHarness:
             node = node.children.get(converted)
         return node
 
-    def _record_decisions(self, benchmark: str, report: BackendReport,
-                          dataset: str, result: SimResult) -> None:
-        """Store ``result`` at the leaf of a compile's verdict sequence
-        (in evaluation order); the prefix a walk already knew is only
+    def _record_decisions(self, benchmark: str,
+                          report: BackendReport) -> _Phenotype:
+        """The leaf of a compile's verdict sequence (in evaluation
+        order), made if new; the prefix a walk already knew is only
         followed."""
         slots, key = self._decision_tries, benchmark
         for function, formation in report.hyperblock.items():
@@ -588,9 +668,9 @@ class EvaluationHarness:
                 slots, key = node.children, decision.converted
         leaf = slots.get(key)
         if leaf is None:
-            leaf = slots[key] = {}
+            leaf = slots[key] = _Phenotype()
             self._decision_vectors += 1
-        leaf[dataset] = result
+        return leaf
 
     def _persist_meta(self, priority, benchmark: str,
                       dataset: str) -> dict:
@@ -749,6 +829,7 @@ class EvaluationHarness:
             "persistent_cache_hits": counts["persistent_cache_hits"],
             "digest_hits": counts["digest_hits"],
             "decision_hits": counts["decision_hits"],
+            "binary_hits": counts["binary_hits"],
         }
         if self._memo_stage == "hyperblock":
             counters["decision_vectors"] = self._decision_vectors

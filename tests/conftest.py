@@ -81,6 +81,24 @@ def campaign_run(tmp_path):
 
 
 @pytest.fixture
+def hook_calls(monkeypatch):
+    """Calls of candidate priority functions (``PriorityFunction``),
+    by any hook, while the test runs: a check that a case's hook is
+    asked on the program it compiles."""
+    from repro.metaopt.priority import PriorityFunction
+
+    calls = []
+    call = PriorityFunction.__call__
+
+    def counted(self, env):
+        calls.append(1)
+        return call(self, env)
+
+    monkeypatch.setattr(PriorityFunction, "__call__", counted)
+    return calls
+
+
+@pytest.fixture
 def kill_after_write(monkeypatch):
     """The fault point of the one write path: ``kill_after_write(
     matches)`` makes the first :func:`repro.experiments.checkpoint.

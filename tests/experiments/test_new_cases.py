@@ -5,7 +5,9 @@ the FOGA-style GA over ``CompilerOptions``.  Both must behave exactly
 like the established cases at the experiments layer: a short verified
 campaign completes with the champion at least matching the seeded
 baseline (fitness 1.0 by construction), and a killed run resumes
-byte-identically.
+byte-identically.  ``unroll`` runs on ``huff_enc``, whose loops ask its
+hook (``codrle4`` has none that do), and each campaign checks that the
+candidates were consulted.
 
 The flags case additionally carries explicit capability gates — it is
 serial-only (workers exchange s-expression text) and its genome cannot
@@ -21,30 +23,38 @@ import pytest
 from repro.experiments import ExperimentRunner
 
 NEW_CASES = ("unroll", "flags")
+#: a program whose compile asks the case's hook (flags has none)
+PROGRAM = {"unroll": "huff_enc", "flags": "codrle4"}
 
 
 class TestNewCaseCampaigns:
     @pytest.mark.parametrize("case", NEW_CASES)
     def test_verified_campaign_completes_at_or_above_baseline(
-            self, campaign_run, case):
+            self, campaign_run, hook_calls, case):
         """2 generations with the differential guard on: the champion
         is never worse than the seeded baseline heuristic."""
-        config = campaign_run.config(case=case, generations=2,
-                                     verify_outputs=True)
+        config = campaign_run.config(case=case, benchmark=PROGRAM[case],
+                                     generations=2, verify_outputs=True)
         result = json.loads(campaign_run.run_full(config, name=case))
         assert result["mode"] == "specialize"
         assert result["case"] == case
         assert result["train_speedup"] >= 1.0 - 1e-9
         assert result["best_expression"]
         assert result["history"][-1]["best_fitness"] >= 1.0 - 1e-9
+        if case == "unroll":
+            assert hook_calls, "no candidate was asked by the unroll hook"
 
     @pytest.mark.parametrize("case", NEW_CASES)
-    def test_kill_resume_byte_identical(self, campaign_run, case):
-        config = campaign_run.config(case=case, generations=3)
+    def test_kill_resume_byte_identical(self, campaign_run, hook_calls,
+                                        case):
+        config = campaign_run.config(case=case, benchmark=PROGRAM[case],
+                                     generations=3)
         full = campaign_run.run_full(config)
         resumed = campaign_run.run_killed_then_resumed(config,
                                                        stop_after=0)
         assert resumed == full
+        if case == "unroll":
+            assert hook_calls, "no candidate was asked by the unroll hook"
 
     def test_flags_champion_serializes_as_flags_line(self, campaign_run):
         config = campaign_run.config(case="flags", generations=2)

@@ -4,18 +4,22 @@ A ``hyperblock`` candidate's phenotype is its sequence of if-conversion
 verdicts.  The harness keeps, per benchmark, a trie of the sequences
 its compiles made: a node holds the region the pass evaluates next (the
 function, both paths' ``PathInfo`` and ``head_ops``), an edge is a
-verdict and a leaf the simulations of that phenotype, by dataset.  A
-candidate walks it calling only its priority and :func:`decide`, and a
-walk that reaches a leaf holding its dataset is answered with no
-compile; the trie is the case's only phenotype memo, so a campaign
-digests no IR and never stops a compile early.
+verdict and a leaf the phenotype's record: its simulations by dataset
+and, while the harness's LRU holds it, the scheduled binary.  A
+candidate walks it calling only its priority and :func:`decide`; a walk
+that reaches a leaf holding its dataset is answered with no compile,
+and one whose leaf holds only the binary simulates that binary.  The
+trie is the case's only phenotype memo, so a campaign digests no IR
+and never stops a compile early.
 
-Every trie hit below is compiled in full and simulated again: the
-result must be the leaf's.  ``decide`` must replay each verdict and
-reason the pass recorded, for random trees and for priorities that
-raise or return NaN.  The trie must stay off wherever the phenotype
-memos are off, and must walk with the hook a compile would install (a
-heuristic artifact's, when the case sets one).
+Every trie hit and every simulation of a held binary below is compiled
+in full and simulated again: the result must be the answer's, and a
+binary evicted from the LRU compiles again.  ``decide`` must replay
+each verdict and reason the pass recorded, for random trees and for
+priorities that raise or return NaN.  The trie must stay off, and no
+binary be held, wherever the phenotype memos are off, and a walk must
+use the hook a compile would install (a heuristic artifact's, when the
+case sets one).
 
 The passes iterate sets of IR values, which follow the hash seed: CI
 runs this file under two ``PYTHONHASHSEED`` values.
@@ -25,6 +29,7 @@ import dataclasses
 import functools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +54,8 @@ PROGRAMS = ("codrle4", "huff_enc")
 
 
 class CheckedHarness(EvaluationHarness):
-    """A harness that keeps every trie hit: (priority, key, leaf,
+    """A harness that keeps every answer a trie walk gave, a stored
+    result or a held binary's simulation: (priority, key, leaf,
     answer)."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -64,7 +70,7 @@ class CheckedHarness(EvaluationHarness):
     def _simulate_miss(self, priority, key):
         self._leaf = None
         answer = super()._simulate_miss(priority, key)
-        if answer.layer == "decisions":
+        if answer.layer in ("decisions", "binary"):
             self.hits.append((priority, key, self._leaf, answer))
         return answer
 
@@ -83,12 +89,16 @@ def full_compile(harness, priority, benchmark: str, dataset: str):
 def assert_hits_compile_to_their_leaves(harness) -> None:
     assert harness.hits, "expected the trie to answer something"
     for priority, (_, benchmark, dataset), leaf, answer in harness.hits:
-        assert leaf[dataset] is answer.result
+        assert leaf.results[dataset] is answer.result
         assert full_compile(harness, priority, benchmark,
                             dataset) == answer.result
+    layers = Counter(answer.layer for *_, answer in harness.hits)
     stats = harness.stats()
-    assert stats["decision_hits"] == len(harness.hits)
-    assert stats["compiles"] == stats["digest_hits"] + stats["sims"]
+    assert stats["decision_hits"] == layers["decisions"]
+    assert stats["binary_hits"] == layers["binary"]
+    # a held binary's simulation is a simulation and no compile
+    assert stats["compiles"] + stats["binary_hits"] == (
+        stats["digest_hits"] + stats["sims"])
 
 
 # -- equivalence ---------------------------------------------------------
@@ -126,7 +136,10 @@ def test_campaign_digests_no_ir_and_stops_no_compile(monkeypatch):
     run_experiment(config, harness=harness)
     stats = harness.stats()
     assert stats["decision_hits"] > 0
-    assert len(stops) == stats["compiles"] == stats["sims"] > 0
+    # the champion's novel score simulates its leaf's binary: no compile
+    assert stats["binary_hits"] > 0
+    assert len(stops) == stats["compiles"] == (
+        stats["digest_hits"] + stats["sims"] - stats["binary_hits"]) > 0
     assert stops == [None] * len(stops)
     assert digests == []
 
@@ -144,8 +157,50 @@ def test_random_tree_replay_trie_hits_equal_full_compiles(program):
             harness.simulate(tree, program, dataset)
     assert_hits_compile_to_their_leaves(harness)
     stats = harness.stats()
-    # the novel dataset's first score of each vector still compiles
-    assert stats["decision_vectors"] * 2 == stats["compiles"]
+    # the novel dataset's first score of each vector simulates the
+    # binary its train compile left
+    assert stats["compiles"] == stats["binary_hits"] == stats[
+        "decision_vectors"]
+
+
+def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
+        monkeypatch):
+    """With room for two binaries, the novel scores of the two
+    phenotypes used last simulate their leaves' binaries; every other
+    phenotype's binary was evicted, so its novel score compiles again
+    (and its binary is held again).  Every answer equals a full
+    compile."""
+    monkeypatch.setattr(harness_module, "_HELD_BINARY_CAPACITY", 2)
+    case = case_study("hyperblock")
+    harness = CheckedHarness(case)
+    trees = [case.baseline_tree()] + TreeGenerator(
+        case.pset, random.Random(7)).ramped_half_and_half(12)
+    by_leaf = {}  # one tree per phenotype
+    for tree in trees:
+        harness.simulate(tree, "huff_enc")
+        assert len(harness._held) <= 2
+        leaf = harness._walk_decisions(
+            "huff_enc", harness.case.options_for(_as_hook(tree)))
+        by_leaf.setdefault(leaf, tree)
+    assert harness.stats()["decision_vectors"] == len(by_leaf) > 2
+    held = list(harness._held)
+    assert len(held) == 2
+    assert all(leaf.binary is None for leaf in by_leaf if leaf not in held)
+    evicted = [leaf for leaf in by_leaf if leaf not in held]
+    for leaf in held + evicted:
+        before = harness.stats()
+        result = harness.simulate(by_leaf[leaf], "huff_enc", "novel")
+        after = harness.stats()
+        assert len(harness._held) <= 2
+        recompiled = leaf in evicted
+        assert after["compiles"] - before["compiles"] == recompiled
+        assert after["binary_hits"] - before["binary_hits"] == (
+            not recompiled)
+        assert leaf.binary is not None  # held again after a recompile
+        assert result == full_compile(harness, by_leaf[leaf], "huff_enc",
+                                      "novel")
+    assert harness.stats()["binary_hits"] == 2
+    assert_hits_compile_to_their_leaves(harness)
 
 
 # -- decide replays the pass ---------------------------------------------
@@ -237,10 +292,14 @@ def test_trie_is_off_with_the_hyperblock_digest_memo(trie_untouched,
     trees = [case.baseline_tree()] + TreeGenerator(
         case.pset, random.Random(7)).ramped_half_and_half(4)
     stats = score_twice(harness, trees)
+    for tree in trees:
+        harness.speedup(tree, "codrle4", "novel")
+    stats = harness.stats()
     assert harness._memo_stage is None
-    assert stats["decision_hits"] == 0
+    assert stats["decision_hits"] == stats["binary_hits"] == 0
     assert "decision_vectors" not in stats
     assert stats["compiles"] == stats["sims"] > 0
+    assert not harness._held
 
 
 @pytest.mark.parametrize("name", (

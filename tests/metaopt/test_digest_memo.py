@@ -1,15 +1,25 @@
 """The content-digest memo returns what a full compile would.
 
-The memo keys a simulation on the IR right after the hook's stage (the
-scheduled binary for cases with no backend hook) and, on a hit, skips
-the rest of the backend and the simulator.  For seeded random
-candidates of the four backend cases and ``unroll``, on two cheap
-programs, every result of a harness with the memo on must equal that
-of a ``use_snapshots=False`` harness (the seed path), and every hit
-must be a candidate whose full ``compile_backend`` + ``Simulator.run``
-gives the same scheduled binary and the same cycles as the candidate
-that filled the entry.  On ``hyperblock`` the decision trie walks to
-the memo's key without compiling, so its hits count here too.
+The memo keys a phenotype record on the IR right after the hook's stage
+(the scheduled binary for cases with no backend hook) and the
+benchmark.  On a hit it skips the rest of the backend and the simulator
+when the record holds the dataset's result, and the rest of the backend
+when it holds the scheduled binary (a case whose probe follows
+``schedule`` holds none).  For seeded random candidates of the four
+backend cases and ``unroll``, every result of a harness with the memo
+on must equal that of a ``use_snapshots=False`` harness (the seed
+path), and every hit must be a candidate whose full ``compile_backend``
++ ``Simulator.run`` gives the same scheduled binary and the same cycles
+as the candidate that filled the entry.  The backend cases run on two
+cheap programs; ``unroll`` on ``huff_enc``, as neither of those asks
+its hook.  On ``hyperblock`` the decision trie walks to the memo's key
+without compiling, so its hits count here too.
+
+On ``regalloc`` every simulation of a held binary (a ``novel`` score
+after the ``train`` one) must equal a full compile and a fresh
+simulation on that dataset, the LRU of held binaries must stay within
+its capacity, and an evicted binary must be compiled again.  Under
+noise and under the differential guard no binary is held.
 
 CI runs this file under two ``PYTHONHASHSEED`` values.
 """
@@ -20,6 +30,7 @@ import pytest
 
 from repro.gp.generate import TreeGenerator
 from repro.machine.sim import Simulator
+from repro.metaopt import harness as harness_module
 from repro.metaopt.harness import EvaluationHarness, _as_hook, case_study
 from repro.metaopt.settings import EvalSettings
 from repro.passes.pipeline import compile_backend
@@ -27,6 +38,8 @@ from repro.suite.registry import get as get_benchmark
 
 CASES = ("hyperblock", "prefetch", "regalloc", "scheduling", "unroll")
 PROGRAMS = ("codrle4", "decodrle4")
+#: the unroll hook is asked on no loop of either program above
+CASE_PROGRAMS = {"unroll": ("huff_enc",)}
 TREES = 8
 
 
@@ -35,8 +48,9 @@ def candidates(case, seed: int) -> list:
     return [case.baseline_tree()] + generator.ramped_half_and_half(TREES)
 
 
-def full_compile(harness, tree, benchmark: str) -> tuple[str, str, int]:
-    """(IR digest after the memo stage, scheduled digest, cycles) of
+def full_compile(harness, tree, benchmark: str,
+                 dataset: str = "train") -> tuple[str, str, object]:
+    """(IR digest after the memo stage, scheduled digest, SimResult) of
     the whole backend and a fresh simulation: no snapshot, no memo."""
     case = harness.case
     options = case.options_for(_as_hook(tree))
@@ -48,9 +62,9 @@ def full_compile(harness, tree, benchmark: str) -> tuple[str, str, int]:
         stop_after=(harness._memo_stage,
                     lambda ir: seen.append(ir.content_digest())))
     simulator = Simulator(scheduled, case.machine)
-    for name, values in get_benchmark(benchmark).inputs("train").items():
+    for name, values in get_benchmark(benchmark).inputs(dataset).items():
         simulator.set_global(name, values)
-    return seen[0], scheduled.content_digest(), simulator.run().cycles
+    return seen[0], scheduled.content_digest(), simulator.run()
 
 
 def hits_of(harness) -> int:
@@ -61,7 +75,7 @@ def hits_of(harness) -> int:
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_memo_hits_return_what_a_full_compile_would(name):
+def test_memo_hits_return_what_a_full_compile_would(name, hook_calls):
     case = case_study(name)
     memo = EvaluationHarness(case)
     plain = EvaluationHarness(case, EvalSettings(use_snapshots=False))
@@ -70,23 +84,129 @@ def test_memo_hits_return_what_a_full_compile_would(name):
 
     by_ir: dict[tuple, tuple[str, int]] = {}
     hits = 0
-    for benchmark in PROGRAMS:
+    for benchmark in CASE_PROGRAMS.get(name, PROGRAMS):
         for tree in candidates(case, seed=CASES.index(name)):
             before = hits_of(memo)
             result = memo.simulate(tree, benchmark)
             assert result == plain.simulate(tree, benchmark)
-            ir_digest, binary, cycles = full_compile(memo, tree, benchmark)
-            assert result.cycles == cycles
+            ir_digest, binary, full = full_compile(memo, tree, benchmark)
+            assert result.cycles == full.cycles
             key = (ir_digest, benchmark)
             if hits_of(memo) > before:
                 hits += 1
                 assert key in by_ir, "a hit on an IR nobody produced"
             # equal post-stage IR, equal binary and cycles: no conflict
-            assert by_ir.setdefault(key, (binary, cycles)) == (
-                binary, cycles)
+            assert by_ir.setdefault(key, (binary, full.cycles)) == (
+                binary, full.cycles)
 
+    assert hook_calls, f"no candidate was asked by the {case.hook} hook"
     stats = memo.stats()
     assert hits == hits_of(memo) > 0
     assert stats["compiles"] - stats["digest_hits"] == stats["sims"]
     assert plain.stats()["digest_hits"] == 0
     assert plain.stats()["compiles"] == plain.stats()["sims"]
+
+
+class CheckedHarness(EvaluationHarness):
+    """A harness that keeps every simulation of a held binary:
+    (priority, key, answer)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.binary_answers: list[tuple] = []
+
+    def _simulate_miss(self, priority, key):
+        answer = super()._simulate_miss(priority, key)
+        if answer.layer == "binary":
+            self.binary_answers.append((priority, key, answer))
+        return answer
+
+
+def test_held_binary_answers_equal_full_compiles():
+    """Every ``novel`` score after the ``train`` scores of the same
+    candidates: a phenotype the train scores compiled is answered by
+    its held binary, and that answer is a full compile's."""
+    case = case_study("regalloc")
+    harness = CheckedHarness(case)
+    trees = candidates(case, seed=2)
+    for dataset in ("train", "novel"):
+        for benchmark in PROGRAMS:
+            for tree in trees:
+                harness.simulate(tree, benchmark, dataset)
+    stats = harness.stats()
+    assert stats["binary_hits"] == len(harness.binary_answers) > 0
+    for tree, (_, benchmark, dataset), answer in harness.binary_answers:
+        assert dataset == "novel"
+        assert full_compile(harness, tree, benchmark,
+                            dataset)[2] == answer.result
+    assert stats["compiles"] + stats["binary_hits"] == (
+        stats["digest_hits"] + stats["sims"])
+    # fewer phenotypes than the LRU's capacity: each one's binary is
+    # still held and simulated once, by its first novel score (a later
+    # one is a digest hit on that result)
+    records = harness._digest_memo.values()
+    assert all(record.binary is not None for record in records)
+    assert len(records) == stats["binary_hits"]
+
+
+def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
+        monkeypatch):
+    monkeypatch.setattr(harness_module, "_HELD_BINARY_CAPACITY", 2)
+    case = case_study("regalloc")
+    harness = EvaluationHarness(case)
+    by_record = {}  # one tree per phenotype
+    for tree in candidates(case, seed=2):
+        harness.simulate(tree, "codrle4")
+        assert len(harness._held) <= 2
+        ir_digest = full_compile(harness, tree, "codrle4")[0]
+        by_record.setdefault(
+            harness._digest_memo[ir_digest, "codrle4"], tree)
+    held = list(harness._held)
+    evicted = [record for record in by_record if record not in held]
+    assert len(held) == 2 and evicted
+    assert all(record.binary is None for record in evicted)
+    for record in held + evicted:
+        before = harness.stats()
+        result = harness.simulate(by_record[record], "codrle4", "novel")
+        after = harness.stats()
+        assert len(harness._held) <= 2
+        recompiled = record in evicted
+        assert after["compiles"] - before["compiles"] == recompiled
+        assert after["binary_hits"] - before["binary_hits"] == (
+            not recompiled)
+        assert record.binary is not None  # held again after a recompile
+        assert result == full_compile(harness, by_record[record],
+                                      "codrle4", "novel")[2]
+
+
+def score_train_then_novel(harness, trees) -> dict:
+    for dataset in ("train", "novel"):
+        for tree in trees:
+            harness.simulate(tree, "codrle4", dataset)
+    return harness.stats()
+
+
+@pytest.mark.parametrize("switch", (
+    {"noise_stddev": 0.01}, {"verify_outputs": True}))
+def test_no_binary_is_held_with_the_memo_off(switch):
+    case = case_study("regalloc")
+    harness = EvaluationHarness(case, EvalSettings(**switch))
+    stats = score_train_then_novel(harness, candidates(case, seed=2))
+    assert harness._memo_stage is None
+    assert not harness._held and not harness._digest_memo
+    assert stats["binary_hits"] == stats["digest_hits"] == 0
+    assert stats["compiles"] == stats["sims"] > 0
+
+
+@pytest.mark.parametrize("name", ("scheduling", "unroll"))
+def test_no_binary_is_held_where_the_probe_follows_schedule(name):
+    """The probe of these cases sees the scheduled binary itself, so a
+    held copy would save no compile."""
+    case = case_study(name)
+    harness = EvaluationHarness(case)
+    stats = score_train_then_novel(harness, candidates(case, seed=2)[:3])
+    assert harness._memo_stage == "schedule"
+    assert harness._digest_memo and not harness._held
+    assert all(record.binary is None
+               for record in harness._digest_memo.values())
+    assert stats["binary_hits"] == 0

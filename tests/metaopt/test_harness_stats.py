@@ -5,9 +5,11 @@ pins the whole ``stats()`` dict, so every counter that generation
 events, the pool's worker deltas and the daemon's ``/metrics`` read
 keeps its meaning.  Every evaluation is answered by exactly one layer
 (the cycles memo, the fitness cache, the ``hyperblock`` decision trie,
-the content-digest memo or a fresh simulation), so ``memo_lookups ==
-memo_hits + persistent_cache_hits + digest_hits + decision_hits + sims``
-in every case.
+the content-digest memo, a simulation of a held binary or a compile
+and a fresh simulation), so ``memo_lookups == memo_hits +
+persistent_cache_hits + digest_hits + decision_hits + sims`` and, as a
+held binary's simulation is no compile, ``compiles + binary_hits ==
+digest_hits + sims`` in every case.
 
 The digest-hit and decision-hit counts depend on IR digests: CI runs
 this file under two ``PYTHONHASHSEED`` values.
@@ -71,6 +73,8 @@ def evaluate(harness, candidates, rounds: int = 2) -> dict:
     assert stats["memo_lookups"] == (
         stats["memo_hits"] + stats["persistent_cache_hits"]
         + stats["digest_hits"] + stats["decision_hits"] + stats["sims"])
+    assert stats["compiles"] + stats["binary_hits"] == (
+        stats["digest_hits"] + stats["sims"])
     return stats
 
 
@@ -79,15 +83,17 @@ def test_regalloc_forks_cold_then_answers_warm(tmp_path):
     assert evaluate(cold, trees(cold, REGALLOC_TEXTS)) == {
         "compiles": 7, "sims": 5, "sim_cycles": 143360,
         "memo_lookups": 28, "memo_hits": 21, "persistent_cache_hits": 0,
-        "digest_hits": 2, "decision_hits": 0, "snapshot_hits": 6,
-        "snapshot_builds": 1, "fitness_cache_misses": 7,
+        "digest_hits": 2, "decision_hits": 0, "binary_hits": 0,
+        "snapshot_hits": 6, "snapshot_builds": 1,
+        "fitness_cache_misses": 7,
         "fitness_cache_stores": 7}
     warm = harness_for("regalloc", fitness_cache_dir=tmp_path)
     assert evaluate(warm, trees(warm, REGALLOC_TEXTS)) == {
         "compiles": 0, "sims": 0, "sim_cycles": 0,
         "memo_lookups": 28, "memo_hits": 21, "persistent_cache_hits": 7,
-        "digest_hits": 0, "decision_hits": 0, "snapshot_hits": 0,
-        "snapshot_builds": 0, "fitness_cache_misses": 0,
+        "digest_hits": 0, "decision_hits": 0, "binary_hits": 0,
+        "snapshot_hits": 0, "snapshot_builds": 0,
+        "fitness_cache_misses": 0,
         "fitness_cache_stores": 0}
 
 
@@ -98,7 +104,8 @@ def test_hyperblock_first_stage_hook_never_forks():
     assert evaluate(harness, trees(harness, HYPERBLOCK_TEXTS)) == {
         "compiles": 3, "sims": 3, "sim_cycles": 86260,
         "memo_lookups": 16, "memo_hits": 11, "persistent_cache_hits": 0,
-        "digest_hits": 0, "decision_hits": 2, "decision_vectors": 3,
+        "digest_hits": 0, "decision_hits": 2, "binary_hits": 0,
+        "decision_vectors": 3,
         "snapshot_hits": 0, "snapshot_builds": 0}
 
 
@@ -108,8 +115,9 @@ def test_flags_genomes_never_touch_the_cache(tmp_path):
     assert evaluate(harness, genomes) == {
         "compiles": 4, "sims": 2, "sim_cycles": 57586,
         "memo_lookups": 16, "memo_hits": 12, "persistent_cache_hits": 0,
-        "digest_hits": 2, "decision_hits": 0, "snapshot_hits": 0,
-        "snapshot_builds": 0, "fitness_cache_misses": 0,
+        "digest_hits": 2, "decision_hits": 0, "binary_hits": 0,
+        "snapshot_hits": 0, "snapshot_builds": 0,
+        "fitness_cache_misses": 0,
         "fitness_cache_stores": 0}
 
 
@@ -119,7 +127,8 @@ def test_native_priority_never_probes_the_cache(tmp_path):
     assert evaluate(harness, [lambda env: 1.0]) == {
         "compiles": 2, "sims": 2, "sim_cycles": 57346,
         "memo_lookups": 4, "memo_hits": 2, "persistent_cache_hits": 0,
-        "digest_hits": 0, "decision_hits": 0, "decision_vectors": 2,
+        "digest_hits": 0, "decision_hits": 0, "binary_hits": 0,
+        "decision_vectors": 2,
         "snapshot_hits": 0, "snapshot_builds": 0,
         "fitness_cache_misses": 1, "fitness_cache_stores": 1}
 
@@ -131,7 +140,8 @@ def test_diverged_fresh_result_is_not_stored(corrupted_simulator,  # noqa: F811
     assert evaluate(harness, trees(harness, HYPERBLOCK_TEXTS[:2])) == {
         "compiles": 3, "sims": 3, "sim_cycles": 86016,
         "memo_lookups": 8, "memo_hits": 5, "persistent_cache_hits": 0,
-        "digest_hits": 0, "decision_hits": 0, "divergences": 3,
+        "digest_hits": 0, "decision_hits": 0, "binary_hits": 0,
+        "divergences": 3,
         "snapshot_hits": 0, "snapshot_builds": 0,
         "fitness_cache_misses": 3, "fitness_cache_stores": 0}
 
@@ -150,6 +160,7 @@ def test_a_simulation_that_raises_records_nothing(monkeypatch, tmp_path):
     assert harness.stats() == {
         "compiles": 0, "sims": 0, "sim_cycles": 0,
         "memo_lookups": 0, "memo_hits": 0, "persistent_cache_hits": 0,
-        "digest_hits": 0, "decision_hits": 0, "snapshot_hits": 0,
-        "snapshot_builds": 1, "fitness_cache_misses": 0,
+        "digest_hits": 0, "decision_hits": 0, "binary_hits": 0,
+        "snapshot_hits": 0, "snapshot_builds": 1,
+        "fitness_cache_misses": 0,
         "fitness_cache_stores": 0}

@@ -60,13 +60,18 @@ def test_cold_campaign_layer_by_layer(cold_and_warm):
     assert stats["persistent_cache_hits"] == 0
     assert (stats["fitness_cache_misses"],
             stats["fitness_cache_stores"]) == (14, 14)
-    # one program, one prefix; every later compile replays it
-    assert stats["compiles"] == 14
+    # one program, one prefix; every later compile replays it: 14
+    # compiles run, 2 of them end at a probe that finds a held binary
     assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (1, 13)
     assert len(harness._prepared) == 1
-    # content-digest memo: asked once per compile, after regalloc
-    assert stats["digest_hits"] == 3
-    assert stats["sims"] == 11 == stats["compiles"] - stats["digest_hits"]
+    # content-digest memo: asked once per compile, after regalloc; the
+    # final novel scores of 2 phenotypes simulate the binary their
+    # train compile left, and count as no compile
+    assert (stats["compiles"], stats["digest_hits"],
+            stats["binary_hits"]) == (12, 3, 2)
+    assert stats["sims"] == 11
+    assert stats["compiles"] + stats["binary_hits"] == (
+        stats["digest_hits"] + stats["sims"])
 
 
 def test_warm_campaign_is_answered_by_the_disk_store(cold_and_warm):
@@ -109,11 +114,11 @@ def test_first_stage_hook_hits_end_before_regalloc():
     stats = harness.stats()
     assert outcome["evaluations"] == 12
     assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (0, 0)
-    assert (stats["compiles"], stats["digest_hits"], stats["sims"]) == (
-        4, 0, 4)
+    assert (stats["compiles"], stats["digest_hits"], stats["sims"],
+            stats["binary_hits"]) == (3, 0, 4, 1)
     # 3 verdict vectors; their 10 repeats are answered by the trie, and
-    # the champion's first novel-dataset score compiles (a leaf holds
-    # results per dataset)
+    # the champion's first novel-dataset score simulates the binary its
+    # leaf holds, with no compile
     assert (stats["decision_hits"], stats["decision_vectors"]) == (10, 3)
     # every compile runs the whole backend
     assert runs("hyperblock") == runs("regalloc") == runs(

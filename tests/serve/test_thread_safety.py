@@ -204,7 +204,8 @@ class TestSharedHarnessUnderThreads:
         """8 threads walk the same keys on ONE harness: every value is
         the serial harness's and every key was answered below the memo
         exactly once: compiled, or, when a compile already made its
-        if-conversion verdicts, walked in the decision trie."""
+        if-conversion verdicts, walked in the decision trie (to a
+        result, or to the binary its leaf holds for a new dataset)."""
         case = case_study("hyperblock")
         benchmarks = ("codrle4", "diamond-join")
         keys = [(tree, benchmark, dataset)
@@ -214,9 +215,11 @@ class TestSharedHarnessUnderThreads:
         serial = EvaluationHarness(case)
         expected = [serial.speedup(*key) for key in keys]
         # the candidates plus the baseline each speedup() divides by;
-        # three of the four make the same verdicts
+        # three of the four make the same verdicts, and each novel key
+        # simulates the binary its train compile left
         once = serial.stats()
-        assert (once["compiles"], once["decision_hits"]) == (8, 8)
+        assert (once["compiles"], once["decision_hits"],
+                once["binary_hits"]) == (4, 8, 4)
 
         shared = EvaluationHarness(case)
         barrier = threading.Barrier(THREADS)
@@ -233,7 +236,8 @@ class TestSharedHarnessUnderThreads:
         finally:
             sys.setswitchinterval(interval)
         stats = shared.stats()
-        assert (stats["compiles"], stats["decision_hits"]) == (8, 8)
+        assert (stats["compiles"], stats["decision_hits"],
+                stats["binary_hits"]) == (4, 8, 4)
         assert stats["memo_lookups"] - stats["memo_hits"] == len(keys)
         assert stats["sims"] == serial.stats()["sims"]
         assert len(shared._prepared) == len(benchmarks)
