@@ -267,12 +267,10 @@ class ExperimentRunner:
         return checkpoint_path
 
     def _snapshot_population(self, generation: int, population) -> None:
-        from repro.gp.genome import expression_text
-
         lines = [
             json.dumps({
                 "index": index,
-                "expression": expression_text(individual.tree),
+                "expression": individual.text,
                 "fitness": individual.fitness,
                 "origin": individual.origin,
                 "size": individual.size,

@@ -39,7 +39,6 @@ the substrate for :mod:`repro.experiments`.
 
 from __future__ import annotations
 
-import copy
 import random
 import time
 from dataclasses import dataclass, field
@@ -82,9 +81,12 @@ class GPParams:
             raise ValueError("tournament_size must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationStats:
-    """Progress record for one generation (feeds Figures 5, 10, 14)."""
+    """Progress record for one generation (feeds Figures 5, 10, 14).
+
+    Frozen: a history list is shared, not deep-copied, by
+    :meth:`GPEngine.state_dict` and :meth:`GPEngine.restore_state`."""
 
     generation: int
     subset: tuple[str, ...]
@@ -185,8 +187,7 @@ class GPEngine:
         population-average speedups (for DSS difficulty updates) and
         the number of structurally distinct individuals."""
         memo = self._memo
-        tree_keys = [individual.tree.structural_key()
-                     for individual in population]
+        tree_keys = [individual.key for individual in population]
         pending: dict[tuple, Node] = {}
         for individual, tree_key in zip(population, tree_keys):
             for name in subset:
@@ -247,19 +248,21 @@ class GPEngine:
                                 child_tree, self.generator, self.rng,
                                 self.params.max_tree_depth)
             origin = "mutation"
+        child = Individual(tree=child_tree, origin=origin)
         # Anti-clone guard: crossover between near-identical parents (a
         # common state once a small population converges) can reproduce
         # a parent exactly; force a mutation so replacement always
         # injects new genetic material.
-        if child_tree == mother.tree or child_tree == father.tree:
-            child_tree = _timed(registry, "gp.mutation_seconds",
-                                self.genome_ops.mutate,
-                                child_tree, self.generator, self.rng,
-                                self.params.max_tree_depth)
-            origin = "mutation"
-        if registry is not None and origin == "mutation":
+        if child.key == mother.key or child.key == father.key:
+            child = Individual(
+                tree=_timed(registry, "gp.mutation_seconds",
+                            self.genome_ops.mutate,
+                            child_tree, self.generator, self.rng,
+                            self.params.max_tree_depth),
+                origin="mutation")
+        if registry is not None and child.origin == "mutation":
             registry.inc("gp.mutations")
-        return Individual(tree=child_tree, origin=origin)
+        return child
 
     # -- main loop --------------------------------------------------------
     @property
@@ -311,7 +314,7 @@ class GPEngine:
                 mean_fitness=sum(ind.fitness or 0.0 for ind in population)
                 / len(population),
                 best_size=champion.size,
-                best_expression=self.genome_ops.unparse(champion.tree),
+                best_expression=champion.text,
                 baseline_rank=self._baseline_rank(population),
                 unique_structures=unique_structures,
                 mean_size=sum(ind.size for ind in population)
@@ -372,14 +375,14 @@ class GPEngine:
             "memo": dict(self._memo),
             "population": None if self.population is None else [
                 {
-                    "tree": self.genome_ops.unparse(ind.tree),
+                    "tree": ind.text,
                     "fitness": ind.fitness,
                     "evaluations": ind.evaluations,
                     "origin": ind.origin,
                 }
                 for ind in self.population
             ],
-            "history": copy.deepcopy(self.history),
+            "history": list(self.history),
             "dss": None if self.dss is None else self.dss.state_dict(),
         }
 
@@ -410,7 +413,7 @@ class GPEngine:
                 )
                 for entry in state["population"]
             ]
-        self.history = copy.deepcopy(state["history"])
+        self.history = list(state["history"])
         if state["dss"] is not None:
             if self.dss is None:
                 raise ValueError("snapshot carries DSS state but this "
@@ -426,7 +429,12 @@ class GPEngine:
         replace_count = max(
             1, round(self.params.replacement_fraction * len(population))
         )
-        champion_index = population.index(champion)
+        # By identity: ``list.index`` would compare the individuals
+        # ahead of it field by field, trees included.  No earlier one
+        # equals it, since ``best_of`` keeps the first of equals.
+        champion_index = next(index for index, individual
+                              in enumerate(population)
+                              if individual is champion)
         candidates = [
             index
             for index in range(len(population))

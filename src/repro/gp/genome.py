@@ -6,7 +6,8 @@ line of work (PAPERS.md) instead runs a GA over the compiler's
 tournament selection, generational replacement, elitism, memoized
 fitness, DSS, checkpointing — so :class:`~repro.gp.engine.GPEngine`
 delegates the four genome-specific operations (generate, crossover,
-mutate, textual round-trip) to a ``GenomeOps`` strategy object:
+mutate, parse) to a ``GenomeOps`` strategy object (the text a genome
+parses from is :func:`expression_text`'s):
 
 * :class:`TreeGenomeOps` wraps the existing tree operators verbatim —
   same functions, same argument order, same RNG draws — so a tree
@@ -223,9 +224,6 @@ class TreeGenomeOps:
     def mutate(self, tree: Node, generator, rng, max_depth: int) -> Node:
         return tree_mutate(tree, generator, rng, max_depth)
 
-    def unparse(self, tree: Node) -> str:
-        return unparse(tree)
-
     def parse(self, text: str) -> Node:
         return parse(text, self.pset.bool_feature_set())
 
@@ -263,9 +261,6 @@ class FlagsGenomeOps:
         values = list(genome.values)
         values[index] = rng.choice(alternatives)
         return FlagsGenome(tuple(values), self.space)
-
-    def unparse(self, genome: FlagsGenome) -> str:
-        return genome.text()
 
     def parse(self, text: str) -> FlagsGenome:
         return FlagsGenome.from_text(text, self.space)

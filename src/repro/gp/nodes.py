@@ -52,7 +52,11 @@ class Node:
 
     Subclasses define ``op_name`` (the s-expression head), ``result_type``
     and ``arg_types``.  A node owns its children; trees are never shared
-    between individuals (``copy`` performs a deep copy).
+    between individuals (``copy`` performs a deep copy).  A tree is never
+    mutated once a :class:`~repro.gp.select.Individual` holds it: the
+    individual computes its size, structural key and text once.
+    Crossover and mutation copy before they edit, and ``find_introns``
+    restores every subtree it swaps out.
     """
 
     __slots__ = ("children",)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
+from repro.gp.genome import expression_text
 from repro.gp.nodes import Node
 
 
@@ -22,6 +24,11 @@ class Individual:
     ``fitness`` is ``None`` until evaluated.  ``evaluations`` counts how
     many distinct benchmark subsets contributed to the fitness (used by
     dynamic subset selection to keep running averages honest).
+
+    ``tree`` is never mutated once an individual holds it (crossover
+    and mutation copy their parents first; ``find_introns`` restores
+    what it swaps), so ``size``, ``key`` and ``text`` are computed at
+    most once, by their first read.
     """
 
     tree: Node
@@ -30,9 +37,19 @@ class Individual:
     origin: str = "random"
     metadata: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.tree.size()
+
+    @cached_property
+    def key(self) -> tuple:
+        """The tree's structural key: the fitness memo's key."""
+        return self.tree.structural_key()
+
+    @cached_property
+    def text(self) -> str:
+        """The tree's text form (s-expression or flags line)."""
+        return expression_text(self.tree)
 
 
 def better(left: Individual, right: Individual) -> Individual:

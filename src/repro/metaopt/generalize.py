@@ -130,7 +130,7 @@ def finalize_generalization(
     """
     best_tree = None
     best_score = float("-inf")
-    candidates = {result.best.tree.structural_key(): result.best.tree}
+    candidates = {result.best.key: result.best.tree}
     if seed_baseline:
         baseline = case.baseline_tree()
         candidates.setdefault(baseline.structural_key(), baseline)
@@ -140,8 +140,7 @@ def finalize_generalization(
         reverse=True,
     )
     for individual in ranked[: max(3, len(ranked) // 20)]:
-        candidates.setdefault(individual.tree.structural_key(),
-                              individual.tree)
+        candidates.setdefault(individual.key, individual.tree)
     for tree in candidates.values():
         score = sum(
             harness.speedup(tree, benchmark, "train")

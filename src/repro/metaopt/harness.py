@@ -33,7 +33,10 @@ are so costly").  Under one harness, outermost first:
   IR as it leaves the hook's stage (the scheduled binary when the
   candidate steers ``prepare`` or scheduling), keyed by (digest,
   benchmark) and shared by every candidate that produces it: a hit
-  skips the rest of the backend and the simulator;
+  skips the rest of the backend and the simulator.  A compile links
+  its candidate and benchmark to the record it found or made, so the
+  candidate's score on another dataset asks the record first and
+  compiles nothing, not even up to the probe, when it answers;
 * held binaries — a phenotype record holds its results by dataset and,
   while a harness-wide LRU of ``_HELD_BINARY_CAPACITY`` keeps it, the
   scheduled binary its compile built, so a trie leaf or digest entry
@@ -49,9 +52,10 @@ or ``sim`` (a compile and a fresh simulation).  The harness tallies
 the answers, and every layer counter of :meth:`EvaluationHarness.stats`
 and of the ``harness.*`` metrics derives from that one tally; an
 evaluation that raises is counted nowhere.  A ``binary`` answer adds
-to ``sims`` and ``binary_hits`` but not to ``compiles`` (on the digest
-path the compile it ran stopped at the probe that found the record),
-so ``compiles + binary_hits == digest_hits + sims`` and
+to ``sims`` and ``binary_hits`` but not to ``compiles``, and a
+``digest`` answer adds to ``compiles`` and ``digest_hits`` whether a
+probe or a candidate's link found its record (neither runs a compile
+past the probe), so ``compiles + binary_hits == digest_hits + sims`` and
 ``memo_lookups == memo_hits + persistent_cache_hits + decision_hits +
 digest_hits + sims``.
 """
@@ -425,6 +429,10 @@ class EvaluationHarness:
         #: ``_memo_stage``, benchmark): everything after the probe
         #: reads only that IR and constants of the case
         self._digest_memo: dict[tuple, _Phenotype] = {}
+        #: (priority key, benchmark) -> the digest memo record its
+        #: compile found or made: another dataset's score of the same
+        #: candidate is recalled from it with no compile up to the probe
+        self._digest_links: dict[tuple, _Phenotype] = {}
         #: decision trie root per benchmark, in place of the digest memo
         #: when its stage is ``hyperblock``: equal verdict sequences
         #: leave if-conversion with equal IR, and a node's paths were
@@ -523,10 +531,12 @@ class EvaluationHarness:
                 return Answer("fitness_cache", stored)
 
         options = with_artifact(self.case.options_for(_as_hook(priority)))
-        recalled = None
         if self._memo_stage == "hyperblock":
             recalled = self._recall(
                 self._walk_decisions(benchmark, options), key, "decisions")
+        else:
+            recalled = self._recall(
+                self._digest_links.get((key[0], benchmark)), key, "digest")
         if recalled is not None:
             (layer, result), diverged = recalled, False
         else:
@@ -573,6 +583,7 @@ class EvaluationHarness:
         scheduled, report = self._compile(prep, options, benchmark,
                                           stop_after)
         if scheduled is None:
+            self._digest_links[key[0], benchmark] = record
             layer, result = self._recall(record, key, "digest")
             return layer, result, False
         simulator, result = self._run(scheduled, key)
@@ -581,8 +592,10 @@ class EvaluationHarness:
                 benchmark, dataset, simulator, result, scheduled)
         if self._memo_stage == "hyperblock":
             record = self._record_decisions(benchmark, report)
-        elif digest_key is not None and record is None:
-            record = self._digest_memo[digest_key] = _Phenotype()
+        elif digest_key is not None:
+            if record is None:
+                record = self._digest_memo[digest_key] = _Phenotype()
+            self._digest_links[key[0], benchmark] = record
         if record is not None:
             record.results[dataset] = result
             if self._holds_binaries:

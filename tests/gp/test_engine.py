@@ -1,12 +1,20 @@
 """GP engine tests: Table 2 defaults, evolution progress, elitism,
-memoization, seeding."""
+memoization, seeding, and the bookkeeping each individual computes
+once."""
+
+import dataclasses
+import pickle
 
 import pytest
 
+from repro.gp import genome as genome_module
+from repro.gp import nodes as nodes_module
 from repro.gp.dss import DSSState
 from repro.gp.engine import GPEngine, GPParams
 from repro.gp.generate import PrimitiveSet
+from repro.gp.genome import FlagsSpace, expression_text
 from repro.gp.parse import parse
+from repro.gp.select import Individual
 
 PSET = PrimitiveSet(real_features=("x", "y"))
 
@@ -380,3 +388,112 @@ class TestBaselineRankFast:
                 return min(ranked.index(seed) for seed in seeds) + 1
 
             assert engine._baseline_rank(population) == reference(population)
+
+
+def flags_fitness(genome, benchmark):
+    """Toy flags fitness: later choices of every gene score higher."""
+    return 1.0 + sum(
+        choices.index(value)
+        for value, (_, choices) in zip(genome.values, genome.space.genes)
+    ) / 10
+
+
+class PlainEvaluator:
+    """A batch evaluator that reads nothing but the fitness function,
+    so every walk of a tree counted below is the engine's."""
+
+    def __init__(self, fitness):
+        self.fitness = fitness
+
+    def evaluate_batch(self, jobs):
+        return [self.fitness(tree, benchmark) for tree, benchmark in jobs]
+
+
+def count_top_level(monkeypatch, owners, name):
+    """Patch method ``name`` on each of ``owners`` to count the calls
+    not made from inside another counted call; returns the counter."""
+    calls = [0]
+    depth = [0]
+    for owner in owners:
+        original = vars(owner)[name]
+
+        def counted(self, *args, _original=original, **kwargs):
+            if depth[0] == 0:
+                calls[0] += 1
+            depth[0] += 1
+            try:
+                return _original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBookkeepingComputedOnce:
+    """An individual's size, structural key and text are computed at
+    most once, so its tree must never change once it is held."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("space", ["tree", "flags"])
+    def test_cached_values_match_fresh_walks(self, space, seed):
+        pset, fitness = ((PSET, regression_fitness) if space == "tree"
+                         else (FlagsSpace(), flags_fitness))
+        engine = GPEngine(pset, PlainEvaluator(fitness), ("toy",),
+                          small_params(generations=8, seed=seed,
+                                       mutation_rate=0.3))
+        while not engine.done:
+            parents = [(individual, individual.tree.copy())
+                       for individual in engine.population or ()]
+            engine.step()
+            # reading every value here caches it, so the next step's
+            # checks catch a tree changed after its values were read
+            for individual in engine.population:
+                tree = individual.tree
+                assert individual.key == tree.structural_key()
+                assert individual.size == tree.size()
+                assert individual.text == expression_text(tree)
+            for parent, before in parents:
+                assert parent.tree.structural_key() == \
+                    before.structural_key()
+
+    def test_each_individual_is_walked_and_printed_at_most_once(
+            self, monkeypatch):
+        created = count_top_level(monkeypatch, [Individual], "__init__")
+        keys = count_top_level(
+            monkeypatch,
+            [owner for owner in vars(nodes_module).values()
+             if isinstance(owner, type)
+             and issubclass(owner, nodes_module.Node)
+             and "structural_key" in vars(owner)],
+            "structural_key")
+        texts = [0]
+        unparse = genome_module.unparse
+
+        def counted_unparse(tree):
+            texts[0] += 1
+            return unparse(tree)
+
+        monkeypatch.setattr(genome_module, "unparse", counted_unparse)
+        engine = GPEngine(PSET, PlainEvaluator(regression_fitness),
+                          ("toy",), small_params(mutation_rate=0.3))
+        while not engine.done:
+            engine.step()
+            engine.state_dict()
+        assert created[0] > engine.params.population_size
+        assert 0 < keys[0] <= created[0]
+        assert 0 < texts[0] <= created[0]
+
+    def test_history_is_frozen_and_survives_a_state_round_trip(self):
+        engine = GPEngine(PSET, BatchAdapter(), ("toy",),
+                          small_params(generations=4))
+        for _ in range(3):
+            engine.step()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.history[0].best_fitness = 0.0
+        state = pickle.loads(pickle.dumps(engine.state_dict()))
+        fresh = GPEngine(PSET, BatchAdapter(), ("toy",),
+                         small_params(generations=4))
+        fresh.restore_state(state)
+        assert fresh.history == engine.history
+        assert fresh.history is not engine.history

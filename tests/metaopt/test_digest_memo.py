@@ -17,8 +17,10 @@ without compiling, so its hits count here too.
 
 On ``regalloc`` every simulation of a held binary (a ``novel`` score
 after the ``train`` one) must equal a full compile and a fresh
-simulation on that dataset, the LRU of held binaries must stay within
-its capacity, and an evicted binary must be compiled again.  Under
+simulation on that dataset, a candidate's ``novel`` score must be
+recalled through the record its ``train`` compile linked it to with no
+compile at all, the LRU of held binaries must stay within its capacity,
+and an evicted binary must be compiled again.  Under
 noise and under the differential guard no binary is held.
 
 CI runs this file under two ``PYTHONHASHSEED`` values.
@@ -147,6 +149,48 @@ def test_held_binary_answers_equal_full_compiles():
     records = harness._digest_memo.values()
     assert all(record.binary is not None for record in records)
     assert len(records) == stats["binary_hits"]
+
+
+def test_linked_answers_compile_nothing_and_equal_full_compiles(
+        monkeypatch):
+    """A candidate's ``train`` compile links it to its phenotype record,
+    so its ``novel`` score is recalled from that record (the held
+    binary, or the result a twin phenotype's score left) with no call
+    of ``compile_backend`` at all, and equals a full compile's."""
+    case = case_study("regalloc")
+    harness = EvaluationHarness(case)
+    trees = candidates(case, seed=2)
+    for benchmark in PROGRAMS:
+        for tree in trees:
+            harness.simulate(tree, benchmark)
+    before = harness.stats()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compile_backend(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "compile_backend", counted)
+    for benchmark in PROGRAMS:
+        for tree in trees:
+            result = harness.simulate(tree, benchmark, "novel")
+            assert result == full_compile(harness, tree, benchmark,
+                                          "novel")[2]
+    after = harness.stats()
+    assert calls == []
+    assert after["snapshot_hits"] == before["snapshot_hits"]
+    # each record simulates its binary once; its twins read that result
+    records = len(harness._digest_memo)
+    linked = len(harness._digest_links)
+    delta = {name: after[name] - before[name]
+             for name in ("binary_hits", "digest_hits", "compiles", "sims")}
+    assert records < linked
+    assert (delta["binary_hits"], delta["digest_hits"]) == (
+        records, linked - records)
+    # a digest answer counts in ``compiles`` however its record was
+    # found, so both identities hold
+    assert (delta["compiles"], delta["sims"]) == (
+        linked - records, records)
 
 
 def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(

@@ -60,9 +60,10 @@ def test_cold_campaign_layer_by_layer(cold_and_warm):
     assert stats["persistent_cache_hits"] == 0
     assert (stats["fitness_cache_misses"],
             stats["fitness_cache_stores"]) == (14, 14)
-    # one program, one prefix; every later compile replays it: 14
-    # compiles run, 2 of them end at a probe that finds a held binary
-    assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (1, 13)
+    # one program, one prefix; every later compile replays it: 12
+    # compiles run; the 2 binary answers below run none, as each
+    # candidate's train compile linked it to its phenotype record
+    assert (stats["snapshot_builds"], stats["snapshot_hits"]) == (1, 11)
     assert len(harness._prepared) == 1
     # content-digest memo: asked once per compile, after regalloc; the
     # final novel scores of 2 phenotypes simulate the binary their
