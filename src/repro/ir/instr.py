@@ -25,7 +25,6 @@ from repro.ir.values import (
     StackSlot,
     SymRef,
     VReg,
-    is_register,
 )
 
 
@@ -168,7 +167,8 @@ class Instr:
     # -- dataflow views --------------------------------------------------
     def reads(self) -> list[VReg | PReg]:
         """Registers this instruction reads (guard included)."""
-        regs = [src for src in self.srcs if is_register(src)]
+        regs = [src for src in self.srcs
+                if src.__class__ is VReg or src.__class__ is PReg]
         if self.guard is not None:
             regs.append(self.guard)
         return regs

@@ -82,46 +82,31 @@ def analyze(function: Function) -> dict[str, BlockLiveness]:
     }
 
 
-def live_at_instruction(
-    function: Function,
-    liveness: dict[str, BlockLiveness] | None = None,
-) -> dict[int, set[VReg]]:
-    """Registers live *after* each instruction, keyed by instruction uid.
-
-    Used to build precise interference graphs.  ``liveness`` is the
-    result of :func:`analyze` on ``function`` when the caller already
-    has it; the fixed point is not run a second time.
-    """
-    if liveness is None:
-        liveness = analyze(function)
-    live_after: dict[int, set[VReg]] = {}
-    for label in function.block_order:
-        block = function.blocks[label]
-        live = set(liveness[label].live_out)
-        for instr in reversed(block.instrs):
-            live_after[instr.uid] = set(live)
-            for reg in instr.writes():
-                if isinstance(reg, VReg) and instr.guard is None:
-                    live.discard(reg)
-            for reg in instr.reads():
-                if isinstance(reg, VReg):
-                    live.add(reg)
-    return live_after
-
-
 def dead_definitions(function: Function) -> list[tuple[str, int]]:
     """(label, index) of instructions whose results are never used and
-    which have no side effects — candidates for DCE."""
-    live_after = live_at_instruction(function)
+    which have no side effects — candidates for DCE.
+
+    One backward walk per block from its ``live_out``, with the live
+    set held as register uids: an instruction is dead when none of the
+    virtual registers it writes is live after it.  A guarded write
+    kills nothing, and reads include the guard."""
+    liveness = analyze(function)
     dead: list[tuple[str, int]] = []
     for label in function.block_order:
-        block = function.blocks[label]
-        for index, instr in enumerate(block.instrs):
-            if instr.has_side_effects or not instr.writes():
-                continue
-            written = [r for r in instr.writes() if isinstance(r, VReg)]
-            if written and all(
-                reg not in live_after[instr.uid] for reg in written
-            ):
-                dead.append((label, index))
+        instrs = function.blocks[label].instrs
+        live = {reg.uid for reg in liveness[label].live_out}
+        found: list[int] = []
+        for index in range(len(instrs) - 1, -1, -1):
+            instr = instrs[index]
+            written = [reg.uid for reg in instr.writes()
+                       if reg.__class__ is VReg]
+            if written:
+                if live.isdisjoint(written) and not instr.has_side_effects:
+                    found.append(index)
+                if instr.guard is None:
+                    live.difference_update(written)
+            for reg in instr.reads():
+                if reg.__class__ is VReg:
+                    live.add(reg.uid)
+        dead += [(label, index) for index in reversed(found)]
     return dead

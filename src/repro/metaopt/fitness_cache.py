@@ -83,15 +83,29 @@ def pipeline_fingerprint() -> str:
     if _PIPELINE_FINGERPRINT is None:
         import repro
 
-        package_root = Path(repro.__file__).parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\x00")
-            digest.update(path.read_bytes())
-            digest.update(b"\x00")
-        _PIPELINE_FINGERPRINT = digest.hexdigest()[:16]
+        _PIPELINE_FINGERPRINT = _source_digest(os.path.dirname(repro.__file__))
     return _PIPELINE_FINGERPRINT
+
+
+def _source_digest(root: str) -> str:
+    """SHA-256 (16 hex digits) over each ``.py`` file under ``root``:
+    relative path, NUL, bytes, NUL, in the order of
+    ``sorted(Path(root).rglob("*.py"))`` (part by part), which is how
+    it has always been computed, but without a ``Path`` per file."""
+    files = []
+    for directory, _subdirs, names in os.walk(root):
+        relative = os.path.relpath(directory, root)
+        parts = () if relative == os.curdir else tuple(
+            relative.split(os.sep))
+        files += [(*parts, name) for name in names if name.endswith(".py")]
+    digest = hashlib.sha256()
+    for parts in sorted(files):
+        digest.update(os.sep.join(parts).encode())
+        digest.update(b"\x00")
+        with open(os.path.join(root, *parts), "rb") as handle:
+            digest.update(handle.read())
+        digest.update(b"\x00")
+    return digest.hexdigest()[:16]
 
 
 def machine_fingerprint(machine: MachineDescription) -> str:

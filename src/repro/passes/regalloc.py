@@ -42,14 +42,15 @@ with the same function.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.ir.function import Function, Module
 from repro.ir.instr import Instr, Opcode
-from repro.ir.liveness import analyze, live_at_instruction
+from repro.ir.liveness import analyze
 from repro.ir.loops import loop_depth_of_blocks
-from repro.ir.values import FLOAT, INT, PRED, PReg, StackSlot, VReg
+from repro.ir.values import FLOAT, INT, PRED, IRType, PReg, StackSlot, VReg
 from repro.machine.descr import MachineDescription
 
 #: Estimated cycles saved per avoided load / store (Equation 2's
@@ -143,6 +144,11 @@ class AllocationSeed:
     has-call flag.  None of it depends on the machine or the spill
     priority.
 
+    ``ranges`` is keyed by register, in order of first appearance;
+    ``interference`` maps each range's register uid (unique in a
+    function) to the uids of the same-class registers it interferes
+    with.
+
     :func:`allocation_seed` computes round one's value once per
     function, so every candidate allocating that same IR (a regalloc
     snapshot's restores) starts from it instead of re-deriving it.  An
@@ -150,104 +156,109 @@ class AllocationSeed:
     assignment and report are its own."""
 
     ranges: dict[VReg, LiveRange]
-    interference: dict[VReg, set[VReg]]
+    interference: dict[int, set[int]]
     loop_depth: dict[str, int]
     has_call: dict[str, bool]
 
 
 def allocation_seed(function: Function) -> AllocationSeed:
     """Round one's analysis of ``function`` as it stands: no spill
-    temps yet.  Valid for any clone of it (same labels, block order and
-    ``VReg`` objects; only instruction uids differ, and the seed holds
-    none)."""
+    temps yet.  Valid for any clone of it: a clone has the same labels,
+    block order and ``VReg`` objects, so the same register uids; only
+    instruction uids differ, and the seed holds none."""
     return _build_ranges(function, {})
 
 
 def _build_ranges(function: Function,
                   temps: Mapping[VReg, int]) -> AllocationSeed:
-    """One colouring round's analysis.  Spill ``temps`` live in the
-    reserved registers, so they get no uses, defs or interference
-    edges (a guarded one, live-in at entry, still gets a range)."""
+    """One colouring round's analysis, from one backward walk per block
+    that starts at the block's ``live_out`` and holds registers as uids.
+
+    Two registers of one class interfere when one is written while the
+    other is live after the write: a write takes the live set as
+    neighbours, and a register leaving the live set (at an unguarded
+    write, or at the top of the block) takes every register written
+    while it was live.  A guarded write kills nothing; reads include
+    the guard.  The registers live into the entry block, parameters
+    included, interfere pairwise.  Spill ``temps`` live in the reserved
+    registers, so they get no uses, defs or edges (a guarded one,
+    live-in at entry, still gets a range)."""
     liveness = analyze(function)
-    live_after = live_at_instruction(function, liveness)
-    unspillable = set(function.params)
-
-    ranges: dict[VReg, LiveRange] = {}
-
-    def range_of(reg: VReg) -> LiveRange:
-        live_range = ranges.get(reg)
-        if live_range is None:
-            live_range = LiveRange(reg)
-            live_range.spillable = reg not in unspillable
-            ranges[reg] = live_range
-        return live_range
+    skip = {temp.uid for temp in temps}
+    params = {param.uid for param in function.params}
+    by_uid: dict[int, LiveRange] = {}
+    # uid -> uids; of any class, and itself, until the end
+    edges: defaultdict[int, set[int]] = defaultdict(set)
 
     for label in function.block_order:
-        block = function.blocks[label]
-        present: set[VReg] = set(liveness[label].live_in)
-        for instr in block.instrs:
-            for reg in instr.reads():
-                if isinstance(reg, VReg) and reg not in temps:
-                    live_range = range_of(reg)
-                    live_range.uses_by_block[label] = (
-                        live_range.uses_by_block.get(label, 0) + 1
-                    )
-                    present.add(reg)
-            for reg in instr.writes():
-                if isinstance(reg, VReg) and reg not in temps:
-                    live_range = range_of(reg)
-                    live_range.defs_by_block[label] = (
-                        live_range.defs_by_block.get(label, 0) + 1
-                    )
-                    present.add(reg)
-        for reg in present:
-            if reg in ranges and label not in ranges[reg].blocks:
-                ranges[reg].blocks.append(label)
+        written: list[int] = []  # uids written so far, walking backward
+        # live uid -> len(written) when it went live
+        live = dict.fromkeys(
+            {reg.uid for reg in liveness[label].live_out} - skip, 0)
+        operands: list[list[VReg]] = []  # reads + writes, last first
+        uses: dict[int, int] = {}
+        defs: dict[int, int] = {}
+        for instr in reversed(function.blocks[label].instrs):
+            reads = [reg for reg in instr.reads()
+                     if reg.__class__ is VReg and reg.uid not in skip]
+            writes = [reg for reg in instr.writes()
+                      if reg.__class__ is VReg and reg.uid not in skip]
+            operands.append(reads + writes)
+            for reg in writes:
+                uid = reg.uid
+                defs[uid] = defs.get(uid, 0) + 1
+                edges[uid].update(live)
+                written.append(uid)
+            if instr.guard is None:
+                for reg in writes:
+                    start = live.pop(reg.uid, None)
+                    if start is not None:
+                        edges[reg.uid].update(written[start:])
+            for reg in reads:
+                uid = reg.uid
+                uses[uid] = uses.get(uid, 0) + 1
+                if uid not in live:
+                    live[uid] = len(written)
+        for uid, start in live.items():
+            edges[uid].update(written[start:])
 
-    # Interference graph.
-    interference: dict[VReg, set[VReg]] = {reg: set() for reg in ranges}
+        for regs in reversed(operands):
+            for reg in regs:
+                if reg.uid not in by_uid:
+                    by_uid[reg.uid] = LiveRange(
+                        reg, spillable=reg.uid not in params)
+        for uid, count in uses.items():
+            by_uid[uid].uses_by_block[label] = count
+        for uid, count in defs.items():
+            by_uid[uid].defs_by_block[label] = count
+        live_in = {reg.uid for reg in liveness[label].live_in}
+        for uid in live_in | uses.keys() | defs.keys():
+            live_range = by_uid.get(uid)
+            if live_range is not None:
+                live_range.blocks.append(label)
 
-    def connect(left: VReg, right: VReg) -> None:
-        if left is right or left == right:
-            return
-        if left.vtype is not right.vtype:
-            return
-        if left in temps or right in temps:
-            return  # temps live in the reserved registers
-        interference[left].add(right)
-        interference[right].add(left)
-
-    entry_live = liveness[function.block_order[0]].live_in | set(
-        function.params
-    )
-    entry_list = [reg for reg in entry_live if isinstance(reg, VReg)]
-    for reg in entry_list:
+    entry = [reg for reg in liveness[function.block_order[0]].live_in
+             | set(function.params) if isinstance(reg, VReg)]
+    for reg in entry:
         # an unused param has no range yet, but still needs a colour
         # (``_rewrite`` maps every param to a physical register)
-        if reg not in ranges:
-            range_of(reg)
-        interference.setdefault(reg, set())
-    for position, left in enumerate(entry_list):
-        for right in entry_list[position + 1:]:
-            connect(left, right)
+        if reg.uid not in by_uid:
+            by_uid[reg.uid] = LiveRange(reg, spillable=reg.uid not in params)
+    clique = {reg.uid for reg in entry} - skip
+    for uid in clique:
+        edges[uid] |= clique
 
-    for label in function.block_order:
-        for instr in function.blocks[label].instrs:
-            after = live_after[instr.uid]
-            for written in instr.writes():
-                if not isinstance(written, VReg) or written in temps:
-                    continue
-                if written not in interference:
-                    interference[written] = set()
-                    # written-but-dead reg still needs a colour
-                    if written not in ranges:
-                        range_of(written)
-                for live in after:
-                    if isinstance(live, VReg):
-                        connect(written, live)
-
-    for reg, live_range in ranges.items():
-        live_range.degree = len(interference.get(reg, ()))
+    of_class: dict[IRType, set[int]] = defaultdict(set)
+    for uid, live_range in by_uid.items():
+        of_class[live_range.reg.vtype].add(uid)
+    ranges: dict[VReg, LiveRange] = {}
+    interference: dict[int, set[int]] = {}
+    for uid, live_range in by_uid.items():
+        neighbours = edges.get(uid, set()) & of_class[live_range.reg.vtype]
+        neighbours.discard(uid)
+        interference[uid] = neighbours
+        live_range.degree = len(neighbours)
+        ranges[live_range.reg] = live_range
     has_call = {
         label: any(instr.is_call for instr in function.blocks[label].instrs)
         for label in function.block_order
@@ -333,6 +344,7 @@ class _FunctionAllocator:
         reserving = bool(self._spill_temps)
 
         assignment: dict[VReg, int] = {}
+        colour_of: dict[int, int] = {}  # the same, keyed by uid
         spilled: list[VReg] = []
 
         for reg_class in (INT, FLOAT, PRED):
@@ -370,15 +382,16 @@ class _FunctionAllocator:
                 unconstrained, key=lambda r: r.reg.uid
             ):
                 used = {
-                    assignment[other]
-                    for other in interference.get(live_range.reg, ())
-                    if other in assignment
+                    colour_of[other]
+                    for other in interference[live_range.reg.uid]
+                    if other in colour_of
                 }
                 colour = next(
                     (index for index in range(k) if index not in used), None
                 )
                 if colour is not None:
                     assignment[live_range.reg] = colour
+                    colour_of[live_range.reg.uid] = colour
                 elif live_range.spillable and reg_class is not PRED:
                     spilled.append(live_range.reg)
                 else:

@@ -10,10 +10,10 @@ from repro.ir.liveness import (
     analyze,
     block_use_def,
     dead_definitions,
-    live_at_instruction,
 )
 from repro.ir.loops import find_loops, loop_depth_of_blocks
 from repro.ir.values import INT, PRED, Imm
+from repro.passes.regalloc import allocation_seed
 
 
 def loop_function():
@@ -164,16 +164,31 @@ class TestLiveness:
         use, _defs = block_use_def(func)[entry.label]
         assert x in use  # squashed write preserves the old value
 
-    def test_live_at_instruction(self):
+    def test_register_live_across_a_write_interferes(self):
+        """``i`` is live after the head's compare, which writes ``c``:
+        the allocator's walk makes them interfere, both ways."""
         func, i, _entry, head, _body, _done = loop_function()
-        live_after = live_at_instruction(func)
         compare = func.blocks[head.label].instrs[0]
-        assert i in live_after[compare.uid]
+        c = compare.dest
+        interference = allocation_seed(func).interference
+        assert i.uid in interference[c.uid]
+        assert c.uid in interference[i.uid]
 
-    def test_live_at_instruction_accepts_computed_liveness(self):
+    def test_dead_definitions_runs_one_fixed_point(self, monkeypatch):
+        """The walk starts from the fixed point's ``live_out``; it does
+        not run a second one."""
+        from repro.ir import liveness
+
+        fixed_points = []
+
+        def counting_analyze(function):
+            fixed_points.append(function.name)
+            return analyze(function)
+
+        monkeypatch.setattr(liveness, "analyze", counting_analyze)
         func, *_rest = loop_function()
-        assert live_at_instruction(func, analyze(func)) == \
-            live_at_instruction(func)
+        assert dead_definitions(func) == []
+        assert fixed_points == [func.name]
 
     def test_dead_definitions_found(self):
         func = Function("f", [])

@@ -1,25 +1,56 @@
-"""Property-based liveness check: on random straight-line blocks the
-analysis agrees with a brute-force definition of liveness."""
+"""The register analyses' backward walks against liveness by definition.
 
+``dead_definitions`` and the allocator's ``_build_ranges`` each walk a
+block once, backward, with a live set of register uids.  Two oracles
+hold them to what liveness means:
+
+* on random straight-line blocks (some writes guarded), a brute force
+  that looks ahead from every instruction for a read;
+* on real programs as the backend receives them (if-converted suite
+  programs and the corpus), the per-instruction definition
+  (:func:`reference_live_after`: a copy of the live set after every
+  instruction), called beside every ``dead_definitions`` the pipeline
+  makes.
+"""
+
+import json
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ir.block import Block
+from repro.frontend import compile_source
 from repro.ir.function import Function
-from repro.ir.instr import Opcode, binop, mov, out, ret
-from repro.ir.values import INT, Imm, VReg
-from repro.ir.liveness import analyze, live_at_instruction
+from repro.ir.instr import Opcode, Rel, binop, cmpp, mov, out, ret
+from repro.ir.liveness import analyze, dead_definitions
+from repro.ir.values import INT, PRED, Imm, VReg
+from repro.passes import cleanup
+from repro.passes.pipeline import CompilerOptions, prepare, run_prefix
+from repro.passes.regalloc import allocation_seed
+from repro.suite import HYPERBLOCK_TRAINING_SET, get
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def random_function(seed: int, length: int) -> Function:
+    """One straight-line block over six integer registers; a write to
+    a register already defined is guarded, two times in five, by one
+    of the two predicates a ``cmpp`` defines at the top."""
     rng = random.Random(seed)
     func = Function("f", [])
     regs = [func.new_vreg(INT, f"r{i}") for i in range(6)]
+    preds = [func.new_vreg(PRED, "p"), func.new_vreg(PRED, "q")]
     entry = func.new_block("entry")
     for reg in regs[:3]:
         entry.append(mov(reg, Imm(rng.randrange(10))))
+    entry.append(cmpp(preds[0], preds[1], Rel.LT, regs[0], Imm(5)))
     defined = set(regs[:3])
+
+    def guard_for(dest):
+        if dest in defined and rng.random() < 0.4:
+            return rng.choice(preds)
+        return None
+
     for _ in range(length):
         roll = rng.random()
         if roll < 0.5 and defined:
@@ -28,14 +59,15 @@ def random_function(seed: int, length: int) -> Function:
             dest = rng.choice(regs)
             left = sources[0]
             right = sources[-1]
-            entry.append(binop(Opcode.ADD, dest, left, right))
+            entry.append(binop(Opcode.ADD, dest, left, right,
+                               guard=guard_for(dest)))
             defined.add(dest)
         elif defined:
             entry.append(out(rng.choice(sorted(defined,
                                                key=lambda r: r.uid))))
         else:
             dest = rng.choice(regs)
-            entry.append(mov(dest, Imm(1)))
+            entry.append(mov(dest, Imm(1), guard=guard_for(dest)))
             defined.add(dest)
     entry.append(ret())
     return func
@@ -61,6 +93,54 @@ def brute_force_live_after(block):
     return result
 
 
+def reference_live_after(function):
+    """Registers live after each instruction, keyed by instruction uid:
+    a copy of the live set at every step of a backward walk from each
+    block's ``live_out``."""
+    liveness = analyze(function)
+    live_after = {}
+    for label in function.block_order:
+        live = set(liveness[label].live_out)
+        for instr in reversed(function.blocks[label].instrs):
+            live_after[instr.uid] = set(live)
+            for reg in instr.writes():
+                if isinstance(reg, VReg) and instr.guard is None:
+                    live.discard(reg)
+            for reg in instr.reads():
+                if isinstance(reg, VReg):
+                    live.add(reg)
+    return live_after
+
+
+def is_dead(instr, live_after):
+    """An instruction without side effects none of whose written
+    virtual registers is live after it."""
+    written = [reg for reg in instr.writes() if isinstance(reg, VReg)]
+    return (bool(written) and not instr.has_side_effects
+            and not any(reg in live_after for reg in written))
+
+
+def reference_dead_definitions(function):
+    live_after = reference_live_after(function)
+    return [(label, index)
+            for label in function.block_order
+            for index, instr in enumerate(function.blocks[label].instrs)
+            if is_dead(instr, live_after[instr.uid])]
+
+
+def interference_from(function, live_after):
+    """uid -> uids: a register written by an instruction interferes with
+    each other register of its class live after it."""
+    edges = {}
+    for instr in function.instructions():
+        for written in instr.writes():
+            for live in live_after[instr.uid]:
+                if live != written and live.vtype is written.vtype:
+                    edges.setdefault(written.uid, set()).add(live.uid)
+                    edges.setdefault(live.uid, set()).add(written.uid)
+    return edges
+
+
 specs = st.tuples(
     st.integers(min_value=0, max_value=5_000),
     st.integers(min_value=1, max_value=30),
@@ -71,13 +151,20 @@ class TestLivenessAgainstBruteForce:
     @settings(max_examples=80, deadline=None)
     @given(specs)
     def test_live_after_matches(self, spec):
+        """Both walks see the brute force's live-after sets: the dead
+        instructions and the interference graph follow from them."""
         seed, length = spec
         func = random_function(seed, length)
         block = func.entry
         expected = brute_force_live_after(block)
-        actual = live_at_instruction(func)
-        for instr in block.instrs:
-            assert actual[instr.uid] == expected[instr.uid], str(instr)
+        assert dead_definitions(func) == [
+            (block.label, index) for index, instr in enumerate(block.instrs)
+            if is_dead(instr, expected[instr.uid])]
+        edges = interference_from(func, expected)
+        interference = allocation_seed(func).interference
+        assert set(edges) <= set(interference)
+        for uid, neighbours in interference.items():
+            assert neighbours == edges.get(uid, set()), uid
 
     @settings(max_examples=40, deadline=None)
     @given(specs)
@@ -87,3 +174,49 @@ class TestLivenessAgainstBruteForce:
         liveness = analyze(func)
         assert liveness["entry0"].live_out == set()
         assert liveness["entry0"].live_in == set()
+
+
+def backend_sources():
+    """(name, source, training inputs) of the if-converted suite
+    programs and every corpus program."""
+    for name in HYPERBLOCK_TRAINING_SET:
+        bench = get(name)
+        yield name, bench.source, bench.inputs("train")
+    for path in sorted(CORPUS_DIR.glob("*.mc")):
+        inputs = path.with_suffix("").with_suffix(".inputs.json")
+        yield (path.stem, path.read_text(),
+               json.loads(inputs.read_text()) if inputs.exists() else {})
+
+
+def allocator_inputs(options: CompilerOptions):
+    """(name, module) for each of :func:`backend_sources`, prepared and
+    run up to the register allocator under ``options``."""
+    for name, source, inputs in backend_sources():
+        prepared = prepare(compile_source(source, name), inputs, options)
+        module, _report = run_prefix(prepared, options, "regalloc")
+        yield name, module
+
+
+def test_dead_definitions_equal_the_definition(monkeypatch):
+    """Every ``dead_definitions`` call that preparing and if-converting
+    the programs makes returns what the per-instruction definition
+    gives, in the same (label, index) order.  If-conversion leaves
+    guarded writes behind, so the rule that they kill nothing is
+    exercised."""
+    calls = []
+
+    def checked(function):
+        dead = dead_definitions(function)
+        assert dead == reference_dead_definitions(function), function.name
+        calls.append(bool(dead))
+        return dead
+
+    monkeypatch.setattr(cleanup, "dead_definitions", checked)
+    guarded_writes = 0
+    for _name, module in allocator_inputs(CompilerOptions()):
+        guarded_writes += sum(
+            instr.guard is not None and bool(instr.writes())
+            for function in module.functions.values()
+            for instr in function.instructions())
+    assert guarded_writes > 0
+    assert any(calls) and not all(calls)

@@ -2,7 +2,9 @@
 invalidation, and the warm-rerun guarantee (a second run touching only
 cached candidates performs zero compiles and zero simulations)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,24 @@ from repro.machine.descr import DEFAULT_EPIC, REGALLOC_MACHINE
 from repro.machine.sim import SimResult
 from repro.metaopt.fitness_cache import (
     FitnessCache,
+    _source_digest,
     machine_fingerprint,
     pipeline_fingerprint,
     resolve_cache_dir,
 )
 from repro.metaopt.harness import EvaluationHarness, case_study
 from repro.metaopt.settings import EvalSettings
+
+
+def pathlib_digest(root: Path) -> str:
+    """The source digest as ``pathlib`` computes it."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()[:16]
 
 
 def sample_result(cycles=1234):
@@ -49,6 +63,25 @@ class TestKeying:
             priority_key=("native", "<lambda>", 12345),
             benchmark="codrle4", dataset="train")
         assert key is None
+
+    def test_pipeline_fingerprint_is_the_pathlib_digest(self):
+        """The fingerprint is the digest ``Path.rglob`` and a sort of
+        the paths have always given, so no cache entry goes stale."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        assert pipeline_fingerprint() == pathlib_digest(root)
+        assert _source_digest(str(root)) == pathlib_digest(root)
+
+    def test_source_digest_sorts_paths_part_by_part(self, tmp_path):
+        """``a/z.py`` sorts before ``a-b.py`` as paths, after it as
+        strings; names that only end in ``py`` are not sources."""
+        for relative in ("a/z.py", "a-b.py", "a/b/c.py", "a.py",
+                         "B.py", "a/b.py", "x.pyc", "copy", "notpy"):
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f"# {relative}\n")
+        assert _source_digest(str(tmp_path)) == pathlib_digest(tmp_path)
 
     def test_fingerprints_are_stable(self):
         assert pipeline_fingerprint() == pipeline_fingerprint()

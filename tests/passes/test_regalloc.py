@@ -3,26 +3,35 @@ priority-function influence, and the Chow–Hennessy baseline."""
 
 import copy
 import dataclasses
+import random
 
 import pytest
 
 from repro.frontend import compile_source
 from repro.ir.interp import Interpreter
 from repro.ir.instr import Opcode
+from repro.ir.liveness import analyze
 from repro.ir.values import FLOAT, INT, PRED, PReg, VReg
 from repro.machine.descr import DEFAULT_EPIC, MachineDescription
 from repro.machine.sim import Simulator
+from repro.passes import regalloc
+from repro.passes.pipeline import CompilerOptions
 from repro.passes.regalloc import (
     REGALLOC_BOOL_FEATURES,
     REGALLOC_REAL_FEATURES,
     SPILL_RESERVE,
     AllocationError,
+    LiveRange,
     allocate_function,
     allocate_module,
     allocation_seed,
     chow_hennessy_savings,
 )
 from repro.passes.schedule import schedule_module
+from tests.ir.test_liveness_property import (
+    allocator_inputs,
+    reference_live_after,
+)
 
 PRESSURE_SOURCE = """
 int data[64];
@@ -104,8 +113,6 @@ class TestColouringValidity:
     def test_interference_respected(self):
         """Simultaneously live values never share a register: checked
         by re-running liveness on the allocated function."""
-        from repro.ir.liveness import live_at_instruction
-
         machine = tiny_machine(8)
         module = compile_source(PRESSURE_SOURCE)
         allocate_module(module, machine)
@@ -120,10 +127,9 @@ class TestColouringValidity:
 
     def test_one_liveness_fixed_point_per_colouring_round(
             self, monkeypatch):
-        """``_build_ranges`` used to run the fixed point twice: once
-        itself, once more inside ``live_at_instruction``."""
+        """``_build_ranges`` runs the liveness fixed point once and
+        walks each block from its ``live_out``."""
         from repro.ir import liveness
-        from repro.passes import regalloc
 
         fixed_points = []
 
@@ -144,7 +150,6 @@ class TestColouringValidity:
         """A seed is round one's analysis: only the later rounds run
         the liveness fixed point."""
         from repro.ir import liveness
-        from repro.passes import regalloc
 
         module = compile_source(PRESSURE_SOURCE)
         function = module.functions["main"]
@@ -282,6 +287,108 @@ class TestAllocationSeed:
                                        seeds=seeds)
         assert reports1["main"]["spilled"] != reports2["main"]["spilled"]
         assert seeds == before
+
+
+def reference_build_ranges(function, temps):
+    """``_build_ranges`` by its definition: the registers live after
+    each instruction as a set of their own (``reference_live_after``),
+    and an interference edge for every register an instruction writes
+    and every other register of its class live after it, spill temps
+    excepted.  Returns the ranges and the graph keyed by uid."""
+    liveness = analyze(function)
+    live_after = reference_live_after(function)
+    unspillable = set(function.params)
+    ranges = {}
+
+    def range_of(reg):
+        if reg not in ranges:
+            ranges[reg] = LiveRange(reg, spillable=reg not in unspillable)
+        return ranges[reg]
+
+    for label in function.block_order:
+        present = set(liveness[label].live_in)
+        for instr in function.blocks[label].instrs:
+            for regs, counts in ((instr.reads(), "uses_by_block"),
+                                 (instr.writes(), "defs_by_block")):
+                for reg in regs:
+                    if isinstance(reg, VReg) and reg not in temps:
+                        tally = getattr(range_of(reg), counts)
+                        tally[label] = tally.get(label, 0) + 1
+                        present.add(reg)
+        for reg in present:
+            if reg in ranges:
+                ranges[reg].blocks.append(label)
+    entry = [reg for reg in liveness[function.block_order[0]].live_in
+             | set(function.params) if isinstance(reg, VReg)]
+    for reg in entry:
+        range_of(reg)
+    interference = {reg: set() for reg in ranges}
+
+    def connect(left, right):
+        if (left != right and left.vtype is right.vtype
+                and left not in temps and right not in temps):
+            interference[left].add(right)
+            interference[right].add(left)
+
+    for left in entry:
+        for right in entry:
+            connect(left, right)
+    for instr in function.instructions():
+        for written in instr.writes():
+            if isinstance(written, VReg):
+                for live in live_after[instr.uid]:
+                    connect(written, live)
+    for reg, live_range in ranges.items():
+        live_range.degree = len(interference[reg])
+    return ranges, {reg.uid: {other.uid for other in others}
+                    for reg, others in interference.items()}
+
+
+def range_fields(ranges):
+    """Every field of every range, in the ranges' order."""
+    return [(reg, live_range.reg, live_range.blocks,
+             list(live_range.uses_by_block.items()),
+             list(live_range.defs_by_block.items()),
+             live_range.degree, live_range.spillable)
+            for reg, live_range in ranges.items()]
+
+
+class TestBuildRangesAgainstDefinition:
+    """Every colouring round's analysis, spill rounds included, equals
+    the per-instruction definition: the interference graph, and the
+    ranges in order with every field.  The programs are the
+    if-converted suite programs and the corpus as the allocator
+    receives them, and the pressure and guarded modules."""
+
+    @pytest.mark.parametrize("machine, randomised", [
+        (DEFAULT_EPIC, False),
+        (tiny_machine(12), True),
+    ], ids=["epic-stock", "small-random"])
+    def test_every_round_equals_the_definition(self, monkeypatch, machine,
+                                               randomised):
+        build = regalloc._build_ranges
+        rounds = []
+
+        def checked(function, temps):
+            seed = build(function, temps)
+            ranges, interference = reference_build_ranges(function, temps)
+            assert range_fields(seed.ranges) == range_fields(ranges)
+            assert seed.interference == interference
+            rounds.append(bool(temps))
+            return seed
+
+        monkeypatch.setattr(regalloc, "_build_ranges", checked)
+        modules = [module for _name, module
+                   in allocator_inputs(CompilerOptions(machine=machine))]
+        modules += [compile_source(PRESSURE_SOURCE), guarded_spill_module()[0]]
+        for module in modules:
+            rng = random.Random(0)
+            allocate_module(module, machine,
+                            (lambda env: rng.random()) if randomised
+                            else chow_hennessy_savings)
+        assert len(rounds) > len(modules)
+        # on the small machine, spill rounds with temps are covered
+        assert any(rounds) == randomised
 
 
 def reference_bench(name):
