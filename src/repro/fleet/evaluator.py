@@ -46,11 +46,10 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
 from repro import obs
-from repro.gp.nodes import Node
-from repro.gp.parse import unparse
 from repro.serve.client import ServeClient, ServeError, ServerBusy
 
 if TYPE_CHECKING:
+    from repro.gp.select import Individual
     from repro.metaopt.harness import EvaluationHarness
 
 #: Shards cut per worker per batch (smaller shards balance better,
@@ -104,9 +103,9 @@ class _Shard:
     __slots__ = ("index", "items", "attempts")
 
     def __init__(self, index: int,
-                 items: list[tuple[int, str, str]]) -> None:
+                 items: list[tuple[int, Individual, str]]) -> None:
         self.index = index
-        self.items = items  # (coordinator item index, tree text, benchmark)
+        self.items = items  # (item index, individual, benchmark)
         self.attempts = 0
 
 
@@ -217,11 +216,11 @@ class FleetEvaluator:
 
     # -- evaluation ------------------------------------------------------
     def evaluate_batch(
-            self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
-        """Evaluate distinct ``(tree, benchmark)`` pairs across the
+            self, jobs: Iterable[tuple[Individual, str]]) -> list[float]:
+        """Evaluate distinct ``(individual, benchmark)`` jobs across the
         fleet; values come back in job order whatever the completion
         order."""
-        pending = [(unparse(tree), benchmark) for tree, benchmark in jobs]
+        pending = list(jobs)
         if not pending:
             return []
         slots = [slot for slot in self.start() if slot.alive]
@@ -259,14 +258,13 @@ class FleetEvaluator:
         return [state.results[index] for index in range(len(pending))]
 
     @staticmethod
-    def _deal(pending: list[tuple[str, str]], slots: int) -> list[_Shard]:
+    def _deal(jobs: list[tuple[Individual, str]], slots: int) -> list[_Shard]:
         per_shard = min(_MAX_SHARD_ITEMS,
-                        -(-len(pending) // (slots * _SHARDS_PER_WORKER)))
+                        -(-len(jobs) // (slots * _SHARDS_PER_WORKER)))
         shards = []
-        for start in range(0, len(pending), per_shard):
-            items = [(index, text, benchmark)
-                     for index, (text, benchmark) in enumerate(
-                         pending[start:start + per_shard], start)]
+        for start in range(0, len(jobs), per_shard):
+            items = [(index, *job) for index, job in enumerate(
+                jobs[start:start + per_shard], start)]
             shards.append(_Shard(len(shards), items))
         return shards
 
@@ -317,7 +315,7 @@ class FleetEvaluator:
         records = {record.get("index"): record
                    for record in slot.client.evaluate_batch(payload)}
         values: dict[int, float] = {}
-        for index, _text, _benchmark in shard.items:
+        for index, _individual, _benchmark in shard.items:
             record = records.get(index)
             if record is None:
                 raise _ShardItemFailed(
@@ -342,8 +340,9 @@ class FleetEvaluator:
             "settings": wire.to_json_dict(),
             "fingerprint": self._fingerprints(),
             "items": [
-                {"index": index, "tree": text, "benchmark": benchmark}
-                for index, text, benchmark in shard.items
+                {"index": index, "tree": individual.text,
+                 "benchmark": benchmark}
+                for index, individual, benchmark in shard.items
             ],
         }
 
@@ -416,13 +415,8 @@ class FleetEvaluator:
     # -- the in-process safety net ---------------------------------------
     def _evaluate_locally(self, shard: _Shard,
                           state: _BatchState) -> None:
-        from repro.metaopt.priority import PriorityFunction
-
-        for index, text, benchmark in shard.items:
-            priority = PriorityFunction.from_text(
-                text, self.harness.case.pset)
-            state.results[index] = self.harness.speedup(priority.tree,
-                                                        benchmark)
+        for index, individual, benchmark in shard.items:
+            state.results[index] = self.harness.speedup(individual, benchmark)
             self.local_fallback_jobs += 1
             obs.inc("fleet.local_fallback_jobs")
         state.outstanding -= 1

@@ -2,8 +2,8 @@
 
 The engine is deliberately generic: it knows nothing about compilers.
 It is handed a *fitness evaluator* — an object whose ``evaluate_batch``
-maps a list of ``(tree, benchmark_name)`` pairs to their speedups, in
-job order (:class:`repro.metaopt.harness.EvaluatorProtocol`) — and
+maps a list of ``(individual, benchmark_name)`` jobs to their speedups,
+in job order (:class:`repro.metaopt.harness.EvaluatorProtocol`) — and
 evolves expressions that maximize the average speedup across the
 benchmark set active in each generation.  Each generation ships every
 uncached pair in one batch.  The Meta Optimization harness
@@ -181,22 +181,21 @@ class GPEngine:
     ) -> tuple[dict[str, float], int]:
         """Evaluate the population on ``subset``.
 
-        Every uncached, structurally distinct ``(tree, benchmark)``
-        pair goes to the evaluator in one ``evaluate_batch`` call,
-        which fills the memo.  Returns the per-benchmark
+        Every uncached, structurally distinct ``(individual,
+        benchmark)`` job goes to the evaluator in one ``evaluate_batch``
+        call, which fills the memo.  Returns the per-benchmark
         population-average speedups (for DSS difficulty updates) and
         the number of structurally distinct individuals."""
         memo = self._memo
         tree_keys = [individual.key for individual in population]
-        pending: dict[tuple, Node] = {}
+        pending: dict[tuple, tuple[Individual, str]] = {}
         for individual, tree_key in zip(population, tree_keys):
             for name in subset:
                 key = (tree_key, name)
                 if key not in memo and key not in pending:
-                    pending[key] = individual.tree
+                    pending[key] = (individual, name)
         if pending:
-            values = self.evaluator.evaluate_batch(
-                [(tree, name) for (_, name), tree in pending.items()])
+            values = self.evaluator.evaluate_batch(list(pending.values()))
             for key, value in zip(pending, values):
                 memo[key] = float(value)
             self.evaluations += len(pending)

@@ -5,9 +5,10 @@ a candidate priority function is installed into its case study's hook,
 every training benchmark is compiled and simulated, and fitness is the
 average speedup over the baseline-compiled binaries.  The harness is
 also a campaign's serial evaluator: its ``evaluate_batch`` scores a
-generation's jobs in order, behind the :class:`EvaluatorProtocol` it
-shares with the process pool, the fleet and the surrogate
-(:func:`make_evaluator` picks the backend).
+generation's ``(individual, benchmark)`` jobs in order, keyed on the
+structural key each individual cached, behind the
+:class:`EvaluatorProtocol` it shares with the process pool, the fleet
+and the surrogate (:func:`make_evaluator` picks the backend).
 
 Costly work is reused in layers, mirroring the paper's memoization
 ("Our system memoizes benchmark fitnesses because fitness evaluations
@@ -24,25 +25,19 @@ are so costly").  Under one harness, outermost first:
   training profile, per benchmark;
 * prefix snapshot — the backend state just before the hook's stage,
   per benchmark, shared by the whole population (docs/FORKING.md);
-* decision trie (``hyperblock`` only) — per benchmark, the
-  if-conversion verdict sequences compiles have made, each ending in
-  a leaf that is the phenotype's record: a candidate walks it with its
-  priority alone, and a walk that ends in a leaf holding its dataset
-  skips the compile altogether;
-* content-digest memo (every other backend hook) — the record of one
-  IR as it leaves the hook's stage (the scheduled binary when the
-  candidate steers ``prepare`` or scheduling), keyed by (digest,
-  benchmark) and shared by every candidate that produces it: a hit
-  skips the rest of the backend and the simulator.  A compile links
-  its candidate and benchmark to the record it found or made, so the
-  candidate's score on another dataset asks the record first and
-  compiles nothing, not even up to the probe, when it answers;
-* held binaries — a phenotype record holds its results by dataset and,
-  while a harness-wide LRU of ``_HELD_BINARY_CAPACITY`` keeps it, the
-  scheduled binary its compile built, so a trie leaf or digest entry
-  that lacks the dataset only simulates that binary (an evicted one
-  compiles as if unheld, and is held again); only a memo that finds
-  the phenotype before ``schedule`` holds binaries;
+* phenotype store (:class:`_PhenotypeStore`) — per benchmark, one
+  record per phenotype: its results by dataset and, while a
+  harness-wide LRU of ``_HELD_BINARY_CAPACITY`` keeps it, the binary
+  its compile scheduled.  On ``hyperblock`` a phenotype is a leaf of a
+  decision trie of if-conversion verdicts, which a candidate walks
+  with its priority alone; elsewhere it is the content digest of the
+  IR leaving the hook's stage (the scheduled binary when the candidate
+  steers ``prepare`` or scheduling), which the compile probes there.
+  A record holding the dataset's result skips the rest of the compile
+  and the simulator, and one holding only the binary simulates it (an
+  evicted binary compiles again).  A candidate is linked to the record
+  its walk, probe or compile reached, so its score on another dataset
+  asks that record first;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
   function of each scheduled function of one binary.
 
@@ -112,6 +107,7 @@ from repro.suite.registry import get as get_benchmark
 # a compile or a simulation starts (``_prepare``, ``_run``,
 # ``_compile``): an evaluation the fitness cache answers loads none.
 if TYPE_CHECKING:
+    from repro.gp.select import Individual
     from repro.machine.sim import Simulator
     from repro.machine.vliw import ScheduledModule
     from repro.passes.snapshot import PipelineSnapshot
@@ -275,15 +271,22 @@ def case_study(name: str,
 
 
 def _priority_key(priority) -> tuple:
-    if isinstance(priority, Node):
-        return ("tree",) + priority.structural_key()
-    if isinstance(priority, PriorityFunction):
-        return ("tree",) + priority.tree.structural_key()
-    if isinstance(priority, FlagsGenome):
-        return priority.structural_key()  # ("flags", gene values...)
-    # The callable itself, not its id(): a memo key that holds it keeps
-    # it alive, so CPython cannot hand its address to another callable.
-    return ("native", priority)
+    """``("tree",)`` and an expression's structural key, a flags
+    genome's own key or ``("native", callable)``; anything else is a
+    job's ``Individual`` (not imported: ``simulate`` and the daemon
+    never load the engine), whose key is cached."""
+    if isinstance(priority, (Node, FlagsGenome)):
+        key = priority.structural_key()
+    elif isinstance(priority, PriorityFunction):
+        key = priority.tree.structural_key()
+    elif callable(priority):
+        # The callable itself, not its id(): a memo key that holds it
+        # keeps it alive, so CPython cannot hand its address to another
+        # callable.
+        return ("native", priority)
+    else:
+        key = priority.key
+    return key if key[0] == "flags" else ("tree",) + key
 
 
 def _noise_seed(key: tuple) -> int:
@@ -309,7 +312,9 @@ MAX_INTERP_STEPS = 10_000_000
 def _as_hook(priority):
     if isinstance(priority, Node):
         return PriorityFunction(priority)
-    return priority
+    if isinstance(priority, FlagsGenome) or callable(priority):
+        return priority
+    return _as_hook(priority.tree)  # a job's Individual
 
 
 class Answer(NamedTuple):
@@ -347,7 +352,7 @@ _HELD_BINARY_CAPACITY = 32
 class _Phenotype:
     """One phenotype's record, as a decision-trie leaf or a
     content-digest memo entry: its results by dataset and, while the
-    harness's LRU keeps it, the scheduled binary that produced them."""
+    store's LRU keeps it, the scheduled binary that produced them."""
 
     __slots__ = ("results", "binary")
 
@@ -362,14 +367,133 @@ class _Region:
     verdict (converted or not) to the next node, or, when no region
     follows, to a leaf: the phenotype's record."""
 
-    __slots__ = ("function", "paths", "head_ops", "children")
+    __slots__ = ("paths", "head_ops", "children")
 
-    def __init__(self, function: str, paths: list[PathInfo],
-                 head_ops: int) -> None:
-        self.function = function
+    def __init__(self, paths: list[PathInfo], head_ops: int) -> None:
         self.paths = paths
         self.head_ops = head_ops
         self.children: dict[bool, _Region | _Phenotype] = {}
+
+
+class _PhenotypeStore:
+    """The phenotype records of one harness (see the module docstring):
+    :meth:`lookup` before a compile, :meth:`stop_after` for its probe,
+    :meth:`record` after a fresh simulation.  ``stage`` is the stage
+    whose output names a phenotype, ``None`` with the memo off; a store
+    that names it only after ``schedule`` holds no binary (it is built
+    by then)."""
+
+    def __init__(self, stage: str | None) -> None:
+        self.stage = stage
+        #: (IR digest after ``stage``, benchmark) -> record
+        self.digests: dict[tuple, _Phenotype] = {}
+        #: (priority key, benchmark) -> the record found or made for it
+        self.links: dict[tuple, _Phenotype] = {}
+        #: decision-trie root per benchmark (``hyperblock`` only): equal
+        #: verdict sequences leave if-conversion with equal IR, and a
+        #: node's paths were computed from the IR the verdicts above it
+        #: shaped, so a walk reads no IR, and the train profile they
+        #: were read from serves every dataset
+        self.tries: dict[str, _Region | _Phenotype] = {}
+        self.decision_vectors = 0  # the tries' leaves
+        #: the records whose binary is held, least recently used first
+        self.held: OrderedDict[_Phenotype, None] = OrderedDict()
+
+    def lookup(self, key: tuple, options: CompilerOptions,
+               run: Callable) -> tuple[str, SimResult] | None:
+        """``(layer, result)`` of memo key ``key`` from the candidate's
+        linked record or, on the trie, the leaf its walk reaches: the
+        stored result (``decisions`` or ``digest``) or ``run`` of the
+        held binary (``binary``); ``None`` when neither is there."""
+        priority_key, benchmark, dataset = key
+        record = self.links.get((priority_key, benchmark))
+        if record is None and self.stage == "hyperblock":
+            record = self._walk(benchmark, options)
+        if record is None:
+            return None
+        self.links[priority_key, benchmark] = record
+        layer = "decisions" if self.stage == "hyperblock" else "digest"
+        result = record.results.get(dataset)
+        if result is None:
+            if record.binary is None:
+                return None
+            _, result = run(record.binary, key)
+            record.results[dataset] = result
+            layer = "binary"
+        if record.binary is not None:
+            self.held.move_to_end(record)
+        return layer, result
+
+    def stop_after(self, key: tuple) -> tuple | None:
+        """``compile_backend``'s ``stop_after``: a probe that links the
+        candidate to its IR digest's record (made if new) and ends the
+        compile when :meth:`lookup` can answer from it; ``None`` on the
+        trie and with the memo off."""
+        if self.stage in (None, "hyperblock"):
+            return None
+        priority_key, benchmark, dataset = key
+
+        def probe(ir) -> bool:
+            digest = (ir.content_digest(), benchmark)
+            record = self.digests.get(digest)
+            if record is None:
+                record = self.digests[digest] = _Phenotype()
+            self.links[priority_key, benchmark] = record
+            return dataset in record.results or record.binary is not None
+
+        return self.stage, probe
+
+    def record(self, key: tuple, result: SimResult,
+               binary: ScheduledModule, report: BackendReport) -> None:
+        """Keep a fresh simulation's ``result`` (and ``binary``) in the
+        leaf of the compile's verdicts, linked, or in the record the
+        compile's probe linked; nothing with the memo off."""
+        priority_key, benchmark, dataset = key
+        if self.stage == "hyperblock":
+            self.links[priority_key, benchmark] = self._leaf(benchmark,
+                                                              report)
+        record = self.links.get((priority_key, benchmark))
+        if record is None:
+            return
+        record.results[dataset] = result
+        if self.stage != "schedule":
+            record.binary = binary
+            self.held[record] = None
+            while len(self.held) > _HELD_BINARY_CAPACITY:
+                evicted, _ = self.held.popitem(last=False)
+                evicted.binary = None
+
+    def _walk(self, benchmark: str,
+              options: CompilerOptions) -> _Phenotype | None:
+        """The leaf of the verdicts ``options`` makes, from calls of its
+        hyperblock priority alone; ``None`` where the trie does not
+        reach (a verdict no compile has made yet)."""
+        node = self.tries.get(benchmark)
+        while isinstance(node, _Region):
+            _, converted, _ = decide(
+                node.paths, options.hyperblock_priority, options.machine,
+                options.hyperblock_threshold, DEFAULT_MAX_OPS,
+                node.head_ops)
+            node = node.children.get(converted)
+        return node
+
+    def _leaf(self, benchmark: str, report: BackendReport) -> _Phenotype:
+        """The leaf of a compile's verdict sequence (in evaluation
+        order), made if new; the prefix a walk already knew is only
+        followed."""
+        slots, key = self.tries, benchmark
+        for formation in report.hyperblock.values():
+            for decision in formation.decisions:
+                node = slots.get(key)
+                if node is None:
+                    node = slots[key] = _Region(decision.paths,
+                                                decision.head_ops)
+                slots, key = node.children, decision.converted
+        leaf = slots.get(key)
+        if leaf is None:
+            leaf = slots[key] = _Phenotype()
+            self.decision_vectors += 1
+        return leaf
 
 
 class EvaluationHarness:
@@ -411,42 +535,19 @@ class EvaluationHarness:
         self._tally: Counter[tuple] = Counter()
         #: held across a ``simulate`` miss; a memo hit never takes it
         self._miss_lock = threading.Lock()
-        #: the stage whose output the phenotype memo keys on (the
-        #: decision trie on ``hyperblock``, else the content-digest
-        #: memo): distinct candidates often leave it with identical IR,
-        #: whose compiles and simulations are identical under zero
-        #: noise.  ``flags``
-        #: varies backend options and prepare-stage cases have no hook
-        #: stage, so they key on the scheduled binary.  Noise is keyed
-        #: per candidate and the differential guard wants a live
-        #: simulator, so both switch it off, and it rides the snapshot
-        #: switch so ``use_snapshots=False`` is the exact seed path.
-        self._memo_stage = (stage or "schedule") if (
+        #: keyed on the hook stage's output: distinct candidates often
+        #: leave it with identical IR, whose compiles and simulations
+        #: are identical under zero noise.  ``flags`` varies backend
+        #: options and prepare-stage cases have no hook stage, so they
+        #: key on the scheduled binary.  Noise is keyed per candidate
+        #: and the differential guard wants a live simulator, so both
+        #: switch it off, and it rides the snapshot switch so
+        #: ``use_snapshots=False`` is the exact seed path.
+        self._phenotypes = _PhenotypeStore((stage or "schedule") if (
             settings.use_snapshots
             and settings.noise_stddev == 0.0
-            and not settings.verify_outputs) else None
-        #: content-addressed phenotype memo, keyed by (digest after
-        #: ``_memo_stage``, benchmark): everything after the probe
-        #: reads only that IR and constants of the case
-        self._digest_memo: dict[tuple, _Phenotype] = {}
-        #: (priority key, benchmark) -> the digest memo record its
-        #: compile found or made: another dataset's score of the same
-        #: candidate is recalled from it with no compile up to the probe
-        self._digest_links: dict[tuple, _Phenotype] = {}
-        #: decision trie root per benchmark, in place of the digest memo
-        #: when its stage is ``hyperblock``: equal verdict sequences
-        #: leave if-conversion with equal IR, and a node's paths were
-        #: computed from the IR the verdicts above it shaped, so a walk
-        #: reads no IR, and the train profile they were read from
-        #: serves every dataset
-        self._decision_tries: dict[str, _Region | _Phenotype] = {}
-        self._decision_vectors = 0  # the tries' leaves
-        #: the records whose binary is held, least recently used first;
-        #: none when the memo finds a phenotype only after ``schedule``,
-        #: where its binary is already built
-        self._held: OrderedDict[_Phenotype, None] = OrderedDict()
-        self._holds_binaries = self._memo_stage not in (None, "schedule")
-        self._baseline_tree = None
+            and not settings.verify_outputs) else None)
+        self._baseline_tree = self._baseline_key = None
         #: per-(benchmark, dataset) interpreter reference observables
         self._reference_memo: dict[tuple, tuple] = {}
         #: per-(benchmark, dataset) input arrays, generated once; shared
@@ -494,9 +595,11 @@ class EvaluationHarness:
         daemon's): a hit takes no lock, a miss is single-flight."""
         return self._answer(priority, benchmark, dataset).result
 
-    def _answer(self, priority, benchmark: str, dataset: str) -> Answer:
-        """The memo's :class:`Answer`, tallied by layer."""
-        key = (_priority_key(priority), benchmark, dataset)
+    def _answer(self, priority, benchmark: str, dataset: str,
+                priority_key: tuple | None = None) -> Answer:
+        """The memo's :class:`Answer`, tallied by layer; ``priority_key``
+        when the caller holds it."""
+        key = (priority_key or _priority_key(priority), benchmark, dataset)
         answer = self._cycles_memo.get(key)
         if answer is None:
             with self._miss_lock:
@@ -512,7 +615,10 @@ class EvaluationHarness:
         return answer
 
     def _simulate_miss(self, priority, key: tuple) -> Answer:
-        """Everything below the cycles memo, under ``_miss_lock``."""
+        """Everything below the cycles memo, under ``_miss_lock``: the
+        fitness cache, the phenotype store (asked before the compile and
+        by its probe), else a compile and a fresh simulation, which the
+        store records."""
         _, benchmark, dataset = key
         persist_key = None
         if self.fitness_cache is not None:
@@ -531,17 +637,21 @@ class EvaluationHarness:
                 return Answer("fitness_cache", stored)
 
         options = with_artifact(self.case.options_for(_as_hook(priority)))
-        if self._memo_stage == "hyperblock":
-            recalled = self._recall(
-                self._walk_decisions(benchmark, options), key, "decisions")
-        else:
-            recalled = self._recall(
-                self._digest_links.get((key[0], benchmark)), key, "digest")
-        if recalled is not None:
-            (layer, result), diverged = recalled, False
-        else:
-            layer, result, diverged = self._compile_and_simulate(
-                options, key)
+        store, diverged = self._phenotypes, False
+        found = store.lookup(key, options, self._run)
+        if found is None:
+            scheduled, report = self._compile(options, benchmark,
+                                              store.stop_after(key))
+            if scheduled is None:
+                found = store.lookup(key, options, self._run)
+            else:
+                simulator, result = self._run(scheduled, key)
+                diverged = self.settings.verify_outputs and \
+                    self._check_against_reference(
+                        benchmark, dataset, simulator, result, scheduled)
+                store.record(key, result, scheduled, report)
+                found = "sim", result
+        layer, result = found
         if persist_key is None:
             return Answer(layer, result, diverged)
         if not diverged:
@@ -549,58 +659,6 @@ class EvaluationHarness:
                 persist_key, result,
                 meta=self._persist_meta(priority, benchmark, dataset))
         return Answer(layer, result, diverged, stored=not diverged)
-
-    def _compile_and_simulate(self, options: CompilerOptions,
-                              key: tuple) -> tuple[str, SimResult, bool]:
-        """``(layer, result, diverged)`` of a compile under ``options``:
-        answered by the content-digest memo's record or by a fresh
-        simulation, which the phenotype memo records with its binary."""
-        _, benchmark, dataset = key
-        if self.case.steers_prepare:
-            # The candidate steers unrolling (or the whole
-            # flag set): the "candidate-independent" prefix is rebuilt
-            # per genome (the cycles memo above answers repeats).
-            prep = self._prepare(benchmark, options)
-        else:
-            prep = self.prepared(benchmark)
-
-        # Content-digest layer (see ``_memo_stage``): the compile asks
-        # it once, right after the hook's stage, and ends there when the
-        # record holds the dataset's result or the binary.  On
-        # ``hyperblock`` the decision trie is that layer instead.
-        digest_key = record = None
-
-        def probe(ir) -> bool:
-            nonlocal digest_key, record
-            digest_key = (ir.content_digest(), benchmark)
-            record = self._digest_memo.get(digest_key)
-            return record is not None and (
-                dataset in record.results or record.binary is not None)
-
-        stop_after = None
-        if self._memo_stage not in (None, "hyperblock"):
-            stop_after = (self._memo_stage, probe)
-        scheduled, report = self._compile(prep, options, benchmark,
-                                          stop_after)
-        if scheduled is None:
-            self._digest_links[key[0], benchmark] = record
-            layer, result = self._recall(record, key, "digest")
-            return layer, result, False
-        simulator, result = self._run(scheduled, key)
-        diverged = self.settings.verify_outputs and \
-            self._check_against_reference(
-                benchmark, dataset, simulator, result, scheduled)
-        if self._memo_stage == "hyperblock":
-            record = self._record_decisions(benchmark, report)
-        elif digest_key is not None:
-            if record is None:
-                record = self._digest_memo[digest_key] = _Phenotype()
-            self._digest_links[key[0], benchmark] = record
-        if record is not None:
-            record.results[dataset] = result
-            if self._holds_binaries:
-                self._hold(record, scheduled)
-        return "sim", result, diverged
 
     def _run(self, scheduled: ScheduledModule,
              key: tuple) -> tuple[Simulator, SimResult]:
@@ -621,70 +679,6 @@ class EvaluationHarness:
         self.sim_cycles += result.cycles
         return simulator, result
 
-    # -- phenotype records -------------------------------------------------
-    def _recall(self, record: _Phenotype | None, key: tuple,
-                layer: str) -> tuple[str, SimResult] | None:
-        """``(layer, result)`` of the memo key's dataset from a record
-        a phenotype memo found: its stored result, answered by
-        ``layer``, or a simulation of its held binary (``binary``);
-        ``None`` when the record has neither."""
-        if record is None:
-            return None
-        dataset = key[2]
-        result = record.results.get(dataset)
-        if result is None:
-            if record.binary is None:
-                return None
-            _, result = self._run(record.binary, key)
-            record.results[dataset] = result
-            layer = "binary"
-        if record.binary is not None:
-            self._held.move_to_end(record)
-        return layer, result
-
-    def _hold(self, record: _Phenotype, binary: ScheduledModule) -> None:
-        """Keep ``binary`` with ``record``, dropping the least recently
-        used binary beyond ``_HELD_BINARY_CAPACITY``."""
-        record.binary = binary
-        self._held[record] = None
-        while len(self._held) > _HELD_BINARY_CAPACITY:
-            evicted, _ = self._held.popitem(last=False)
-            evicted.binary = None
-
-    # -- decision trie -----------------------------------------------------
-    def _walk_decisions(self, benchmark: str, options: CompilerOptions
-                        ) -> _Phenotype | None:
-        """The leaf of the verdicts ``options`` makes, from calls of its
-        hyperblock priority alone; ``None`` where the trie does not
-        reach (a verdict no compile has made yet)."""
-        node = self._decision_tries.get(benchmark)
-        while isinstance(node, _Region):
-            _, converted, _ = decide(
-                node.paths, options.hyperblock_priority, options.machine,
-                options.hyperblock_threshold, DEFAULT_MAX_OPS,
-                node.head_ops)
-            node = node.children.get(converted)
-        return node
-
-    def _record_decisions(self, benchmark: str,
-                          report: BackendReport) -> _Phenotype:
-        """The leaf of a compile's verdict sequence (in evaluation
-        order), made if new; the prefix a walk already knew is only
-        followed."""
-        slots, key = self._decision_tries, benchmark
-        for function, formation in report.hyperblock.items():
-            for decision in formation.decisions:
-                node = slots.get(key)
-                if node is None:
-                    node = slots[key] = _Region(
-                        function, decision.paths, decision.head_ops)
-                slots, key = node.children, decision.converted
-        leaf = slots.get(key)
-        if leaf is None:
-            leaf = slots[key] = _Phenotype()
-            self._decision_vectors += 1
-        return leaf
-
     def _persist_meta(self, priority, benchmark: str,
                       dataset: str) -> dict:
         """Provenance record stored beside a persisted result so
@@ -694,10 +688,12 @@ class EvaluationHarness:
         The two fingerprints are those of the cache key, so a miner can
         keep only the records today's compiles could produce.
         """
-        tree = priority.tree if isinstance(priority, PriorityFunction) \
-            else priority
+        if isinstance(priority, (Node, FlagsGenome)):
+            text = expression_text(priority)
+        else:  # a PriorityFunction or a job's Individual
+            text = priority.text
         return {
-            "expression": expression_text(tree),
+            "expression": text,
             "case": self.case.name,
             "pipeline": pipeline_fingerprint(),
             "machine": machine_fingerprint(self.case.machine),
@@ -707,8 +703,8 @@ class EvaluationHarness:
             "verified": self.settings.verify_outputs,
         }
 
-    def _compile(self, prep: PreparedProgram, options: CompilerOptions,
-                 benchmark: str, stop_after=None):
+    def _compile(self, options: CompilerOptions, benchmark: str,
+                 stop_after=None):
         """``compile_backend``'s (scheduled module, report), through the
         forking layer when on: the shared prefix is restored from the
         program's snapshot and only the hook's suffix runs
@@ -717,6 +713,13 @@ class EvaluationHarness:
         ``_miss_lock``, so the first compile builds the snapshot once."""
         from repro.passes.snapshot import build_snapshot
 
+        if self.case.steers_prepare:
+            # The candidate steers unrolling (or the whole
+            # flag set): the "candidate-independent" prefix is rebuilt
+            # per genome (the cycles memo above answers repeats).
+            prep = self._prepare(benchmark, options)
+        else:
+            prep = self.prepared(benchmark)
         snapshot = None
         if self._fork_stage is not None:
             snapshot = self._snapshots.get(benchmark)
@@ -780,16 +783,17 @@ class EvaluationHarness:
         return True
 
     def baseline_tree(self):
-        """The case's baseline expression, built once per harness (a
-        fresh ``Node`` tree per call would be pure allocation churn —
-        ``baseline_result`` runs inside every ``speedup``)."""
+        """The case's baseline expression and its memo key, built once
+        per harness: ``baseline_result`` runs inside every ``speedup``."""
         if self._baseline_tree is None:
             self._baseline_tree = self.case.baseline_tree()
+            self._baseline_key = _priority_key(self._baseline_tree)
         return self._baseline_tree
 
     def baseline_result(self, benchmark: str,
                         dataset: str = "train") -> SimResult:
-        return self.simulate(self.baseline_tree(), benchmark, dataset)
+        return self._answer(self.baseline_tree(), benchmark, dataset,
+                            self._baseline_key).result
 
     def speedup(self, priority, benchmark: str,
                 dataset: str = "train") -> float:
@@ -808,11 +812,12 @@ class EvaluationHarness:
 
     # -- EvaluatorProtocol -------------------------------------------------
     def evaluate_batch(
-            self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
-        """The ``train`` speedups of ``(tree, benchmark)`` jobs, in job
-        order: the serial backend, whose values the pool and the fleet
-        reproduce bit-identically."""
-        return [self.speedup(tree, benchmark) for tree, benchmark in jobs]
+            self, jobs: Iterable[tuple[Individual, str]]) -> list[float]:
+        """The ``train`` speedups of ``(individual, benchmark)`` jobs,
+        in job order: the serial backend, whose values the pool and the
+        fleet reproduce bit-identically."""
+        return [self.speedup(individual, benchmark)
+                for individual, benchmark in jobs]
 
     def close(self) -> None:
         """Nothing to release: the harness holds memos, no workers."""
@@ -844,8 +849,8 @@ class EvaluationHarness:
             "decision_hits": counts["decision_hits"],
             "binary_hits": counts["binary_hits"],
         }
-        if self._memo_stage == "hyperblock":
-            counters["decision_vectors"] = self._decision_vectors
+        if self._phenotypes.stage == "hyperblock":
+            counters["decision_vectors"] = self._phenotypes.decision_vectors
         if self.settings.verify_outputs:
             counters["divergences"] = len(self.divergences)
         if self.settings.use_snapshots:
@@ -859,8 +864,11 @@ class EvaluationHarness:
 
 @runtime_checkable
 class EvaluatorProtocol(Protocol):
-    """The shared evaluator surface: the fitness of ``(tree,
-    benchmark)`` jobs, always the ``train`` speedup of Figure 2.
+    """The shared evaluator surface: the fitness of ``(individual,
+    benchmark)`` jobs, always the ``train`` speedup of Figure 2.  The
+    job record is the engine's :class:`~repro.gp.select.Individual`: a
+    backend reads the ``tree``, ``key`` and ``text`` it cached, never
+    its own walk.
 
     :class:`EvaluationHarness` itself (serial),
     :class:`~repro.metaopt.parallel.ParallelEvaluator` (process pool),
@@ -891,7 +899,7 @@ class EvaluatorProtocol(Protocol):
     """
 
     def evaluate_batch(
-        self, jobs: Iterable[tuple[Node, str]]) -> list[float]: ...
+        self, jobs: Iterable[tuple[Individual, str]]) -> list[float]: ...
 
     def stats(self) -> dict[str, int]: ...
 

@@ -18,9 +18,9 @@ Usage::
 The evaluator is a plain transport of
 :class:`~repro.metaopt.harness.EvaluatorProtocol`: the GP engine owns
 the fitness memo and hands :meth:`evaluate_batch` distinct, never-seen
-``(tree, benchmark)`` pairs, which are fanned out over the pool with
-``imap_unordered`` (results are reassembled by job index, so completion
-order never affects fitness values).
+``(individual, benchmark)`` jobs, which are fanned out over the pool
+with ``imap_unordered`` (results are reassembled by job index, so
+completion order never affects fitness values).
 
 The pool forks on the first batch, *after* the parent has run the
 candidate-independent work (frontend, profiling, baseline compile +
@@ -31,12 +31,13 @@ on it.  Workers stay warm across generations: the pool, and with it
 every worker's prepared-program and cycle caches, lives until
 :meth:`close`.
 
-Candidate trees travel as s-expression text, which is cheap and
-version-independent; ``parse(unparse(tree))`` is structurally exact
-(including float constants), so worker-side memo keys and noise seeds
-match the serial path bit-for-bit.  A ``settings.fitness_cache_dir`` on
-the harness is shared by every worker; entry writes are atomic, so
-concurrent workers may race benignly on the same key.
+Candidates travel as the s-expression text each individual already
+holds, which is cheap and version-independent; ``parse(unparse(tree))``
+is structurally exact (including float constants), so worker-side memo
+keys and noise seeds match the serial path bit-for-bit.  A
+``settings.fitness_cache_dir`` on the harness is shared by every
+worker; entry writes are atomic, so concurrent workers may race
+benignly on the same key.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro import obs
-from repro.gp.nodes import Node
-from repro.gp.parse import unparse
+from repro.metaopt.priority import PriorityFunction
 from repro.obs.metrics import diff_snapshots
 
 if TYPE_CHECKING:
+    from repro.gp.select import Individual
     from repro.metaopt.harness import EvaluationHarness
 
 #: The forked copy of the parent's harness (set in workers only).
@@ -88,12 +89,9 @@ def _worker_evaluate(
     job) alongside the value, so the parent can count per-worker work
     and fold it into its own registry."""
     global _WORKER_METRICS_MARK, _WORKER_STATS_MARK
-    index, tree_text, benchmark = job
-    from repro.metaopt.priority import PriorityFunction
-
-    priority = PriorityFunction.from_text(tree_text,
-                                          _WORKER_HARNESS.case.pset)
-    value = _WORKER_HARNESS.speedup(priority.tree, benchmark)
+    index, text, benchmark = job
+    priority = PriorityFunction.from_text(text, _WORKER_HARNESS.case.pset)
+    value = _WORKER_HARNESS.speedup(priority, benchmark)
     stats = _WORKER_HARNESS.stats()
     stats_delta = {key: count - _WORKER_STATS_MARK.get(key, 0)
                    for key, count in stats.items()}
@@ -175,11 +173,11 @@ class ParallelEvaluator:
 
     # -- evaluation --------------------------------------------------------
     def evaluate_batch(
-        self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
-        """Evaluate distinct ``(tree, benchmark)`` pairs across the
+        self, jobs: Iterable[tuple[Individual, str]]) -> list[float]:
+        """Evaluate distinct ``(individual, benchmark)`` jobs across the
         pool; values come back in job order."""
-        indexed = [(index, unparse(tree), benchmark)
-                   for index, (tree, benchmark) in enumerate(jobs)]
+        indexed = [(index, individual.text, benchmark)
+                   for index, (individual, benchmark) in enumerate(jobs)]
         if not indexed:
             return []
         pool = self._ensure_pool(sorted({job[2] for job in indexed}))

@@ -5,7 +5,8 @@ process pool, fleet) behind the same
 :class:`~repro.metaopt.harness.EvaluatorProtocol` surface the GP
 engine already speaks.  Per generation batch it:
 
-1. groups jobs by candidate tree and scores every tree from the model;
+1. groups jobs by candidate (the key each job's individual cached) and
+   scores every tree from the model;
 2. fully simulates the top-K trees of the ranking plus an ε-sampled
    exploration slice of the tail through the wrapped evaluator;
 3. promotes any tail tree whose *predicted* score reaches the best
@@ -34,8 +35,8 @@ import random
 from typing import Iterable
 
 from repro import obs
-from repro.gp.nodes import Node
-from repro.gp.parse import parse, unparse
+from repro.gp.parse import parse
+from repro.gp.select import Individual
 from repro.metaopt.psets import PSETS
 from repro.surrogate.features import FeatureExtractor
 from repro.surrogate.model import SurrogateModel
@@ -125,7 +126,7 @@ class SurrogateEvaluator:
 
     # -- EvaluatorProtocol ----------------------------------------------
     def evaluate_batch(
-            self, jobs: Iterable[tuple[Node, str]]) -> list[float]:
+            self, jobs: Iterable[tuple[Individual, str]]) -> list[float]:
         jobs = list(jobs)
         if not jobs:
             return []
@@ -138,13 +139,13 @@ class SurrogateEvaluator:
             self._maybe_first_fit()
             return values
 
-        # Group jobs by candidate tree (generalize mode evaluates one
-        # tree on several benchmarks).
+        # Group jobs by candidate (generalize mode evaluates one tree
+        # on several benchmarks).
         groups: dict[tuple, dict] = {}
-        for index, (tree, benchmark) in enumerate(jobs):
-            key = tree.structural_key()
+        for index, (individual, benchmark) in enumerate(jobs):
             group = groups.setdefault(
-                key, {"tree": tree, "indices": [], "first": index})
+                individual.key,
+                {"tree": individual.tree, "indices": [], "first": index})
             group["indices"].append(index)
         predictions: list[float | None] = [None] * len(jobs)
         for group in groups.values():
@@ -242,13 +243,12 @@ class SurrogateEvaluator:
 
     # -- training -------------------------------------------------------
     def _record_pairs(self, jobs, values) -> None:
-        for (tree, benchmark), value in zip(jobs, values):
-            text = unparse(tree)
-            dedup = (text, benchmark)
+        for (individual, benchmark), value in zip(jobs, values):
+            dedup = (individual.text, benchmark)
             if dedup in self._pair_keys:
                 continue
             self._pair_keys.add(dedup)
-            self._pairs.append((text, benchmark, value))
+            self._pairs.append((*dedup, value))
 
     def _vector_pairs(self) -> list[tuple[list[float], str, float]]:
         bool_features = self.pset.bool_feature_set()

@@ -26,6 +26,7 @@ from repro.experiments import ExperimentConfig
 from repro.fleet import FleetEvaluator
 from repro.gp.engine import GPParams
 from repro.gp.generate import TreeGenerator
+from repro.gp.select import Individual
 from repro.metaopt.harness import EvaluationHarness, case_study
 from repro.metaopt.settings import EvalSettings
 from repro.serve.server import ReproServer
@@ -100,7 +101,7 @@ class TestWorkerLossMidGeneration:
         trees = TreeGenerator(case.pset,
                               random.Random(7)).ramped_half_and_half(
                                   10, 2, 4)
-        jobs = [(tree, BENCHMARK) for tree in trees]
+        jobs = [(Individual(tree=tree), BENCHMARK) for tree in trees]
         expected = EvaluationHarness(case, EvalSettings()).evaluate_batch(
             jobs)
 

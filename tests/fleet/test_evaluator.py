@@ -17,6 +17,7 @@ import pytest
 
 from repro.fleet import FleetError, FleetEvaluator
 from repro.gp.parse import parse
+from repro.gp.select import Individual
 from repro.metaopt.baselines import BASELINE_TREES
 from repro.metaopt.harness import (
     EvaluationHarness,
@@ -156,7 +157,8 @@ class FakeWorker:
 def make_jobs(count: int):
     """Distinct constant trees; the coordinator's pending index for
     job *i* is exactly *i*, so fake values are predictable."""
-    return [(parse(f"{float(i + 1)}"), BENCHMARK) for i in range(count)]
+    return [(Individual(tree=parse(f"{float(i + 1)}")), BENCHMARK)
+            for i in range(count)]
 
 
 def make_fleet(workers):
@@ -215,7 +217,8 @@ class TestTrainBinding:
             }[backend]
             with closing(make_evaluator(EvaluationHarness(case),
                                         **backend_args)) as evaluator:
-                values = evaluator.evaluate_batch([(tree, BENCHMARK)])
+                values = evaluator.evaluate_batch(
+                    [(Individual(tree=tree), BENCHMARK)])
             assert values == [expected]
         finally:
             worker.close()
@@ -290,7 +293,8 @@ class TestFaultTolerance:
             expected = EvaluationHarness(case_study("hyperblock")).speedup(
                 tree, BENCHMARK, "train")
             with make_fleet([worker]) as fleet:
-                values = fleet.evaluate_batch([(tree, BENCHMARK)])
+                values = fleet.evaluate_batch(
+                    [(Individual(tree=tree), BENCHMARK)])
             assert values == [expected]
             assert fleet.workers_lost == 1
             assert fleet.local_fallback_jobs == 1

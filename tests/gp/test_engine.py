@@ -4,11 +4,13 @@ once."""
 
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
 from repro.gp import genome as genome_module
 from repro.gp import nodes as nodes_module
+from repro.gp import parse as parse_module
 from repro.gp.dss import DSSState
 from repro.gp.engine import GPEngine, GPParams
 from repro.gp.generate import PrimitiveSet
@@ -31,7 +33,8 @@ def regression_fitness(tree, benchmark):
 
 class BatchAdapter:
     """Gives a toy ``(tree, benchmark) -> fitness`` function the
-    engine's batch evaluator surface, recording how work arrives."""
+    engine's batch evaluator surface (``(individual, benchmark)``
+    jobs), recording how work arrives."""
 
     def __init__(self, fitness=regression_fitness):
         self.fitness = fitness
@@ -44,9 +47,10 @@ class BatchAdapter:
 
     def evaluate_batch(self, jobs):
         jobs = list(jobs)
-        self.batches.append([(tree.structural_key(), benchmark)
-                             for tree, benchmark in jobs])
-        return [self.fitness(tree, benchmark) for tree, benchmark in jobs]
+        self.batches.append([(individual.key, benchmark)
+                             for individual, benchmark in jobs])
+        return [self.fitness(individual.tree, benchmark)
+                for individual, benchmark in jobs]
 
 
 def small_params(**overrides):
@@ -406,7 +410,8 @@ class PlainEvaluator:
         self.fitness = fitness
 
     def evaluate_batch(self, jobs):
-        return [self.fitness(tree, benchmark) for tree, benchmark in jobs]
+        return [self.fitness(individual.tree, benchmark)
+                for individual, benchmark in jobs]
 
 
 def count_top_level(monkeypatch, owners, name):
@@ -427,6 +432,40 @@ def count_top_level(monkeypatch, owners, name):
                 depth[0] -= 1
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def count_structural_keys(monkeypatch):
+    """Count the top-level ``structural_key`` walks of any tree."""
+    return count_top_level(
+        monkeypatch,
+        [owner for owner in vars(nodes_module).values()
+         if isinstance(owner, type)
+         and issubclass(owner, nodes_module.Node)
+         and "structural_key" in vars(owner)],
+        "structural_key")
+
+
+def count_unparses(monkeypatch):
+    """Count the top-level ``unparse`` calls made through any loaded
+    ``repro`` module (``unparse`` recurses through its own module)."""
+    original = parse_module.unparse
+    calls = [0]
+    depth = [0]
+
+    def counted(tree):
+        if depth[0] == 0:
+            calls[0] += 1
+        depth[0] += 1
+        try:
+            return original(tree)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro")
+                and getattr(module, "unparse", None) is original):
+            monkeypatch.setattr(module, "unparse", counted)
     return calls
 
 
@@ -460,13 +499,7 @@ class TestBookkeepingComputedOnce:
     def test_each_individual_is_walked_and_printed_at_most_once(
             self, monkeypatch):
         created = count_top_level(monkeypatch, [Individual], "__init__")
-        keys = count_top_level(
-            monkeypatch,
-            [owner for owner in vars(nodes_module).values()
-             if isinstance(owner, type)
-             and issubclass(owner, nodes_module.Node)
-             and "structural_key" in vars(owner)],
-            "structural_key")
+        keys = count_structural_keys(monkeypatch)
         texts = [0]
         unparse = genome_module.unparse
 
@@ -482,6 +515,41 @@ class TestBookkeepingComputedOnce:
             engine.state_dict()
         assert created[0] > engine.params.population_size
         assert 0 < keys[0] <= created[0]
+        assert 0 < texts[0] <= created[0]
+
+    @pytest.mark.parametrize("surrogate", [False, True],
+                             ids=["harness", "surrogate"])
+    def test_no_backend_walks_or_prints_a_job_again(
+            self, monkeypatch, tmp_path, surrogate):
+        """A real serial harness, alone or behind the surrogate, reads
+        the key and the text each job's individual cached: the one
+        other top-level walk is the harness's baseline, and every print
+        is an individual's (the fitness cache stores each job's text)."""
+        from repro.metaopt.harness import EvaluationHarness, case_study
+        from repro.metaopt.settings import EvalSettings
+        from repro.surrogate.evaluator import SurrogateEvaluator
+
+        created = count_top_level(monkeypatch, [Individual], "__init__")
+        keys = count_structural_keys(monkeypatch)
+        texts = count_unparses(monkeypatch)
+        case = case_study("regalloc")
+        harness = EvaluationHarness(
+            case, EvalSettings(fitness_cache_dir=tmp_path))
+        evaluator = harness
+        if surrogate:
+            evaluator = SurrogateEvaluator(harness, case.name, top_k=1,
+                                           epsilon=0.0, min_fit_pairs=4)
+        engine = GPEngine(case.pset, evaluator, ("codrle4",),
+                          small_params(population_size=8, generations=3,
+                                       replacement_fraction=0.5, seed=3),
+                          seed_trees=(case.baseline_tree(),))
+        engine.run()
+        stats = evaluator.stats()
+        assert stats["fitness_cache_stores"] > 0
+        if surrogate:  # a trained model grouped and ranked batches
+            assert stats["surrogate_promotions"] > 0
+        assert created[0] > engine.params.population_size
+        assert 0 < keys[0] <= created[0] + 1
         assert 0 < texts[0] <= created[0]
 
     def test_history_is_frozen_and_survives_a_state_round_trip(self):

@@ -8,9 +8,11 @@ verdict and a leaf the phenotype's record: its simulations by dataset
 and, while the harness's LRU holds it, the scheduled binary.  A
 candidate walks it calling only its priority and :func:`decide`; a walk
 that reaches a leaf holding its dataset is answered with no compile,
-and one whose leaf holds only the binary simulates that binary.  The
-trie is the case's only phenotype memo, so a campaign digests no IR
-and never stops a compile early.
+and one whose leaf holds only the binary simulates that binary.  A
+walk or a compile links the candidate to its leaf, so its score on
+another dataset reads the leaf without walking again.  The trie is the
+case's only phenotype memo, so a campaign digests no IR and never
+stops a compile early.
 
 Every trie hit and every simulation of a held binary below is compiled
 in full and simulated again: the result must be the answer's, and a
@@ -42,7 +44,12 @@ from repro.gp.genome import FlagsGenome, expression_text
 from repro.ir.function import Module
 from repro.machine.sim import Simulator
 from repro.metaopt import harness as harness_module
-from repro.metaopt.harness import EvaluationHarness, _as_hook, case_study
+from repro.metaopt.harness import (
+    EvaluationHarness,
+    _as_hook,
+    _PhenotypeStore,
+    case_study,
+)
 from repro.metaopt.psets import FLAGS_SPACE
 from repro.metaopt.settings import EvalSettings
 from repro.passes.hyperblock import DEFAULT_MAX_OPS, decide
@@ -54,24 +61,20 @@ PROGRAMS = ("codrle4", "huff_enc")
 
 
 class CheckedHarness(EvaluationHarness):
-    """A harness that keeps every answer a trie walk gave, a stored
+    """A harness that keeps every answer a trie leaf gave, a stored
     result or a held binary's simulation: (priority, key, leaf,
-    answer)."""
+    answer); the leaf is the one a walk or an earlier score linked the
+    candidate to."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.hits: list[tuple] = []
-        self._leaf = None
-
-    def _walk_decisions(self, benchmark, options):
-        self._leaf = super()._walk_decisions(benchmark, options)
-        return self._leaf
 
     def _simulate_miss(self, priority, key):
-        self._leaf = None
         answer = super()._simulate_miss(priority, key)
         if answer.layer in ("decisions", "binary"):
-            self.hits.append((priority, key, self._leaf, answer))
+            leaf = self._phenotypes.links[key[:2]]
+            self.hits.append((priority, key, leaf, answer))
         return answer
 
 
@@ -178,12 +181,12 @@ def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
     by_leaf = {}  # one tree per phenotype
     for tree in trees:
         harness.simulate(tree, "huff_enc")
-        assert len(harness._held) <= 2
-        leaf = harness._walk_decisions(
+        assert len(harness._phenotypes.held) <= 2
+        leaf = harness._phenotypes._walk(
             "huff_enc", harness.case.options_for(_as_hook(tree)))
         by_leaf.setdefault(leaf, tree)
     assert harness.stats()["decision_vectors"] == len(by_leaf) > 2
-    held = list(harness._held)
+    held = list(harness._phenotypes.held)
     assert len(held) == 2
     assert all(leaf.binary is None for leaf in by_leaf if leaf not in held)
     evicted = [leaf for leaf in by_leaf if leaf not in held]
@@ -191,7 +194,7 @@ def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
         before = harness.stats()
         result = harness.simulate(by_leaf[leaf], "huff_enc", "novel")
         after = harness.stats()
-        assert len(harness._held) <= 2
+        assert len(harness._phenotypes.held) <= 2
         recompiled = leaf in evicted
         assert after["compiles"] - before["compiles"] == recompiled
         assert after["binary_hits"] - before["binary_hits"] == (
@@ -200,6 +203,31 @@ def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
         assert result == full_compile(harness, by_leaf[leaf], "huff_enc",
                                       "novel")
     assert harness.stats()["binary_hits"] == 2
+    assert_hits_compile_to_their_leaves(harness)
+
+
+def test_linked_candidates_skip_the_walk(monkeypatch):
+    """A candidate's ``train`` score links it to its leaf, so its
+    ``novel`` score reads that leaf (its held binary) without walking
+    the trie again, and the leaf is the one a fresh walk reaches."""
+    case = case_study("hyperblock")
+    harness = CheckedHarness(case)
+    trees = [case.baseline_tree()] + TreeGenerator(
+        case.pset, random.Random(7)).ramped_half_and_half(12)
+    for tree in trees:
+        harness.simulate(tree, "huff_enc")
+    leaves = [harness._phenotypes._walk(
+        "huff_enc", harness.case.options_for(_as_hook(tree)))
+        for tree in trees]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linked candidate walked the trie")
+
+    monkeypatch.setattr(_PhenotypeStore, "_walk", refuse)
+    for tree, leaf in zip(trees, leaves):
+        assert harness.simulate(tree, "huff_enc", "novel") is \
+            leaf.results["novel"]
+    assert harness.stats()["binary_hits"] == len(set(map(id, leaves)))
     assert_hits_compile_to_their_leaves(harness)
 
 
@@ -271,8 +299,8 @@ def trie_untouched(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the decision trie was consulted")
 
-    monkeypatch.setattr(EvaluationHarness, "_walk_decisions", refuse)
-    monkeypatch.setattr(EvaluationHarness, "_record_decisions", refuse)
+    monkeypatch.setattr(_PhenotypeStore, "_walk", refuse)
+    monkeypatch.setattr(_PhenotypeStore, "_leaf", refuse)
 
 
 def score_twice(harness, candidates) -> dict:
@@ -295,11 +323,11 @@ def test_trie_is_off_with_the_hyperblock_digest_memo(trie_untouched,
     for tree in trees:
         harness.speedup(tree, "codrle4", "novel")
     stats = harness.stats()
-    assert harness._memo_stage is None
+    assert harness._phenotypes.stage is None
     assert stats["decision_hits"] == stats["binary_hits"] == 0
     assert "decision_vectors" not in stats
     assert stats["compiles"] == stats["sims"] > 0
-    assert not harness._held
+    assert not harness._phenotypes.held
 
 
 @pytest.mark.parametrize("name", (
@@ -315,7 +343,7 @@ def test_trie_is_off_in_other_cases(trie_untouched, name):
             (True, 2, True, 0.1, False, "hyperblock-first"),
             (False, 1, True, 0.1, False, "hyperblock-first"))]
     stats = score_twice(harness, candidates)
-    assert harness._memo_stage != "hyperblock"
+    assert harness._phenotypes.stage != "hyperblock"
     assert stats["decision_hits"] == 0
     assert "decision_vectors" not in stats
     assert stats["compiles"] > 0

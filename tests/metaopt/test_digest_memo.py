@@ -61,7 +61,7 @@ def full_compile(harness, tree, benchmark: str,
     seen = []
     scheduled, _ = compile_backend(
         prep, options,
-        stop_after=(harness._memo_stage,
+        stop_after=(harness._phenotypes.stage,
                     lambda ir: seen.append(ir.content_digest())))
     simulator = Simulator(scheduled, case.machine)
     for name, values in get_benchmark(benchmark).inputs(dataset).items():
@@ -81,8 +81,8 @@ def test_memo_hits_return_what_a_full_compile_would(name, hook_calls):
     case = case_study(name)
     memo = EvaluationHarness(case)
     plain = EvaluationHarness(case, EvalSettings(use_snapshots=False))
-    assert memo._memo_stage == (case.stage or "schedule")
-    assert plain._memo_stage is None
+    assert memo._phenotypes.stage == (case.stage or "schedule")
+    assert plain._phenotypes.stage is None
 
     by_ir: dict[tuple, tuple[str, int]] = {}
     hits = 0
@@ -146,7 +146,7 @@ def test_held_binary_answers_equal_full_compiles():
     # fewer phenotypes than the LRU's capacity: each one's binary is
     # still held and simulated once, by its first novel score (a later
     # one is a digest hit on that result)
-    records = harness._digest_memo.values()
+    records = harness._phenotypes.digests.values()
     assert all(record.binary is not None for record in records)
     assert len(records) == stats["binary_hits"]
 
@@ -180,8 +180,8 @@ def test_linked_answers_compile_nothing_and_equal_full_compiles(
     assert calls == []
     assert after["snapshot_hits"] == before["snapshot_hits"]
     # each record simulates its binary once; its twins read that result
-    records = len(harness._digest_memo)
-    linked = len(harness._digest_links)
+    records = len(harness._phenotypes.digests)
+    linked = len(harness._phenotypes.links)
     delta = {name: after[name] - before[name]
              for name in ("binary_hits", "digest_hits", "compiles", "sims")}
     assert records < linked
@@ -201,11 +201,11 @@ def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
     by_record = {}  # one tree per phenotype
     for tree in candidates(case, seed=2):
         harness.simulate(tree, "codrle4")
-        assert len(harness._held) <= 2
+        assert len(harness._phenotypes.held) <= 2
         ir_digest = full_compile(harness, tree, "codrle4")[0]
         by_record.setdefault(
-            harness._digest_memo[ir_digest, "codrle4"], tree)
-    held = list(harness._held)
+            harness._phenotypes.digests[ir_digest, "codrle4"], tree)
+    held = list(harness._phenotypes.held)
     evicted = [record for record in by_record if record not in held]
     assert len(held) == 2 and evicted
     assert all(record.binary is None for record in evicted)
@@ -213,7 +213,7 @@ def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(
         before = harness.stats()
         result = harness.simulate(by_record[record], "codrle4", "novel")
         after = harness.stats()
-        assert len(harness._held) <= 2
+        assert len(harness._phenotypes.held) <= 2
         recompiled = record in evicted
         assert after["compiles"] - before["compiles"] == recompiled
         assert after["binary_hits"] - before["binary_hits"] == (
@@ -236,8 +236,8 @@ def test_no_binary_is_held_with_the_memo_off(switch):
     case = case_study("regalloc")
     harness = EvaluationHarness(case, EvalSettings(**switch))
     stats = score_train_then_novel(harness, candidates(case, seed=2))
-    assert harness._memo_stage is None
-    assert not harness._held and not harness._digest_memo
+    assert harness._phenotypes.stage is None
+    assert not harness._phenotypes.held and not harness._phenotypes.digests
     assert stats["binary_hits"] == stats["digest_hits"] == 0
     assert stats["compiles"] == stats["sims"] > 0
 
@@ -249,8 +249,8 @@ def test_no_binary_is_held_where_the_probe_follows_schedule(name):
     case = case_study(name)
     harness = EvaluationHarness(case)
     stats = score_train_then_novel(harness, candidates(case, seed=2)[:3])
-    assert harness._memo_stage == "schedule"
-    assert harness._digest_memo and not harness._held
+    assert harness._phenotypes.stage == "schedule"
+    assert harness._phenotypes.digests and not harness._phenotypes.held
     assert all(record.binary is None
-               for record in harness._digest_memo.values())
+               for record in harness._phenotypes.digests.values())
     assert stats["binary_hits"] == 0

@@ -14,6 +14,7 @@ from repro.machine.descr import (
     REGALLOC_MACHINE,
 )
 from repro.gp.parse import parse
+from repro.gp.select import Individual
 from repro.metaopt.harness import (
     EvaluationHarness,
     EvaluatorProtocol,
@@ -107,7 +108,7 @@ class TestHarness:
 
     def test_evaluator_interface(self, harness):
         [speedup] = harness.evaluate_batch(
-            [(harness.case.baseline_tree(), "rawcaudio")])
+            [(Individual(tree=harness.case.baseline_tree()), "rawcaudio")])
         assert speedup == pytest.approx(1.0)
 
     def test_harness_is_the_serial_evaluator(self, harness):
@@ -122,12 +123,12 @@ class TestHarness:
         trees = [parse(text, pset.bool_feature_set()) for text in (
             "(mul 2.0000 num_ops)", "(sub 1.0000 exec_ratio)")]
         trees.append(harness.case.baseline_tree())
-        jobs = [(tree, benchmark) for benchmark in ("rawcaudio", "codrle4")
-                for tree in trees]
+        jobs = [(Individual(tree=tree), benchmark)
+                for benchmark in ("rawcaudio", "codrle4") for tree in trees]
         fresh = EvaluationHarness(harness.case)
         assert fresh.evaluate_batch(jobs) == [
-            harness.speedup(tree, benchmark, "train")
-            for tree, benchmark in jobs]
+            harness.speedup(individual.tree, benchmark, "train")
+            for individual, benchmark in jobs]
 
     def test_outputs_match_reference_interpreter(self, harness):
         from repro.frontend import compile_source

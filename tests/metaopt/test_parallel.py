@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.gp.engine import GPEngine, GPParams
+from repro.gp.select import Individual
 from repro.metaopt.harness import (
     EvaluationHarness,
     case_study,
@@ -34,7 +35,7 @@ class TestParallelEvaluator:
         baseline = case.baseline_tree()
         with pool(2) as parallel:
             parallel_value = parallel.evaluate_batch(
-                [(baseline, "codrle4")])[0]
+                [(Individual(tree=baseline), "codrle4")])[0]
         sequential_value = sequential.speedup(baseline, "codrle4")
         assert parallel_value == pytest.approx(sequential_value)
 
@@ -59,20 +60,21 @@ class TestParallelEvaluator:
         harness = EvaluationHarness(case)
         serial = make_evaluator(harness, processes=1)
         assert serial is harness
-        value = serial.evaluate_batch([(baseline, "codrle4")])[0]
+        value = serial.evaluate_batch(
+            [(Individual(tree=baseline), "codrle4")])[0]
         sequential = EvaluationHarness(case).speedup(baseline, "codrle4")
         assert value == sequential
 
     def test_close_is_idempotent_and_restartable(self):
         case = case_study("hyperblock")
-        baseline = case.baseline_tree()
+        jobs = [(Individual(tree=case.baseline_tree()), "codrle4")]
         evaluator = pool(2)
-        first = evaluator.evaluate_batch([(baseline, "codrle4")])[0]
+        first = evaluator.evaluate_batch(jobs)[0]
         evaluator.close()
         evaluator.close()  # idempotent
         evaluator.close(force=True)
         # a fresh pool is built on demand after close()
-        assert evaluator.evaluate_batch([(baseline, "codrle4")]) == [first]
+        assert evaluator.evaluate_batch(jobs) == [first]
         evaluator.close()
 
 

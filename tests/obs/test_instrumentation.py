@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.frontend import compile_source
+from repro.gp.select import Individual
 from repro.machine.descr import DEFAULT_EPIC
 from repro.machine.sim import Simulator
 from repro.passes.pipeline import compile_backend, prepare
@@ -159,10 +160,10 @@ class TestParallelMerging:
         from repro.metaopt.baselines import BASELINE_TREES
 
         registry = obs.enable_metrics()
-        tree = BASELINE_TREES["hyperblock"]()
+        baseline = Individual(tree=BASELINE_TREES["hyperblock"]())
         with closing(hyperblock_evaluator(processes=2)) as evaluator:
             evaluator.evaluate_batch(
-                [(tree, "codrle4"), (tree, "rawcaudio")])
+                [(baseline, "codrle4"), (baseline, "rawcaudio")])
         counters = registry.snapshot()["counters"]
         # the parent runs baseline compile+sim once per benchmark before
         # forking; the workers' memoized lookups must not re-add them.
@@ -180,7 +181,8 @@ class TestParallelMerging:
         pset = PSETS["hyperblock"]
         candidate = parse("(mul 2.0000 num_ops)", pset.bool_feature_set())
         with closing(hyperblock_evaluator(processes=2)) as evaluator:
-            evaluator.evaluate_batch([(candidate, "codrle4")])
+            evaluator.evaluate_batch(
+                [(Individual(tree=candidate), "codrle4")])
         counters = registry.snapshot()["counters"]
         # baseline (parent, pre-fork) + candidate (worker) compiles both
         # land in the parent registry.
@@ -192,7 +194,8 @@ class TestParallelMerging:
 
         registry = obs.enable_metrics()
         tree = BASELINE_TREES["hyperblock"]()
-        hyperblock_evaluator(processes=1).evaluate_batch([(tree, "codrle4")])
+        hyperblock_evaluator(processes=1).evaluate_batch(
+            [(Individual(tree=tree), "codrle4")])
         counters = registry.snapshot()["counters"]
         assert counters["harness.compiles"] == 1
         assert counters["sim.runs"] == 1

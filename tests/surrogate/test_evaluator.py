@@ -9,6 +9,7 @@ import pytest
 
 from repro.gp.generate import TreeGenerator
 from repro.gp.parse import unparse
+from repro.gp.select import Individual
 from repro.metaopt.psets import PSETS
 from repro.surrogate.evaluator import SurrogateEvaluator, spearman
 from repro.surrogate.features import FeatureExtractor
@@ -19,8 +20,9 @@ PSET = PSETS[CASE]
 
 
 class FakeInner:
-    """Exact evaluator stand-in: fitness is a pure function of the
-    expression text, so every call is reproducible and countable."""
+    """Exact evaluator stand-in: fitness is a pure function of each
+    job's expression text, so every call is reproducible and
+    countable."""
 
     def __init__(self, offset=0.0):
         self.offset = offset
@@ -36,13 +38,19 @@ class FakeInner:
         jobs = list(jobs)
         self.jobs += len(jobs)
         self.batches.append(len(jobs))
-        return [self._value(tree, benchmark) for tree, benchmark in jobs]
+        return [self._value(individual.tree, benchmark)
+                for individual, benchmark in jobs]
 
     def stats(self):
         return {"inner_jobs": self.jobs}
 
     def close(self):
         self.closed = True
+
+
+def jobs(trees, benchmark):
+    """The engine's job records for ``trees`` on ``benchmark``."""
+    return [(Individual(tree=tree), benchmark) for tree in trees]
 
 
 def distinct_trees(count, seed=0):
@@ -75,10 +83,10 @@ class TestColdStart:
         inner = FakeInner()
         ev = SurrogateEvaluator(inner, CASE, min_fit_pairs=16)
         trees = distinct_trees(12)
-        values = ev.evaluate_batch([(t, "codrle4") for t in trees])
+        values = ev.evaluate_batch(jobs(trees, "codrle4"))
         assert values == [inner._value(t, "codrle4") for t in trees]
         assert ev.model is None  # 12 pairs < 16
-        ev.evaluate_batch([(t, "decodrle4") for t in trees])
+        ev.evaluate_batch(jobs(trees, "decodrle4"))
         assert ev.model is not None and ev.model.trained
         assert ev.predicted_jobs == 0
         assert inner.jobs == 24
@@ -93,7 +101,7 @@ class TestPrescreening:
         ev = SurrogateEvaluator(inner, CASE, model=constant_model(1.0),
                                 top_k=3, epsilon=0.0)
         trees = distinct_trees(10)
-        values = ev.evaluate_batch([(t, "codrle4") for t in trees])
+        values = ev.evaluate_batch(jobs(trees, "codrle4"))
         assert ev.exact_jobs == 3
         assert ev.predicted_jobs == 7
         assert inner.jobs == 3
@@ -114,7 +122,7 @@ class TestPrescreening:
         ev = SurrogateEvaluator(inner, CASE, model=constant_model(10.0),
                                 top_k=2, epsilon=0.0)
         trees = distinct_trees(8)
-        values = ev.evaluate_batch([(t, "codrle4") for t in trees])
+        values = ev.evaluate_batch(jobs(trees, "codrle4"))
         assert ev.promotions == 6
         assert ev.predicted_jobs == 0
         assert values == [inner._value(t, "codrle4") for t in trees]
@@ -124,7 +132,7 @@ class TestPrescreening:
         ev = SurrogateEvaluator(inner, CASE, model=constant_model(1.0),
                                 top_k=1, epsilon=1.0)
         trees = distinct_trees(6)
-        ev.evaluate_batch([(t, "codrle4") for t in trees])
+        ev.evaluate_batch(jobs(trees, "codrle4"))
         # epsilon=1.0 pulls every tail group into the exact set
         assert ev.exact_jobs == 6
         assert ev.predicted_jobs == 0
@@ -143,7 +151,7 @@ class TestStatsAndClose:
         inner = FakeInner(offset=5.0)
         ev = SurrogateEvaluator(inner, CASE, model=constant_model(1.0),
                                 top_k=2, epsilon=0.0)
-        ev.evaluate_batch([(t, "codrle4") for t in distinct_trees(9)])
+        ev.evaluate_batch(jobs(distinct_trees(9), "codrle4"))
         stats = ev.stats()
         assert stats["inner_jobs"] == 2
         assert stats["surrogate_exact_jobs"] == 2
@@ -162,7 +170,7 @@ class TestStateRoundTrip:
     def run_batches(self, ev, trees, start, stop):
         outputs = []
         for i in range(start, stop):
-            batch = [(t, "codrle4") for t in trees[i * 6:(i + 1) * 6]]
+            batch = jobs(trees[i * 6:(i + 1) * 6], "codrle4")
             outputs.append(ev.evaluate_batch(batch))
         return outputs
 

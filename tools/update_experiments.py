@@ -93,10 +93,15 @@ its shape criteria; the bench files assert them.
 Shape reproduced: every benchmark's specialized heuristic matches or
 beats Equation 1 on its training input (the baseline is in the initial
 population, so evolution can only improve on it); most of the win
-survives on novel data.  Magnitudes are compressed relative to the
-paper (~1.0–1.1 vs the paper's up to 1.73): our hammock regions have
-two paths where IMPACT's regions have many, and the simulated machine's
-5-cycle misprediction penalty bounds how much predication can recover.
+survives on novel data.  The two 1.000 rows are ceilings, not failures
+of GP: an exhaustive enumeration of the if-conversion decision vectors
+a priority can reach (forcing each region's verdict, noise-free, on
+the training input) finds none that beats Equation 1 on `codrle4`
+(5 vectors) or `124.m88ksim` (35 vectors).  Magnitudes are compressed
+relative to the paper (~1.0–1.1 vs the paper's up to 1.73): our
+hammock regions have two paths where IMPACT's regions have many, and
+the simulated machine's 5-cycle misprediction penalty bounds how much
+predication can recover.
 """)
     else:
         missing.append("fig04")
