@@ -167,8 +167,12 @@ class Instr:
     # -- dataflow views --------------------------------------------------
     def reads(self) -> list[VReg | PReg]:
         """Registers this instruction reads (guard included)."""
-        regs = [src for src in self.srcs
-                if src.__class__ is VReg or src.__class__ is PReg]
+        # A plain loop: a comprehension is a frame of its own, once per
+        # call, and this is called once per instruction by every pass.
+        regs = []
+        for src in self.srcs:
+            if src.__class__ is VReg or src.__class__ is PReg:
+                regs.append(src)
         if self.guard is not None:
             regs.append(self.guard)
         return regs

@@ -9,6 +9,13 @@ Guarded (predicated) instructions are handled conservatively: a guarded
 definition does *not* kill the destination (the old value survives when
 the guard is false), but it does count as a def for interference
 purposes.
+
+The walks are keyed by register uid: ``block_use_def`` with
+``uid -> VReg`` dicts (its sets hold the same registers, built in the
+same order), ``dead_definitions`` with a live set of uids.  A uid is
+as good as the register because a uid names one ``VReg`` per function
+(``ir_verifier._check_vreg_uids``), and a clone keeps its ``VReg``
+objects.
 """
 
 from __future__ import annotations
@@ -29,24 +36,30 @@ class BlockLiveness:
 
 
 def block_use_def(function: Function) -> dict[str, tuple[set[VReg], set[VReg]]]:
-    """Upward-exposed uses and downward-visible defs per block."""
+    """Upward-exposed uses and downward-visible defs per block.
+
+    Each block is walked with dicts keyed by register uid, in the
+    order registers are first seen; the sets are built from them, so
+    a register is hashed once per set, not once per operand."""
     result: dict[str, tuple[set[VReg], set[VReg]]] = {}
     for label in function.block_order:
-        use: set[VReg] = set()
-        defs: set[VReg] = set()
+        use: dict[int, VReg] = {}
+        defs: dict[int, VReg] = {}
         for instr in function.blocks[label].instrs:
-            for reg in instr.reads():
-                if isinstance(reg, VReg) and reg not in defs:
-                    use.add(reg)
-            for reg in instr.writes():
-                if isinstance(reg, VReg) and instr.guard is None:
-                    defs.add(reg)
-                elif isinstance(reg, VReg):
-                    # A guarded def reads the old value implicitly.
-                    if reg not in defs:
-                        use.add(reg)
-                    defs.add(reg)
-        result[label] = (use, defs)
+            for reg in (*instr.srcs, instr.guard):
+                if (reg.__class__ is VReg and reg.uid not in defs
+                        and reg.uid not in use):
+                    use[reg.uid] = reg
+            for reg in (instr.dest, instr.dest2):
+                if reg.__class__ is not VReg:
+                    continue
+                # A guarded def reads the old value implicitly.
+                if (instr.guard is not None and reg.uid not in defs
+                        and reg.uid not in use):
+                    use[reg.uid] = reg
+                if reg.uid not in defs:
+                    defs[reg.uid] = reg
+        result[label] = (set(use.values()), set(defs.values()))
     return result
 
 

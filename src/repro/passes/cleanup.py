@@ -6,6 +6,12 @@ classic optimizations" in its Trimaran configuration) and again after
 if-conversion to clean up predicated code.  All of them are
 predication-aware: guarded instructions are never treated as
 unconditional definitions.
+
+Copy propagation and increment folding key their tables by register
+uid, and test operand kinds by class, so no register is hashed per
+operand.  A uid is as good as the register because a uid names one
+``VReg`` per function (``ir_verifier._check_vreg_uids``), and a clone
+keeps its ``VReg`` objects.
 """
 
 from __future__ import annotations
@@ -70,38 +76,54 @@ def copy_propagate_function(function: Function) -> int:
     """
     rewritten = 0
     for block in function.ordered_blocks():
-        copies: dict[VReg, object] = {}
+        #: destination uid -> the register or immediate it copies
+        copies: dict[int, VReg | Imm] = {}
+        #: uids of registers some entry of ``copies`` may hold (a
+        #: superset: a write to any other register kills no entry)
+        copied: set[int] = set()
         for instr in block.instrs:
             # Rewrite sources first.
-            new_srcs = []
-            for src in instr.srcs:
-                replacement = copies.get(src) if isinstance(src, VReg) else None
-                if replacement is not None:
-                    new_srcs.append(replacement)
-                    rewritten += 1
-                else:
-                    new_srcs.append(src)
-            instr.srcs = tuple(new_srcs)
-            if instr.guard is not None:
-                replacement = copies.get(instr.guard)
-                if isinstance(replacement, VReg):
-                    instr.guard = replacement
-                    rewritten += 1
+            if copies:
+                new_srcs = None
+                for position, src in enumerate(instr.srcs):
+                    if src.__class__ is VReg and src.uid in copies:
+                        if new_srcs is None:
+                            new_srcs = list(instr.srcs)
+                        new_srcs[position] = copies[src.uid]
+                        rewritten += 1
+                if new_srcs is not None:
+                    instr.srcs = tuple(new_srcs)
+                guard = instr.guard
+                if guard.__class__ is VReg and guard.uid in copies:
+                    replacement = copies[guard.uid]
+                    if replacement.__class__ is VReg:
+                        instr.guard = replacement
+                        rewritten += 1
 
             # Kill invalidated copies.
-            for written in instr.writes():
-                if not isinstance(written, VReg):
+            for written in (instr.dest, instr.dest2):
+                if written.__class__ is not VReg:
                     continue
-                copies.pop(written, None)
-                for key in [k for k, v in copies.items() if v == written]:
-                    copies.pop(key)
+                uid = written.uid
+                if uid in copies:
+                    del copies[uid]
+                if uid in copied:
+                    copied.remove(uid)
+                    for key in [key for key, value in copies.items()
+                                if value.__class__ is VReg
+                                and value.uid == uid]:
+                        del copies[key]
 
             # Record new copies from unguarded movs.
+            dest = instr.dest
             if (instr.op is Opcode.MOV and instr.guard is None
-                    and isinstance(instr.dest, VReg)):
+                    and dest.__class__ is VReg):
                 source = instr.srcs[0]
-                if isinstance(source, (VReg, Imm)) and source != instr.dest:
-                    copies[instr.dest] = source
+                if source.__class__ is Imm:
+                    copies[dest.uid] = source
+                elif source.__class__ is VReg and source.uid != dest.uid:
+                    copies[dest.uid] = source
+                    copied.add(source.uid)
     return rewritten
 
 
@@ -188,50 +210,60 @@ def fold_increments_function(function: Function) -> int:
     Legal when ``t`` has no other use and ``r`` is neither read nor
     written between the two instructions.
     """
-    use_counts: dict[VReg, int] = {}
+    #: register uid -> number of reads (guards included)
+    use_counts: dict[int, int] = {}
     for block in function.ordered_blocks():
         for instr in block.instrs:
-            for reg in instr.reads():
-                if isinstance(reg, VReg):
-                    use_counts[reg] = use_counts.get(reg, 0) + 1
+            for reg in (*instr.srcs, instr.guard):
+                if reg.__class__ is VReg:
+                    use_counts[reg.uid] = use_counts.get(reg.uid, 0) + 1
 
     folded = 0
     for block in function.ordered_blocks():
-        index_of_def: dict[VReg, int] = {}
+        #: register uid -> index of its latest definition so far
+        index_of_def: dict[int, int] = {}
         kill: set[int] = set()
         for index, instr in enumerate(block.instrs):
+            target = instr.dest
             if (instr.op is Opcode.MOV and instr.guard is None
-                    and isinstance(instr.dest, VReg)
-                    and isinstance(instr.srcs[0], VReg)):
+                    and target.__class__ is VReg
+                    and instr.srcs[0].__class__ is VReg):
                 temp = instr.srcs[0]
-                target = instr.dest
-                def_index = index_of_def.get(temp)
+                def_index = index_of_def.get(temp.uid)
                 if (def_index is not None
-                        and use_counts.get(temp, 0) == 1):
+                        and use_counts.get(temp.uid, 0) == 1):
                     producer = block.instrs[def_index]
-                    if (producer.guard is None and producer.srcs
-                            and producer.srcs[0] == target
+                    first = producer.srcs[0] if producer.srcs else None
+                    if (producer.guard is None
+                            and first.__class__ is VReg
+                            and first.uid == target.uid
                             and producer.op in _FOLDABLE
-                            and len(producer.writes()) == 1):
-                        clean = True
-                        for between in block.instrs[def_index + 1:index]:
-                            regs = between.reads() + between.writes()
-                            if target in regs or temp in regs:
-                                clean = False
-                                break
-                        if clean:
-                            producer.dest = target
-                            kill.add(index)
-                            folded += 1
-            for written in instr.writes():
-                if isinstance(written, VReg):
-                    index_of_def[written] = index
+                            and len(producer.writes()) == 1
+                            and _untouched_between(
+                                block.instrs[def_index + 1:index],
+                                (target.uid, temp.uid))):
+                        producer.dest = target
+                        kill.add(index)
+                        folded += 1
+            for written in (instr.dest, instr.dest2):
+                if written.__class__ is VReg:
+                    index_of_def[written.uid] = index
         if kill:
             block.instrs = [
                 instr for index, instr in enumerate(block.instrs)
                 if index not in kill
             ]
     return folded
+
+
+def _untouched_between(instrs: list[Instr], uids: tuple[int, int]) -> bool:
+    """True when no instruction of ``instrs`` reads or writes a virtual
+    register whose uid is in ``uids``."""
+    for instr in instrs:
+        for reg in (*instr.srcs, instr.guard, instr.dest, instr.dest2):
+            if reg.__class__ is VReg and reg.uid in uids:
+                return False
+    return True
 
 
 def cleanup_function(function: Function, max_iterations: int = 8) -> None:

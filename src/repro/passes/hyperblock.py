@@ -229,15 +229,19 @@ class HyperblockFormation:
 
     # -- driver ---------------------------------------------------------------
     def run(self) -> HyperblockReport:
+        """Convert hammocks until a sweep over the blocks converts none.
+
+        The predecessor map is rebuilt once per sweep: only
+        :meth:`_convert` edits the CFG, and the sweep ends right after
+        it."""
         changed = True
         while changed:
             changed = False
+            preds = predecessors(self.function)
             for label in list(self.function.block_order):
-                if label not in self.function.blocks:
-                    continue
                 if label in self._evaluated_heads:
                     continue
-                region = self._match_hammock(label)
+                region = self._match_hammock(label, preds)
                 if region is None:
                     continue
                 self._evaluated_heads.add(label)
@@ -277,7 +281,10 @@ class HyperblockFormation:
             if current == start or current in chain:
                 return None  # cycle
 
-    def _match_hammock(self, head_label: str):
+    def _match_hammock(self, head_label: str, preds: dict[str, list[str]]):
+        """``(taken chain, fall chain, join)`` of the hammock headed by
+        ``head_label``, or None; ``preds`` is the function's current
+        predecessor map."""
         head = self.function.blocks[head_label]
         term = head.instrs[-1]
         if term.op is not Opcode.BR:
@@ -285,7 +292,6 @@ class HyperblockFormation:
         taken_target, fall_target = term.targets
         if taken_target == fall_target:
             return None
-        preds = predecessors(self.function)
         taken = self._side_chain(taken_target, preds, head_label)
         fall = self._side_chain(fall_target, preds, head_label)
         if taken is None or fall is None:

@@ -107,15 +107,27 @@ def build_dag(block: Block, machine: MachineDescription) -> BlockDAG:
         succs[src].append((dst, lat))
         preds[dst].append((src, lat))
 
-    last_def: dict[VReg | PReg, int] = {}
-    uses_since_def: dict[VReg | PReg, list[int]] = defaultdict(list)
+    # Registers are keyed without hashing a register object: a VReg
+    # by its uid (one VReg per uid in a function), a PReg by its
+    # (index, type) pair.  An int never equals a pair.
+    last_def: dict[int | tuple, int] = {}
+    uses_since_def: dict[int | tuple, list[int]] = defaultdict(list)
     last_store: int | None = None
     last_mem: int | None = None
     last_side_effect: int | None = None  # calls / outs, totally ordered
 
     for index, instr in enumerate(instrs):
-        reads = list(instr.reads())
-        writes = list(instr.writes())
+        reads = []
+        for reg in (*instr.srcs, instr.guard):
+            if reg.__class__ is VReg:
+                reads.append(reg.uid)
+            elif reg.__class__ is PReg:
+                reads.append((reg.index, reg.vtype))
+        writes = []
+        for reg in (instr.dest, instr.dest2):
+            if reg is not None:
+                writes.append(reg.uid if reg.__class__ is VReg
+                              else (reg.index, reg.vtype))
         if instr.guard is not None:
             # Squashed writes preserve old values: a guarded def also
             # reads its destinations.

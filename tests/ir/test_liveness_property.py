@@ -11,6 +11,13 @@ hold them to what liveness means:
   (:func:`reference_live_after`: a copy of the live set after every
   instruction), called beside every ``dead_definitions`` the pipeline
   makes.
+
+``block_use_def`` walks with uid-keyed dicts; every call the compiler
+makes over :func:`compile_every_program` (all 52 suite programs, the
+corpus and random functions) is held to the register-set walk it
+replaced (:func:`reference_block_use_def`), set iteration order
+included.  The cleanup, hyperblock and scheduler tests drive their own
+reference oracles with the same helper.
 """
 
 import json
@@ -22,20 +29,31 @@ from hypothesis import given, settings, strategies as st
 from repro.frontend import compile_source
 from repro.ir.function import Function
 from repro.ir.instr import Opcode, Rel, binop, cmpp, mov, out, ret
-from repro.ir.liveness import analyze, dead_definitions
+from repro.ir import liveness
+from repro.ir.liveness import analyze, block_use_def, dead_definitions
 from repro.ir.values import INT, PRED, Imm, VReg
+from repro.machine.descr import DEFAULT_EPIC
 from repro.passes import cleanup
-from repro.passes.pipeline import CompilerOptions, prepare, run_prefix
+from repro.passes.hyperblock import form_hyperblocks, impact_priority
+from repro.passes.pipeline import (
+    CompilerOptions,
+    compile_backend,
+    prepare,
+    run_prefix,
+)
 from repro.passes.regalloc import allocation_seed
-from repro.suite import HYPERBLOCK_TRAINING_SET, get
+from repro.profile.profiler import FunctionProfile
+from repro.suite import HYPERBLOCK_TRAINING_SET, all_benchmarks, get
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def random_function(seed: int, length: int) -> Function:
-    """One straight-line block over six integer registers; a write to
-    a register already defined is guarded, two times in five, by one
-    of the two predicates a ``cmpp`` defines at the top."""
+    """One straight-line block over six integer registers: adds,
+    register copies, outputs and the frontend's increment idiom
+    (``t = r + 1``, an output, ``r = mov t``, with ``t`` read once).  A
+    write to a register already defined is guarded, two times in five,
+    by one of the two predicates a ``cmpp`` defines at the top."""
     rng = random.Random(seed)
     func = Function("f", [])
     regs = [func.new_vreg(INT, f"r{i}") for i in range(6)]
@@ -51,9 +69,12 @@ def random_function(seed: int, length: int) -> Function:
             return rng.choice(preds)
         return None
 
+    def any_defined():
+        return rng.choice(sorted(defined, key=lambda r: r.uid))
+
     for _ in range(length):
         roll = rng.random()
-        if roll < 0.5 and defined:
+        if roll < 0.45:
             sources = rng.sample(sorted(defined, key=lambda r: r.uid),
                                  k=min(2, len(defined)))
             dest = rng.choice(regs)
@@ -62,13 +83,19 @@ def random_function(seed: int, length: int) -> Function:
             entry.append(binop(Opcode.ADD, dest, left, right,
                                guard=guard_for(dest)))
             defined.add(dest)
-        elif defined:
-            entry.append(out(rng.choice(sorted(defined,
-                                               key=lambda r: r.uid))))
-        else:
+        elif roll < 0.6:
+            source = any_defined()
             dest = rng.choice(regs)
-            entry.append(mov(dest, Imm(1), guard=guard_for(dest)))
+            entry.append(mov(dest, source, guard=guard_for(dest)))
             defined.add(dest)
+        elif roll < 0.7:
+            target = any_defined()
+            temp = func.new_vreg(INT, "t")
+            entry.append(binop(Opcode.ADD, temp, target, Imm(1)))
+            entry.append(out(any_defined()))
+            entry.append(mov(target, temp))
+        else:
+            entry.append(out(any_defined()))
     entry.append(ret())
     return func
 
@@ -90,6 +117,29 @@ def brute_force_live_after(block):
                 if candidate in later.writes() and later.guard is None:
                     break
         result[instr.uid] = live
+    return result
+
+
+def reference_block_use_def(function):
+    """``block_use_def`` as a walk over sets of registers, hashing a
+    register at every operand."""
+    result = {}
+    for label in function.block_order:
+        use = set()
+        defs = set()
+        for instr in function.blocks[label].instrs:
+            for reg in instr.reads():
+                if isinstance(reg, VReg) and reg not in defs:
+                    use.add(reg)
+            for reg in instr.writes():
+                if isinstance(reg, VReg) and instr.guard is None:
+                    defs.add(reg)
+                elif isinstance(reg, VReg):
+                    # A guarded def reads the old value implicitly.
+                    if reg not in defs:
+                        use.add(reg)
+                    defs.add(reg)
+        result[label] = (use, defs)
     return result
 
 
@@ -176,16 +226,53 @@ class TestLivenessAgainstBruteForce:
         assert liveness["entry0"].live_in == set()
 
 
+def corpus_sources():
+    """(name, source, training inputs) of every corpus program."""
+    for path in sorted(CORPUS_DIR.glob("*.mc")):
+        inputs = path.with_suffix("").with_suffix(".inputs.json")
+        yield (path.stem, path.read_text(),
+               json.loads(inputs.read_text()) if inputs.exists() else {})
+
+
 def backend_sources():
     """(name, source, training inputs) of the if-converted suite
     programs and every corpus program."""
     for name in HYPERBLOCK_TRAINING_SET:
         bench = get(name)
         yield name, bench.source, bench.inputs("train")
-    for path in sorted(CORPUS_DIR.glob("*.mc")):
-        inputs = path.with_suffix("").with_suffix(".inputs.json")
-        yield (path.stem, path.read_text(),
-               json.loads(inputs.read_text()) if inputs.exists() else {})
+    yield from corpus_sources()
+
+
+def seeded_priority(seed):
+    """A hyperblock priority that scores at random in [-1, 2), yet is
+    a pure function of ``seed`` and the feature environment, so two
+    formations over the same regions make the same decisions."""
+    def priority(env):
+        return random.Random(f"{seed}:{sorted(env.items())}").uniform(-1, 2)
+    return priority
+
+
+def compile_every_program(random_functions: int = 40):
+    """Drive the compiler over everything the uid-keyed passes must
+    agree on: each of the 52 suite programs and the corpus is prepared
+    and its backend compiled under Equation 1 and under
+    :func:`seeded_priority`; then ``random_functions`` of
+    :func:`random_function` go through the scalar cleanup and
+    if-conversion under both priorities."""
+    programs = [(name, bench.source, bench.inputs("train"))
+                for name, bench in sorted(all_benchmarks().items())]
+    assert len(programs) == 52
+    for name, source, inputs in [*programs, *corpus_sources()]:
+        prepared = prepare(compile_source(source, name), inputs)
+        compile_backend(prepared)
+        compile_backend(prepared, CompilerOptions(
+            hyperblock_priority=seeded_priority(name)))
+    for seed in range(random_functions):
+        for priority in (impact_priority, seeded_priority(seed)):
+            function = random_function(seed, 1 + seed % 30)
+            form_hyperblocks(function, DEFAULT_EPIC, FunctionProfile(),
+                             priority)
+            cleanup.cleanup_function(function)
 
 
 def allocator_inputs(options: CompilerOptions):
@@ -219,4 +306,32 @@ def test_dead_definitions_equal_the_definition(monkeypatch):
             for function in module.functions.values()
             for instr in function.instructions())
     assert guarded_writes > 0
+    assert any(calls) and not all(calls)
+
+
+def test_block_use_def_equals_the_register_set_walk(monkeypatch):
+    """Every ``block_use_def`` call the compiler makes over
+    :func:`compile_every_program` returns, block by block, the same
+    register objects in the same set iteration order as the walk over
+    register sets.  ``BlockLiveness`` hands these sets on, and the
+    allocator's ranges and the verifier iterate them."""
+    calls = []
+
+    def objects(sets):
+        return [[id(reg) for reg in regs] for regs in sets]
+
+    def checked(function):
+        got = block_use_def(function)
+        expected = reference_block_use_def(function)
+        assert list(got) == list(expected), function.name
+        for label, sets in got.items():
+            assert sets == expected[label], (function.name, label)
+            assert objects(sets) == objects(expected[label]), (
+                function.name, label)
+        calls.append(any(instr.guard is not None and instr.writes()
+                         for instr in function.instructions()))
+        return got
+
+    monkeypatch.setattr(liveness, "block_use_def", checked)
+    compile_every_program()
     assert any(calls) and not all(calls)

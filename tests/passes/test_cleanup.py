@@ -4,7 +4,10 @@ increment folding — all behaviour-preserving."""
 from repro.frontend import compile_source
 from repro.ir.interp import Interpreter
 from repro.ir.instr import Opcode
+from repro.ir.values import Imm, VReg
+from repro.passes import cleanup
 from repro.passes.cleanup import (
+    _FOLDABLE,
     cleanup_function,
     cleanup_module,
     constant_fold_function,
@@ -13,6 +16,7 @@ from repro.passes.cleanup import (
     fold_increments_function,
     peephole_function,
 )
+from tests.ir.test_liveness_property import compile_every_program
 
 
 def run_module(module, inputs=None):
@@ -239,3 +243,126 @@ class TestWholePrograms:
         after = run_module(module, inputs)
         assert before.output_signature() == after.output_signature()
         assert after.steps <= before.steps
+
+
+def reference_copy_propagate_function(function):
+    """``copy_propagate_function`` over dicts keyed by register: a
+    rewritten source tuple for every instruction, and a scan of every
+    copy at every write."""
+    rewritten = 0
+    for block in function.ordered_blocks():
+        copies = {}
+        for instr in block.instrs:
+            new_srcs = []
+            for src in instr.srcs:
+                replacement = copies.get(src) if isinstance(src, VReg) else None
+                if replacement is not None:
+                    new_srcs.append(replacement)
+                    rewritten += 1
+                else:
+                    new_srcs.append(src)
+            instr.srcs = tuple(new_srcs)
+            if instr.guard is not None:
+                replacement = copies.get(instr.guard)
+                if isinstance(replacement, VReg):
+                    instr.guard = replacement
+                    rewritten += 1
+            for written in instr.writes():
+                if not isinstance(written, VReg):
+                    continue
+                copies.pop(written, None)
+                for key in [k for k, v in copies.items() if v == written]:
+                    copies.pop(key)
+            if (instr.op is Opcode.MOV and instr.guard is None
+                    and isinstance(instr.dest, VReg)):
+                source = instr.srcs[0]
+                if isinstance(source, (VReg, Imm)) and source != instr.dest:
+                    copies[instr.dest] = source
+    return rewritten
+
+
+def reference_fold_increments_function(function):
+    """``fold_increments_function`` over dicts keyed by register and
+    list membership tests between the two instructions."""
+    use_counts = {}
+    for block in function.ordered_blocks():
+        for instr in block.instrs:
+            for reg in instr.reads():
+                if isinstance(reg, VReg):
+                    use_counts[reg] = use_counts.get(reg, 0) + 1
+    folded = 0
+    for block in function.ordered_blocks():
+        index_of_def = {}
+        kill = set()
+        for index, instr in enumerate(block.instrs):
+            if (instr.op is Opcode.MOV and instr.guard is None
+                    and isinstance(instr.dest, VReg)
+                    and isinstance(instr.srcs[0], VReg)):
+                temp = instr.srcs[0]
+                target = instr.dest
+                def_index = index_of_def.get(temp)
+                if (def_index is not None
+                        and use_counts.get(temp, 0) == 1):
+                    producer = block.instrs[def_index]
+                    if (producer.guard is None and producer.srcs
+                            and producer.srcs[0] == target
+                            and producer.op in _FOLDABLE
+                            and len(producer.writes()) == 1):
+                        clean = True
+                        for between in block.instrs[def_index + 1:index]:
+                            regs = between.reads() + between.writes()
+                            if target in regs or temp in regs:
+                                clean = False
+                                break
+                        if clean:
+                            producer.dest = target
+                            kill.add(index)
+                            folded += 1
+            for written in instr.writes():
+                if isinstance(written, VReg):
+                    index_of_def[written] = index
+        if kill:
+            block.instrs = [
+                instr for index, instr in enumerate(block.instrs)
+                if index not in kill
+            ]
+    return folded
+
+
+def ir_objects(function):
+    """Each block's instructions as their text and the identities of
+    their operand objects."""
+    return [(label, [(str(instr), id(instr.dest), id(instr.dest2),
+                      id(instr.guard), [id(src) for src in instr.srcs])
+                     for instr in function.blocks[label].instrs])
+            for label in function.block_order]
+
+
+def test_uid_keyed_passes_equal_the_register_keyed_ones(monkeypatch):
+    """Every ``copy_propagate_function`` and ``fold_increments_function``
+    call over :func:`compile_every_program` returns the count and
+    leaves the IR — text and operand objects — that the register-keyed
+    reference gives on a clone.  A clone keeps its register and
+    immediate objects, so the two must hold the very same operands."""
+    counts = {"copy_propagate_function": [],
+              "fold_increments_function": []}
+
+    def checked(name, reference):
+        uid_keyed = getattr(cleanup, name)
+
+        def run(function):
+            twin = function.clone()
+            expected = reference(twin)
+            got = uid_keyed(function)
+            assert got == expected, function.name
+            assert ir_objects(function) == ir_objects(twin), function.name
+            counts[name].append(got)
+            return got
+
+        monkeypatch.setattr(cleanup, name, run)
+
+    checked("copy_propagate_function", reference_copy_propagate_function)
+    checked("fold_increments_function", reference_fold_increments_function)
+    compile_every_program()
+    for name, returned in counts.items():
+        assert any(returned) and not all(returned), name

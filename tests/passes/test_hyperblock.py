@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.frontend import compile_source
+from repro.ir.cfg import predecessors
 from repro.ir.interp import Interpreter
 from repro.ir.instr import Opcode
 from repro.machine.descr import DEFAULT_EPIC
@@ -19,6 +20,7 @@ from repro.passes.hyperblock import (
     region_feature_env,
 )
 from repro.profile.profiler import collect_profile
+from tests.ir.test_liveness_property import compile_every_program
 
 DIAMOND = """
 int data[64];
@@ -334,6 +336,91 @@ class TestDecisionMechanics:
 
         _module, _func, report = formation(DIAMOND, priority=broken)
         assert report.regions_converted == 0
+
+
+class ReferenceFormation(HyperblockFormation):
+    """Hyperblock formation that rebuilds the predecessor map for every
+    branch head it tries (:meth:`reference_match_hammock`)."""
+
+    def run(self):
+        changed = True
+        while changed:
+            changed = False
+            for label in list(self.function.block_order):
+                if label not in self.function.blocks:
+                    continue
+                if label in self._evaluated_heads:
+                    continue
+                region = self.reference_match_hammock(label)
+                if region is None:
+                    continue
+                self._evaluated_heads.add(label)
+                if self._evaluate_and_convert(label, *region):
+                    self._evaluated_heads.clear()
+                    changed = True
+                    break
+        return self.report
+
+    def reference_match_hammock(self, head_label):
+        head = self.function.blocks[head_label]
+        term = head.instrs[-1]
+        if term.op is not Opcode.BR:
+            return None
+        taken_target, fall_target = term.targets
+        if taken_target == fall_target:
+            return None
+        preds = predecessors(self.function)
+        taken = self._side_chain(taken_target, preds, head_label)
+        fall = self._side_chain(fall_target, preds, head_label)
+        if taken is None or fall is None:
+            return None
+        taken_chain, taken_join = taken
+        fall_chain, fall_join = fall
+        if taken_join != fall_join:
+            return None
+        join = taken_join
+        if join == head_label:
+            return None
+        if not taken_chain and not fall_chain:
+            return None
+        if join == self.function.block_order[0]:
+            return None
+        return taken_chain, fall_chain, join
+
+
+def test_one_predecessor_map_per_sweep_equals_one_per_head(monkeypatch):
+    """Every formation over :func:`compile_every_program` gives the
+    ``HyperblockReport`` and the IR text that
+    :class:`ReferenceFormation` gives on a clone, and every map a sweep
+    hands ``_match_hammock`` is the function's current one."""
+    reports = []
+    run = HyperblockFormation.run
+    match = HyperblockFormation._match_hammock
+
+    def checked_match(self, head_label, preds):
+        assert preds == predecessors(self.function)
+        return match(self, head_label, preds)
+
+    def checked_run(self):
+        reference = ReferenceFormation(
+            self.function.clone(), self.machine, self.profile,
+            self.priority, rel_threshold=self.rel_threshold,
+            max_ops=self.max_ops, max_chain_blocks=self.max_chain_blocks)
+        expected = reference.run()
+        report = run(self)
+        assert report == expected, self.function.name
+        assert str(self.function) == str(reference.function)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(HyperblockFormation, "run", checked_run)
+    monkeypatch.setattr(HyperblockFormation, "_match_hammock", checked_match)
+    compile_every_program()
+    converted = [report.regions_converted for report in reports]
+    refused = [report.regions_considered - report.regions_converted
+               for report in reports]
+    assert any(converted) and any(refused)
+    assert sum(len(report.decisions) for report in reports) > 100
 
 
 @pytest.mark.xfail(strict=True, reason=(

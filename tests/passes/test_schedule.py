@@ -19,12 +19,14 @@ from repro.ir.instr import (
 )
 from repro.ir.values import INT, PRED, Imm, VReg
 from repro.machine.descr import DEFAULT_EPIC
+from repro.passes import hyperblock, schedule
 from repro.passes.schedule import (
     build_dag,
     latency_weighted_depth,
     schedule_block,
     schedule_module,
 )
+from tests.ir.test_liveness_property import compile_every_program
 
 
 def vr(uid, vtype=INT, name=""):
@@ -236,3 +238,99 @@ class TestScheduling:
     def test_empty_block(self):
         scheduled = schedule_block(Block("empty"), DEFAULT_EPIC)
         assert scheduled.cycles == 0
+
+
+def reference_build_dag(block, machine):
+    """``build_dag``'s edges with the last-def and uses-since-def
+    tables keyed by register objects; returns (succs, preds, latency)."""
+    instrs = block.instrs
+    succs = [[] for _ in instrs]
+    preds = [[] for _ in instrs]
+    latency = [machine.latency(instr) for instr in instrs]
+    edges = set()
+
+    def add_edge(src, dst, lat):
+        if src == dst:
+            return
+        if (src, dst) in edges:
+            for position, (existing, existing_lat) in enumerate(succs[src]):
+                if existing == dst and lat > existing_lat:
+                    succs[src][position] = (dst, lat)
+                    for ppos, (pexisting, _plat) in enumerate(preds[dst]):
+                        if pexisting == src:
+                            preds[dst][ppos] = (src, lat)
+            return
+        edges.add((src, dst))
+        succs[src].append((dst, lat))
+        preds[dst].append((src, lat))
+
+    last_def = {}
+    uses_since_def = defaultdict(list)
+    last_store = last_mem = last_side_effect = None
+    for index, instr in enumerate(instrs):
+        reads = list(instr.reads())
+        writes = list(instr.writes())
+        if instr.guard is not None:
+            reads.extend(writes)
+        for reg in reads:
+            producer = last_def.get(reg)
+            if producer is not None:
+                add_edge(producer, index, latency[producer])
+            uses_since_def[reg].append(index)
+        for reg in writes:
+            producer = last_def.get(reg)
+            if producer is not None:
+                add_edge(producer, index, 0)
+            for user in uses_since_def[reg]:
+                add_edge(user, index, 0)
+            last_def[reg] = index
+            uses_since_def[reg] = []
+        if instr.op is Opcode.LOAD:
+            if last_store is not None:
+                add_edge(last_store, index, 1)
+            last_mem = index
+        elif instr.op is Opcode.STORE:
+            if last_mem is not None:
+                add_edge(last_mem, index,
+                         1 if instrs[last_mem].op is Opcode.STORE else 0)
+            if last_store is not None:
+                add_edge(last_store, index, 1)
+            last_store = index
+            last_mem = index
+        elif instr.op is Opcode.PREFETCH:
+            if last_store is not None:
+                add_edge(last_store, index, 0)
+        if instr.op in (Opcode.CALL, Opcode.OUT):
+            if last_side_effect is not None:
+                add_edge(last_side_effect, index, 1)
+            if instr.op is Opcode.CALL:
+                if last_mem is not None:
+                    add_edge(last_mem, index, 0)
+                last_store = index
+                last_mem = index
+            last_side_effect = index
+        if instr.is_terminator:
+            for other in range(index):
+                add_edge(other, index, 0)
+    return succs, preds, latency
+
+
+def test_build_dag_equals_the_register_keyed_tables(monkeypatch):
+    """Every DAG the compiler builds over ``compile_every_program`` —
+    the hyperblock pass's path heights on virtual registers, the
+    scheduler's blocks on physical ones — has the edges, in the same
+    order, that register-keyed tables give."""
+    kinds = set()
+
+    def checked(block, machine):
+        dag = build_dag(block, machine)
+        assert (dag.succs, dag.preds, dag.latency) \
+            == reference_build_dag(block, machine), block.label
+        kinds.update(reg.__class__.__name__ for instr in block.instrs
+                     for reg in instr.reads())
+        return dag
+
+    monkeypatch.setattr(schedule, "build_dag", checked)
+    monkeypatch.setattr(hyperblock, "build_dag", checked)
+    compile_every_program()
+    assert kinds == {"VReg", "PReg"}

@@ -21,6 +21,18 @@ def wait_until(predicate, timeout=5.0, interval=0.005):
     return predicate()
 
 
+def finished_job(queue, job_id, timeout=5.0):
+    """The job once its worker has written its last field, for the
+    caller to assert on.  ``Job.finished`` turns true when ``state`` is
+    written, before ``result`` and ``error``; ``finished_at`` is written
+    last, under the queue's lock, on every path to a final state, so a
+    job that shows it changes no more."""
+    job = queue.get(job_id)
+    assert wait_until(lambda: job.finished_at is not None, timeout), \
+        job.to_json_dict()
+    return job
+
+
 def echo_handler(kind, params):
     return {"kind": kind, **params}
 
@@ -30,8 +42,7 @@ class TestHappyPath:
         queue = JobQueue(echo_handler, workers=1, capacity=4)
         job = queue.submit("evaluate", {"x": 1})
         assert job.id.startswith("job-")
-        assert wait_until(lambda: queue.get(job.id).finished)
-        done = queue.get(job.id)
+        done = finished_job(queue, job.id)
         assert done.state == "done"
         assert done.result == {"kind": "evaluate", "x": 1}
         assert done.error is None
@@ -45,8 +56,7 @@ class TestHappyPath:
 
         queue = JobQueue(boom, workers=1, capacity=4)
         job = queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.get(job.id).finished)
-        failed = queue.get(job.id)
+        failed = finished_job(queue, job.id)
         assert failed.state == "failed"
         assert failed.result is None
         assert "ValueError: no such benchmark" == failed.error
@@ -149,11 +159,11 @@ class TestCancel:
         assert wait_until(lambda: queue.get(job.id).state == "running")
         queue.cancel(job.id)  # running: flag only
         flagged.set()
-        assert wait_until(lambda: queue.get(job.id).finished)
+        done = finished_job(queue, job.id)
         assert observed == [True]
         # the handler honored the flag and still finished normally
-        assert queue.get(job.id).state == "done"
-        assert queue.get(job.id).result == {"stopped_early": True}
+        assert done.state == "done"
+        assert done.result == {"stopped_early": True}
         assert queue.drain(timeout=5.0)
 
 
@@ -257,9 +267,9 @@ class TestTimeout:
         stale = queue.submit("evaluate", {"second": True})
         time.sleep(0.15)  # let the queued job's deadline lapse
         gate.set()
-        assert wait_until(lambda: queue.get(stale.id).finished)
-        assert queue.get(stale.id).state == "timeout"
-        assert "waiting in queue" in queue.get(stale.id).error
+        expired = finished_job(queue, stale.id)
+        assert expired.state == "timeout"
+        assert "waiting in queue" in expired.error
         assert {"second": True} not in ran
         queue.drain(timeout=5.0)
 
@@ -268,8 +278,7 @@ class TestTimeout:
             lambda kind, params: time.sleep(0.15) or {"late": True},
             workers=1, capacity=4, job_timeout=0.05)
         job = queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.get(job.id).finished)
-        finished = queue.get(job.id)
+        finished = finished_job(queue, job.id)
         assert finished.state == "timeout"
         assert finished.result is None
         assert "result discarded" in finished.error
