@@ -119,7 +119,6 @@ class _FunctionLowerer:
                 zero = Imm(0 if self.function.return_type is INT else 0.0,
                            self.function.return_type)
                 self._close_with(ret(zero))
-        self.function.validate()
         return self.function
 
     # -- statements -----------------------------------------------------------------
@@ -479,11 +478,12 @@ def lower_program(program: ast.Program, name: str = "module") -> Module:
         ))
     for func in program.functions:
         module.add_function(_FunctionLowerer(module, func).lower())
-    module.validate()
     return module
 
 
 def compile_source(source: str, name: str = "module") -> Module:
-    """Front-end driver: source text -> validated IR module."""
+    """The front end: source text -> IR module.  ``sema`` refuses
+    malformed source (an undefined function among it); the IR's shape is
+    checked by ``repro.verify.ir_verifier`` under ``verify_ir``."""
     program = analyze(parse_source(source))
     return lower_program(program, name)

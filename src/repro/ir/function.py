@@ -13,7 +13,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.ir.block import Block
-from repro.ir.instr import Instr, Opcode
 from repro.ir.values import FLOAT, INT, IRType, VReg
 
 #: Globals start here (leaving low addresses as an unmapped "null" zone).
@@ -116,28 +115,6 @@ class Function:
             twin.add_block(self.blocks[label].copy())
         return twin
 
-    def validate(self) -> None:
-        """Structural sanity: every block closed, every target exists."""
-        if not self.block_order:
-            raise ValueError(f"function {self.name} has no blocks")
-        for block in self.ordered_blocks():
-            if not block.is_closed():
-                raise ValueError(
-                    f"{self.name}/{block.label} is not terminated"
-                )
-            for index, instr in enumerate(block.instrs):
-                if instr.is_terminator and index != len(block.instrs) - 1:
-                    raise ValueError(
-                        f"{self.name}/{block.label} has a terminator "
-                        f"mid-block at {index}"
-                    )
-            for target in block.successors():
-                if target not in self.blocks:
-                    raise ValueError(
-                        f"{self.name}/{block.label} branches to unknown "
-                        f"block {target}"
-                    )
-
     def __str__(self) -> str:
         params = ", ".join(str(p) for p in self.params)
         lines = [f"func @{self.name}({params}):"]
@@ -213,15 +190,6 @@ class Module:
                                 for instr in func.blocks[label].instrs])
                 digest.update(f"{label}:{text}\n".encode())
         return digest.hexdigest()
-
-    def validate(self) -> None:
-        for function in self.functions.values():
-            function.validate()
-            for instr in function.instructions():
-                if instr.op is Opcode.CALL and instr.callee not in self.functions:
-                    raise ValueError(
-                        f"{function.name} calls unknown function {instr.callee}"
-                    )
 
     def __str__(self) -> str:
         parts = [f"module {self.name}"]

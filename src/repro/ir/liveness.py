@@ -111,14 +111,16 @@ def dead_definitions(function: Function) -> list[tuple[str, int]]:
         found: list[int] = []
         for index in range(len(instrs) - 1, -1, -1):
             instr = instrs[index]
-            written = [reg.uid for reg in instr.writes()
-                       if reg.__class__ is VReg]
-            if written:
+            dest, dest2 = instr.dest, instr.dest2
+            if dest.__class__ is VReg or dest2.__class__ is VReg:
+                # None: the slot writes no virtual register
+                written = (dest.uid if dest.__class__ is VReg else None,
+                           dest2.uid if dest2.__class__ is VReg else None)
                 if live.isdisjoint(written) and not instr.has_side_effects:
                     found.append(index)
                 if instr.guard is None:
                     live.difference_update(written)
-            for reg in instr.reads():
+            for reg in (*instr.srcs, instr.guard):
                 if reg.__class__ is VReg:
                     live.add(reg.uid)
         dead += [(label, index) for index in reversed(found)]

@@ -71,6 +71,16 @@ profiling form too), and random 64-bit operands through each integer
 opcode and through ``apply_scalar_op`` and requires equal results and
 faults.
 
+The translation is where the IR's shape is checked on every run, in
+both forms: it raises ``ValueError`` for a block that does not end in
+its one unguarded terminator, a jump to a label the function lacks and
+a call to a function the module lacks.  ``ValueError`` says the IR is
+malformed (the interpreter's decode raises it too, for a uid that two
+registers share); a :class:`SimError` would say the program faulted,
+and the profiler would profile a malformed module as a faulting one.
+The rest of well-formedness is the IR verifier's
+(``repro.verify.ir_verifier``, run between stages under ``verify_ir``).
+
 The compiled code objects are cached at module level, keyed by the
 identity of the scheduled function (a content digest of its generated
 source plus layout-independent metadata).  Per-instance state — the
@@ -425,6 +435,8 @@ class _Executor:
         if op is Opcode.OUT:
             return [f"OUTS.append({src(0)})"]
         if op is Opcode.CALL:
+            if instr.callee not in self.scheduled.functions:
+                raise ValueError(f"call to unknown function {instr.callee!r}")
             arguments = ", ".join(src(i) for i in range(len(instr.srcs)))
             call = f"CALL({instr.callee!r}, ({arguments}{',' if instr.srcs else ''}))"
             if dest is not None:
@@ -468,8 +480,12 @@ class _Executor:
             if (not instrs or not instrs[-1].is_terminator
                     or instrs[-1].guard is not None
                     or any(instr.is_terminator for instr in instrs[:-1])):
-                raise SimError(
+                raise ValueError(
                     f"block {label} must end in its one unguarded terminator")
+            for target in instrs[-1].targets:
+                if target not in function.blocks:
+                    raise ValueError(
+                        f"block {label} jumps to unknown block {target!r}")
             for instr in instrs:
                 for reg in instr.reads():
                     index_of(reg)

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.ir.function import Function, Module
-from repro.ir.instr import Instr, Opcode
+from repro.ir.instr import Instr
 
 
 @dataclass
@@ -45,18 +45,11 @@ class ScheduledBlock:
     def op_count(self) -> int:
         return sum(len(bundle) for bundle in self.bundles)
 
-    def terminator(self) -> Instr:
-        for bundle in reversed(self.bundles):
-            for instr in reversed(bundle.instrs):
-                if instr.is_terminator:
-                    return instr
-        raise ValueError(f"scheduled block {self.label} lacks a terminator")
-
     def successors(self) -> tuple[str, ...]:
-        term = self.terminator()
-        if term.op is Opcode.RET:
-            return ()
-        return term.targets
+        """The targets of the block's last operation, which is its
+        terminator: the simulator's translation refuses any other block
+        before it asks (``repro.ir.cfg`` reads this on scheduled code)."""
+        return self.bundles[-1].instrs[-1].targets
 
     def flat_instructions(self) -> list[Instr]:
         return [instr for bundle in self.bundles for instr in bundle.instrs]
@@ -93,17 +86,6 @@ class ScheduledModule:
 
     module: Module
     functions: dict[str, ScheduledFunction]
-
-    def validate(self) -> None:
-        for func in self.functions.values():
-            for label in func.block_order:
-                block = func.blocks[label]
-                block.terminator()  # raises when missing
-                for succ in block.successors():
-                    if succ not in func.blocks:
-                        raise ValueError(
-                            f"{func.name}/{label} -> unknown block {succ}"
-                        )
 
     def content_digest(self) -> str:
         """Stable content identity of the scheduled binary: everything

@@ -739,23 +739,12 @@ class EvaluationHarness:
         cached = self._reference_memo.get(ref_key)
         if cached is not None:
             return cached
-        from repro.ir.interp import Interpreter, InterpError
+        from repro.verify.differential import reference_run
 
-        prep = self.prepared(benchmark)
-        interp = Interpreter(prep.module, max_steps=MAX_INTERP_STEPS)
-        for name, values in self._inputs(benchmark, dataset).items():
-            interp.set_global(name, values)
-        result = fault = None
-        globals_snapshot: dict[str, list] = {}
-        try:
-            result = interp.run()
-            globals_snapshot = {
-                name: interp.read_global(name)
-                for name in prep.module.globals
-            }
-        except InterpError as exc:
-            fault = str(exc)
-        cached = (result, globals_snapshot, fault)
+        _interp, result, final_globals, fault = reference_run(
+            self.prepared(benchmark).module,
+            self._inputs(benchmark, dataset), max_steps=MAX_INTERP_STEPS)
+        cached = (result, final_globals, fault)
         self._reference_memo[ref_key] = cached
         return cached
 

@@ -279,7 +279,6 @@ def cleanup_function(function: Function, max_iterations: int = 8) -> None:
         changed += merge_straightline(function)
         if changed == 0:
             break
-    function.validate()
 
 
 def cleanup_module(module: Module) -> None:

@@ -180,8 +180,6 @@ def inline_function(module: Module, caller: Function,
                 break
             if changed:
                 break
-    if inlined:
-        caller.validate()
     return inlined
 
 
@@ -197,5 +195,4 @@ def inline_module(module: Module, max_callee_ops: int = 24) -> InlineReport:
         report.sites_inlined += inline_function(module, function,
                                                 max_callee_ops,
                                                 report=report)
-    module.validate()
     return report

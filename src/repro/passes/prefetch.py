@@ -298,8 +298,6 @@ class PrefetchInsertion:
                     prefetch(future),
                 ]
                 self.report.inserted += 1
-        if self.report.inserted:
-            function.validate()
         return self.report
 
 

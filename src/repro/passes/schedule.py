@@ -283,12 +283,10 @@ def schedule_module(
     machine: MachineDescription,
     priority: SchedulePriority | None = None,
 ) -> ScheduledModule:
-    scheduled = ScheduledModule(
+    return ScheduledModule(
         module=module,
         functions={
             name: schedule_function(function, machine, priority)
             for name, function in module.functions.items()
         },
     )
-    scheduled.validate()
-    return scheduled

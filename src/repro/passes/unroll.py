@@ -305,7 +305,6 @@ def unroll_function(function: Function, factor: int = 2,
             continue
         report.copies_added += _apply(function, plan, chosen)
         report.loops_unrolled += 1
-    function.validate()
     return report
 
 

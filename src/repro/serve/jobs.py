@@ -606,9 +606,12 @@ def check_fingerprints(params: dict, machine) -> None:
             f"machine fingerprint mismatch for {machine.name!r}")
 
 
-def run_evaluate_batch(params: dict, harness_pool: HarnessPool):
+def run_evaluate_batch(params: dict, request: tuple,
+                       harness_pool: HarnessPool):
     """Execute one evaluate-batch request as a generator of per-item
-    result dicts (streamed as NDJSON by the HTTP layer).
+    result dicts (streamed as NDJSON by the HTTP layer).  ``request`` is
+    what :func:`parse_evaluate_batch` returned for ``params``; the
+    fingerprints are checked here, against the harness's machine.
 
     Every item is evaluated independently; a candidate that fails to
     parse or evaluate yields ``{"ok": false}`` for *that index only*,
@@ -619,7 +622,7 @@ def run_evaluate_batch(params: dict, harness_pool: HarnessPool):
     """
     from repro.metaopt.priority import PriorityFunction
 
-    case_name, dataset, settings, items = parse_evaluate_batch(params)
+    case_name, dataset, settings, items = request
     harness = harness_pool.get_for_settings(case_name, settings)
     check_fingerprints(params, harness.case.machine)
     for item in items:

@@ -488,7 +488,7 @@ def _make_handler(server: ReproServer):
                                 headers={"Retry-After": "5"})
             params = self._read_body()
             try:
-                parse_evaluate_batch(params)
+                request = parse_evaluate_batch(params)
             except ValueError as exc:
                 raise _ApiError(400, str(exc))
             if not server._batch_lanes.acquire(blocking=False):
@@ -498,13 +498,12 @@ def _make_handler(server: ReproServer):
                     f"all {server.batch_concurrency} batch lanes busy",
                     headers={"Retry-After": "1"})
             try:
-                with obs.span("serve:batch",
-                              items=len(params.get("items", ()))):
-                    self._stream_batch(params)
+                with obs.span("serve:batch", items=len(params["items"])):
+                    self._stream_batch(params, request)
             finally:
                 server._batch_lanes.release()
 
-        def _stream_batch(self, params: dict) -> None:
+        def _stream_batch(self, params: dict, request: tuple) -> None:
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Transfer-Encoding", "chunked")
@@ -512,7 +511,7 @@ def _make_handler(server: ReproServer):
             count = 0
             try:
                 try:
-                    for item in run_evaluate_batch(params,
+                    for item in run_evaluate_batch(params, request,
                                                    server.harness_pool):
                         self._write_chunk(item)
                         count += 1

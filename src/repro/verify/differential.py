@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.frontend import compile_source
+from repro.ir.function import Module
 from repro.ir.interp import Interpreter, InterpError, RunResult
 from repro.machine.descr import MachineDescription
 from repro.machine.sim import SimError, SimResult, Simulator
@@ -259,6 +260,31 @@ def compare_profiles(generated: ModuleProfile,
     return []
 
 
+def reference_run(
+    module: Module,
+    inputs: Inputs,
+    entry: str = "main",
+    max_steps: int = 10_000_000,
+) -> tuple:
+    """The reference interpreter's run of ``module`` on ``inputs``:
+    ``(interpreter, result, globals, fault)``.  ``globals`` holds the
+    final contents of every global array; on an :class:`InterpError`
+    ``fault`` is its text, ``result`` None and ``globals`` empty.  The
+    interpreter is returned for its control-flow counts."""
+    interp = Interpreter(module, max_steps=max_steps)
+    for name, values in inputs.items():
+        interp.set_global(name, values)
+    result = fault = None
+    final_globals: dict[str, list] = {}
+    try:
+        result = interp.run(entry=entry)
+        final_globals = {name: interp.read_global(name)
+                         for name in module.globals}
+    except InterpError as exc:
+        fault = str(exc)
+    return interp, result, final_globals, fault
+
+
 def run_differential(
     source: str,
     inputs: Inputs | None = None,
@@ -297,23 +323,10 @@ def run_differential(
             options_summary=summary,
         )
 
-    interp_fault = sim_fault = None
-    interp_result = sim_result = None
-    interp_globals: dict[str, list] = {}
+    interp, interp_result, interp_globals, interp_fault = reference_run(
+        prepared.module, inputs, entry, max_steps)
+    sim_fault = sim_result = None
     sim_globals: dict[str, list] = {}
-
-    interp = Interpreter(prepared.module, max_steps=max_steps)
-    for global_name, values in inputs.items():
-        interp.set_global(global_name, values)
-    try:
-        interp_result = interp.run(entry=entry)
-        interp_globals = {
-            global_name: interp.read_global(global_name)
-            for global_name in prepared.module.globals
-        }
-    except InterpError as exc:
-        interp_fault = str(exc)
-
     simulator = Simulator(scheduled, options.machine,
                           max_cycles=100 * max_steps)
     for global_name, values in inputs.items():

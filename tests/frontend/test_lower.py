@@ -7,6 +7,7 @@ import pytest
 from repro.frontend import compile_source
 from repro.ir.instr import Opcode
 from repro.ir.interp import Interpreter
+from repro.verify.ir_verifier import verify_module
 
 
 def run(source, inputs=None, entry="main"):
@@ -223,7 +224,7 @@ class TestIRStructure:
           for (i = 0; i < 3; i = i + 1) { out(helper(i)); }
         }
         """)
-        module.validate()
+        verify_module(module)
 
     def test_local_array_gets_stack(self):
         module = compile_source("""

@@ -85,15 +85,16 @@ def test_prefetch_pipeline_equivalence(name):
 
 
 def test_every_benchmark_compiles_through_backend():
-    """All ~40 benchmarks survive the full pipeline (no simulation —
+    """Every benchmark survives the full pipeline with the IR verifier
+    on at each stage boundary and on the schedule (no simulation —
     that is covered by the sampled equivalence tests above)."""
     for name, bench in sorted(all_benchmarks().items()):
         options = CompilerOptions(
             machine=ITANIUM_MACHINE if bench.category == "fp"
             else DEFAULT_EPIC,
             prefetch=bench.category == "fp",
+            verify_ir=True,
         )
         module = compile_source(bench.source, name)
         prepared = prepare(module, bench.inputs("train"), options)
-        scheduled, _report = compile_backend(prepared)
-        scheduled.validate()
+        compile_backend(prepared)

@@ -14,6 +14,7 @@ from repro.ir.liveness import (
 from repro.ir.loops import find_loops, loop_depth_of_blocks
 from repro.ir.values import INT, PRED, Imm
 from repro.passes.regalloc import allocation_seed
+from repro.verify.ir_verifier import verify_function
 
 
 def loop_function():
@@ -33,7 +34,7 @@ def loop_function():
     body.append(jmp(head.label))
     done.append(out(i))
     done.append(ret())
-    func.validate()
+    assert verify_function(func) == []
     return func, i, entry, head, body, done
 
 

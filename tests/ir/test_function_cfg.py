@@ -14,6 +14,7 @@ from repro.ir.cfg import (
 from repro.ir.function import Function, GlobalArray, Module, GLOBAL_BASE
 from repro.ir.instr import Opcode, binop, br, jmp, mov, ret
 from repro.ir.values import INT, Imm, VReg
+from repro.verify.ir_verifier import verify_function
 
 
 def diamond_function():
@@ -60,26 +61,6 @@ class TestBlock:
 
 
 class TestFunction:
-    def test_validate_catches_unterminated(self):
-        func = Function("f", [])
-        func.new_block("entry")
-        with pytest.raises(ValueError):
-            func.validate()
-
-    def test_validate_catches_unknown_target(self):
-        func = Function("f", [])
-        entry = func.new_block("entry")
-        entry.append(jmp("nowhere"))
-        with pytest.raises(ValueError):
-            func.validate()
-
-    def test_validate_catches_mid_block_terminator(self):
-        func = Function("f", [])
-        entry = func.new_block("entry")
-        entry.instrs = [ret(), ret()]
-        with pytest.raises(ValueError):
-            func.validate()
-
     def test_vreg_numbering_continues_after_params(self):
         param = VReg(0, INT, "p")
         func = Function("f", [param])
@@ -104,7 +85,7 @@ class TestFunction:
     def test_clone_preserves_structure(self):
         func, *_ = diamond_function()
         clone = func.clone()
-        clone.validate()
+        assert verify_function(clone) == []
         assert clone.block_order == func.block_order
         assert clone.instruction_count() == func.instruction_count()
 
@@ -129,18 +110,6 @@ class TestModule:
             GlobalArray("a", 0)
         with pytest.raises(ValueError):
             GlobalArray("a", 2, init=(1, 2, 3))
-
-    def test_validate_checks_call_targets(self):
-        from repro.ir.instr import call
-
-        module = Module()
-        func = Function("main", [])
-        entry = func.new_block("entry")
-        entry.append(call(None, "ghost", ()))
-        entry.append(ret())
-        module.add_function(func)
-        with pytest.raises(ValueError):
-            module.validate()
 
 
 class TestCFG:
@@ -180,7 +149,7 @@ class TestCFG:
         merged = merge_straightline(func)
         assert merged == 1
         assert list(func.blocks) == [a.label]
-        func.validate()
+        assert verify_function(func) == []
 
     def test_merge_skips_multi_pred_targets(self):
         func, *_ = diamond_function()

@@ -40,6 +40,7 @@ from repro.ir.values import (
     VReg,
 )
 from repro.profile.profiler import FunctionProfile, collect_profile
+from repro.verify.ir_verifier import verify_module
 
 
 def run_source(source, inputs=None, **kwargs):
@@ -221,7 +222,7 @@ class TestPredication:
         entry.append(out(x))
         entry.append(ret())
         module.add_function(func)
-        module.validate()
+        verify_module(module)
         return module
 
     def test_taken_guard_executes(self):

@@ -16,11 +16,27 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.ir.function import Function, Module
-from repro.ir.instr import Opcode, Rel, binop, br, cmp, jmp, mov, out, ret
+from repro.ir.instr import (
+    Opcode,
+    Rel,
+    binop,
+    br,
+    call,
+    cmp,
+    jmp,
+    mov,
+    out,
+    ret,
+)
 from repro.ir.interp import InterpError, Interpreter, wrap_int
 from repro.ir.values import INT, PRED, Imm, VReg
 from repro.machine.descr import DEFAULT_EPIC
-from repro.machine.sim import _STATIC_NAMESPACE, SimError, Simulator
+from repro.machine.sim import (
+    _STATIC_NAMESPACE,
+    ProfilingRun,
+    SimError,
+    Simulator,
+)
 from repro.metaopt.harness import case_study
 from repro.passes.pipeline import CompilerOptions, compile_backend, prepare
 from repro.passes.regalloc import allocate_module
@@ -439,6 +455,32 @@ def sim_frame_calls(run):
     return calls, result
 
 
+def _guard_terminator(body, _function):
+    body.flat_instructions()[-1].guard = VReg(99, PRED, "p")
+
+
+def _jump_mid_block(body, function):
+    body.bundles[0].instrs.insert(0, jmp(function.entry_label))
+
+
+def _jump_to_unknown_label(body, _function):
+    body.flat_instructions()[-1].targets = ("nowhere",)
+
+
+def _call_unknown_function(body, _function):
+    body.bundles[0].instrs.insert(0, call(None, "ghost", ()))
+
+
+#: defect -> (what it does to a block of a scheduled function, the
+#: translation's refusal)
+TRANSLATION_DEFECTS = {
+    "guarded": (_guard_terminator, "one unguarded terminator"),
+    "mid-block": (_jump_mid_block, "one unguarded terminator"),
+    "unknown-label": (_jump_to_unknown_label, "unknown block 'nowhere'"),
+    "unknown-callee": (_call_unknown_function, "unknown function 'ghost'"),
+}
+
+
 class TestLoopRegions:
     """Every scheduled function runs in one generated call, its
     innermost loops inside it.  Each shape must keep the outputs of the
@@ -466,20 +508,25 @@ class TestLoopRegions:
         assert calls == LOOP_SHAPE_CALLS[shape]
 
 
-    @pytest.mark.parametrize("defect", ["guarded", "mid-block"])
+    @pytest.mark.parametrize("defect", sorted(TRANSLATION_DEFECTS))
     def test_terminator_must_end_its_block_unguarded(self, defect):
         """An arm falls through to a later arm after its block's
         terminator, so a block whose terminator is guarded, or comes
-        before other operations, is refused."""
-        scheduled, _module = from_ir(entry_header_module)
-        function = scheduled.functions["main"]
-        body = function.blocks[function.block_order[1]]
-        if defect == "guarded":
-            body.terminator().guard = VReg(99, PRED, "p")
-        else:
-            body.bundles[0].instrs.insert(0, jmp(function.entry_label))
-        with pytest.raises(SimError, match="one unguarded terminator"):
-            Simulator(scheduled, DEFAULT_EPIC).run("main", (3,))
+        before other operations, is refused; so are a jump to a label
+        the function lacks and a call to a function the module lacks.
+        Both forms refuse with ``ValueError`` (malformed IR), not
+        ``SimError`` (a faulting program)."""
+        for form in ("timing", "profiling"):
+            module = entry_header_module()
+            executor = (Simulator(schedule_module(module, DEFAULT_EPIC),
+                                  DEFAULT_EPIC)
+                        if form == "timing" else ProfilingRun(module))
+            function = executor.scheduled.functions["main"]
+            body = function.blocks[function.block_order[1]]
+            corrupt, refusal = TRANSLATION_DEFECTS[defect]
+            corrupt(body, function)
+            with pytest.raises(ValueError, match=refusal):
+                executor.run("main", (3,))
 
 
 class TestRegionCalls:

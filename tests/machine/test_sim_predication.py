@@ -23,6 +23,7 @@ from repro.ir.values import INT, PRED, Imm, SymRef, VReg
 from repro.machine.descr import DEFAULT_EPIC
 from repro.machine.sim import Simulator
 from repro.passes.schedule import schedule_module
+from repro.verify.ir_verifier import verify_module
 
 
 def predicated_module(cond_value: int) -> Module:
@@ -67,7 +68,7 @@ def predicated_module(cond_value: int) -> Module:
     entry.append(out(called))
     entry.append(ret())
     module.add_function(func)
-    module.validate()
+    verify_module(module)
     return module
 
 

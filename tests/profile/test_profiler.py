@@ -5,8 +5,9 @@ and reads the counts the run leaves (``ProfilingRun.control_counts``).
 These tests hold its branch statistics to ``TwoBitPredictor`` fed the
 same outcomes, pin that a profiling run enters no interpreter frame and
 few Python frames at all, mark the entry count of a single-block
-callee as a known defect, and hold the range-checked integer results
-of ``apply_scalar_op`` to ``wrap_int`` of the exact result."""
+callee as a known defect, refuse a malformed module rather than
+profile it, and hold the range-checked integer results of
+``apply_scalar_op`` to ``wrap_int`` of the exact result."""
 
 import sys
 from functools import cache
@@ -18,7 +19,9 @@ from repro.frontend import compile_source
 from repro.ir import interp as interp_mod
 from repro.ir.instr import Opcode
 from repro.ir.interp import apply_scalar_op, wrap_int
+from repro.ir.values import PRED, VReg
 from repro.machine.branch import TwoBitPredictor
+from repro.passes.pipeline import prepare
 from repro.profile.profiler import collect_profile
 from repro.suite.registry import get as get_benchmark
 
@@ -125,6 +128,28 @@ def test_single_block_callee_counts_its_calls():
     profile = collect_profile(module)
     assert profile.run_result.outputs == [0, 1, 4, 9, 16]
     assert profile.functions["sq"].block_counts == {"entry0": 5}
+
+
+def test_a_malformed_module_is_refused_not_profiled():
+    """``collect_profile`` takes a ``SimError`` for a faulting program
+    and profiles the run up to the fault.  The translation refuses
+    malformed IR with ``ValueError`` instead, so a malformed module is
+    never handed on with the empty profile of a faulting run."""
+    def malformed(corrupt):
+        module = bit_loop().clone()
+        main = module.functions["main"]
+        corrupt(next(block for block in main.blocks.values()
+                     if block.instrs[-1].op is Opcode.RET))
+        return module
+
+    inputs = {"n": [3], "bits": [1, 0, 1]}
+    guarded = malformed(lambda block: setattr(
+        block.instrs[-1], "guard", VReg(999, PRED, "p")))
+    with pytest.raises(ValueError, match="one unguarded terminator"):
+        collect_profile(guarded, inputs)
+    unterminated = malformed(lambda block: block.instrs.pop())
+    with pytest.raises(ValueError):
+        prepare(unterminated, inputs)
 
 
 BOUNDARY_INTS = (INT_MIN, INT_MIN + 1, INT_MIN // 2, -3037000500, -64,

@@ -16,6 +16,7 @@ from repro.suite import (
     by_suite,
     get,
 )
+from repro.verify.ir_verifier import verify_module
 
 #: Table 5's benchmark names (plus the FP suites of Sections 7).
 TABLE5_NAMES = {
@@ -94,8 +95,7 @@ class TestDatasets:
 class TestSources:
     def test_all_sources_compile(self):
         for name, bench in sorted(all_benchmarks().items()):
-            module = compile_source(bench.source, name)
-            module.validate()
+            verify_module(compile_source(bench.source, name))
 
     def test_descriptions_nonempty(self):
         for bench in all_benchmarks().values():

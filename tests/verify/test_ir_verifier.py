@@ -3,7 +3,7 @@
 import pytest
 
 from repro.frontend import compile_source
-from repro.ir.instr import Instr, Opcode
+from repro.ir.instr import Instr, Opcode, call, ret
 from repro.ir.values import INT, VReg
 from repro.machine.descr import DEFAULT_EPIC, REGALLOC_MACHINE
 from repro.passes.pipeline import CompilerOptions, compile_backend, prepare
@@ -72,6 +72,24 @@ class TestBrokenIR:
                 break
         issues = verify_function(function, module)
         assert any("nowhere" in issue.message for issue in issues)
+
+    def test_terminator_mid_block(self):
+        module = fresh_module()
+        function = module.functions["main"]
+        entry = function.blocks[function.block_order[0]]
+        entry.instrs.insert(0, ret())
+        issues = verify_function(function, module)
+        assert any("terminator mid-block" in issue.message
+                   for issue in issues)
+
+    def test_call_to_unknown_function(self):
+        module = fresh_module()
+        function = module.functions["main"]
+        entry = function.blocks[function.block_order[0]]
+        entry.instrs.insert(0, call(None, "ghost", ()))
+        issues = verify_function(function, module)
+        assert any("unknown function 'ghost'" in issue.message
+                   for issue in issues)
 
     def test_use_of_undefined_register(self):
         module = fresh_module()
