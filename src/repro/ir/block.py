@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.instr import Instr, Opcode
+from repro.ir.instr import Instr
 
 
 @dataclass
@@ -34,10 +34,9 @@ class Block:
         return list(self.instrs)
 
     def successors(self) -> tuple[str, ...]:
-        term = self.terminator
-        if term.op is Opcode.RET:
-            return ()
-        return term.targets
+        """The targets of the block's last instruction, which is its
+        terminator: the verifier owns that shape (a ``RET`` has none)."""
+        return self.instrs[-1].targets
 
     def append(self, instr: Instr) -> None:
         if self.instrs and self.instrs[-1].is_terminator:

@@ -7,8 +7,9 @@ model.  Two jobs:
   register-allocated code; tests assert that its observable output (the
   ``out`` stream and return value) matches this interpreter's, which
   validates every transformation in the pipeline end to end.
-* **Profile reference.**  Every run counts each ``JMP`` taken and,
-  per ``BR``, its outcomes and a 2-bit predictor's mispredictions.
+* **Profile reference.**  Every run counts each function's calls,
+  each ``JMP`` taken and, per ``BR``, its outcomes and a 2-bit
+  predictor's mispredictions.
   The training profile (the ``exec_ratio`` and branch-predictability
   features of Table 4) is counted by the simulator's generated code in
   profiling form; the differential oracle holds it to the profile
@@ -240,7 +241,7 @@ class Interpreter:
         self._decoded: dict[str, tuple] = {}
         #: branch uid -> its counter in the decode, shared by every row
         #: of that uid: ``[2-bit state, mispredictions, taken, not taken]``
-        self._branch_counters: dict[int, list[int]] = {}
+        self._branch_records: dict[int, list[int]] = {}
         for name, array in self.module.globals.items():
             base = self._layout[name]
             for index, value in enumerate(array.init):
@@ -282,20 +283,21 @@ class Interpreter:
             blocks_executed=self.blocks_executed,
         )
 
-    def control_counts(self) -> dict[str, list[tuple]]:
+    def control_counts(self) -> dict[str, tuple[int, list[tuple]]]:
         """The control-flow counts of every function this instance has
-        entered, in the order it first entered them: per function, one
-        ``(label, instr, counter)`` per ``JMP`` and ``BR`` in block
-        order.  A ``JMP``'s counter is ``[times taken]``; a ``BR``'s is
-        the list its uid shares, ``[2-bit state, mispredictions, taken,
-        not taken]``, the state being ``TwoBitPredictor``'s.  The lists
-        are the ones :meth:`_call` updates, so they hold the counts up
-        to a fault too."""
+        entered, in the order it first entered them: per function, its
+        number of calls (its entry block's count, less the edges into
+        that block) and one ``(label, instr, counter)`` per ``JMP`` and
+        ``BR`` in block order.  A ``JMP``'s counter is ``[times
+        taken]``; a ``BR``'s is the list its uid shares, ``[2-bit state,
+        mispredictions, taken, not taken]``, the state being
+        ``TwoBitPredictor``'s.  The lists are the ones :meth:`_call`
+        updates, so they hold the counts up to a fault too."""
         return {
-            name: [(label, row[1], row[6])
-                   for label, rows in blocks.items()
-                   for row in rows if row[6] is not None]
-            for name, (blocks, _vregs) in self._decoded.items()
+            name: (calls[0], [(label, row[1], row[6])
+                              for label, rows in blocks.items()
+                              for row in rows if row[6] is not None])
+            for name, (blocks, _vregs, calls) in self._decoded.items()
         }
 
     # -- execution core -----------------------------------------------------
@@ -314,7 +316,8 @@ class Interpreter:
         than run with the two merged.  ``counter`` is ``None`` except
         on a ``JMP`` (a fresh one-slot list) and a ``BR`` (the list of
         its uid, see :meth:`control_counts`).  Returns the rows by block
-        label and the registers by uid (for fault messages).
+        label, the registers by uid (for fault messages) and the
+        function's call count, ``[0]``.
         """
         vregs: dict[int, VReg] = {}
 
@@ -368,14 +371,14 @@ class Interpreter:
                 else:
                     kind = _KIND_BY_OPCODE[op]
                     if kind == _BR:
-                        counter = self._branch_counters.setdefault(
+                        counter = self._branch_records.setdefault(
                             instr.uid, [_WEAKLY_TAKEN, 0, 0, 0])
                 rows.append((
                     kind, instr, key(instr.guard), key(instr.dest),
                     key(instr.dest2), tuple(operand(src) for src in read),
                     counter,
                 ))
-        return blocks, vregs
+        return blocks, vregs, [0]
 
     def _call(self, function: Function,
               args: tuple[float | int, ...]) -> float | int | None:
@@ -387,7 +390,8 @@ class Interpreter:
         decoded = self._decoded.get(function.name)
         if decoded is None:
             decoded = self._decoded[function.name] = self._decode(function)
-        blocks, vregs = decoded
+        blocks, vregs, calls = decoded
+        calls[0] += 1
         regs: dict[int, float | int | bool] = {}
         for param, arg in zip(function.params, args):
             regs[param.uid] = arg

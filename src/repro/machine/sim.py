@@ -54,12 +54,12 @@ What the generated code does itself and what it calls:
   :class:`~repro.machine.cache.CacheLevel`'s own sets (line number,
   set, membership, LRU refresh, hit counter), and calls
   ``CacheHierarchy.load_miss`` / ``store_miss`` only when L1 misses;
-* a ``BR`` does the 2-bit saturating update and charges the
-  misprediction inline, over ``Simulator.branch_counters`` and
-  ``Simulator.branch_stats`` —
+* a ``BR`` does the 2-bit saturating update inline, on its record
+  ``[state, mispredictions, taken, not taken]`` in the function's list
+  of counts, and charges the misprediction;
   :class:`~repro.machine.branch.TwoBitPredictor` is the reference this
-  inline update, the profiling form's and the interpreter's are tested
-  against;
+  update, the profiling form's and the interpreter's are tested
+  against, and ``SimResult.branch_accuracy`` sums the records;
 * ``PREFETCH``, ``CALL``, ``FDIV``, the FTOI conversion and an L1 miss
   are calls.
 
@@ -74,7 +74,11 @@ faults.
 The translation is where the IR's shape is checked on every run, in
 both forms: it raises ``ValueError`` for a block that does not end in
 its one unguarded terminator, a jump to a label the function lacks and
-a call to a function the module lacks.  ``ValueError`` says the IR is
+a call to a function the module lacks.  It reads each block's last
+instruction before it finds the loops, then each instruction once, as
+it makes the lines (refusing an earlier terminator by its opcode); a
+register gets its ``R[i]`` slot the first time a line uses it,
+parameters first.  ``ValueError`` says the IR is
 malformed (the interpreter's decode raises it too, for a uid that two
 registers share); a :class:`SimError` would say the program faulted,
 and the profiler would profile a malformed module as a faulting one.
@@ -102,12 +106,13 @@ It translates an unscheduled module as it stands
 (:func:`program_order`: blocks in ``block_order``, one bundle each, the
 module's own ``Instr`` objects), so no scheduler runs and a block's
 operations execute in the interpreter's order.  Its generated code
-keeps no cache or cycle model; it counts each ``JMP`` taken and, per
-``BR``, the taken, not-taken and mispredicted outcomes of a 2-bit
-counter of its own in one flat list per function, and charges IR
-steps against ``max_steps`` as the interpreter does, a block's steps up
-to each ``CALL`` at once.  ``tests/profile/test_generated_profile.py``
-holds its profile to the one the interpreter's counters give.
+keeps no cache or cycle model; it counts each ``JMP`` taken as well as
+the calls and ``BR`` records both forms keep, and charges IR steps
+against ``max_steps`` as the interpreter does, a block's steps up to
+each ``CALL`` at once.  ``tests/profile/test_generated_profile.py``
+holds its profile to the one the interpreter's counters give, and
+``tests/machine/test_branch_records.py`` both forms' records to the
+interpreter's.
 
 Fitness noise (Section 7.1): real-machine measurements are noisy; the
 simulator can inject multiplicative Gaussian noise into the final
@@ -126,7 +131,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.ir.function import STACK_BASE, Module
-from repro.ir.instr import Instr, Opcode, Rel
+from repro.ir.instr import TERMINATORS, Instr, Opcode, Rel
 from repro.ir.interp import NONFINITE_FTOI, RunResult, wrap_int
 from repro.ir.loops import find_loops
 from repro.ir.values import Imm, PReg, StackSlot, SymRef, VReg
@@ -261,19 +266,24 @@ def clear_codegen_cache() -> None:
 
 class _Executor:
     """What both translation forms share: the memory and its global
-    layout, frames and calls, the translation of each instruction and
-    the codegen cache.  A form sets the three class attributes below
-    and provides
+    layout, frames and calls, the translation of each instruction, each
+    function's control-flow counts and the codegen cache.  A form sets
+    the class attributes below and provides
 
-    * ``_control_keys(function)``: per ``BR`` (and, in the profiling
-      form, ``JMP``) uid, the key of its state in the bound counters;
-    * ``_form_lines(instr, src, dest, keys, jump)``: the lines of a
-      ``LOAD``, ``STORE``, ``PREFETCH``, ``BR`` or ``JMP``, ``src(i)``
-      being the i-th source's expression;
-    * ``_block_lines(function, label, reg_index, keys, jump)``: one
-      block's entry charges, budget check and instructions;
-    * ``_compile_function(function)``: the cached code and its bound
-      function for one run.
+    * ``_form_lines(instr, src, dest)``: the lines of a ``LOAD``,
+      ``STORE`` or ``PREFETCH``, ``src(i)`` being the i-th source's
+      expression;
+    * ``_block_lines(function, label, instrs, body)``: one block's
+      entry charges, budget check and instructions, ``body`` holding
+      each instruction's lines;
+    * ``_bind(code, counts)``: the code's function bound for one run.
+
+    Each function a run enters has one list of counts, ``C`` in its
+    generated code: ``C[0]`` is its number of calls, then, per ``BR``
+    and (in a form whose ``_COUNTED`` has it) ``JMP`` ending a block,
+    in the order of ``function.blocks``, a ``JMP``'s ``[times taken]``
+    or a ``BR``'s ``[2-bit state, mispredictions, taken, not taken]``.
+    The counts outlive ``run()``, so a second run goes on counting.
     """
 
     #: The counters a generated function keeps in locals of the same
@@ -285,6 +295,12 @@ class _Executor:
     _LIMIT: str
     #: What every ``__bind`` factory closes over.
     _BIND_PARAMS: str
+    #: The terminators whose outcomes ``C`` counts.
+    _COUNTED: frozenset
+    #: Lines a mispredicted ``BR`` runs besides its count.
+    _MISPREDICTED: tuple[str, ...]
+    #: Lines an operation whose guard is false runs instead.
+    _SQUASHED: tuple[str, ...]
 
     def __init__(self, scheduled: ScheduledModule) -> None:
         self.scheduled = scheduled
@@ -295,6 +311,11 @@ class _Executor:
         #: name -> (code, bound function), for one run() only: the
         #: bound functions close over the executor
         self._compiled: dict[str, tuple[_FunctionCode, object]] = {}
+        #: name -> ``C``, in the order the executor first entered the
+        #: functions, and name -> its counted terminators, ``(label,
+        #: instr, first slot, width)``
+        self._counts: dict[str, list[int]] = {}
+        self._slots: dict[str, list[tuple]] = {}
         for name, array in scheduled.module.globals.items():
             base = self._layout[name]
             for index, value in enumerate(array.init):
@@ -319,6 +340,20 @@ class _Executor:
         base = self._layout[name]
         length = array.size if count is None else count
         return [self.memory.get(base + i, 0) for i in range(length)]
+
+    def control_counts(self) -> dict[str, tuple[int, list[tuple]]]:
+        """``Interpreter.control_counts`` of the runs so far: per
+        function entered, in that order, its number of calls and one
+        ``(label, instr, counter)`` per counted terminator in the order
+        of the function's blocks.  A ``JMP``'s counter is ``[times
+        taken]``; a ``BR``'s is ``[2-bit state, mispredictions, taken,
+        not taken]``.  They hold the counts up to a fault too."""
+        return {
+            name: (counts[0],
+                   [(label, instr, counts[slot:slot + width])
+                    for label, instr, slot, width in self._slots[name]])
+            for name, counts in self._counts.items()
+        }
 
     def _run(self, entry: str, args: tuple):
         if entry not in self.scheduled.functions:
@@ -349,6 +384,19 @@ class _Executor:
         finally:
             self._sp = frame_base
 
+    def _compile_function(
+        self, function: ScheduledFunction
+    ) -> tuple[_FunctionCode, object]:
+        code, slots = self._function_code(function)
+        counts = self._counts.get(function.name)
+        if counts is None:
+            counts = self._counts[function.name] = [0]
+            self._slots[function.name] = slots
+            for _label, _instr, _slot, width in slots:
+                counts += ([TwoBitPredictor.INIT, 0, 0, 0] if width == 4
+                           else [0])
+        return code, self._bind(code, counts)
+
     # -- translation ---------------------------------------------------------------
     def _flush(self) -> list[str]:
         """Add the counters to ``S``: when the function returns or
@@ -359,25 +407,35 @@ class _Executor:
     def _restart(self) -> str:
         return " = ".join(self._COUNTERS) + " = 0"
 
-    def _operand_expr(self, operand, reg_index: dict) -> str:
-        if isinstance(operand, (VReg, PReg)):
-            return f"R[{reg_index[operand]}]"
-        if isinstance(operand, Imm):
+    def _operand_expr(self, operand, regs: dict) -> str:
+        """``operand``'s expression.  A register's slot in ``R`` is
+        given the first time one is asked for; ``regs`` keys a ``VReg``
+        by uid and a ``PReg`` by (index, type), as ``build_dag`` does,
+        so no register ``__hash__`` or ``__eq__`` runs."""
+        kind = operand.__class__
+        if kind is VReg or kind is PReg:
+            key = (operand.uid if kind is VReg
+                   else (operand.index, operand.vtype))
+            slot = regs.get(key)
+            if slot is None:
+                slot = regs[key] = len(regs)
+            return f"R[{slot}]"
+        if kind is Imm:
             return repr(operand.value)
-        if isinstance(operand, SymRef):
+        if kind is SymRef:
             return repr(self._layout[operand.symbol])
-        if isinstance(operand, StackSlot):
+        if kind is StackSlot:
             return f"(fb + {operand.offset})"
         raise SimError(f"cannot translate operand {operand!r}")
 
-    def _instr_lines(self, instr: Instr, reg_index: dict,
-                     keys: dict, jump) -> list[str]:
-        """Python source lines implementing one instruction.  ``keys``
-        is what :meth:`_control_keys` gave the function; ``jump`` gives
-        the lines that go to a label."""
+    def _instr_lines(self, instr: Instr, regs: dict, slot: int | None,
+                     jump) -> list[str]:
+        """Python source lines implementing one instruction.  ``slot``
+        is the first of ``C``'s slots for the block's terminator, if it
+        is counted; ``jump`` gives the lines that go to a label."""
         op = instr.op
-        src = lambda i: self._operand_expr(instr.srcs[i], reg_index)
-        dest = (f"R[{reg_index[instr.dest]}]"
+        src = lambda i: self._operand_expr(instr.srcs[i], regs)
+        dest = (self._operand_expr(instr.dest, regs)
                 if instr.dest is not None else None)
 
         if op is Opcode.MOV or op is Opcode.LEA:
@@ -426,7 +484,7 @@ class _Executor:
             return [f"{dest} = 1 if {src(0)} {_REL_PY[instr.rel]} {src(1)} "
                     f"else 0"]
         if op is Opcode.CMPP:
-            dest2 = f"R[{reg_index[instr.dest2]}]"
+            dest2 = self._operand_expr(instr.dest2, regs)
             return [
                 f"_t = {src(0)} {_REL_PY[instr.rel]} {src(1)}",
                 f"{dest} = _t",
@@ -446,53 +504,98 @@ class _Executor:
         if op is Opcode.RET:
             value = src(0) if instr.srcs else "None"
             return [f"return {value}"]
-        lines = self._form_lines(instr, src, dest, keys, jump)
+        if op is Opcode.BR:
+            # TwoBitPredictor.update over C[k:k + 4], unrolled per
+            # outcome: a state moves unless saturated, and only a state
+            # that moves can have been on the wrong side.
+            k = slot
+            mispredicted = _indent((f"C[{k + 1}] += 1",
+                                    *self._MISPREDICTED), 12)
+            return [
+                f"_c = C[{k}]",
+                f"if {src(0)}:",
+                f"    C[{k + 2}] += 1",
+                "    if _c < 3:",
+                f"        C[{k}] = _c + 1",
+                "        if _c < 2:",
+                *mispredicted,
+                *_indent(jump(instr.targets[0]), 4),
+                "else:",
+                f"    C[{k + 3}] += 1",
+                "    if _c > 0:",
+                f"        C[{k}] = _c - 1",
+                "        if _c > 1:",
+                *mispredicted,
+                *_indent(jump(instr.targets[1]), 4),
+            ]
+        if op is Opcode.JMP:
+            lines = jump(instr.targets[0])
+            return lines if slot is None else [f"C[{slot}] += 1", *lines]
+        lines = self._form_lines(instr, src, dest)
         if lines is None:  # pragma: no cover
             raise SimError(f"unimplemented opcode {op}")
         return lines
 
+    def _body(self, label: str, instrs: list[Instr], regs: dict,
+              slot: int | None, jump) -> list[list[str]]:
+        """Each instruction's lines, a guarded one's under its guard.
+        A terminator before the block's last instruction is refused
+        here, as the lines are made."""
+        body = []
+        last = len(instrs) - 1
+        for position, instr in enumerate(instrs):
+            if instr.op in TERMINATORS and position != last:
+                raise ValueError(
+                    f"block {label} must end in its one unguarded terminator")
+            lines = self._instr_lines(instr, regs, slot, jump)
+            if instr.guard is not None:
+                lines = [f"if {self._operand_expr(instr.guard, regs)}:",
+                         *_indent(lines, 4), *self._SQUASHED]
+            body.append(lines)
+        return body
+
     def _translate_function(
         self, function: ScheduledFunction
-    ) -> tuple[str, list[int], int]:
+    ) -> tuple[str, list[int], int, list[tuple]]:
         """Generate instance-independent Python source for a scheduled
         function: one ``__bind`` factory whose closure parameters carry
         all per-run state, returning ``__function(R, fb)`` with one arm
         per block or innermost loop (the module docstring has the
         shape).  Arms come in layout order, never in the set order of
         ``Loop.body``.  Returns the source, the parameter register
-        indices and the register count."""
-        reg_index: dict = {}
-
-        def index_of(reg) -> int:
-            slot = reg_index.get(reg)
-            if slot is None:
-                slot = len(reg_index)
-                reg_index[reg] = slot
-            return slot
-
-        for param in function.params:
-            index_of(param)
-        for label in function.block_order:
-            instrs = function.blocks[label].flat_instructions()
-            # An arm ends where its block's terminator jumps or falls
-            # through to a later arm, so that must be the last
-            # instruction and run unconditionally.
-            if (not instrs or not instrs[-1].is_terminator
-                    or instrs[-1].guard is not None
-                    or any(instr.is_terminator for instr in instrs[:-1])):
+        indices, the register count and the counted terminators
+        (``_counts``'s layout)."""
+        # An arm ends where its block's terminator jumps or falls
+        # through to a later arm, so that must be the last instruction
+        # and run unconditionally (``_body`` refuses one before it).
+        instrs_of: dict[str, list[Instr]] = {}
+        slots: list[tuple] = []
+        slot_of: dict[str, int] = {}
+        first = 1  # C[0] counts the calls
+        for label, block in function.blocks.items():
+            instrs = instrs_of[label] = block.flat_instructions()
+            last = instrs[-1] if instrs else None
+            if (last is None or last.op not in TERMINATORS
+                    or last.guard is not None):
                 raise ValueError(
                     f"block {label} must end in its one unguarded terminator")
-            for target in instrs[-1].targets:
+            for target in last.targets:
                 if target not in function.blocks:
                     raise ValueError(
                         f"block {label} jumps to unknown block {target!r}")
-            for instr in instrs:
-                for reg in instr.reads():
-                    index_of(reg)
-                for reg in instr.writes():
-                    index_of(reg)
-        keys = self._control_keys(function)
+            if last.op in self._COUNTED:
+                width = 4 if last.op is Opcode.BR else 1
+                slots.append((label, last, first, width))
+                slot_of[label] = first
+                first += width
 
+        regs: dict = {}
+        for param in function.params:
+            self._operand_expr(param, regs)
+        # the parameters took the first slots (keyed as _operand_expr)
+        param_indices = [regs[param.uid if param.__class__ is VReg
+                              else (param.index, param.vtype)]
+                         for param in function.params]
         at_of = {label: index
                  for index, label in enumerate(function.block_order)}
         loop_of = {label: loop for loop in find_loops(function)
@@ -509,13 +612,17 @@ class _Executor:
                     return [f"at = {at_of[target]}"]
                 return [f"at = {at_of[target]}", "continue"]
 
+            instrs = instrs_of[label]
+            lines = self._block_lines(
+                function, label, instrs,
+                self._body(label, instrs, regs, slot_of.get(label), jump))
             return [" " * depth + f"if at == {at_of[label]}:",
-                    *_indent(self._block_lines(function, label, reg_index,
-                                               keys, jump), depth + 4)]
+                    *_indent(lines, depth + 4)]
 
         lines = [
             f"def __bind({self._BIND_PARAMS}):",
             "    def __function(R, fb):",
+            "        C[0] += 1",
             f"        {self._restart()}",
             f"        {self._LIMIT}",
             f"        at = {at_of[function.entry_label]}",
@@ -536,15 +643,18 @@ class _Executor:
         lines.append("        finally:")
         lines.extend(_indent(self._flush(), 12))
         lines.append("    return __function")
-        source = "\n".join(lines)
-        param_indices = [reg_index[param] for param in function.params]
-        return source, param_indices, len(reg_index)
+        return "\n".join(lines), param_indices, len(regs), slots
 
-    def _function_code(self, function: ScheduledFunction) -> _FunctionCode:
+    def _function_code(
+        self, function: ScheduledFunction
+    ) -> tuple[_FunctionCode, list[tuple]]:
         """Translate-or-recall: the exec/compile step is cached at
-        module level, keyed by the function's content identity."""
+        module level, keyed by the function's content identity.  Also
+        returns the translation's counted terminators, which are this
+        function's own instructions and so never cached."""
         global _codegen_hits, _codegen_misses
-        source, param_indices, reg_count = self._translate_function(function)
+        source, param_indices, reg_count, slots = \
+            self._translate_function(function)
         key = (
             function.name,
             function.entry_label,
@@ -558,7 +668,7 @@ class _Executor:
                 _CODEGEN_CACHE.move_to_end(key)
                 _codegen_hits += 1
                 obs.inc("sim.codegen_hits")
-                return cached
+                return cached, slots
             _codegen_misses += 1
         obs.inc("sim.codegen_misses")
         # Translate outside the lock: exec/compile is the expensive
@@ -577,7 +687,7 @@ class _Executor:
             _CODEGEN_CACHE[key] = code
             while len(_CODEGEN_CACHE) > _CODEGEN_CACHE_CAPACITY:
                 _CODEGEN_CACHE.popitem(last=False)
-        return code
+        return code, slots
 
 
 class Simulator(_Executor):
@@ -588,12 +698,15 @@ class Simulator(_Executor):
     _LIMIT = "limit = S.max_cycles - S.cycles"
     #: The simulator, its memory and output list, L1's sets / index
     #: mask / word-to-line shift / stats, the hierarchy's miss and
-    #: prefetch methods, the predictor's counters and stats, the call
-    #: hook and the two machine latencies.  Geometry and latencies are
-    #: bound, not baked, so generated source (and the codegen cache
-    #: key) is the same on every machine.
+    #: prefetch methods, the function's counts, the call hook and the
+    #: two machine latencies.  Geometry and latencies are bound, not
+    #: baked, so generated source (and the codegen cache key) is the
+    #: same on every machine.
     _BIND_PARAMS = ("S, MEM, OUTS, SETS, MASK, SHIFT, STATS, LOAD_MISS, "
-                    "STORE_MISS, PREFETCH, COUNTERS, BRANCHES, CALL, L1, PEN")
+                    "STORE_MISS, PREFETCH, C, CALL, L1, PEN")
+    _COUNTED = frozenset({Opcode.BR})
+    _MISPREDICTED = ("cycles += PEN", "branch_stall += PEN")
+    _SQUASHED = ("else:", "    squashed_ops += 1", "    dynamic_ops -= 1")
 
     def __init__(
         self,
@@ -610,9 +723,6 @@ class Simulator(_Executor):
         self._noise_rng = random.Random(noise_seed)
 
         self.caches = CacheHierarchy(machine)
-        #: the 2-bit predictor's state, updated by the generated code
-        self.branch_counters: dict[str, int] = {}
-        self.branch_stats = BranchStats()
         self.cycles = 0
         self.dynamic_ops = 0
         self.squashed_ops = 0
@@ -630,6 +740,12 @@ class Simulator(_Executor):
         if self.noise_stddev > 0.0:
             factor = max(0.5, self._noise_rng.gauss(1.0, self.noise_stddev))
             cycles = int(round(cycles * factor))
+        branches = BranchStats()
+        for name, slots in self._slots.items():
+            counts = self._counts[name]
+            for _label, _instr, k, _width in slots:
+                branches.predictions += counts[k + 2] + counts[k + 3]
+                branches.mispredictions += counts[k + 1]
         level1 = self.caches.levels[0].stats
         result = SimResult(
             cycles=cycles,
@@ -642,15 +758,16 @@ class Simulator(_Executor):
             branch_stall_cycles=self.branch_stall,
             load_count=self.caches.loads,
             l1_hit_rate=level1.hit_rate,
-            branch_accuracy=self.branch_stats.accuracy,
+            branch_accuracy=branches.accuracy,
             prefetch_count=self.caches.prefetches,
         )
         registry = obs.metrics()
         if registry is not None:
-            self._record_metrics(registry, result, level1)
+            self._record_metrics(registry, result, level1, branches)
         return result
 
-    def _record_metrics(self, registry, result: SimResult, level1) -> None:
+    def _record_metrics(self, registry, result: SimResult, level1,
+                        branches: BranchStats) -> None:
         """Aggregate counters, recorded once per run() — never in the
         generated inner-loop code, so the fast path stays untouched."""
         registry.inc("sim.runs")
@@ -664,26 +781,12 @@ class Simulator(_Executor):
         registry.inc("sim.l1_hits", level1.hits)
         registry.inc("sim.l1_misses", level1.misses)
         registry.inc("sim.prefetches", result.prefetch_count)
-        registry.inc("sim.branch_predictions", self.branch_stats.predictions)
-        registry.inc("sim.branch_mispredicts",
-                     self.branch_stats.mispredictions)
+        registry.inc("sim.branch_predictions", branches.predictions)
+        registry.inc("sim.branch_mispredicts", branches.mispredictions)
 
     # -- translation ---------------------------------------------------------------
-    def _control_keys(self, function: ScheduledFunction) -> dict:
-        # Deterministic branch-predictor keys: instruction uids are a
-        # process-global counter, so baking them into generated code
-        # would make recompiles of the same binary cache-miss.  Keys
-        # need only be unique per module (function names are), stable
-        # across recompiles, and injective per branch.
-        keys: dict = {}
-        for label in function.block_order:
-            for instr in function.blocks[label].flat_instructions():
-                if instr.op is Opcode.BR:
-                    keys[instr.uid] = f"{function.name}:{len(keys)}"
-        return keys
-
-    def _form_lines(self, instr: Instr, src, dest: str | None, keys: dict,
-                    jump) -> list[str] | None:
+    def _form_lines(self, instr: Instr, src,
+                    dest: str | None) -> list[str] | None:
         op = instr.op
         if op is Opcode.LOAD:
             return [
@@ -707,65 +810,25 @@ class Simulator(_Executor):
             ]
         if op is Opcode.PREFETCH:
             return [f"PREFETCH({src(0)})"]
-        if op is Opcode.BR:
-            # TwoBitPredictor.update, unrolled per outcome: a counter
-            # moves unless saturated, and only a counter that moves
-            # can have been on the wrong side.
-            key = repr(keys[instr.uid])
-            mispredicted = _indent((
-                "BRANCHES.mispredictions += 1",
-                "cycles += PEN",
-                "branch_stall += PEN",
-            ), 12)
-            return [
-                "BRANCHES.predictions += 1",
-                f"_c = COUNTERS[{key}] if {key} in COUNTERS "
-                f"else {TwoBitPredictor.INIT}",
-                f"if {src(0)}:",
-                "    if _c < 3:",
-                f"        COUNTERS[{key}] = _c + 1",
-                "        if _c < 2:",
-                *mispredicted,
-                *_indent(jump(instr.targets[0]), 4),
-                "else:",
-                "    if _c > 0:",
-                f"        COUNTERS[{key}] = _c - 1",
-                "        if _c > 1:",
-                *mispredicted,
-                *_indent(jump(instr.targets[1]), 4),
-            ]
-        if op is Opcode.JMP:
-            return jump(instr.targets[0])
         return None
 
     def _block_lines(self, function: ScheduledFunction, label: str,
-                     reg_index: dict, keys: dict, jump) -> list[str]:
-        block = function.blocks[label]
+                     instrs: list[Instr], body: list) -> list[str]:
+        cycles = function.blocks[label].cycles
         lines = [
-            f"cycles += {block.cycles}",
-            f"bundles += {block.cycles}",
-            f"dynamic_ops += {block.op_count}",
+            f"cycles += {cycles}",
+            f"bundles += {cycles}",
+            f"dynamic_ops += {len(instrs)}",
             "if cycles > limit:",
             "    raise SimError('cycle budget exceeded')",
         ]
-        for instr in block.flat_instructions():
-            instr_lines = self._instr_lines(instr, reg_index, keys, jump)
-            if instr.guard is not None:
-                lines.append(f"if R[{reg_index[instr.guard]}]:")
-                lines.extend(_indent(instr_lines, 4))
-                lines.append("else:")
-                lines.append("    squashed_ops += 1")
-                lines.append("    dynamic_ops -= 1")
-            else:
-                lines.extend(instr_lines)
+        for instr_lines in body:
+            lines.extend(instr_lines)
         return lines
 
-    def _compile_function(
-        self, function: ScheduledFunction
-    ) -> tuple[_FunctionCode, object]:
-        code = self._function_code(function)
+    def _bind(self, code: _FunctionCode, counts: list[int]):
         level1 = self.caches.levels[0]
-        return code, code.bind(
+        return code.bind(
             S=self,
             MEM=self.memory,
             OUTS=self.outputs,
@@ -776,8 +839,7 @@ class Simulator(_Executor):
             LOAD_MISS=self.caches.load_miss,
             STORE_MISS=self.caches.store_miss,
             PREFETCH=self.caches.prefetch,
-            COUNTERS=self.branch_counters,
-            BRANCHES=self.branch_stats,
+            C=counts,
             CALL=self._call,
             L1=self.machine.load_latency,
             PEN=self.machine.mispredict_penalty,
@@ -803,15 +865,16 @@ class ProfilingRun(_Executor):
     :func:`program_order`, as the interpreter does, and counts its
     control flow instead of timing it.
 
-    Every run counts each ``JMP`` taken and, per ``BR``, its taken and
-    not-taken outcomes and the mispredictions of a 2-bit counter of its
-    own (``TwoBitPredictor``'s update); :meth:`control_counts` returns
-    them in the shape of ``Interpreter.control_counts``.  IR steps are
-    charged against ``max_steps`` as the interpreter charges them, one
-    per instruction reached; a block's are charged in segments, each
-    ending at a ``CALL`` or the terminator, so a budget overrun faults
-    before the same call or terminator as the interpreter's.  Faults
-    raise :class:`SimError`.
+    Every run counts each function's calls, each ``JMP`` taken and,
+    per ``BR``, its taken and not-taken outcomes and the mispredictions
+    of a 2-bit counter of its own (``TwoBitPredictor``'s update);
+    :meth:`control_counts` returns them in the shape of
+    ``Interpreter.control_counts``.  IR steps are charged against
+    ``max_steps`` as the interpreter charges them, one per instruction
+    reached; a block's are charged in segments, each ending at a
+    ``CALL`` or the terminator, so a budget overrun faults before the
+    same call or terminator as the interpreter's.  Faults raise
+    :class:`SimError`.
 
     The counts equal the interpreter's on IR the verifier accepts
     (``repro.verify.ir_verifier``); the register file starts at zero,
@@ -823,15 +886,15 @@ class ProfilingRun(_Executor):
     #: The run, its memory and output list, the function's control-flow
     #: counts and the call hook.
     _BIND_PARAMS = "S, MEM, OUTS, C, CALL"
+    _COUNTED = frozenset({Opcode.BR, Opcode.JMP})
+    _MISPREDICTED = ()
+    _SQUASHED = ()
 
     def __init__(self, module: Module, max_steps: int = 10_000_000) -> None:
         super().__init__(program_order(module))
         self.max_steps = max_steps
         self.steps = 0
         self.blocks = 0
-        #: function name -> its control-flow counts, in the order the
-        #: run first entered the functions (:meth:`control_counts`)
-        self._counts: dict[str, list[int]] = {}
 
     def run(self, entry: str = "main",
             args: tuple[float | int, ...] = ()) -> RunResult:
@@ -839,26 +902,8 @@ class ProfilingRun(_Executor):
         return RunResult(return_value=value, outputs=list(self.outputs),
                          steps=self.steps, blocks_executed=self.blocks)
 
-    def control_counts(self) -> dict[str, list[tuple]]:
-        """``Interpreter.control_counts`` of this run: per function it
-        entered, in that order, one ``(label, instr, counter)`` per
-        ``JMP`` and ``BR`` in the order of the function's blocks.  A
-        ``JMP``'s counter is ``[times taken]``; a ``BR``'s is ``[2-bit
-        state, mispredictions, taken, not taken]``.  They hold the
-        counts up to a fault too."""
-        return {
-            name: [(label, instr, counts[slot:slot + width])
-                   for label, instr, slot, width
-                   in _control_slots(self.scheduled.functions[name])]
-            for name, counts in self._counts.items()
-        }
-
-    def _control_keys(self, function: ScheduledFunction) -> dict:
-        return {instr.uid: slot
-                for _label, instr, slot, _width in _control_slots(function)}
-
-    def _form_lines(self, instr: Instr, src, dest: str | None, keys: dict,
-                    jump) -> list[str] | None:
+    def _form_lines(self, instr: Instr, src,
+                    dest: str | None) -> list[str] | None:
         op = instr.op
         if op is Opcode.LOAD:
             return [f"_a = {src(0)}",
@@ -867,78 +912,25 @@ class ProfilingRun(_Executor):
             return [f"MEM[{src(0)}] = {src(1)}"]
         if op is Opcode.PREFETCH:
             return ["pass"]
-        if op is Opcode.BR:
-            # [state, mispredictions, taken, not taken] at C[k:k + 4];
-            # the state moves as in the timing form's update
-            k = keys[instr.uid]
-            return [
-                f"_c = C[{k}]",
-                f"if {src(0)}:",
-                f"    C[{k + 2}] += 1",
-                "    if _c < 3:",
-                f"        C[{k}] = _c + 1",
-                "        if _c < 2:",
-                f"            C[{k + 1}] += 1",
-                *_indent(jump(instr.targets[0]), 4),
-                "else:",
-                f"    C[{k + 3}] += 1",
-                "    if _c > 0:",
-                f"        C[{k}] = _c - 1",
-                "        if _c > 1:",
-                f"            C[{k + 1}] += 1",
-                *_indent(jump(instr.targets[1]), 4),
-            ]
-        if op is Opcode.JMP:
-            return [f"C[{keys[instr.uid]}] += 1", *jump(instr.targets[0])]
         return None
 
     def _block_lines(self, function: ScheduledFunction, label: str,
-                     reg_index: dict, keys: dict, jump) -> list[str]:
+                     instrs: list[Instr], body: list) -> list[str]:
         # Steps are charged per segment: up to and including each CALL
         # (the callee charges S), then up to the terminator.
-        segments: list[list[Instr]] = [[]]
-        for instr in function.blocks[label].flat_instructions():
-            segments[-1].append(instr)
-            if instr.op is Opcode.CALL:
-                segments.append([])
         overrun = f"step budget exceeded in {function.name}"
         lines = ["blocks += 1"]
-        for segment in segments:
-            lines += [f"steps += {len(segment)}",
-                      "if steps > limit:",
-                      f"    raise SimError({overrun!r})"]
-            for instr in segment:
-                instr_lines = self._instr_lines(instr, reg_index, keys,
-                                                jump)
-                if instr.guard is not None:
-                    lines.append(f"if R[{reg_index[instr.guard]}]:")
-                    lines.extend(_indent(instr_lines, 4))
-                else:
+        start = 0
+        for end, instr in enumerate(instrs, 1):
+            if instr.op is Opcode.CALL or end == len(instrs):
+                lines += [f"steps += {end - start}",
+                          "if steps > limit:",
+                          f"    raise SimError({overrun!r})"]
+                for instr_lines in body[start:end]:
                     lines.extend(instr_lines)
+                start = end
         return lines
 
-    def _compile_function(
-        self, function: ScheduledFunction
-    ) -> tuple[_FunctionCode, object]:
-        code = self._function_code(function)
-        counts = self._counts.get(function.name)
-        if counts is None:
-            counts = self._counts[function.name] = []
-            for _label, instr, _slot, _width in _control_slots(function):
-                counts += ([TwoBitPredictor.INIT, 0, 0, 0]
-                           if instr.op is Opcode.BR else [0])
-        return code, code.bind(S=self, MEM=self.memory, OUTS=self.outputs,
-                               C=counts, CALL=self._call)
-
-
-def _control_slots(function: ScheduledFunction):
-    """The profiling form's counts of ``function``: per ``JMP`` and
-    ``BR``, in the order of ``function.blocks``, ``(label, instr,
-    first slot, width)``; a ``JMP`` takes one slot, a ``BR`` four."""
-    slot = 0
-    for label, block in function.blocks.items():
-        for instr in block.flat_instructions():
-            if instr.op is Opcode.JMP or instr.op is Opcode.BR:
-                width = 1 if instr.op is Opcode.JMP else 4
-                yield label, instr, slot, width
-                slot += width
+    def _bind(self, code: _FunctionCode, counts: list[int]):
+        return code.bind(S=self, MEM=self.memory, OUTS=self.outputs,
+                         C=counts, CALL=self._call)

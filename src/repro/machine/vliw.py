@@ -41,10 +41,6 @@ class ScheduledBlock:
         """Static schedule length."""
         return len(self.bundles)
 
-    @property
-    def op_count(self) -> int:
-        return sum(len(bundle) for bundle in self.bundles)
-
     def successors(self) -> tuple[str, ...]:
         """The targets of the block's last operation, which is its
         terminator: the simulator's translation refuses any other block

@@ -114,14 +114,16 @@ def profile_from_counts(
     counts, in the shape of ``Interpreter.control_counts`` (which
     ``ProfilingRun.control_counts`` shares), and its result (None when
     it faulted).  Functions come in the order the run first entered
-    them, then the rest in module order."""
+    them, then the rest in module order.  A block's count is the edges
+    taken into it, plus, for a function's entry block, its calls."""
     profile = ModuleProfile()
     if result is not None:
         profile.run_result = result
         profile.total_steps = result.steps
 
-    # A block is counted once per edge into it.
-    for name, terminators in control_counts.items():
+    # A block is counted once per edge into it, and a function's entry
+    # block once per call as well.
+    for name, (_calls, terminators) in control_counts.items():
         func_profile = profile.function(name)
         edge_counts = func_profile.edge_counts
         block_counts = func_profile.block_counts
@@ -143,24 +145,11 @@ def profile_from_counts(
                     key = (label, target)
                     edge_counts[key] = edge_counts.get(key, 0) + count
                     block_counts[target] = block_counts.get(target, 0) + count
-
-    # Entry blocks are executed once per call but produce no edge event;
-    # reconstruct their counts from outgoing edges.
     for name, function in module.functions.items():
-        func_profile = profile.function(name)
+        block_counts = profile.function(name).block_counts
         entry_label = function.block_order[0]
-        outgoing = sum(
-            count for (source, _target), count
-            in func_profile.edge_counts.items() if source == entry_label
-        )
-        terminators_out = len(function.entry.successors())
-        if terminators_out == 0:
-            # Single-block function: count calls via steps heuristic —
-            # leave zero; features degrade to the 0.5 default.
-            outgoing = func_profile.block_counts.get(entry_label, 0)
-        func_profile.block_counts[entry_label] = max(
-            func_profile.block_counts.get(entry_label, 0), outgoing
-        )
+        calls, _terminators = control_counts.get(name, (0, ()))
+        block_counts[entry_label] = block_counts.get(entry_label, 0) + calls
 
     # Loop trip-count estimates, keyed by (stable) header labels.
     from repro.ir.loops import find_loops

@@ -438,8 +438,10 @@ class TestControlCounts:
         entry, body, step = taken
         # TwoBitPredictor fed trips x taken, then not taken: from weakly
         # taken to strongly taken, one miss at the exit, back to weak.
-        assert [(label, instr.op, counter) for label, instr, counter
-                in interp.control_counts()["main"]] == [
+        calls, rows = interp.control_counts()["main"]
+        assert calls == 1
+        assert [(label, instr.op, counter)
+                for label, instr, counter in rows] == [
             ("entry0", Opcode.JMP, [entry]),
             ("for_head1", Opcode.BR, [2, 1, trips, 1]),
             ("for_body2", Opcode.JMP, [body]),
@@ -454,10 +456,11 @@ class TestControlCounts:
         function = module.functions["main"]
         interp = Interpreter(module)
         interp.run()
-        for label, instr, counter in interp.control_counts()["main"]:
+        _calls, rows = interp.control_counts()["main"]
+        for label, instr, counter in rows:
             assert instr is function.blocks[label].terminator
             if instr.op is Opcode.BR:
-                assert counter is interp._branch_counters[instr.uid]
+                assert counter is interp._branch_records[instr.uid]
 
     def test_division_by_zero_mid_loop_keeps_the_profile(
             self, no_interpreter):
@@ -538,6 +541,8 @@ class TestControlCounts:
             "for_exit4": 2,
         }
         assert leaf.loop_trips == {"for_head1": 47 / 3}
-        for name in ("main", "mid"):
-            assert profile.functions[name].block_counts == {"entry0": 0}
+        # single-block functions: the entry counts its calls, the
+        # second call of mid being the one that faulted
+        for name, calls in (("main", 1), ("mid", 2)):
+            assert profile.functions[name].block_counts == {"entry0": calls}
             assert profile.functions[name].edge_counts == {}

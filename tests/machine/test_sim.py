@@ -10,6 +10,7 @@ import gc
 import json
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.frontend import compile_source
 from repro.ir.function import Function, Module
 from repro.ir.instr import (
+    Instr,
     Opcode,
     Rel,
     binop,
@@ -29,7 +31,7 @@ from repro.ir.instr import (
     ret,
 )
 from repro.ir.interp import InterpError, Interpreter, wrap_int
-from repro.ir.values import INT, PRED, Imm, VReg
+from repro.ir.values import INT, PRED, Imm, PReg, VReg
 from repro.machine.descr import DEFAULT_EPIC
 from repro.machine.sim import (
     _STATIC_NAMESPACE,
@@ -527,6 +529,55 @@ class TestLoopRegions:
             corrupt(body, function)
             with pytest.raises(ValueError, match=refusal):
                 executor.run("main", (3,))
+
+
+class TestTranslationFrames:
+    """The translation reads each instruction once, as it makes its
+    lines: it checks each block's last instruction only, tests for an
+    earlier terminator by opcode, and keys its register table by uid
+    (a ``VReg``) or by index and type (a ``PReg``).  So no
+    ``is_terminator``, ``reads`` or ``writes`` frame runs per
+    instruction, nor a register ``__hash__`` or ``__eq__`` per
+    operand."""
+
+    PER_INSTRUCTION = {
+        Instr.is_terminator.fget.__code__: "is_terminator",
+        Instr.reads.__code__: "reads",
+        Instr.writes.__code__: "writes",
+        VReg.__hash__.__code__: "VReg.__hash__",
+        VReg.__eq__.__code__: "VReg.__eq__",
+        PReg.__hash__.__code__: "PReg.__hash__",
+        PReg.__eq__.__code__: "PReg.__eq__",
+    }
+
+    @pytest.mark.parametrize("case_name", ["hyperblock", "regalloc"])
+    def test_no_frame_per_instruction_or_register(self, case_name):
+        bench = get_benchmark("unepic")
+        case = case_study(case_name)
+        prepared = prepare(compile_source(bench.source, bench.name),
+                           bench.inputs("train"), case.options)
+        scheduled, _report = compile_backend(prepared)
+        # physical registers in the scheduled binary, virtual ones in
+        # the prepared module's program order
+        for executor in (Simulator(scheduled, case.machine),
+                         ProfilingRun(prepared.module)):
+            frames = Counter()
+
+            def hook(frame, event, _arg):
+                if event == "call":
+                    code = frame.f_code
+                    frames[self.PER_INSTRUCTION.get(code, code.co_name)] += 1
+
+            sys.setprofile(hook)
+            try:
+                for function in executor.scheduled.functions.values():
+                    executor._translate_function(function)
+            finally:
+                sys.setprofile(None)
+            assert frames["_instr_lines"] > 50
+            assert {name: frames[name]
+                    for name in self.PER_INSTRUCTION.values()
+                    if frames[name]} == {}
 
 
 class TestRegionCalls:

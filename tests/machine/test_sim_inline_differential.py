@@ -8,8 +8,8 @@ each — ``CacheHierarchy.load/store/prefetch``,
 and the same state at the end.  The memory and branch events run both
 one per call and inside one loop, whose generated code keeps the
 counters in locals.  The branch traces also run through the profiling
-form (``ProfilingRun``), whose per-branch counts must be the
-predictor's."""
+form (``ProfilingRun``); in both forms each branch's record ``[2-bit
+state, mispredictions, taken, not taken]`` must be the predictor's."""
 
 from functools import cache
 
@@ -194,6 +194,22 @@ def test_memory_events_match_the_hierarchy(machine, data):
     assert simulator.memory == memory
 
 
+def branch_records(executor) -> dict:
+    """Per function and ``BR`` in block order, the record either form
+    counts, ``[2-bit state, mispredictions, taken, not taken]``."""
+    return {name: [counter for _label, instr, counter in rows
+                   if instr.op is Opcode.BR]
+            for name, (_calls, rows) in executor.control_counts().items()}
+
+
+def predicted(predictor: TwoBitPredictor, key, outcomes: list) -> list:
+    """The record of a branch that ``predictor`` has seen take
+    ``outcomes``."""
+    return [predictor._counters[key],
+            predictor._per_branch[key].mispredictions,
+            sum(outcomes), len(outcomes) - sum(outcomes)]
+
+
 @pytest.mark.parametrize("machine", [TOY, descr.ITANIUM_MACHINE],
                          ids=lambda m: m.name)
 @settings(max_examples=50, deadline=None, phases=PHASES)
@@ -202,21 +218,22 @@ def test_memory_events_match_the_hierarchy(machine, data):
 def test_branch_events_match_the_predictor(machine, trace):
     simulator = Simulator(scheduled_driver(machine.name), machine)
     reference = TwoBitPredictor()
+    outcomes: dict[int, list] = {}
     for index, taken in trace:
         stalled = simulator.branch_stall
-        predicted = reference.predict(index)
+        prediction = reference.predict(index)
         correct = reference.update(index, taken)
+        outcomes.setdefault(index, []).append(taken)
         result = simulator.run(f"br{index}", (0, 0, int(taken)))
         assert result.return_value == int(taken)
-        assert correct == (predicted == taken)
+        assert correct == (prediction == taken)
         assert result.branch_stall_cycles - stalled \
             == (0 if correct else machine.mispredict_penalty), trace
-    assert simulator.branch_stats == reference.stats
     assert result.branch_accuracy == reference.stats.accuracy
-    # the simulator keys a function's n-th branch "<function>:<n>"
-    assert simulator.branch_counters == {
-        f"br{index}:0": counter
-        for index, counter in reference._counters.items()}
+    # each branch's record, in the order the runs first entered them
+    assert list(branch_records(simulator).items()) == [
+        (f"br{index}", [predicted(reference, index, taken)])
+        for index, taken in outcomes.items()], trace
 
 
 #: The looped driver's event kinds, by their code in a trace word.
@@ -326,6 +343,12 @@ def test_events_in_a_loop_match_the_references(machine, data):
         lambda: simulator.run("walk", (len(trace),)))
 
     caches, predictor = CacheHierarchy(machine), TwoBitPredictor()
+    outcomes: dict[str, list] = {"walk:0": [], "walk:1": [], "walk:2": []}
+
+    def branch(key, taken):
+        predictor.update(key, taken)
+        outcomes[key].append(taken)
+
     memory = {GLOBAL_BASE + index: word for index, word in enumerate(words)}
     outputs, squashed, stall = [], 0, 0
 
@@ -335,7 +358,7 @@ def test_events_in_a_loop_match_the_references(machine, data):
 
     for step, (kind, address, flag) in enumerate(trace):
         address += DATA_BASE
-        predictor.update("walk:0", True)
+        branch("walk:0", True)
         charge(caches.load(GLOBAL_BASE + step))
         executes = LOOP_EXECUTES[kind]
         if kind == "ld" or (kind == "gld" and flag):
@@ -351,10 +374,10 @@ def test_events_in_a_loop_match_the_references(machine, data):
             memory[address] = step
             executes += kind == "gst"
         squashed += LOOP_GUARDED - executes
-        predictor.update("walk:1", kind == "br")
+        branch("walk:1", kind == "br")
         if kind == "br":
-            predictor.update("walk:2", flag)
-    predictor.update("walk:0", False)
+            branch("walk:2", flag)
+    branch("walk:0", False)
 
     assert calls == 1  # entry, loop and done in one generated function
     assert result.return_value == len(trace)
@@ -363,28 +386,15 @@ def test_events_in_a_loop_match_the_references(machine, data):
     assert cache_state(simulator.caches) == cache_state(caches), trace
     assert result.memory_stall_cycles == stall, trace
     assert result.squashed_ops == squashed, trace
-    assert simulator.branch_stats == predictor.stats, trace
+    assert result.branch_accuracy == predictor.stats.accuracy, trace
     assert result.branch_stall_cycles == \
         machine.mispredict_penalty * predictor.stats.mispredictions
     assert result.cycles == result.bundles + result.memory_stall_cycles \
         + result.branch_stall_cycles
-    assert simulator.branch_counters == predictor._counters, trace
-
-
-def profiled_branches(run: ProfilingRun) -> dict:
-    """Per function and ``BR`` in block order, its profiling-form counts
-    ``[2-bit state, mispredictions, taken, not taken]``."""
-    return {name: [counter for _label, instr, counter in rows
-                   if instr.op is Opcode.BR]
-            for name, rows in run.control_counts().items()}
-
-
-def predicted(predictor: TwoBitPredictor, key, outcomes: list) -> list:
-    """What the profiling form must count for a branch that ``predictor``
-    has seen take ``outcomes``."""
-    return [predictor._counters[key],
-            predictor._per_branch[key].mispredictions,
-            sum(outcomes), len(outcomes) - sum(outcomes)]
+    assert branch_records(simulator) == {"walk": [
+        predicted(predictor, key, seen) if seen
+        else [TwoBitPredictor.INIT, 0, 0, 0]
+        for key, seen in outcomes.items()]}, trace
 
 
 @settings(max_examples=50, deadline=None, phases=PHASES)
@@ -400,7 +410,7 @@ def test_profiled_branches_match_the_predictor(trace):
         assert run.run(f"br{index}", (0, 0, int(taken))).return_value \
             == int(taken)
     # functions in the order the runs first entered them
-    assert profiled_branches(run) == {
+    assert branch_records(run) == {
         f"br{index}": [predicted(reference, index, taken)]
         for index, taken in outcomes.items()}, trace
 
@@ -447,7 +457,7 @@ def test_profiled_events_in_a_loop_match_the_references(data):
     assert result.return_value == len(trace)
     assert result.outputs == outputs, trace
     assert run.memory == memory, trace
-    assert profiled_branches(run) == {"walk": [
+    assert branch_records(run) == {"walk": [
         predicted(predictor, key, seen) if seen
         else [TwoBitPredictor.INIT, 0, 0, 0]
         for key, seen in outcomes.items()]}, trace

@@ -4,8 +4,8 @@
 and reads the counts the run leaves (``ProfilingRun.control_counts``).
 These tests hold its branch statistics to ``TwoBitPredictor`` fed the
 same outcomes, pin that a profiling run enters no interpreter frame and
-few Python frames at all, mark the entry count of a single-block
-callee as a known defect, refuse a malformed module rather than
+few Python frames at all, count a single-block callee's entry once
+per call, refuse a malformed module rather than
 profile it, and hold the range-checked integer results of
 ``apply_scalar_op`` to ``wrap_int`` of the exact result."""
 
@@ -113,9 +113,6 @@ def test_profiling_makes_no_call_per_edge_or_branch():
     assert counts["wrap"] <= 1_100, counts
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the entry count of a single-block function is left at 0, however "
-    "often it is called (ROADMAP item 1)"))
 def test_single_block_callee_counts_its_calls():
     module = compile_source("""
     int sq(int x) { return x * x; }
