@@ -30,14 +30,24 @@ from pathlib import Path
 CHECKPOINT_VERSION = 1
 
 
-def atomic_write(path, data: bytes) -> None:
+def atomic_write(path, data: bytes, *, durable: bool = True) -> None:
     """Replace the file ``path`` with ``data``: a reader, or a process
     killed at any instant, finds the old bytes or the new, never part.
 
     ``data`` goes to ``.<name>.<pid>.<thread id>.tmp`` in ``path``'s
     directory — a name no other live writer uses, and one that no
-    store's ``*.json``/``*.jsonl`` listing matches — is fsynced, and is
-    renamed over ``path``.  The temp file is removed on any exception.
+    store's ``*.json``/``*.jsonl`` listing matches — and is renamed
+    over ``path``.  The temp file is removed on any exception.
+
+    ``durable`` fsyncs the temp file before the rename, so the new
+    bytes also survive an operating-system crash or power loss, which
+    may otherwise leave ``path`` empty or cut short.  Every file a run
+    cannot recompute is durable: run state (config, populations,
+    checkpoint, result), the daemon's registry and channels, promoted
+    programs and the autopilot's records.  A fitness-cache entry is not
+    (``FitnessCache.put``): a torn entry reads as a miss and is
+    simulated and written again, so an fsync per entry would buy
+    nothing.
     """
     path = Path(path)
     tmp = path.with_name(
@@ -45,8 +55,9 @@ def atomic_write(path, data: bytes) -> None:
     try:
         with open(tmp, "wb") as handle:
             handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

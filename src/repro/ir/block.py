@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.instr import Instr
+from repro.ir.instr import TERMINATORS, Instr
 
 
 @dataclass
@@ -22,14 +22,14 @@ class Block:
 
     @property
     def terminator(self) -> Instr:
-        if not self.instrs or not self.instrs[-1].is_terminator:
+        if not self.instrs or self.instrs[-1].op not in TERMINATORS:
             raise ValueError(f"block {self.label} lacks a terminator")
         return self.instrs[-1]
 
     @property
     def body(self) -> list[Instr]:
         """Instructions excluding the terminator."""
-        if self.instrs and self.instrs[-1].is_terminator:
+        if self.instrs and self.instrs[-1].op in TERMINATORS:
             return self.instrs[:-1]
         return list(self.instrs)
 
@@ -39,14 +39,14 @@ class Block:
         return self.instrs[-1].targets
 
     def append(self, instr: Instr) -> None:
-        if self.instrs and self.instrs[-1].is_terminator:
+        if self.instrs and self.instrs[-1].op in TERMINATORS:
             raise ValueError(
                 f"appending {instr} after terminator in block {self.label}"
             )
         self.instrs.append(instr)
 
     def is_closed(self) -> bool:
-        return bool(self.instrs) and self.instrs[-1].is_terminator
+        return bool(self.instrs) and self.instrs[-1].op in TERMINATORS
 
     def copy(self) -> "Block":
         clone = Block(self.label, [instr.copy() for instr in self.instrs])

@@ -191,10 +191,6 @@ class Instr:
         return _FU_BY_OPCODE[self.op]
 
     @property
-    def is_terminator(self) -> bool:
-        return self.op in TERMINATORS
-
-    @property
     def is_memory(self) -> bool:
         return self.op in (Opcode.LOAD, Opcode.STORE, Opcode.PREFETCH)
 

@@ -175,7 +175,7 @@ SCALAR_OPS = frozenset({
 
 
 #: Row kinds of a decoded instruction (:meth:`Interpreter._decode`).
-#: The terminators sort last: ``kind >= _BR`` is ``is_terminator``.
+#: The terminators sort last: ``kind >= _BR`` is ``op in TERMINATORS``.
 (_SCALAR, _CMPP, _LEA, _LOAD, _STORE, _PREFETCH, _OUT, _CALL,
  _BR, _JMP, _RET) = range(11)
 

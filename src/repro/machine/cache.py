@@ -41,23 +41,32 @@ class CacheLevel:
     (docs/MACHINE.md): a line lives in ``sets[line & index_mask]``, a
     plain ``dict`` keyed by line number whose insertion order is the
     LRU order, most recent last; a hit deletes and re-inserts its key.
+
+    A ``lazy`` level makes each set when a line is first filled into
+    it; until then its entry in ``sets`` is ``None``, and every lookup
+    in it misses.  The hierarchy makes the levels below L1 lazy: a
+    simulation touches few of their thousands of sets, and L1's must
+    all exist for the generated lookup.
     """
 
-    def __init__(self, config: CacheLevelConfig) -> None:
+    def __init__(self, config: CacheLevelConfig,
+                 lazy: bool = False) -> None:
         self.config = config
         self.sets_count = config.size_bytes // (config.line_bytes * config.assoc)
         self.index_mask = self.sets_count - 1
         self.line_shift = config.line_bytes.bit_length() - 1
         #: word address -> line number, for callers that address words
         self.word_shift = self.line_shift - (WORD_BYTES.bit_length() - 1)
-        self.sets: list[dict[int, None]] = [{} for _ in range(self.sets_count)]
+        self.sets: list[dict[int, None] | None] = (
+            [None] * self.sets_count if lazy
+            else [{} for _ in range(self.sets_count)])
         self.stats = CacheStats()
 
     def probe(self, byte_addr: int) -> bool:
         """Look up without updating statistics; refreshes LRU on hit."""
         line = byte_addr >> self.line_shift
         cache_set = self.sets[line & self.index_mask]
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             del cache_set[line]
             cache_set[line] = None
             return True
@@ -74,12 +83,15 @@ class CacheLevel:
     def fill(self, byte_addr: int, from_prefetch: bool = False) -> None:
         """Install the line, evicting LRU if needed."""
         line = byte_addr >> self.line_shift
-        cache_set = self.sets[line & self.index_mask]
-        if line in cache_set:
+        index = line & self.index_mask
+        cache_set = self.sets[index]
+        if cache_set is None:
+            cache_set = self.sets[index] = {}
+        elif line in cache_set:
             del cache_set[line]
             cache_set[line] = None
             return
-        if len(cache_set) >= self.config.assoc:
+        elif len(cache_set) >= self.config.assoc:
             del cache_set[next(iter(cache_set))]
         cache_set[line] = None
         if from_prefetch:
@@ -87,7 +99,8 @@ class CacheLevel:
 
     def flush(self) -> None:
         for cache_set in self.sets:
-            cache_set.clear()
+            if cache_set is not None:
+                cache_set.clear()
 
 
 class CacheHierarchy:
@@ -95,7 +108,8 @@ class CacheHierarchy:
 
     def __init__(self, machine: MachineDescription) -> None:
         self.machine = machine
-        self.levels = [CacheLevel(config) for config in machine.cache_levels]
+        self.levels = [CacheLevel(config, lazy=depth > 0)
+                       for depth, config in enumerate(machine.cache_levels)]
         self.prefetches = 0
 
     @property

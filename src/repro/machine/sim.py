@@ -71,8 +71,10 @@ profiling form too), and random 64-bit operands through each integer
 opcode and through ``apply_scalar_op`` and requires equal results and
 faults.
 
-The translation is where the IR's shape is checked on every run, in
-both forms: it raises ``ValueError`` for a block that does not end in
+The translation is where the IR's shape is checked, in both forms, the
+first time a run enters each scheduled function (a binary is not
+edited once scheduled, so later runs reuse the checked code): it
+raises ``ValueError`` for a block that does not end in
 its one unguarded terminator, a jump to a label the function lacks and
 a call to a function the module lacks.  It reads each block's last
 instruction before it finds the loops, then each instruction once, as
@@ -85,20 +87,23 @@ and the profiler would profile a malformed module as a faulting one.
 The rest of well-formedness is the IR verifier's
 (``repro.verify.ir_verifier``, run between stages under ``verify_ir``).
 
-The compiled code objects are cached at module level, keyed by the
-identity of the scheduled function (a content digest of its generated
-source plus layout-independent metadata).  Per-instance state — the
-simulator, its memory, L1's sets and geometry, the predictor's counters
-and the machine's latencies — is *not* baked into the generated source;
-each function compiles to a ``__bind`` factory whose closure binds that
-state when a run first calls the function, so one cached binary serves
-every machine description.  Repeated simulations of the same binary
-(every baseline run, every fitness-memo miss repeated across worker
-processes) therefore skip ``compile`` and ``exec`` and pay the
-translation that computes the key plus a cheap closure bind.  The
-bound functions close over the simulator, so ``run()`` drops them when
-it returns: a simulator is freed by reference counting, and a second
-``run()`` binds again.
+Per-instance state — the simulator, its memory, L1's sets and
+geometry, the predictor's counters and the machine's latencies — is
+*not* baked into the generated source; each function compiles to a
+``__bind`` factory whose closure binds that state when a run first
+calls the function, so one compiled function serves every machine
+description.  The compiled code is kept twice.  A scheduled function
+keeps its own, with its counted terminators, per executor class
+(``ScheduledFunction.compiled``), so a second simulation of the same
+binary (a held binary on its second dataset, a re-scored baseline)
+runs no translation at all, only a cheap closure bind.  And a
+module-level LRU keyed by a SHA-256 of the generated source serves a
+binary compiled again with equal content (a daemon compiling the same
+program for each request): that one pays the translation that
+computes the key, but no ``compile`` or ``exec``.  The bound functions
+close over the simulator, so ``run()`` drops them when it returns: a
+simulator is freed by reference counting, and a second ``run()`` binds
+again.
 
 The same translation has a profiling form, :class:`ProfilingRun`,
 which ``repro.profile.collect_profile`` runs on the training input.
@@ -232,14 +237,16 @@ _STATIC_NAMESPACE = {
     "SimError": SimError,
 }
 
-#: Cached code, keyed by scheduled-function identity (source digest +
-#: metadata).  Bounded LRU: a long-running GP search compiles many
-#: distinct candidate binaries, and code objects are not tiny.
-#: Shared by every thread in the process (the serving daemon runs
-#: simulations from a worker pool), so all access goes through
-#: ``_CODEGEN_LOCK``; the expensive exec/compile step itself runs
-#: outside the lock — a racing double-translate is benign, last
-#: writer wins with an identical code object.
+#: Compiled code of binaries compiled again with equal content, keyed
+#: by the generated source's digest and the function's metadata (a
+#: binary simulated before keeps its own code and skips this).
+#: Bounded LRU: a long-running GP search compiles many distinct
+#: candidate binaries, and code objects are not tiny.  Shared by every
+#: thread in the process (the serving daemon runs simulations from a
+#: worker pool), so all access goes through ``_CODEGEN_LOCK``; the
+#: expensive exec/compile step itself runs outside the lock — a racing
+#: double-translate is benign, last writer wins with an identical code
+#: object.
 _CODEGEN_CACHE: OrderedDict[tuple, _FunctionCode] = OrderedDict()
 _CODEGEN_CACHE_CAPACITY = 512
 _CODEGEN_LOCK = threading.Lock()
@@ -257,6 +264,9 @@ def codegen_cache_stats() -> dict[str, int]:
 
 
 def clear_codegen_cache() -> None:
+    """Empty the module-level LRU and zero its counters.  Code already
+    attached to a live scheduled function stays with that binary: its
+    next simulation is still a hit, without a lookup."""
     global _codegen_hits, _codegen_misses
     with _CODEGEN_LOCK:
         _CODEGEN_CACHE.clear()
@@ -648,11 +658,21 @@ class _Executor:
     def _function_code(
         self, function: ScheduledFunction
     ) -> tuple[_FunctionCode, list[tuple]]:
-        """Translate-or-recall: the exec/compile step is cached at
-        module level, keyed by the function's content identity.  Also
-        returns the translation's counted terminators, which are this
-        function's own instructions and so never cached."""
+        """The function's compiled code and its translation's counted
+        terminators.  A function keeps both, per executor class, from
+        the first run that entered it, so a second run of the same
+        binary translates and hashes nothing.  The first run looks the
+        code up in the module-level LRU, keyed by the SHA-256 of the
+        generated source, so an equal binary compiled again (a fresh
+        object) skips ``compile`` and ``exec``.  Both kinds of answer
+        count as a codegen hit."""
         global _codegen_hits, _codegen_misses
+        compiled = function.compiled.get(self.__class__)
+        if compiled is not None:
+            with _CODEGEN_LOCK:
+                _codegen_hits += 1
+            obs.inc("sim.codegen_hits")
+            return compiled
         source, param_indices, reg_count, slots = \
             self._translate_function(function)
         key = (
@@ -663,31 +683,34 @@ class _Executor:
             hashlib.sha256(source.encode()).hexdigest(),
         )
         with _CODEGEN_LOCK:
-            cached = _CODEGEN_CACHE.get(key)
-            if cached is not None:
+            code = _CODEGEN_CACHE.get(key)
+            if code is not None:
                 _CODEGEN_CACHE.move_to_end(key)
                 _codegen_hits += 1
-                obs.inc("sim.codegen_hits")
-                return cached, slots
-            _codegen_misses += 1
-        obs.inc("sim.codegen_misses")
-        # Translate outside the lock: exec/compile is the expensive
-        # part, and two threads racing on the same key produce
-        # identical code objects (last writer wins benignly).
-        local_ns: dict = {}
-        exec(compile(source, f"<sim:{function.name}>", "exec"),
-             _STATIC_NAMESPACE, local_ns)
-        code = _FunctionCode(
-            param_indices=param_indices,
-            reg_count=reg_count,
-            frame_words=function.frame_words,
-            bind=local_ns["__bind"],
-        )
-        with _CODEGEN_LOCK:
-            _CODEGEN_CACHE[key] = code
-            while len(_CODEGEN_CACHE) > _CODEGEN_CACHE_CAPACITY:
-                _CODEGEN_CACHE.popitem(last=False)
-        return code, slots
+            else:
+                _codegen_misses += 1
+        if code is not None:
+            obs.inc("sim.codegen_hits")
+        else:
+            obs.inc("sim.codegen_misses")
+            # Compile outside the lock: it is the expensive part, and
+            # two threads racing on the same key produce identical code
+            # objects (last writer wins benignly).
+            local_ns: dict = {}
+            exec(compile(source, f"<sim:{function.name}>", "exec"),
+                 _STATIC_NAMESPACE, local_ns)
+            code = _FunctionCode(
+                param_indices=param_indices,
+                reg_count=reg_count,
+                frame_words=function.frame_words,
+                bind=local_ns["__bind"],
+            )
+            with _CODEGEN_LOCK:
+                _CODEGEN_CACHE[key] = code
+                while len(_CODEGEN_CACHE) > _CODEGEN_CACHE_CAPACITY:
+                    _CODEGEN_CACHE.popitem(last=False)
+        compiled = function.compiled[self.__class__] = (code, slots)
+        return compiled
 
 
 class Simulator(_Executor):

@@ -53,13 +53,20 @@ class ScheduledBlock:
 
 @dataclass
 class ScheduledFunction:
-    """All scheduled blocks of one function, in layout order."""
+    """All scheduled blocks of one function, in layout order.
+
+    ``compiled`` is the simulator's: per executor class, the function's
+    generated code and counted terminators, made the first time a run
+    enters it (``repro.machine.sim``).  A scheduled function is not
+    edited once made, and it belongs to one ``ScheduledModule``, whose
+    global layout and function names the code bakes in."""
 
     name: str
     params: list
     frame_words: int
     blocks: dict[str, ScheduledBlock]
     block_order: list[str]
+    compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def entry_label(self) -> str:

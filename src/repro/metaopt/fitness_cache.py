@@ -22,9 +22,14 @@ everything that determines a simulation's outcome:
 
 Entries are one JSON file each under ``root/<xx>/<digest>.json`` (two-
 level fan-out keeps directories small); each is written by
-:func:`repro.experiments.checkpoint.atomic_write`, so concurrent workers
-sharing a cache directory can never observe a torn entry — last writer
-wins with identical bytes.  The store keeps no state beyond the
+:func:`repro.experiments.checkpoint.atomic_write` (temp file, then
+rename), so concurrent workers sharing a cache directory, and a process
+killed mid-write, can never observe a torn entry — last writer wins
+with identical bytes.  An entry is written without an fsync: only an
+operating-system crash can then tear one (empty or cut short), a torn
+entry fails to parse and reads as a miss, and the miss is simulated
+and stored again.  Run state is what must survive a crash, and it
+keeps its fsync.  The store keeps no state beyond the
 directory: the one caller, the harness, asks only after its own memo
 missed (so every :meth:`FitnessCache.get` reads the disk), and counts
 hits, misses and stores from the answer of each evaluation.
@@ -192,7 +197,8 @@ class FitnessCache:
         """Store ``result`` under ``key``.  ``meta`` is free-form
         provenance (expression text, case, benchmark, dataset, …)
         persisted alongside the result for :meth:`scan`; it never
-        affects lookups."""
+        affects lookups.  Not fsynced (the module docstring says
+        why)."""
         from repro.experiments.checkpoint import atomic_write
 
         path = self._path_for(key)
@@ -202,7 +208,7 @@ class FitnessCache:
             "result": dataclasses.asdict(result),
             "meta": meta,
         }
-        atomic_write(path, json.dumps(data).encode())
+        atomic_write(path, json.dumps(data).encode(), durable=False)
 
     # -- offline mining --------------------------------------------------
     def scan(self) -> Iterator[CacheRecord]:

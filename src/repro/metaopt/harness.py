@@ -35,11 +35,13 @@ are so costly").  Under one harness, outermost first:
   steers ``prepare`` or scheduling), which the compile probes there.
   A record holding the dataset's result skips the rest of the compile
   and the simulator, and one holding only the binary simulates it (an
-  evicted binary compiles again).  A candidate is linked to the record
+  evicted binary compiles again), running the code the binary kept
+  from its first simulation.  A candidate is linked to the record
   its walk, probe or compile reached, so its score on another dataset
   asks that record first;
 * simulator codegen LRU (in :mod:`repro.machine.sim`) — the generated
-  function of each scheduled function of one binary.
+  function of each scheduled function, for a fresh binary of equal
+  content (a binary simulated before keeps its own).
 
 Each evaluation is answered by one layer: ``memo``, ``fitness_cache``,
 ``decisions``, ``digest``, ``binary`` (a simulation of a held binary)

@@ -36,7 +36,7 @@ from typing import Callable
 
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
-from repro.ir.instr import FUClass, Instr, Opcode
+from repro.ir.instr import TERMINATORS, FUClass, Instr, Opcode
 from repro.ir.values import PReg, VReg
 from repro.machine.descr import MachineDescription
 from repro.machine.vliw import (
@@ -175,7 +175,7 @@ def build_dag(block: Block, machine: MachineDescription) -> BlockDAG:
                 last_mem = index
             last_side_effect = index
 
-        if instr.is_terminator:
+        if instr.op in TERMINATORS:
             for other in range(index):
                 add_edge(other, index, 0)
 

@@ -181,12 +181,13 @@ class _FunctionVerifier:
             if block.label != label:
                 self._issue(f"block keyed {label!r} carries label "
                             f"{block.label!r}", block=label)
-            if not block.instrs or not block.instrs[-1].is_terminator:
+            if not block.instrs or block.instrs[-1].op not in TERMINATORS:
                 self._issue("block is not terminated", block=label)
                 sound = False
                 continue
+            last = len(block.instrs) - 1
             for position, instr in enumerate(block.instrs):
-                if instr.is_terminator and position != len(block.instrs) - 1:
+                if instr.op in TERMINATORS and position != last:
                     self._issue("terminator mid-block", block=label,
                                 instr=instr)
                     sound = False
@@ -643,11 +644,11 @@ def verify_scheduled(
         for label in func.block_order:
             block = func.blocks[label]
             flat = block.flat_instructions()
-            if not flat or not flat[-1].is_terminator:
+            if not flat or flat[-1].op not in TERMINATORS:
                 issue(func.name, label, None,
                       "scheduled block does not end with its terminator")
             for position, instr in enumerate(flat):
-                if instr.is_terminator and position != len(flat) - 1:
+                if instr.op in TERMINATORS and position != len(flat) - 1:
                     issue(func.name, label, instr,
                           "terminator not in final bundle position")
             for succ in (flat[-1].targets if flat

@@ -113,8 +113,8 @@ def kill_after_write(monkeypatch):
     def arm(matches):
         killed = []
 
-        def write_then_die(path, data):
-            real(path, data)
+        def write_then_die(path, data, **keywords):
+            real(path, data, **keywords)
             if not killed and matches(Path(path)):
                 killed.append(Path(path))
                 raise KeyboardInterrupt

@@ -326,6 +326,56 @@ class TestCheckpointFile:
         assert [entry.name for entry in tmp_path.iterdir()] == \
             ["result.json"]
 
+    def test_run_state_is_fsynced_and_cache_entries_are_not(
+            self, tmp_path, monkeypatch):
+        """Every file a run keeps is fsynced once per write, before its
+        rename; a fitness-cache entry, which a later miss rewrites, is
+        renamed unsynced."""
+        from repro.experiments import checkpoint
+
+        real_open, real_fsync, real_replace = open, os.fsync, os.replace
+        opened, synced, writes = {}, [], []
+
+        def recording_open(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            opened[handle.fileno()] = Path(path)
+            return handle
+
+        def recording_fsync(fd):
+            synced.append(opened[fd])
+            real_fsync(fd)
+
+        def recording_replace(src, dst):
+            # the fsyncs of the temp file being renamed
+            writes.append((Path(dst), synced.count(Path(src))))
+            synced[:] = [path for path in synced if path != Path(src)]
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint, "open", recording_open,
+                            raising=False)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        cache = tmp_path / "cache"
+        run_dir = tmp_path / "run"
+        config = ExperimentConfig(
+            mode="specialize", case="hyperblock", benchmark="codrle4",
+            params=GPParams(population_size=4, generations=2, seed=0),
+            fitness_cache_dir=str(cache))
+        ExperimentRunner(config, run_dir=run_dir).run()
+
+        assert synced == []
+        entries = [fsyncs for path, fsyncs in writes
+                   if cache in path.parents]
+        kept = sorted((path.relative_to(run_dir).as_posix(), fsyncs)
+                      for path, fsyncs in writes if run_dir in path.parents)
+        assert len(kept) + len(entries) == len(writes)
+        assert entries and set(entries) == {0}
+        assert kept == [("checkpoint.pkl", 1), ("checkpoint.pkl", 1),
+                        ("config.json", 1),
+                        ("populations/gen_0000.jsonl", 1),
+                        ("populations/gen_0001.jsonl", 1),
+                        ("result.json", 1)]
+
     def test_version_check(self, tmp_path):
         import pickle
 

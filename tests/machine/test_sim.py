@@ -535,13 +535,11 @@ class TestTranslationFrames:
     """The translation reads each instruction once, as it makes its
     lines: it checks each block's last instruction only, tests for an
     earlier terminator by opcode, and keys its register table by uid
-    (a ``VReg``) or by index and type (a ``PReg``).  So no
-    ``is_terminator``, ``reads`` or ``writes`` frame runs per
-    instruction, nor a register ``__hash__`` or ``__eq__`` per
-    operand."""
+    (a ``VReg``) or by index and type (a ``PReg``).  So no ``reads``
+    or ``writes`` frame runs per instruction, nor a register
+    ``__hash__`` or ``__eq__`` per operand."""
 
     PER_INSTRUCTION = {
-        Instr.is_terminator.fget.__code__: "is_terminator",
         Instr.reads.__code__: "reads",
         Instr.writes.__code__: "writes",
         VReg.__hash__.__code__: "VReg.__hash__",

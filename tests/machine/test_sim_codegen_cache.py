@@ -1,6 +1,10 @@
-"""The module-level codegen cache: repeated simulations of the same
-binary reuse compiled block code, per-instance state stays isolated,
-and results are bit-identical with and without cache hits."""
+"""The simulator's compiled code: a second simulation of the same
+binary object reuses the code the binary keeps, with no translation; a
+recompiled binary of equal content reuses the module-level cache's;
+per-instance state stays isolated, and results are bit-identical with
+and without cache hits."""
+
+import builtins
 
 import pytest
 
@@ -12,6 +16,7 @@ from repro.machine.descr import (
 )
 from repro.machine.sim import (
     Simulator,
+    _Executor,
     clear_codegen_cache,
     codegen_cache_stats,
 )
@@ -68,6 +73,44 @@ class TestCodegenCache:
         assert second.output_signature() == first.output_signature()
         assert second.branch_stall_cycles == first.branch_stall_cycles
         assert second.memory_stall_cycles == first.memory_stall_cycles
+
+    def test_same_binary_translates_and_compiles_once(self, monkeypatch):
+        """The binary keeps the code its first simulation made: a
+        later simulation of the same object (again, on another machine,
+        after the LRU was cleared) makes no translation and no
+        ``compile`` call, and counts a hit."""
+        scheduled = build()
+        translated, compiled = [], []
+        real_translate = _Executor._translate_function
+        real_compile = builtins.compile
+
+        def translate(executor, function):
+            translated.append(function.name)
+            return real_translate(executor, function)
+
+        def counted_compile(*args, **kwargs):
+            compiled.append(args[1])
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(_Executor, "_translate_function", translate)
+        monkeypatch.setattr(builtins, "compile", counted_compile)
+        first = simulate(scheduled)
+        functions = len(scheduled.functions)
+        assert len(translated) == len(compiled) == functions
+        assert codegen_cache_stats() == {"hits": 0, "misses": functions,
+                                         "entries": functions}
+        slow_branches = MachineDescription(name="slow-branches",
+                                           mispredict_penalty=50)
+        second = simulate(scheduled)
+        slow = simulate(scheduled, machine=slow_branches)
+        assert codegen_cache_stats()["hits"] == 2 * functions
+        clear_codegen_cache()
+        third = simulate(scheduled)
+        assert len(translated) == len(compiled) == functions
+        assert codegen_cache_stats() == {"hits": functions, "misses": 0,
+                                         "entries": 0}
+        assert first == second == third
+        assert slow.cycles > first.cycles
 
     def test_recompiled_binary_hits_cache(self):
         # A fresh compile of the same source produces new Instr uids;

@@ -149,9 +149,11 @@ def accesses(draw, machine: MachineDescription):
 
 
 def cache_state(hierarchy: CacheHierarchy):
-    """Every level's sets in LRU order, and every counter."""
+    """Every level's sets in LRU order (a set below L1 that no fill
+    made yet is ``None``), and every counter."""
     return (
-        [[list(cache_set) for cache_set in level.sets]
+        [[None if cache_set is None else list(cache_set)
+          for cache_set in level.sets]
          for level in hierarchy.levels],
         [level.stats for level in hierarchy.levels],
         hierarchy.loads,

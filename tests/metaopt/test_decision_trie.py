@@ -42,7 +42,7 @@ from repro.gp.engine import GPParams
 from repro.gp.generate import TreeGenerator
 from repro.gp.genome import FlagsGenome, expression_text
 from repro.ir.function import Module
-from repro.machine.sim import Simulator
+from repro.machine.sim import Simulator, _Executor
 from repro.metaopt import harness as harness_module
 from repro.metaopt.harness import (
     EvaluationHarness,
@@ -59,6 +59,21 @@ from repro.suite.registry import get as get_benchmark
 
 PROGRAMS = ("codrle4", "huff_enc")
 
+#: Functions the simulator has translated, while ``count_translations``
+#: is on.
+TRANSLATED = [0]
+
+
+@pytest.fixture
+def count_translations(monkeypatch):
+    real = _Executor._translate_function
+
+    def counted(executor, function):
+        TRANSLATED[0] += 1
+        return real(executor, function)
+
+    monkeypatch.setattr(_Executor, "_translate_function", counted)
+
 
 class CheckedHarness(EvaluationHarness):
     """A harness that keeps every answer a trie leaf gave, a stored
@@ -69,12 +84,18 @@ class CheckedHarness(EvaluationHarness):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.hits: list[tuple] = []
+        #: the functions each held binary's simulation translated
+        #: (under ``count_translations``)
+        self.binary_translations: list[int] = []
 
     def _simulate_miss(self, priority, key):
+        before = TRANSLATED[0]
         answer = super()._simulate_miss(priority, key)
         if answer.layer in ("decisions", "binary"):
             leaf = self._phenotypes.links[key[:2]]
             self.hits.append((priority, key, leaf, answer))
+        if answer.layer == "binary":
+            self.binary_translations.append(TRANSLATED[0] - before)
         return answer
 
 
@@ -148,9 +169,12 @@ def test_campaign_digests_no_ir_and_stops_no_compile(monkeypatch):
 
 
 @pytest.mark.parametrize("program", PROGRAMS)
-def test_random_tree_replay_trie_hits_equal_full_compiles(program):
+def test_random_tree_replay_trie_hits_equal_full_compiles(
+        program, count_translations):
     """The random trees ``test_snapshot_identity.py`` replays, on the
-    ``hyperblock`` case; each scored on both datasets."""
+    ``hyperblock`` case; each scored on both datasets.  A held binary
+    keeps the code its train simulation compiled, so its novel
+    simulation translates nothing."""
     case = case_study("hyperblock")
     harness = CheckedHarness(case)
     trees = [case.baseline_tree()] + TreeGenerator(
@@ -164,6 +188,7 @@ def test_random_tree_replay_trie_hits_equal_full_compiles(program):
     # binary its train compile left
     assert stats["compiles"] == stats["binary_hits"] == stats[
         "decision_vectors"]
+    assert harness.binary_translations == [0] * stats["binary_hits"]
 
 
 def test_held_binaries_stay_within_capacity_and_evicted_ones_recompile(

@@ -31,7 +31,7 @@ import random
 import pytest
 
 from repro.gp.generate import TreeGenerator
-from repro.machine.sim import Simulator
+from repro.machine.sim import Simulator, _Executor
 from repro.metaopt import harness as harness_module
 from repro.metaopt.harness import EvaluationHarness, _as_hook, case_study
 from repro.metaopt.settings import EvalSettings
@@ -43,6 +43,21 @@ PROGRAMS = ("codrle4", "decodrle4")
 #: the unroll hook is asked on no loop of either program above
 CASE_PROGRAMS = {"unroll": ("huff_enc",)}
 TREES = 8
+
+#: Functions the simulator has translated, while ``count_translations``
+#: is on.
+TRANSLATED = [0]
+
+
+@pytest.fixture
+def count_translations(monkeypatch):
+    real = _Executor._translate_function
+
+    def counted(executor, function):
+        TRANSLATED[0] += 1
+        return real(executor, function)
+
+    monkeypatch.setattr(_Executor, "_translate_function", counted)
 
 
 def candidates(case, seed: int) -> list:
@@ -111,23 +126,29 @@ def test_memo_hits_return_what_a_full_compile_would(name, hook_calls):
 
 class CheckedHarness(EvaluationHarness):
     """A harness that keeps every simulation of a held binary:
-    (priority, key, answer)."""
+    (priority, key, answer), and the functions each one translated
+    (under ``count_translations``)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.binary_answers: list[tuple] = []
+        self.binary_translations: list[int] = []
 
     def _simulate_miss(self, priority, key):
+        before = TRANSLATED[0]
         answer = super()._simulate_miss(priority, key)
         if answer.layer == "binary":
             self.binary_answers.append((priority, key, answer))
+            self.binary_translations.append(TRANSLATED[0] - before)
         return answer
 
 
-def test_held_binary_answers_equal_full_compiles():
+def test_held_binary_answers_equal_full_compiles(count_translations):
     """Every ``novel`` score after the ``train`` scores of the same
     candidates: a phenotype the train scores compiled is answered by
-    its held binary, and that answer is a full compile's."""
+    its held binary, and that answer is a full compile's.  The binary
+    keeps the code its first simulation compiled, so the answer
+    translates nothing."""
     case = case_study("regalloc")
     harness = CheckedHarness(case)
     trees = candidates(case, seed=2)
@@ -137,6 +158,7 @@ def test_held_binary_answers_equal_full_compiles():
                 harness.simulate(tree, benchmark, dataset)
     stats = harness.stats()
     assert stats["binary_hits"] == len(harness.binary_answers) > 0
+    assert harness.binary_translations == [0] * stats["binary_hits"]
     for tree, (_, benchmark, dataset), answer in harness.binary_answers:
         assert dataset == "novel"
         assert full_compile(harness, tree, benchmark,

@@ -4,6 +4,7 @@ cached candidates performs zero compiles and zero simulations)."""
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,36 @@ class TestRoundTrip:
         path.write_text("not json {")
         fresh = FitnessCache(tmp_path)
         assert fresh.get(key) is None
+
+    def test_put_makes_no_fsync(self, tmp_path, monkeypatch):
+        """An entry is renamed into place unsynced: an operating-system
+        crash may tear it, and a torn entry is a miss (below)."""
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        cache = FitnessCache(tmp_path)
+        key = "d" * 64
+        cache.put(key, sample_result(), meta={})
+        assert synced == []
+        assert cache.get(key) == sample_result()
+
+    @pytest.mark.parametrize("torn", ["empty", "truncated"])
+    def test_torn_entry_is_a_miss_and_put_rewrites_it(self, tmp_path,
+                                                      torn):
+        """What a crash can leave of an unsynced entry — no bytes, or
+        the first part — reads as a miss, is skipped by ``scan`` and is
+        replaced by the next ``put``."""
+        cache = FitnessCache(tmp_path)
+        key = "e" * 64
+        meta = {"benchmark": "codrle4"}
+        cache.put(key, sample_result(), meta=meta)
+        path = cache._path_for(key)
+        whole = path.read_bytes()
+        path.write_bytes(b"" if torn == "empty" else whole[:len(whole) // 2])
+        assert cache.get(key) is None
+        assert list(cache.scan()) == []
+        cache.put(key, sample_result(), meta=meta)
+        assert path.read_bytes() == whole
+        assert cache.get(key) == sample_result()
 
     def test_stale_schema_is_a_miss(self, tmp_path):
         cache = FitnessCache(tmp_path)

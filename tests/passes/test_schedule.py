@@ -7,6 +7,7 @@ from repro.frontend import compile_source
 from repro.ir.block import Block
 from repro.ir.function import Function
 from repro.ir.instr import (
+    TERMINATORS,
     FUClass,
     Opcode,
     binop,
@@ -183,7 +184,7 @@ class TestScheduling:
             for label in func.block_order:
                 block = func.blocks[label]
                 flat = block.flat_instructions()
-                assert flat[-1].is_terminator
+                assert flat[-1].op in TERMINATORS
 
     def test_all_instructions_scheduled_once(self):
         module = compile_source("""
@@ -309,7 +310,7 @@ def reference_build_dag(block, machine):
                 last_store = index
                 last_mem = index
             last_side_effect = index
-        if instr.is_terminator:
+        if instr.op in TERMINATORS:
             for other in range(index):
                 add_edge(other, index, 0)
     return succs, preds, latency
