@@ -348,14 +348,11 @@ class FleetEvaluator:
 
     def _fingerprints(self) -> dict:
         if self._fingerprint is None:
-            from repro.metaopt.fitness_cache import (
-                machine_fingerprint,
-                pipeline_fingerprint,
-            )
+            from repro.metaopt.fitness_cache import pipeline_fingerprint
 
             self._fingerprint = {
                 "pipeline": pipeline_fingerprint(),
-                "machine": machine_fingerprint(self.harness.case.machine),
+                "machine": self.harness.case.machine.fingerprint,
             }
         return self._fingerprint
 

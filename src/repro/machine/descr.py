@@ -20,7 +20,9 @@ Two variants support the other case studies:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.ir.instr import FUClass, Instr, Opcode
 from repro.ir.values import WORD_BYTES
@@ -81,6 +83,13 @@ class MachineDescription:
             FUClass.MEM: self.mem_units,
             FUClass.BRANCH: self.branch_units,
         }[fu_class]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable digest of this description (its dataclass ``repr``),
+        computed once per instance: fitness-cache addresses, fleet
+        batches and artifacts name a machine by it."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
     @property
     def load_latency(self) -> int:

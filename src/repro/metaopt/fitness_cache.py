@@ -11,7 +11,8 @@ everything that determines a simulation's outcome:
 * the candidate expression's structural key (native-callable
   priorities are *never* persisted — their identity is process-local);
 * the benchmark name and dataset;
-* a fingerprint of the machine description;
+* the machine description's fingerprint
+  (:attr:`~repro.machine.descr.MachineDescription.fingerprint`);
 * a fingerprint of the compiler + simulator source ("pipeline
   fingerprint"), so any change to a pass, the IR, the frontend or the
   simulator invalidates the whole cache rather than serving stale
@@ -29,27 +30,34 @@ with identical bytes.  An entry is written without an fsync: only an
 operating-system crash can then tear one (empty or cut short), a torn
 entry fails to parse and reads as a miss, and the miss is simulated
 and stored again.  Run state is what must survive a crash, and it
-keeps its fsync.  The store keeps no state beyond the
-directory: the one caller, the harness, asks only after its own memo
-missed (so every :meth:`FitnessCache.get` reads the disk), and counts
-hits, misses and stores from the answer of each evaluation.
+keeps its fsync.  The store keeps no state beyond the directory and
+what it was built with: the one caller, the harness, asks only after
+its own memo missed (so every :meth:`FitnessCache.get` reads the
+disk), and counts hits, misses and stores from the answer of each
+evaluation.
 
-Every entry carries a ``meta`` sidecar (expression text, case,
-benchmark, dataset, noise, verified flag, and the pipeline and machine
-fingerprints of the key) so the cache can be mined offline —
+The cache is the one writer of an entry, address and record alike.
+A harness builds it once with what every simulation it stores shares
+(format version, pipeline fingerprint, case, machine fingerprint,
+noise, verified flag); from then on :meth:`FitnessCache.address` names
+a simulation by (priority key, benchmark, dataset) alone, and
+:meth:`FitnessCache.put` takes the result and the expression text.
+Each entry carries a ``meta`` record (expression text, case, pipeline
+and machine fingerprints of the key, benchmark, dataset, noise,
+verified flag) so the cache can be mined offline —
 :meth:`FitnessCache.scan` iterates every persisted record, and that
 stream is the training corpus for the learned surrogate fitness model
 (:mod:`repro.surrogate.train`), which keeps only the records a current
-compile could produce.  A file in any other shape (a bare
-``SimResult`` dict written before the envelope, or an envelope without
-``meta``) is a miss in :meth:`get` and skipped by :meth:`scan`: the
-harness, the one writer, always stores ``meta``, and a bare dict's key
-hashed an older pipeline fingerprint, so no ``get`` could reach it.
+compile could produce; ``repro cache`` reports on it too.  A file in
+any other shape (a bare ``SimResult`` dict written before the
+envelope, or an envelope without ``meta``) is a miss in :meth:`get`
+and skipped by :meth:`scan`: every ``put`` stores ``meta``, and a bare
+dict's key hashed an older pipeline fingerprint, so no ``get`` could
+reach it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -113,58 +121,63 @@ def _source_digest(root: str) -> str:
     return digest.hexdigest()[:16]
 
 
-def machine_fingerprint(machine: MachineDescription) -> str:
-    """Stable digest of a machine description (frozen dataclass repr)."""
-    return hashlib.sha256(repr(machine).encode()).hexdigest()[:16]
-
-
 def is_persistable_priority_key(priority_key: tuple) -> bool:
     """Only expression trees have process-independent identity; native
     callables are keyed per process and are never persisted."""
     return bool(priority_key) and priority_key[0] == "tree"
 
 
+#: An address: the entry's key (a sha256 hex digest), and the benchmark
+#: and dataset its record names.
+CacheAddress = tuple[str, str, str]
+
+#: ``SimResult``'s fields, in the order an entry lists them (a
+#: dataclass's ``__match_args__`` names its ``__init__`` parameters).
+_RESULT_FIELDS = SimResult.__match_args__
+
+
 class FitnessCache:
     """Simulation-result store in the directory ``root`` (created if
-    missing)."""
+    missing).
 
-    def __init__(self, root: str | os.PathLike) -> None:
+    A writer names what every simulation it stores shares: the case,
+    the machine, the noise level and ``verified``, which marks entries
+    produced under the harness's differential guard
+    (``verify_outputs=True``) so a guarded run never reuses an
+    unverified entry — and vice versa — even for the same candidate.
+    A reader passes ``root`` alone and may only :meth:`get` and
+    :meth:`scan`.
+    """
+
+    def __init__(self, root: str | os.PathLike,
+                 case_name: str | None = None,
+                 machine: MachineDescription | None = None,
+                 noise_stddev: float = 0.0,
+                 verified: bool = False) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        if case_name is None:  # a reader
+            return
+        pipeline = pipeline_fingerprint()
+        #: every address's leading fields and its trailing flag
+        self._key_head = (CACHE_FORMAT_VERSION, pipeline, case_name,
+                          machine.fingerprint, float(noise_stddev))
+        self._verified = bool(verified)
+        #: every record's constant ``meta`` values, as given
+        self._meta = (case_name, pipeline, machine.fingerprint,
+                      noise_stddev, verified)
 
     # -- keys -----------------------------------------------------------
-    def result_key(
-        self,
-        case_name: str,
-        machine: MachineDescription,
-        noise_stddev: float,
-        priority_key: tuple,
-        benchmark: str,
-        dataset: str,
-        verified: bool = False,
-    ) -> str | None:
+    def address(self, priority_key: tuple, benchmark: str,
+                dataset: str) -> CacheAddress | None:
         """Content address for one simulation, or ``None`` when the
-        priority has no stable cross-process identity.
-
-        ``verified`` marks entries produced under the harness's
-        differential guard (``verify_outputs=True``).  It is part of
-        the key so a guarded run never reuses an unverified entry —
-        and vice versa — even for the same candidate.
-        """
+        priority has no stable cross-process identity."""
         if not is_persistable_priority_key(priority_key):
             return None
-        payload = repr((
-            CACHE_FORMAT_VERSION,
-            pipeline_fingerprint(),
-            case_name,
-            machine_fingerprint(machine),
-            float(noise_stddev),
-            priority_key,
-            benchmark,
-            dataset,
-            bool(verified),
-        ))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        payload = repr((*self._key_head, priority_key, benchmark, dataset,
+                        self._verified))
+        return (hashlib.sha256(payload.encode()).hexdigest(), benchmark,
+                dataset)
 
     # -- lookup / store -------------------------------------------------
     def _path_for(self, key: str) -> Path:
@@ -185,28 +198,34 @@ class FitnessCache:
         except TypeError:
             return None
 
-    def get(self, key: str) -> SimResult | None:
+    def get(self, address: CacheAddress) -> SimResult | None:
         try:
-            data = json.loads(self._path_for(key).read_text())
+            data = json.loads(self._path_for(address[0]).read_text())
         except (OSError, ValueError):
             return None
         entry = self._parse_entry(data)
         return None if entry is None else entry[0]
 
-    def put(self, key: str, result: SimResult, meta: dict) -> None:
-        """Store ``result`` under ``key``.  ``meta`` is free-form
-        provenance (expression text, case, benchmark, dataset, …)
-        persisted alongside the result for :meth:`scan`; it never
-        affects lookups.  Not fsynced (the module docstring says
+    def put(self, address: CacheAddress, result: SimResult,
+            expression: str) -> None:
+        """Store ``result`` at ``address``, with the ``meta`` record
+        :meth:`scan` yields (the expression text is its provenance; it
+        never affects lookups).  Not fsynced (the module docstring says
         why)."""
         from repro.experiments.checkpoint import atomic_write
 
+        key, benchmark, dataset = address
+        case, pipeline, machine, noise_stddev, verified = self._meta
         path = self._path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = {
             "schema": ENTRY_SCHEMA,
-            "result": dataclasses.asdict(result),
-            "meta": meta,
+            "result": {name: getattr(result, name)
+                       for name in _RESULT_FIELDS},
+            "meta": {"expression": expression, "case": case,
+                     "pipeline": pipeline, "machine": machine,
+                     "benchmark": benchmark, "dataset": dataset,
+                     "noise_stddev": noise_stddev, "verified": verified},
         }
         atomic_write(path, json.dumps(data).encode(), durable=False)
 

@@ -20,7 +20,10 @@ are so costly").  Under one harness, outermost first:
 * persistent fitness cache (``settings.fitness_cache_dir``,
   :class:`~repro.metaopt.fitness_cache.FitnessCache`) — the same
   result on disk, across processes and runs, skipping compile +
-  simulate;
+  simulate.  The harness builds it once with its case, machine, noise
+  and verified flag, then hands it the memo key and, to store, the
+  result and the expression text: the cache alone forms an entry's
+  address and record;
 * prepared program — frontend, candidate-independent passes and the
   training profile, per benchmark;
 * prefix snapshot — the backend state just before the hook's stage,
@@ -85,11 +88,7 @@ from repro.machine.descr import (
     SimResult,
 )
 from repro.metaopt.baselines import BASELINE_TREES
-from repro.metaopt.fitness_cache import (
-    FitnessCache,
-    machine_fingerprint,
-    pipeline_fingerprint,
-)
+from repro.metaopt.fitness_cache import FitnessCache
 from repro.metaopt.psets import PSETS
 from repro.metaopt.priority import PriorityFunction
 from repro.metaopt.settings import EvalSettings
@@ -518,7 +517,8 @@ class EvaluationHarness:
         self.settings = settings
         #: persistent layer (repro.metaopt.fitness_cache); None when off
         self.fitness_cache = (
-            FitnessCache(settings.fitness_cache_dir)
+            FitnessCache(settings.fitness_cache_dir, case.name, case.machine,
+                         settings.noise_stddev, settings.verify_outputs)
             if settings.fitness_cache_dir is not None else None)
         self._prepared: dict[str, PreparedProgram] = {}
         stage = case.stage
@@ -622,19 +622,10 @@ class EvaluationHarness:
         by its probe), else a compile and a fresh simulation, which the
         store records."""
         _, benchmark, dataset = key
-        persist_key = None
-        if self.fitness_cache is not None:
-            persist_key = self.fitness_cache.result_key(
-                case_name=self.case.name,
-                machine=self.case.machine,
-                noise_stddev=self.settings.noise_stddev,
-                priority_key=key[0],
-                benchmark=benchmark,
-                dataset=dataset,
-                verified=self.settings.verify_outputs,
-            )
-        if persist_key is not None:
-            stored = self.fitness_cache.get(persist_key)
+        cache = self.fitness_cache
+        address = None if cache is None else cache.address(*key)
+        if address is not None:
+            stored = cache.get(address)
             if stored is not None:
                 return Answer("fitness_cache", stored)
 
@@ -654,12 +645,14 @@ class EvaluationHarness:
                 store.record(key, result, scheduled, report)
                 found = "sim", result
         layer, result = found
-        if persist_key is None:
+        if address is None:
             return Answer(layer, result, diverged)
         if not diverged:
-            self.fitness_cache.put(
-                persist_key, result,
-                meta=self._persist_meta(priority, benchmark, dataset))
+            # Only a tree-keyed priority has an address: a tree, or a
+            # PriorityFunction or a job's Individual holding one.
+            text = (expression_text(priority) if isinstance(priority, Node)
+                    else priority.text)
+            cache.put(address, result, text)
         return Answer(layer, result, diverged, stored=not diverged)
 
     def _run(self, scheduled: ScheduledModule,
@@ -680,30 +673,6 @@ class EvaluationHarness:
         result = simulator.run()
         self.sim_cycles += result.cycles
         return simulator, result
-
-    def _persist_meta(self, priority, benchmark: str,
-                      dataset: str) -> dict:
-        """Provenance record stored beside a persisted result so
-        :meth:`FitnessCache.scan` (and the surrogate trainer mining it)
-        can recover the expression behind each cycle count.  Only built
-        for tree-keyed priorities, which are the only persistable ones.
-        The two fingerprints are those of the cache key, so a miner can
-        keep only the records today's compiles could produce.
-        """
-        if isinstance(priority, (Node, FlagsGenome)):
-            text = expression_text(priority)
-        else:  # a PriorityFunction or a job's Individual
-            text = priority.text
-        return {
-            "expression": text,
-            "case": self.case.name,
-            "pipeline": pipeline_fingerprint(),
-            "machine": machine_fingerprint(self.case.machine),
-            "benchmark": benchmark,
-            "dataset": dataset,
-            "noise_stddev": self.settings.noise_stddev,
-            "verified": self.settings.verify_outputs,
-        }
 
     def _compile(self, options: CompilerOptions, benchmark: str,
                  stop_after=None):

@@ -45,7 +45,6 @@ class FunctionProfile:
     edge_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     block_counts: dict[str, int] = field(default_factory=dict)
     branch_accuracy: dict[int, float] = field(default_factory=dict)
-    branch_taken_ratio: dict[int, float] = field(default_factory=dict)
     #: average trip count per loop, keyed by header label; computed at
     #: profile time because later passes may rename back-edge sources.
     loop_trips: dict[str, float] = field(default_factory=dict)
@@ -138,8 +137,6 @@ def profile_from_counts(
                 if predictions:
                     func_profile.branch_accuracy[instr.uid] = (
                         1.0 - mispredictions / predictions)
-                    func_profile.branch_taken_ratio[instr.uid] = (
-                        taken / predictions)
             for target, count in taken_edges:
                 if count:
                     key = (label, target)

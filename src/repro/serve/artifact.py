@@ -236,10 +236,7 @@ def build_artifact(
     """Assemble an artifact from campaign outputs, canonicalizing the
     expression and computing every fingerprint."""
     from repro.gp.parse import parse, unparse
-    from repro.metaopt.fitness_cache import (
-        machine_fingerprint,
-        pipeline_fingerprint,
-    )
+    from repro.metaopt.fitness_cache import pipeline_fingerprint
 
     pset = _deployable_case(case).pset
     canonical = unparse(parse(expression, pset.bool_feature_set()))
@@ -248,7 +245,7 @@ def build_artifact(
         case=case,
         expression=canonical,
         machine_name=machine.name,
-        machine_fingerprint=machine_fingerprint(machine),
+        machine_fingerprint=machine.fingerprint,
         pipeline_fingerprint=pipeline_fingerprint(),
         config_fingerprint=_config_fingerprint(training_config),
         training_config=training_config,

@@ -589,10 +589,7 @@ def check_fingerprints(params: dict, machine) -> None:
         raise ValueError("'fingerprint' must be a JSON object")
     if not wanted:
         return
-    from repro.metaopt.fitness_cache import (
-        machine_fingerprint,
-        pipeline_fingerprint,
-    )
+    from repro.metaopt.fitness_cache import pipeline_fingerprint
 
     pipeline = wanted.get("pipeline")
     if pipeline is not None and pipeline != pipeline_fingerprint():
@@ -601,7 +598,7 @@ def check_fingerprints(params: dict, machine) -> None:
             f"{pipeline}, worker has {pipeline_fingerprint()}")
     fingerprint = wanted.get("machine")
     if (fingerprint is not None
-            and fingerprint != machine_fingerprint(machine)):
+            and fingerprint != machine.fingerprint):
         raise ValueError(
             f"machine fingerprint mismatch for {machine.name!r}")
 

@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.gp.parse import parse, unparse
-from repro.metaopt.fitness_cache import (
-    FitnessCache,
-    machine_fingerprint,
-    pipeline_fingerprint,
-)
+from repro.metaopt.fitness_cache import FitnessCache, pipeline_fingerprint
 from repro.metaopt.harness import CaseStudy
 from repro.surrogate.features import FeatureExtractor
 from repro.surrogate.model import MIN_TOTAL_PAIRS, SurrogateModel
@@ -66,7 +62,7 @@ def mine_pairs(
     """
     report = TrainingReport()
     baseline_text = unparse(case.baseline_tree())
-    fingerprints = (pipeline_fingerprint(), machine_fingerprint(case.machine))
+    fingerprints = (pipeline_fingerprint(), case.machine.fingerprint)
     groups: dict[tuple, list] = {}
     for record in cache.scan():
         report.scanned += 1

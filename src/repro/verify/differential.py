@@ -234,7 +234,7 @@ def _profile_fields(profile: ModuleProfile) -> dict[str, str]:
     fields = {"functions": repr(list(profile.functions))}
     for name, function in profile.functions.items():
         for field_name in ("edge_counts", "block_counts", "branch_accuracy",
-                           "branch_taken_ratio", "loop_trips"):
+                           "loop_trips"):
             fields[f"{name}.{field_name}"] = repr(
                 list(getattr(function, field_name).items()))
     fields["total_steps"] = repr(profile.total_steps)

@@ -160,8 +160,8 @@ def _novel_reference(prepared, inputs) -> str:
 def _profile_digest(prepared) -> str:
     """The training profile without instruction uids (process-local
     counters): per function, edge and block counts, loop trips, and
-    each profiled branch's taken ratio and predictor accuracy in
-    instruction order."""
+    each profiled branch's predictor accuracy in instruction order
+    (its taken ratio is in the edge counts)."""
     functions = []
     for name in sorted(prepared.module.functions):
         profile = prepared.profile.functions.get(name)
@@ -169,11 +169,9 @@ def _profile_digest(prepared) -> str:
             functions.append((name, None))
             continue
         branches = [
-            (profile.branch_taken_ratio.get(instr.uid),
-             profile.branch_accuracy.get(instr.uid))
+            profile.branch_accuracy[instr.uid]
             for instr in prepared.module.functions[name].instructions()
-            if instr.uid in profile.branch_taken_ratio
-            or instr.uid in profile.branch_accuracy
+            if instr.uid in profile.branch_accuracy
         ]
         functions.append((
             name,

@@ -494,7 +494,6 @@ class TestControlCounts:
                 "else6": 3, "join7": 6, "for_step3": 5,
             },
             branch_accuracy={header: 1.0, parity: 0.0},
-            branch_taken_ratio={header: 1.0, parity: 0.5},
             loop_trips={"for_head1": 5.0},
         )
 

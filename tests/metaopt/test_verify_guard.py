@@ -78,16 +78,14 @@ class TestGuard:
 
 class TestCacheKeying:
     def test_verified_flag_partitions_the_cache(self, tmp_path):
-        cache = FitnessCache(tmp_path)
         tree = case_study("hyperblock").baseline_tree()
-        priority_key = ("tree",) + tree.structural_key()
-        common = dict(case_name="hyperblock", machine=DEFAULT_EPIC,
-                      noise_stddev=0.0, priority_key=priority_key,
-                      benchmark=BENCHMARK, dataset="train")
-        unverified = cache.result_key(**common)
-        verified = cache.result_key(**common, verified=True)
+        where = (("tree",) + tree.structural_key(), BENCHMARK, "train")
+        unverified, verified = (
+            FitnessCache(tmp_path, "hyperblock", DEFAULT_EPIC,
+                         verified=flag).address(*where)
+            for flag in (False, True))
         assert unverified is not None and verified is not None
-        assert unverified != verified
+        assert unverified[0] != verified[0]
 
     def test_guarded_harness_never_reads_unverified_entries(self, tmp_path):
         """An unverified cache entry written by a guardless run must not

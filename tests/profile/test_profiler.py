@@ -72,10 +72,11 @@ def test_branch_statistics_match_the_predictor(bits):
             predictor.update(uid, outcome)
     main = profile.functions["main"]
     assert main.branch_accuracy == predictor.branch_accuracies()
-    assert main.branch_taken_ratio == {
-        uid: sum(taken) / len(taken)
-        for uid, taken in outcomes.items() if taken}
-    assert main.edge_counts.get(("for_body2", "then5"), 0) == sum(bits)
+    for label, branch in (("for_head1", header), ("for_body2", body)):
+        taken = outcomes[branch.uid]
+        assert [main.edge_counts.get((label, target), 0)
+                for target in branch.targets] == \
+            [sum(taken), len(taken) - sum(taken)]
     assert profile.run_result.outputs == [sum(bits)]
 
 

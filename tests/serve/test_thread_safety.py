@@ -25,6 +25,7 @@ from repro.machine.sim import (
     codegen_cache_stats,
 )
 from repro.metaopt import harness as harness_module
+from repro.machine.descr import DEFAULT_EPIC
 from repro.metaopt.fitness_cache import FitnessCache
 from repro.metaopt.harness import EvaluationHarness, case_study
 from repro.metaopt.settings import EvalSettings
@@ -138,19 +139,26 @@ class TestFitnessCacheUnderThreads:
         return SimResult(cycles=n, return_value=None, outputs=[],
                          dynamic_ops=n)
 
+    def _cache(self, tmp_path):
+        return FitnessCache(tmp_path / "cache", "hyperblock", DEFAULT_EPIC)
+
+    @staticmethod
+    def _at(key):
+        return key, "codrle4", "train"
+
     def test_concurrent_put_get_consistent_counters(self, tmp_path):
-        cache = FitnessCache(tmp_path / "cache")
+        cache = self._cache(tmp_path)
         barrier = threading.Barrier(THREADS)
 
         def worker(slot):
             barrier.wait()
             for n in range(ROUNDS):
-                key = f"{'k' * 62}{slot}{n}"  # 64-char unique keys
-                assert cache.get(key) is None  # cold
-                cache.put(key, self._result(n), meta={})
-                stored = cache.get(key)
+                address = self._at(f"{'k' * 62}{slot}{n}")  # unique keys
+                assert cache.get(address) is None  # cold
+                cache.put(address, self._result(n), "1.0")
+                stored = cache.get(address)
                 assert stored is not None and stored.cycles == n
-                cache.get(f"{'m' * 62}{slot}{n}")  # guaranteed miss
+                cache.get(self._at(f"{'m' * 62}{slot}{n}"))  # a miss
 
         run_threads(worker)
         fresh = FitnessCache(tmp_path / "cache")
@@ -158,15 +166,15 @@ class TestFitnessCacheUnderThreads:
             sorted(n for _ in range(THREADS) for n in range(ROUNDS))
 
     def test_shared_hot_key_all_threads_hit(self, tmp_path):
-        cache = FitnessCache(tmp_path / "cache")
-        key = "a" * 64
-        cache.put(key, self._result(42), meta={})
+        cache = self._cache(tmp_path)
+        address = self._at("a" * 64)
+        cache.put(address, self._result(42), "1.0")
         barrier = threading.Barrier(THREADS)
 
         def worker(slot):
             barrier.wait()
             for _ in range(ROUNDS * 10):
-                stored = cache.get(key)
+                stored = cache.get(address)
                 assert stored is not None and stored.cycles == 42
 
         run_threads(worker)
@@ -174,19 +182,18 @@ class TestFitnessCacheUnderThreads:
     def test_disk_layer_atomic_under_writers(self, tmp_path):
         """All 8 threads write the same key concurrently; the on-disk
         document is never torn (a fresh cache can always read it)."""
-        cache = FitnessCache(tmp_path / "cache")
-        key = "b" * 64
+        cache = self._cache(tmp_path)
+        address = self._at("b" * 64)
         barrier = threading.Barrier(THREADS)
 
         def worker(slot):
             barrier.wait()
             for n in range(ROUNDS):
-                cache.put(key, self._result(slot * 1000 + n),
-                          meta={})
+                cache.put(address, self._result(slot * 1000 + n), "1.0")
 
         run_threads(worker)
         fresh = FitnessCache(tmp_path / "cache")
-        stored = fresh.get(key)
+        stored = fresh.get(address)
         assert stored is not None  # readable, i.e. not torn
 
 

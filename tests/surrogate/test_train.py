@@ -2,6 +2,8 @@
 computation against the baseline record, group hygiene, and the
 too-few-pairs cold-start path."""
 
+import dataclasses
+import json
 import random
 
 from repro.gp.generate import TreeGenerator
@@ -9,11 +11,7 @@ from repro.gp.parse import unparse
 from repro.machine.sim import SimResult
 from repro.metaopt.baselines import BASELINE_TREES
 from repro.machine.descr import REGALLOC_MACHINE_B
-from repro.metaopt.fitness_cache import (
-    FitnessCache,
-    machine_fingerprint,
-    pipeline_fingerprint,
-)
+from repro.metaopt.fitness_cache import FitnessCache, pipeline_fingerprint
 from repro.metaopt.harness import case_study
 from repro.metaopt.psets import PSETS
 from repro.surrogate.train import mine_pairs, train_from_cache
@@ -27,14 +25,22 @@ def result(cycles):
                      dynamic_ops=1, bundles=1)
 
 
-def meta(expression, benchmark="codrle4", case=CASE.name, dataset="train",
-         noise_stddev=0.0, verified=True, pipeline=None,
-         machine=CASE.machine):
-    return dict(expression=expression, case=case, benchmark=benchmark,
-                dataset=dataset, noise_stddev=noise_stddev,
-                verified=verified,
-                pipeline=pipeline or pipeline_fingerprint(),
-                machine=machine_fingerprint(machine))
+def put(root, key, cycles, expression, benchmark="codrle4", case=CASE.name,
+        dataset="train", noise_stddev=0.0, verified=True,
+        machine=CASE.machine):
+    """Store an entry at ``key`` as a harness of that case, machine,
+    noise and guard would."""
+    FitnessCache(root, case, machine, noise_stddev, verified).put(
+        (key, benchmark, dataset), result(cycles), expression)
+
+
+def put_raw(root, key, cycles, meta):
+    """Store an entry with ``meta`` as written: one another pipeline,
+    or an older writer, left behind."""
+    path = root / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"schema": 2, "meta": meta,
+                                "result": dataclasses.asdict(result(cycles))}))
 
 
 def expressions(count, seed=0):
@@ -49,15 +55,13 @@ def expressions(count, seed=0):
 
 
 def fill_cache(tmp_path, candidates=10, baseline_cycles=1000):
-    cache = FitnessCache(tmp_path)
-    cache.put(f"{0:064x}", result(baseline_cycles),
-              meta=meta(BASELINE_TEXT))
+    put(tmp_path, f"{0:064x}", baseline_cycles, BASELINE_TEXT)
     cycles_by_text = {}
     for i, text in enumerate(expressions(candidates), start=1):
         cycles = 800 + 40 * i
         cycles_by_text[text] = cycles
-        cache.put(f"{i:064x}", result(cycles), meta=meta(text))
-    return cache, cycles_by_text, baseline_cycles
+        put(tmp_path, f"{i:064x}", cycles, text)
+    return FitnessCache(tmp_path), cycles_by_text, baseline_cycles
 
 
 class TestMinePairs:
@@ -72,18 +76,17 @@ class TestMinePairs:
         assert report.benchmarks == ["codrle4"]
 
     def test_group_without_baseline_contributes_nothing(self, tmp_path):
-        cache = FitnessCache(tmp_path)
         for i, text in enumerate(expressions(3)):
-            cache.put(f"{i:064x}", result(900), meta=meta(text))
-        pairs, report = mine_pairs(cache, CASE)
+            put(tmp_path, f"{i:064x}", 900, text)
+        pairs, report = mine_pairs(FitnessCache(tmp_path), CASE)
         assert pairs == []
         assert report.skipped_no_baseline == 3
 
     def test_other_cases_and_meta_less_records_skipped(self, tmp_path):
         cache, _, _ = fill_cache(tmp_path, candidates=2)
-        cache.put("a" * 64, result(700), meta={})  # no expression
-        cache.put("b" * 64, result(700),
-                  meta=meta("(add exec_ratio 1.0)", case="hyperblock"))
+        put_raw(tmp_path, "a" * 64, 700, {})  # no expression
+        put(tmp_path, "b" * 64, 700, "(add exec_ratio 1.0)",
+            case="hyperblock")
         pairs, report = mine_pairs(cache, CASE)
         assert report.skipped_no_expression == 1
         assert report.skipped_other_case == 1
@@ -92,12 +95,10 @@ class TestMinePairs:
     def test_groups_keyed_by_noise_and_dataset(self, tmp_path):
         """A baseline measured at one noise level must not become the
         denominator for another group's records."""
-        cache = FitnessCache(tmp_path)
-        cache.put("0" * 64, result(1000), meta=meta(BASELINE_TEXT))
+        put(tmp_path, "0" * 64, 1000, BASELINE_TEXT)
         text = expressions(1)[0]
-        cache.put("1" * 64, result(500),
-                  meta=meta(text, noise_stddev=0.5))
-        pairs, report = mine_pairs(cache, CASE)
+        put(tmp_path, "1" * 64, 500, text, noise_stddev=0.5)
+        pairs, report = mine_pairs(FitnessCache(tmp_path), CASE)
         assert [p[0] for p in pairs] == [BASELINE_TEXT]
         assert report.skipped_no_baseline == 1
 
@@ -108,18 +109,19 @@ class TestMinePairs:
         label or a denominator."""
         cache = FitnessCache(tmp_path)
         text = expressions(1)[0]
-        cache.put("0" * 64, result(1000), meta=meta(BASELINE_TEXT))
-        cache.put("1" * 64, result(10),
-                  meta=meta(BASELINE_TEXT, benchmark="other"))
-        cache.put("2" * 64, result(500),
-                  meta=meta(text, pipeline="0" * 16))
-        cache.put("3" * 64, result(400),
-                  meta=meta(text, machine=REGALLOC_MACHINE_B))
-        cache.put("4" * 64, result(5),
-                  meta=meta(text, benchmark="other", pipeline="0" * 16))
-        legacy = meta(text)
+        put(tmp_path, "0" * 64, 1000, BASELINE_TEXT)
+        put(tmp_path, "1" * 64, 10, BASELINE_TEXT, benchmark="other")
+        current = next(cache.scan()).meta
+        put_raw(tmp_path, "2" * 64, 500,
+                dict(current, expression=text, pipeline="0" * 16))
+        put(tmp_path, "3" * 64, 400, text, machine=REGALLOC_MACHINE_B)
+        put_raw(tmp_path, "4" * 64, 5,
+                dict(current, expression=text, benchmark="other",
+                     pipeline="0" * 16))
+        legacy = dict(current, expression=text)
         del legacy["pipeline"], legacy["machine"]
-        cache.put("5" * 64, result(300), meta=legacy)
+        put_raw(tmp_path, "5" * 64, 300, legacy)
+        assert current["pipeline"] == pipeline_fingerprint()
         pairs, report = mine_pairs(cache, CASE)
         assert sorted(pairs) == [(BASELINE_TEXT, "codrle4", 1.0),
                                  (BASELINE_TEXT, "other", 1.0)]
@@ -127,8 +129,8 @@ class TestMinePairs:
         assert report.skipped_no_baseline == 0
         # the other machine's records pair up under its own case
         other = case_study("regalloc", machine=REGALLOC_MACHINE_B)
-        cache.put("6" * 64, result(800),
-                  meta=meta(BASELINE_TEXT, machine=REGALLOC_MACHINE_B))
+        put(tmp_path, "6" * 64, 800, BASELINE_TEXT,
+            machine=REGALLOC_MACHINE_B)
         pairs, report = mine_pairs(cache, other)
         assert sorted(pairs) == sorted([(BASELINE_TEXT, "codrle4", 1.0),
                                         (text, "codrle4", 2.0)])
