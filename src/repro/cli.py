@@ -1272,9 +1272,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     json_mode = bool(getattr(args, "json", False))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe (``| head``) fails here
+        return code
     except KeyboardInterrupt:
         raise
+    except BrokenPipeError:
+        # The ``signal`` docs' recipe: nothing more goes to the pipe.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         # Subcommands raise SystemExit("message") on usage errors;
         # under --json that human text must become the JSON error

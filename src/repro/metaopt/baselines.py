@@ -3,9 +3,10 @@
 Each case study's baseline is expressed in the GP language itself so it
 can seed the initial population (Section 4: "we seed the initial
 population with the compiler writer's best guess ... the priority
-function distributed with the compiler").  Native-callable equivalents
-live next to the passes (:func:`repro.passes.hyperblock.impact_priority`
-etc.); tests assert the tree and native forms agree.
+function distributed with the compiler").  Each pass keeps its native
+form, the stock heuristic it runs for a ``None`` hook in
+:class:`~repro.passes.pipeline.CompilerOptions`; tests assert the tree
+and native forms agree.
 """
 
 from __future__ import annotations

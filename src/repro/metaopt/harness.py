@@ -92,7 +92,6 @@ from repro.metaopt.fitness_cache import FitnessCache
 from repro.metaopt.psets import PSETS
 from repro.metaopt.priority import PriorityFunction
 from repro.metaopt.settings import EvalSettings
-from repro.passes.hyperblock import DEFAULT_MAX_OPS, PathInfo, decide
 from repro.passes.pipeline import (
     STAGE_BY_HOOK,
     BackendReport,
@@ -104,13 +103,15 @@ from repro.passes.pipeline import (
 )
 from repro.suite.registry import get as get_benchmark
 
-# The frontend, the simulator and the snapshot layer are imported where
-# a compile or a simulation starts (``_prepare``, ``_run``,
-# ``_compile``): an evaluation the fitness cache answers loads none.
+# The frontend, the simulator, the snapshot layer and the hyperblock
+# pass are imported where a compile, a simulation or a trie walk starts
+# (``_prepare``, ``_run``, ``_compile``, ``_PhenotypeStore._walk``): an
+# evaluation the fitness cache answers loads none.
 if TYPE_CHECKING:
     from repro.gp.select import Individual
     from repro.machine.sim import Simulator
     from repro.machine.vliw import ScheduledModule
+    from repro.passes.hyperblock import PathInfo
     from repro.passes.snapshot import PipelineSnapshot
 
 
@@ -469,6 +470,8 @@ class _PhenotypeStore:
         """The leaf of the verdicts ``options`` makes, from calls of its
         hyperblock priority alone; ``None`` where the trie does not
         reach (a verdict no compile has made yet)."""
+        from repro.passes.hyperblock import DEFAULT_MAX_OPS, decide
+
         node = self.tries.get(benchmark)
         while isinstance(node, _Region):
             _, converted, _ = decide(

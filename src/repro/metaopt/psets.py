@@ -1,9 +1,10 @@
-"""Primitive sets for the three case studies.
+"""Primitive sets for the case studies.
 
 These define what the compiler writer registers with the GP system:
 the feature vocabulary of each hook (Table 4 for hyperblocks, the
 Equation 2 terms for register allocation, the trip-count features for
-prefetching) plus the expression result type.
+prefetching) plus the expression result type.  The feature names are
+declared here, and each pass's tests hold its environments to them.
 
 Formerly ``repro.metaopt.features`` — a misnomer, since the module
 holds :class:`~repro.gp.generate.PrimitiveSet` instances, not feature
@@ -18,21 +19,64 @@ from __future__ import annotations
 from repro.gp.generate import PrimitiveSet
 from repro.gp.genome import FlagsSpace
 from repro.gp.types import BOOL, REAL
-from repro.passes.hyperblock import (
-    HYPERBLOCK_BOOL_FEATURES,
-    HYPERBLOCK_REAL_FEATURES,
+# the list-scheduling case's set lives beside its feature extractor
+from repro.metaopt.scheduling import SCHEDULE_PSET
+
+_PATH_FEATURES = ("dep_height", "num_ops", "exec_ratio", "num_branches",
+                  "predict_product", "path_ilp")
+
+#: Table 4's per-path features, their region aggregates, the path count.
+HYPERBLOCK_REAL_FEATURES: tuple[str, ...] = _PATH_FEATURES + tuple(
+    f"{name}_{suffix}"
+    for name in _PATH_FEATURES
+    for suffix in ("mean", "max", "min", "std")
+) + ("num_paths",)
+HYPERBLOCK_BOOL_FEATURES: tuple[str, ...] = ("mem_hazard", "has_unsafe_jsr")
+
+REGALLOC_REAL_FEATURES = (
+    "w",            # normalized execution frequency of the block
+    "uses",         # uses of the range in the block
+    "defs",         # defs of the range in the block
+    "ld_save",      # machine LDsave constant
+    "st_save",      # machine STsave constant
+    "live_blocks",  # N: number of blocks in the live range
+    "degree",       # interference degree of the range
+    "loop_depth",   # loop nesting depth of the block
+    "total_uses",   # uses of the range across all blocks
+    "total_defs",   # defs of the range across all blocks
+    "forbidden_ratio",  # fraction of colours already denied to the range
 )
-from repro.passes.prefetch import (
-    PREFETCH_BOOL_FEATURES,
-    PREFETCH_REAL_FEATURES,
+REGALLOC_BOOL_FEATURES = (
+    "has_call",     # block contains a call
+    "is_float",     # range lives in the FP register file
 )
-from repro.passes.regalloc import (
-    REGALLOC_BOOL_FEATURES,
-    REGALLOC_REAL_FEATURES,
+
+PREFETCH_REAL_FEATURES = (
+    "est_trip_count",   # profiled average iterations per entry
+    "static_trip",      # statically exact trip count (0 if unknown)
+    "stride",           # words advanced per iteration
+    "loop_depth",       # nesting depth of the containing loop
+    "body_ops",         # instructions in the loop body
+    "mem_ops",          # memory operations in the loop body
+    "line_reuse",       # iterations per cache line (line/stride), >=1
+    "lookahead",        # chosen prefetch distance, iterations
 )
-from repro.passes.unroll import (
-    UNROLL_BOOL_FEATURES,
-    UNROLL_FEATURES,
+PREFETCH_BOOL_FEATURES = (
+    "trip_known",       # bounds statically constant
+    "is_inner",         # innermost loop
+    "unit_stride",      # |stride| == 1
+)
+
+UNROLL_FEATURES = (
+    "factor",      # the candidate unroll factor being scored
+    "trip_count",  # exact iteration count of the loop
+    "body_ops",    # instructions in the flattened loop body
+    "step",        # induction-variable increment per iteration
+    "mem_ops",     # loads + stores in the body
+)
+UNROLL_BOOL_FEATURES = (
+    "has_memory",  # body touches memory
+    "has_fp",      # body does floating-point arithmetic
 )
 
 #: Case study I (Section 5): real-valued path priority.
@@ -71,10 +115,6 @@ UNROLL_PSET = PrimitiveSet(
 #: FOGA-style flag campaign: not a tree pset at all — a fixed-length
 #: enum-gene space over CompilerOptions (repro.gp.genome).
 FLAGS_SPACE = FlagsSpace()
-
-#: Extension case study (the paper's Section 2 example, exposed):
-#: real-valued list-scheduling priority.
-from repro.metaopt.scheduling import SCHEDULE_PSET  # noqa: E402
 
 PSETS = {
     "hyperblock": HYPERBLOCK_PSET,

@@ -28,12 +28,14 @@ critical        slack == 0
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.gp.generate import PrimitiveSet
 from repro.gp.types import REAL
 from repro.ir.instr import FUClass
-from repro.passes.schedule import BlockDAG, SchedulePriority
+
+if TYPE_CHECKING:
+    from repro.passes.schedule import BlockDAG, SchedulePriority
 
 SCHEDULE_REAL_FEATURES = (
     "lw_depth",

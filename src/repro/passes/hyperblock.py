@@ -47,19 +47,11 @@ if TYPE_CHECKING:
 
 #: Priority hook: feature environment -> path priority (higher = merge
 #: first).  The environment contains the Table 4 features plus region
-#: aggregates; see HYPERBLOCK_REAL_FEATURES / HYPERBLOCK_BOOL_FEATURES.
+#: aggregates; their names are declared in :mod:`repro.metaopt.psets`.
 HyperblockPriority = Callable[[Mapping[str, float | bool]], float]
 
 _BASE_FEATURES = ("dep_height", "num_ops", "exec_ratio", "num_branches",
                   "predict_product", "path_ilp")
-
-HYPERBLOCK_REAL_FEATURES: tuple[str, ...] = _BASE_FEATURES + tuple(
-    f"{name}_{suffix}"
-    for name in _BASE_FEATURES
-    for suffix in ("mean", "max", "min", "std")
-) + ("num_paths",)
-
-HYPERBLOCK_BOOL_FEATURES: tuple[str, ...] = ("mem_hazard", "has_unsafe_jsr")
 
 
 def impact_priority(env: Mapping[str, float | bool]) -> float:
@@ -445,12 +437,14 @@ def form_hyperblocks(
     function: Function,
     machine: MachineDescription,
     profile: FunctionProfile,
-    priority: HyperblockPriority = impact_priority,
+    priority: HyperblockPriority | None = None,
     rel_threshold: float = 0.10,
     max_ops: int = DEFAULT_MAX_OPS,
 ) -> HyperblockReport:
-    """Convenience wrapper: run hyperblock formation on one function."""
+    """Run hyperblock formation on one function; ``priority=None`` is
+    the stock heuristic, :func:`impact_priority`."""
     return HyperblockFormation(
-        function, machine, profile, priority,
+        function, machine, profile,
+        impact_priority if priority is None else priority,
         rel_threshold=rel_threshold, max_ops=max_ops,
     ).run()

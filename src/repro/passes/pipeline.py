@@ -35,6 +35,10 @@ a caller's probe sees the IR right after one named stage and may stop
 the compile there (the harness's content-digest memo).  The
 ``hyperblock`` stage is if-conversion and the module-wide cleanup after
 it, so a probe on ``hyperblock`` sees the cleaned-up IR.
+
+Each pass is imported where it runs and resolves a ``None`` hook
+itself, so a caller that only builds :class:`CompilerOptions` (a
+campaign the fitness cache answers) loads no pass (DESIGN.md §3b).
 """
 
 from __future__ import annotations
@@ -47,32 +51,16 @@ from typing import TYPE_CHECKING, Callable
 from repro import obs
 from repro.ir.function import Module
 from repro.machine.descr import DEFAULT_EPIC, MachineDescription
-from repro.machine.vliw import ScheduledModule
-from repro.passes.cleanup import cleanup_module
-from repro.passes.hyperblock import (
-    HyperblockPriority,
-    HyperblockReport,
-    form_hyperblocks,
-    impact_priority,
-)
-from repro.passes.inline import InlineReport, inline_module
-from repro.passes.prefetch import (
-    PrefetchPriority,
-    PrefetchReport,
-    insert_prefetches,
-    orc_confidence,
-)
-from repro.passes.regalloc import (
-    AllocationReport,
-    AllocationSeed,
-    SpillPriority,
-    allocate_function,
-    chow_hennessy_savings,
-)
-from repro.passes.schedule import SchedulePriority, schedule_module
-from repro.passes.unroll import UnrollReport, unroll_module
 
 if TYPE_CHECKING:
+    from repro.machine.vliw import ScheduledModule
+    from repro.passes.hyperblock import HyperblockPriority, HyperblockReport
+    from repro.passes.inline import InlineReport
+    from repro.passes.prefetch import PrefetchPriority, PrefetchReport
+    from repro.passes.regalloc import (AllocationReport, AllocationSeed,
+                                       SpillPriority)
+    from repro.passes.schedule import SchedulePriority
+    from repro.passes.unroll import UnrollReport
     from repro.profile.profiler import ModuleProfile
 
 #: Candidate-dependent backend stages, in execution order.  A case
@@ -145,16 +133,17 @@ def _staged(name: str, working: Module):
 @dataclass(frozen=True)
 class CompilerOptions:
     """Pipeline configuration; priority hooks are the Meta Optimization
-    attachment points."""
+    attachment points, and a ``None`` hook is the pass's stock
+    heuristic (Equation 1, Equation 2, ORC's, ...)."""
 
     machine: MachineDescription = DEFAULT_EPIC
     inline: bool = True
     unroll_factor: int = 2
     hyperblock: bool = True
     prefetch: bool = False
-    hyperblock_priority: HyperblockPriority = impact_priority
-    spill_priority: SpillPriority = chow_hennessy_savings
-    prefetch_priority: PrefetchPriority = orc_confidence
+    hyperblock_priority: HyperblockPriority | None = None
+    spill_priority: SpillPriority | None = None
+    prefetch_priority: PrefetchPriority | None = None
     schedule_priority: SchedulePriority | None = None
     #: Prepare-stage hook: scores candidate unroll factors.  ``None``
     #: applies the historical fixed factor byte-for-byte.
@@ -221,15 +210,14 @@ def prepare(
     # Imported where a prepare starts: the profiler runs the simulator's
     # generated code, and a caller that only needs CompilerOptions must
     # load neither.
+    from repro.passes.cleanup import cleanup_module
+    from repro.passes.inline import inline_module
+    from repro.passes.unroll import unroll_module
     from repro.profile.profiler import collect_profile
 
     options = options or CompilerOptions()
     working = module.clone()
-
-    def checkpoint(stage: str) -> None:
-        if options.verify_ir:
-            verify_module(working, stage=stage)
-
+    checkpoint = _make_checkpoint(working, options)
     checkpoint("input")
     inline_report = None
     unroll_report = None
@@ -256,19 +244,14 @@ def prepare(
                            unroll_report=unroll_report)
 
 
-def verify_module(module: Module, **checks) -> None:
-    """The IR verifier's ``verify_module``, imported on use: only
-    ``verify_ir`` runs it, and a campaign need not pay its import."""
-    from repro.verify.ir_verifier import verify_module as verify
-
-    verify(module, **checks)
-
-
 def _make_checkpoint(working: Module, options: CompilerOptions):
-    """The per-stage ``verify_ir`` hook; a no-op unless enabled."""
+    """The per-stage ``verify_ir`` hook; a no-op unless enabled (only
+    then is the verifier imported)."""
 
     def checkpoint(stage: str, allocated: bool = False) -> None:
         if options.verify_ir:
+            from repro.verify.ir_verifier import verify_module
+
             verify_module(working, stage=stage, allocated=allocated,
                           machine=options.machine if allocated else None)
 
@@ -293,6 +276,9 @@ def _run_backend_stage(
     if stage == "hyperblock":
         if not options.hyperblock:
             return None
+        from repro.passes.cleanup import cleanup_module
+        from repro.passes.hyperblock import form_hyperblocks
+
         with _staged("hyperblock", working):
             for name, function in working.functions.items():
                 report.hyperblock[name] = form_hyperblocks(
@@ -309,6 +295,8 @@ def _run_backend_stage(
     if stage == "prefetch":
         if not options.prefetch:
             return None
+        from repro.passes.prefetch import insert_prefetches
+
         with _staged("prefetch", working):
             for name, function in working.functions.items():
                 report.prefetch[name] = insert_prefetches(
@@ -321,6 +309,8 @@ def _run_backend_stage(
         return None
 
     if stage == "regalloc":
+        from repro.passes.regalloc import allocate_function
+
         seeds = allocation_seeds or {}
         with _staged("regalloc", working):
             for name, function in working.functions.items():
@@ -339,6 +329,8 @@ def _run_backend_stage(
         return None
 
     if stage == "schedule":
+        from repro.passes.schedule import schedule_module
+
         with _staged("schedule", working):
             scheduled = schedule_module(working, options.machine,
                                         options.schedule_priority)

@@ -40,24 +40,9 @@ from repro.machine.descr import MachineDescription
 if TYPE_CHECKING:
     from repro.profile.profiler import FunctionProfile
 
-#: Boolean priority hook: feature env -> prefetch this access?
+#: Boolean priority hook: feature env -> prefetch this access?  The
+#: environment's names are declared in :mod:`repro.metaopt.psets`.
 PrefetchPriority = Callable[[Mapping[str, float | bool]], bool]
-
-PREFETCH_REAL_FEATURES = (
-    "est_trip_count",   # profiled average iterations per entry
-    "static_trip",      # statically exact trip count (0 if unknown)
-    "stride",           # words advanced per iteration
-    "loop_depth",       # nesting depth of the containing loop
-    "body_ops",         # instructions in the loop body
-    "mem_ops",          # memory operations in the loop body
-    "line_reuse",       # iterations per cache line (line/stride), >=1
-    "lookahead",        # chosen prefetch distance, iterations
-)
-PREFETCH_BOOL_FEATURES = (
-    "trip_known",       # bounds statically constant
-    "is_inner",         # innermost loop
-    "unit_stride",      # |stride| == 1
-)
 
 
 def orc_confidence(env: Mapping[str, float | bool]) -> bool:
@@ -305,7 +290,11 @@ def insert_prefetches(
     function: Function,
     machine: MachineDescription,
     profile: FunctionProfile,
-    priority: PrefetchPriority = orc_confidence,
+    priority: PrefetchPriority | None = None,
 ) -> PrefetchReport:
-    return PrefetchInsertion(function, machine, profile, priority).run()
+    """Insert prefetches into one function; ``priority=None`` is the
+    stock heuristic, :func:`orc_confidence`."""
+    return PrefetchInsertion(
+        function, machine, profile,
+        orc_confidence if priority is None else priority).run()
 

@@ -65,7 +65,8 @@ SPILL_RESERVE = 4
 
 #: The spill-priority hook: maps a per-block feature environment to the
 #: block's savings contribution.  The allocator sums contributions over
-#: the live range's blocks and divides by N (Equation 3).
+#: the live range's blocks and divides by N (Equation 3).  The
+#: environment's names are declared in :mod:`repro.metaopt.psets`.
 SpillPriority = Callable[[Mapping[str, float | bool]], float]
 
 
@@ -73,26 +74,6 @@ def chow_hennessy_savings(env: Mapping[str, float | bool]) -> float:
     """The baseline per-block savings term (Equation 2)."""
     return env["w"] * (env["ld_save"] * env["uses"]
                        + env["st_save"] * env["defs"])
-
-
-#: Feature names exposed to evolved spill-priority expressions.
-REGALLOC_REAL_FEATURES = (
-    "w",            # normalized execution frequency of the block
-    "uses",         # uses of the range in the block
-    "defs",         # defs of the range in the block
-    "ld_save",      # machine LDsave constant
-    "st_save",      # machine STsave constant
-    "live_blocks",  # N: number of blocks in the live range
-    "degree",       # interference degree of the range
-    "loop_depth",   # loop nesting depth of the block
-    "total_uses",   # uses of the range across all blocks
-    "total_defs",   # defs of the range across all blocks
-    "forbidden_ratio",  # fraction of colours already denied to the range
-)
-REGALLOC_BOOL_FEATURES = (
-    "has_call",     # block contains a call
-    "is_float",     # range lives in the FP register file
-)
 
 
 @dataclass
@@ -531,13 +512,16 @@ class _FunctionAllocator:
 def allocate_function(
     function: Function,
     machine: MachineDescription,
-    spill_priority: SpillPriority = chow_hennessy_savings,
+    spill_priority: SpillPriority | None = None,
     block_freq: Mapping[str, float] | None = None,
     seed: AllocationSeed | None = None,
 ) -> AllocationReport:
-    """Allocate one function in place (VRegs become PRegs).  ``seed``,
+    """Allocate one function in place (VRegs become PRegs); a ``None``
+    ``spill_priority`` is :func:`chow_hennessy_savings`.  ``seed``,
     :func:`allocation_seed` of this function's IR or of the IR it was
     cloned from, replaces round one's analysis."""
+    if spill_priority is None:
+        spill_priority = chow_hennessy_savings
     return _FunctionAllocator(
         function, machine, spill_priority, block_freq
     ).allocate(seed)
@@ -546,7 +530,7 @@ def allocate_function(
 def allocate_module(
     module: Module,
     machine: MachineDescription,
-    spill_priority: SpillPriority = chow_hennessy_savings,
+    spill_priority: SpillPriority | None = None,
     block_freq: Mapping[str, Mapping[str, float]] | None = None,
 ) -> dict[str, AllocationReport]:
     """Allocate every function; ``block_freq`` maps function name ->

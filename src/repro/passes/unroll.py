@@ -36,21 +36,6 @@ from repro.ir.values import Imm, VReg
 #: Candidate unroll factors an evolved policy chooses among.
 UNROLL_CANDIDATE_FACTORS = (2, 4, 8)
 
-#: Feature names every unroll-priority environment carries, in order.
-UNROLL_FEATURES = (
-    "factor",      # the candidate unroll factor being scored
-    "trip_count",  # exact iteration count of the loop
-    "body_ops",    # instructions in the flattened loop body
-    "step",        # induction-variable increment per iteration
-    "mem_ops",     # loads + stores in the body
-)
-
-#: Boolean features alongside the reals above.
-UNROLL_BOOL_FEATURES = (
-    "has_memory",  # body touches memory
-    "has_fp",      # body does floating-point arithmetic
-)
-
 _FP_OPS = frozenset({
     Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
     Opcode.FNEG, Opcode.FSQRT, Opcode.ITOF, Opcode.FTOI,

@@ -149,7 +149,8 @@ class DifferentialResult:
 
 
 def options_summary(options: CompilerOptions) -> dict:
-    """The pass configuration recorded in a divergence report."""
+    """The pass configuration recorded in a divergence report; a hook
+    is ``custom`` unless it is ``None``, the pass's stock heuristic."""
     return {
         "machine": options.machine.name,
         "inline": options.inline,
@@ -158,12 +159,10 @@ def options_summary(options: CompilerOptions) -> dict:
         "prefetch": options.prefetch,
         "hyperblock_threshold": options.hyperblock_threshold,
         "verify_ir": options.verify_ir,
-        "custom_hyperblock_priority":
-            options.hyperblock_priority.__name__ != "impact_priority",
-        "custom_spill_priority":
-            options.spill_priority.__name__ != "chow_hennessy_savings",
-        "custom_prefetch_priority":
-            options.prefetch_priority.__name__ != "orc_confidence",
+        **{f"custom_{hook}": getattr(options, hook) is not None
+           for hook in ("hyperblock_priority", "spill_priority",
+                        "prefetch_priority", "schedule_priority",
+                        "unroll_priority")},
     }
 
 

@@ -10,9 +10,11 @@ from repro.ir.cfg import predecessors
 from repro.ir.interp import Interpreter
 from repro.ir.instr import Opcode
 from repro.machine.descr import DEFAULT_EPIC
-from repro.passes.hyperblock import (
+from repro.metaopt.psets import (
     HYPERBLOCK_BOOL_FEATURES,
     HYPERBLOCK_REAL_FEATURES,
+)
+from repro.passes.hyperblock import (
     HyperblockFormation,
     PathInfo,
     form_hyperblocks,
@@ -165,14 +167,16 @@ class TestFeatures:
             assert path.dep_height >= 1.0
 
     def test_env_contains_all_declared_features(self):
+        """The env builder and the pset's names are kept in step: the
+        environment has exactly the declared features."""
         paths = self._paths(DIAMOND)
         env = region_feature_env(paths, 0)
+        assert set(env) == {*HYPERBLOCK_REAL_FEATURES,
+                            *HYPERBLOCK_BOOL_FEATURES}
         for name in HYPERBLOCK_REAL_FEATURES:
-            assert name in env, name
-            assert isinstance(env[name], float)
+            assert isinstance(env[name], float), name
         for name in HYPERBLOCK_BOOL_FEATURES:
-            assert name in env, name
-            assert isinstance(env[name], bool)
+            assert isinstance(env[name], bool), name
 
     def test_aggregates_consistent(self):
         paths = self._paths(DIAMOND)

@@ -16,10 +16,10 @@ import pytest
 
 from repro.metaopt.harness import EvaluationHarness, _as_hook, case_study
 from repro.metaopt.settings import EvalSettings
-from repro.passes import pipeline
 from repro.passes.cleanup import cleanup_module
 from repro.passes.hyperblock import form_hyperblocks
 from repro.passes.pipeline import compile_backend
+from repro.verify import ir_verifier
 
 PROGRAMS = ("codrle4", "huff_dec")
 ORDERS = (("hyperblock", "prefetch", "regalloc", "schedule"),
@@ -75,13 +75,13 @@ def test_verify_ir_checkpoint_labels_keep_their_order(order, monkeypatch):
     options = dataclasses.replace(options, prefetch=True,
                                   backend_order=order, verify_ir=True)
     labels = []
-    verify = pipeline.verify_module
+    verify = ir_verifier.verify_module
 
     def recording(module, stage, **kwargs):
         labels.append(stage)
         return verify(module, stage=stage, **kwargs)
 
-    monkeypatch.setattr(pipeline, "verify_module", recording)
+    monkeypatch.setattr(ir_verifier, "verify_module", recording)
     compile_backend(prep, options)
     # "hyperblock" is checked once, after the cleanup that follows it
     assert labels == [*order[:2], "regalloc"]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.ir.interp import Interpreter
-from repro.machine.descr import DEFAULT_EPIC, ITANIUM_MACHINE
+from repro.machine.descr import CASE_NAMES, DEFAULT_EPIC, ITANIUM_MACHINE
 from repro.machine.sim import Simulator
 from repro.passes.hyperblock import impact_priority
 from repro.passes.pipeline import (
@@ -61,9 +61,30 @@ class TestOptions:
         assert options.machine is DEFAULT_EPIC
         assert options.hyperblock is True
         assert options.prefetch is False
-        assert options.hyperblock_priority is impact_priority
-        assert options.spill_priority is chow_hennessy_savings
-        assert options.prefetch_priority is orc_confidence
+        assert options.hyperblock_priority is None
+        assert options.spill_priority is None
+        assert options.prefetch_priority is None
+
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    def test_none_is_the_stock_heuristic(self, case):
+        """A ``None`` hook and the named stock callable compile a suite
+        program to the same binary on every case's machine and
+        options (prefetching on for the prefetch case)."""
+        from repro.metaopt.harness import case_study
+        from repro.suite.registry import get as get_benchmark
+
+        bench = get_benchmark("huff_enc")
+        stock = case_study(case).options
+        named = dataclasses.replace(
+            stock, hyperblock_priority=impact_priority,
+            spill_priority=chow_hennessy_savings,
+            prefetch_priority=orc_confidence)
+        digests = {
+            compile_module(compile_source(bench.source, bench.name),
+                           bench.inputs("train"), options)[0]
+            .content_digest()
+            for options in (stock, named)}
+        assert len(digests) == 1
 
 
 class TestPrepare:

@@ -8,10 +8,12 @@ from repro.ir.instr import Opcode
 from repro.ir.interp import Interpreter
 from repro.machine.descr import ITANIUM_MACHINE
 from repro.machine.sim import Simulator
-from repro.passes.cleanup import cleanup_module
-from repro.passes.prefetch import (
+from repro.metaopt.psets import (
     PREFETCH_BOOL_FEATURES,
     PREFETCH_REAL_FEATURES,
+)
+from repro.passes.cleanup import cleanup_module
+from repro.passes.prefetch import (
     always_prefetch,
     insert_prefetches,
     never_prefetch,
@@ -119,10 +121,8 @@ class TestFeatures:
         envs = self._first_env(STREAM_SOURCE, STREAM_INPUTS)
         assert envs
         for env in envs:
-            for name in PREFETCH_REAL_FEATURES:
-                assert name in env
-            for name in PREFETCH_BOOL_FEATURES:
-                assert name in env
+            assert set(env) == {*PREFETCH_REAL_FEATURES,
+                                *PREFETCH_BOOL_FEATURES}
 
     def test_static_trip_known_for_constant_bounds(self):
         envs = self._first_env(STREAM_SOURCE, STREAM_INPUTS)

@@ -14,11 +14,13 @@ from repro.ir.liveness import analyze
 from repro.ir.values import FLOAT, INT, PRED, PReg, VReg
 from repro.machine.descr import DEFAULT_EPIC, MachineDescription
 from repro.machine.sim import Simulator
+from repro.metaopt.psets import (
+    REGALLOC_BOOL_FEATURES,
+    REGALLOC_REAL_FEATURES,
+)
 from repro.passes import regalloc
 from repro.passes.pipeline import CompilerOptions
 from repro.passes.regalloc import (
-    REGALLOC_BOOL_FEATURES,
-    REGALLOC_REAL_FEATURES,
     SPILL_RESERVE,
     AllocationError,
     LiveRange,
@@ -469,10 +471,8 @@ class TestBaseline:
         allocate_module(module, tiny_machine(6), spill_priority=recording)
         assert seen_envs
         for env in seen_envs[:5]:
-            for name in REGALLOC_REAL_FEATURES:
-                assert name in env
-            for name in REGALLOC_BOOL_FEATURES:
-                assert name in env
+            assert set(env) == {*REGALLOC_REAL_FEATURES,
+                                *REGALLOC_BOOL_FEATURES}
 
 
 class TestPredicates:

@@ -472,6 +472,29 @@ class TestCacheCommand:
         assert payload["ok"] is False and str(typo) in payload["error"]
         assert not typo.exists()
 
+    @pytest.mark.parametrize("unbuffered", ("1", ""))
+    @pytest.mark.parametrize("json_flag", ((), ("--json",)))
+    def test_a_closed_stdout_exits_1_quietly(self, tmp_path, unbuffered,
+                                             json_flag):
+        """``repro cache stats | head -2``: a reader that went away is
+        exit 1 with nothing on stderr, buffered or not.  The child's
+        stdout is a pipe whose read end is already closed, so its first
+        write fails every time."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "cache", "stats",
+                 "--fitness-cache", str(tmp_path), *json_flag],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+
 
 class TestSurrogateFlags:
     def test_evolve_surrogate_smoke(self, tmp_path, capsys):

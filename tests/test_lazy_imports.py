@@ -1,9 +1,9 @@
 """A command that compiles nothing loads no compiler.
 
-The frontend, the interpreter, the simulator, the profiler and the
-snapshot layer are imported where a compile starts, so a campaign the
-fitness cache answers in full, and ``repro cache stats``, never load
-them (DESIGN.md, "What a command loads").  Each command runs in a
+The frontend, the interpreter, the simulator, the profiler, the
+snapshot layer and every compiler pass are imported where a compile
+starts, so a campaign the fitness cache answers in full, and ``repro
+cache stats``, never load them (DESIGN.md, "What a command loads").  Each command runs in a
 fresh interpreter, which then lists the ``repro`` modules it loaded.
 """
 
@@ -17,12 +17,20 @@ from repro.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: Every compiler pass and the IR analyses and binary form they use.
+PASSES = ("repro.passes.hyperblock", "repro.passes.regalloc",
+          "repro.passes.prefetch", "repro.passes.unroll",
+          "repro.passes.inline", "repro.passes.cleanup",
+          "repro.passes.schedule", "repro.ir.cfg", "repro.ir.liveness",
+          "repro.ir.loops", "repro.ir.dominators", "repro.machine.vliw")
+
 #: Modules only a compile, a profile, a simulation, a process pool or a
 #: DSS campaign needs (a name covers its submodules).
 DEFERRED = ("repro.frontend", "repro.ir.interp", "repro.machine.sim",
             "repro.machine.cache", "repro.machine.branch", "repro.profile",
             "repro.passes.snapshot", "repro.metaopt.parallel",
-            "repro.metaopt.generalize", "repro.gp.dss", "repro.gp.simplify")
+            "repro.metaopt.generalize", "repro.gp.dss", "repro.gp.simplify",
+            *PASSES)
 
 _LIST_MODULES = (
     "import json, sys\n"
@@ -83,5 +91,10 @@ def test_a_cold_campaign_loads_what_it_compiles_with(tmp_path):
     cold = run_listing(tmp_path, [*CAMPAIGN, "--run-dir",
                                   str(tmp_path / "cold"),
                                   "--fitness-cache", str(tmp_path / "c")])
+    compiled_with = set(PASSES) - {"repro.passes.prefetch"}
     assert {"repro.frontend", "repro.machine.sim", "repro.ir.interp",
-            "repro.profile.profiler", "repro.passes.snapshot"} <= set(cold)
+            "repro.profile.profiler", "repro.passes.snapshot",
+            *compiled_with} <= set(cold)
+    # a pass is imported where its stage runs, and this case's options
+    # turn prefetching off
+    assert "repro.passes.prefetch" not in cold

@@ -2,14 +2,24 @@
 
 import math
 
+import pytest
+
+from repro.gp.genome import expression_text
 from repro.machine import sim as sim_mod
+from repro.machine.descr import CASE_NAMES
+from repro.metaopt.harness import case_study
+from repro.metaopt.priority import PriorityFunction
 from repro.passes.pipeline import CompilerOptions
 from repro.verify.differential import (
     Divergence,
     compare_executions,
+    options_summary,
     run_differential,
     values_equal,
 )
+
+#: the cases whose candidates are priority-function trees
+TREE_CASES = [name for name in CASE_NAMES if case_study(name).tree_valued]
 
 SOURCE = """
 int data[8];
@@ -82,6 +92,32 @@ class TestRunDifferential:
         options = CompilerOptions(verify_ir=True)
         result = run_differential(SOURCE, INPUTS, options)
         assert result.equivalent
+
+    @pytest.mark.parametrize("name", TREE_CASES)
+    def test_an_evolved_candidate_in_a_hook_is_reported_custom(self, name):
+        """Every tree hook holding a :class:`PriorityFunction` is
+        summarised, and reported custom, on a full differential run."""
+        case = case_study(name)
+        candidate = PriorityFunction.from_text(
+            expression_text(case.baseline_tree()), case.pset)
+        options = case.options_for(candidate)
+        summary = options_summary(options)
+        assert summary[f"custom_{case.hook}"] is True
+        assert [hook for hook, custom in summary.items()
+                if hook.startswith("custom_") and custom] \
+            == [f"custom_{case.hook}"]
+        result = run_differential(SOURCE, INPUTS, options)
+        assert result.equivalent
+        assert result.options_summary == summary
+
+    def test_stock_options_report_no_custom_hook(self):
+        summary = options_summary(CompilerOptions())
+        assert [hook for hook in summary if hook.startswith("custom_")] == [
+            "custom_hyperblock_priority", "custom_spill_priority",
+            "custom_prefetch_priority", "custom_schedule_priority",
+            "custom_unroll_priority"]
+        assert not any(value for hook, value in summary.items()
+                       if hook.startswith("custom_"))
 
     def test_agreed_fault_is_equivalent(self):
         result = run_differential(FAULTING, {"n": [0]})

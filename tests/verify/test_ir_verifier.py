@@ -118,14 +118,16 @@ class TestBrokenIR:
         assert excinfo.value.issues
 
     def test_pipeline_flag_surfaces_corruption(self, monkeypatch):
-        """A pass that corrupts the IR is caught at the next checkpoint."""
-        from repro.passes import pipeline as pipeline_mod
+        """A pass that corrupts the IR is caught at the next checkpoint.
+        (``prepare`` imports each pass where it runs it, so the pass's
+        own module is patched.)"""
+        from repro.passes import cleanup as cleanup_mod
 
         def corrupting_cleanup(module):
             for function in module.functions.values():
                 function.blocks[function.block_order[0]].instrs.pop()
 
-        monkeypatch.setattr(pipeline_mod, "cleanup_module",
+        monkeypatch.setattr(cleanup_mod, "cleanup_module",
                             corrupting_cleanup)
         options = CompilerOptions(verify_ir=True, unroll_factor=1)
         with pytest.raises(IRVerifyError) as excinfo:

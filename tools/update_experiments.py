@@ -454,11 +454,12 @@ regenerating figures:
 `FitnessCache(DIR)` (API) stores one JSON file per simulation under
 `DIR/<k₁k₂>/<sha256-key>.json`, where the key digests `(cache format
 version, pipeline fingerprint, case name, machine fingerprint, noise
-level, expression structural key, benchmark, dataset)` and the payload
-is the full `SimResult` (cycles plus all counters).  Writes go
-through the one atomic write path (temp file, fsync, `os.replace`), so
-any number of worker processes and concurrent figure scripts can share
-one directory; racing writers produce identical bytes.
+level, expression structural key, benchmark, dataset, verified flag)`
+and the payload is the full `SimResult` (cycles plus all counters).
+Writes go through the one atomic write path (temp file, `os.replace`;
+an entry skips the fsync, since a torn entry reads as a miss), so any
+number of worker processes and concurrent figure scripts can share one
+directory; racing writers produce identical bytes.
 
 **Invalidation.**  The *pipeline fingerprint* hashes every `.py` file
 under `src/repro/`, so editing any pass, the simulator, the IR, a
