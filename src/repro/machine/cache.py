@@ -8,6 +8,13 @@ Prefetches fill the hierarchy like loads but charge no latency; their
 cost is the memory-unit issue slot they occupy plus the *pollution*
 they may cause by evicting live lines — exactly the trade-off the
 prefetching case study's priority function must learn.
+
+Two hot paths do the levels' work without calling their methods: the
+simulator's generated code does the L1 lookup, LRU refresh and hit
+count itself, and :meth:`CacheHierarchy.load_miss` / ``store_miss``
+walk the levels below L1 in one frame.  ``CacheLevel.probe``,
+``access`` and ``fill`` stay: they are the reference both paths are
+tested against, and the prefetch path.
 """
 
 from __future__ import annotations
@@ -36,11 +43,18 @@ class CacheStats:
 class CacheLevel:
     """One set-associative level with true-LRU replacement.
 
-    ``sets``, ``index_mask``, ``word_shift`` and ``stats`` are public
-    because the simulator's generated code does the L1 hit itself
-    (docs/MACHINE.md): a line lives in ``sets[line & index_mask]``, a
-    plain ``dict`` keyed by line number whose insertion order is the
-    LRU order, most recent last; a hit deletes and re-inserts its key.
+    A line lives in ``sets[line & index_mask]``, a plain ``dict`` keyed
+    by line number whose insertion order is the LRU order, most recent
+    last; a hit deletes and re-inserts its key.  ``sets``,
+    ``index_mask``, ``word_shift`` and ``stats`` are public because two
+    hot paths do a level's work without calling its methods: the
+    simulator's generated code does the L1 lookup and LRU refresh
+    itself (docs/MACHINE.md), and :class:`CacheHierarchy`'s miss walks
+    do the lookups, refreshes, counts and fills below it.  ``probe``,
+    ``access`` and ``fill`` stay as the reference both are tested
+    against (``tests/machine/test_cache_property.py``,
+    ``tests/machine/test_sim_inline_differential.py``), and as the
+    prefetch path.
 
     A ``lazy`` level makes each set when a line is first filled into
     it; until then its entry in ``sets`` is ``None``, and every lookup
@@ -104,13 +118,34 @@ class CacheLevel:
 
 
 class CacheHierarchy:
-    """L1/L2/L3 + memory, with Table 3 latencies."""
+    """L1/L2/L3 + memory, with Table 3 latencies.
+
+    A demand load or store whose L1 lookup misses costs one call:
+    :meth:`load_miss` or :meth:`store_miss` walks the levels below L1
+    in its own frame, on the levels' sets, and calls no
+    :class:`CacheLevel` method.  The walk finds the first level holding
+    the line and refreshes its LRU (a load counts a hit there and a
+    miss at each level above it), then fills every level above it, or
+    every level when none holds the line.  A level above the one that
+    answered has just missed, so its fill never finds the line there.
+    """
 
     def __init__(self, machine: MachineDescription) -> None:
         self.machine = machine
         self.levels = [CacheLevel(config, lazy=depth > 0)
                        for depth, config in enumerate(machine.cache_levels)]
         self.prefetches = 0
+        #: each level's (sets, index mask, word-to-line shift,
+        #: associativity): what a fill reads
+        self._fills = tuple(
+            (level.sets, level.index_mask, level.word_shift,
+             level.config.assoc) for level in self.levels)
+        #: per level below L1, what its lookup reads, then its stats,
+        #: its latency and the fills of the levels above it
+        self._below = tuple(
+            (level.sets, level.index_mask, level.word_shift, level.stats,
+             level.config.latency, self._fills[:depth])
+            for depth, level in enumerate(self.levels[1:], 1))
 
     @property
     def loads(self) -> int:
@@ -128,18 +163,34 @@ class CacheHierarchy:
         return self.load_miss(word_addr)
 
     def load_miss(self, word_addr: int) -> int:
-        """The rest of a demand load whose L1 lookup missed."""
-        byte_addr = word_addr * WORD_BYTES
-        levels = self.levels
-        levels[0].stats.misses += 1
-        for depth, level in enumerate(levels[1:], 1):
-            if level.access(byte_addr):
-                for upper in levels[:depth]:
-                    upper.fill(byte_addr)
-                return level.config.latency
-        for level in levels:
-            level.fill(byte_addr)
-        return self.machine.memory_latency
+        """The rest of a demand load whose L1 lookup missed: counts the
+        L1 miss, walks the levels below and returns the latency of the
+        one that held the line, or memory's."""
+        self.levels[0].stats.misses += 1
+        latency, fills = self.machine.memory_latency, self._fills
+        for sets, mask, shift, stats, level_latency, above in self._below:
+            line = word_addr >> shift
+            cache_set = sets[line & mask]
+            if cache_set is not None and line in cache_set:
+                del cache_set[line]
+                cache_set[line] = None
+                stats.hits += 1
+                latency, fills = level_latency, above
+                break
+            stats.misses += 1
+        for sets, mask, shift, assoc in fills:
+            line = word_addr >> shift
+            index = line & mask
+            cache_set = sets[index]
+            if cache_set is None:
+                sets[index] = {line: None}
+                continue
+            if len(cache_set) >= assoc:
+                for lru in cache_set:
+                    break
+                del cache_set[lru]
+            cache_set[line] = None
+        return latency
 
     def store(self, word_addr: int) -> int:
         """Buffered store: 1 cycle, allocates into L1."""
@@ -149,16 +200,29 @@ class CacheHierarchy:
 
     def store_miss(self, word_addr: int) -> None:
         """The rest of a store whose L1 lookup missed: write-allocate
-        without charging miss latency (buffered)."""
-        byte_addr = word_addr * WORD_BYTES
-        levels = self.levels
-        for depth, level in enumerate(levels[1:], 1):
-            if level.probe(byte_addr):
-                for upper in levels[:depth]:
-                    upper.fill(byte_addr)
-                return
-        for level in levels:
-            level.fill(byte_addr)
+        without charging miss latency (buffered) or counting a hit or
+        miss anywhere.  The same walk as :meth:`load_miss`."""
+        fills = self._fills
+        for sets, mask, shift, _stats, _latency, above in self._below:
+            line = word_addr >> shift
+            cache_set = sets[line & mask]
+            if cache_set is not None and line in cache_set:
+                del cache_set[line]
+                cache_set[line] = None
+                fills = above
+                break
+        for sets, mask, shift, assoc in fills:
+            line = word_addr >> shift
+            index = line & mask
+            cache_set = sets[index]
+            if cache_set is None:
+                sets[index] = {line: None}
+                continue
+            if len(cache_set) >= assoc:
+                for lru in cache_set:
+                    break
+                del cache_set[lru]
+            cache_set[line] = None
 
     def prefetch(self, word_addr: int) -> None:
         """Software prefetch: fills every level, charges no latency."""

@@ -15,9 +15,12 @@ Table 3 machine:
   but occupy their memory slot and may pollute the caches.
 
 Implementation note: for speed, each scheduled function is translated
-once into one generated Python function over a dense register file
-(``R[i]``), with immediates and global addresses baked in.  Its body is
-a ``while True`` over the block number ``at`` (the block's index in
+once into one generated Python function whose registers are its own
+locals (``r0``, ``r1``, ..., unpacked once on entry from the
+zero-filled list holding the arguments), with immediates and global
+addresses baked in, so an instruction reads and writes only frame
+locals.  A callee's registers are its own frame's.  Its body is a
+``while True`` over the block number ``at`` (the block's index in
 layout order), one ``if at == k:`` arm per block in layout order:
 
 * a block outside every innermost loop is an arm of that outer chain;
@@ -31,10 +34,12 @@ layout order), one ``if at == k:`` arm per block in layout order:
   header, so every jump into a loop lands on its arm;
 * ``RET`` is a ``return``.
 
-The six counters (cycles, bundles, dynamic and squashed ops, memory
-and branch stall) are locals, added to the simulator in a ``finally``
-and before each ``CALL``, because the callee charges the simulator;
-the cycle budget is checked against the local on every block entry.
+The seven counters (cycles, bundles, dynamic and squashed ops, memory
+and branch stall, L1 hits) are locals, added to the simulator in a
+``finally`` and before each ``CALL``, because the callee charges the
+simulator; ``run()`` then adds the L1 hits to L1's stats, whether the
+run returns or faults.  The cycle budget is checked against the local
+on every block entry.
 So a run costs one Python call per scheduled-function invocation, not
 one per block or loop it enters.  The functional interpreter's
 :func:`~repro.ir.interp.apply_scalar_op` is the reference for what
@@ -52,8 +57,9 @@ What the generated code does itself and what it calls:
   and inexact), then take the same range check;
 * a ``LOAD`` or ``STORE`` looks its line up in L1 inline, on the
   :class:`~repro.machine.cache.CacheLevel`'s own sets (line number,
-  set, membership, LRU refresh, hit counter), and calls
-  ``CacheHierarchy.load_miss`` / ``store_miss`` only when L1 misses;
+  set, membership, LRU refresh, the local hit count), and calls
+  ``CacheHierarchy.load_miss`` / ``store_miss`` only when L1 misses:
+  one call, whose frame walks L2 and L3 and fills what missed;
 * a ``BR`` does the 2-bit saturating update inline, on its record
   ``[state, mispredictions, taken, not taken]`` in the function's list
   of counts, and charges the misprediction;
@@ -79,7 +85,7 @@ its one unguarded terminator, a jump to a label the function lacks and
 a call to a function the module lacks.  It reads each block's last
 instruction before it finds the loops, then each instruction once, as
 it makes the lines (refusing an earlier terminator by its opcode); a
-register gets its ``R[i]`` slot the first time a line uses it,
+register gets its local ``r<i>`` the first time a line uses it,
 parameters first.  ``ValueError`` says the IR is
 malformed (the interpreter's decode raises it too, for a uid that two
 registers share); a :class:`SimError` would say the program faulted,
@@ -96,7 +102,10 @@ description.  The compiled code is kept twice.  A scheduled function
 keeps its own, with its counted terminators, per executor class
 (``ScheduledFunction.compiled``), so a second simulation of the same
 binary (a held binary on its second dataset, a re-scored baseline)
-runs no translation at all, only a cheap closure bind.  And a
+runs no translation at all, only a cheap closure bind.  A function
+without its own code is translated under a ``sim:codegen`` span (with
+its ``compile`` and ``exec`` when the LRU below misses), so a trace
+separates codegen from execution inside ``sim:run``.  And a
 module-level LRU keyed by a SHA-256 of the generated source serves a
 binary compiled again with equal content (a daemon compiling the same
 program for each request): that one pays the translation that
@@ -288,6 +297,14 @@ class _Executor:
       each instruction's lines;
     * ``_bind(code, counts)``: the code's function bound for one run.
 
+    A generated function is ``__function(R, fb)``: ``R`` is a fresh
+    zero-filled list of its ``reg_count`` registers with the arguments
+    in their slots, which it unpacks into the locals ``r0``, ``r1``,
+    ... on entry and never reads again; ``fb`` is its frame's base
+    address.  Every register an instruction names is one of those
+    locals, so each call, a recursive one too, has registers of its
+    own.
+
     Each function a run enters has one list of counts, ``C`` in its
     generated code: ``C[0]`` is its number of calls, then, per ``BR``
     and (in a form whose ``_COUNTED`` has it) ``JMP`` ending a block,
@@ -418,10 +435,11 @@ class _Executor:
         return " = ".join(self._COUNTERS) + " = 0"
 
     def _operand_expr(self, operand, regs: dict) -> str:
-        """``operand``'s expression.  A register's slot in ``R`` is
-        given the first time one is asked for; ``regs`` keys a ``VReg``
-        by uid and a ``PReg`` by (index, type), as ``build_dag`` does,
-        so no register ``__hash__`` or ``__eq__`` runs."""
+        """``operand``'s expression.  A register is the local
+        ``r<slot>`` of the generated function, its slot given the first
+        time one is asked for; ``regs`` keys a ``VReg`` by uid and a
+        ``PReg`` by (index, type), as ``build_dag`` does, so no register
+        ``__hash__`` or ``__eq__`` runs."""
         kind = operand.__class__
         if kind is VReg or kind is PReg:
             key = (operand.uid if kind is VReg
@@ -429,7 +447,7 @@ class _Executor:
             slot = regs.get(key)
             if slot is None:
                 slot = regs[key] = len(regs)
-            return f"R[{slot}]"
+            return f"r{slot}"
         if kind is Imm:
             return repr(operand.value)
         if kind is SymRef:
@@ -569,9 +587,10 @@ class _Executor:
     ) -> tuple[str, list[int], int, list[tuple]]:
         """Generate instance-independent Python source for a scheduled
         function: one ``__bind`` factory whose closure parameters carry
-        all per-run state, returning ``__function(R, fb)`` with one arm
-        per block or innermost loop (the module docstring has the
-        shape).  Arms come in layout order, never in the set order of
+        all per-run state, returning ``__function(R, fb)``, which
+        unpacks ``R`` into its register locals and has one arm per
+        block or innermost loop (the module docstring has the shape).
+        Arms come in layout order, never in the set order of
         ``Loop.body``.  Returns the source, the parameter register
         indices, the register count and the counted terminators
         (``_counts``'s layout)."""
@@ -629,30 +648,37 @@ class _Executor:
             return [" " * depth + f"if at == {at_of[label]}:",
                     *_indent(lines, depth + 4)]
 
+        arms = []
+        for label in function.block_order:
+            loop = loop_of.get(label)
+            if loop is None:
+                arms.extend(arm(label, None, 16))
+            elif label == loop.header:
+                arms.append(f"                if at == {at_of[label]}:")
+                arms.append("                    while True:")
+                for member in function.block_order:
+                    if member in loop.body:
+                        arms.extend(arm(member, loop.body, 24))
+                arms.append("                    continue")
+        # the arms gave every register its slot; each is a local,
+        # unpacked once from the zero-filled list ``R``
+        names = "".join([f"r{slot}, " for slot in range(len(regs))])
+        unpack = [f"        {names}= R"] if regs else []
         lines = [
             f"def __bind({self._BIND_PARAMS}):",
             "    def __function(R, fb):",
+            *unpack,
             "        C[0] += 1",
             f"        {self._restart()}",
             f"        {self._LIMIT}",
             f"        at = {at_of[function.entry_label]}",
             "        try:",
             "            while True:",
+            *arms,
+            "        finally:",
+            *_indent(self._flush(), 12),
+            "    return __function",
         ]
-        for label in function.block_order:
-            loop = loop_of.get(label)
-            if loop is None:
-                lines.extend(arm(label, None, 16))
-            elif label == loop.header:
-                lines.append(f"                if at == {at_of[label]}:")
-                lines.append("                    while True:")
-                for member in function.block_order:
-                    if member in loop.body:
-                        lines.extend(arm(member, loop.body, 24))
-                lines.append("                    continue")
-        lines.append("        finally:")
-        lines.extend(_indent(self._flush(), 12))
-        lines.append("    return __function")
         return "\n".join(lines), param_indices, len(regs), slots
 
     def _function_code(
@@ -665,7 +691,9 @@ class _Executor:
         code up in the module-level LRU, keyed by the SHA-256 of the
         generated source, so an equal binary compiled again (a fresh
         object) skips ``compile`` and ``exec``.  Both kinds of answer
-        count as a codegen hit."""
+        count as a codegen hit.  The first run's translation, lookup
+        and compile are a ``sim:codegen`` span, so ``sim:run``'s self
+        time is execution."""
         global _codegen_hits, _codegen_misses
         compiled = function.compiled.get(self.__class__)
         if compiled is not None:
@@ -673,42 +701,43 @@ class _Executor:
                 _codegen_hits += 1
             obs.inc("sim.codegen_hits")
             return compiled
-        source, param_indices, reg_count, slots = \
-            self._translate_function(function)
-        key = (
-            function.name,
-            function.entry_label,
-            function.frame_words,
-            len(function.params),
-            hashlib.sha256(source.encode()).hexdigest(),
-        )
-        with _CODEGEN_LOCK:
-            code = _CODEGEN_CACHE.get(key)
-            if code is not None:
-                _CODEGEN_CACHE.move_to_end(key)
-                _codegen_hits += 1
-            else:
-                _codegen_misses += 1
-        if code is not None:
-            obs.inc("sim.codegen_hits")
-        else:
-            obs.inc("sim.codegen_misses")
-            # Compile outside the lock: it is the expensive part, and
-            # two threads racing on the same key produce identical code
-            # objects (last writer wins benignly).
-            local_ns: dict = {}
-            exec(compile(source, f"<sim:{function.name}>", "exec"),
-                 _STATIC_NAMESPACE, local_ns)
-            code = _FunctionCode(
-                param_indices=param_indices,
-                reg_count=reg_count,
-                frame_words=function.frame_words,
-                bind=local_ns["__bind"],
+        with obs.span("sim:codegen", function=function.name):
+            source, param_indices, reg_count, slots = \
+                self._translate_function(function)
+            key = (
+                function.name,
+                function.entry_label,
+                function.frame_words,
+                len(function.params),
+                hashlib.sha256(source.encode()).hexdigest(),
             )
             with _CODEGEN_LOCK:
-                _CODEGEN_CACHE[key] = code
-                while len(_CODEGEN_CACHE) > _CODEGEN_CACHE_CAPACITY:
-                    _CODEGEN_CACHE.popitem(last=False)
+                code = _CODEGEN_CACHE.get(key)
+                if code is not None:
+                    _CODEGEN_CACHE.move_to_end(key)
+                    _codegen_hits += 1
+                else:
+                    _codegen_misses += 1
+            if code is not None:
+                obs.inc("sim.codegen_hits")
+            else:
+                obs.inc("sim.codegen_misses")
+                # Compile outside the lock: it is the expensive part,
+                # and two threads racing on the same key produce
+                # identical code objects (last writer wins benignly).
+                local_ns: dict = {}
+                exec(compile(source, f"<sim:{function.name}>", "exec"),
+                     _STATIC_NAMESPACE, local_ns)
+                code = _FunctionCode(
+                    param_indices=param_indices,
+                    reg_count=reg_count,
+                    frame_words=function.frame_words,
+                    bind=local_ns["__bind"],
+                )
+                with _CODEGEN_LOCK:
+                    _CODEGEN_CACHE[key] = code
+                    while len(_CODEGEN_CACHE) > _CODEGEN_CACHE_CAPACITY:
+                        _CODEGEN_CACHE.popitem(last=False)
         compiled = function.compiled[self.__class__] = (code, slots)
         return compiled
 
@@ -717,15 +746,15 @@ class Simulator(_Executor):
     """Executes scheduled code with cycle accounting."""
 
     _COUNTERS = ("cycles", "bundles", "dynamic_ops", "squashed_ops",
-                 "memory_stall", "branch_stall")
+                 "memory_stall", "branch_stall", "l1_hits")
     _LIMIT = "limit = S.max_cycles - S.cycles"
     #: The simulator, its memory and output list, L1's sets / index
-    #: mask / word-to-line shift / stats, the hierarchy's miss and
-    #: prefetch methods, the function's counts, the call hook and the
-    #: two machine latencies.  Geometry and latencies are bound, not
-    #: baked, so generated source (and the codegen cache key) is the
-    #: same on every machine.
-    _BIND_PARAMS = ("S, MEM, OUTS, SETS, MASK, SHIFT, STATS, LOAD_MISS, "
+    #: mask / word-to-line shift, the hierarchy's miss and prefetch
+    #: methods, the function's counts, the call hook and the two
+    #: machine latencies.  Geometry and latencies are bound, not baked,
+    #: so generated source (and the codegen cache key) is the same on
+    #: every machine.
+    _BIND_PARAMS = ("S, MEM, OUTS, SETS, MASK, SHIFT, LOAD_MISS, "
                     "STORE_MISS, PREFETCH, C, CALL, L1, PEN")
     _COUNTED = frozenset({Opcode.BR})
     _MISPREDICTED = ("cycles += PEN", "branch_stall += PEN")
@@ -752,13 +781,20 @@ class Simulator(_Executor):
         self.bundles = 0
         self.memory_stall = 0
         self.branch_stall = 0
+        #: L1 hits the generated code has counted and ``run()`` has not
+        #: yet added to L1's stats
+        self.l1_hits = 0
 
     # -- public API -----------------------------------------------------------
     def run(self, entry: str = "main",
             args: tuple[float | int, ...] = ()) -> SimResult:
-        with obs.span("sim:run", entry=entry,
-                      module=self.scheduled.module.name):
-            value = self._run(entry, args)
+        try:
+            with obs.span("sim:run", entry=entry,
+                          module=self.scheduled.module.name):
+                value = self._run(entry, args)
+        finally:
+            self.caches.levels[0].stats.hits += self.l1_hits
+            self.l1_hits = 0
         cycles = self.cycles
         if self.noise_stddev > 0.0:
             factor = max(0.5, self._noise_rng.gauss(1.0, self.noise_stddev))
@@ -815,7 +851,7 @@ class Simulator(_Executor):
             return [
                 f"_a = {src(0)}",
                 *_L1_LOOKUP,
-                "    STATS.hits += 1",
+                "    l1_hits += 1",
                 "else:",
                 "    _l = LOAD_MISS(_a)",
                 "    if _l > L1:",
@@ -858,7 +894,6 @@ class Simulator(_Executor):
             SETS=level1.sets,
             MASK=level1.index_mask,
             SHIFT=level1.word_shift,
-            STATS=level1.stats,
             LOAD_MISS=self.caches.load_miss,
             STORE_MISS=self.caches.store_miss,
             PREFETCH=self.caches.prefetch,

@@ -32,6 +32,7 @@ from repro.ir.instr import (
 )
 from repro.ir.interp import InterpError, Interpreter, wrap_int
 from repro.ir.values import INT, PRED, Imm, PReg, VReg
+from repro.machine import cache
 from repro.machine.descr import DEFAULT_EPIC
 from repro.machine.sim import (
     _STATIC_NAMESPACE,
@@ -578,24 +579,107 @@ class TestTranslationFrames:
                     if frames[name]} == {}
 
 
+def unepic_baseline() -> Simulator:
+    """A simulator of ``unepic``'s regalloc baseline on its training
+    input."""
+    bench = get_benchmark("unepic")
+    case = case_study("regalloc")
+    inputs = bench.inputs("train")
+    prepared = prepare(compile_source(bench.source, bench.name),
+                       inputs, case.options)
+    scheduled, _report = compile_backend(prepared)
+    simulator = Simulator(scheduled, case.machine)
+    for name, values in inputs.items():
+        simulator.set_global(name, values)
+    return simulator
+
+
 class TestRegionCalls:
     """Shaped like ``TestWrapCalls``: ``unepic``'s regalloc baseline
     is one scheduled function, so a run makes one generated call, not
     one per loop entry (31) or per block entry (about 13.7k)."""
 
     def test_unepic_baseline_enters_each_loop_once(self):
-        bench = get_benchmark("unepic")
-        case = case_study("regalloc")
-        inputs = bench.inputs("train")
-        prepared = prepare(compile_source(bench.source, bench.name),
-                           inputs, case.options)
-        scheduled, _report = compile_backend(prepared)
-        simulator = Simulator(scheduled, case.machine)
-        for name, values in inputs.items():
-            simulator.set_global(name, values)
-        calls, result = sim_frame_calls(simulator.run)
+        calls, result = sim_frame_calls(unepic_baseline().run)
         assert result.bundles > 10_000
         assert calls == 1
+
+
+class TestMissFrames:
+    """Shaped like ``TestRegionCalls``: an L1 load or store miss is one
+    call from the generated code into ``machine/cache.py``, whose frame
+    walks L2 and L3 and fills what missed without calling a
+    ``CacheLevel`` method (about seven frames per miss before)."""
+
+    def test_unepic_baseline_makes_one_cache_frame_per_miss(self):
+        simulator = unepic_baseline()
+        frames = Counter()
+
+        def profile(frame, event, arg):
+            """Cache frames made under a generated function, by name and
+            by whether the generated code made them itself (``run()``
+            reads the stats' properties after it returns)."""
+            if event != "call" or frame.f_code.co_filename != cache.__file__:
+                return
+            outer = frame.f_back
+            while outer is not None \
+                    and not outer.f_code.co_filename.startswith("<sim:"):
+                outer = outer.f_back
+            if outer is not None:
+                frames[frame.f_code.co_name, outer is frame.f_back] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = simulator.run()
+        finally:
+            sys.setprofile(None)
+        misses = simulator.caches.levels[0].stats.misses
+        assert misses > 100
+        assert result.load_count - misses > 5_000  # L1 hits, inline
+        stores = frames["store_miss", True]
+        assert stores > 100
+        # every frame is a miss the generated code called, nothing nests
+        assert frames == {("load_miss", True): misses,
+                          ("store_miss", True): stores}
+
+
+class TestRecursiveRegisters:
+    """Registers are locals of the generated function, so a callee
+    must not see its caller's: a recursive function whose live values
+    span its own calls simulates equal to the interpreter in both
+    forms."""
+
+    SOURCE = """
+    int fib(int n) {
+      if (n < 2) { return n; }
+      return fib(n - 1) + fib(n - 2);
+    }
+    int down(int n, int acc) {
+      int here = n * 3 + acc;
+      int below = 0;
+      if (n > 0) { below = down(n - 1, here); }
+      return here + below;
+    }
+    int main() {
+      out(fib(12));
+      out(down(9, 1));
+      return fib(7) * 100 + down(3, 2);
+    }
+    """
+
+    def test_timing_form_matches_the_interpreter(self):
+        expected = reference(self.SOURCE)
+        assert expected.outputs == [144, 1000]
+        result = simulate(build(self.SOURCE))
+        assert result.output_signature() == expected.output_signature()
+
+    def test_profiling_form_matches_the_interpreter(self):
+        module = compile_source(self.SOURCE)
+        interpreter = Interpreter(module)
+        expected = interpreter.run()
+        run = ProfilingRun(module)
+        assert run.run() == expected
+        assert run.control_counts() == interpreter.control_counts()
 
 
 class TestFreedOnReturn:

@@ -1,15 +1,18 @@
 """The simulator's generated code does the L1 hit, the 2-bit
-predictor update and integer arithmetic itself (docs/MACHINE.md).
-These properties drive random access and branch traces and random
-operands through that generated code and through the reference for
-each — ``CacheHierarchy.load/store/prefetch``,
-``TwoBitPredictor.update`` and the interpreter's ``apply_scalar_op``
-— and require the same charge per event, the same results and faults,
-and the same state at the end.  The memory and branch events run both
-one per call and inside one loop, whose generated code keeps the
-counters in locals.  The branch traces also run through the profiling
-form (``ProfilingRun``); in both forms each branch's record ``[2-bit
-state, mispredictions, taken, not taken]`` must be the predictor's."""
+predictor update and integer arithmetic itself (docs/MACHINE.md), and
+calls the hierarchy's one-frame walk on an L1 miss.  These properties
+drive random access and branch traces and random operands through that
+generated code and through the reference for each — the hierarchy's
+``load``/``store``/``prefetch`` with the walk below L1 composed from
+each level's ``access``, ``probe`` and ``fill``
+(``ReferenceHierarchy``), ``TwoBitPredictor.update`` and the
+interpreter's ``apply_scalar_op`` — and require the same charge per
+event, the same results and faults, and the same state at the end.
+The memory and branch events run both one per call and inside one
+loop, whose generated code keeps the counters in locals.  The branch
+traces also run through the profiling form (``ProfilingRun``); in both
+forms each branch's record ``[2-bit state, mispredictions, taken, not
+taken]`` must be the predictor's."""
 
 from functools import cache
 
@@ -37,10 +40,13 @@ from repro.ir.interp import InterpError, apply_scalar_op
 from repro.ir.values import FLOAT, INT, PRED, Imm, SymRef, VReg
 from repro.machine import descr
 from repro.machine.branch import TwoBitPredictor
-from repro.machine.cache import CacheHierarchy
 from repro.machine.descr import CacheLevelConfig, MachineDescription
 from repro.machine.sim import ProfilingRun, SimError, Simulator
 from repro.passes.schedule import schedule_module
+from tests.machine.test_cache_property import (
+    ReferenceHierarchy,
+    hierarchy_state,
+)
 from tests.machine.test_sim import sim_frame_calls
 
 TOY = MachineDescription(
@@ -148,26 +154,13 @@ def accesses(draw, machine: MachineDescription):
     return draw(st.lists(event, min_size=1, max_size=60))
 
 
-def cache_state(hierarchy: CacheHierarchy):
-    """Every level's sets in LRU order (a set below L1 that no fill
-    made yet is ``None``), and every counter."""
-    return (
-        [[None if cache_set is None else list(cache_set)
-          for cache_set in level.sets]
-         for level in hierarchy.levels],
-        [level.stats for level in hierarchy.levels],
-        hierarchy.loads,
-        hierarchy.prefetches,
-    )
-
-
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
 @settings(max_examples=30, deadline=None, phases=PHASES)
 @given(data=st.data())
 def test_memory_events_match_the_hierarchy(machine, data):
     trace = data.draw(accesses(machine))
     simulator = Simulator(scheduled_driver(machine.name), machine)
-    reference = CacheHierarchy(machine)
+    reference = ReferenceHierarchy(machine)
     memory: dict[int, int] = {}
     l1_latency = machine.load_latency
     for step, (kind, address, guard) in enumerate(trace):
@@ -189,7 +182,8 @@ def test_memory_events_match_the_hierarchy(machine, data):
         assert result.memory_stall_cycles - stalled \
             == max(0, latency - l1_latency), (trace, step)
         assert result.squashed_ops - squashed == (not executes), (trace, step)
-    assert cache_state(simulator.caches) == cache_state(reference), trace
+    assert hierarchy_state(simulator.caches) \
+        == hierarchy_state(reference), trace
     assert result.load_count == reference.loads
     assert result.prefetch_count == reference.prefetches
     assert result.l1_hit_rate == reference.levels[0].stats.hit_rate
@@ -344,7 +338,7 @@ def test_events_in_a_loop_match_the_references(machine, data):
     calls, result = sim_frame_calls(
         lambda: simulator.run("walk", (len(trace),)))
 
-    caches, predictor = CacheHierarchy(machine), TwoBitPredictor()
+    caches, predictor = ReferenceHierarchy(machine), TwoBitPredictor()
     outcomes: dict[str, list] = {"walk:0": [], "walk:1": [], "walk:2": []}
 
     def branch(key, taken):
@@ -385,7 +379,7 @@ def test_events_in_a_loop_match_the_references(machine, data):
     assert result.return_value == len(trace)
     assert simulator.outputs == outputs, trace
     assert simulator.memory == memory, trace
-    assert cache_state(simulator.caches) == cache_state(caches), trace
+    assert hierarchy_state(simulator.caches) == hierarchy_state(caches), trace
     assert result.memory_stall_cycles == stall, trace
     assert result.squashed_ops == squashed, trace
     assert result.branch_accuracy == predictor.stats.accuracy, trace

@@ -67,6 +67,34 @@ class TestPipelineAndSimulator:
         for event in passes:
             assert contained(event, pipeline), event["name"]
 
+    def test_codegen_spans_nest_in_the_first_run(self):
+        """A scheduled function's first simulation translates and
+        compiles it under ``sim:codegen``, inside ``sim:run`` (the
+        profiling form's inside ``pass:profile``), so ``sim:run``'s
+        self time is execution; a second simulation of the same binary
+        makes none."""
+        tracer = obs.enable_tracing()
+        bench = get_benchmark("codrle4")
+        inputs = bench.inputs("train")
+        prepared = prepare(compile_source(bench.source, bench.name), inputs)
+        scheduled, _ = compile_backend(prepared)
+        for _ in range(2):
+            simulator = Simulator(scheduled, DEFAULT_EPIC)
+            for name, values in inputs.items():
+                simulator.set_global(name, values)
+            simulator.run()
+        events = tracer.chrome_trace()["traceEvents"]
+        first, second = [e for e in events if e["name"] == "sim:run"]
+        profiles = [e for e in events if e["name"] == "pass:profile"]
+        codegen = [e for e in events if e["name"] == "sim:codegen"]
+        timed = [e for e in codegen if contained(e, [first])]
+        assert timed and not [e for e in codegen if contained(e, [second])]
+        names = [e["args"]["function"] for e in timed]
+        assert len(set(names)) == len(names)
+        assert set(names) <= set(scheduled.functions)
+        for event in codegen:
+            assert contained(event, [first, *profiles]), event
+
     def test_pipeline_metrics(self):
         registry = obs.enable_metrics()
         compile_and_simulate()
