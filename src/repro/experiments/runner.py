@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.experiments.checkpoint import (
@@ -55,7 +54,6 @@ def _canonical_json(data: dict) -> bytes:
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
-@dataclass
 class ExperimentResult:
     """What :meth:`ExperimentRunner.run` hands back.
 
@@ -65,18 +63,26 @@ class ExperimentResult:
     serialized to ``result.json``.
     """
 
-    config: ExperimentConfig
-    run_dir: Path | None
-    resumed: bool
-    interrupted: bool = False
-    next_generation: int | None = None
-    specialization: object | None = None
-    generalization: object | None = None
-    cross_validation: object | None = None
-    payload: dict | None = None
-    #: content address of the heuristic artifact written at campaign
-    #: end (``publish_dir`` set and the run finished), else None
-    artifact_id: str | None = None
+    def __init__(self, config: ExperimentConfig, run_dir: Path | None,
+                 resumed: bool, interrupted: bool = False,
+                 next_generation: int | None = None,
+                 specialization: object | None = None,
+                 generalization: object | None = None,
+                 cross_validation: object | None = None,
+                 payload: dict | None = None,
+                 artifact_id: str | None = None) -> None:
+        self.config = config
+        self.run_dir = run_dir
+        self.resumed = resumed
+        self.interrupted = interrupted
+        self.next_generation = next_generation
+        self.specialization = specialization
+        self.generalization = generalization
+        self.cross_validation = cross_validation
+        self.payload = payload
+        #: content address of the heuristic artifact written at campaign
+        #: end (``publish_dir`` set and the run finished), else None
+        self.artifact_id = artifact_id
 
 
 class ExperimentRunner:

@@ -1,12 +1,12 @@
 """MiniC abstract syntax tree.
 
-Plain dataclasses; the semantic analyzer annotates expressions with a
-``ctype`` field (``"int"`` or ``"float"``) in place.
+Plain classes, one ``__init__`` each; the semantic analyzer annotates
+expressions with a ``ctype`` attribute (``"int"`` or ``"float"``) in
+place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.frontend.errors import SourceLocation
@@ -14,159 +14,192 @@ from repro.frontend.errors import SourceLocation
 CType = str  # "int" | "float" | "void"
 
 
-@dataclass
 class Node:
-    location: SourceLocation
+    def __init__(self, location: SourceLocation) -> None:
+        self.location = location
 
 
 # -- expressions ------------------------------------------------------------
 
 
-@dataclass
 class Expr(Node):
     #: filled in by sema
-    ctype: CType = field(default="", init=False)
+    ctype: CType = ""
 
 
-@dataclass
 class IntLit(Expr):
-    value: int
+    def __init__(self, location: SourceLocation, value: int) -> None:
+        self.location = location
+        self.value = value
 
 
-@dataclass
 class FloatLit(Expr):
-    value: float
+    def __init__(self, location: SourceLocation, value: float) -> None:
+        self.location = location
+        self.value = value
 
 
-@dataclass
 class VarRef(Expr):
-    name: str
+    def __init__(self, location: SourceLocation, name: str) -> None:
+        self.location = location
+        self.name = name
 
 
-@dataclass
 class ArrayRef(Expr):
-    name: str
-    index: Expr
+    def __init__(self, location: SourceLocation, name: str,
+                 index: Expr) -> None:
+        self.location = location
+        self.name = name
+        self.index = index
 
 
-@dataclass
 class Unary(Expr):
-    op: str  # '-' | '!'
-    operand: Expr
+    def __init__(self, location: SourceLocation, op: str,
+                 operand: Expr) -> None:
+        self.location = location
+        self.op = op  # '-' | '!'
+        self.operand = operand
 
 
-@dataclass
 class Binary(Expr):
-    op: str  # arithmetic, comparison, bitwise, logical
-    left: Expr
-    right: Expr
+    def __init__(self, location: SourceLocation, op: str, left: Expr,
+                 right: Expr) -> None:
+        self.location = location
+        self.op = op  # arithmetic, comparison, bitwise, logical
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class Call(Expr):
-    name: str
-    args: list[Expr]
+    def __init__(self, location: SourceLocation, name: str,
+                 args: list[Expr]) -> None:
+        self.location = location
+        self.name = name
+        self.args = args
 
 
 # -- statements -------------------------------------------------------------
 
 
-@dataclass
 class Stmt(Node):
     pass
 
 
-@dataclass
 class DeclStmt(Stmt):
-    ctype: CType
-    name: str
-    array_size: Optional[int]  # None for scalars
-    init: Optional[Expr]
+    def __init__(self, location: SourceLocation, ctype: CType, name: str,
+                 array_size: Optional[int], init: Optional[Expr]) -> None:
+        self.location = location
+        self.ctype = ctype
+        self.name = name
+        self.array_size = array_size  # None for scalars
+        self.init = init
 
 
-@dataclass
 class AssignStmt(Stmt):
-    target: VarRef | ArrayRef
-    value: Expr
+    def __init__(self, location: SourceLocation, target: VarRef | ArrayRef,
+                 value: Expr) -> None:
+        self.location = location
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class IfStmt(Stmt):
-    condition: Expr
-    then_body: "BlockStmt"
-    else_body: Optional["BlockStmt"]
+    def __init__(self, location: SourceLocation, condition: Expr,
+                 then_body: BlockStmt,
+                 else_body: Optional[BlockStmt]) -> None:
+        self.location = location
+        self.condition = condition
+        self.then_body = then_body
+        self.else_body = else_body
 
 
-@dataclass
 class WhileStmt(Stmt):
-    condition: Expr
-    body: "BlockStmt"
+    def __init__(self, location: SourceLocation, condition: Expr,
+                 body: BlockStmt) -> None:
+        self.location = location
+        self.condition = condition
+        self.body = body
 
 
-@dataclass
 class ForStmt(Stmt):
-    init: Optional[AssignStmt]
-    condition: Optional[Expr]
-    step: Optional[AssignStmt]
-    body: "BlockStmt"
+    def __init__(self, location: SourceLocation, init: Optional[AssignStmt],
+                 condition: Optional[Expr], step: Optional[AssignStmt],
+                 body: BlockStmt) -> None:
+        self.location = location
+        self.init = init
+        self.condition = condition
+        self.step = step
+        self.body = body
 
 
-@dataclass
 class ReturnStmt(Stmt):
-    value: Optional[Expr]
+    def __init__(self, location: SourceLocation,
+                 value: Optional[Expr]) -> None:
+        self.location = location
+        self.value = value
 
 
-@dataclass
 class BreakStmt(Stmt):
     pass
 
 
-@dataclass
 class ContinueStmt(Stmt):
     pass
 
 
-@dataclass
 class OutStmt(Stmt):
-    value: Expr
+    def __init__(self, location: SourceLocation, value: Expr) -> None:
+        self.location = location
+        self.value = value
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr
+    def __init__(self, location: SourceLocation, expr: Expr) -> None:
+        self.location = location
+        self.expr = expr
 
 
-@dataclass
 class BlockStmt(Stmt):
-    body: list[Stmt]
+    def __init__(self, location: SourceLocation, body: list[Stmt]) -> None:
+        self.location = location
+        self.body = body
 
 
 # -- top level ---------------------------------------------------------------
 
 
-@dataclass
 class Param(Node):
-    ctype: CType
-    name: str
+    def __init__(self, location: SourceLocation, ctype: CType,
+                 name: str) -> None:
+        self.location = location
+        self.ctype = ctype
+        self.name = name
 
 
-@dataclass
 class FuncDecl(Node):
-    return_type: CType
-    name: str
-    params: list[Param]
-    body: BlockStmt
+    def __init__(self, location: SourceLocation, return_type: CType,
+                 name: str, params: list[Param], body: BlockStmt) -> None:
+        self.location = location
+        self.return_type = return_type
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass
 class GlobalDecl(Node):
-    ctype: CType
-    name: str
-    array_size: Optional[int]  # None => scalar (size-1 array in IR)
-    init: list[float | int]
+    def __init__(self, location: SourceLocation, ctype: CType, name: str,
+                 array_size: Optional[int],
+                 init: list[float | int]) -> None:
+        self.location = location
+        self.ctype = ctype
+        self.name = name
+        self.array_size = array_size  # None => scalar (size-1 array in IR)
+        self.init = init
 
 
-@dataclass
 class Program(Node):
-    globals: list[GlobalDecl]
-    functions: list[FuncDecl]
+    def __init__(self, location: SourceLocation, globals: list[GlobalDecl],
+                 functions: list[FuncDecl]) -> None:
+        self.location = location
+        self.globals = globals
+        self.functions = functions

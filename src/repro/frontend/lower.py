@@ -18,8 +18,6 @@ Decisions that matter downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
 from repro.frontend.parser import parse_source
@@ -57,13 +55,14 @@ def _ir_type(ctype: str) -> IRType:
     return FLOAT if ctype == "float" else INT
 
 
-@dataclass
 class _Value:
     """An expression result: the operand plus a memory-taint flag."""
 
-    operand: Operand
-    ctype: str
-    tainted: bool = False
+    def __init__(self, operand: Operand, ctype: str,
+                 tainted: bool = False) -> None:
+        self.operand = operand
+        self.ctype = ctype
+        self.tainted = tainted
 
 
 class _FunctionLowerer:

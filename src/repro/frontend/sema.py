@@ -17,7 +17,6 @@ positions convert implicitly in either direction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from repro.frontend import astnodes as ast
 from repro.frontend.errors import SemanticError
@@ -32,26 +31,29 @@ BUILTINS: dict[str, tuple[tuple[str, ...], str]] = {
 _symbol_ids = itertools.count()
 
 
-@dataclass
 class Symbol:
     """One declared object (global, parameter or local)."""
 
-    name: str
-    ctype: str  # element type for arrays
-    kind: str  # "global" | "param" | "local" | "local_array"
-    array_size: int | None = None
-    uid: int = field(default_factory=lambda: next(_symbol_ids))
+    def __init__(self, name: str, ctype: str, kind: str,
+                 array_size: int | None = None,
+                 uid: int | None = None) -> None:
+        self.name = name
+        self.ctype = ctype  # element type for arrays
+        self.kind = kind  # "global" | "param" | "local" | "local_array"
+        self.array_size = array_size
+        self.uid = next(_symbol_ids) if uid is None else uid
 
     @property
     def is_array(self) -> bool:
         return self.array_size is not None
 
 
-@dataclass
 class FuncSig:
-    name: str
-    param_types: tuple[str, ...]
-    return_type: str
+    def __init__(self, name: str, param_types: tuple[str, ...],
+                 return_type: str) -> None:
+        self.name = name
+        self.param_types = param_types
+        self.return_type = return_type
 
 
 class Scope:

@@ -23,33 +23,30 @@ weighted sampling without replacement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 
-@dataclass
 class DSSState:
     """Per-benchmark bookkeeping for dynamic subset selection."""
 
-    benchmarks: tuple[str, ...]
-    subset_size: int
-    difficulty_exponent: float = 1.0
-    age_exponent: float = 3.5
-    rng: random.Random = field(default_factory=random.Random)
-    difficulty: dict[str, float] = field(init=False)
-    age: dict[str, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.benchmarks:
+    def __init__(self, benchmarks: tuple[str, ...], subset_size: int,
+                 difficulty_exponent: float = 1.0, age_exponent: float = 3.5,
+                 rng: random.Random | None = None) -> None:
+        self.benchmarks = benchmarks
+        self.subset_size = subset_size
+        self.difficulty_exponent = difficulty_exponent
+        self.age_exponent = age_exponent
+        self.rng = random.Random() if rng is None else rng
+        if not benchmarks:
             raise ValueError("DSS needs at least one benchmark")
-        if not 1 <= self.subset_size <= len(self.benchmarks):
+        if not 1 <= subset_size <= len(benchmarks):
             raise ValueError(
-                f"subset_size must be in [1, {len(self.benchmarks)}], "
-                f"got {self.subset_size}"
+                f"subset_size must be in [1, {len(benchmarks)}], "
+                f"got {subset_size}"
             )
         # All benchmarks start maximally difficult so the first few
         # generations explore the whole suite.
-        self.difficulty = {name: 1.0 for name in self.benchmarks}
-        self.age = {name: 1 for name in self.benchmarks}
+        self.difficulty = {name: 1.0 for name in benchmarks}
+        self.age = {name: 1 for name in benchmarks}
 
     def weights(self) -> dict[str, float]:
         """Current selection weight of every benchmark."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -103,14 +103,15 @@ class GenerationStats:
     mean_size: float = 0.0
 
 
-@dataclass
 class GPResult:
     """Outcome of a run: the champion and the full evolution history."""
 
-    best: Individual
-    history: list[GenerationStats]
-    population: list[Individual]
-    evaluations: int
+    def __init__(self, best: Individual, history: list[GenerationStats],
+                 population: list[Individual], evaluations: int) -> None:
+        self.best = best
+        self.history = history
+        self.population = population
+        self.evaluations = evaluations
 
     @property
     def best_tree(self) -> Node:

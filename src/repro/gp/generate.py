@@ -15,7 +15,7 @@ ephemeral random constants are drawn.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gp.nodes import (
     FUNCTION_CLASSES,
@@ -71,7 +71,6 @@ class PrimitiveSet:
         return frozenset(self.bool_features)
 
 
-@dataclass
 class TreeGenerator:
     """Grows random, well-typed expression trees.
 
@@ -80,10 +79,10 @@ class TreeGenerator:
     declared features.
     """
 
-    pset: PrimitiveSet
-    rng: random.Random = field(default_factory=random.Random)
-
-    def __post_init__(self) -> None:
+    def __init__(self, pset: PrimitiveSet,
+                 rng: random.Random | None = None) -> None:
+        self.pset = pset
+        self.rng = random.Random() if rng is None else rng
         self._functions_by_type: dict[GPType, list[type[Node]]] = {
             REAL: [],
             BOOL: [],

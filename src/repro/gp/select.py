@@ -10,14 +10,12 @@ heuristic).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.gp.genome import expression_text
 from repro.gp.nodes import Node
 
 
-@dataclass
 class Individual:
     """An expression paired with its evaluation results.
 
@@ -31,11 +29,14 @@ class Individual:
     most once, by their first read.
     """
 
-    tree: Node
-    fitness: float | None = None
-    evaluations: int = 0
-    origin: str = "random"
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, tree: Node, fitness: float | None = None,
+                 evaluations: int = 0, origin: str = "random",
+                 metadata: dict | None = None) -> None:
+        self.tree = tree
+        self.fitness = fitness
+        self.evaluations = evaluations
+        self.origin = origin
+        self.metadata = {} if metadata is None else metadata
 
     @cached_property
     def size(self) -> int:

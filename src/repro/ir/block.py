@@ -8,17 +8,16 @@ copied and functions cloned without cyclic references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.ir.instr import TERMINATORS, Instr
 
 
-@dataclass
 class Block:
-    label: str
-    instrs: list[Instr] = field(default_factory=list)
-    #: Estimated/blessed execution count, populated by profiling.
-    profile_count: int = 0
+    def __init__(self, label: str, instrs: list[Instr] | None = None,
+                 profile_count: int = 0) -> None:
+        self.label = label
+        self.instrs = [] if instrs is None else instrs
+        #: Estimated/blessed execution count, populated by profiling.
+        self.profile_count = profile_count
 
     @property
     def terminator(self) -> Instr:

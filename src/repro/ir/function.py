@@ -10,7 +10,6 @@ Concrete addresses matter because the cache model hashes them into sets.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from repro.ir.block import Block
 from repro.ir.values import FLOAT, INT, IRType, VReg
@@ -22,20 +21,19 @@ GLOBAL_BASE = 1024
 STACK_BASE = 1 << 22
 
 
-@dataclass
 class GlobalArray:
     """A module-level array (all benchmark data lives in these)."""
 
-    name: str
-    size: int
-    elem_type: IRType = INT
-    init: tuple[float | int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"global {self.name} must have positive size")
-        if len(self.init) > self.size:
-            raise ValueError(f"initializer longer than array {self.name}")
+    def __init__(self, name: str, size: int, elem_type: IRType = INT,
+                 init: tuple[float | int, ...] = ()) -> None:
+        self.name = name
+        self.size = size
+        self.elem_type = elem_type
+        self.init = init
+        if size <= 0:
+            raise ValueError(f"global {name} must have positive size")
+        if len(init) > size:
+            raise ValueError(f"initializer longer than array {name}")
 
 
 class Function:

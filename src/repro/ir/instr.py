@@ -13,7 +13,6 @@ which is what if-conversion needs to guard the two sides of a diamond.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from repro.ir.values import (
     INT,
@@ -123,7 +122,6 @@ COMMUTATIVE = frozenset(
 _NEXT_INSTR_ID = [0]
 
 
-@dataclass(slots=True)
 class Instr:
     """One IR instruction.
 
@@ -148,21 +146,28 @@ class Instr:
                instructions of a clone.
     """
 
-    op: Opcode
-    dest: VReg | PReg | None = None
-    srcs: tuple[Operand, ...] = ()
-    guard: VReg | PReg | None = None
-    rel: Rel | None = None
-    dest2: VReg | PReg | None = None
-    targets: tuple[str, ...] = ()
-    callee: str | None = None
-    hazard: bool = False
-    uid: int = field(default=-1)
+    __slots__ = ("op", "dest", "srcs", "guard", "rel", "dest2", "targets",
+                 "callee", "hazard", "uid")
 
-    def __post_init__(self) -> None:
-        if self.uid == -1:
+    def __init__(self, op: Opcode, dest: VReg | PReg | None = None,
+                 srcs: tuple[Operand, ...] = (),
+                 guard: VReg | PReg | None = None, rel: Rel | None = None,
+                 dest2: VReg | PReg | None = None,
+                 targets: tuple[str, ...] = (), callee: str | None = None,
+                 hazard: bool = False, uid: int = -1) -> None:
+        self.op = op
+        self.dest = dest
+        self.srcs = srcs
+        self.guard = guard
+        self.rel = rel
+        self.dest2 = dest2
+        self.targets = targets
+        self.callee = callee
+        self.hazard = hazard
+        if uid == -1:
             _NEXT_INSTR_ID[0] += 1
-            self.uid = _NEXT_INSTR_ID[0]
+            uid = _NEXT_INSTR_ID[0]
+        self.uid = uid
 
     # -- dataflow views --------------------------------------------------
     def reads(self) -> list[VReg | PReg]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.function import Function, Module, STACK_BASE
 from repro.ir.instr import Opcode, Rel
@@ -208,7 +208,6 @@ class RunResult:
         return (self.return_value, tuple(self.outputs))
 
 
-@dataclass
 class Interpreter:
     """Executes a module.
 
@@ -224,16 +223,14 @@ class Interpreter:
     not, :meth:`control_counts` returns the counts.
     """
 
-    module: Module
-    max_steps: int = 10_000_000
-
-    memory: dict[int, float | int] = field(init=False, default_factory=dict)
-    outputs: list[float | int] = field(init=False, default_factory=list)
-    steps: int = field(init=False, default=0)
-    blocks_executed: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        self._layout = self.module.layout()
+    def __init__(self, module: Module, max_steps: int = 10_000_000) -> None:
+        self.module = module
+        self.max_steps = max_steps
+        self.memory: dict[int, float | int] = {}
+        self.outputs: list[float | int] = []
+        self.steps = 0
+        self.blocks_executed = 0
+        self._layout = module.layout()
         self._sp = STACK_BASE
         #: function name -> its decode.  Per instance, and an instance
         #: serves one run, so no run sees a module through the decode

@@ -20,19 +20,18 @@ objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ir.cfg import predecessors, successors
 from repro.ir.function import Function
 from repro.ir.values import VReg
 
 
-@dataclass
 class BlockLiveness:
-    use: set[VReg]
-    defs: set[VReg]
-    live_in: set[VReg]
-    live_out: set[VReg]
+    def __init__(self, use: set[VReg], defs: set[VReg], live_in: set[VReg],
+                 live_out: set[VReg]) -> None:
+        self.use = use
+        self.defs = defs
+        self.live_in = live_in
+        self.live_out = live_out
 
 
 def block_use_def(function: Function) -> dict[str, tuple[set[VReg], set[VReg]]]:

@@ -7,22 +7,23 @@ algorithm inserts prefetches for affine accesses inside loops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.ir.cfg import predecessors
 from repro.ir.dominators import dominator_sets
 from repro.ir.function import Function
 
 
-@dataclass
 class Loop:
     """A natural loop: ``header`` plus the body reached by back edges."""
 
-    header: str
-    body: set[str]  # includes the header
-    back_edges: list[tuple[str, str]] = field(default_factory=list)
-    parent: "Loop | None" = None
-    children: list["Loop"] = field(default_factory=list)
+    def __init__(self, header: str, body: set[str],
+                 back_edges: list[tuple[str, str]] | None = None,
+                 parent: Loop | None = None,
+                 children: list[Loop] | None = None) -> None:
+        self.header = header
+        self.body = body  # includes the header
+        self.back_edges = [] if back_edges is None else back_edges
+        self.parent = parent
+        self.children = [] if children is None else children
 
     @property
     def depth(self) -> int:

@@ -10,13 +10,11 @@ feature meaningful for small benchmarks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class BranchStats:
-    predictions: int = 0
-    mispredictions: int = 0
+    def __init__(self, predictions: int = 0, mispredictions: int = 0) -> None:
+        self.predictions = predictions
+        self.mispredictions = mispredictions
 
     @property
     def accuracy(self) -> float:

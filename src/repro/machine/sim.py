@@ -141,7 +141,6 @@ import math
 import random
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro import obs
 from repro.ir.function import STACK_BASE, Module
@@ -224,16 +223,17 @@ def _checked_fdiv(a: float, b: float) -> float:
     return a / b
 
 
-@dataclass
 class _FunctionCode:
     """Instance-independent compilation artifact: the ``__bind``
     factory of one scheduled function, ready to close over a
     Simulator's state."""
 
-    param_indices: list[int]
-    reg_count: int
-    frame_words: int
-    bind: object
+    def __init__(self, param_indices: list[int], reg_count: int,
+                 frame_words: int, bind: object) -> None:
+        self.param_indices = param_indices
+        self.reg_count = reg_count
+        self.frame_words = frame_words
+        self.bind = bind
 
 
 #: Names and constants shared by all generated code; nothing here

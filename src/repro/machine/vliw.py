@@ -10,17 +10,16 @@ sequentially and still observe VLIW semantics).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from repro.ir.function import Function, Module
 from repro.ir.instr import Instr
 
 
-@dataclass
 class Bundle:
     """Operations issued together in one cycle."""
 
-    instrs: list[Instr] = field(default_factory=list)
+    def __init__(self, instrs: list[Instr] | None = None) -> None:
+        self.instrs = [] if instrs is None else instrs
 
     def __iter__(self):
         return iter(self.instrs)
@@ -29,12 +28,12 @@ class Bundle:
         return len(self.instrs)
 
 
-@dataclass
 class ScheduledBlock:
     """A scheduled basic block (or hyperblock)."""
 
-    label: str
-    bundles: list[Bundle]
+    def __init__(self, label: str, bundles: list[Bundle]) -> None:
+        self.label = label
+        self.bundles = bundles
 
     @property
     def cycles(self) -> int:
@@ -51,7 +50,6 @@ class ScheduledBlock:
         return [instr for bundle in self.bundles for instr in bundle.instrs]
 
 
-@dataclass
 class ScheduledFunction:
     """All scheduled blocks of one function, in layout order.
 
@@ -61,12 +59,15 @@ class ScheduledFunction:
     edited once made, and it belongs to one ``ScheduledModule``, whose
     global layout and function names the code bakes in."""
 
-    name: str
-    params: list
-    frame_words: int
-    blocks: dict[str, ScheduledBlock]
-    block_order: list[str]
-    compiled: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, name: str, params: list, frame_words: int,
+                 blocks: dict[str, ScheduledBlock], block_order: list[str],
+                 compiled: dict | None = None) -> None:
+        self.name = name
+        self.params = params
+        self.frame_words = frame_words
+        self.blocks = blocks
+        self.block_order = block_order
+        self.compiled = {} if compiled is None else compiled
 
     @property
     def entry_label(self) -> str:
@@ -82,13 +83,14 @@ class ScheduledFunction:
         return result
 
 
-@dataclass
 class ScheduledModule:
     """The simulator's executable unit: scheduled functions plus the
     original module (for globals and layout)."""
 
-    module: Module
-    functions: dict[str, ScheduledFunction]
+    def __init__(self, module: Module,
+                 functions: dict[str, ScheduledFunction]) -> None:
+        self.module = module
+        self.functions = functions
 
     def content_digest(self) -> str:
         """Stable content identity of the scheduled binary: everything

@@ -9,8 +9,6 @@ an unrelated *test set* — the paper's measure of generality (Figures
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.gp.dss import DSSState
 from repro.gp.engine import GenerationStats, GPEngine, GPParams
 from repro.gp.genome import expression_text
@@ -23,21 +21,23 @@ from repro.metaopt.harness import (
 from repro.metaopt.settings import EvalSettings
 
 
-@dataclass
 class BenchmarkScore:
-    benchmark: str
-    train_speedup: float
-    novel_speedup: float
+    def __init__(self, benchmark: str, train_speedup: float,
+                 novel_speedup: float) -> None:
+        self.benchmark = benchmark
+        self.train_speedup = train_speedup
+        self.novel_speedup = novel_speedup
 
 
-@dataclass
 class GeneralizationResult:
     """Outcome of one DSS multi-benchmark evolution."""
 
-    best_tree: Node
-    training: list[BenchmarkScore]
-    history: list[GenerationStats]
-    evaluations: int
+    def __init__(self, best_tree: Node, training: list[BenchmarkScore],
+                 history: list[GenerationStats], evaluations: int) -> None:
+        self.best_tree = best_tree
+        self.training = training
+        self.history = history
+        self.evaluations = evaluations
 
     @property
     def best_expression(self) -> str:
@@ -166,12 +166,13 @@ def finalize_generalization(
     )
 
 
-@dataclass
 class CrossValidationResult:
     """Best general-purpose function applied to an unseen test set."""
 
-    scores: list[BenchmarkScore]
-    machine_name: str
+    def __init__(self, scores: list[BenchmarkScore],
+                 machine_name: str) -> None:
+        self.scores = scores
+        self.machine_name = machine_name
 
     def average_train_speedup(self) -> float:
         """Raises :class:`ValueError` on an empty test set (same

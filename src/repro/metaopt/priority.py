@@ -10,7 +10,6 @@ than aborting a compile (fitness evaluation must be total).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.gp.generate import PrimitiveSet
@@ -19,7 +18,6 @@ from repro.gp.parse import parse, unparse
 from repro.gp.types import BOOL, REAL
 
 
-@dataclass
 class PriorityFunction:
     """A GP expression usable as a compiler priority hook.
 
@@ -27,8 +25,9 @@ class PriorityFunction:
     trees) or bool (Boolean-typed trees).
     """
 
-    tree: Node
-    name: str = "candidate"
+    def __init__(self, tree: Node, name: str = "candidate") -> None:
+        self.tree = tree
+        self.name = name
 
     def __call__(self, env: Mapping[str, float | bool]):
         try:

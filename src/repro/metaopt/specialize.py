@@ -9,8 +9,6 @@ fitness-over-generations curve (Figures 5, 10 and 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.gp.engine import GenerationStats, GPEngine, GPParams
 from repro.gp.genome import expression_text
 from repro.gp.nodes import Node
@@ -21,18 +19,22 @@ from repro.metaopt.harness import (
 )
 
 
-@dataclass
 class SpecializationResult:
     """Outcome of one per-benchmark evolution."""
 
-    benchmark: str
-    best_tree: Node
-    train_speedup: float
-    novel_speedup: float
-    history: list[GenerationStats]
-    evaluations: int
-    baseline_cycles_train: int
-    best_cycles_train: int
+    def __init__(self, benchmark: str, best_tree: Node,
+                 train_speedup: float, novel_speedup: float,
+                 history: list[GenerationStats], evaluations: int,
+                 baseline_cycles_train: int,
+                 best_cycles_train: int) -> None:
+        self.benchmark = benchmark
+        self.best_tree = best_tree
+        self.train_speedup = train_speedup
+        self.novel_speedup = novel_speedup
+        self.history = history
+        self.evaluations = evaluations
+        self.baseline_cycles_train = baseline_cycles_train
+        self.best_cycles_train = best_cycles_train
 
     @property
     def best_expression(self) -> str:

@@ -17,7 +17,7 @@ continuation block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.block import Block
 from repro.ir.function import Function, Module
@@ -37,11 +37,12 @@ class InlineDecision:
     inlined: bool
 
 
-@dataclass
 class InlineReport:
-    sites_seen: int = 0
-    sites_inlined: int = 0
-    decisions: list[InlineDecision] = field(default_factory=list)
+    def __init__(self, sites_seen: int = 0, sites_inlined: int = 0,
+                 decisions: list[InlineDecision] | None = None) -> None:
+        self.sites_seen = sites_seen
+        self.sites_inlined = sites_inlined
+        self.decisions = [] if decisions is None else decisions
 
 
 def _call_graph(module: Module) -> dict[str, set[str]]:

@@ -49,10 +49,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
-from repro.ir.function import Module
 from repro.machine.descr import DEFAULT_EPIC, MachineDescription
 
 if TYPE_CHECKING:
+    from repro.ir.function import Module
     from repro.machine.vliw import ScheduledModule
     from repro.passes.hyperblock import HyperblockPriority, HyperblockReport
     from repro.passes.inline import InlineReport
@@ -175,7 +175,6 @@ def with_artifact(options: CompilerOptions) -> CompilerOptions:
     return options.heuristic_artifact.install(options)
 
 
-@dataclass
 class PreparedProgram:
     """Candidate-independent compilation state, cacheable per benchmark.
 
@@ -183,11 +182,15 @@ class PreparedProgram:
     for the unroll and flags cases :func:`prepare` itself is the
     candidate-dependent step and the harness re-runs it per genome.)"""
 
-    module: Module
-    profile: ModuleProfile
-    options: CompilerOptions
-    inline_report: InlineReport | None = None
-    unroll_report: UnrollReport | None = None
+    def __init__(self, module: Module, profile: ModuleProfile,
+                 options: CompilerOptions,
+                 inline_report: InlineReport | None = None,
+                 unroll_report: UnrollReport | None = None) -> None:
+        self.module = module
+        self.profile = profile
+        self.options = options
+        self.inline_report = inline_report
+        self.unroll_report = unroll_report
 
 
 @dataclass

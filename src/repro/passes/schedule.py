@@ -31,7 +31,6 @@ edge builder accounts for.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.ir.block import Block
@@ -50,18 +49,21 @@ from repro.machine.vliw import (
 SchedulePriority = Callable[[int, "BlockDAG"], float]
 
 
-@dataclass(eq=False)
 class BlockDAG:
     """Dependence DAG over one block's instructions.
 
-    ``eq=False`` keeps identity hashing so priority hooks can cache
+    A DAG hashes and compares by identity, so priority hooks can cache
     per-DAG feature tables in weak mappings."""
 
-    instrs: list[Instr]
-    #: successor edges: index -> list of (succ_index, latency)
-    succs: list[list[tuple[int, int]]]
-    preds: list[list[tuple[int, int]]]
-    latency: list[int]
+    def __init__(self, instrs: list[Instr],
+                 succs: list[list[tuple[int, int]]],
+                 preds: list[list[tuple[int, int]]],
+                 latency: list[int]) -> None:
+        self.instrs = instrs
+        #: successor edges: index -> list of (succ_index, latency)
+        self.succs = succs
+        self.preds = preds
+        self.latency = latency
 
     def critical_path(self) -> list[int]:
         """Latency-weighted depth of each instruction (to DAG leaves)."""

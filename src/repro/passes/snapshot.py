@@ -32,7 +32,6 @@ the options of its case differ between candidates in the hook alone
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from repro import obs
 from repro.ir.function import Module
@@ -45,7 +44,6 @@ from repro.passes.pipeline import (
 from repro.passes.regalloc import AllocationSeed, allocation_seed
 
 
-@dataclass
 class PipelineSnapshot:
     """Deep-frozen post-prefix compiler state.
 
@@ -55,10 +53,13 @@ class PipelineSnapshot:
     name -> seed; only at ``regalloc``) is shared by every replay and
     only read."""
 
-    stage: str
-    module: Module
-    report: BackendReport
-    allocation_seeds: dict[str, AllocationSeed] = field(default_factory=dict)
+    def __init__(self, stage: str, module: Module, report: BackendReport,
+                 allocation_seeds: dict[str, AllocationSeed] | None = None):
+        self.stage = stage
+        self.module = module
+        self.report = report
+        self.allocation_seeds = ({} if allocation_seeds is None
+                                 else allocation_seeds)
 
     def restore(self) -> tuple[Module, BackendReport]:
         started = time.perf_counter()

@@ -25,7 +25,7 @@ exactly as the historical pass did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.cfg import predecessors
 from repro.ir.function import Function, Module
@@ -54,25 +54,29 @@ class UnrollDecision:
     factor: int       # chosen factor, 0 when the loop stays rolled
 
 
-@dataclass
 class UnrollReport:
-    loops_seen: int = 0
-    loops_unrolled: int = 0
-    copies_added: int = 0
-    decisions: list[UnrollDecision] = field(default_factory=list)
+    def __init__(self, loops_seen: int = 0, loops_unrolled: int = 0,
+                 copies_added: int = 0,
+                 decisions: list[UnrollDecision] | None = None) -> None:
+        self.loops_seen = loops_seen
+        self.loops_unrolled = loops_unrolled
+        self.copies_added = copies_added
+        self.decisions = [] if decisions is None else decisions
 
 
-@dataclass
 class LoopPlan:
     """Everything factor-independent about one unrollable loop."""
 
-    header: str
-    chain: list[str]
-    flattened: list[Instr]
-    trips: int
-    step: int
-    mem_ops: int
-    has_fp: bool
+    def __init__(self, header: str, chain: list[str],
+                 flattened: list[Instr], trips: int, step: int,
+                 mem_ops: int, has_fp: bool) -> None:
+        self.header = header
+        self.chain = chain
+        self.flattened = flattened
+        self.trips = trips
+        self.step = step
+        self.mem_ops = mem_ops
+        self.has_fp = has_fp
 
     def legal_factors(self) -> tuple[int, ...]:
         return tuple(f for f in UNROLL_CANDIDATE_FACTORS

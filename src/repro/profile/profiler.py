@@ -60,13 +60,15 @@ class FunctionProfile:
         return self.block_counts.get(label, 0)
 
 
-@dataclass
 class ModuleProfile:
     """Profiles for all functions plus whole-run statistics."""
 
-    functions: dict[str, FunctionProfile] = field(default_factory=dict)
-    total_steps: int = 0
-    run_result: RunResult | None = None
+    def __init__(self, functions: dict[str, FunctionProfile] | None = None,
+                 total_steps: int = 0,
+                 run_result: RunResult | None = None) -> None:
+        self.functions = {} if functions is None else functions
+        self.total_steps = total_steps
+        self.run_result = run_result
 
     def function(self, name: str) -> FunctionProfile:
         return self.functions.setdefault(name, FunctionProfile())

@@ -12,7 +12,6 @@ decision trail byte-identical across a daemon kill+restart.
 import itertools
 import json
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from repro.serve.client import ServeClient
 from repro.serve.jobs import HarnessPool
 from repro.serve.registry import ArtifactRegistry
 from repro.serve.server import ReproServer
+from tests.conftest import wait_until
 
 CASE = "hyperblock"
 MACHINE = DEFAULT_EPIC.name
@@ -73,16 +73,6 @@ def seeded_registry(root: Path) -> tuple[ArtifactRegistry, str]:
     registry.save(bad)
     registry.set_channel(CASE, MACHINE, "stable", bad.artifact_id)
     return registry, bad.artifact_id
-
-
-def wait_for(predicate, timeout=120.0, poll=0.1, message="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(poll)
-    raise AssertionError(f"timed out waiting for {message}")
 
 
 def campaign_phases(client) -> list[tuple[str, str]]:
@@ -142,18 +132,18 @@ def run_loop_to_completion(root: Path, interrupt: bool,
     phases: list[tuple[str, str]] = []
     try:
         drive_channel_traffic(client, TRIP_BENCHES)
-        wait_for(lambda: campaign_phases(client),
-                 message="campaign to start")
+        wait_until(lambda: campaign_phases(client), "campaign to start",
+                   timeout=120.0)
         if interrupt:
             name = campaign_phases(client)[0][0]
             checkpoint = (root / "autopilot" / "campaigns" / name
                           / "checkpoint.pkl")
-            wait_for(checkpoint.exists, message="first checkpoint")
+            wait_until(checkpoint.exists, "first checkpoint", timeout=120.0)
             phase_at_drain = campaign_phases(client)[0][1]
             server.drain(timeout=60.0)
             server, client = boot()  # the restarted daemon recovers
-        wait_for(lambda: campaign_phases(client)[0][1] == "canary",
-                 message="campaign to reach canary")
+        wait_until(lambda: campaign_phases(client)[0][1] == "canary",
+                   "campaign to reach canary", timeout=120.0)
         for _ in range(4):
             drive_channel_traffic(client, PAIR_BENCHES)
             phases = campaign_phases(client)
@@ -254,8 +244,8 @@ class TestInteractiveLatencyDuringCampaign:
         client = ServeClient(server.url, timeout=120.0)
         try:
             drive_channel_traffic(client, TRIP_BENCHES)
-            wait_for(lambda: campaign_phases(client),
-                     message="campaign to start")
+            wait_until(lambda: campaign_phases(client), "campaign to start",
+                       timeout=120.0)
             # interactive traffic while the campaign is stepping
             for _ in range(3):
                 drive_channel_traffic(client, TRIP_BENCHES)

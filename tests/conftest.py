@@ -1,6 +1,7 @@
 """Shared pytest configuration for the whole suite."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,27 @@ def pytest_addoption(parser):
         help="rewrite golden files (tests/golden/*.json) with the "
              "current behaviour instead of comparing against them",
     )
+
+
+def wait_until(predicate, what: str, timeout: float = 30.0):
+    """Poll ``predicate`` until it returns a true value, and return
+    that value.  After ``timeout`` seconds, raise ``AssertionError``
+    naming ``what`` and the last value seen.  The poll interval starts
+    at 1 ms and doubles up to 100 ms, so a condition that holds at
+    once costs no sleep and one that takes seconds (a daemon, a
+    campaign) is not asked more than ten times a second."""
+    deadline = time.monotonic() + timeout
+    interval = 0.001
+    while True:
+        value = predicate()
+        if value:
+            return value
+        if time.monotonic() >= deadline:
+            raise AssertionError(
+                f"timed out after {timeout:g} s waiting for {what}; "
+                f"last value: {value!r}")
+        time.sleep(interval)
+        interval = min(2 * interval, 0.1)
 
 
 @pytest.fixture(scope="session")

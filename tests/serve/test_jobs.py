@@ -10,26 +10,18 @@ import time
 import pytest
 
 from repro.serve.jobs import Job, JobQueue, QueueFull
+from tests.conftest import wait_until
 
 
-def wait_until(predicate, timeout=5.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
-
-
-def finished_job(queue, job_id, timeout=5.0):
+def finished_job(queue, job_id):
     """The job once its worker has written its last field, for the
     caller to assert on.  ``Job.finished`` turns true when ``state`` is
     written, before ``result`` and ``error``; ``finished_at`` is written
     last, under the queue's lock, on every path to a final state, so a
     job that shows it changes no more."""
     job = queue.get(job_id)
-    assert wait_until(lambda: job.finished_at is not None, timeout), \
-        job.to_json_dict()
+    wait_until(lambda: job.finished_at is not None,
+               f"{job_id} to write finished_at")
     return job
 
 
@@ -87,7 +79,7 @@ class TestBackpressure:
         queue = JobQueue(lambda kind, params: gate.wait(10),
                          workers=1, capacity=2)
         queue.submit("evaluate", {})  # occupies the worker
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         queue.submit("evaluate", {})
         queue.submit("evaluate", {})  # queue now at capacity
         with pytest.raises(QueueFull) as excinfo:
@@ -103,14 +95,14 @@ class TestBackpressure:
         queue = JobQueue(lambda kind, params: gate.wait(10) and {},
                          workers=1, capacity=1)
         queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         queue.submit("evaluate", {})
         with pytest.raises(QueueFull):
             queue.submit("evaluate", {})
         gate.set()
-        assert wait_until(lambda: queue.depth() == 0)
+        wait_until(lambda: queue.depth() == 0, "an empty queue")
         job = queue.submit("evaluate", {})  # accepted again
-        assert wait_until(lambda: queue.get(job.id).finished)
+        wait_until(lambda: queue.get(job.id).finished, f"{job.id} to finish")
         assert queue.drain(timeout=5.0)
 
 
@@ -120,7 +112,7 @@ class TestCancel:
         queue = JobQueue(lambda kind, params: gate.wait(10),
                          workers=1, capacity=4)
         queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         queued = queue.submit("evaluate", {})
         assert queue.cancel(queued.id) is True
         assert queue.get(queued.id).state == "cancelled"
@@ -135,7 +127,8 @@ class TestCancel:
         queue = JobQueue(lambda kind, params: gate.wait(10),
                          workers=1, capacity=4)
         job = queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.get(job.id).state == "running")
+        wait_until(lambda: queue.get(job.id).state == "running",
+                   f"{job.id} to run")
         assert queue.cancel(job.id) is False
         # ... but the running job is flagged for cooperative cancel
         assert queue.get(job.id).cancel_requested is True
@@ -156,7 +149,8 @@ class TestCancel:
 
         queue = JobQueue(handler, workers=1, capacity=4)
         job = queue.submit("campaign-step", {})
-        assert wait_until(lambda: queue.get(job.id).state == "running")
+        wait_until(lambda: queue.get(job.id).state == "running",
+                   f"{job.id} to run")
         queue.cancel(job.id)  # running: flag only
         flagged.set()
         done = finished_job(queue, job.id)
@@ -179,7 +173,7 @@ class TestPriority:
 
         queue = JobQueue(handler, workers=1, capacity=16)
         queue.submit("evaluate", {"n": "hold", "hold": True})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         queue.submit("autopilot-step", {"n": "bg1"},
                      priority="background")
         queue.submit("autopilot-step", {"n": "bg2"},
@@ -189,7 +183,7 @@ class TestPriority:
         gate.set()
         # drain would cancel queued background work, so wait for the
         # backlog to empty first
-        assert wait_until(lambda: len(order) == 5)
+        wait_until(lambda: len(order) == 5, "five jobs to run")
         assert queue.drain(timeout=10.0)
         # both interactive jobs ran before any queued background job
         assert order == ["hold", "fg1", "fg2", "bg1", "bg2"]
@@ -205,7 +199,7 @@ class TestPriority:
         queue = JobQueue(lambda kind, params: gate.wait(10),
                          workers=1, capacity=1)
         queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         queue.submit("evaluate", {})
         with pytest.raises(QueueFull):
             queue.submit("evaluate", {})
@@ -237,7 +231,7 @@ class TestPriority:
 
         queue = JobQueue(handler, workers=1, capacity=16)
         queue.submit("evaluate", {"n": "hold", "hold": True})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         queued_bg = queue.submit("autopilot-step", {"n": "bg"},
                                  priority="background")
         queued_fg = queue.submit("evaluate", {"n": "fg"})
@@ -263,7 +257,7 @@ class TestTimeout:
             lambda kind, params: (gate.wait(10), ran.append(params))[0],
             workers=1, capacity=4, job_timeout=0.05)
         queue.submit("evaluate", {"first": True})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         stale = queue.submit("evaluate", {"second": True})
         time.sleep(0.15)  # let the queued job's deadline lapse
         gate.set()
@@ -316,7 +310,7 @@ class TestDrain:
         queue = JobQueue(lambda kind, params: gate.wait(30),
                          workers=1, capacity=4)
         queue.submit("evaluate", {})
-        assert wait_until(lambda: queue.stats()["running"] == 1)
+        wait_until(lambda: queue.stats()["running"] == 1, "a running job")
         assert queue.drain(timeout=0.1) is False
         gate.set()
         assert queue.drain(timeout=5.0) is True

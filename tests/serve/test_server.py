@@ -30,6 +30,7 @@ from repro.serve.client import JobFailed, ServeClient, ServeError, ServerBusy
 from repro.serve.jobs import HarnessPool, run_evaluate, simulation_payload
 from repro.serve.registry import ArtifactRegistry
 from repro.serve.server import MAX_BODY_BYTES, ReproServer
+from tests.conftest import wait_until
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -342,10 +343,7 @@ def saturate(server, gate_depth=1):
     """Fill the worker and the queue; returns the raw submit URL."""
     client = ServeClient(server.url, retries=0)
     client.submit("evaluate", {})  # occupies the single worker
-    deadline = time.monotonic() + 5
-    while server.queue.stats()["running"] < 1:
-        assert time.monotonic() < deadline
-        time.sleep(0.005)
+    wait_until(lambda: server.queue.stats()["running"], "a running job")
     client.submit("evaluate", {})  # fills capacity-1 queue
     return server.url + "/v1/evaluate"
 
@@ -428,10 +426,7 @@ class TestJobLifecycleOverHttp:
         srv, gate = gated_server
         client = ServeClient(srv.url, retries=0)
         client.submit("evaluate", {})
-        deadline = time.monotonic() + 5
-        while srv.queue.stats()["running"] < 1:
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
+        wait_until(lambda: srv.queue.stats()["running"], "a running job")
         queued = client.submit("evaluate", {})
         cancelled = client.cancel(queued["job_id"])
         assert cancelled["cancelled"] is True
@@ -536,11 +531,12 @@ class TestGracefulDrain:
                 client.evaluate(bench, case="hyperblock",
                                 channel="stable", timeout=120.0)
             campaigns = wait_until(
-                lambda: client.autopilot_status()["campaigns"] or None,
-                timeout=60.0)
+                lambda: client.autopilot_status()["campaigns"],
+                "a campaign to start", timeout=60.0)
             name = campaigns[0]["name"]
             checkpoint = state_dir / "campaigns" / name / "checkpoint.pkl"
-            wait_until(checkpoint.exists, timeout=60.0)
+            wait_until(checkpoint.exists, "the first checkpoint",
+                       timeout=60.0)
             proc.send_signal(signal.SIGTERM)
             stdout, stderr = proc.communicate(timeout=180)
         except BaseException:
@@ -577,13 +573,3 @@ class TestGracefulDrain:
                 "canary") == record["champion_id"]
             assert registry.load(record["champion_id"]).parent_id \
                 == bad.artifact_id
-
-
-def wait_until(predicate, timeout=30.0, poll=0.1):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(poll)
-    raise AssertionError("timed out")
